@@ -96,12 +96,6 @@ class SeqStats:
         return cls(length=len(seq), t_start=start, t_end=end, counts=counts)
 
 
-def _as_stats(context: Union[SeqStats, EventSequence]) -> SeqStats:
-    if isinstance(context, SeqStats):
-        return context
-    return SeqStats.from_sequence(context)
-
-
 # ---------------------------------------------------------------------------
 # Residuals and corrections
 
@@ -274,22 +268,9 @@ def _last_content_offset(
     return best
 
 
-_COST_CACHE: dict = {}
-_COST_CACHE_CAP = 1 << 17
-
-
-def _stats_key(stats: SeqStats) -> tuple:
-    return (
-        stats.length,
-        stats.t_start,
-        stats.t_end,
-        tuple(sorted(stats.counts.items())),
-    )
-
-
 def pattern_cost(
     p: Union[Pattern, Cycle],
-    context: Union[SeqStats, EventSequence],
+    stats: SeqStats,
     allow_interleaving: bool = True,
 ) -> CostBreakdown:
     """Bits to transmit a pattern against a sequence's statistics.
@@ -298,28 +279,9 @@ def pattern_cost(
     transmitted in that context: a parameter outside its code's range, a
     corrected occurrence outside the sequence window, or an interleaved
     tree when interleaving is disabled.
-
-    Results are memoized on (pattern, statistics, interleaving flag);
-    mining probes the same candidates against the same context many
-    times over.
     """
     if isinstance(p, Cycle):
         p = p.as_pattern()
-    stats = _as_stats(context)
-    key = (p, _stats_key(stats), allow_interleaving)
-    cached = _COST_CACHE.get(key)
-    if cached is not None:
-        return cached
-    breakdown = _pattern_cost_uncached(p, stats, allow_interleaving)
-    if len(_COST_CACHE) >= _COST_CACHE_CAP:
-        _COST_CACHE.clear()
-    _COST_CACHE[key] = breakdown
-    return breakdown
-
-
-def _pattern_cost_uncached(
-    p: Pattern, stats: SeqStats, allow_interleaving: bool
-) -> CostBreakdown:
     tree = p.tree
 
     occs, origins = expand_tree(tree)
@@ -386,9 +348,9 @@ def _pattern_cost_uncached(
     )
 
 
-def cycle_cost(c: Cycle, context: Union[SeqStats, EventSequence]) -> float:
+def cycle_cost(c: Cycle, stats: SeqStats) -> float:
     """Bits to transmit a cycle (as a width-1, depth-1 pattern)."""
-    return pattern_cost(c, context).total
+    return pattern_cost(c, stats).total
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +474,11 @@ def collection_cost(
 
 def is_cost_effective(
     p: Union[Pattern, Cycle],
-    context: Union[SeqStats, EventSequence],
+    stats: SeqStats,
     pairs: Sequence[tuple[int, str]] | None = None,
 ) -> bool:
     """True when the pattern is cheaper than leaving ``pairs`` (its own
     cover by default) as residuals."""
-    stats = _as_stats(context)
     pat = p.as_pattern() if isinstance(p, Cycle) else p
     if pairs is None:
         pairs = pattern_occurrences(pat)
@@ -528,9 +489,8 @@ def is_cost_effective(
     return bits < sum(residual_cost(stats, o) for o in pairs)
 
 
-def efficiency(p: Union[Pattern, Cycle], context: Union[SeqStats, EventSequence]) -> float:
+def efficiency(p: Union[Pattern, Cycle], stats: SeqStats) -> float:
     """Bits per covered occurrence; smaller is better."""
-    stats = _as_stats(context)
     pat = p.as_pattern() if isinstance(p, Cycle) else p
     cover = pattern_occurrences(pat)
     return pattern_cost(pat, stats).total / len(cover)

@@ -32,6 +32,7 @@ from .pattern import (
     Cycle,
     Pattern,
     cycle_cover,
+    factorize,
     fit_cycle,
     format_pattern,
     format_tree,
@@ -56,18 +57,14 @@ class MiningConfig:
 
     ``k`` is the per-occurrence retention width: a candidate survives
     pruning while it is among the ``k`` most efficient candidates for at
-    least one occurrence it covers.  ``deterministic_seed`` is reserved
-    for randomized tie-breaking; the current implementation is fully
-    deterministic and does not consume it.
+    least one occurrence it covers.
     """
 
     k: int = 3
     max_rounds: int = 10
     allow_interleaving: bool = True
     clique_node_cap: int = 64
-    deterministic_seed: int = 0
     dp_window: int = 500
-    dp_exact_cutoff: int = 64
     tri_max_pairs: int = 100_000
     tri_max_chains: int = 2_000
     threads: int = 1
@@ -231,16 +228,15 @@ def extract_cycles_dp(
     event: str,
     stats: SeqStats,
     window: int = 500,
-    exact_cutoff: int = 64,
 ) -> list[Cycle]:
     """Cost-optimal segmentation of one event's timestamps into cycles.
 
     Consecutive runs of at least 3 occurrences may be coded as one fitted
     cycle; everything else stays residual.  The segmentation minimizing
     the total bits is found by dynamic programming over prefixes, with
-    segments capped at ``window`` occurrences.  Lists no longer than
-    ``exact_cutoff`` are scored through the reference encoder; longer
-    ones use an equivalent closed form with an online median.
+    segments capped at ``window`` occurrences.  Each segment is priced by
+    the encoder's closed form for a fitted cycle, with the period kept by
+    an online median.
 
     Returns the fitted cycles of the optimal segmentation (only those
     strictly cheaper than leaving their occurrences residual).
@@ -252,7 +248,6 @@ def extract_cycles_dp(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("timestamps must be strictly increasing")
     l_res = codec.residual_cost(stats, (ts[0], event))
-    exact = n <= exact_cutoff
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
@@ -270,19 +265,11 @@ def extract_cycles_dp(
             cand_cost = best[i] + cost
             cyc_cost = float("inf")
             if m >= 3:
-                if exact:
-                    try:
-                        cyc_cost = codec.cycle_cost(
-                            fit_cycle(ts[i : j + 1], event), stats
-                        )
-                    except (UncodablePatternError, InvalidCycleError):
-                        cyc_cost = float("inf")
-                else:
-                    p = med.median
-                    sigma = (ts[j] - ts[i]) - (m - 1) * p
-                    cyc_cost = _cycle_cost_closed(
-                        stats, event, m, p, med.abs_deviation, sigma, ts[i]
-                    )
+                p = med.median
+                sigma = (ts[j] - ts[i]) - (m - 1) * p
+                cyc_cost = _cycle_cost_closed(
+                    stats, event, m, p, med.abs_deviation, sigma, ts[i]
+                )
                 if cyc_cost < cost:
                     cand_cost = best[i] + cyc_cost
             if cand_cost < bj:
@@ -422,7 +409,7 @@ def _zero_pattern(tree: Block, tau: int) -> Pattern:
 def combine_vertically(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
-    seq: EventSequence,
+    stats: SeqStats,
     k: int,
     config: MiningConfig | None = None,
 ) -> list[Candidate]:
@@ -435,7 +422,6 @@ def combine_vertically(
     the summed cost of the members it replaces.
     """
     cfg = config or MiningConfig()
-    stats = SeqStats.from_sequence(seq)
     merged = _dedupe(list(new) + list(pool))
     by_tree: dict[str, list[Candidate]] = {}
     tree_of: dict[str, Block] = {}
@@ -579,7 +565,7 @@ def _components(adj: Mapping[int, set[int]], nodes: Iterable[int]) -> list[set[i
 def combine_horizontally(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
-    seq: EventSequence,
+    stats: SeqStats,
     k: int,
     config: MiningConfig | None = None,
 ) -> list[Candidate]:
@@ -593,7 +579,6 @@ def combine_horizontally(
     maximal clique of the pairwise-success graph.
     """
     cfg = config or MiningConfig()
-    stats = SeqStats.from_sequence(seq)
     merged = _dedupe(list(new) + list(pool))
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
@@ -645,16 +630,19 @@ def combine_horizontally(
 def _merge_candidates(
     members: Sequence[Candidate], stats: SeqStats, cfg: MiningConfig
 ) -> Candidate | None:
+    """Concatenate the members, or their factorized form when it is
+    strictly cheaper."""
     try:
-        grown = grow_horizontally([m.pattern for m in members], stats)
-    except (DomainError, InvalidPatternError, InvalidCycleError, UncodablePatternError):
+        plain = grow_horizontally([m.pattern for m in members])
+    except (DomainError, InvalidPatternError):
         return None
-    # A single-child result means the two members' contents were merged
-    # into one inner block.
-    provenance = (
-        "factorized" if len(grown.tree.children) < len(members) else "horizontal"
-    )
-    return make_candidate(grown, stats, provenance, cfg.allow_interleaving)
+    best = make_candidate(plain, stats, "horizontal", cfg.allow_interleaving)
+    factored = factorize(plain)
+    if factored is not None:
+        alt = make_candidate(factored, stats, "factorized", cfg.allow_interleaving)
+        if alt is not None and (best is None or alt.cost < best.cost):
+            return alt
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +674,7 @@ def _make_selection(
 
 
 def greedy_cover(
-    pool: Sequence[Candidate], seq: EventSequence, stats: SeqStats | None = None
+    pool: Sequence[Candidate], seq: EventSequence, stats: SeqStats
 ) -> Selection:
     """Pick patterns by bits per newly covered occurrence.
 
@@ -694,8 +682,6 @@ def greedy_cover(
     occurrences, as long as it beats leaving those occurrences residual;
     stops at the first rejection.
     """
-    if stats is None:
-        stats = SeqStats.from_sequence(seq)
     remaining = _dedupe(pool)
     covered: set[tuple[int, str]] = set()
     chosen: list[Candidate] = []
@@ -762,9 +748,7 @@ def _stage_one_event(
     ts = list(seq.per_event[event])
     tagged = [
         ("dp", cyc)
-        for cyc in extract_cycles_dp(
-            ts, event, stats, window=cfg.dp_window, exact_cutoff=cfg.dp_exact_cutoff
-        )
+        for cyc in extract_cycles_dp(ts, event, stats, window=cfg.dp_window)
     ]
     tagged += [
         ("tri", cyc)
@@ -784,10 +768,11 @@ def _stage_one_event(
     return _dedupe(out)
 
 
-def extract_cycles(seq: EventSequence, k: int, config: MiningConfig | None = None) -> list[Candidate]:
+def extract_cycles(
+    seq: EventSequence, stats: SeqStats, k: int, config: MiningConfig | None = None
+) -> list[Candidate]:
     """Stage one: per-event cycle candidates, pruned to width ``k``."""
     cfg = config or MiningConfig()
-    stats = SeqStats.from_sequence(seq)
     events = list(seq.alphabet)
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -816,7 +801,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     clocks: dict[str, float] = {}
 
     t0 = perf_counter()
-    initial = extract_cycles(seq, cfg.k, cfg)
+    initial = extract_cycles(seq, stats, cfg.k, cfg)
     clocks["extract"] = perf_counter() - t0
 
     t0 = perf_counter()
@@ -831,8 +816,8 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         for round_no in range(cfg.max_rounds):
             if not v_in and not h_in:
                 break
-            v_new = combine_vertically(h_in, accum, seq, cfg.k, cfg)
-            h_new = combine_horizontally(v_in, accum, seq, cfg.k, cfg)
+            v_new = combine_vertically(h_in, accum, stats, cfg.k, cfg)
+            h_new = combine_horizontally(v_in, accum, stats, cfg.k, cfg)
             accum = _dedupe(accum + v_in + h_in)
             v_in = [c for c in v_new if c.notation not in seen]
             seen.update(c.notation for c in v_in)

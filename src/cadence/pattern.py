@@ -9,9 +9,10 @@ inter-block distance to its predecessor.  A *pattern* is a tree plus a
 starting point and a correction list with one entry per occurrence except
 the first.
 
-The module also provides the two combination constructors used by the
-miner (nesting same-tree patterns under an outer cycle and concatenating
-co-periodic patterns as siblings) and a bit-exact text notation.
+The module also provides the combination constructors used by the
+miner (nesting same-tree patterns under an outer cycle, concatenating
+co-periodic patterns as siblings and factorizing a concatenation) and a
+bit-exact text notation.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class Block:
 Node = Union[Leaf, Block]
 
 
-@lru_cache(maxsize=None)
 def occurrence_count(node: Node) -> int:
     """Total number of event occurrences generated by a (sub)tree."""
     if isinstance(node, Leaf):
@@ -75,7 +75,6 @@ def occurrence_count(node: Node) -> int:
     return node.r * sum(occurrence_count(c) for c in node.children)
 
 
-@lru_cache(maxsize=None)
 def tree_width(node: Node) -> int:
     """Number of leaves of the tree."""
     if isinstance(node, Leaf):
@@ -83,7 +82,6 @@ def tree_width(node: Node) -> int:
     return sum(tree_width(c) for c in node.children)
 
 
-@lru_cache(maxsize=None)
 def tree_height(node: Node) -> int:
     """Longest root-to-leaf edge count."""
     if isinstance(node, Leaf):
@@ -91,7 +89,6 @@ def tree_height(node: Node) -> int:
     return 1 + max(tree_height(c) for c in node.children)
 
 
-@lru_cache(maxsize=None)
 def tree_events(node: Node) -> frozenset[str]:
     """Set of event labels appearing in the tree."""
     if isinstance(node, Leaf):
@@ -456,50 +453,7 @@ def _kept_corrected(p: Pattern, keep_reps: int) -> list[list[tuple[int, str]]]:
     ]
 
 
-def _try_factorize(
-    tree: Block, tau: int, rep_groups: list[list[list[tuple[int, str]]]]
-) -> Pattern | None:
-    """Merge two same-(r, p) interior children into one inner block.
-
-    ``rep_groups[k][i]`` holds the corrected occurrences of root
-    repetition ``k`` contributed by child ``i``.  Returns the factorized
-    pattern, or None when the shape does not apply.
-    """
-    if len(tree.children) != 2:
-        return None
-    a, b = tree.children
-    if not (isinstance(a, Block) and isinstance(b, Block)):
-        return None
-    if a.r != b.r or a.p != b.p:
-        return None
-    connect = tree.distances[1] - sum(a.distances)
-    if connect < 0:
-        return None
-    inner = Block(
-        r=a.r,
-        p=a.p,
-        children=a.children + b.children,
-        distances=a.distances + (connect,) + b.distances[1:],
-    )
-    factored = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
-    # Reorder the targets to the factored traversal: per root repetition,
-    # inner repetitions alternate a's children then b's children.
-    per_rep_a = occurrence_count(a) // a.r
-    per_rep_b = occurrence_count(b) // b.r
-    targets: list[int] = []
-    for k in range(tree.r):
-        occ_a, occ_b = rep_groups[k]
-        for j in range(a.r):
-            targets.extend(t for t, _ in occ_a[j * per_rep_a : (j + 1) * per_rep_a])
-            targets.extend(t for t, _ in occ_b[j * per_rep_b : (j + 1) * per_rep_b])
-    try:
-        corrections = solve_corrections(factored, tau, targets)
-        return Pattern(tree=factored, tau=tau, corrections=corrections)
-    except (DomainError, InvalidPatternError):
-        return None
-
-
-def grow_horizontally(instances: Sequence[Pattern], stats=None) -> Pattern:
+def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     """Concatenate patterns as siblings under a merged root cycle.
 
     The instances are ordered by starting point; the merged root keeps
@@ -508,12 +462,6 @@ def grow_horizontally(instances: Sequence[Pattern], stats=None) -> Pattern:
     instances' contents is the difference of their starting points.  The
     corrections are re-derived so the result covers exactly the union of
     the members' occurrences restricted to the kept repetitions.
-
-    When the result has exactly two interior children with the same
-    length and period, the factorized variant (the two merged into one
-    inner block) is also built and the cheaper of the two is returned;
-    this requires ``stats`` (sequence statistics for costing), otherwise
-    the unfactorized result is returned.
     """
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
@@ -549,29 +497,55 @@ def grow_horizontally(instances: Sequence[Pattern], stats=None) -> Pattern:
     # Target corrected timestamps: per new-root repetition, each member's
     # corrected occurrences of that repetition, in member order.
     member_reps = [_kept_corrected(q, r_n) for q in inst]
-    rep_groups = [[member_reps[m][k] for m in range(len(inst))] for k in range(r_n)]
-    targets: list[int] = []
-    for k in range(r_n):
-        for group in rep_groups[k]:
-            targets.extend(t for t, _ in group)
+    targets = [t for k in range(r_n) for reps in member_reps for t, _ in reps[k]]
     corrections = solve_corrections(new_tree, tau_n, targets)
-    result = Pattern(tree=new_tree, tau=tau_n, corrections=corrections)
+    return Pattern(tree=new_tree, tau=tau_n, corrections=corrections)
 
-    factored = _try_factorize(new_tree, tau_n, rep_groups)
-    if factored is not None and stats is not None:
-        from . import codec
 
-        try:
-            plain_bits = codec.pattern_cost(result, stats).total
-        except (codec.UncodablePatternError, DomainError):
-            return factored
-        try:
-            factored_bits = codec.pattern_cost(factored, stats).total
-        except (codec.UncodablePatternError, DomainError):
-            return result
-        if factored_bits < plain_bits:
-            return factored
-    return result
+def factorize(p: Pattern) -> Pattern | None:
+    """Merge a root's two same-(r, p) interior children into one inner block.
+
+    ``[r p]([ra pa](X) [d] [ra pa](Y))`` becomes
+    ``[r p]([ra pa](X [d'] Y))``, with the corrections re-derived so the
+    result covers exactly the occurrences of ``p``.  Returns None when the
+    root does not have that shape.  Which of the two is cheaper depends on
+    the sequence statistics, so choosing is left to the caller.
+    """
+    tree = p.tree
+    if len(tree.children) != 2:
+        return None
+    a, b = tree.children
+    if not (isinstance(a, Block) and isinstance(b, Block)):
+        return None
+    if a.r != b.r or a.p != b.p:
+        return None
+    connect = tree.distances[1] - sum(a.distances)
+    if connect < 0:
+        return None
+    inner = Block(
+        r=a.r,
+        p=a.p,
+        children=a.children + b.children,
+        distances=a.distances + (connect,) + b.distances[1:],
+    )
+    factored = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
+    # Reorder the corrected timestamps to the factored traversal: per root
+    # repetition, inner repetitions alternate a's children then b's.
+    n_a = occurrence_count(a)
+    n_b = occurrence_count(b)
+    per_rep = n_a + n_b
+    per_rep_a = n_a // a.r
+    per_rep_b = n_b // b.r
+    corrected = corrected_occurrences(p)
+    targets: list[int] = []
+    for k in range(tree.r):
+        occ_a = corrected[k * per_rep : k * per_rep + n_a]
+        occ_b = corrected[k * per_rep + n_a : (k + 1) * per_rep]
+        for j in range(a.r):
+            targets.extend(t for t, _ in occ_a[j * per_rep_a : (j + 1) * per_rep_a])
+            targets.extend(t for t, _ in occ_b[j * per_rep_b : (j + 1) * per_rep_b])
+    corrections = solve_corrections(factored, p.tau, targets)
+    return Pattern(tree=factored, tau=p.tau, corrections=corrections)
 
 
 # ---------------------------------------------------------------------------

@@ -305,10 +305,6 @@ class TestThreshold:
 
 
 class TestMemoization:
-    def test_repeated_queries_share_the_breakdown(self, dozen_a_stats):
-        p = parse_pattern(REFERENCE_ROWS[0][1])
-        assert pattern_cost(p, dozen_a_stats) is pattern_cost(p, dozen_a_stats)
-
     def test_different_windows_are_distinct(self, dozen_a_seq):
         p = parse_pattern(REFERENCE_ROWS[0][1])
         narrow = SeqStats.from_sequence(dozen_a_seq)

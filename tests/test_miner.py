@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from cadence.codec import SeqStats, extension_margin, pattern_cost
-from cadence.core import DomainError, EventSequence
+from cadence.codec import SeqStats, cycle_cost, extension_margin, pattern_cost
+from cadence.core import DomainError, EventSequence, UncodablePatternError
 from cadence.miner import (
     Candidate,
     MiningConfig,
+    _cycle_cost_closed,
     combine_horizontally,
     combine_vertically,
     extract_cycles,
@@ -22,7 +25,15 @@ from cadence.miner import (
     maximal_cliques,
     mine,
 )
-from cadence.pattern import Cycle, cycle_cover, fit_cycle, parse_pattern
+from cadence.pattern import (
+    Cycle,
+    cycle_cover,
+    expand_tree,
+    fit_cycle,
+    parse_pattern,
+    pattern_occurrences,
+)
+from cadence.synth import PlantSpec, generate
 
 from _oracles import (
     cycle_selection_bits,
@@ -88,21 +99,37 @@ class TestExtractCyclesDp:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_closed_form_matches_reference_encoder(self):
+        # Every segment's closed-form price equals the encoder's, and the
+        # DP's choice is optimal under the encoder's prices.  Offset
+        # windows and other labels exercise every term of the closed form.
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(3, 18)
-            ts = sorted(rng.sample(range(0, 400), n))
+            ts = sorted(rng.sample(range(10, 400), n))
+            other = rng.randint(0, 20)
+            counts = {"a": n, "b": other} if other else {"a": n}
             stats = SeqStats(
-                length=n, t_start=0, t_end=max(ts) + 5, counts={"a": n}
+                length=n + other,
+                t_start=ts[0] - rng.randint(0, 10),
+                t_end=ts[-1] + rng.randint(0, 10),
+                counts=counts,
             )
-            exact = extract_cycles_dp(ts, "a", stats, exact_cutoff=64)
-            closed = extract_cycles_dp(ts, "a", stats, exact_cutoff=0)
-            got = cycle_selection_bits(closed, ts, "a", stats)
-            want = cycle_selection_bits(exact, ts, "a", stats)
-            assert got == pytest.approx(want, abs=1e-6)
-            assert [cycle_cover(c) for c in closed] == [
-                cycle_cover(c) for c in exact
-            ]
+            for i in range(n):
+                for j in range(i + 3, n + 1):
+                    c = fit_cycle(ts[i:j], "a")
+                    abs_dev = sum(abs(e) for e in c.corrections)
+                    closed = _cycle_cost_closed(
+                        stats, "a", c.r, c.p, abs_dev, c.sigma, c.tau
+                    )
+                    try:
+                        encoded = cycle_cost(c, stats)
+                    except UncodablePatternError:
+                        encoded = float("inf")
+                    assert closed == pytest.approx(encoded, abs=1e-9)
+            cycles = extract_cycles_dp(ts, "a", stats)
+            got = cycle_selection_bits(cycles, ts, "a", stats)
+            want = optimal_segmentation_bits(ts, "a", stats)
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestExtractCyclesTri:
@@ -224,7 +251,7 @@ class TestCombineVertically:
 
     def test_three_bursts_nest(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)
-        out = combine_vertically(members, [], dozen_a_seq, k=3)
+        out = combine_vertically(members, [], own_stats(dozen_a_seq), k=3)
         nested = [c for c in out if c.pattern.tree.r == 3]
         assert nested, "expected a nested candidate"
         best = nested[0]
@@ -237,12 +264,14 @@ class TestCombineVertically:
 
     def test_members_may_come_from_the_pool(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)
-        out = combine_vertically(members[:1], members[1:], dozen_a_seq, k=3)
+        out = combine_vertically(
+            members[:1], members[1:], own_stats(dozen_a_seq), k=3
+        )
         assert any(c.pattern.tree.r == 3 for c in out)
 
     def test_two_instances_are_not_enough(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)[:2]
-        assert combine_vertically(members, [], dozen_a_seq, k=3) == []
+        assert combine_vertically(members, [], own_stats(dozen_a_seq), k=3) == []
 
     def test_irregular_starts_make_no_chain(self):
         seq = EventSequence.from_pairs(
@@ -257,7 +286,7 @@ class TestCombineVertically:
         ]
         # start deviations |11 - 50| far exceed one zero-correction
         # instance cost, so no triple is admissible
-        assert combine_vertically(members, [], seq, k=3) == []
+        assert combine_vertically(members, [], stats, k=3) == []
 
 
 class TestCombineHorizontally:
@@ -272,7 +301,7 @@ class TestCombineHorizontally:
 
     def test_three_tracks_merge_into_one_braid(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        out = combine_horizontally(members, [], triad_seq, k=3)
+        out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
         full = [c for c in out if len(c.cover) == 9]
         assert full, "expected a candidate covering all nine occurrences"
         braid = full[0]
@@ -282,13 +311,13 @@ class TestCombineHorizontally:
 
     def test_pairwise_merges_also_emitted(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        out = combine_horizontally(members, [], triad_seq, k=3)
+        out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
         sizes = {len(c.cover) for c in out}
         assert 6 in sizes
 
     def test_requires_a_new_member(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        assert combine_horizontally([], members, triad_seq, k=3) == []
+        assert combine_horizontally([], members, own_stats(triad_seq), k=3) == []
 
     def test_far_apart_starts_are_not_paired(self):
         seq = EventSequence.from_pairs(
@@ -299,7 +328,7 @@ class TestCombineHorizontally:
             make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri"),
             make_candidate(fit_cycle((100, 110, 120), "y"), stats, "tri"),
         ]
-        assert combine_horizontally(members, [], seq, k=3) == []
+        assert combine_horizontally(members, [], stats, k=3) == []
 
     def test_period_mismatch_blocks_the_pair(self):
         seq = EventSequence.from_pairs(
@@ -311,7 +340,26 @@ class TestCombineHorizontally:
             make_candidate(fit_cycle((3, 20, 37), "y"), stats, "tri"),
         ]
         # periods 10 vs 17 with zero slack in the later member
-        assert combine_horizontally(members, [], seq, k=3) == []
+        assert combine_horizontally(members, [], stats, k=3) == []
+
+    def test_cheaper_factorized_merge_replaces_the_plain_one(self):
+        patterns = [
+            parse_pattern(f"[r=2 p=50]([r=3 p=5](a)) @ tau={tau} E=[0,0,0,0,0]")
+            for tau in (0, 20)
+        ]
+        seq = EventSequence.from_pairs(
+            [pair for p in patterns for pair in pattern_occurrences(p)]
+        )
+        stats = own_stats(seq)
+        members = [make_candidate(p, stats, "test") for p in patterns]
+        out = combine_horizontally(members, [], stats, k=3)
+        assert [(c.provenance, c.notation) for c in out] == [
+            (
+                "factorized",
+                "[r=2 p=50]([r=3 p=5](a [d=20] a)) @ tau=0 E=[0,0,0,0,0,0,0,0,0,0,0]",
+            )
+        ]
+        assert out[0].cost == approx_bits(63.675)
 
 
 class TestGreedyCover:
@@ -381,14 +429,18 @@ class TestMiningConfig:
 
 class TestExtractCyclesStage:
     def test_triad_log_yields_the_two_steady_tracks(self, triad_seq):
-        cands = extract_cycles(triad_seq, k=3)
+        cands = extract_cycles(triad_seq, own_stats(triad_seq), k=3)
         events = {next(iter(c.pattern.tree.children)).event for c in cands}
         assert events == {"a", "b"}
         assert all(c.provenance in ("dp", "tri") for c in cands)
 
     def test_threading_does_not_change_the_result(self, mixed_seq):
-        serial = extract_cycles(mixed_seq, k=3, config=MiningConfig(threads=1))
-        threaded = extract_cycles(mixed_seq, k=3, config=MiningConfig(threads=3))
+        serial = extract_cycles(
+            mixed_seq, own_stats(mixed_seq), k=3, config=MiningConfig(threads=1)
+        )
+        threaded = extract_cycles(
+            mixed_seq, own_stats(mixed_seq), k=3, config=MiningConfig(threads=3)
+        )
         assert [c.notation for c in serial] == [c.notation for c in threaded]
 
 
@@ -473,3 +525,29 @@ class TestMine:
         assert set(result.stages) == {"S", "V", "H", "V+H", "F", "single"}
         for selection in result.stages.values():
             assert selection.report.percent_length <= 100.0 + 1e-9
+
+
+class TestMemory:
+    def test_serving_many_logs_keeps_memory_flat(self):
+        # Pricing keeps no state between logs; only expand_tree's bounded
+        # cache may hold trees, and it is cleared here.
+        sizes = []
+        tracemalloc.start()
+        try:
+            for seed in range(8):
+                spec = PlantSpec(
+                    basis="a d=3 b",
+                    outer_length=(4, 6),
+                    n_patterns=2,
+                    shift_level=1,
+                    shift_density=0.2,
+                    additive_density=0.1,
+                    seed=seed,
+                )
+                mine(generate(spec).perturbed)
+                expand_tree.cache_clear()
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert sizes[7] - sizes[1] < 64 * 1024, sizes

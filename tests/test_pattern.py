@@ -21,6 +21,7 @@ from cadence.pattern import (
     corrected_occurrences,
     cycle_cover,
     expand_tree,
+    factorize,
     fit_cycle,
     fit_period,
     format_pattern,
@@ -338,6 +339,7 @@ class TestGrowHorizontally:
         assert format_pattern(grown) == (
             "[r=3 p=10](x [d=4] y) @ tau=0 E=[0,0,0,0,0]"
         )
+        assert factorize(grown) is None
 
     def test_longer_member_truncated_to_shortest(self):
         instances = [
@@ -385,10 +387,11 @@ class TestGrowHorizontally:
             t_end=cover[-1][0] + 10,
             counts={"a": len(cover)},
         )
-        chosen = grow_horizontally(instances, stats)
-        assert pattern_occurrences(chosen) == tuple(cover)
+        factored = factorize(plain)
+        assert format_tree(factored.tree) == "[r=2 p=50]([r=3 p=5](a [d=20] a))"
+        assert pattern_occurrences(factored) == tuple(cover)
         assert (
-            pattern_cost(chosen, stats).total
+            pattern_cost(factored, stats).total
             <= pattern_cost(plain, stats).total + 1e-9
         )
 
