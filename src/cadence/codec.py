@@ -26,6 +26,7 @@ raises :class:`UncodablePatternError`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -111,6 +112,20 @@ def residual_cost(stats: SeqStats, occurrence: tuple[int, str]) -> float:
     if count is None:
         raise DomainError(f"unknown event {event!r}")
     return log2(stats.span + 1) + log2(stats.length / count)
+
+
+def residual_bits(stats: SeqStats, labels: Mapping[str, int]) -> float:
+    """Bits to transmit ``labels[e]`` occurrences of each event ``e`` on
+    their own.
+
+    A residual's price depends only on its event, so this is one product
+    per event, summed in sorted event order: the total is the same in
+    every process, whatever order the caller's mapping or set was in.
+    """
+    return sum(
+        n * residual_cost(stats, (stats.t_start, event))
+        for event, n in sorted(labels.items())
+    )
 
 
 def corrections_cost(corrections: Sequence[int]) -> float:
@@ -408,18 +423,13 @@ class CollectionReport:
 
 def baseline_cost(stats: SeqStats) -> float:
     """Bits to transmit every occurrence individually."""
-    per_ts = log2(stats.span + 1)
-    bits = stats.length * per_ts
-    for count in stats.counts.values():
-        bits += count * log2(stats.length / count)
-    return bits
+    return residual_bits(stats, stats.counts)
 
 
 def collection_cost(
     patterns: Sequence[Union[Pattern, Cycle]],
     seq: EventSequence,
     stats: SeqStats | None = None,
-    allow_interleaving: bool = True,
 ) -> CollectionReport:
     """Score a pattern collection plus residuals against a sequence."""
     if stats is None:
@@ -439,7 +449,7 @@ def collection_cost(
                 f"pattern covers occurrences outside the sequence: "
                 f"{sorted(outside)[:3]}"
             )
-        breakdown = pattern_cost(pat, stats, allow_interleaving)
+        breakdown = pattern_cost(pat, stats)
         shape = classify_tree(pat.tree)
         key = shape.shape_class[0]
         shape_counts[key] += 1
@@ -455,17 +465,17 @@ def collection_cost(
             )
         )
     residuals = all_pairs - covered
-    residual_bits = sum(residual_cost(stats, o) for o in residuals)
-    total = pattern_bits + residual_bits
+    leftover_bits = residual_bits(stats, Counter(e for _, e in residuals))
+    total = pattern_bits + leftover_bits
     baseline = baseline_cost(stats)
     return CollectionReport(
         total_bits=total,
         pattern_bits=pattern_bits,
-        residual_bits=residual_bits,
+        residual_bits=leftover_bits,
         residual_count=len(residuals),
         baseline_bits=baseline,
         percent_length=100.0 * total / baseline,
-        residual_ratio=(residual_bits / total) if total > 0 else 1.0,
+        residual_ratio=(leftover_bits / total) if total > 0 else 1.0,
         shape_counts=shape_counts,
         max_cover=max_cover,
         patterns=tuple(entries),
@@ -486,7 +496,7 @@ def is_cost_effective(
         bits = pattern_cost(pat, stats).total
     except UncodablePatternError:
         return False
-    return bits < sum(residual_cost(stats, o) for o in pairs)
+    return bits < residual_bits(stats, Counter(e for _, e in pairs))
 
 
 def efficiency(p: Union[Pattern, Cycle], stats: SeqStats) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -46,6 +47,10 @@ from .codec import CollectionReport, SeqStats
 
 _LOG2_3 = math.log2(3.0)
 
+# Components of the pairwise-merge graph up to this many candidates get
+# every maximal clique; larger ones fall back to a greedy clique cover.
+_CLIQUE_NODE_CAP = 64
+
 
 # ---------------------------------------------------------------------------
 # Configuration and candidates
@@ -62,11 +67,6 @@ class MiningConfig:
 
     k: int = 3
     max_rounds: int = 10
-    allow_interleaving: bool = True
-    clique_node_cap: int = 64
-    dp_window: int = 500
-    tri_max_pairs: int = 100_000
-    tri_max_chains: int = 2_000
     threads: int = 1
     cycles_only: bool = False
 
@@ -75,10 +75,6 @@ class MiningConfig:
             raise DomainError(f"k must be >= 1, got {self.k}")
         if self.max_rounds < 1:
             raise DomainError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.clique_node_cap < 3:
-            raise DomainError("clique_node_cap must be >= 3")
-        if self.dp_window < 3:
-            raise DomainError("dp_window must be >= 3")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
 
@@ -103,15 +99,12 @@ class Candidate:
 
 
 def make_candidate(
-    p: Union[Pattern, Cycle],
-    stats: SeqStats,
-    provenance: str,
-    allow_interleaving: bool = True,
+    p: Union[Pattern, Cycle], stats: SeqStats, provenance: str
 ) -> Candidate | None:
     """Cost a pattern; None when it cannot be transmitted."""
     pat = p.as_pattern() if isinstance(p, Cycle) else p
     try:
-        cost = codec.pattern_cost(pat, stats, allow_interleaving).total
+        cost = codec.pattern_cost(pat, stats).total
         cover = frozenset(pattern_occurrences(pat))
     except (UncodablePatternError, InvalidPatternError, DomainError):
         return None
@@ -126,8 +119,9 @@ def make_candidate(
     )
 
 
-def _residual_sum(stats: SeqStats, pairs: Iterable[tuple[int, str]]) -> float:
-    return sum(codec.residual_cost(stats, o) for o in pairs)
+def _labels(pairs: Iterable[tuple[int, str]]) -> Counter:
+    """How many of the pairs carry each event."""
+    return Counter(e for _, e in pairs)
 
 
 def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
@@ -411,7 +405,6 @@ def combine_vertically(
     pool: Sequence[Candidate],
     stats: SeqStats,
     k: int,
-    config: MiningConfig | None = None,
 ) -> list[Candidate]:
     """Nest groups of same-tree candidates with periodic starting points.
 
@@ -421,7 +414,6 @@ def combine_vertically(
     an outer cycle.  A nested candidate is kept when it is cheaper than
     the summed cost of the members it replaces.
     """
-    cfg = config or MiningConfig()
     merged = _dedupe(list(new) + list(pool))
     by_tree: dict[str, list[Candidate]] = {}
     tree_of: dict[str, Block] = {}
@@ -444,26 +436,17 @@ def combine_vertically(
         taus = sorted(by_tau)
         try:
             l_max = codec.pattern_cost(
-                _zero_pattern(tree_of[tree_key], taus[0]),
-                stats,
-                cfg.allow_interleaving,
+                _zero_pattern(tree_of[tree_key], taus[0]), stats
             ).total
         except (UncodablePatternError, InvalidPatternError, DomainError):
             continue
-        chains = extract_cycles_tri(
-            taus,
-            l_max,
-            event="",
-            max_pairs=cfg.tri_max_pairs,
-            max_chains=cfg.tri_max_chains,
-        )
-        for chain in chains:
+        for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[t] for t in cycle_cover(chain)]
             try:
                 grown = grow_vertically([m.pattern for m in members])
             except (DomainError, InvalidPatternError, InvalidCycleError):
                 continue
-            cand = make_candidate(grown, stats, "vertical", cfg.allow_interleaving)
+            cand = make_candidate(grown, stats, "vertical")
             if cand is None:
                 continue
             union_cover = frozenset().union(*(m.cover for m in members))
@@ -567,7 +550,6 @@ def combine_horizontally(
     pool: Sequence[Candidate],
     stats: SeqStats,
     k: int,
-    config: MiningConfig | None = None,
 ) -> list[Candidate]:
     """Concatenate co-periodic candidates that start close to each other.
 
@@ -578,7 +560,6 @@ def combine_horizontally(
     that pass pairwise merging for every pair are merged whole, one per
     maximal clique of the pairwise-success graph.
     """
-    cfg = config or MiningConfig()
     merged = _dedupe(list(new) + list(pool))
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
@@ -597,11 +578,11 @@ def combine_horizontally(
             slack = 2.0 * _boundary_correction_sum(b.pattern) / (r * (r - 1))
             if abs(a.pattern.tree.p - b.pattern.tree.p) > slack:
                 continue
-            cand = _merge_candidates([a, b], stats, cfg)
+            cand = _merge_candidates([a, b], stats)
             if cand is None:
                 continue
-            pair_cover = a.cover | b.cover
-            lhs = cand.cost + _residual_sum(stats, pair_cover - cand.cover)
+            left_out = (a.cover | b.cover) - cand.cover
+            lhs = cand.cost + codec.residual_bits(stats, _labels(left_out))
             if lhs < a.cost + b.cost:
                 out.append(cand)
                 adj[ia].add(ib)
@@ -612,7 +593,7 @@ def combine_horizontally(
         nodes = {v for v, ns in adj.items() if ns}
         sub = {v: adj[v] & nodes for v in nodes}
         for comp in _components(sub, nodes):
-            if len(comp) <= cfg.clique_node_cap:
+            if len(comp) <= _CLIQUE_NODE_CAP:
                 comp_adj = {v: sub[v] & comp for v in comp}
                 cliques = maximal_cliques(comp_adj)
             else:
@@ -621,14 +602,14 @@ def combine_horizontally(
                 if len(clique) < 3:
                     continue
                 members = [cands[i] for i in clique]
-                cand = _merge_candidates(members, stats, cfg)
+                cand = _merge_candidates(members, stats)
                 if cand is not None:
                     out.append(cand)
     return filter_candidates(out, k)
 
 
 def _merge_candidates(
-    members: Sequence[Candidate], stats: SeqStats, cfg: MiningConfig
+    members: Sequence[Candidate], stats: SeqStats
 ) -> Candidate | None:
     """Concatenate the members, or their factorized form when it is
     strictly cheaper."""
@@ -636,10 +617,10 @@ def _merge_candidates(
         plain = grow_horizontally([m.pattern for m in members])
     except (DomainError, InvalidPatternError):
         return None
-    best = make_candidate(plain, stats, "horizontal", cfg.allow_interleaving)
+    best = make_candidate(plain, stats, "horizontal")
     factored = factorize(plain)
     if factored is not None:
-        alt = make_candidate(factored, stats, "factorized", cfg.allow_interleaving)
+        alt = make_candidate(factored, stats, "factorized")
         if alt is not None and (best is None or alt.cost < best.cost):
             return alt
     return best
@@ -698,7 +679,7 @@ def greedy_cover(
         if best is None:
             break
         new_pairs = best.cover - covered
-        if best.cost < _residual_sum(stats, new_pairs):
+        if best.cost < codec.residual_bits(stats, _labels(new_pairs)):
             chosen.append(best)
             covered |= best.cover
             remaining.remove(best)
@@ -743,26 +724,19 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, stats: SeqStats, cfg: MiningConfig
+    seq: EventSequence, event: str, stats: SeqStats
 ) -> list[Candidate]:
     ts = list(seq.per_event[event])
-    tagged = [
-        ("dp", cyc)
-        for cyc in extract_cycles_dp(ts, event, stats, window=cfg.dp_window)
-    ]
+    tagged = [("dp", cyc) for cyc in extract_cycles_dp(ts, event, stats)]
     tagged += [
         ("tri", cyc)
         for cyc in extract_cycles_tri(
-            ts,
-            codec.extension_margin(stats),
-            event=event,
-            max_pairs=cfg.tri_max_pairs,
-            max_chains=cfg.tri_max_chains,
+            ts, codec.extension_margin(stats), event=event
         )
     ]
     out = []
     for provenance, cyc in tagged:
-        cand = make_candidate(cyc, stats, provenance, cfg.allow_interleaving)
+        cand = make_candidate(cyc, stats, provenance)
         if cand is not None:
             out.append(cand)
     return _dedupe(out)
@@ -777,10 +751,10 @@ def extract_cycles(
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(
-                pool.map(lambda e: _stage_one_event(seq, e, stats, cfg), events)
+                pool.map(lambda e: _stage_one_event(seq, e, stats), events)
             )
     else:
-        results = [_stage_one_event(seq, e, stats, cfg) for e in events]
+        results = [_stage_one_event(seq, e, stats) for e in events]
     merged: list[Candidate] = []
     for r in results:
         merged.extend(r)
@@ -816,8 +790,8 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         for round_no in range(cfg.max_rounds):
             if not v_in and not h_in:
                 break
-            v_new = combine_vertically(h_in, accum, stats, cfg.k, cfg)
-            h_new = combine_horizontally(v_in, accum, stats, cfg.k, cfg)
+            v_new = combine_vertically(h_in, accum, stats, cfg.k)
+            h_new = combine_horizontally(v_in, accum, stats, cfg.k)
             accum = _dedupe(accum + v_in + h_in)
             v_in = [c for c in v_new if c.notation not in seen]
             seen.update(c.notation for c in v_in)
@@ -839,10 +813,12 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         stages["V+H"] = greedy_cover(initial + v_first + h_first, seq, stats)
         stages["F"] = greedy_cover(final_pool, seq, stats)
 
-    all_pairs = set(seq.pairs)
+    # Every cover lies inside the log, so what a candidate leaves residual
+    # is the log's per-event counts minus its own.
+    counts = Counter(stats.counts)
     best_single = None
     for c in final_pool:
-        total = c.cost + _residual_sum(stats, all_pairs - c.cover)
+        total = c.cost + codec.residual_bits(stats, counts - _labels(c.cover))
         if best_single is None or (total, c.notation) < best_single:
             best_single = (total, c.notation)
             best_single_cand = c

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from cadence.codec import (
     extension_margin,
     is_cost_effective,
     pattern_cost,
+    residual_bits,
     residual_cost,
     w_threshold,
 )
@@ -77,6 +80,39 @@ class TestResidualCost:
     def test_unknown_event(self, dozen_a_stats):
         with pytest.raises(DomainError):
             residual_cost(dozen_a_stats, (7, "zz"))
+
+
+class TestResidualBits:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_per_occurrence_sum(self, seed):
+        rng = random.Random(seed)
+        labels = "abcdefg"[: rng.randint(1, 7)]
+        counts = {e: rng.randint(1, 50) for e in labels}
+        stats = SeqStats(
+            length=sum(counts.values()),
+            t_start=rng.randint(0, 10),
+            t_end=rng.randint(10, 5000),
+            counts=counts,
+        )
+        pairs = [
+            (rng.randint(stats.t_start, stats.t_end), rng.choice(labels))
+            for _ in range(rng.randint(0, 200))
+        ]
+        per_occurrence = sum(residual_cost(stats, o) for o in pairs)
+        assert residual_bits(stats, Counter(e for _, e in pairs)) == pytest.approx(
+            per_occurrence, abs=1e-9
+        )
+
+    def test_empty_mix_is_free(self, triad_stats):
+        assert residual_bits(triad_stats, {}) == 0.0
+
+    def test_baseline_is_every_occurrence_residual(self, triad_seq, triad_stats):
+        per_occurrence = sum(residual_cost(triad_stats, o) for o in triad_seq.pairs)
+        assert baseline_cost(triad_stats) == pytest.approx(per_occurrence, abs=1e-9)
+
+    def test_unknown_event(self, triad_stats):
+        with pytest.raises(DomainError):
+            residual_bits(triad_stats, {"a": 1, "zz": 2})
 
 
 class TestCorrectionsCost:

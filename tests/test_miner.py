@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import cadence
 from cadence.codec import SeqStats, cycle_cost, extension_margin, pattern_cost
 from cadence.core import DomainError, EventSequence, UncodablePatternError
 from cadence.miner import (
@@ -417,8 +422,6 @@ class TestMiningConfig:
         [
             {"k": 0},
             {"max_rounds": 0},
-            {"clique_node_cap": 2},
-            {"dp_window": 2},
             {"threads": 0},
         ],
     )
@@ -514,6 +517,61 @@ class TestMine:
         for c in result.pool:
             alt = single_candidate_bits(c, pairs, stats)
             assert result.selection.total_bits <= alt + 1e-6
+
+    @pytest.mark.parametrize("log", ["dozen_a", "triad", "mixed", "planted"])
+    def test_single_stage_picks_the_cheapest_candidate(self, log, request):
+        if log == "planted":
+            spec = PlantSpec(
+                basis="a d=2 b d=1 c",
+                outer_length=(4, 6),
+                n_patterns=2,
+                additive_density=0.2,
+                shift_level=1,
+                shift_density=0.2,
+                seed=7,
+            )
+            seq = generate(spec).perturbed
+        else:
+            seq = request.getfixturevalue(f"{log}_seq")
+        result = mine(seq)
+        stats = own_stats(seq)
+        pairs = set(seq.pairs)
+        bits = {c.notation: single_candidate_bits(c, pairs, stats) for c in result.pool}
+        cheapest = min(bits.values())
+        tied = sorted(nt for nt, b in bits.items() if b <= cheapest + 1e-9)
+        (chosen,) = result.stages["single"].candidates
+        assert chosen.notation == tied[0]
+
+    def test_totals_do_not_depend_on_the_hash_seed(self):
+        # Set iteration order follows the per-process string hash seed;
+        # no total may depend on it.
+        script = (
+            "import random\n"
+            "from cadence import EventSequence, collection_cost, mine\n"
+            "rng = random.Random(0)\n"
+            "seq = EventSequence.from_pairs(\n"
+            "    [(rng.randint(0, 5000), rng.choice('abcdefg')) for _ in range(400)]\n"
+            ")\n"
+            "print(repr(collection_cost([], seq).total_bits))\n"
+            "print(repr(mine(seq).selection.total_bits))\n"
+        )
+        src = str(Path(cadence.__file__).resolve().parents[1])
+        outputs = set()
+        for hash_seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_cycles_only_skips_combination_stages(self, triad_seq):
         result = mine(triad_seq, MiningConfig(cycles_only=True))
