@@ -422,6 +422,8 @@ class TestMiningConfig:
         [
             {"k": 0},
             {"max_rounds": 0},
+            {"k": -1},
+            {"max_rounds": -1},
             {"threads": 0},
         ],
     )
