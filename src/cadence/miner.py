@@ -232,6 +232,21 @@ def extract_cycles_dp(
     the encoder's closed form for a fitted cycle, with the period kept by
     an online median.
 
+    The last segment's start ``i`` is scanned leftwards from ``j - 1``,
+    and the scan stops early by an exact bound.  Extending a segment
+    ``[a..i]`` of three or more occurrences to ``[a..j]`` adds at least
+    ``min(m2 * l, 2 * m2 + D - Λ)`` bits, where ``m2 = j - i``, ``l`` is
+    the residual price, ``D`` the absolute deviation of the gaps of
+    ``[i..j]`` (deviations are superadditive over a split of the gaps)
+    and ``Λ = log2(span) + log2(span + 1)`` bounds the period and offset
+    terms of any cycle inside the log.  With ``best[i + 1] <= best[a] +
+    seg(a, i)``, once ``best[i + 1]`` plus that increment reaches the
+    best price found for ``j``, no start ``a <= i - 2`` can beat it:
+    ``i - 1`` is still priced and the scan stops.  The bound needs every
+    cycle price to be finite, so it applies only when the timestamps lie
+    in ``[stats.t_start, stats.t_end]``.  Ties go to the shortest last
+    segment, with or without the bound.
+
     Returns the fitted cycles of the optimal segmentation (only those
     strictly cheaper than leaving their occurrences residual).
     """
@@ -242,6 +257,8 @@ def extract_cycles_dp(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("timestamps must be strictly increasing")
     l_res = codec.residual_cost(stats, (ts[0], event))
+    bounded = stats.t_start <= ts[0] and ts[-1] <= stats.t_end
+    lam = log2(stats.span) + log2(stats.span + 1) if bounded else 0.0
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
@@ -252,17 +269,19 @@ def extract_cycles_dp(
         bj = best[j] + l_res  # singleton segment [j..j]
         cj, aj = j, False
         med = _RunningMedian()
+        stop = -1
         for i in range(j - 1, lo - 1, -1):
             med.insert(ts[i + 1] - ts[i])
             m = j - i + 1
             cost = m * l_res
             cand_cost = best[i] + cost
             cyc_cost = float("inf")
+            dev = med.abs_deviation
             if m >= 3:
                 p = med.median
                 sigma = (ts[j] - ts[i]) - (m - 1) * p
                 cyc_cost = _cycle_cost_closed(
-                    stats, event, m, p, med.abs_deviation, sigma, ts[i]
+                    stats, event, m, p, dev, sigma, ts[i]
                 )
                 if cyc_cost < cost:
                     cand_cost = best[i] + cyc_cost
@@ -270,6 +289,13 @@ def extract_cycles_dp(
                 bj = cand_cost
                 cj = i
                 aj = cyc_cost < cost
+            if i == stop:
+                break
+            if bounded and (
+                best[i + 1] + min((m - 1) * l_res, 2 * (m - 1) + dev - lam) - 1e-6
+                >= bj
+            ):
+                stop = i - 1
         best[j + 1] = bj
         cut[j + 1] = cj
         as_cycle[j + 1] = aj
@@ -564,6 +590,8 @@ def combine_horizontally(
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
     taus = [c.tau for c in cands]
+    is_new = [c.notation in new_keys for c in cands]
+    boundary = [_boundary_correction_sum(c.pattern) for c in cands]
 
     out: list[Candidate] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
@@ -571,11 +599,11 @@ def combine_horizontally(
     for ia, a in enumerate(cands):
         hi = bisect_right(taus, a.tau + a.pattern.tree.p)
         for ib in range(ia + 1, hi):
-            b = cands[ib]
-            if a.notation not in new_keys and b.notation not in new_keys:
+            if not (is_new[ia] or is_new[ib]):
                 continue
+            b = cands[ib]
             r = min(a.pattern.tree.r, b.pattern.tree.r)
-            slack = 2.0 * _boundary_correction_sum(b.pattern) / (r * (r - 1))
+            slack = 2.0 * boundary[ib] / (r * (r - 1))
             if abs(a.pattern.tree.p - b.pattern.tree.p) > slack:
                 continue
             cand = _merge_candidates([a, b], stats)
@@ -659,30 +687,40 @@ def greedy_cover(
 ) -> Selection:
     """Pick patterns by bits per newly covered occurrence.
 
-    Repeatedly selects the candidate minimizing cost over newly covered
+    Repeatedly selects the candidate minimizing ``(cost / gain, cost,
+    notation)``, where the gain is its count of newly covered
     occurrences, as long as it beats leaving those occurrences residual;
     stops at the first rejection.
+
+    The scan is lazy (Minoux's accelerated greedy): gains only shrink as
+    the cover grows, so a heap key computed earlier is a lower bound on
+    the candidate's key now.  Only the top is re-scored; it is picked
+    when its fresh key still does not exceed the next key in the heap,
+    and dropped at gain 0.  Notations are unique and costs positive, so
+    the picks are exactly those of re-scoring every candidate each time.
     """
-    remaining = _dedupe(pool)
+    cands = _dedupe(pool)
+    heap = [
+        ((c.cost / len(c.cover), c.cost, c.notation), i)
+        for i, c in enumerate(cands)
+        if c.cover
+    ]
+    heapq.heapify(heap)
     covered: set[tuple[int, str]] = set()
     chosen: list[Candidate] = []
-    while remaining:
-        best = None
-        best_key = None
-        for c in remaining:
-            gain = len(c.cover - covered)
-            if gain == 0:
-                continue
-            key = (c.cost / gain, c.cost, c.notation)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
-        if best is None:
-            break
+    while heap:
+        _, idx = heapq.heappop(heap)
+        best = cands[idx]
         new_pairs = best.cover - covered
+        if not new_pairs:
+            continue
+        key = (best.cost / len(new_pairs), best.cost, best.notation)
+        if heap and heap[0][0] < key:
+            heapq.heappush(heap, (key, idx))
+            continue
         if best.cost < codec.residual_bits(stats, _labels(new_pairs)):
             chosen.append(best)
             covered |= best.cover
-            remaining.remove(best)
         else:
             break
     return _make_selection(chosen, seq, stats)

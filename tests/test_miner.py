@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import random
@@ -13,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import cadence
-from cadence.codec import SeqStats, cycle_cost, extension_margin, pattern_cost
+from cadence import miner
+from cadence.codec import (
+    SeqStats,
+    collection_cost,
+    cycle_cost,
+    extension_margin,
+    pattern_cost,
+)
 from cadence.core import DomainError, EventSequence, UncodablePatternError
 from cadence.miner import (
     Candidate,
@@ -42,8 +50,10 @@ from cadence.synth import PlantSpec, generate
 
 from _oracles import (
     cycle_selection_bits,
+    eager_greedy_cover,
     optimal_segmentation_bits,
     single_candidate_bits,
+    unpruned_segmentation,
 )
 from conftest import approx_bits
 
@@ -135,6 +145,71 @@ class TestExtractCyclesDp:
             got = cycle_selection_bits(cycles, ts, "a", stats)
             want = optimal_segmentation_bits(ts, "a", stats)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def braid_like(rng: random.Random, blocks: int, noise: int) -> list[int]:
+    """One event of a nested log: short wobbly runs far apart, plus noise."""
+    ts: set[int] = set()
+    t = rng.randint(1, 30)
+    for _ in range(blocks):
+        p = rng.randint(3, 9)
+        r = rng.randint(3, 12)
+        ts.update(t + k * p + rng.choice((-1, 0, 0, 1)) for k in range(r))
+        t += r * p + rng.randint(40, 250)
+    ts.update(rng.randint(1, t) for _ in range(noise))
+    return sorted(ts)
+
+
+class TestDpStopRule:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_cycles_as_the_unpruned_search(self, seed):
+        rng = random.Random(seed)
+        ts = braid_like(rng, blocks=rng.randint(8, 25), noise=rng.randint(0, 30))
+        n = len(ts)
+        other = rng.randint(0, 3 * n)
+        counts = {"a": n, "b": other} if other else {"a": n}
+        # the stats window is as wide as the log or wider
+        stats = SeqStats(
+            length=n + other,
+            t_start=ts[0] - rng.choice((0, rng.randint(1, 300))),
+            t_end=ts[-1] + rng.choice((0, rng.randint(1, 3000))),
+            counts=counts,
+        )
+        for window in (500, rng.randint(5, n // 2)):
+            got = extract_cycles_dp(ts, "a", stats, window=window)
+            assert got == unpruned_segmentation(ts, "a", stats, window)
+        assert got
+
+    def test_timestamps_outside_the_stats_window(self):
+        # Cycles that leave the window are unpriceable; the bound does not
+        # apply there and the search stays exhaustive.
+        ts = braid_like(random.Random(11), blocks=12, noise=10)
+        stats = SeqStats(
+            length=len(ts), t_start=ts[3], t_end=ts[-4], counts={"a": len(ts)}
+        )
+        assert extract_cycles_dp(ts, "a", stats) == unpruned_segmentation(
+            ts, "a", stats
+        )
+
+    def test_nested_event_prices_few_segments(self, monkeypatch):
+        ts = braid_like(random.Random(3), blocks=160, noise=0)
+        ts = ts[:1000]
+        stats = SeqStats(
+            length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)}
+        )
+        calls = 0
+        closed = miner._cycle_cost_closed
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return closed(*args)
+
+        monkeypatch.setattr(miner, "_cycle_cost_closed", counting)
+        window = 500
+        cycles = extract_cycles_dp(ts, "a", stats, window=window)
+        assert len(ts) == 1000 and len(cycles) > 50
+        assert calls < 0.1 * len(ts) * window
 
 
 class TestExtractCyclesTri:
@@ -402,6 +477,75 @@ class TestGreedyCover:
         burst = make_candidate(fit_cycle((2, 5, 7, 8), "a"), dozen_a_stats, "test")
         selection = greedy_cover([burst], dozen_a_seq, dozen_a_stats)
         assert selection.candidates == ()
+
+
+def random_pool(rng: random.Random, seq: EventSequence, stats: SeqStats):
+    """Cycles over random runs of the log, repriced so ratios tie often."""
+    pool = []
+    for _ in range(rng.randint(5, 40)):
+        event = rng.choice(sorted(seq.per_event))
+        ts = seq.per_event[event]
+        i = rng.randrange(len(ts) - 3)
+        run = ts[i : i + rng.randint(3, min(12, len(ts) - i))]
+        cand = make_candidate(fit_cycle(run, event), stats, "test")
+        if cand is None:
+            continue
+        # per-occurrence prices around the residual price (10.5-11.2
+        # bits here), so some picks are rejected
+        cost = rng.choice((2.0, 4.0, 8.0, 10.0, 12.0, 16.0)) * len(cand.cover)
+        pool.append(dataclasses.replace(cand, cost=cost))
+    return pool
+
+
+class TestLazyGreedy:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_picks_as_the_eager_greedy(self, seed):
+        rng = random.Random(seed)
+        seq = EventSequence.from_pairs(
+            (rng.randint(0, 600), rng.choice("abc")) for _ in range(150)
+        )
+        stats = own_stats(seq)
+        pool = random_pool(rng, seq, stats)
+        pool += rng.sample(pool, len(pool) // 4)  # duplicate notations
+        rng.shuffle(pool)
+        got = greedy_cover(pool, seq, stats)
+        want = eager_greedy_cover(pool, stats)
+        assert [c.notation for c in got.candidates] == [c.notation for c in want]
+        assert got.total_bits == collection_cost(
+            [c.pattern for c in want], seq, stats
+        ).total_bits
+
+    def test_rejected_first_pick_selects_nothing(self):
+        rng = random.Random(5)
+        seq = EventSequence.from_pairs(
+            (rng.randint(0, 600), rng.choice("abc")) for _ in range(150)
+        )
+        stats = own_stats(seq)
+        pool = [
+            dataclasses.replace(c, cost=50.0 * len(c.cover))
+            for c in random_pool(rng, seq, stats)
+        ]
+        assert pool
+        assert greedy_cover(pool, seq, stats).candidates == ()
+        assert eager_greedy_cover(pool, stats) == []
+
+    def test_equal_ratios_break_by_cost_then_notation(self):
+        seq = EventSequence.from_pairs((t, "a") for t in range(0, 61, 3))
+        stats = own_stats(seq)
+
+        def priced(ts, cost, notation):
+            cand = make_candidate(fit_cycle(ts, "a"), stats, "test")
+            return dataclasses.replace(cand, cost=cost, notation=notation)
+
+        pool = [
+            priced((30, 33, 36, 39, 42, 45), 18.0, "a"),  # 3 bits each
+            priced((3, 6, 9), 7.0, "b"),  # inside "z": gain 0 once it is picked
+            priced((0, 3, 6, 9), 8.0, "z"),  # 2 bits each
+            priced((48, 51, 54, 57), 8.0, "y"),  # 2 bits each
+        ]
+        picks = greedy_cover(pool, seq, stats).candidates
+        assert [c.notation for c in picks] == ["y", "z", "a"]
+        assert [c.notation for c in eager_greedy_cover(pool, stats)] == ["y", "z", "a"]
 
 
 class TestMaximalCliques:
