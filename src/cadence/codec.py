@@ -42,9 +42,10 @@ from .pattern import (
     Leaf,
     Node,
     Pattern,
-    accumulate_corrections,
+    CompiledTree,
     classify_tree,
-    expand_tree,
+    compile_tree,
+    expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
     pattern_occurrences,
@@ -251,12 +252,7 @@ def _block_bits(block: Block, tspan: int, interleaved: bool) -> float:
     return bits + _distance_and_period_bits(block, width, interleaved)
 
 
-def _last_content_offset(
-    tree: Block,
-    offsets: Sequence[int],
-    origins,
-    interleaved: bool,
-) -> int:
+def _last_content_offset(compiled: CompiledTree, offsets: Sequence[int]) -> int:
     """Cumulative offset of the occurrence that pins the decoder's view of
     where the last repetition's content ends.
 
@@ -265,22 +261,9 @@ def _last_content_offset(
     whose leaf is the right-most child of its parent, and the smallest
     offset among them is used.
     """
-    n = len(offsets)
-    if not interleaved:
-        return offsets[n - 1]
-    per_rep = n // tree.r
-    lo = (tree.r - 1) * per_rep
-    best = None
-    for i in range(lo, n):
-        path, _ = origins[i]
-        node = tree
-        for c in path[:-1]:
-            node = node.children[c]
-        if path[-1] == len(node.children) - 1:
-            if best is None or offsets[i] < best:
-                best = offsets[i]
-    assert best is not None
-    return best
+    if not compiled.interleaved:
+        return offsets[-1]
+    return min(offsets[i] for i in compiled.last_right)
 
 
 def pattern_cost(
@@ -299,14 +282,13 @@ def pattern_cost(
         p = p.as_pattern()
     tree = p.tree
 
-    occs, origins = expand_tree(tree)
-    ts = [t for t, _ in occs]
-    interleaved = any(b < a for a, b in zip(ts, ts[1:]))
+    compiled = compile_tree(tree)
+    interleaved = compiled.interleaved
     if interleaved and not allow_interleaving:
         raise UncodablePatternError("interleaved trees are disabled")
 
-    offsets = accumulate_corrections(p)
-    for (t, e), off in zip(occs, offsets):
+    offsets = p.offsets
+    for t, e, off in zip(compiled.times, compiled.events, offsets):
         ct = p.tau + t + off
         if ct < stats.t_start or ct > stats.t_end:
             raise UncodablePatternError(
@@ -317,7 +299,7 @@ def pattern_cost(
     bits_a = _layout_bits(tree, stats)
     bits_r = _repetition_bits(tree, stats)
 
-    n = len(occs)
+    n = len(offsets)
     per_rep = n // tree.r
     start_offset = offsets[(tree.r - 1) * per_rep]
 
@@ -345,11 +327,11 @@ def pattern_cost(
     if is_simple(tree):
         bits_d = 0.0
     else:
-        end_offset = _last_content_offset(tree, offsets, origins, interleaved)
+        end_offset = _last_content_offset(compiled, offsets)
         max_width = (
             stats.t_end - p.tau - end_offset - (tree.r - 1) * tree.p
         )
-        width = max(t for t, _ in occs[:per_rep])
+        width = max(compiled.times[:per_rep])
         if width < 0 or width > max_width:
             raise UncodablePatternError(
                 f"repetition width {width} outside [0, {max_width}]"

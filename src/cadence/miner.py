@@ -32,6 +32,7 @@ from .pattern import (
     Block,
     Cycle,
     Pattern,
+    corrected_occurrences,
     cycle_cover,
     factorize,
     fit_cycle,
@@ -40,7 +41,6 @@ from .pattern import (
     grow_horizontally,
     grow_vertically,
     occurrence_count,
-    pattern_occurrences,
 )
 from . import codec
 from .codec import CollectionReport, SeqStats
@@ -105,7 +105,7 @@ def make_candidate(
     pat = p.as_pattern() if isinstance(p, Cycle) else p
     try:
         cost = codec.pattern_cost(pat, stats).total
-        cover = frozenset(pattern_occurrences(pat))
+        cover = frozenset(corrected_occurrences(pat))
     except (UncodablePatternError, InvalidPatternError, DomainError):
         return None
     if not cover:
@@ -194,7 +194,9 @@ def _cycle_cost_closed(
     sigma: int,
     tau: int,
 ) -> float:
-    """Closed-form cost of a fitted m-occurrence cycle."""
+    """Closed-form cost of a fitted m-occurrence cycle: equal to
+    ``codec.pattern_cost(cycle, stats).total``, and ``inf`` exactly when
+    the encoder cannot transmit the cycle."""
     span = stats.span
     numer = span - sigma
     if numer < m - 1:
@@ -206,14 +208,18 @@ def _cycle_cost_closed(
     if v < 1 or tau < stats.t_start or tau > stats.t_start + v - 1:
         return float("inf")
     count = stats.counts[event]
+    if m > count:
+        return float("inf")
+    # The encoder's terms in the encoder's order, so the two agree bit
+    # for bit: layout, repetitions, period, start, then the corrections
+    # as one integer.
     return (
         2.0 * _LOG2_3
         + log2(3.0 * stats.length / count)
         + log2(count)
         + log2(p_max)
         + log2(v)
-        + 2.0 * (m - 1)
-        + abs_dev
+        + float(2 * (m - 1) + abs_dev)
     )
 
 
@@ -762,8 +768,17 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, stats: SeqStats
+    seq: EventSequence, event: str, stats: SeqStats, k: int
 ) -> list[Candidate]:
+    """Stage-S candidates of one event that can survive width-``k`` pruning.
+
+    The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
+    by the closed form (the encoder's price, ``inf`` when uncodable), and
+    only those among the ``k`` best by ``(cost / r, cost, notation)`` for
+    some timestamp they cover become candidates.  A stage-S cover holds
+    one event, so ``filter_candidates`` over all events keeps what it
+    would keep had every cycle been built.
+    """
     ts = list(seq.per_event[event])
     tagged = [("dp", cyc) for cyc in extract_cycles_dp(ts, event, stats)]
     tagged += [
@@ -772,12 +787,25 @@ def _stage_one_event(
             ts, codec.extension_margin(stats), event=event
         )
     ]
-    out = []
+    ranked: dict[str, tuple] = {}
     for provenance, cyc in tagged:
-        cand = make_candidate(cyc, stats, provenance)
-        if cand is not None:
-            out.append(cand)
-    return _dedupe(out)
+        notation = format_pattern(cyc)
+        if notation in ranked:
+            continue
+        abs_dev = sum(abs(e) for e in cyc.corrections)
+        cost = _cycle_cost_closed(
+            stats, event, cyc.r, cyc.p, abs_dev, cyc.sigma, cyc.tau
+        )
+        if cost < math.inf:
+            ranked[notation] = ((cost / cyc.r, cost, notation), provenance, cyc)
+    ahead: Counter = Counter()  # better-ranked cycles covering each timestamp
+    out = []
+    for _, provenance, cyc in sorted(ranked.values(), key=lambda entry: entry[0]):
+        cover = cycle_cover(cyc)
+        if any(ahead[t] < k for t in cover):
+            out.append(make_candidate(cyc, stats, provenance))
+        ahead.update(cover)
+    return out
 
 
 def extract_cycles(
@@ -789,10 +817,10 @@ def extract_cycles(
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(
-                pool.map(lambda e: _stage_one_event(seq, e, stats), events)
+                pool.map(lambda e: _stage_one_event(seq, e, stats, k), events)
             )
     else:
-        results = [_stage_one_event(seq, e, stats) for e in events]
+        results = [_stage_one_event(seq, e, stats, k) for e in events]
     merged: list[Candidate] = []
     for r in results:
         merged.extend(r)

@@ -18,8 +18,8 @@ bit-exact text notation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 from .core import DomainError, InvalidCycleError, InvalidPatternError
@@ -42,13 +42,14 @@ class Block:
 
     ``distances[i]`` is the inter-block distance between child ``i-1`` and
     child ``i``; ``distances[0]`` is always 0 (the first child carries no
-    distance).
+    distance).  ``count`` is the number of occurrences the block generates.
     """
 
     r: int
     p: int
     children: tuple["Node", ...]
     distances: tuple[int, ...]
+    count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -63,6 +64,8 @@ class Block:
             raise InvalidPatternError("first child carries no distance")
         if any(d < 0 for d in self.distances[1:]):
             raise InvalidPatternError("inter-block distances must be >= 0")
+        count = self.r * sum(occurrence_count(c) for c in self.children)
+        object.__setattr__(self, "count", count)
 
 
 Node = Union[Leaf, Block]
@@ -70,9 +73,7 @@ Node = Union[Leaf, Block]
 
 def occurrence_count(node: Node) -> int:
     """Total number of event occurrences generated by a (sub)tree."""
-    if isinstance(node, Leaf):
-        return 1
-    return node.r * sum(occurrence_count(c) for c in node.children)
+    return 1 if isinstance(node, Leaf) else node.count
 
 
 def tree_width(node: Node) -> int:
@@ -226,8 +227,20 @@ class Pattern:
                 f"got {len(self.corrections)}"
             )
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Per-occurrence cumulative offsets, computed once per pattern.
 
-@lru_cache(maxsize=4096)
+        Occurrence ``i`` is shifted by its own correction plus the offset
+        of occurrence ``pred[i]`` of the compiled tree.
+        """
+        pred = compile_tree(self.tree).pred
+        off = [0] * len(pred)
+        for i, e in enumerate(self.corrections, 1):
+            off[i] = e + off[pred[i]]
+        return tuple(off)
+
+
 def expand_tree(
     tree: Block,
 ) -> tuple[tuple[tuple[int, str], ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
@@ -258,57 +271,65 @@ def expand_tree(
     return tuple(occs), tuple(origins)
 
 
-def _walk_corrections(
-    tree: Block,
-    values: Sequence[int],
-    solve: bool,
-) -> list[int]:
-    """Shared traversal for correction accumulation and its inverse.
+@dataclass(frozen=True)
+class CompiledTree:
+    """What pricing and reconstruction need of a tree, in traversal order.
 
-    With ``solve=False``, ``values`` are per-occurrence corrections
-    (first entry 0) and the cumulative offsets are returned.  With
-    ``solve=True``, ``values`` are target cumulative offsets and the
-    per-occurrence corrections achieving them are returned.
-
-    The offset of an occurrence is its own correction plus the
-    corrections of the left siblings' left-most leaf descendants, of the
-    previous repetitions' left-most leaves, and recursively of the
-    enclosing blocks' contributors.
+    ``times[i]`` and ``events[i]`` are perfect occurrence ``i`` (as in
+    :func:`expand_tree`).  Its cumulative offset is its own correction
+    plus the offset of ``pred[i]``, the first leaf of the nearest earlier
+    sibling or repetition up the enclosing blocks (``pred[0] == -1``).
+    ``last_right`` lists the last root repetition's occurrences whose
+    leaf is its parent's right-most child.
     """
-    n = occurrence_count(tree)
-    if len(values) != n:
-        raise DomainError(f"expected {n} values, got {len(values)}")
-    out = [0] * n
-    corr = values if not solve else out
-    idx = 0
 
-    def walk(node: Node, context: int) -> int:
-        nonlocal idx
+    times: tuple[int, ...]
+    events: tuple[str, ...]
+    pred: tuple[int, ...]
+    interleaved: bool
+    last_right: tuple[int, ...]
+
+
+@lru_cache(maxsize=4096)
+def compile_tree(tree: Block) -> CompiledTree:
+    """Compile a tree once; the one cache of tree structure."""
+    times: list[int] = []
+    events: list[str] = []
+    pred: list[int] = []
+    right: list[int] = []
+
+    def walk(node: Node, t0: int, base: int, rightmost: bool) -> int:
         if isinstance(node, Leaf):
-            i = idx
-            idx += 1
-            if solve:
-                out[i] = values[i] - context
-            else:
-                out[i] = values[i] + context
+            i = len(times)
+            times.append(t0)
+            events.append(node.event)
+            pred.append(base)
+            if rightmost:
+                right.append(i)
             return i
-        first_of_block = -1
-        rep_acc = 0
-        for _ in range(node.r):
-            first_of_rep = -1
-            sib_acc = 0
-            for child in node.children:
-                fi = walk(child, context + rep_acc + sib_acc)
-                if first_of_rep < 0:
-                    first_of_rep = fi
-                sib_acc += corr[fi]
-            if first_of_block < 0:
-                first_of_block = first_of_rep
-            rep_acc += corr[first_of_rep]
-        return first_of_block
+        last = len(node.children) - 1
+        for k in range(node.r):
+            offset = 0
+            for c, child in enumerate(node.children):
+                offset += node.distances[c]
+                fi = walk(child, t0 + k * node.p + offset, base, c == last)
+                if c == 0:
+                    rep_first = fi
+                    if k == 0:
+                        first = fi
+                base = fi
+            base = rep_first
+        return first
 
-    walk(tree, 0)
-    return out
+    walk(tree, 0, -1, False)
+    lo = len(times) - len(times) // tree.r
+    return CompiledTree(
+        times=tuple(times),
+        events=tuple(events),
+        pred=tuple(pred),
+        interleaved=any(b < a for a, b in zip(times, times[1:])),
+        last_right=tuple(i for i in right if i >= lo),
+    )
 
 
 def accumulate_corrections(p: Pattern) -> tuple[int, ...]:
@@ -318,11 +339,7 @@ def accumulate_corrections(p: Pattern) -> tuple[int, ...]:
     ``tau + perfect_timestamp(i) + offset(i)``.  The first occurrence
     always has offset 0.
     """
-    n = occurrence_count(p.tree)
-    if len(p.corrections) != n - 1:
-        raise DomainError(f"expected {n - 1} corrections")
-    values = (0,) + tuple(p.corrections)
-    return tuple(_walk_corrections(p.tree, values, solve=False))
+    return p.offsets
 
 
 def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[int, ...]:
@@ -332,22 +349,22 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
     order.  The system is unitriangular in the corrections, so any target
     with ``corrected[0] == tau`` has exactly one solution.
     """
-    occs, _ = expand_tree(tree)
-    if len(corrected) != len(occs):
-        raise DomainError(f"expected {len(occs)} timestamps, got {len(corrected)}")
-    targets = [c - tau - t for c, (t, _) in zip(corrected, occs)]
+    compiled = compile_tree(tree)
+    n = len(compiled.times)
+    if len(corrected) != n:
+        raise DomainError(f"expected {n} timestamps, got {len(corrected)}")
+    targets = [c - tau - t for c, t in zip(corrected, compiled.times)]
     if targets[0] != 0:
         raise DomainError("first corrected timestamp must equal tau")
-    values = _walk_corrections(tree, targets, solve=True)
-    return tuple(values[1:])
+    pred = compiled.pred
+    return tuple(targets[i] - targets[pred[i]] for i in range(1, n))
 
 
 def corrected_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
     """Corrected occurrence list in traversal order (may repeat pairs)."""
-    occs, _ = expand_tree(p.tree)
-    offsets = accumulate_corrections(p)
+    compiled = compile_tree(p.tree)
     out = []
-    for (t, e), off in zip(occs, offsets):
+    for t, e, off in zip(compiled.times, compiled.events, p.offsets):
         ct = p.tau + t + off
         if ct < 0:
             raise InvalidPatternError(f"corrected timestamp {ct} is negative")
@@ -384,9 +401,8 @@ def classify_tree(tree: Block) -> TreeShape:
     ``vertical`` (width 1, deeper), ``horizontal`` (wider, height 1) or
     ``mixed``.
     """
-    occs, _ = expand_tree(tree)
-    ts = [t for t, _ in occs]
-    interleaved = any(b < a for a, b in zip(ts, ts[1:]))
+    compiled = compile_tree(tree)
+    ts = compiled.times
     overlaps = len(set(ts)) < len(ts)
     width = tree_width(tree)
     height = tree_height(tree)
@@ -401,7 +417,7 @@ def classify_tree(tree: Block) -> TreeShape:
     return TreeShape(
         height=height,
         width=width,
-        interleaved=interleaved,
+        interleaved=compiled.interleaved,
         overlaps=overlaps,
         shape_class=shape_class,
     )
@@ -572,13 +588,24 @@ def format_tree(tree: Node) -> str:
         if i > 0:
             parts.append(f"[d={tree.distances[i]}]")
         parts.append(format_tree(child))
-    return f"[r={tree.r} p={tree.p}](" + " ".join(parts) + ")"
+    return _format_block(tree.r, tree.p, " ".join(parts))
 
 
-def format_pattern(p: Pattern) -> str:
-    """Render a full pattern: ``<tree> @ tau=<int> E=[<int>,...]``."""
+def _format_block(r: int, p: int, content: str) -> str:
+    return f"[r={r} p={p}]({content})"
+
+
+def format_pattern(p: Union[Pattern, Cycle]) -> str:
+    """Render a full pattern: ``<tree> @ tau=<int> E=[<int>,...]``.
+
+    A cycle renders as its width-1, depth-1 pattern.
+    """
+    if isinstance(p, Cycle):
+        tree = _format_block(p.r, p.p, p.event)
+    else:
+        tree = format_tree(p.tree)
     es = ",".join(str(e) for e in p.corrections)
-    return f"{format_tree(p.tree)} @ tau={p.tau} E=[{es}]"
+    return f"{tree} @ tau={p.tau} E=[{es}]"
 
 
 class _Parser:

@@ -3,10 +3,12 @@
 These deliberately avoid the library's search code: they re-derive the
 same quantities from the cost primitives alone, so the mining tests
 compare two separate routes to the same number.  The unpruned
-segmentation and the eager greedy cover are the plain searches that the
-miner's pruned and lazy ones must reproduce exactly; the segmentation
-shares the miner's closed-form prices so that the two compare float for
-float (the closed form is checked against the encoder separately).
+segmentation, the eager greedy cover and the build-everything stage S
+are the plain searches that the miner's pruned, lazy and ranked ones
+must reproduce exactly; the segmentation shares the miner's closed-form
+prices so that the two compare float for float (the closed form is
+checked against the encoder separately).  The recursive correction walk
+and the origins-based end offset are the tree kernel's references.
 """
 
 from __future__ import annotations
@@ -14,10 +16,19 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
+from cadence import codec
 from cadence.codec import SeqStats, cycle_cost, residual_bits, residual_cost
-from cadence.core import UncodablePatternError
-from cadence.miner import _cycle_cost_closed, _RunningMedian
-from cadence.pattern import Cycle, cycle_cover, fit_cycle
+from cadence.core import DomainError, UncodablePatternError
+from cadence.miner import (
+    _cycle_cost_closed,
+    _dedupe,
+    _RunningMedian,
+    extract_cycles_dp,
+    extract_cycles_tri,
+    filter_candidates,
+    make_candidate,
+)
+from cadence.pattern import Block, Cycle, Leaf, cycle_cover, expand_tree, fit_cycle
 
 
 def optimal_segmentation_bits(
@@ -138,3 +149,99 @@ def eager_greedy_cover(pool, stats: SeqStats) -> list:
         chosen.append(best)
         covered |= best.cover
         remaining.remove(best)
+
+
+def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
+    """Stage S building a candidate for every cycle, then filtering.
+
+    Each event's ``dp`` then ``tri`` cycles become candidates through the
+    encoder, the uncodable ones are dropped and duplicates keep their
+    first provenance; width-``k`` pruning runs once over all events.
+    """
+    merged = []
+    for event in seq.alphabet:
+        ts = list(seq.per_event[event])
+        tagged = [("dp", c) for c in extract_cycles_dp(ts, event, stats)]
+        tagged += [
+            ("tri", c)
+            for c in extract_cycles_tri(
+                ts, codec.extension_margin(stats), event=event
+            )
+        ]
+        built = [make_candidate(c, stats, prov) for prov, c in tagged]
+        merged += _dedupe(c for c in built if c is not None)
+    return filter_candidates(merged, k)
+
+
+def walk_corrections(tree: Block, values: Sequence[int], solve: bool) -> list[int]:
+    """The recursive correction walk and its inverse.
+
+    With ``solve=False``, ``values`` are per-occurrence corrections
+    (first entry 0) and the cumulative offsets are returned.  With
+    ``solve=True``, ``values`` are target cumulative offsets and the
+    per-occurrence corrections achieving them are returned.
+
+    The offset of an occurrence is its own correction plus the
+    corrections of the left siblings' left-most leaf descendants, of the
+    previous repetitions' left-most leaves, and recursively of the
+    enclosing blocks' contributors.
+    """
+    n = len(expand_tree(tree)[0])
+    if len(values) != n:
+        raise DomainError(f"expected {n} values, got {len(values)}")
+    out = [0] * n
+    corr = values if not solve else out
+    idx = 0
+
+    def walk(node, context: int) -> int:
+        nonlocal idx
+        if isinstance(node, Leaf):
+            i = idx
+            idx += 1
+            if solve:
+                out[i] = values[i] - context
+            else:
+                out[i] = values[i] + context
+            return i
+        first_of_block = -1
+        rep_acc = 0
+        for _ in range(node.r):
+            first_of_rep = -1
+            sib_acc = 0
+            for child in node.children:
+                fi = walk(child, context + rep_acc + sib_acc)
+                if first_of_rep < 0:
+                    first_of_rep = fi
+                sib_acc += corr[fi]
+            if first_of_block < 0:
+                first_of_block = first_of_rep
+            rep_acc += corr[first_of_rep]
+        return first_of_block
+
+    walk(tree, 0)
+    return out
+
+
+def end_offset_by_origins(tree: Block, offsets: Sequence[int]) -> int:
+    """The offset that pins where the last repetition's content ends.
+
+    The last occurrence's offset when the perfect timestamps never
+    decrease; otherwise the smallest offset among the last root
+    repetition's occurrences whose leaf is its parent's right-most
+    child, found from each occurrence's block path.
+    """
+    occs, origins = expand_tree(tree)
+    ts = [t for t, _ in occs]
+    n = len(offsets)
+    if all(a <= b for a, b in zip(ts, ts[1:])):
+        return offsets[n - 1]
+    best = None
+    for i in range((tree.r - 1) * (n // tree.r), n):
+        path, _ = origins[i]
+        node = tree
+        for c in path[:-1]:
+            node = node.children[c]
+        if path[-1] == len(node.children) - 1:
+            if best is None or offsets[i] < best:
+                best = offsets[i]
+    return best

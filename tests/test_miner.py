@@ -40,15 +40,18 @@ from cadence.miner import (
 )
 from cadence.pattern import (
     Cycle,
+    classify_tree,
+    compile_tree,
     cycle_cover,
-    expand_tree,
     fit_cycle,
     parse_pattern,
+    parse_tree,
     pattern_occurrences,
 )
 from cadence.synth import PlantSpec, generate
 
 from _oracles import (
+    build_every_cycle,
     cycle_selection_bits,
     eager_greedy_cover,
     optimal_segmentation_bits,
@@ -140,7 +143,7 @@ class TestExtractCyclesDp:
                         encoded = cycle_cost(c, stats)
                     except UncodablePatternError:
                         encoded = float("inf")
-                    assert closed == pytest.approx(encoded, abs=1e-9)
+                    assert closed == encoded
             cycles = extract_cycles_dp(ts, "a", stats)
             got = cycle_selection_bits(cycles, ts, "a", stats)
             want = optimal_segmentation_bits(ts, "a", stats)
@@ -576,6 +579,106 @@ class TestMiningConfig:
             MiningConfig(**kwargs)
 
 
+class TestClosedFormTermOrder:
+    # Summing the corrections term as 2.0*(m-1) + abs_dev, after the
+    # other terms, gives 107.29404631327151 here; the encoder adds them
+    # as one integer and gives 107.2940463132715.
+    def test_equals_the_encoder_bit_for_bit(self):
+        stats = SeqStats(length=4, t_start=210, t_end=309, counts={"a": 3, "b": 1})
+        c = fit_cycle([213, 305, 309], "a")
+        abs_dev = sum(abs(e) for e in c.corrections)
+        closed = _cycle_cost_closed(stats, "a", c.r, c.p, abs_dev, c.sigma, c.tau)
+        assert closed == cycle_cost(c, stats) == 107.2940463132715
+
+    def test_more_repetitions_than_occurrences_are_uncodable(self):
+        stats = SeqStats(length=4, t_start=0, t_end=40, counts={"a": 2, "b": 2})
+        c = fit_cycle([0, 10, 20], "a")
+        with pytest.raises(UncodablePatternError):
+            cycle_cost(c, stats)
+        assert _cycle_cost_closed(stats, "a", 3, 10, 0, 0, 0) == float("inf")
+
+
+def wobbly_log(rng: random.Random, events: str, n_noise: int) -> list[tuple[int, str]]:
+    """A few wobbly tracks per event, one perfect track, and noise."""
+    pairs: set[tuple[int, str]] = set()
+    for e in events:
+        for _ in range(rng.randint(1, 3)):
+            t, p = rng.randint(0, 200), rng.randint(4, 15)
+            for _ in range(rng.randint(4, 14)):
+                pairs.add((t, e))
+                t += p + rng.choice((-1, 0, 0, 0, 1))
+    # an even-length perfect track: its two gap-2 chains tie on (cost / r, cost)
+    pairs.update((500 + 6 * i, events[0]) for i in range(8))
+    pairs.update((rng.randint(0, 600), rng.choice(events)) for _ in range(n_noise))
+    return sorted(pairs)
+
+
+class TestStageSRanking:
+    # Ranking the cycles by their closed-form price and building only the
+    # survivors gives the same candidates as building every cycle.
+    @staticmethod
+    def same(got, want):
+        assert [(c.notation, c.provenance, c.cost) for c in got] == [
+            (c.notation, c.provenance, c.cost) for c in want
+        ]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_candidates_as_building_every_cycle(self, seed):
+        rng = random.Random(seed)
+        seq = EventSequence.from_pairs(wobbly_log(rng, "abc", rng.randint(0, 25)))
+        stats = own_stats(seq)
+        for k in (1, 2, 3):
+            self.same(extract_cycles(seq, stats, k), build_every_cycle(seq, stats, k))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_candidates_when_the_window_cuts_the_log(self, seed):
+        # Stats narrower than the log: cycles that reach past an edge are
+        # uncodable and must drop out before ranking.
+        rng = random.Random(100 + seed)
+        seq = EventSequence.from_pairs(wobbly_log(rng, "ab", 10))
+        full = own_stats(seq)
+        stats = dataclasses.replace(
+            full,
+            t_start=full.t_start + rng.randint(5, 40),
+            t_end=full.t_end - rng.randint(5, 40),
+        )
+        want = build_every_cycle(seq, stats, 3)
+        every = build_every_cycle(seq, stats, 10**6)
+        assert len(every) < len(build_every_cycle(seq, full, 10**6))
+        self.same(extract_cycles(seq, stats, 3), want)
+
+    def test_logs_hold_duplicates_and_ties(self):
+        # The seeded logs above exercise dp/tri duplicate notations and
+        # candidates tied on (cost / r, cost) that notation orders.
+        dupes = ties = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            seq = EventSequence.from_pairs(wobbly_log(rng, "abc", rng.randint(0, 25)))
+            stats = own_stats(seq)
+            for e in seq.alphabet:
+                ts = list(seq.per_event[e])
+                dp = set(extract_cycles_dp(ts, e, stats))
+                tri = extract_cycles_tri(ts, extension_margin(stats), event=e)
+                dupes += sum(c in dp for c in tri)
+            keys = [(c.efficiency, c.cost) for c in build_every_cycle(seq, stats, 3)]
+            ties += len(keys) - len(set(keys))
+        assert dupes > 0 and ties > 0
+
+    def test_builds_only_the_survivors(self, monkeypatch):
+        built = []
+        original = miner.make_candidate
+
+        def counting(p, stats, provenance):
+            built.append(provenance)
+            return original(p, stats, provenance)
+
+        monkeypatch.setattr(miner, "make_candidate", counting)
+        rng = random.Random(5)
+        seq = EventSequence.from_pairs(wobbly_log(rng, "abc", 20))
+        out = extract_cycles(seq, own_stats(seq), 3)
+        assert len(built) == len(out)
+
+
 class TestExtractCyclesStage:
     def test_triad_log_yields_the_two_steady_tracks(self, triad_seq):
         cands = extract_cycles(triad_seq, own_stats(triad_seq), k=3)
@@ -733,7 +836,7 @@ class TestMine:
 
 class TestMemory:
     def test_serving_many_logs_keeps_memory_flat(self):
-        # Pricing keeps no state between logs; only expand_tree's bounded
+        # Pricing keeps no state between logs; only compile_tree's bounded
         # cache may hold trees, and it is cleared here.
         sizes = []
         tracemalloc.start()
@@ -749,9 +852,30 @@ class TestMemory:
                     seed=seed,
                 )
                 mine(generate(spec).perturbed)
-                expand_tree.cache_clear()
+                compile_tree.cache_clear()
                 gc.collect()
                 sizes.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
         assert sizes[7] - sizes[1] < 64 * 1024, sizes
+
+    def test_tree_cache_stays_small_per_tree(self):
+        # Four distinct trees of 2,250 occurrences each; what the tree
+        # cache holds for them is traced after the trees themselves exist.
+        trees = [
+            parse_tree(f"[r=30 p={1000 + i}]([r=25 p=30](a [d=2] b [d={3 + i}] c))")
+            for i in range(4)
+        ]
+        compile_tree.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tree in trees:
+                classify_tree(tree)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            compile_tree.cache_clear()
+        assert held / len(trees) < 256 * 1024, held

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from cadence.core import (
     InvalidCycleError,
     InvalidPatternError,
 )
-from cadence.codec import SeqStats, pattern_cost
+from cadence.codec import SeqStats, _last_content_offset, pattern_cost
 from cadence.pattern import (
     Block,
     Cycle,
@@ -18,6 +20,7 @@ from cadence.pattern import (
     Pattern,
     accumulate_corrections,
     classify_tree,
+    compile_tree,
     corrected_occurrences,
     cycle_cover,
     expand_tree,
@@ -39,6 +42,7 @@ from cadence.pattern import (
     tree_width,
 )
 
+from _oracles import end_offset_by_origins, walk_corrections
 from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS
 
 # Reference trees and their full expansions, spelled out by hand from
@@ -110,6 +114,7 @@ class TestCycle:
         c = Cycle(event="a", r=3, p=13, tau=2, corrections=(-2, 0))
         p = c.as_pattern()
         assert format_pattern(p) == "[r=3 p=13](a) @ tau=2 E=[-2,0]"
+        assert format_pattern(c) == format_pattern(p)
         assert [t for t, _ in pattern_occurrences(p)] == list(cycle_cover(c))
 
 
@@ -456,6 +461,70 @@ def test_offsets_of_zero_corrections_are_zero(tree, tau):
     n = occurrence_count(tree)
     p = Pattern(tree=tree, tau=tau, corrections=(0,) * (n - 1))
     assert accumulate_corrections(p) == (0,) * n
+
+
+def random_tree(rng: random.Random, depth: int, leaves: int) -> Block:
+    """A block of height at most ``depth`` with at most ``leaves`` leaves."""
+    children: list = []
+    while leaves > 0 and (not children or rng.random() < 0.5):
+        if depth > 1 and rng.random() < 0.5:
+            child = random_tree(rng, depth - 1, leaves)
+        else:
+            child = Leaf(rng.choice("abc"))
+        children.append(child)
+        leaves -= tree_width(child)
+    distances = (0,) + tuple(rng.randint(0, 8) for _ in children[1:])
+    return Block(
+        r=rng.randint(2, 4),
+        p=rng.randint(1, 12),
+        children=tuple(children),
+        distances=distances,
+    )
+
+
+class TestCompiledKernel:
+    # Offsets, their inverse and the interleaved end offset against the
+    # recursive walk and the origins-based rule, on 2,000 random trees
+    # of height <= 3, at most 3 leaves and root lengths 2 to 4.
+    def test_matches_the_recursive_walk_and_the_origins_rule(self):
+        rng = random.Random(2024)
+        interleaved = 0
+        for _ in range(2000):
+            tree = random_tree(rng, depth=3, leaves=3)
+            n = occurrence_count(tree)
+            compiled = compile_tree(tree)
+            occs, _ = expand_tree(tree)
+            assert tuple(zip(compiled.times, compiled.events)) == occs
+            ts = [t for t, _ in occs]
+            assert compiled.interleaved == (ts != sorted(ts))
+            interleaved += compiled.interleaved
+
+            corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            p = Pattern(tree=tree, tau=10 * n, corrections=corrections)
+            offsets = accumulate_corrections(p)
+            assert list(offsets) == walk_corrections(tree, (0,) + corrections, False)
+            assert _last_content_offset(compiled, offsets) == end_offset_by_origins(
+                tree, offsets
+            )
+
+            corrected = [t for t, _ in corrected_occurrences(p)]
+            assert solve_corrections(tree, p.tau, corrected) == corrections
+            targets = [c - p.tau - t for c, t in zip(corrected, ts)]
+            assert walk_corrections(tree, targets, True)[1:] == list(corrections)
+        assert interleaved > 200
+
+    def test_first_occurrence_is_the_only_root_of_the_predecessors(self):
+        compiled = compile_tree(parse_tree(DOUBLE_RUN))
+        assert compiled.pred[0] == -1
+        assert all(0 <= q < i for i, q in enumerate(compiled.pred) if i)
+
+    def test_last_right_holds_the_last_repetition_right_most_leaves(self):
+        # FLIPPED_NEST's only leaf is its parent's right-most child: the
+        # last root repetition is occurrences 9..11.
+        assert compile_tree(parse_tree(FLIPPED_NEST)).last_right == (9, 10, 11)
+        # In RUN_BRAID's last repetition (12..17) every a is its inner
+        # block's only child and c closes the root's children; b does not.
+        assert compile_tree(parse_tree(RUN_BRAID)).last_right == (13, 14, 15, 16, 17)
 
 
 class TestNotation:
