@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .core import (
     CadenceError,
+    DomainError,
     EventSequence,
     IngestOptions,
     load_sequence,
@@ -77,10 +78,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
     # Re-score every reported pattern from its own notation; the numbers
     # in the report must be reproducible from the printed text alone.
+    # Pricing is a pure function of the pattern and the log's statistics,
+    # and notations round-trip, so the two totals must be identical.
     stats = SeqStats.from_sequence(seq)
     for entry in result.selection.report.patterns:
         again = pattern_cost(parse_pattern(entry.notation), stats).total
-        if abs(again - entry.cost.total) > 1e-6:
+        if again != entry.cost.total:
             raise CadenceError(
                 f"internal error: re-scoring {entry.notation!r} gave "
                 f"{again}, expected {entry.cost.total}"
@@ -202,6 +205,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth_eval(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise DomainError(f"--trials must be >= 1, got {args.trials}")
     with open(args.spec, "r", encoding="utf-8") as fh:
         base = parse_plant_spec(fh.read())
     trials = []

@@ -266,42 +266,32 @@ def _last_content_offset(compiled: CompiledTree, offsets: Sequence[int]) -> int:
     return min(offsets[i] for i in compiled.last_right)
 
 
-def pattern_cost(
-    p: Union[Pattern, Cycle],
+def placed_cost(
+    tree: Block,
+    tau: int,
     stats: SeqStats,
-    allow_interleaving: bool = True,
+    *,
+    start_offset: int,
+    end_offset: int,
+    width: int,
+    interleaved: bool,
+    abs_corrections: int,
 ) -> CostBreakdown:
-    """Bits to transmit a pattern against a sequence's statistics.
+    """Bits to transmit a tree started at ``tau`` whose corrected
+    occurrences lie in the window, placed as the keywords say.
 
-    Raises :class:`UncodablePatternError` when the pattern cannot be
-    transmitted in that context: a parameter outside its code's range, a
-    corrected occurrence outside the sequence window, or an interleaved
-    tree when interleaving is disabled.
+    ``start_offset`` is the cumulative offset of the last root
+    repetition's first occurrence, ``end_offset`` the one of
+    :func:`_last_content_offset`, ``width`` the largest perfect time in
+    the first root repetition, and ``abs_corrections`` the corrections'
+    summed magnitudes.  This is the one sequence of encoder terms:
+    :func:`pattern_cost` reads the placement off a built pattern and the
+    miner off the members of a concatenation it has not built, so the
+    two price bit for bit alike.  Raises :class:`UncodablePatternError`
+    when a term is out of range.
     """
-    if isinstance(p, Cycle):
-        p = p.as_pattern()
-    tree = p.tree
-
-    compiled = compile_tree(tree)
-    interleaved = compiled.interleaved
-    if interleaved and not allow_interleaving:
-        raise UncodablePatternError("interleaved trees are disabled")
-
-    offsets = p.offsets
-    for t, e, off in zip(compiled.times, compiled.events, offsets):
-        ct = p.tau + t + off
-        if ct < stats.t_start or ct > stats.t_end:
-            raise UncodablePatternError(
-                f"corrected occurrence ({ct}, {e}) falls outside "
-                f"[{stats.t_start}, {stats.t_end}]"
-            )
-
     bits_a = _layout_bits(tree, stats)
     bits_r = _repetition_bits(tree, stats)
-
-    n = len(offsets)
-    per_rep = n // tree.r
-    start_offset = offsets[(tree.r - 1) * per_rep]
 
     numer = stats.span - start_offset
     if tree.r < 2 or numer < tree.r - 1:
@@ -317,9 +307,9 @@ def pattern_cost(
     v = stats.span - start_offset - (tree.r - 1) * tree.p + 1
     if v < 1:
         raise UncodablePatternError("no admissible starting point")
-    if p.tau < stats.t_start or p.tau > stats.t_start + v - 1:
+    if tau < stats.t_start or tau > stats.t_start + v - 1:
         raise UncodablePatternError(
-            f"starting point {p.tau} outside [{stats.t_start}, "
+            f"starting point {tau} outside [{stats.t_start}, "
             f"{stats.t_start + v - 1}]"
         )
     bits_tau = log2(v)
@@ -327,11 +317,7 @@ def pattern_cost(
     if is_simple(tree):
         bits_d = 0.0
     else:
-        end_offset = _last_content_offset(compiled, offsets)
-        max_width = (
-            stats.t_end - p.tau - end_offset - (tree.r - 1) * tree.p
-        )
-        width = max(compiled.times[:per_rep])
+        max_width = stats.t_end - tau - end_offset - (tree.r - 1) * tree.p
         if width < 0 or width > max_width:
             raise UncodablePatternError(
                 f"repetition width {width} outside [0, {max_width}]"
@@ -339,9 +325,48 @@ def pattern_cost(
         bits_d = log2(max_width + 1)
         bits_d += _distance_and_period_bits(tree, width, interleaved)
 
-    bits_e = corrections_cost(p.corrections)
+    bits_e = float(2 * (tree.count - 1) + abs_corrections)
     return CostBreakdown(
         A=bits_a, R=bits_r, p0=bits_p0, D=bits_d, tau=bits_tau, E=bits_e
+    )
+
+
+def pattern_cost(
+    p: Union[Pattern, Cycle],
+    stats: SeqStats,
+    allow_interleaving: bool = True,
+) -> CostBreakdown:
+    """Bits to transmit a pattern against a sequence's statistics.
+
+    Raises :class:`UncodablePatternError` when the pattern cannot be
+    transmitted in that context: a parameter outside its code's range, a
+    corrected occurrence outside the sequence window, or an interleaved
+    tree when interleaving is disabled.
+    """
+    if isinstance(p, Cycle):
+        p = p.as_pattern()
+    tree = p.tree
+    compiled = compile_tree(tree)
+    if compiled.interleaved and not allow_interleaving:
+        raise UncodablePatternError("interleaved trees are disabled")
+    offsets = p.offsets
+    for t, e, off in zip(compiled.times, compiled.events, offsets):
+        ct = p.tau + t + off
+        if ct < stats.t_start or ct > stats.t_end:
+            raise UncodablePatternError(
+                f"corrected occurrence ({ct}, {e}) falls outside "
+                f"[{stats.t_start}, {stats.t_end}]"
+            )
+    per_rep = len(offsets) // tree.r
+    return placed_cost(
+        tree,
+        p.tau,
+        stats,
+        start_offset=offsets[(tree.r - 1) * per_rep],
+        end_offset=_last_content_offset(compiled, offsets),
+        width=max(compiled.times[:per_rep]),
+        interleaved=compiled.interleaved,
+        abs_corrections=sum(abs(e) for e in p.corrections),
     )
 
 

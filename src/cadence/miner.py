@@ -17,6 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -31,7 +32,9 @@ from .core import (
 from .pattern import (
     Block,
     Cycle,
+    Leaf,
     Pattern,
+    compile_tree,
     corrected_occurrences,
     cycle_cover,
     factorize,
@@ -397,6 +400,24 @@ def extract_cycles_tri(
 # Candidate pruning
 
 
+def _within_k(keys: Sequence, covers: Sequence[frozenset], k: int) -> set[int]:
+    """Indices whose key is within the ``k`` smallest for some occurrence
+    their cover holds; keys equal to the ``k``-th smallest count too."""
+    per_pair: dict[tuple[int, str], list] = {}
+    for i, (key, cover) in enumerate(zip(keys, covers)):
+        for pair in cover:
+            per_pair.setdefault(pair, []).append((key, i))
+    keep: set[int] = set()
+    for ranked in per_pair.values():
+        ranked.sort()
+        bound = ranked[min(k, len(ranked)) - 1][0]
+        for key, i in ranked:
+            if key > bound:
+                break
+            keep.add(i)
+    return keep
+
+
 def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate]:
     """Keep candidates among the k most efficient for some occurrence.
 
@@ -407,18 +428,8 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     cands = _dedupe(candidates)
-    per_pair: dict[tuple[int, str], list[tuple[float, float, str]]] = {}
-    by_key = {}
-    for c in cands:
-        key = (c.efficiency, c.cost, c.notation)
-        by_key[c.notation] = c
-        for pair in c.cover:
-            per_pair.setdefault(pair, []).append(key)
-    keep: set[str] = set()
-    for keys in per_pair.values():
-        keys.sort()
-        keep.update(notation for _, _, notation in keys[:k])
-    out = [by_key[nt] for nt in keep]
+    keys = [(c.efficiency, c.cost, c.notation) for c in cands]
+    out = [cands[i] for i in _within_k(keys, [c.cover for c in cands], k)]
     out.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
     return out
 
@@ -577,6 +588,148 @@ def _components(adj: Mapping[int, set[int]], nodes: Iterable[int]) -> list[set[i
     return comps
 
 
+@dataclass(frozen=True)
+class _Member:
+    """What pricing a concatenation reads of one member, once per call.
+
+    ``occurrences`` are the corrected ones in traversal order.  Positions
+    count occurrences within one root repetition: ``width`` and ``last``
+    are the largest and the last perfect time of the first repetition,
+    and ``tangled`` says whether its times decrease somewhere.  ``right``
+    lists the leaves that close their parent block, in order; when
+    ``closes_root``, the last of them is the root's last child, which
+    closes the merged root only when the member comes second.
+    ``first_of_last`` is the first leaf of the root's last child.  ``upto[m]`` sums ``|E|`` over occurrences ``1..m`` and
+    ``starts[k]`` over the starts of repetitions ``1..k``.  ``inside``
+    says whether every occurrence lies in the stats window, and
+    ``factor`` is the ``(r, p)`` of the root's only child when that is a
+    block: two members with the same one may factorize.
+    """
+
+    cand: Candidate
+    occurrences: tuple[tuple[int, str], ...]
+    per: int
+    width: int
+    last: int
+    tangled: bool
+    right: tuple[int, ...]
+    closes_root: bool
+    first_of_last: int
+    upto: tuple[int, ...]
+    starts: tuple[int, ...]
+    inside: bool
+    factor: tuple[int, int] | None
+
+    def kept(self, r: int) -> frozenset[tuple[int, str]]:
+        """Cover of the first ``r`` repetitions."""
+        if r == self.cand.pattern.tree.r:
+            return self.cand.cover
+        return frozenset(self.occurrences[: r * self.per])
+
+
+def _member(c: Candidate, stats: SeqStats) -> _Member:
+    tree = c.pattern.tree
+    compiled = compile_tree(tree)
+    per = len(compiled.times) // tree.r
+    rep0 = compiled.times[:per]
+    lo = len(compiled.times) - per
+    mags = [abs(e) for e in c.pattern.corrections]
+    occurrences = corrected_occurrences(c.pattern)
+    times = [t for t, _ in occurrences]
+    only = tree.children[0] if len(tree.children) == 1 else None
+    return _Member(
+        cand=c,
+        occurrences=occurrences,
+        per=per,
+        width=max(rep0),
+        last=rep0[-1],
+        tangled=any(y < x for x, y in zip(rep0, rep0[1:])),
+        right=tuple(i - lo for i in compiled.last_right),
+        closes_root=isinstance(tree.children[-1], Leaf),
+        first_of_last=per - occurrence_count(tree.children[-1]),
+        upto=tuple(accumulate(mags, initial=0)),
+        starts=tuple(
+            accumulate((mags[k * per - 1] for k in range(1, tree.r)), initial=0)
+        ),
+        inside=stats.t_start <= min(times) and max(times) <= stats.t_end,
+        factor=(only.r, only.p) if isinstance(only, Block) else None,
+    )
+
+
+def _concat_cost(a: _Member, b: _Member, stats: SeqStats) -> float | None:
+    """Price of ``grow_horizontally([a, b])`` without building it, for
+    members in the order it puts them; None when the merge fails or is
+    uncodable.  Both members must lie in the stats window.
+
+    The merged root keeps ``a``'s period and the smaller length ``r``.
+    Each member keeps its first ``r`` repetitions and their offsets, ``b``
+    shifted by ``k (p_b - p_a)`` in repetition ``k``, and every
+    correction except at ``b``'s repetition starts, whose predecessor
+    becomes the first leaf of ``a``'s last root child.  So where the
+    merge's occurrences sit follows from the members' offsets and first
+    repetitions, and :func:`codec.placed_cost` prices it by the terms
+    that :func:`codec.pattern_cost` uses.
+    """
+    pa, pb = a.cand.pattern, b.cand.pattern
+    ta, tb = pa.tree, pb.tree
+    delta = pb.tau - pa.tau
+    connect = delta - sum(ta.distances)
+    if connect < 0:
+        return None
+    r = min(ta.r, tb.r)
+    root = Block(
+        r=r,
+        p=ta.p,
+        children=ta.children + tb.children,
+        distances=ta.distances + (connect,) + tb.distances[1:],
+    )
+    oa, ob = pa.offsets, pb.offsets
+    drift = tb.p - ta.p
+    last_a, last_b = (r - 1) * a.per, (r - 1) * b.per
+    interleaved = a.tangled or b.tangled or a.last > delta or delta + b.last > ta.p
+    if interleaved:
+        right_a = a.right[:-1] if a.closes_root else a.right
+        end_offset = min(
+            [oa[last_a + j] for j in right_a]
+            + [ob[last_b + j] + (r - 1) * drift for j in b.right]
+        )
+    else:
+        end_offset = ob[last_b + b.per - 1] + (r - 1) * drift
+    joins = sum(
+        abs(ob[k * b.per] + k * drift - oa[k * a.per + a.first_of_last])
+        for k in range(r)
+    )
+    try:
+        return codec.placed_cost(
+            root,
+            pa.tau,
+            stats,
+            start_offset=oa[last_a],
+            end_offset=end_offset,
+            width=max(a.width, delta + b.width),
+            interleaved=interleaved,
+            abs_corrections=(
+                a.upto[r * a.per - 1] + b.upto[r * b.per - 1] - b.starts[r - 1] + joins
+            ),
+        ).total
+    except (UncodablePatternError, DomainError):
+        return None
+
+
+def _can_survive(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
+    """Merges, given as ``(cost, cover)``, whose ``(efficiency, cost)`` is
+    within the ``k`` smallest for some occurrence they cover.
+
+    Entries of equal ``(cost, cover)`` count once and ties are kept, so
+    every merge that ``filter_candidates(k)`` keeps is among them,
+    whatever its notation.
+    """
+    groups = list(dict.fromkeys(entries))
+    keys = [(cost / len(cover), cost) for cost, cover in groups]
+    kept = {groups[i] for i in _within_k(keys, [cover for _, cover in groups], k)}
+    return {i for i, entry in enumerate(entries) if entry in kept}
+
+
 def combine_horizontally(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
@@ -591,39 +744,72 @@ def combine_horizontally(
     when it scores better than the two members side by side.  Groups
     that pass pairwise merging for every pair are merged whole, one per
     maximal clique of the pairwise-success graph.
+
+    A pair merge is priced exactly from its members
+    (:func:`_concat_cost`) and built only when it beats them and its
+    ``(efficiency, cost)`` can survive width-``k`` pruning.  Pairs whose
+    merge may factorize, or whose members reach outside the stats
+    window, are built to be priced.  The result is what building every
+    merge and then pruning gives.
     """
+    if not new:
+        return []
     merged = _dedupe(list(new) + list(pool))
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
     taus = [c.tau for c in cands]
-    is_new = [c.notation in new_keys for c in cands]
+    periods = [c.pattern.tree.p for c in cands]
+    lengths = [c.pattern.tree.r for c in cands]
+    fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
+    is_new = set(fresh)
     boundary = [_boundary_correction_sum(c.pattern) for c in cands]
+    facts: dict[int, _Member] = {}
 
-    out: list[Candidate] = []
+    def member(i: int) -> _Member:
+        if i not in facts:
+            facts[i] = _member(cands[i], stats)
+        return facts[i]
+
+    # Merges that beat their members: (cost, cover, candidate or pair).
+    # ``cands`` is sorted by (tau, notation), which puts every pair in
+    # grow_horizontally's (tau, format_tree) order: no tree's bracket
+    # notation is a proper prefix of another's.
+    winners: list[tuple[float, frozenset, Candidate | tuple[int, int]]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
-    has_edge = False
     for ia, a in enumerate(cands):
-        hi = bisect_right(taus, a.tau + a.pattern.tree.p)
-        for ib in range(ia + 1, hi):
-            if not (is_new[ia] or is_new[ib]):
+        p_a, r_a = periods[ia], lengths[ia]
+        hi = bisect_right(taus, a.tau + p_a)
+        if ia in is_new:
+            partners: Iterable[int] = range(ia + 1, hi)
+        else:
+            partners = fresh[bisect_right(fresh, ia) : bisect_left(fresh, hi)]
+        for ib in partners:
+            r = r_a if r_a < lengths[ib] else lengths[ib]
+            if abs(p_a - periods[ib]) > 2.0 * boundary[ib] / (r * (r - 1)):
                 continue
             b = cands[ib]
-            r = min(a.pattern.tree.r, b.pattern.tree.r)
-            slack = 2.0 * boundary[ib] / (r * (r - 1))
-            if abs(a.pattern.tree.p - b.pattern.tree.p) > slack:
-                continue
-            cand = _merge_candidates([a, b], stats)
-            if cand is None:
-                continue
-            left_out = (a.cover | b.cover) - cand.cover
-            lhs = cand.cost + codec.residual_bits(stats, _labels(left_out))
-            if lhs < a.cost + b.cost:
-                out.append(cand)
+            fa, fb = member(ia), member(ib)
+            if fa.inside and fb.inside and not (fa.factor and fa.factor == fb.factor):
+                cost = _concat_cost(fa, fb, stats)
+                if cost is None:
+                    continue
+                cover = fa.kept(r) | fb.kept(r)
+                item: Candidate | tuple[int, int] = (ia, ib)
+            else:
+                cand = _merge_candidates([a, b], stats)
+                if cand is None:
+                    continue
+                cost, cover, item = cand.cost, cand.cover, cand
+            bits = cost
+            if r_a != lengths[ib]:  # only then are occurrences left out
+                left_out = (a.cover | b.cover) - cover
+                bits += codec.residual_bits(stats, _labels(left_out))
+            if bits < a.cost + b.cost:
+                winners.append((cost, cover, item))
                 adj[ia].add(ib)
                 adj[ib].add(ia)
-                has_edge = True
 
-    if has_edge:
+    if winners:
         nodes = {v for v, ns in adj.items() if ns}
         sub = {v: adj[v] & nodes for v in nodes}
         for comp in _components(sub, nodes):
@@ -635,10 +821,17 @@ def combine_horizontally(
             for clique in cliques:
                 if len(clique) < 3:
                     continue
-                members = [cands[i] for i in clique]
-                cand = _merge_candidates(members, stats)
+                cand = _merge_candidates([cands[i] for i in clique], stats)
                 if cand is not None:
-                    out.append(cand)
+                    winners.append((cand.cost, cand.cover, cand))
+
+    out = []
+    for i in sorted(_can_survive([(cost, cover) for cost, cover, _ in winners], k)):
+        item = winners[i][2]
+        if isinstance(item, tuple):
+            item = _merge_candidates([cands[j] for j in item], stats)
+        if item is not None:
+            out.append(item)
     return filter_candidates(out, k)
 
 

@@ -3,30 +3,39 @@
 These deliberately avoid the library's search code: they re-derive the
 same quantities from the cost primitives alone, so the mining tests
 compare two separate routes to the same number.  The unpruned
-segmentation, the eager greedy cover and the build-everything stage S
-are the plain searches that the miner's pruned, lazy and ranked ones
-must reproduce exactly; the segmentation shares the miner's closed-form
-prices so that the two compare float for float (the closed form is
-checked against the encoder separately).  The recursive correction walk
-and the origins-based end offset are the tree kernel's references.
+segmentation, the eager greedy cover, the build-everything stage S and
+the build-every-merge horizontal combination are the plain searches
+that the miner's pruned, lazy and ranked ones must reproduce exactly;
+the segmentation shares the miner's closed-form prices so that the two
+compare float for float (the closed form is checked against the
+encoder separately).  The recursive correction walk and the
+origins-based end offset are the tree kernel's references.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from cadence import codec
 from cadence.codec import SeqStats, cycle_cost, residual_bits, residual_cost
 from cadence.core import DomainError, UncodablePatternError
 from cadence.miner import (
+    _CLIQUE_NODE_CAP,
+    _boundary_correction_sum,
+    _components,
     _cycle_cost_closed,
     _dedupe,
+    _greedy_clique_cover,
+    _labels,
+    _merge_candidates,
     _RunningMedian,
     extract_cycles_dp,
     extract_cycles_tri,
     filter_candidates,
     make_candidate,
+    maximal_cliques,
 )
 from cadence.pattern import Block, Cycle, Leaf, cycle_cover, expand_tree, fit_cycle
 
@@ -245,3 +254,63 @@ def end_offset_by_origins(tree: Block, offsets: Sequence[int]) -> int:
             if best is None or offsets[i] < best:
                 best = offsets[i]
     return best
+
+
+def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
+    """Every pair that horizontal combination tries to merge.
+
+    Walks each candidate's τ window (later starts within one root period),
+    skips pairs with no new member and yields ``(ia, ib, cands)`` for the
+    pairs whose root periods agree within the later member's
+    boundary-correction slack.
+    """
+    merged = _dedupe(list(new) + list(pool))
+    new_keys = {c.notation for c in new}
+    cands = sorted(merged, key=lambda c: (c.tau, c.notation))
+    taus = [c.tau for c in cands]
+    is_new = [c.notation in new_keys for c in cands]
+    boundary = [_boundary_correction_sum(c.pattern) for c in cands]
+    for ia, a in enumerate(cands):
+        hi = bisect_right(taus, a.tau + a.pattern.tree.p)
+        for ib in range(ia + 1, hi):
+            if not (is_new[ia] or is_new[ib]):
+                continue
+            b = cands[ib]
+            r = min(a.pattern.tree.r, b.pattern.tree.r)
+            slack = 2.0 * boundary[ib] / (r * (r - 1))
+            if abs(a.pattern.tree.p - b.pattern.tree.p) > slack:
+                continue
+            yield ia, ib, cands
+
+
+def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
+    """Horizontal combination building every admissible pair merge.
+
+    Each pair from :func:`slack_pairs` is built and priced, kept when it
+    beats its members, and every maximal clique of the kept pairs is
+    merged whole; width-``k`` pruning runs once at the end.
+    """
+    out = []
+    adj: dict[int, set[int]] = {}
+    cands: list = []
+    for ia, ib, cands in slack_pairs(new, pool):
+        a, b = cands[ia], cands[ib]
+        cand = _merge_candidates([a, b], stats)
+        if cand is None:
+            continue
+        left_out = (a.cover | b.cover) - cand.cover
+        if cand.cost + residual_bits(stats, _labels(left_out)) < a.cost + b.cost:
+            out.append(cand)
+            adj.setdefault(ia, set()).add(ib)
+            adj.setdefault(ib, set()).add(ia)
+    for comp in _components(adj, adj):
+        if len(comp) <= _CLIQUE_NODE_CAP:
+            cliques = maximal_cliques({v: adj[v] & comp for v in comp})
+        else:
+            cliques = _greedy_clique_cover(adj, comp)
+        for clique in cliques:
+            if len(clique) >= 3:
+                cand = _merge_candidates([cands[i] for i in clique], stats)
+                if cand is not None:
+                    out.append(cand)
+    return filter_candidates(out, k)

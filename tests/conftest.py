@@ -10,16 +10,38 @@ comparisons use a +/-0.005 tolerance.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cadence.codec import SeqStats
 from cadence.core import EventSequence
+from cadence.pattern import Block, Leaf, tree_width
 
 BIT_TOL = 0.005
 
 
 def approx_bits(value: float):
     return pytest.approx(value, abs=BIT_TOL)
+
+
+def random_tree(rng: random.Random, depth: int, leaves: int) -> Block:
+    """A block of height at most ``depth`` with at most ``leaves`` leaves."""
+    children: list = []
+    while leaves > 0 and (not children or rng.random() < 0.5):
+        if depth > 1 and rng.random() < 0.5:
+            child = random_tree(rng, depth - 1, leaves)
+        else:
+            child = Leaf(rng.choice("abc"))
+        children.append(child)
+        leaves -= tree_width(child)
+    distances = (0,) + tuple(rng.randint(0, 8) for _ in children[1:])
+    return Block(
+        r=rng.randint(2, 4),
+        p=rng.randint(1, 12),
+        children=tuple(children),
+        distances=distances,
+    )
 
 
 # A dozen "a" occurrences, roughly three bursts of four (or four sparse

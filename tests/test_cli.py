@@ -10,6 +10,7 @@ import json
 import pytest
 
 from cadence.cli import build_parser, main
+from cadence.synth import PlantSpec, generate
 from conftest import MIXED_PAIRS, TRIAD_PAIRS
 
 BRAID_NOTATION = "[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"
@@ -189,6 +190,25 @@ class TestMine:
         out = capsys.readouterr().out
         assert "span 12" in out
 
+    def test_braid_log_re_scores_exactly(self, tmp_path, capsys):
+        # mine re-prices every selected notation and requires the same
+        # total, bit for bit, or it fails with an internal error.
+        spec = PlantSpec(
+            basis="a d=2 b d=1 c",
+            depth=2,
+            outer_length=(3, 5),
+            n_patterns=2,
+            shift_level=1,
+            shift_density=0.2,
+            additive_density=0.1,
+            seed=11,
+        )
+        log = write_log(tmp_path / "braid.tsv", generate(spec).perturbed.pairs)
+        assert main(["mine", log]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "winner:" in captured.out
+
     def test_thread_count_does_not_change_the_text_report(
         self, triad_log, capsys
     ):
@@ -240,6 +260,16 @@ class TestSynthEval:
         assert payload["trials"][0]["seed"] == 3
         assert payload["trials"][1]["seed"] == 4
         assert 0.0 <= payload["exact_recovery_rate"] <= 1.0
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fewer_than_one_trial_is_a_domain_error(self, tmp_path, capsys, trials):
+        spec = tmp_path / "plant.cfg"
+        spec.write_text(self.SPEC_TEXT, encoding="utf-8")
+        rc = main(["synth-eval", "--spec", str(spec), "--trials", trials])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"cadence: --trials must be >= 1, got {trials}\n"
+        assert captured.out == ""
 
     def test_bad_spec_is_a_domain_error(self, tmp_path, capsys):
         spec = tmp_path / "plant.cfg"

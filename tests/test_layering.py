@@ -3,7 +3,9 @@
 ``core`` (ingest and errors) imports no sibling module, and ``pattern``
 (trees and notation) prices nothing and mines nothing, so it imports
 neither ``codec`` nor ``miner``.  Every import statement counts,
-including those inside function bodies.
+including those inside function bodies.  No module uses another's
+underscore-prefixed names, so each one's public functions are the only
+way in: the miner prices through ``codec``'s public pricing path.
 """
 
 from __future__ import annotations
@@ -65,3 +67,75 @@ def test_core_imports_no_sibling_module(graph):
 
 def test_pattern_imports_neither_codec_nor_miner(graph):
     assert graph["pattern"] & {"codec", "miner"} == set()
+
+
+def foreign_private_names(source: str) -> set[str]:
+    """``module._name`` references a module's source makes to another
+    ``cadence`` module's underscore-prefixed (non-dunder) names, by import
+    or by attribute."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    bound: dict[str, str] = {}  # local name -> sibling module
+    found = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = "cadence" + (f".{node.module}" if node.module else "")
+            else:
+                base = node.module or ""
+            parts = base.split(".")
+            if parts[0] != "cadence":
+                continue
+            for alias in node.names:
+                if len(parts) == 1 and alias.name in MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                elif len(parts) > 1 and parts[1] in MODULES and private(alias.name):
+                    found.add(f"{parts[1]}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "cadence" and len(parts) > 1 and alias.asname:
+                    bound[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not private(node.attr):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in bound:
+            found.add(f"{bound[value.id]}.{node.attr}")
+        elif (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "cadence"
+            and value.attr in MODULES
+        ):
+            found.add(f"{value.attr}.{node.attr}")
+    return found
+
+
+def test_private_name_walker_sees_imports_and_attributes():
+    source = (
+        "import cadence.codec\n"
+        "import cadence.pattern as pat\n"
+        "from .codec import _layout_bits, pattern_cost\n"
+        "from . import miner\n"
+        "def late():\n"
+        "    from cadence.core import _parse_line\n"
+        "    return miner._dedupe, pat._root_parts, miner.__name__\n"
+        "cadence.codec._LOG2_3\n"
+    )
+    assert foreign_private_names(source) == {
+        "codec._layout_bits",
+        "core._parse_line",
+        "miner._dedupe",
+        "pattern._root_parts",
+        "codec._LOG2_3",
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reaches_into_another_modules_private_names(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert foreign_private_names(source) == set()

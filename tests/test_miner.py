@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,12 @@ from cadence.codec import (
     extension_margin,
     pattern_cost,
 )
-from cadence.core import DomainError, EventSequence, UncodablePatternError
+from cadence.core import (
+    DomainError,
+    EventSequence,
+    InvalidPatternError,
+    UncodablePatternError,
+)
 from cadence.miner import (
     Candidate,
     MiningConfig,
@@ -39,11 +45,18 @@ from cadence.miner import (
     mine,
 )
 from cadence.pattern import (
+    Block,
     Cycle,
+    Leaf,
+    Pattern,
     classify_tree,
     compile_tree,
     cycle_cover,
+    factorize,
     fit_cycle,
+    format_tree,
+    grow_horizontally,
+    occurrence_count,
     parse_pattern,
     parse_tree,
     pattern_occurrences,
@@ -52,13 +65,15 @@ from cadence.synth import PlantSpec, generate
 
 from _oracles import (
     build_every_cycle,
+    build_every_merge,
     cycle_selection_bits,
     eager_greedy_cover,
     optimal_segmentation_bits,
     single_candidate_bits,
+    slack_pairs,
     unpruned_segmentation,
 )
-from conftest import approx_bits
+from conftest import approx_bits, random_tree
 
 STAGES = ("S", "V", "H", "V+H", "F", "single")
 
@@ -677,6 +692,248 @@ class TestStageSRanking:
         seq = EventSequence.from_pairs(wobbly_log(rng, "abc", 20))
         out = extract_cycles(seq, own_stats(seq), 3)
         assert len(built) == len(out)
+
+
+def heartbeat_log(rng: random.Random, beats: int, span: int) -> list[tuple[int, str]]:
+    """Independent wobbly heartbeats, the first two starting together,
+    plus a spurious label."""
+    pairs: set[tuple[int, str]] = set()
+    first = rng.randint(0, 6)
+    for i in range(beats):
+        p = rng.randint(9, 12)
+        t = first if i < 2 else rng.randint(0, p)
+        while t < span:
+            pairs.add((t, f"h{i}"))
+            t += p + rng.choice((-1, 0, 0, 0, 1))
+    pairs.update((rng.randint(0, span), "x") for _ in range(span // 25))
+    return sorted(pairs)
+
+
+def braid_log(seed: int) -> EventSequence:
+    spec = PlantSpec(
+        basis="a d=2 b d=1 c",
+        depth=2,
+        outer_length=(3, 5),
+        n_patterns=2,
+        shift_level=1,
+        shift_density=0.2,
+        additive_density=0.1,
+        seed=seed,
+    )
+    return generate(spec).perturbed
+
+
+def shaped_log(shape: str, seed: int) -> EventSequence:
+    rng = random.Random(seed)
+    if shape == "heartbeats":
+        return EventSequence.from_pairs(heartbeat_log(rng, 6, 600))
+    if shape == "stream":
+        return EventSequence.from_pairs(wobbly_log(rng, "abc", rng.randint(0, 25)))
+    return braid_log(seed)
+
+
+def random_member(rng: random.Random, stats: SeqStats):
+    """A candidate over a random tree (sometimes one nested block, so
+    that pairs can factorize), near period 10 and start 0..15."""
+    if rng.random() < 0.3:
+        inner = Block(r=3, p=3, children=(Leaf(rng.choice("abc")),), distances=(0,))
+        tree = Block(r=rng.randint(2, 3), p=10, children=(inner,), distances=(0,))
+    else:
+        tree = random_tree(rng, depth=2, leaves=3)
+        tree = dataclasses.replace(tree, p=rng.choice((10, 10, 11)))
+    n = occurrence_count(tree)
+    corrections = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n - 1))
+    try:
+        pattern = Pattern(tree=tree, tau=rng.randint(0, 15), corrections=corrections)
+    except InvalidPatternError:
+        return None
+    return make_candidate(pattern, stats, "test")
+
+
+def random_merge_pool(rng: random.Random) -> tuple[list, SeqStats]:
+    """Candidates priced in a wide window, and a narrower window to
+    combine them in: merges that reach past its edges are uncodable."""
+    counts = {"a": 60, "b": 60, "c": 60}
+    wide = SeqStats(length=180, t_start=0, t_end=200, counts=counts)
+    cands = [random_member(rng, wide) for _ in range(14)]
+    stats = dataclasses.replace(
+        wide, t_start=rng.randint(0, 4), t_end=rng.randint(40, 60)
+    )
+    return [c for c in cands if c is not None], stats
+
+
+def pair_kinds(calls) -> Counter:
+    """What the slack-passing pairs of recorded ``(new, pool, stats)``
+    calls are: merges that fail, are uncodable, leave occurrences out,
+    interleave, start together or may factorize."""
+    kinds: Counter = Counter()
+    for new, pool, stats in calls:
+        kinds["empty new"] += not new
+        for ia, ib, cands in slack_pairs(new, pool):
+            a, b = cands[ia], cands[ib]
+            try:
+                merged = grow_horizontally([a.pattern, b.pattern])
+            except InvalidPatternError:
+                kinds["negative distance"] += 1
+                continue
+            cand = make_candidate(merged, stats, "test")
+            if cand is None:
+                kinds["uncodable"] += 1
+                continue
+            kinds["left out"] += bool((a.cover | b.cover) - cand.cover)
+            kinds["interleaved"] += compile_tree(merged.tree).interleaved
+            kinds["equal tau"] += a.tau == b.tau and a.pattern.tree != b.pattern.tree
+            kinds["factorizable"] += factorize(merged) is not None
+    return kinds
+
+
+class TestHorizontalPricing:
+    # Pricing each pair merge from its members and building only those
+    # that can survive pruning gives what building every merge gives.
+    @staticmethod
+    def same(got, want):
+        assert [(c.notation, c.provenance, c.cost) for c in got] == [
+            (c.notation, c.provenance, c.cost) for c in want
+        ]
+
+    @staticmethod
+    def recorded_calls(monkeypatch, seq) -> list:
+        calls = []
+        original = miner.combine_horizontally
+
+        def recording(new, pool, stats, k):
+            calls.append((list(new), list(pool), stats))
+            return original(new, pool, stats, k)
+
+        monkeypatch.setattr(miner, "combine_horizontally", recording)
+        mine(seq)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_candidates_as_building_every_merge(self, monkeypatch, shape, seed):
+        calls = self.recorded_calls(monkeypatch, shaped_log(shape, seed))
+        for new, pool, stats in calls:
+            for k in (1, 2, 3):
+                self.same(
+                    combine_horizontally(new, pool, stats, k),
+                    build_every_merge(new, pool, stats, k),
+                )
+
+    def test_mined_logs_hold_every_kind_of_pair(self, monkeypatch):
+        calls = []
+        for shape in ("heartbeats", "stream", "braids"):
+            for seed in range(3):
+                calls += self.recorded_calls(monkeypatch, shaped_log(shape, seed))
+        kinds = pair_kinds(calls)
+        for kind in ("empty new", "left out", "interleaved", "equal tau", "factorizable"):
+            assert kinds[kind] > 0, (kind, kinds)
+
+    def test_same_candidates_on_random_pools(self):
+        # Random trees reach the pairs that mining the small logs above
+        # does not: negative connecting distances, and merges that the
+        # narrower window makes uncodable.
+        rng = random.Random(31)
+        calls = []
+        for _ in range(40):
+            cands, stats = random_merge_pool(rng)
+            new, pool = cands[:5], cands[5:]
+            calls.append((new, pool, stats))
+            for k in (1, 2, 3):
+                self.same(
+                    combine_horizontally(new, pool, stats, k),
+                    build_every_merge(new, pool, stats, k),
+                )
+            assert combine_horizontally([], cands, stats, 3) == []
+        kinds = pair_kinds(calls)
+        for kind in (
+            "negative distance",
+            "uncodable",
+            "left out",
+            "interleaved",
+            "equal tau",
+            "factorizable",
+        ):
+            assert kinds[kind] > 0, (kind, kinds)
+
+    def test_closed_form_equals_the_built_merge(self):
+        # The price and cover read off two members equal those of the
+        # merge built and priced by the encoder, float for float.
+        rng = random.Random(7)
+        seen: Counter = Counter()
+        for _ in range(2700):
+            stats = SeqStats(
+                length=180,
+                t_start=0,
+                t_end=rng.randint(60, 160),
+                counts={"a": 60, "b": 60, "c": 60},
+            )
+            members = []
+            for _ in range(2):
+                tree = random_tree(rng, depth=3, leaves=3)
+                n = occurrence_count(tree)
+                corrections = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+                pattern = Pattern(tree=tree, tau=rng.randint(5, 40), corrections=corrections)
+                members.append(make_candidate(pattern, stats, "test"))
+            if None in members:
+                continue
+            a, b = sorted(members, key=lambda c: (c.tau, format_tree(c.pattern.tree)))
+            fa, fb = miner._member(a, stats), miner._member(b, stats)
+            got = miner._concat_cost(fa, fb, stats)
+            try:
+                want = make_candidate(
+                    grow_horizontally([a.pattern, b.pattern]), stats, "test"
+                )
+            except InvalidPatternError:
+                want = None
+            if want is None:
+                assert got is None
+                seen["negative distance"] += 1
+                continue
+            assert got == want.cost
+            r = min(a.pattern.tree.r, b.pattern.tree.r)
+            assert fa.kept(r) | fb.kept(r) == want.cover
+            tree = want.pattern.tree
+            seen["priced"] += 1
+            seen["interleaved"] += compile_tree(tree).interleaved
+            seen["nested"] += any(isinstance(c, Block) for c in tree.children)
+            seen["unequal r"] += a.pattern.tree.r != b.pattern.tree.r
+        assert seen["priced"] >= 2000, seen
+        assert min(seen.values()) >= 100, seen
+
+    def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self):
+        x, y, z = (0, "a"), (1, "a"), (2, "a")
+        # Two merges of equal cost and cover are one notation or several;
+        # counted once, they leave room for the runner-up at k = 2.
+        same = [(2.0, frozenset({x})), (2.0, frozenset({x})), (3.0, frozenset({x}))]
+        assert miner._can_survive(same, 2) == {0, 1, 2}
+        # Equal (efficiency, cost) at x: notation would break the tie, so
+        # both stay at k = 1.
+        tied = [
+            (4.0, frozenset({x, y})),
+            (4.0, frozenset({x, z})),
+            (1.0, frozenset({y})),
+            (1.0, frozenset({z})),
+        ]
+        assert miner._can_survive(tied, 1) == {0, 1, 2, 3}
+
+    def test_builds_fewer_merges_than_pairs_it_tries(self, monkeypatch):
+        # Building every pair that passes the slack test calls
+        # grow_horizontally at least once per such pair.
+        seq = shaped_log("heartbeats", 0)
+        calls = self.recorded_calls(monkeypatch, seq)
+        tried = sum(1 for new, pool, _ in calls for _ in slack_pairs(new, pool))
+        built = []
+        original = miner.grow_horizontally
+
+        def counting(instances):
+            built.append(len(instances))
+            return original(instances)
+
+        monkeypatch.setattr(miner, "grow_horizontally", counting)
+        mine(seq)
+        assert 0 < len(built) < tried
 
 
 class TestExtractCyclesStage:

@@ -43,7 +43,7 @@ from cadence.pattern import (
 )
 
 from _oracles import end_offset_by_origins, walk_corrections
-from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS
+from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, random_tree
 
 # Reference trees and their full expansions, spelled out by hand from
 # the traversal rule: per repetition of a block, all children (and their
@@ -461,25 +461,6 @@ def test_offsets_of_zero_corrections_are_zero(tree, tau):
     n = occurrence_count(tree)
     p = Pattern(tree=tree, tau=tau, corrections=(0,) * (n - 1))
     assert accumulate_corrections(p) == (0,) * n
-
-
-def random_tree(rng: random.Random, depth: int, leaves: int) -> Block:
-    """A block of height at most ``depth`` with at most ``leaves`` leaves."""
-    children: list = []
-    while leaves > 0 and (not children or rng.random() < 0.5):
-        if depth > 1 and rng.random() < 0.5:
-            child = random_tree(rng, depth - 1, leaves)
-        else:
-            child = Leaf(rng.choice("abc"))
-        children.append(child)
-        leaves -= tree_width(child)
-    distances = (0,) + tuple(rng.randint(0, 8) for _ in children[1:])
-    return Block(
-        r=rng.randint(2, 4),
-        p=rng.randint(1, 12),
-        children=tuple(children),
-        distances=distances,
-    )
 
 
 class TestCompiledKernel:
