@@ -44,15 +44,13 @@ from .pattern import (
     Pattern,
     CompiledTree,
     classify_tree,
-    compile_tree,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
     pattern_occurrences,
-    tree_events,
 )
 
-_LOG2_3 = math.log2(3.0)
+_LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +127,15 @@ def residual_bits(stats: SeqStats, labels: Mapping[str, int]) -> float:
     )
 
 
+def _correction_bits(entries: int, magnitude: int) -> float:
+    """Two bits per correction plus the summed magnitudes, added as one
+    integer."""
+    return float(2 * entries + magnitude)
+
+
 def corrections_cost(corrections: Sequence[int]) -> float:
     """Bits for a correction list: two bits per entry plus its magnitude."""
-    return float(2 * len(corrections) + sum(abs(e) for e in corrections))
+    return _correction_bits(len(corrections), sum(abs(e) for e in corrections))
 
 
 # ---------------------------------------------------------------------------
@@ -165,36 +169,35 @@ class CostBreakdown:
         }
 
 
-def _layout_bits(node: Node, stats: SeqStats) -> float:
-    """Tree layout bits: each block costs one bracket pair, each leaf its
-    event code."""
+def _leaf_bits(stats: SeqStats, event: str) -> tuple[float, int]:
+    """A leaf's event code and the event's count."""
+    count = stats.counts.get(event)
+    if count is None:
+        raise DomainError(f"unknown event {event!r}")
+    return log2(3.0 * stats.length / count), count
+
+
+def _tree_bits(node: Node, stats: SeqStats) -> tuple[float, float, int]:
+    """Layout bits, repetition bits and rarest event count of a subtree,
+    in one post-order walk.  A block costs one bracket pair plus its
+    children's layout, and codes its length out of its rarest event's
+    count, then adds its children's repetition bits in order (a leaf's
+    0.0 leaves the sum as it is)."""
     if isinstance(node, Leaf):
-        count = stats.counts.get(node.event)
-        if count is None:
-            raise DomainError(f"unknown event {node.event!r}")
-        return log2(3.0 * stats.length / count)
-    return 2.0 * _LOG2_3 + sum(_layout_bits(c, stats) for c in node.children)
-
-
-def _min_leaf_count(node: Node, stats: SeqStats) -> int:
-    """Smallest per-event count among the leaves under a node."""
-    return min(stats.counts[e] for e in tree_events(node))
-
-
-def _repetition_bits(node: Block, stats: SeqStats) -> float:
-    """Length bits: each block's repetition count out of the occurrences
-    its rarest event allows."""
-    rho = _min_leaf_count(node, stats)
-    if node.r > rho:
+        bits, count = _leaf_bits(stats, node.event)
+        return bits, 0.0, count
+    terms = [_tree_bits(child, stats) for child in node.children]
+    rarest = min(count for _, _, count in terms)
+    if node.r > rarest:
         raise UncodablePatternError(
             f"block repeats {node.r} times but its rarest event "
-            f"occurs only {rho} times"
+            f"occurs only {rarest} times"
         )
-    bits = log2(rho)
-    for child in node.children:
-        if isinstance(child, Block):
-            bits += _repetition_bits(child, stats)
-    return bits
+    layout, repetitions = 0.0, log2(rarest)
+    for a, r, _ in terms:
+        layout += a
+        repetitions += r
+    return 2.0 * _LOG3 + layout, repetitions, rarest
 
 
 def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> float:
@@ -266,6 +269,26 @@ def _last_content_offset(compiled: CompiledTree, offsets: Sequence[int]) -> int:
     return min(offsets[i] for i in compiled.last_right)
 
 
+def _root_ranges(
+    stats: SeqStats, r: int, p: int, tau: int, start_offset: int
+) -> tuple[int, int] | None:
+    """How many values the root period and the start are coded out of,
+    ``(p0_max, v)``, or None when either is out of range.  With ``p >=
+    1``, ``p <= p0_max`` implies ``numer >= r - 1`` and ``v >= 1``."""
+    numer = stats.span - start_offset
+    p0_max = numer // (r - 1)
+    v = numer - (r - 1) * p + 1
+    if p > p0_max or not stats.t_start <= tau < stats.t_start + v:
+        return None
+    return p0_max, v
+
+
+def placement_bits_bound(stats: SeqStats) -> float:
+    """Upper bound on the root period's plus the start's bits of any
+    pattern inside the window: ``p0_max <= span`` and ``v <= span + 1``."""
+    return log2(stats.span) + log2(stats.span + 1)
+
+
 def placed_cost(
     tree: Block,
     tau: int,
@@ -290,29 +313,14 @@ def placed_cost(
     two price bit for bit alike.  Raises :class:`UncodablePatternError`
     when a term is out of range.
     """
-    bits_a = _layout_bits(tree, stats)
-    bits_r = _repetition_bits(tree, stats)
+    bits_a, bits_r, _ = _tree_bits(tree, stats)
 
-    numer = stats.span - start_offset
-    if tree.r < 2 or numer < tree.r - 1:
-        raise UncodablePatternError("no admissible root period")
-    p0_max = numer // (tree.r - 1)
-    if tree.p > p0_max:
+    ranges = _root_ranges(stats, tree.r, tree.p, tau, start_offset)
+    if ranges is None:
         raise UncodablePatternError(
-            f"root period {tree.p} exceeds the largest transmittable "
-            f"value {p0_max}"
+            f"root period {tree.p} or starting point {tau} out of range"
         )
-    bits_p0 = log2(p0_max)
-
-    v = stats.span - start_offset - (tree.r - 1) * tree.p + 1
-    if v < 1:
-        raise UncodablePatternError("no admissible starting point")
-    if tau < stats.t_start or tau > stats.t_start + v - 1:
-        raise UncodablePatternError(
-            f"starting point {tau} outside [{stats.t_start}, "
-            f"{stats.t_start + v - 1}]"
-        )
-    bits_tau = log2(v)
+    bits_p0, bits_tau = log2(ranges[0]), log2(ranges[1])
 
     if is_simple(tree):
         bits_d = 0.0
@@ -325,30 +333,47 @@ def placed_cost(
         bits_d = log2(max_width + 1)
         bits_d += _distance_and_period_bits(tree, width, interleaved)
 
-    bits_e = float(2 * (tree.count - 1) + abs_corrections)
+    bits_e = _correction_bits(tree.count - 1, abs_corrections)
     return CostBreakdown(
         A=bits_a, R=bits_r, p0=bits_p0, D=bits_d, tau=bits_tau, E=bits_e
     )
 
 
-def pattern_cost(
-    p: Union[Pattern, Cycle],
+def cycle_bits(
     stats: SeqStats,
-    allow_interleaving: bool = True,
-) -> CostBreakdown:
+    event: str,
+    r: int,
+    p: int,
+    tau: int,
+    sigma: int,
+    abs_corrections: int,
+) -> float:
+    """Bits to transmit a fitted cycle (increasing occurrences, corrections
+    summing to ``sigma`` with magnitudes summing to ``abs_corrections``)
+    without building it: ``pattern_cost(cycle, stats).total`` bit for
+    bit, and ``inf`` exactly when that raises."""
+    leaf, count = _leaf_bits(stats, event)
+    ranges = _root_ranges(stats, r, p, tau, sigma)
+    if ranges is None or r > count:
+        return math.inf
+    # A, R, p0, D (0.0 for a simple cycle), tau and E, in CostBreakdown.total's order
+    return (
+        2.0 * _LOG3 + leaf + log2(count) + log2(ranges[0]) + 0.0 + log2(ranges[1])
+        + _correction_bits(r - 1, abs_corrections)
+    )
+
+
+def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
     """Bits to transmit a pattern against a sequence's statistics.
 
     Raises :class:`UncodablePatternError` when the pattern cannot be
-    transmitted in that context: a parameter outside its code's range, a
-    corrected occurrence outside the sequence window, or an interleaved
-    tree when interleaving is disabled.
+    transmitted in that context: a parameter outside its code's range,
+    or a corrected occurrence outside the sequence window.
     """
     if isinstance(p, Cycle):
         p = p.as_pattern()
     tree = p.tree
-    compiled = compile_tree(tree)
-    if compiled.interleaved and not allow_interleaving:
-        raise UncodablePatternError("interleaved trees are disabled")
+    compiled = tree.compiled
     offsets = p.offsets
     for t, e, off in zip(compiled.times, compiled.events, offsets):
         ct = p.tau + t + off
@@ -533,7 +558,7 @@ def w_threshold(stats: SeqStats, event: str, k: int) -> float:
     return (
         (k - 2) * log2(stats.span + 1)
         + (k - 1) * q
-        - 3.0 * _LOG2_3
+        - 3.0 * _LOG3
         - log2(count)
         + log2(k - 1)
         - 2.0 * k

@@ -27,14 +27,12 @@ from .core import (
     InvalidCycleError,
     InvalidPatternError,
     UncodablePatternError,
-    log2,
 )
 from .pattern import (
     Block,
     Cycle,
     Leaf,
     Pattern,
-    compile_tree,
     corrected_occurrences,
     cycle_cover,
     factorize,
@@ -47,8 +45,6 @@ from .pattern import (
 )
 from . import codec
 from .codec import CollectionReport, SeqStats
-
-_LOG2_3 = math.log2(3.0)
 
 # Components of the pairwise-merge graph up to this many candidates get
 # every maximal clique; larger ones fall back to a greedy clique cover.
@@ -188,44 +184,6 @@ class _RunningMedian:
         return (p * len(self.lo) - self.sum_lo) + (self.sum_hi - p * len(self.hi))
 
 
-def _cycle_cost_closed(
-    stats: SeqStats,
-    event: str,
-    m: int,
-    p: int,
-    abs_dev: int,
-    sigma: int,
-    tau: int,
-) -> float:
-    """Closed-form cost of a fitted m-occurrence cycle: equal to
-    ``codec.pattern_cost(cycle, stats).total``, and ``inf`` exactly when
-    the encoder cannot transmit the cycle."""
-    span = stats.span
-    numer = span - sigma
-    if numer < m - 1:
-        return float("inf")
-    p_max = numer // (m - 1)
-    if p > p_max or p_max < 1:
-        return float("inf")
-    v = span - sigma - (m - 1) * p + 1
-    if v < 1 or tau < stats.t_start or tau > stats.t_start + v - 1:
-        return float("inf")
-    count = stats.counts[event]
-    if m > count:
-        return float("inf")
-    # The encoder's terms in the encoder's order, so the two agree bit
-    # for bit: layout, repetitions, period, start, then the corrections
-    # as one integer.
-    return (
-        2.0 * _LOG2_3
-        + log2(3.0 * stats.length / count)
-        + log2(count)
-        + log2(p_max)
-        + log2(v)
-        + float(2 * (m - 1) + abs_dev)
-    )
-
-
 def extract_cycles_dp(
     timestamps: Sequence[int],
     event: str,
@@ -238,8 +196,8 @@ def extract_cycles_dp(
     cycle; everything else stays residual.  The segmentation minimizing
     the total bits is found by dynamic programming over prefixes, with
     segments capped at ``window`` occurrences.  Each segment is priced by
-    the encoder's closed form for a fitted cycle, with the period kept by
-    an online median.
+    :func:`codec.cycle_bits`, the encoder's price of a fitted cycle from
+    its parameters, with the period kept by an online median.
 
     The last segment's start ``i`` is scanned leftwards from ``j - 1``,
     and the scan stops early by an exact bound.  Extending a segment
@@ -247,14 +205,14 @@ def extract_cycles_dp(
     ``min(m2 * l, 2 * m2 + D - Λ)`` bits, where ``m2 = j - i``, ``l`` is
     the residual price, ``D`` the absolute deviation of the gaps of
     ``[i..j]`` (deviations are superadditive over a split of the gaps)
-    and ``Λ = log2(span) + log2(span + 1)`` bounds the period and offset
-    terms of any cycle inside the log.  With ``best[i + 1] <= best[a] +
-    seg(a, i)``, once ``best[i + 1]`` plus that increment reaches the
-    best price found for ``j``, no start ``a <= i - 2`` can beat it:
-    ``i - 1`` is still priced and the scan stops.  The bound needs every
-    cycle price to be finite, so it applies only when the timestamps lie
-    in ``[stats.t_start, stats.t_end]``.  Ties go to the shortest last
-    segment, with or without the bound.
+    and ``Λ`` (:func:`codec.placement_bits_bound`) bounds the period and
+    offset terms of any cycle inside the log.  With ``best[i + 1] <=
+    best[a] + seg(a, i)``, once ``best[i + 1]`` plus that increment
+    reaches the best price found for ``j``, no start ``a <= i - 2`` can
+    beat it: ``i - 1`` is still priced and the scan stops.  The bound
+    needs every cycle price to be finite, so it applies only when the
+    timestamps lie in ``[stats.t_start, stats.t_end]``.  Ties go to the
+    shortest last segment, with or without the bound.
 
     Returns the fitted cycles of the optimal segmentation (only those
     strictly cheaper than leaving their occurrences residual).
@@ -267,7 +225,7 @@ def extract_cycles_dp(
         raise DomainError("timestamps must be strictly increasing")
     l_res = codec.residual_cost(stats, (ts[0], event))
     bounded = stats.t_start <= ts[0] and ts[-1] <= stats.t_end
-    lam = log2(stats.span) + log2(stats.span + 1) if bounded else 0.0
+    lam = codec.placement_bits_bound(stats) if bounded else 0.0
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
@@ -289,9 +247,7 @@ def extract_cycles_dp(
             if m >= 3:
                 p = med.median
                 sigma = (ts[j] - ts[i]) - (m - 1) * p
-                cyc_cost = _cycle_cost_closed(
-                    stats, event, m, p, dev, sigma, ts[i]
-                )
+                cyc_cost = codec.cycle_bits(stats, event, m, p, ts[i], sigma, dev)
                 if cyc_cost < cost:
                     cand_cost = best[i] + cyc_cost
             if cand_cost < bj:
@@ -599,11 +555,12 @@ class _Member:
     lists the leaves that close their parent block, in order; when
     ``closes_root``, the last of them is the root's last child, which
     closes the merged root only when the member comes second.
-    ``first_of_last`` is the first leaf of the root's last child.  ``upto[m]`` sums ``|E|`` over occurrences ``1..m`` and
-    ``starts[k]`` over the starts of repetitions ``1..k``.  ``inside``
-    says whether every occurrence lies in the stats window, and
-    ``factor`` is the ``(r, p)`` of the root's only child when that is a
-    block: two members with the same one may factorize.
+    ``first_of_last`` is the first leaf of the root's last child.
+    ``upto[m]`` sums ``|E|`` over occurrences ``1..m`` and ``starts[k]``
+    over the starts of repetitions ``1..k``.  The first ``fits``
+    occurrences lie in the stats window, and ``factor`` is the ``(r,
+    p)`` of the root's only child when that is a block: two members with
+    the same one may factorize.
     """
 
     cand: Candidate
@@ -617,7 +574,7 @@ class _Member:
     first_of_last: int
     upto: tuple[int, ...]
     starts: tuple[int, ...]
-    inside: bool
+    fits: int
     factor: tuple[int, int] | None
 
     def kept(self, r: int) -> frozenset[tuple[int, str]]:
@@ -629,13 +586,13 @@ class _Member:
 
 def _member(c: Candidate, stats: SeqStats) -> _Member:
     tree = c.pattern.tree
-    compiled = compile_tree(tree)
+    compiled = tree.compiled
     per = len(compiled.times) // tree.r
     rep0 = compiled.times[:per]
     lo = len(compiled.times) - per
     mags = [abs(e) for e in c.pattern.corrections]
     occurrences = corrected_occurrences(c.pattern)
-    times = [t for t, _ in occurrences]
+    window = range(stats.t_start, stats.t_end + 1)
     only = tree.children[0] if len(tree.children) == 1 else None
     return _Member(
         cand=c,
@@ -651,7 +608,10 @@ def _member(c: Candidate, stats: SeqStats) -> _Member:
         starts=tuple(
             accumulate((mags[k * per - 1] for k in range(1, tree.r)), initial=0)
         ),
-        inside=stats.t_start <= min(times) and max(times) <= stats.t_end,
+        fits=next(
+            (i for i, (t, _) in enumerate(occurrences) if t not in window),
+            len(occurrences),
+        ),
         factor=(only.r, only.p) if isinstance(only, Block) else None,
     )
 
@@ -659,7 +619,7 @@ def _member(c: Candidate, stats: SeqStats) -> _Member:
 def _concat_cost(a: _Member, b: _Member, stats: SeqStats) -> float | None:
     """Price of ``grow_horizontally([a, b])`` without building it, for
     members in the order it puts them; None when the merge fails or is
-    uncodable.  Both members must lie in the stats window.
+    uncodable.
 
     The merged root keeps ``a``'s period and the smaller length ``r``.
     Each member keeps its first ``r`` repetitions and their offsets, ``b``
@@ -668,15 +628,16 @@ def _concat_cost(a: _Member, b: _Member, stats: SeqStats) -> float | None:
     becomes the first leaf of ``a``'s last root child.  So where the
     merge's occurrences sit follows from the members' offsets and first
     repetitions, and :func:`codec.placed_cost` prices it by the terms
-    that :func:`codec.pattern_cost` uses.
+    that :func:`codec.pattern_cost` uses.  The merge's occurrences are
+    the members' kept ones, so it lies in the window when they do.
     """
     pa, pb = a.cand.pattern, b.cand.pattern
     ta, tb = pa.tree, pb.tree
     delta = pb.tau - pa.tau
     connect = delta - sum(ta.distances)
-    if connect < 0:
-        return None
     r = min(ta.r, tb.r)
+    if connect < 0 or r * a.per > a.fits or r * b.per > b.fits:
+        return None
     root = Block(
         r=r,
         p=ta.p,
@@ -748,9 +709,8 @@ def combine_horizontally(
     A pair merge is priced exactly from its members
     (:func:`_concat_cost`) and built only when it beats them and its
     ``(efficiency, cost)`` can survive width-``k`` pruning.  Pairs whose
-    merge may factorize, or whose members reach outside the stats
-    window, are built to be priced.  The result is what building every
-    merge and then pruning gives.
+    merge may factorize are built to be priced.  The result is what
+    building every merge and then pruning gives.
     """
     if not new:
         return []
@@ -789,17 +749,17 @@ def combine_horizontally(
                 continue
             b = cands[ib]
             fa, fb = member(ia), member(ib)
-            if fa.inside and fb.inside and not (fa.factor and fa.factor == fb.factor):
-                cost = _concat_cost(fa, fb, stats)
-                if cost is None:
-                    continue
-                cover = fa.kept(r) | fb.kept(r)
-                item: Candidate | tuple[int, int] = (ia, ib)
-            else:
+            if fa.factor and fa.factor == fb.factor:
                 cand = _merge_candidates([a, b], stats)
                 if cand is None:
                     continue
                 cost, cover, item = cand.cost, cand.cover, cand
+            else:
+                cost = _concat_cost(fa, fb, stats)
+                if cost is None:
+                    continue
+                cover = fa.kept(r) | fb.kept(r)
+                item = (ia, ib)
             bits = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.cover | b.cover) - cover
@@ -966,7 +926,7 @@ def _stage_one_event(
     """Stage-S candidates of one event that can survive width-``k`` pruning.
 
     The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
-    by the closed form (the encoder's price, ``inf`` when uncodable), and
+    by :func:`codec.cycle_bits` (``inf`` when uncodable), and
     only those among the ``k`` best by ``(cost / r, cost, notation)`` for
     some timestamp they cover become candidates.  A stage-S cover holds
     one event, so ``filter_candidates`` over all events keeps what it
@@ -986,8 +946,8 @@ def _stage_one_event(
         if notation in ranked:
             continue
         abs_dev = sum(abs(e) for e in cyc.corrections)
-        cost = _cycle_cost_closed(
-            stats, event, cyc.r, cyc.p, abs_dev, cyc.sigma, cyc.tau
+        cost = codec.cycle_bits(
+            stats, event, cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev
         )
         if cost < math.inf:
             ranked[notation] = ((cost / cyc.r, cost, notation), provenance, cyc)

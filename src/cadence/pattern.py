@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .core import DomainError, InvalidCycleError, InvalidPatternError
@@ -67,6 +67,12 @@ class Block:
         count = self.r * sum(occurrence_count(c) for c in self.children)
         object.__setattr__(self, "count", count)
 
+    @cached_property
+    def compiled(self) -> "CompiledTree":
+        """The tree compiled once (:func:`compile_tree`), held as long as
+        the tree is."""
+        return compile_tree(self)
+
 
 Node = Union[Leaf, Block]
 
@@ -88,16 +94,6 @@ def tree_height(node: Node) -> int:
     if isinstance(node, Leaf):
         return 0
     return 1 + max(tree_height(c) for c in node.children)
-
-
-def tree_events(node: Node) -> frozenset[str]:
-    """Set of event labels appearing in the tree."""
-    if isinstance(node, Leaf):
-        return frozenset((node.event,))
-    out: frozenset[str] = frozenset()
-    for c in node.children:
-        out |= tree_events(c)
-    return out
 
 
 def is_simple(tree: Block) -> bool:
@@ -234,7 +230,7 @@ class Pattern:
         Occurrence ``i`` is shifted by its own correction plus the offset
         of occurrence ``pred[i]`` of the compiled tree.
         """
-        pred = compile_tree(self.tree).pred
+        pred = self.tree.compiled.pred
         off = [0] * len(pred)
         for i, e in enumerate(self.corrections, 1):
             off[i] = e + off[pred[i]]
@@ -290,9 +286,11 @@ class CompiledTree:
     last_right: tuple[int, ...]
 
 
-@lru_cache(maxsize=4096)
 def compile_tree(tree: Block) -> CompiledTree:
-    """Compile a tree once; the one cache of tree structure."""
+    """Compile a tree into flat arrays, in one pass over its occurrences.
+
+    Callers read :attr:`Block.compiled`, which compiles each tree once.
+    """
     times: list[int] = []
     events: list[str] = []
     pred: list[int] = []
@@ -349,7 +347,7 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
     order.  The system is unitriangular in the corrections, so any target
     with ``corrected[0] == tau`` has exactly one solution.
     """
-    compiled = compile_tree(tree)
+    compiled = tree.compiled
     n = len(compiled.times)
     if len(corrected) != n:
         raise DomainError(f"expected {n} timestamps, got {len(corrected)}")
@@ -362,7 +360,7 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
 
 def corrected_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
     """Corrected occurrence list in traversal order (may repeat pairs)."""
-    compiled = compile_tree(p.tree)
+    compiled = p.tree.compiled
     out = []
     for t, e, off in zip(compiled.times, compiled.events, p.offsets):
         ct = p.tau + t + off
@@ -401,7 +399,7 @@ def classify_tree(tree: Block) -> TreeShape:
     ``vertical`` (width 1, deeper), ``horizontal`` (wider, height 1) or
     ``mixed``.
     """
-    compiled = compile_tree(tree)
+    compiled = tree.compiled
     ts = compiled.times
     overlaps = len(set(ts)) < len(ts)
     width = tree_width(tree)
@@ -454,12 +452,6 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     return Pattern(tree=new_tree, tau=inst[0].tau, corrections=tuple(corrections))
 
 
-def _root_parts(p: Pattern) -> tuple[int, int, tuple[Node, ...], tuple[int, ...]]:
-    """Root (r, p, children, distances) of a pattern, for splicing."""
-    t = p.tree
-    return t.r, t.p, t.children, t.distances
-
-
 def _kept_corrected(p: Pattern, keep_reps: int) -> list[list[tuple[int, str]]]:
     """Corrected occurrences grouped by root repetition, truncated."""
     per_rep = occurrence_count(p.tree) // p.tree.r
@@ -482,31 +474,25 @@ def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
     inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
-    parts = []
-    for q in inst:
-        if isinstance(q.tree, Block):
-            parts.append(_root_parts(q))
-        else:  # pragma: no cover - Pattern guarantees a Block root
-            parts.append((1, 0, (q.tree,), (0,)))
-    r_n = min(r for r, _, _, _ in parts)
-    p_n = parts[0][1]
+    r_n = min(q.tree.r for q in inst)
+    p_n = inst[0].tree.p
     tau_n = inst[0].tau
 
     children: list[Node] = []
     distances: list[int] = []
-    for i, (q, (_, _, kids, dists)) in enumerate(zip(inst, parts)):
+    for i, q in enumerate(inst):
         if i == 0:
             connect = 0
         else:
-            prev_intra = sum(parts[i - 1][3])
+            prev_intra = sum(inst[i - 1].tree.distances)
             connect = (q.tau - inst[i - 1].tau) - prev_intra
             if connect < 0:
                 raise InvalidPatternError(
                     "instances are too entangled to concatenate "
                     f"(negative connecting distance {connect})"
                 )
-        children.extend(kids)
-        distances.extend((connect,) + dists[1:])
+        children.extend(q.tree.children)
+        distances.extend((connect,) + q.tree.distances[1:])
 
     new_tree = Block(r=r_n, p=p_n, children=tuple(children), distances=tuple(distances))
 

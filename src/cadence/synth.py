@@ -23,7 +23,6 @@ from .pattern import (
     Leaf,
     Pattern,
     corrected_occurrences,
-    expand_tree,
     format_tree,
     occurrence_count,
     pattern_occurrences,
@@ -178,8 +177,7 @@ def _build_tree(spec: PlantSpec, rng: random.Random) -> Block:
 
 
 def _pattern_span(tree: Block) -> int:
-    occs, _ = expand_tree(tree)
-    return max(t for t, _ in occs)
+    return max(tree.compiled.times)
 
 
 def _has_event_collision(pairs: Sequence[tuple[int, str]]) -> bool:

@@ -6,14 +6,16 @@ compare two separate routes to the same number.  The unpruned
 segmentation, the eager greedy cover, the build-everything stage S and
 the build-every-merge horizontal combination are the plain searches
 that the miner's pruned, lazy and ranked ones must reproduce exactly;
-the segmentation shares the miner's closed-form prices so that the two
-compare float for float (the closed form is checked against the
-encoder separately).  The recursive correction walk and the
-origins-based end offset are the tree kernel's references.
+the segmentation shares the miner's prices (``codec.cycle_bits``) so
+that the two compare float for float (that price is checked against
+the encoder separately).  The recursive correction walk and the
+origins-based end offset are the tree kernel's references, and the
+three-walk layout and repetition terms are the encoder's.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from typing import Iterator, Sequence
@@ -25,7 +27,6 @@ from cadence.miner import (
     _CLIQUE_NODE_CAP,
     _boundary_correction_sum,
     _components,
-    _cycle_cost_closed,
     _dedupe,
     _greedy_clique_cover,
     _labels,
@@ -98,7 +99,7 @@ def unpruned_segmentation(
 ) -> list[Cycle]:
     """The windowed segmentation DP with every start priced.
 
-    The same prefix recursion and closed-form prices as
+    The same prefix recursion and ``codec.cycle_bits`` prices as
     ``extract_cycles_dp``, with ties to the shortest last segment, but
     without its early stop.
     """
@@ -118,8 +119,8 @@ def unpruned_segmentation(
             cyc = float("inf")
             if m >= 3:
                 sigma = (ts[j] - ts[i]) - (m - 1) * med.median
-                cyc = _cycle_cost_closed(
-                    stats, event, m, med.median, med.abs_deviation, sigma, ts[i]
+                cyc = codec.cycle_bits(
+                    stats, event, m, med.median, ts[i], sigma, med.abs_deviation
                 )
             if best[i] + min(cost, cyc) < best[j + 1]:
                 best[j + 1], cut[j + 1] = best[i] + min(cost, cyc), i
@@ -314,3 +315,40 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
                 if cand is not None:
                     out.append(cand)
     return filter_candidates(out, k)
+
+
+def layout_and_repetition_bits(tree: Block, stats: SeqStats) -> tuple[float, float]:
+    """The encoder's ``A`` and ``R`` terms by three separate walks.
+
+    ``A``: each block costs one bracket pair, each leaf its event code.
+    ``R``: each block's repetition count out of the occurrences its
+    rarest event allows, the rarest event found by collecting the
+    subtree's events anew at every block.  Raises ``DomainError`` for an
+    unknown event and ``UncodablePatternError`` when a block repeats
+    more often than its rarest event occurs.
+    """
+
+    def layout(node) -> float:
+        if isinstance(node, Leaf):
+            count = stats.counts.get(node.event)
+            if count is None:
+                raise DomainError(f"unknown event {node.event!r}")
+            return math.log2(3.0 * stats.length / count)
+        return 2.0 * math.log2(3.0) + sum(layout(c) for c in node.children)
+
+    def events(node) -> frozenset:
+        if isinstance(node, Leaf):
+            return frozenset((node.event,))
+        return frozenset().union(*(events(c) for c in node.children))
+
+    def repetitions(node: Block) -> float:
+        rho = min(stats.counts[e] for e in events(node))
+        if node.r > rho:
+            raise UncodablePatternError(f"block repeats {node.r} times, rarest {rho}")
+        bits = math.log2(rho)
+        for child in node.children:
+            if isinstance(child, Block):
+                bits += repetitions(child)
+        return bits
+
+    return layout(tree), repetitions(tree)

@@ -19,6 +19,7 @@ from cadence.codec import (
     extension_margin,
     is_cost_effective,
     pattern_cost,
+    placed_cost,
     residual_bits,
     residual_cost,
     w_threshold,
@@ -26,11 +27,13 @@ from cadence.codec import (
 from cadence.core import DomainError, EventSequence, UncodablePatternError
 from cadence.pattern import Cycle, Pattern, fit_cycle, parse_pattern, parse_tree
 
+from _oracles import layout_and_repetition_bits
 from conftest import (
     BIT_TOL,
     REFERENCE_COLLECTIONS,
     REFERENCE_ROWS,
     approx_bits,
+    random_tree,
 )
 
 
@@ -192,6 +195,46 @@ class TestCycleCost:
         )
 
 
+class TestTreeTerms:
+    # The layout and repetition terms come from one post-order walk; the
+    # three-walk reference gives the same floats and rejects the same
+    # trees.  A huge window and width keep every other term codable.
+    @staticmethod
+    def placed(tree, stats):
+        return placed_cost(
+            tree,
+            0,
+            stats,
+            start_offset=0,
+            end_offset=0,
+            width=10**6,
+            interleaved=True,
+            abs_corrections=0,
+        )
+
+    def test_one_walk_equals_three(self):
+        rng = random.Random(13)
+        seen: Counter = Counter()
+        for _ in range(3000):
+            tree = random_tree(rng, depth=rng.randint(1, 4), leaves=rng.randint(1, 7))
+            top = rng.choice((4, 60, 10**4))
+            counts = {e: rng.randint(1, top) for e in "abc"}
+            stats = SeqStats(
+                length=sum(counts.values()), t_start=0, t_end=10**7, counts=counts
+            )
+            try:
+                want = layout_and_repetition_bits(tree, stats)
+            except UncodablePatternError:
+                with pytest.raises(UncodablePatternError):
+                    self.placed(tree, stats)
+                seen["r above the rarest count"] += 1
+                continue
+            got = self.placed(tree, stats)
+            assert (got.A, got.R) == want
+            seen["priced"] += 1
+        assert seen["priced"] >= 2000 and seen["r above the rarest count"] >= 100, seen
+
+
 class TestBaseline:
     def test_single_event_log(self, dozen_a_stats):
         assert baseline_cost(dozen_a_stats) == approx_bits(61.551)
@@ -298,12 +341,6 @@ class TestUncodable:
         p = Pattern(tree=parse_tree("[r=4 p=2](a)"), tau=30, corrections=(0, 0, 0))
         with pytest.raises(UncodablePatternError):
             pattern_cost(p, dozen_a_stats)
-
-    def test_interleaving_can_be_disabled(self, dozen_a_stats):
-        flipped = parse_pattern(REFERENCE_ROWS[8][1])
-        assert pattern_cost(flipped, dozen_a_stats, allow_interleaving=True)
-        with pytest.raises(UncodablePatternError):
-            pattern_cost(flipped, dozen_a_stats, allow_interleaving=False)
 
 
 class TestThreshold:

@@ -5,7 +5,10 @@
 neither ``codec`` nor ``miner``.  Every import statement counts,
 including those inside function bodies.  No module uses another's
 underscore-prefixed names, so each one's public functions are the only
-way in: the miner prices through ``codec``'s public pricing path.
+way in: the miner prices through ``codec``'s public pricing path.  Only
+``codec`` (and ``core``, which defines it) takes logarithms, so the
+encoder's terms have one home, and no module keeps a function cache:
+what is computed once lives on its object.
 """
 
 from __future__ import annotations
@@ -139,3 +142,48 @@ def test_private_name_walker_sees_imports_and_attributes():
 def test_no_module_reaches_into_another_modules_private_names(name):
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert foreign_private_names(source) == set()
+
+
+def names_used(source: str) -> set[str]:
+    """Every bare name, attribute and imported name a module's source
+    mentions, with ``module.attr`` also recorded for attributes of a bare
+    name and ``module.name`` for ``from module import name``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                found.add(alias.name)
+                found.add(f"{node.module}.{alias.name}")
+    return found
+
+
+def test_name_walker_sees_attributes_and_imports():
+    source = (
+        "import math\n"
+        "from functools import cache\n"
+        "from .core import log2\n"
+        "x = math.log2(3.0)\n"
+    )
+    assert {"log2", "math.log2", "functools.cache", "core.log2"} <= names_used(source)
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"codec", "core"}))
+def test_only_the_encoder_takes_logarithms(name):
+    # Every bit count is the encoder's: ``core`` defines ``log2`` and
+    # ``codec`` prices with it.
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert "log2" not in names_used(source)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_wide_function_cache(name):
+    # What is computed once lives on the object it belongs to.
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    used = names_used(source)
+    assert not used & {"functools.lru_cache", "functools.cache", "lru_cache"}, name

@@ -9,16 +9,18 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cadence
-from cadence import miner
+from cadence import codec, miner
 from cadence.codec import (
     SeqStats,
     collection_cost,
+    cycle_bits,
     cycle_cost,
     extension_margin,
     pattern_cost,
@@ -32,7 +34,6 @@ from cadence.core import (
 from cadence.miner import (
     Candidate,
     MiningConfig,
-    _cycle_cost_closed,
     combine_horizontally,
     combine_vertically,
     extract_cycles,
@@ -132,9 +133,9 @@ class TestExtractCyclesDp:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_closed_form_matches_reference_encoder(self):
-        # Every segment's closed-form price equals the encoder's, and the
-        # DP's choice is optimal under the encoder's prices.  Offset
-        # windows and other labels exercise every term of the closed form.
+        # Every segment's price from its parameters equals the built
+        # cycle's, and the DP's choice is optimal under the encoder's
+        # prices.  Offset windows and other labels exercise every term.
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(3, 18)
@@ -151,9 +152,7 @@ class TestExtractCyclesDp:
                 for j in range(i + 3, n + 1):
                     c = fit_cycle(ts[i:j], "a")
                     abs_dev = sum(abs(e) for e in c.corrections)
-                    closed = _cycle_cost_closed(
-                        stats, "a", c.r, c.p, abs_dev, c.sigma, c.tau
-                    )
+                    closed = cycle_bits(stats, "a", c.r, c.p, c.tau, c.sigma, abs_dev)
                     try:
                         encoded = cycle_cost(c, stats)
                     except UncodablePatternError:
@@ -216,18 +215,17 @@ class TestDpStopRule:
             length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)}
         )
         calls = 0
-        closed = miner._cycle_cost_closed
 
         def counting(*args):
             nonlocal calls
             calls += 1
-            return closed(*args)
+            return cycle_bits(*args)
 
-        monkeypatch.setattr(miner, "_cycle_cost_closed", counting)
+        monkeypatch.setattr(codec, "cycle_bits", counting)
         window = 500
         cycles = extract_cycles_dp(ts, "a", stats, window=window)
         assert len(ts) == 1000 and len(cycles) > 50
-        assert calls < 0.1 * len(ts) * window
+        assert 0 < calls < 0.1 * len(ts) * window
 
 
 class TestExtractCyclesTri:
@@ -602,7 +600,7 @@ class TestClosedFormTermOrder:
         stats = SeqStats(length=4, t_start=210, t_end=309, counts={"a": 3, "b": 1})
         c = fit_cycle([213, 305, 309], "a")
         abs_dev = sum(abs(e) for e in c.corrections)
-        closed = _cycle_cost_closed(stats, "a", c.r, c.p, abs_dev, c.sigma, c.tau)
+        closed = cycle_bits(stats, "a", c.r, c.p, c.tau, c.sigma, abs_dev)
         assert closed == cycle_cost(c, stats) == 107.2940463132715
 
     def test_more_repetitions_than_occurrences_are_uncodable(self):
@@ -610,7 +608,7 @@ class TestClosedFormTermOrder:
         c = fit_cycle([0, 10, 20], "a")
         with pytest.raises(UncodablePatternError):
             cycle_cost(c, stats)
-        assert _cycle_cost_closed(stats, "a", 3, 10, 0, 0, 0) == float("inf")
+        assert cycle_bits(stats, "a", 3, 10, 0, 0, 0) == float("inf")
 
 
 def wobbly_log(rng: random.Random, events: str, n_noise: int) -> list[tuple[int, str]]:
@@ -856,6 +854,28 @@ class TestHorizontalPricing:
             "factorizable",
         ):
             assert kinds[kind] > 0, (kind, kinds)
+        # Members that reach outside the narrower window are priced from
+        # their members too, unless they may factorize; only the kept
+        # occurrences must lie inside.
+        priced = Counter()
+        for new, pool, stats in calls:
+            for ia, ib, cands in slack_pairs(new, pool):
+                a, b = cands[ia], cands[ib]
+                window = range(stats.t_start, stats.t_end + 1)
+                if all(t in window for t, _ in a.cover | b.cover):
+                    continue
+                fa, fb = miner._member(a, stats), miner._member(b, stats)
+                if fa.factor and fa.factor == fb.factor:
+                    continue
+                try:
+                    merged = grow_horizontally([a.pattern, b.pattern])
+                except InvalidPatternError:
+                    merged = None
+                want = merged and make_candidate(merged, stats, "test")
+                got = miner._concat_cost(fa, fb, stats)
+                assert got == (want.cost if want else None)
+                priced["codable" if want else "uncodable"] += 1
+        assert min(priced["codable"], priced["uncodable"]) > 0, priced
 
     def test_closed_form_equals_the_built_merge(self):
         # The price and cover read off two members equal those of the
@@ -1093,8 +1113,8 @@ class TestMine:
 
 class TestMemory:
     def test_serving_many_logs_keeps_memory_flat(self):
-        # Pricing keeps no state between logs; only compile_tree's bounded
-        # cache may hold trees, and it is cleared here.
+        # Pricing keeps no state between logs: what a log's trees compiled
+        # goes with them.
         sizes = []
         tracemalloc.start()
         try:
@@ -1109,7 +1129,6 @@ class TestMemory:
                     seed=seed,
                 )
                 mine(generate(spec).perturbed)
-                compile_tree.cache_clear()
                 gc.collect()
                 sizes.append(tracemalloc.get_traced_memory()[0])
         finally:
@@ -1117,13 +1136,12 @@ class TestMemory:
         assert sizes[7] - sizes[1] < 64 * 1024, sizes
 
     def test_tree_cache_stays_small_per_tree(self):
-        # Four distinct trees of 2,250 occurrences each; what the tree
-        # cache holds for them is traced after the trees themselves exist.
+        # Four distinct trees of 2,250 occurrences each; what their
+        # compiled records hold is traced after the trees themselves exist.
         trees = [
             parse_tree(f"[r=30 p={1000 + i}]([r=25 p=30](a [d=2] b [d={3 + i}] c))")
             for i in range(4)
         ]
-        compile_tree.cache_clear()
         gc.collect()
         tracemalloc.start()
         try:
@@ -1134,5 +1152,14 @@ class TestMemory:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            compile_tree.cache_clear()
         assert held / len(trees) < 256 * 1024, held
+
+    def test_dropped_results_release_their_trees(self):
+        # No module-wide cache keeps a tree once its result is gone.
+        result = mine(EventSequence.from_pairs(heartbeat_log(random.Random(5), 4, 200)))
+        tree = max(result.pool, key=lambda c: len(c.cover)).pattern.tree
+        assert "compiled" in vars(tree)
+        ref = weakref.ref(tree)
+        del result, tree
+        gc.collect()
+        assert ref() is None

@@ -37,7 +37,6 @@ from cadence.pattern import (
     parse_tree,
     pattern_occurrences,
     solve_corrections,
-    tree_events,
     tree_height,
     tree_width,
 )
@@ -193,7 +192,6 @@ class TestExpandTree:
         assert occurrence_count(tree) == 18
         assert tree_width(tree) == 3
         assert tree_height(tree) == 2
-        assert tree_events(tree) == frozenset({"a", "b", "c"})
         assert not is_simple(tree)
         assert is_simple(parse_tree(QUAD))
 
