@@ -506,7 +506,7 @@ def collection_cost(
         residual_bits=leftover_bits,
         residual_count=len(residuals),
         baseline_bits=baseline,
-        percent_length=100.0 * total / baseline,
+        percent_length=(100.0 * total / baseline) if baseline > 0 else 100.0,
         residual_ratio=(leftover_bits / total) if total > 0 else 1.0,
         shape_counts=shape_counts,
         max_cover=max_cover,

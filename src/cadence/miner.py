@@ -552,9 +552,9 @@ class _Member:
     count occurrences within one root repetition: ``width`` and ``last``
     are the largest and the last perfect time of the first repetition,
     and ``tangled`` says whether its times decrease somewhere.  ``right``
-    lists the leaves that close their parent block, in order; when
-    ``closes_root``, the last of them is the root's last child, which
-    closes the merged root only when the member comes second.
+    lists the leaves that close their parent block, in order, and
+    ``inner_right`` those of them that still do when a later member's
+    children follow the member's under the merged root.
     ``first_of_last`` is the first leaf of the root's last child.
     ``upto[m]`` sums ``|E|`` over occurrences ``1..m`` and ``starts[k]``
     over the starts of repetitions ``1..k``.  The first ``fits``
@@ -570,7 +570,7 @@ class _Member:
     last: int
     tangled: bool
     right: tuple[int, ...]
-    closes_root: bool
+    inner_right: tuple[int, ...]
     first_of_last: int
     upto: tuple[int, ...]
     starts: tuple[int, ...]
@@ -594,6 +594,7 @@ def _member(c: Candidate, stats: SeqStats) -> _Member:
     occurrences = corrected_occurrences(c.pattern)
     window = range(stats.t_start, stats.t_end + 1)
     only = tree.children[0] if len(tree.children) == 1 else None
+    right = tuple(i - lo for i in compiled.last_right)
     return _Member(
         cand=c,
         occurrences=occurrences,
@@ -601,8 +602,8 @@ def _member(c: Candidate, stats: SeqStats) -> _Member:
         width=max(rep0),
         last=rep0[-1],
         tangled=any(y < x for x, y in zip(rep0, rep0[1:])),
-        right=tuple(i - lo for i in compiled.last_right),
-        closes_root=isinstance(tree.children[-1], Leaf),
+        right=right,
+        inner_right=right[:-1] if isinstance(tree.children[-1], Leaf) else right,
         first_of_last=per - occurrence_count(tree.children[-1]),
         upto=tuple(accumulate(mags, initial=0)),
         starts=tuple(
@@ -616,65 +617,76 @@ def _member(c: Candidate, stats: SeqStats) -> _Member:
     )
 
 
-def _concat_cost(a: _Member, b: _Member, stats: SeqStats) -> float | None:
-    """Price of ``grow_horizontally([a, b])`` without building it, for
-    members in the order it puts them; None when the merge fails or is
-    uncodable.
+def _concat_cost(
+    members: Sequence[_Member], stats: SeqStats
+) -> tuple[float, frozenset[tuple[int, str]]] | None:
+    """Price and cover of ``grow_horizontally`` over the members without
+    building it, for members in the order it puts them; None when the
+    merge fails or is uncodable.
 
-    The merged root keeps ``a``'s period and the smaller length ``r``.
-    Each member keeps its first ``r`` repetitions and their offsets, ``b``
-    shifted by ``k (p_b - p_a)`` in repetition ``k``, and every
-    correction except at ``b``'s repetition starts, whose predecessor
-    becomes the first leaf of ``a``'s last root child.  So where the
-    merge's occurrences sit follows from the members' offsets and first
+    The merged root keeps the first member's period ``p_0`` and the
+    smallest length ``r``.  Each member keeps its first ``r`` repetitions
+    and their offsets, member ``i`` shifted by ``k (p_i - p_0)`` in
+    repetition ``k``, and every correction except, after the first
+    member, at its repetition starts, whose predecessor becomes the first
+    leaf of the previous member's last root child.  So where the merge's
+    occurrences sit follows from the members' offsets and first
     repetitions, and :func:`codec.placed_cost` prices it by the terms
     that :func:`codec.pattern_cost` uses.  The merge's occurrences are
     the members' kept ones, so it lies in the window when they do.
     """
-    pa, pb = a.cand.pattern, b.cand.pattern
-    ta, tb = pa.tree, pb.tree
-    delta = pb.tau - pa.tau
-    connect = delta - sum(ta.distances)
-    r = min(ta.r, tb.r)
-    if connect < 0 or r * a.per > a.fits or r * b.per > b.fits:
+    head, last = members[0], members[-1]
+    p, tau = head.cand.pattern.tree.p, head.cand.pattern.tau
+    r = min(m.cand.pattern.tree.r for m in members)
+    if any(r * m.per > m.fits for m in members):
         return None
-    root = Block(
-        r=r,
-        p=ta.p,
-        children=ta.children + tb.children,
-        distances=ta.distances + (connect,) + tb.distances[1:],
-    )
-    oa, ob = pa.offsets, pb.offsets
-    drift = tb.p - ta.p
-    last_a, last_b = (r - 1) * a.per, (r - 1) * b.per
-    interleaved = a.tangled or b.tangled or a.last > delta or delta + b.last > ta.p
-    if interleaved:
-        right_a = a.right[:-1] if a.closes_root else a.right
+    children = list(head.cand.pattern.tree.children)
+    distances = list(head.cand.pattern.tree.distances)
+    width, interleaved = head.width, head.tangled
+    abs_corrections = head.upto[r * head.per - 1]
+    for q, m in zip(members, members[1:]):
+        pq, pm = q.cand.pattern, m.cand.pattern
+        connect = pm.tau - pq.tau - sum(pq.tree.distances)
+        if connect < 0:
+            return None
+        children += pm.tree.children
+        distances += (connect, *pm.tree.distances[1:])
+        width = max(width, pm.tau - tau + m.width)
+        interleaved = interleaved or m.tangled or pq.tau + q.last > pm.tau
+        oq, om, drift = pq.offsets, pm.offsets, pm.tree.p - pq.tree.p
+        abs_corrections += (
+            m.upto[r * m.per - 1]
+            - m.starts[r - 1]
+            + sum(
+                abs(om[k * m.per] + k * drift - oq[k * q.per + q.first_of_last])
+                for k in range(r)
+            )
+        )
+    pl, k = last.cand.pattern, r - 1
+    if interleaved or pl.tau - tau + last.last > p:
+        interleaved = True
         end_offset = min(
-            [oa[last_a + j] for j in right_a]
-            + [ob[last_b + j] + (r - 1) * drift for j in b.right]
+            m.cand.pattern.offsets[k * m.per + j] + k * (m.cand.pattern.tree.p - p)
+            for m in members
+            for j in (m.right if m is last else m.inner_right)
         )
     else:
-        end_offset = ob[last_b + b.per - 1] + (r - 1) * drift
-    joins = sum(
-        abs(ob[k * b.per] + k * drift - oa[k * a.per + a.first_of_last])
-        for k in range(r)
-    )
+        end_offset = pl.offsets[k * last.per + last.per - 1] + k * (pl.tree.p - p)
+    root = Block(r=r, p=p, children=tuple(children), distances=tuple(distances))
     try:
-        return codec.placed_cost(
+        cost = codec.placed_cost(
             root,
-            pa.tau,
+            tau,
             stats,
-            start_offset=oa[last_a],
+            start_offset=head.cand.pattern.offsets[k * head.per],
             end_offset=end_offset,
-            width=max(a.width, delta + b.width),
+            width=width,
             interleaved=interleaved,
-            abs_corrections=(
-                a.upto[r * a.per - 1] + b.upto[r * b.per - 1] - b.starts[r - 1] + joins
-            ),
+            abs_corrections=abs_corrections,
         ).total
     except (UncodablePatternError, DomainError):
         return None
+    return cost, frozenset().union(*(m.kept(r) for m in members))
 
 
 def _can_survive(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
@@ -706,11 +718,12 @@ def combine_horizontally(
     that pass pairwise merging for every pair are merged whole, one per
     maximal clique of the pairwise-success graph.
 
-    A pair merge is priced exactly from its members
-    (:func:`_concat_cost`) and built only when it beats them and its
-    ``(efficiency, cost)`` can survive width-``k`` pruning.  Pairs whose
-    merge may factorize are built to be priced.  The result is what
-    building every merge and then pruning gives.
+    Every merge is priced exactly from its members
+    (:func:`_concat_cost`), a pair's before it is kept, and only the
+    merges whose ``(efficiency, cost)`` can survive width-``k`` pruning
+    are built, at one site.  Pairs whose merge may factorize are built
+    to be priced, since factorizing can make them cheaper.  The result
+    is what building every merge and then pruning gives.
     """
     if not new:
         return []
@@ -725,16 +738,23 @@ def combine_horizontally(
     boundary = [_boundary_correction_sum(c.pattern) for c in cands]
     facts: dict[int, _Member] = {}
 
-    def member(i: int) -> _Member:
-        if i not in facts:
-            facts[i] = _member(cands[i], stats)
-        return facts[i]
+    def price(ids: tuple[int, ...]) -> tuple[float, frozenset] | None:
+        """``(cost, cover)`` of merging the candidates at ``ids``."""
+        for i in ids:
+            if i not in facts:
+                facts[i] = _member(cands[i], stats)
+        fs = [facts[i] for i in ids]
+        if len(fs) == 2 and fs[0].factor and fs[0].factor == fs[1].factor:
+            cand = _merge_candidates([cands[i] for i in ids], stats)
+            return None if cand is None else (cand.cost, cand.cover)
+        return _concat_cost(fs, stats)
 
-    # Merges that beat their members: (cost, cover, candidate or pair).
-    # ``cands`` is sorted by (tau, notation), which puts every pair in
-    # grow_horizontally's (tau, format_tree) order: no tree's bracket
-    # notation is a proper prefix of another's.
-    winners: list[tuple[float, frozenset, Candidate | tuple[int, int]]] = []
+    # Pair merges that beat their members, then clique merges:
+    # (cost, cover, member indices).
+    # ``cands`` is sorted by (tau, notation), which puts every merge's
+    # members in grow_horizontally's (tau, format_tree) order: no tree's
+    # bracket notation is a proper prefix of another's.
+    winners: list[tuple[float, frozenset, tuple[int, ...]]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
     for ia, a in enumerate(cands):
         p_a, r_a = periods[ia], lengths[ia]
@@ -747,51 +767,36 @@ def combine_horizontally(
             r = r_a if r_a < lengths[ib] else lengths[ib]
             if abs(p_a - periods[ib]) > 2.0 * boundary[ib] / (r * (r - 1)):
                 continue
+            priced = price((ia, ib))
+            if priced is None:
+                continue
+            cost, cover = priced
             b = cands[ib]
-            fa, fb = member(ia), member(ib)
-            if fa.factor and fa.factor == fb.factor:
-                cand = _merge_candidates([a, b], stats)
-                if cand is None:
-                    continue
-                cost, cover, item = cand.cost, cand.cover, cand
-            else:
-                cost = _concat_cost(fa, fb, stats)
-                if cost is None:
-                    continue
-                cover = fa.kept(r) | fb.kept(r)
-                item = (ia, ib)
             bits = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.cover | b.cover) - cover
                 bits += codec.residual_bits(stats, _labels(left_out))
             if bits < a.cost + b.cost:
-                winners.append((cost, cover, item))
+                winners.append((cost, cover, (ia, ib)))
                 adj[ia].add(ib)
                 adj[ib].add(ia)
 
-    if winners:
-        nodes = {v for v, ns in adj.items() if ns}
-        sub = {v: adj[v] & nodes for v in nodes}
-        for comp in _components(sub, nodes):
-            if len(comp) <= _CLIQUE_NODE_CAP:
-                comp_adj = {v: sub[v] & comp for v in comp}
-                cliques = maximal_cliques(comp_adj)
-            else:
-                cliques = _greedy_clique_cover(sub, comp)
-            for clique in cliques:
-                if len(clique) < 3:
-                    continue
-                cand = _merge_candidates([cands[i] for i in clique], stats)
-                if cand is not None:
-                    winners.append((cand.cost, cand.cover, cand))
+    nodes = {v for v, ns in adj.items() if ns}
+    sub = {v: adj[v] & nodes for v in nodes}
+    for comp in _components(sub, nodes):
+        if len(comp) <= _CLIQUE_NODE_CAP:
+            cliques = maximal_cliques({v: sub[v] & comp for v in comp})
+        else:
+            cliques = _greedy_clique_cover(sub, comp)
+        for clique in cliques:
+            if len(clique) >= 3 and (priced := price(clique)) is not None:
+                winners.append((*priced, clique))
 
-    out = []
-    for i in sorted(_can_survive([(cost, cover) for cost, cover, _ in winners], k)):
-        item = winners[i][2]
-        if isinstance(item, tuple):
-            item = _merge_candidates([cands[j] for j in item], stats)
-        if item is not None:
-            out.append(item)
+    keep = _can_survive([(cost, cover) for cost, cover, _ in winners], k)
+    out = [
+        _merge_candidates([cands[j] for j in winners[i][2]], stats)
+        for i in sorted(keep)
+    ]
     return filter_candidates(out, k)
 
 

@@ -330,16 +330,6 @@ def compile_tree(tree: Block) -> CompiledTree:
     )
 
 
-def accumulate_corrections(p: Pattern) -> tuple[int, ...]:
-    """Per-occurrence cumulative offsets of a pattern.
-
-    The corrected timestamp of occurrence ``i`` is
-    ``tau + perfect_timestamp(i) + offset(i)``.  The first occurrence
-    always has offset 0.
-    """
-    return p.offsets
-
-
 def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[int, ...]:
     """Corrections that make a tree's occurrences hit given timestamps.
 

@@ -141,6 +141,26 @@ class TestScore:
         assert err.startswith("cadence:")
 
 
+class TestOneOccurrenceLog:
+    # A one-line log has a baseline of 0 bits, which reads as 100%.
+    def test_mine(self, tmp_path, capsys):
+        log = write_log(tmp_path / "one.tsv", [(5, "a")])
+        assert main(["mine", log]) == 0
+        assert "residual: 1 occurrences" in capsys.readouterr().out
+
+    def test_score(self, tmp_path, capsys):
+        log = write_log(tmp_path / "one.tsv", [(5, "a")])
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text("# no patterns\n", encoding="utf-8")
+        out_file = tmp_path / "score.json"
+        rc = main(["score", log, "--patterns", str(patterns), "--out", str(out_file)])
+        assert rc == 0
+        capsys.readouterr()
+        report = json.loads(out_file.read_text())["report"]
+        assert report["baseline_bits"] == 0.0
+        assert report["percent_length"] == 100.0
+
+
 class TestMine:
     def test_triad_log_prints_stages_and_winner(self, triad_log, capsys):
         assert main(["mine", triad_log]) == 0

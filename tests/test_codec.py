@@ -252,6 +252,14 @@ class TestCollectionCost:
         assert report.residual_ratio == 1.0
         assert report.patterns == ()
 
+    def test_one_occurrence_log_reads_100_percent(self):
+        # One occurrence costs 0 bits as a residual, so the baseline is 0.
+        seq = EventSequence.from_pairs([(5, "a")])
+        report = collection_cost([], seq)
+        assert report.baseline_bits == 0.0
+        assert report.total_bits == 0.0
+        assert report.percent_length == 100.0
+
     def test_braid_covers_everything(self, triad_seq, triad_stats):
         braid = parse_pattern(REFERENCE_ROWS[12][1])
         report = collection_cost([braid], triad_seq, triad_stats)

@@ -872,17 +872,18 @@ class TestHorizontalPricing:
                 except InvalidPatternError:
                     merged = None
                 want = merged and make_candidate(merged, stats, "test")
-                got = miner._concat_cost(fa, fb, stats)
-                assert got == (want.cost if want else None)
+                got = miner._concat_cost([fa, fb], stats)
+                assert got == ((want.cost, want.cover) if want else None)
                 priced["codable" if want else "uncodable"] += 1
         assert min(priced["codable"], priced["uncodable"]) > 0, priced
 
     def test_closed_form_equals_the_built_merge(self):
-        # The price and cover read off two members equal those of the
-        # merge built and priced by the encoder, float for float.
+        # The price and cover read off 2, 3 or 4 members equal those of
+        # the merge built and priced by the encoder, float for float.
         rng = random.Random(7)
         seen: Counter = Counter()
-        for _ in range(2700):
+        for draw in range(8100):
+            n = 2 + draw % 3
             stats = SeqStats(
                 length=180,
                 t_start=0,
@@ -890,37 +891,39 @@ class TestHorizontalPricing:
                 counts={"a": 60, "b": 60, "c": 60},
             )
             members = []
-            for _ in range(2):
+            for _ in range(n):
                 tree = random_tree(rng, depth=3, leaves=3)
-                n = occurrence_count(tree)
-                corrections = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+                count = occurrence_count(tree)
+                corrections = tuple(rng.randint(-2, 2) for _ in range(count - 1))
                 pattern = Pattern(tree=tree, tau=rng.randint(5, 40), corrections=corrections)
                 members.append(make_candidate(pattern, stats, "test"))
             if None in members:
                 continue
-            a, b = sorted(members, key=lambda c: (c.tau, format_tree(c.pattern.tree)))
-            fa, fb = miner._member(a, stats), miner._member(b, stats)
-            got = miner._concat_cost(fa, fb, stats)
+            members.sort(key=lambda c: (c.tau, format_tree(c.pattern.tree)))
+            facts = [miner._member(c, stats) for c in members]
+            got = miner._concat_cost(facts, stats)
             try:
-                want = make_candidate(
-                    grow_horizontally([a.pattern, b.pattern]), stats, "test"
-                )
+                merged = grow_horizontally([c.pattern for c in members])
             except InvalidPatternError:
-                want = None
+                assert got is None
+                seen[n, "negative distance"] += 1
+                continue
+            want = make_candidate(merged, stats, "test")
             if want is None:
                 assert got is None
-                seen["negative distance"] += 1
                 continue
-            assert got == want.cost
-            r = min(a.pattern.tree.r, b.pattern.tree.r)
-            assert fa.kept(r) | fb.kept(r) == want.cover
+            cost, cover = got
+            assert cost == want.cost
+            assert cover == want.cover
             tree = want.pattern.tree
-            seen["priced"] += 1
-            seen["interleaved"] += compile_tree(tree).interleaved
-            seen["nested"] += any(isinstance(c, Block) for c in tree.children)
-            seen["unequal r"] += a.pattern.tree.r != b.pattern.tree.r
-        assert seen["priced"] >= 2000, seen
-        assert min(seen.values()) >= 100, seen
+            seen[n, "priced"] += 1
+            seen[n, "interleaved"] += compile_tree(tree).interleaved
+            seen[n, "nested"] += any(isinstance(c, Block) for c in tree.children)
+            seen[n, "unequal r"] += len({c.pattern.tree.r for c in members}) > 1
+        for n in (2, 3, 4):
+            assert seen[n, "priced"] >= 1000, seen
+            for kind in ("negative distance", "interleaved", "nested", "unequal r"):
+                assert seen[n, kind] >= 100, seen
 
     def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self):
         x, y, z = (0, "a"), (1, "a"), (2, "a")
@@ -954,6 +957,32 @@ class TestHorizontalPricing:
         monkeypatch.setattr(miner, "grow_horizontally", counting)
         mine(seq)
         assert 0 < len(built) < tried
+
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream"])
+    def test_builds_fewer_clique_merges_than_cliques(self, monkeypatch, shape):
+        # Building every clique merge calls _merge_candidates once per
+        # clique of three or more members.
+        cliques, built = [], []
+        original = miner._merge_candidates
+
+        def recording(find):
+            def found(*args):
+                out = find(*args)
+                cliques.extend(c for c in out if len(c) >= 3)
+                return out
+
+            return found
+
+        def counting(members, stats):
+            if len(members) >= 3:
+                built.append(len(members))
+            return original(members, stats)
+
+        for name in ("maximal_cliques", "_greedy_clique_cover"):
+            monkeypatch.setattr(miner, name, recording(getattr(miner, name)))
+        monkeypatch.setattr(miner, "_merge_candidates", counting)
+        mine(shaped_log(shape, 0))
+        assert 0 < len(built) < len(cliques)
 
 
 class TestExtractCyclesStage:
@@ -991,6 +1020,12 @@ class TestMine:
         )
         assert result.selection.residuals == ()
         assert result.selection.report.percent_length < 50.0
+
+    def test_one_occurrence_log(self):
+        result = mine(EventSequence.from_pairs([(5, "a")]))
+        assert result.selection.candidates == ()
+        assert result.selection.residuals == ((5, "a"),)
+        assert result.selection.report.percent_length == 100.0
 
     def test_pure_noise_stays_residual(self):
         rng = random.Random(3)

@@ -18,7 +18,6 @@ from cadence.pattern import (
     Cycle,
     Leaf,
     Pattern,
-    accumulate_corrections,
     classify_tree,
     compile_tree,
     corrected_occurrences,
@@ -214,7 +213,7 @@ class TestCorrections:
 
     def test_first_occurrence_offset_is_zero(self):
         p = parse_pattern(NEST_PATTERN)
-        assert accumulate_corrections(p)[0] == 0
+        assert p.offsets[0] == 0
 
     def test_zero_corrections_shift_perfect_expansion(self):
         tree = parse_tree(BRAID)
@@ -458,7 +457,7 @@ def test_solve_inverts_accumulate(p):
 def test_offsets_of_zero_corrections_are_zero(tree, tau):
     n = occurrence_count(tree)
     p = Pattern(tree=tree, tau=tau, corrections=(0,) * (n - 1))
-    assert accumulate_corrections(p) == (0,) * n
+    assert p.offsets == (0,) * n
 
 
 class TestCompiledKernel:
@@ -480,7 +479,7 @@ class TestCompiledKernel:
 
             corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
             p = Pattern(tree=tree, tau=10 * n, corrections=corrections)
-            offsets = accumulate_corrections(p)
+            offsets = p.offsets
             assert list(offsets) == walk_corrections(tree, (0,) + corrections, False)
             assert _last_content_offset(compiled, offsets) == end_offset_by_origins(
                 tree, offsets
