@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -280,22 +280,82 @@ def extract_cycles_dp(
 # Cycle extraction: triple chaining
 
 
+def _nearest(ts: Sequence[int], target: int, lo: int, hi: int, tolerance: float) -> int:
+    """Index in ``[lo, hi)`` of the timestamp nearest ``target``, the
+    earlier on a tie; -1 when none lies within ``tolerance``."""
+    k = bisect_left(ts, target, lo, hi)
+    if k > lo and (k == hi or target - ts[k - 1] <= ts[k] - target):
+        k -= 1
+    return k if k < hi and abs(ts[k] - target) <= tolerance else -1
+
+
+def _chain(
+    ts: Sequence[int],
+    i: int,
+    j: int,
+    tolerance: float,
+    steady: bool,
+    room: Sequence[int],
+) -> tuple[int, ...]:
+    """The chain through seed ``(i, j)``, extended both ways.
+
+    The ``m``-th step on a side goes to the occurrence nearest the
+    predicted time: ``m`` seed periods ``ts[j] - ts[i]`` beyond the seed
+    (``steady``), or the chain's gap at that end repeated.  A side ends
+    when no occurrence lies within ``tolerance`` of the prediction, when
+    the new gap differs from the gap next to it by more than
+    ``tolerance``, or at an occurrence with no ``room`` left.
+    """
+    period = ts[j] - ts[i]
+    ends = []
+    for sign, a, b in ((1, i, j), (-1, j, i)):
+        side, anchor = [], ts[b]
+        while True:
+            gap = abs(ts[b] - ts[a])
+            if steady:
+                target = anchor + sign * (len(side) + 1) * period
+            else:
+                target = ts[b] + sign * gap
+            lo, hi = (b + 1, len(ts)) if sign > 0 else (0, b)
+            k = _nearest(ts, target, lo, hi, tolerance)
+            if k < 0 or room[k] <= 0 or abs(abs(ts[k] - ts[b]) - gap) > tolerance:
+                break
+            side.append(k)
+            a, b = b, k
+        ends.append(side)
+    return (*reversed(ends[1]), i, j, *ends[0])
+
+
 def extract_cycles_tri(
     timestamps: Sequence[int],
     tolerance: float,
     event: str = "",
-    max_pairs: int = 100_000,
-    max_chains: int = 2_000,
 ) -> list[Cycle]:
-    """Chain near-periodic triples into fitted cycles.
+    """Chain near-periodic triples of occurrences into fitted cycles.
 
-    A triple ``(t0, t1, t2)`` is admissible when its two inter-occurrence
-    distances differ by at most ``tolerance``.  Admissible triples
-    sharing two occurrences are chained, forks are kept, and each
-    maximal chain is fitted into a cycle.  Pair enumeration proceeds by
-    increasing index gap and is capped at ``max_pairs`` pairs; chain
-    construction is capped at ``max_chains`` chains.  Both caps keep the
-    output deterministic.
+    Any three occurrences in a row of a chain are a triple whose two
+    distances differ by at most ``tolerance``.  A chain is seeded by
+    each pair ``(i, j)`` with ``0 < j - i <= G``, where ``G = max(4,
+    ceil(600 / n))`` for ``n`` occurrences, so that a small event still
+    sees all its pairs.  From its seed it is extended both ways, each
+    step to the occurrence nearest the predicted time (:func:`_chain`),
+    once at the seed's period and once at the chain's local gap: the
+    first rides out a wobbled occurrence, the second follows a drifting
+    period.  A seed that is already two consecutive occurrences of an
+    earlier chain is skipped, since its chains are found.  Every chain
+    of three or more occurrences is fitted into a cycle.
+
+    The seeds cover the whole log and a chain runs until the
+    occurrences stop fitting, so the chains reach every part of the
+    log, not only its start.  The work is linear in ``n``: an occurrence
+    joins at most ``4 G`` chains by a step (on a periodic event it joins
+    about ``2 G``, one per seed period and kind), and a side stops
+    before a full one.  There are at most ``G n`` seeds of two chains
+    each, the twins of one seed can coincide but two seeds' chains
+    cannot, and every step, and the end of every side, is one bisection
+    (:func:`_nearest`).  So at most ``2 G n`` cycles come out, and at
+    most ``2 (4 G n) + 4 G n = 12 G n`` lookups are made: ``8 n`` and
+    ``48 n`` once ``n >= 150``.
     """
     ts = list(timestamps)
     n = len(ts)
@@ -305,49 +365,22 @@ def extract_cycles_tri(
         raise DomainError("timestamps must be strictly increasing")
     if tolerance < 0:
         return []
-
-    triples: list[tuple[int, int, int]] = []
-    budget = max_pairs
-    for gap in range(1, n - 1):
-        if budget <= 0:
-            break
-        for i in range(0, n - 1 - gap):
-            if budget <= 0:
-                break
-            budget -= 1
-            j = i + gap
-            target = 2 * ts[j] - ts[i]
-            k0 = bisect_left(ts, target - tolerance, j + 1)
-            k1 = bisect_right(ts, target + tolerance, j + 1)
-            for k in range(k0, k1):
-                triples.append((i, j, k))
-    triples.sort()
-
-    chains: dict[int, tuple[int, ...]] = {}
-    by_last: dict[tuple[int, int], list[int]] = {}
-    absorbed: set[int] = set()
-    next_id = 0
-    for (i, j, k) in triples:
-        if next_id >= max_chains:
-            break
-        parents = by_last.get((i, j))
-        if parents:
-            for pid in list(parents):
-                if next_id >= max_chains:
-                    break
-                chains[next_id] = chains[pid] + (k,)
-                absorbed.add(pid)
-                by_last.setdefault((j, k), []).append(next_id)
-                next_id += 1
-        else:
-            chains[next_id] = (i, j, k)
-            by_last.setdefault((j, k), []).append(next_id)
-            next_id += 1
-
-    kept = sorted(set(idxs for cid, idxs in chains.items() if cid not in absorbed))
-    out = []
-    for idxs in kept:
-        out.append(fit_cycle([ts[i] for i in idxs], event))
+    reach = max(4, -(-600 // n))
+    room = [4 * reach] * n
+    linked: set[tuple[int, int]] = set()
+    chains: set[tuple[int, ...]] = set()
+    for i in range(n - 1):
+        for j in range(i + 1, min(n, i + reach + 1)):
+            if (i, j) in linked:
+                continue
+            for steady in (True, False):
+                chain = _chain(ts, i, j, tolerance, steady, room)
+                if len(chain) >= 3 and chain not in chains:
+                    chains.add(chain)
+                    linked.update(zip(chain, chain[1:]))
+                    for k in chain:
+                        room[k] -= 1
+    out = [fit_cycle([ts[i] for i in idxs], event) for idxs in sorted(chains)]
     out.sort(key=lambda c: (c.tau, c.r, c.p))
     return out
 
@@ -358,19 +391,21 @@ def extract_cycles_tri(
 
 def _within_k(keys: Sequence, covers: Sequence[frozenset], k: int) -> set[int]:
     """Indices whose key is within the ``k`` smallest for some occurrence
-    their cover holds; keys equal to the ``k``-th smallest count too."""
-    per_pair: dict[tuple[int, str], list] = {}
-    for i, (key, cover) in enumerate(zip(keys, covers)):
-        for pair in cover:
-            per_pair.setdefault(pair, []).append((key, i))
+    their cover holds; keys equal to the ``k``-th smallest count too.
+
+    That is, some occurrence of the cover has fewer than ``k`` strictly
+    smaller keys: the indices are walked in key order, a group of equal
+    keys at a time, counting per occurrence the keys of the groups
+    before.
+    """
+    ahead: Counter = Counter()
     keep: set[int] = set()
-    for ranked in per_pair.values():
-        ranked.sort()
-        bound = ranked[min(k, len(ranked)) - 1][0]
-        for key, i in ranked:
-            if key > bound:
-                break
-            keep.add(i)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for _, group in groupby(order, key=keys.__getitem__):
+        group = list(group)
+        keep.update(i for i in group if any(ahead.get(o, 0) < k for o in covers[i]))
+        for i in group:
+            ahead.update(covers[i])
     return keep
 
 
@@ -673,20 +708,104 @@ def _concat_cost(
     else:
         end_offset = pl.offsets[k * last.per + last.per - 1] + k * (pl.tree.p - p)
     root = Block(r=r, p=p, children=tuple(children), distances=tuple(distances))
+    return _placed(
+        root,
+        members,
+        stats,
+        start_offset=head.cand.pattern.offsets[k * head.per],
+        end_offset=end_offset,
+        width=width,
+        interleaved=interleaved,
+        abs_corrections=abs_corrections,
+    )
+
+
+def _factored_cost(
+    a: _Member, b: _Member, stats: SeqStats
+) -> tuple[float, frozenset[tuple[int, str]]] | None:
+    """Price and cover of ``factorize(grow_horizontally([a, b]))`` without
+    building it, for two members whose roots each hold one block of the
+    same ``(r, p)``, ``a`` first; None when it does not exist or is
+    uncodable.
+
+    The factorized root holds one inner block, whose children are the
+    two inner blocks' children joined as :func:`_concat_cost` joins root
+    children, one level down.  Its occurrences are the plain merge's and
+    sit at the same perfect times, so they keep their offsets.  Only
+    their traversal order changes: within each repetition ``j`` of the
+    inner block, ``a``'s children, then ``b``'s.  So each of ``b``'s
+    inner repetition starts, not only its root repetition starts, takes
+    the first leaf of ``a``'s last inner child as its predecessor, and a
+    leaf that closes ``a``'s inner block no longer closes a block.
+    """
+    pa, pb = a.cand.pattern, b.cand.pattern
+    r = min(pa.tree.r, pb.tree.r)
+    if r * a.per > a.fits or r * b.per > b.fits:
+        return None
+    x, y = pa.tree.children[0], pb.tree.children[0]
+    shift = pb.tau - pa.tau
+    join = shift - sum(x.distances)
+    if join < 0:
+        return None
+    inner = Block(
+        r=x.r,
+        p=x.p,
+        children=x.children + y.children,
+        distances=(*x.distances, join, *y.distances[1:]),
+    )
+    root = Block(r=r, p=pa.tree.p, children=(inner,), distances=(0,))
+    nx, ny = a.per // x.r, b.per // y.r
+    ta, tb = pa.tree.compiled.times, pb.tree.compiled.times
+    rep0: list[int] = []
+    for j in range(x.r):
+        rep0 += ta[j * nx : (j + 1) * nx]
+        rep0 += (shift + t for t in tb[j * ny : (j + 1) * ny])
+    oa, ob, drift = pa.offsets, pb.offsets, pb.tree.p - pa.tree.p
+    x_last = nx - occurrence_count(x.children[-1])
+    abs_corrections = a.upto[r * a.per - 1] + b.upto[r * b.per - 1]
+    for k in range(r):
+        for j in range(x.r):
+            s = k * b.per + j * ny
+            if s:
+                abs_corrections -= b.upto[s] - b.upto[s - 1]
+            abs_corrections += abs(ob[s] + k * drift - oa[k * a.per + j * nx + x_last])
+    k = r - 1
+    interleaved = rep0[-1] > root.p or any(v < u for u, v in zip(rep0, rep0[1:]))
+    if interleaved:
+        closing = range(nx - 1, a.per, nx) if isinstance(x.children[-1], Leaf) else ()
+        end_offset = min(
+            [
+                *(oa[k * a.per + i] for i in a.right if i not in closing),
+                *(ob[k * b.per + i] + k * drift for i in b.right),
+            ]
+        )
+    else:
+        end_offset = ob[k * b.per + b.per - 1] + k * drift
+    return _placed(
+        root,
+        (a, b),
+        stats,
+        start_offset=oa[k * a.per],
+        end_offset=end_offset,
+        width=max(rep0),
+        interleaved=interleaved,
+        abs_corrections=abs_corrections,
+    )
+
+
+def _placed(
+    root: Block, members: Sequence[_Member], stats: SeqStats, **placement
+) -> tuple[float, frozenset[tuple[int, str]]] | None:
+    """Price of a merge placed as ``placement`` says, started where its
+    first member is, and its cover, the members' kept occurrences; None
+    when it is uncodable."""
     try:
         cost = codec.placed_cost(
-            root,
-            tau,
-            stats,
-            start_offset=head.cand.pattern.offsets[k * head.per],
-            end_offset=end_offset,
-            width=width,
-            interleaved=interleaved,
-            abs_corrections=abs_corrections,
+            root, members[0].cand.pattern.tau, stats, **placement
         ).total
     except (UncodablePatternError, DomainError):
         return None
-    return cost, frozenset().union(*(m.kept(r) for m in members))
+    return cost, frozenset().union(*(m.kept(root.r) for m in members))
 
 
 def _can_survive(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
@@ -719,11 +838,12 @@ def combine_horizontally(
     maximal clique of the pairwise-success graph.
 
     Every merge is priced exactly from its members
-    (:func:`_concat_cost`), a pair's before it is kept, and only the
-    merges whose ``(efficiency, cost)`` can survive width-``k`` pruning
-    are built, at one site.  Pairs whose merge may factorize are built
-    to be priced, since factorizing can make them cheaper.  The result
-    is what building every merge and then pruning gives.
+    (:func:`_concat_cost`), a pair's before it is kept; a pair whose
+    merge can factorize is priced factorized too
+    (:func:`_factored_cost`), and the cheaper form strictly wins.  Only
+    the merges whose ``(efficiency, cost)`` can survive width-``k``
+    pruning are built, in their priced form, at one site.  The result is
+    what building every merge and then pruning gives.
     """
     if not new:
         return []
@@ -738,23 +858,26 @@ def combine_horizontally(
     boundary = [_boundary_correction_sum(c.pattern) for c in cands]
     facts: dict[int, _Member] = {}
 
-    def price(ids: tuple[int, ...]) -> tuple[float, frozenset] | None:
-        """``(cost, cover)`` of merging the candidates at ``ids``."""
+    def price(ids: tuple[int, ...]) -> tuple[float, frozenset, bool] | None:
+        """``(cost, cover, factored)`` of merging the candidates at
+        ``ids``: factorized when that is strictly cheaper."""
         for i in ids:
             if i not in facts:
                 facts[i] = _member(cands[i], stats)
         fs = [facts[i] for i in ids]
+        plain = _concat_cost(fs, stats)
         if len(fs) == 2 and fs[0].factor and fs[0].factor == fs[1].factor:
-            cand = _merge_candidates([cands[i] for i in ids], stats)
-            return None if cand is None else (cand.cost, cand.cover)
-        return _concat_cost(fs, stats)
+            factored = _factored_cost(*fs, stats)
+            if factored and (plain is None or factored[0] < plain[0]):
+                return (*factored, True)
+        return None if plain is None else (*plain, False)
 
     # Pair merges that beat their members, then clique merges:
-    # (cost, cover, member indices).
+    # (cost, cover, member indices, factored).
     # ``cands`` is sorted by (tau, notation), which puts every merge's
     # members in grow_horizontally's (tau, format_tree) order: no tree's
     # bracket notation is a proper prefix of another's.
-    winners: list[tuple[float, frozenset, tuple[int, ...]]] = []
+    winners: list[tuple[float, frozenset, tuple[int, ...], bool]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
     for ia, a in enumerate(cands):
         p_a, r_a = periods[ia], lengths[ia]
@@ -770,14 +893,14 @@ def combine_horizontally(
             priced = price((ia, ib))
             if priced is None:
                 continue
-            cost, cover = priced
+            cost, cover, factored = priced
             b = cands[ib]
             bits = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.cover | b.cover) - cover
                 bits += codec.residual_bits(stats, _labels(left_out))
             if bits < a.cost + b.cost:
-                winners.append((cost, cover, (ia, ib)))
+                winners.append((cost, cover, (ia, ib), factored))
                 adj[ia].add(ib)
                 adj[ib].add(ia)
 
@@ -790,32 +913,26 @@ def combine_horizontally(
             cliques = _greedy_clique_cover(sub, comp)
         for clique in cliques:
             if len(clique) >= 3 and (priced := price(clique)) is not None:
-                winners.append((*priced, clique))
+                cost, cover, factored = priced
+                winners.append((cost, cover, clique, factored))
 
-    keep = _can_survive([(cost, cover) for cost, cover, _ in winners], k)
-    out = [
-        _merge_candidates([cands[j] for j in winners[i][2]], stats)
-        for i in sorted(keep)
-    ]
+    keep = _can_survive([(cost, cover) for cost, cover, _, _ in winners], k)
+    out = []
+    for i in sorted(keep):
+        _, _, ids, factored = winners[i]
+        out.append(_merge_candidates([cands[j] for j in ids], stats, factored))
     return filter_candidates(out, k)
 
 
 def _merge_candidates(
-    members: Sequence[Candidate], stats: SeqStats
+    members: Sequence[Candidate], stats: SeqStats, factored: bool
 ) -> Candidate | None:
-    """Concatenate the members, or their factorized form when it is
-    strictly cheaper."""
-    try:
-        plain = grow_horizontally([m.pattern for m in members])
-    except (DomainError, InvalidPatternError):
-        return None
-    best = make_candidate(plain, stats, "horizontal")
-    factored = factorize(plain)
-    if factored is not None:
-        alt = make_candidate(factored, stats, "factorized")
-        if alt is not None and (best is None or alt.cost < best.cost):
-            return alt
-    return best
+    """Build the concatenation of the members, factorized when
+    ``factored``."""
+    merged = grow_horizontally([m.pattern for m in members])
+    if factored:
+        return make_candidate(factorize(merged), stats, "factorized")
+    return make_candidate(merged, stats, "horizontal")
 
 
 # ---------------------------------------------------------------------------

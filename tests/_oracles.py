@@ -10,19 +10,21 @@ the segmentation shares the miner's prices (``codec.cycle_bits``) so
 that the two compare float for float (that price is checked against
 the encoder separately).  The recursive correction walk and the
 origins-based end offset are the tree kernel's references, and the
-three-walk layout and repetition terms are the encoder's.
+three-walk layout and repetition terms are the encoder's.  The capped
+triple chaining is the pass that whole-log chaining replaced, kept to
+show where its caps stopped it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Iterator, Sequence
 
 from cadence import codec
 from cadence.codec import SeqStats, cycle_cost, residual_bits, residual_cost
-from cadence.core import DomainError, UncodablePatternError
+from cadence.core import DomainError, InvalidPatternError, UncodablePatternError
 from cadence.miner import (
     _CLIQUE_NODE_CAP,
     _boundary_correction_sum,
@@ -30,7 +32,6 @@ from cadence.miner import (
     _dedupe,
     _greedy_clique_cover,
     _labels,
-    _merge_candidates,
     _RunningMedian,
     extract_cycles_dp,
     extract_cycles_tri,
@@ -38,7 +39,16 @@ from cadence.miner import (
     make_candidate,
     maximal_cliques,
 )
-from cadence.pattern import Block, Cycle, Leaf, cycle_cover, expand_tree, fit_cycle
+from cadence.pattern import (
+    Block,
+    Cycle,
+    Leaf,
+    cycle_cover,
+    expand_tree,
+    factorize,
+    fit_cycle,
+    grow_horizontally,
+)
 
 
 def optimal_segmentation_bits(
@@ -183,6 +193,62 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
     return filter_candidates(merged, k)
 
 
+def capped_triple_chains(
+    timestamps: Sequence[int],
+    tolerance: float,
+    event: str = "",
+    max_pairs: int = 100_000,
+    max_chains: int = 2_000,
+) -> list[Cycle]:
+    """Triple chaining under global caps, the pass whole-log chaining
+    replaced.
+
+    Every admissible triple of the first ``max_pairs`` pairs, taken by
+    increasing index gap, is collected; the triples are then chained in
+    index order, forks kept, until ``max_chains`` chains exist, and each
+    maximal chain is fitted into a cycle.  On a dense event the chain cap
+    is reached within the first occurrences, so no chain reaches the
+    rest of the log.
+    """
+    ts = list(timestamps)
+    n = len(ts)
+    if n < 3 or tolerance < 0:
+        return []
+    triples: list[tuple[int, int, int]] = []
+    budget = max_pairs
+    for gap in range(1, n - 1):
+        for i in range(0, n - 1 - gap):
+            if budget <= 0:
+                break
+            budget -= 1
+            j = i + gap
+            target = 2 * ts[j] - ts[i]
+            k0 = bisect_left(ts, target - tolerance, j + 1)
+            k1 = bisect_right(ts, target + tolerance, j + 1)
+            triples.extend((i, j, k) for k in range(k0, k1))
+    triples.sort()
+
+    chains: list[tuple[int, ...]] = []
+    by_last: dict[tuple[int, int], list[int]] = {}
+    absorbed: set[int] = set()
+    for i, j, k in triples:
+        if len(chains) >= max_chains:
+            break
+        for pid in list(by_last.get((i, j), ())) or [None]:
+            if len(chains) >= max_chains:
+                break
+            if pid is None:
+                chains.append((i, j, k))
+            else:
+                chains.append(chains[pid] + (k,))
+                absorbed.add(pid)
+            by_last.setdefault((j, k), []).append(len(chains) - 1)
+    kept = sorted({c for cid, c in enumerate(chains) if cid not in absorbed})
+    out = [fit_cycle([ts[i] for i in idxs], event) for idxs in kept]
+    out.sort(key=lambda c: (c.tau, c.r, c.p))
+    return out
+
+
 def walk_corrections(tree: Block, values: Sequence[int], solve: bool) -> list[int]:
     """The recursive correction walk and its inverse.
 
@@ -284,6 +350,22 @@ def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
             yield ia, ib, cands
 
 
+def cheapest_merge(members, stats: SeqStats):
+    """The members' concatenation built, or its factorized form built when
+    that is strictly cheaper; None when neither can be transmitted."""
+    try:
+        plain = grow_horizontally([m.pattern for m in members])
+    except (DomainError, InvalidPatternError):
+        return None
+    best = make_candidate(plain, stats, "horizontal")
+    factored = factorize(plain)
+    if factored is not None:
+        alt = make_candidate(factored, stats, "factorized")
+        if alt is not None and (best is None or alt.cost < best.cost):
+            return alt
+    return best
+
+
 def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
     """Horizontal combination building every admissible pair merge.
 
@@ -296,7 +378,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
     cands: list = []
     for ia, ib, cands in slack_pairs(new, pool):
         a, b = cands[ia], cands[ib]
-        cand = _merge_candidates([a, b], stats)
+        cand = cheapest_merge([a, b], stats)
         if cand is None:
             continue
         left_out = (a.cover | b.cover) - cand.cover
@@ -311,7 +393,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
             cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:
             if len(clique) >= 3:
-                cand = _merge_candidates([cands[i] for i in clique], stats)
+                cand = cheapest_merge([cands[i] for i in clique], stats)
                 if cand is not None:
                     out.append(cand)
     return filter_candidates(out, k)

@@ -67,6 +67,7 @@ from cadence.synth import PlantSpec, generate
 from _oracles import (
     build_every_cycle,
     build_every_merge,
+    capped_triple_chains,
     cycle_selection_bits,
     eager_greedy_cover,
     optimal_segmentation_bits,
@@ -248,10 +249,38 @@ class TestExtractCyclesTri:
     def test_short_input(self):
         assert extract_cycles_tri((5, 9), tolerance=10.0, event="a") == []
 
-    def test_chain_cap_limits_output(self):
-        ts = tuple(range(0, 200, 10))
-        capped = extract_cycles_tri(ts, tolerance=0.0, event="a", max_chains=1)
-        assert len(capped) <= 1
+    def test_chains_reach_the_last_block(self):
+        # Four blocks of 30 occurrences 3 ticks apart, 300 ticks between
+        # block starts, at a tolerance above the period, as on braids.
+        # The capped pass spends its chain budget inside the first
+        # block; chaining over the whole log finds every block whole.
+        ts = [300 * b + 3 * i for b in range(4) for i in range(30)]
+        blocks = [tuple(range(300 * b, 300 * b + 90, 3)) for b in range(4)]
+        capped = {cycle_cover(c) for c in capped_triple_chains(ts, 12.0, "a")}
+        assert capped and max(cover[0] for cover in capped) < 300
+        covers = {cycle_cover(c) for c in extract_cycles_tri(ts, 12.0, "a")}
+        assert all(block in covers for block in blocks)
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_work_is_linear_in_the_occurrences(self, monkeypatch, n):
+        """Bursts of four occurrences 2 ticks apart every 40 ticks, a
+        third of them one tick late, at tolerance 12: above the burst's
+        period, so several occurrences fit most predictions.  With
+        ``G = 4`` (``n >= 150``) the docstring bounds the cycles by
+        ``c n`` with ``c = 8`` and the lookups with ``c = 48``."""
+        rng = random.Random(n)
+        ts = [40 * (i // 4) + 2 * (i % 4) + rng.choice((0, 0, 1)) for i in range(n)]
+        lookups = []
+        original = miner._nearest
+
+        def counting(*args):
+            lookups.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(miner, "_nearest", counting)
+        cycles = extract_cycles_tri(ts, 12.0, "a")
+        assert 0 < len(cycles) <= 8 * n
+        assert n < len(lookups) <= 48 * n
 
 
 def _stub_candidate(cover, cost, notation):
@@ -748,6 +777,36 @@ def random_member(rng: random.Random, stats: SeqStats):
     return make_candidate(pattern, stats, "test")
 
 
+def factorizable_pair(rng: random.Random, stats: SeqStats):
+    """Two candidates, in merge order, whose roots each hold one block of
+    the same ``(r, p)`` over random children: their merge may factorize.
+    None when a draw is invalid or uncodable."""
+    r, p = rng.randint(2, 3), rng.randint(2, 6)
+    members = []
+    for _ in range(2):
+        inner = random_tree(rng, depth=2, leaves=3)
+        inner = Block(r=r, p=p, children=inner.children, distances=inner.distances)
+        tree = Block(
+            r=rng.randint(2, 4),
+            p=rng.randint(14, 16),
+            children=(inner,),
+            distances=(0,),
+        )
+        corrections = tuple(
+            rng.choice((-1, 0, 0, 1)) for _ in range(occurrence_count(tree) - 1)
+        )
+        try:
+            pattern = Pattern(
+                tree=tree, tau=rng.randint(5, 20), corrections=corrections
+            )
+        except InvalidPatternError:
+            return None
+        members.append(make_candidate(pattern, stats, "test"))
+    if None in members:
+        return None
+    return sorted(members, key=lambda c: (c.tau, format_tree(c.pattern.tree)))
+
+
 def random_merge_pool(rng: random.Random) -> tuple[list, SeqStats]:
     """Candidates priced in a wide window, and a narrower window to
     combine them in: merges that reach past its edges are uncodable."""
@@ -925,6 +984,83 @@ class TestHorizontalPricing:
             for kind in ("negative distance", "interleaved", "nested", "unequal r"):
                 assert seen[n, kind] >= 100, seen
 
+    def test_factored_closed_form_equals_the_built_merge(self):
+        # The price and cover of factorizing a pair's merge, read off the
+        # two members, equal those of the factorized merge built and
+        # priced by the encoder, float for float.
+        rng = random.Random(3)
+        counts = {"a": 60, "b": 60, "c": 60}
+        wide = SeqStats(length=180, t_start=0, t_end=200, counts=counts)
+        seen: Counter = Counter()
+        for _ in range(2500):
+            stats = dataclasses.replace(wide, t_end=rng.randint(60, 140))
+            pair = factorizable_pair(rng, wide)
+            if pair is None:
+                continue
+            a, b = pair
+            fa, fb = miner._member(a, stats), miner._member(b, stats)
+            got = miner._factored_cost(fa, fb, stats)
+            factored = factorize(grow_horizontally([a.pattern, b.pattern]))
+            if factored is None:
+                assert got is None
+                seen["negative join"] += 1
+                continue
+            try:
+                want = pattern_cost(factored, stats).total
+            except UncodablePatternError:
+                assert got is None
+                seen["uncodable"] += 1
+                continue
+            assert got[0] == want
+            assert got[1] == frozenset(pattern_occurrences(factored))
+            inner = a.pattern.tree.children[0]
+            seen["priced"] += 1
+            seen["interleaved"] += compile_tree(factored.tree).interleaved
+            seen["in order"] += not compile_tree(factored.tree).interleaved
+            seen["unequal r"] += a.pattern.tree.r != b.pattern.tree.r
+            seen["leaf closes"] += isinstance(inner.children[-1], Leaf)
+        assert seen["priced"] >= 1000, seen
+        for kind in (
+            "negative join",
+            "uncodable",
+            "interleaved",
+            "in order",
+            "unequal r",
+            "leaf closes",
+        ):
+            assert seen[kind] >= 50, seen
+
+    def test_merges_are_built_only_at_the_build_site(self, monkeypatch):
+        # _merge_candidates builds each merge that can survive pruning
+        # once, in its priced form, and never builds a pair to price it,
+        # although the mined logs and the random pools hold factorizable
+        # pairs, and in the pools factorizing wins some.
+        calls = self.recorded_calls(monkeypatch, shaped_log("braids", 0))
+        assert pair_kinds(calls)["factorizable"] > 0
+        rng = random.Random(31)
+        for _ in range(40):
+            cands, stats = random_merge_pool(rng)
+            calls.append((cands[:5], cands[5:], stats))
+        built, survivors = [], []
+        build, survive = miner._merge_candidates, miner._can_survive
+
+        def building(members, *args):
+            out = build(members, *args)
+            built.append(out and out.provenance)
+            return out
+
+        def surviving(entries, k):
+            keep = survive(entries, k)
+            survivors.append(len(keep))
+            return keep
+
+        monkeypatch.setattr(miner, "_merge_candidates", building)
+        monkeypatch.setattr(miner, "_can_survive", surviving)
+        for new, pool, stats in calls:
+            combine_horizontally(new, pool, stats, 3)
+        assert len(built) == sum(survivors)
+        assert "factorized" in built and "horizontal" in built
+
     def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self):
         x, y, z = (0, "a"), (1, "a"), (2, "a")
         # Two merges of equal cost and cover are one notation or several;
@@ -961,7 +1097,8 @@ class TestHorizontalPricing:
     @pytest.mark.parametrize("shape", ["heartbeats", "stream"])
     def test_builds_fewer_clique_merges_than_cliques(self, monkeypatch, shape):
         # Building every clique merge calls _merge_candidates once per
-        # clique of three or more members.
+        # clique of three or more members.  The seeds give logs whose
+        # pools hold cliques, some of which cannot survive pruning.
         cliques, built = [], []
         original = miner._merge_candidates
 
@@ -973,15 +1110,15 @@ class TestHorizontalPricing:
 
             return found
 
-        def counting(members, stats):
+        def counting(members, *args):
             if len(members) >= 3:
                 built.append(len(members))
-            return original(members, stats)
+            return original(members, *args)
 
         for name in ("maximal_cliques", "_greedy_clique_cover"):
             monkeypatch.setattr(miner, name, recording(getattr(miner, name)))
         monkeypatch.setattr(miner, "_merge_candidates", counting)
-        mine(shaped_log(shape, 0))
+        mine(shaped_log(shape, {"heartbeats": 3, "stream": 38}[shape]))
         assert 0 < len(built) < len(cliques)
 
 
