@@ -309,8 +309,8 @@ def placed_cost(
     the first root repetition, and ``abs_corrections`` the corrections'
     summed magnitudes.  This is the one sequence of encoder terms:
     :func:`pattern_cost` reads the placement off a built pattern and the
-    miner off the members of a concatenation it has not built, so the
-    two price bit for bit alike.  Raises :class:`UncodablePatternError`
+    miner off the layout and members of a merge it has not built, so
+    the two price bit for bit alike.  Raises :class:`UncodablePatternError`
     when a term is out of range.
     """
     bits_a, bits_r, _ = _tree_bits(tree, stats)

@@ -31,10 +31,12 @@ from .core import (
 from .pattern import (
     Block,
     Cycle,
-    Leaf,
+    MergeLayout,
     Pattern,
+    concat_layout,
     corrected_occurrences,
     cycle_cover,
+    factor_layout,
     factorize,
     fit_cycle,
     format_pattern,
@@ -581,36 +583,20 @@ def _components(adj: Mapping[int, set[int]], nodes: Iterable[int]) -> list[set[i
 
 @dataclass(frozen=True)
 class _Member:
-    """What pricing a concatenation reads of one member, once per call.
+    """What pricing a merge reads of one member, once per call.
 
-    ``occurrences`` are the corrected ones in traversal order.  Positions
-    count occurrences within one root repetition: ``width`` and ``last``
-    are the largest and the last perfect time of the first repetition,
-    and ``tangled`` says whether its times decrease somewhere.  ``right``
-    lists the leaves that close their parent block, in order, and
-    ``inner_right`` those of them that still do when a later member's
-    children follow the member's under the merged root.
-    ``first_of_last`` is the first leaf of the root's last child.
-    ``upto[m]`` sums ``|E|`` over occurrences ``1..m`` and ``starts[k]``
-    over the starts of repetitions ``1..k``.  The first ``fits``
-    occurrences lie in the stats window, and ``factor`` is the ``(r,
-    p)`` of the root's only child when that is a block: two members with
-    the same one may factorize.
+    ``occurrences`` are the corrected ones in traversal order, ``per`` of
+    them in each root repetition, and the first ``fits`` lie in the stats
+    window.  ``columns[j][k]`` sums ``|E|`` over the occurrences at
+    position ``j`` of the first ``k`` root repetitions, the first
+    occurrence counting 0.
     """
 
     cand: Candidate
     occurrences: tuple[tuple[int, str], ...]
     per: int
-    width: int
-    last: int
-    tangled: bool
-    right: tuple[int, ...]
-    inner_right: tuple[int, ...]
-    first_of_last: int
-    upto: tuple[int, ...]
-    starts: tuple[int, ...]
     fits: int
-    factor: tuple[int, int] | None
+    columns: tuple[tuple[int, ...], ...]
 
     def kept(self, r: int) -> frozenset[tuple[int, str]]:
         """Cover of the first ``r`` repetitions."""
@@ -621,191 +607,82 @@ class _Member:
 
 def _member(c: Candidate, stats: SeqStats) -> _Member:
     tree = c.pattern.tree
-    compiled = tree.compiled
-    per = len(compiled.times) // tree.r
-    rep0 = compiled.times[:per]
-    lo = len(compiled.times) - per
-    mags = [abs(e) for e in c.pattern.corrections]
+    per = tree.count // tree.r
+    mags = [0, *(abs(e) for e in c.pattern.corrections)]
     occurrences = corrected_occurrences(c.pattern)
     window = range(stats.t_start, stats.t_end + 1)
-    only = tree.children[0] if len(tree.children) == 1 else None
-    right = tuple(i - lo for i in compiled.last_right)
     return _Member(
         cand=c,
         occurrences=occurrences,
         per=per,
-        width=max(rep0),
-        last=rep0[-1],
-        tangled=any(y < x for x, y in zip(rep0, rep0[1:])),
-        right=right,
-        inner_right=right[:-1] if isinstance(tree.children[-1], Leaf) else right,
-        first_of_last=per - occurrence_count(tree.children[-1]),
-        upto=tuple(accumulate(mags, initial=0)),
-        starts=tuple(
-            accumulate((mags[k * per - 1] for k in range(1, tree.r)), initial=0)
-        ),
         fits=next(
             (i for i, (t, _) in enumerate(occurrences) if t not in window),
             len(occurrences),
         ),
-        factor=(only.r, only.p) if isinstance(only, Block) else None,
+        columns=tuple(tuple(accumulate(mags[j::per], initial=0)) for j in range(per)),
     )
 
 
-def _concat_cost(
-    members: Sequence[_Member], stats: SeqStats
+def _layout_cost(
+    layout: MergeLayout, members: Sequence[_Member], stats: SeqStats
 ) -> tuple[float, frozenset[tuple[int, str]]] | None:
-    """Price and cover of ``grow_horizontally`` over the members without
-    building it, for members in the order it puts them; None when the
-    merge fails or is uncodable.
+    """Price and cover of the merge that ``layout`` describes over the
+    members, without building it; None when it is uncodable.
 
-    The merged root keeps the first member's period ``p_0`` and the
-    smallest length ``r``.  Each member keeps its first ``r`` repetitions
-    and their offsets, member ``i`` shifted by ``k (p_i - p_0)`` in
-    repetition ``k``, and every correction except, after the first
-    member, at its repetition starts, whose predecessor becomes the first
-    leaf of the previous member's last root child.  So where the merge's
-    occurrences sit follows from the members' offsets and first
-    repetitions, and :func:`codec.placed_cost` prices it by the terms
-    that :func:`codec.pattern_cost` uses.  The merge's occurrences are
-    the members' kept ones, so it lies in the window when they do.
+    Each occurrence's offset is its member's, shifted by the drift of
+    the member's period from the root's (:class:`MergeLayout`).  An
+    occurrence whose predecessor is its member's own keeps its member's
+    correction, so its position is summed by column; the others are
+    summed repetition by repetition.  :func:`codec.placed_cost` then
+    prices the merge by the terms that :func:`codec.pattern_cost` uses.
+    The merge's occurrences are the members' kept ones, so it lies in the
+    window when they do.
     """
-    head, last = members[0], members[-1]
-    p, tau = head.cand.pattern.tree.p, head.cand.pattern.tau
-    r = min(m.cand.pattern.tree.r for m in members)
-    if any(r * m.per > m.fits for m in members):
+    root, slots, r = layout.root, layout.slots, layout.root.r
+    if any(r * q.per > q.fits for q in members):
         return None
-    children = list(head.cand.pattern.tree.children)
-    distances = list(head.cand.pattern.tree.distances)
-    width, interleaved = head.width, head.tangled
-    abs_corrections = head.upto[r * head.per - 1]
-    for q, m in zip(members, members[1:]):
-        pq, pm = q.cand.pattern, m.cand.pattern
-        connect = pm.tau - pq.tau - sum(pq.tree.distances)
-        if connect < 0:
-            return None
-        children += pm.tree.children
-        distances += (connect, *pm.tree.distances[1:])
-        width = max(width, pm.tau - tau + m.width)
-        interleaved = interleaved or m.tangled or pq.tau + q.last > pm.tau
-        oq, om, drift = pq.offsets, pm.offsets, pm.tree.p - pq.tree.p
-        abs_corrections += (
-            m.upto[r * m.per - 1]
-            - m.starts[r - 1]
-            + sum(
-                abs(om[k * m.per] + k * drift - oq[k * q.per + q.first_of_last])
-                for k in range(r)
-            )
+    rep = root.repetition
+    pats = [q.cand.pattern for q in members]
+    drift = [q.tree.p - root.p for q in pats]
+    own = [q.tree.repetition.pred for q in pats]
+    cols = [q.columns for q in members]
+
+    def offset(k: int, s: int) -> int:
+        m, j = slots[s]
+        return pats[m].offsets[k * members[m].per + j] + k * drift[m]
+
+    # The first occurrence is the first member's, at the root's period.
+    abs_corrections = cols[0][0][r]
+    for (m, j), t in zip(slots[1:], rep.pred[1:]):
+        n, i = slots[t]
+        if n == m and i == own[m][j]:
+            abs_corrections += cols[m][j][r]
+            continue
+        a, per_a = pats[m].offsets, members[m].per
+        b, per_b = pats[n].offsets, members[n].per
+        d = drift[m] - drift[n]
+        abs_corrections += sum(
+            abs(a[k * per_a + j] - b[k * per_b + i] + k * d) for k in range(r)
         )
-    pl, k = last.cand.pattern, r - 1
-    if interleaved or pl.tau - tau + last.last > p:
-        interleaved = True
-        end_offset = min(
-            m.cand.pattern.offsets[k * m.per + j] + k * (m.cand.pattern.tree.p - p)
-            for m in members
-            for j in (m.right if m is last else m.inner_right)
-        )
+    last = r - 1
+    if rep.interleaved:
+        end_offset = min(offset(last, s) for s in rep.last_right)
     else:
-        end_offset = pl.offsets[k * last.per + last.per - 1] + k * (pl.tree.p - p)
-    root = Block(r=r, p=p, children=tuple(children), distances=tuple(distances))
-    return _placed(
-        root,
-        members,
-        stats,
-        start_offset=head.cand.pattern.offsets[k * head.per],
-        end_offset=end_offset,
-        width=width,
-        interleaved=interleaved,
-        abs_corrections=abs_corrections,
-    )
-
-
-def _factored_cost(
-    a: _Member, b: _Member, stats: SeqStats
-) -> tuple[float, frozenset[tuple[int, str]]] | None:
-    """Price and cover of ``factorize(grow_horizontally([a, b]))`` without
-    building it, for two members whose roots each hold one block of the
-    same ``(r, p)``, ``a`` first; None when it does not exist or is
-    uncodable.
-
-    The factorized root holds one inner block, whose children are the
-    two inner blocks' children joined as :func:`_concat_cost` joins root
-    children, one level down.  Its occurrences are the plain merge's and
-    sit at the same perfect times, so they keep their offsets.  Only
-    their traversal order changes: within each repetition ``j`` of the
-    inner block, ``a``'s children, then ``b``'s.  So each of ``b``'s
-    inner repetition starts, not only its root repetition starts, takes
-    the first leaf of ``a``'s last inner child as its predecessor, and a
-    leaf that closes ``a``'s inner block no longer closes a block.
-    """
-    pa, pb = a.cand.pattern, b.cand.pattern
-    r = min(pa.tree.r, pb.tree.r)
-    if r * a.per > a.fits or r * b.per > b.fits:
-        return None
-    x, y = pa.tree.children[0], pb.tree.children[0]
-    shift = pb.tau - pa.tau
-    join = shift - sum(x.distances)
-    if join < 0:
-        return None
-    inner = Block(
-        r=x.r,
-        p=x.p,
-        children=x.children + y.children,
-        distances=(*x.distances, join, *y.distances[1:]),
-    )
-    root = Block(r=r, p=pa.tree.p, children=(inner,), distances=(0,))
-    nx, ny = a.per // x.r, b.per // y.r
-    ta, tb = pa.tree.compiled.times, pb.tree.compiled.times
-    rep0: list[int] = []
-    for j in range(x.r):
-        rep0 += ta[j * nx : (j + 1) * nx]
-        rep0 += (shift + t for t in tb[j * ny : (j + 1) * ny])
-    oa, ob, drift = pa.offsets, pb.offsets, pb.tree.p - pa.tree.p
-    x_last = nx - occurrence_count(x.children[-1])
-    abs_corrections = a.upto[r * a.per - 1] + b.upto[r * b.per - 1]
-    for k in range(r):
-        for j in range(x.r):
-            s = k * b.per + j * ny
-            if s:
-                abs_corrections -= b.upto[s] - b.upto[s - 1]
-            abs_corrections += abs(ob[s] + k * drift - oa[k * a.per + j * nx + x_last])
-    k = r - 1
-    interleaved = rep0[-1] > root.p or any(v < u for u, v in zip(rep0, rep0[1:]))
-    if interleaved:
-        closing = range(nx - 1, a.per, nx) if isinstance(x.children[-1], Leaf) else ()
-        end_offset = min(
-            [
-                *(oa[k * a.per + i] for i in a.right if i not in closing),
-                *(ob[k * b.per + i] + k * drift for i in b.right),
-            ]
-        )
-    else:
-        end_offset = ob[k * b.per + b.per - 1] + k * drift
-    return _placed(
-        root,
-        (a, b),
-        stats,
-        start_offset=oa[k * a.per],
-        end_offset=end_offset,
-        width=max(rep0),
-        interleaved=interleaved,
-        abs_corrections=abs_corrections,
-    )
-
-
-def _placed(
-    root: Block, members: Sequence[_Member], stats: SeqStats, **placement
-) -> tuple[float, frozenset[tuple[int, str]]] | None:
-    """Price of a merge placed as ``placement`` says, started where its
-    first member is, and its cover, the members' kept occurrences; None
-    when it is uncodable."""
+        end_offset = offset(last, len(slots) - 1)
     try:
         cost = codec.placed_cost(
-            root, members[0].cand.pattern.tau, stats, **placement
+            root,
+            layout.tau,
+            stats,
+            start_offset=offset(last, 0),
+            end_offset=end_offset,
+            width=max(rep.times),
+            interleaved=rep.interleaved,
+            abs_corrections=abs_corrections,
         ).total
     except (UncodablePatternError, DomainError):
         return None
-    return cost, frozenset().union(*(m.kept(root.r) for m in members))
+    return cost, frozenset().union(*(q.kept(r) for q in members))
 
 
 def _can_survive(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
@@ -838,9 +715,9 @@ def combine_horizontally(
     maximal clique of the pairwise-success graph.
 
     Every merge is priced exactly from its members
-    (:func:`_concat_cost`), a pair's before it is kept; a pair whose
-    merge can factorize is priced factorized too
-    (:func:`_factored_cost`), and the cheaper form strictly wins.  Only
+    (:func:`_layout_cost` over :func:`concat_layout`), a pair's before it
+    is kept; a pair whose merge can factorize is priced factorized too
+    (over :func:`factor_layout`), and the cheaper form strictly wins.  Only
     the merges whose ``(efficiency, cost)`` can survive width-``k``
     pruning are built, in their priced form, at one site.  The result is
     what building every merge and then pruning gives.
@@ -865,11 +742,15 @@ def combine_horizontally(
             if i not in facts:
                 facts[i] = _member(cands[i], stats)
         fs = [facts[i] for i in ids]
-        plain = _concat_cost(fs, stats)
-        if len(fs) == 2 and fs[0].factor and fs[0].factor == fs[1].factor:
-            factored = _factored_cost(*fs, stats)
-            if factored and (plain is None or factored[0] < plain[0]):
-                return (*factored, True)
+        try:
+            layout = concat_layout([f.cand.pattern for f in fs])
+        except InvalidPatternError:
+            return None
+        plain = _layout_cost(layout, fs, stats)
+        factored = factor_layout(layout) if len(fs) == 2 else None
+        if factored and (alt := _layout_cost(factored, fs, stats)):
+            if plain is None or alt[0] < plain[0]:
+                return (*alt, True)
         return None if plain is None else (*plain, False)
 
     # Pair merges that beat their members, then clique merges:
@@ -1050,7 +931,8 @@ def _stage_one_event(
     The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
     by :func:`codec.cycle_bits` (``inf`` when uncodable), and
     only those among the ``k`` best by ``(cost / r, cost, notation)`` for
-    some timestamp they cover become candidates.  A stage-S cover holds
+    some timestamp they cover (:func:`_within_k`; notations make the keys
+    unique) become candidates, best first.  A stage-S cover holds
     one event, so ``filter_candidates`` over all events keeps what it
     would keep had every cycle been built.
     """
@@ -1073,14 +955,15 @@ def _stage_one_event(
         )
         if cost < math.inf:
             ranked[notation] = ((cost / cyc.r, cost, notation), provenance, cyc)
-    ahead: Counter = Counter()  # better-ranked cycles covering each timestamp
-    out = []
-    for _, provenance, cyc in sorted(ranked.values(), key=lambda entry: entry[0]):
-        cover = cycle_cover(cyc)
-        if any(ahead[t] < k for t in cover):
-            out.append(make_candidate(cyc, stats, provenance))
-        ahead.update(cover)
-    return out
+    entries = sorted(ranked.values(), key=lambda entry: entry[0])
+    keep = _within_k(
+        [key for key, _, _ in entries], [cycle_cover(cyc) for _, _, cyc in entries], k
+    )
+    return [
+        make_candidate(cyc, stats, provenance)
+        for i, (_, provenance, cyc) in enumerate(entries)
+        if i in keep
+    ]
 
 
 def extract_cycles(

@@ -11,7 +11,8 @@ the first.
 
 The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
-co-periodic patterns as siblings and factorizing a concatenation) and a
+co-periodic patterns as siblings and factorizing a concatenation), the
+layout that the last two build from (:class:`MergeLayout`), and a
 bit-exact text notation.
 """
 
@@ -66,6 +67,12 @@ class Block:
             raise InvalidPatternError("inter-block distances must be >= 0")
         count = self.r * sum(occurrence_count(c) for c in self.children)
         object.__setattr__(self, "count", count)
+
+    @cached_property
+    def repetition(self) -> "CompiledTree":
+        """One repetition of the children, compiled once
+        (:func:`compile_repetition`), held as long as the block is."""
+        return compile_repetition(self)
 
     @cached_property
     def compiled(self) -> "CompiledTree":
@@ -276,7 +283,8 @@ class CompiledTree:
     plus the offset of ``pred[i]``, the first leaf of the nearest earlier
     sibling or repetition up the enclosing blocks (``pred[0] == -1``).
     ``last_right`` lists the last root repetition's occurrences whose
-    leaf is its parent's right-most child.
+    leaf is its parent's right-most child.  The occurrences *interleave*
+    when their perfect times decrease somewhere.
     """
 
     times: tuple[int, ...]
@@ -286,47 +294,70 @@ class CompiledTree:
     last_right: tuple[int, ...]
 
 
-def compile_tree(tree: Block) -> CompiledTree:
-    """Compile a tree into flat arrays, in one pass over its occurrences.
+def compile_repetition(block: Block) -> CompiledTree:
+    """Compile one repetition of a block from its children.
 
-    Callers read :attr:`Block.compiled`, which compiles each tree once.
+    A leaf is one occurrence and a child block is its compiled tree,
+    shifted to its distance, so a subtree shared by several trees
+    compiles once.  The record's one repetition is its last, and
+    ``interleaved`` is the whole block's: the times decrease within the
+    repetition, or from its last occurrence to the next repetition's
+    first, at ``p``.  Callers read :attr:`Block.repetition`.
     """
     times: list[int] = []
     events: list[str] = []
     pred: list[int] = []
     right: list[int] = []
-
-    def walk(node: Node, t0: int, base: int, rightmost: bool) -> int:
-        if isinstance(node, Leaf):
-            i = len(times)
-            times.append(t0)
-            events.append(node.event)
-            pred.append(base)
-            if rightmost:
-                right.append(i)
-            return i
-        last = len(node.children) - 1
-        for k in range(node.r):
-            offset = 0
-            for c, child in enumerate(node.children):
-                offset += node.distances[c]
-                fi = walk(child, t0 + k * node.p + offset, base, c == last)
-                if c == 0:
-                    rep_first = fi
-                    if k == 0:
-                        first = fi
-                base = fi
-            base = rep_first
-        return first
-
-    walk(tree, 0, -1, False)
-    lo = len(times) - len(times) // tree.r
+    last = len(block.children) - 1
+    offset, first = 0, -1
+    for c, child in enumerate(block.children):
+        offset += block.distances[c]
+        base = len(times)
+        if isinstance(child, Leaf):
+            times.append(offset)
+            events.append(child.event)
+            pred.append(first)
+            if c == last:
+                right.append(base)
+        else:
+            sub, rep = child.compiled, child.repetition
+            times += [offset + t for t in sub.times]
+            events += sub.events
+            pred.append(first)
+            pred += [base + q for q in sub.pred[1:]]
+            n = len(rep.times)
+            right += [base + k * n + i for k in range(child.r) for i in rep.last_right]
+        first = base
     return CompiledTree(
         times=tuple(times),
         events=tuple(events),
         pred=tuple(pred),
-        interleaved=any(b < a for a, b in zip(times, times[1:])),
-        last_right=tuple(i for i in right if i >= lo),
+        interleaved=times[-1] > block.p or times != sorted(times),
+        last_right=tuple(right),
+    )
+
+
+def compile_tree(tree: Block) -> CompiledTree:
+    """Compile a tree into flat arrays: its root's repetition
+    (:attr:`Block.repetition`) replicated ``r`` times, every ``p``.
+
+    Repetition ``k``'s first occurrence takes repetition ``k - 1``'s
+    first as its predecessor.  Callers read :attr:`Block.compiled`, which
+    compiles each tree once.
+    """
+    rep = tree.repetition
+    n = len(rep.times)
+    within = rep.pred[1:]
+    pred = [-1, *within]
+    for k in range(1, tree.r):
+        pred.append((k - 1) * n)
+        pred += [k * n + q for q in within]
+    return CompiledTree(
+        times=tuple([k * tree.p + t for k in range(tree.r) for t in rep.times]),
+        events=rep.events * tree.r,
+        pred=tuple(pred),
+        interleaved=rep.interleaved,
+        last_right=tuple((tree.r - 1) * n + i for i in rep.last_right),
     )
 
 
@@ -442,77 +473,76 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     return Pattern(tree=new_tree, tau=inst[0].tau, corrections=tuple(corrections))
 
 
-def _kept_corrected(p: Pattern, keep_reps: int) -> list[list[tuple[int, str]]]:
-    """Corrected occurrences grouped by root repetition, truncated."""
-    per_rep = occurrence_count(p.tree) // p.tree.r
-    corrected = corrected_occurrences(p)
-    return [
-        list(corrected[k * per_rep : (k + 1) * per_rep]) for k in range(keep_reps)
+@dataclass(frozen=True)
+class MergeLayout:
+    """Where a horizontal merge of member patterns puts their occurrences.
+
+    ``root`` is the merged tree and ``tau`` its start.  Occurrence ``s``
+    of the root's repetition (:attr:`Block.repetition`) is occurrence
+    ``j`` of member ``m``'s root repetition, ``(m, j) = slots[s]``, and
+    the root's repetition ``k`` holds the members' repetitions ``k``.
+    Slot 0 is the first member's first occurrence, and the root keeps
+    that member's period and start.  Every occurrence keeps its member's
+    perfect time: ``tau + root.repetition.times[s]`` is the member's
+    start plus its ``times[j]``.  So in repetition ``k`` its offset is
+    the member's offset there plus ``k`` times the member's period minus
+    the root's, and only the occurrences whose predecessor is not the
+    member's own take a new correction.
+    """
+
+    root: Block
+    tau: int
+    slots: tuple[tuple[int, int], ...]
+
+
+def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
+    """Layout of the patterns concatenated as siblings, in the given order.
+
+    The merged root keeps the first instance's period and start and the
+    minimum length; its children are the instances' root children, and
+    the distance between consecutive instances' contents is the
+    difference of their starting points.  Raises
+    :class:`InvalidPatternError` when that distance is negative.
+    """
+    first = instances[0]
+    children = list(first.tree.children)
+    distances = list(first.tree.distances)
+    for prev, q in zip(instances, instances[1:]):
+        connect = (q.tau - prev.tau) - sum(prev.tree.distances)
+        if connect < 0:
+            raise InvalidPatternError(
+                "instances are too entangled to concatenate "
+                f"(negative connecting distance {connect})"
+            )
+        children += q.tree.children
+        distances += (connect, *q.tree.distances[1:])
+    slots = [
+        (m, j) for m, q in enumerate(instances) for j in range(q.tree.count // q.tree.r)
     ]
+    root = Block(
+        r=min(q.tree.r for q in instances),
+        p=first.tree.p,
+        children=tuple(children),
+        distances=tuple(distances),
+    )
+    return MergeLayout(root=root, tau=first.tau, slots=tuple(slots))
 
 
-def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
-    """Concatenate patterns as siblings under a merged root cycle.
+def factor_layout(layout: MergeLayout) -> MergeLayout | None:
+    """The layout with its root's two same-``(r, p)`` interior children
+    merged into one inner block; None when the root has no such pair.
 
-    The instances are ordered by starting point; the merged root keeps
-    the earliest period and the minimum length, children are the spliced
-    root children of the instances, and the distance between consecutive
-    instances' contents is the difference of their starting points.  The
-    corrections are re-derived so the result covers exactly the union of
-    the members' occurrences restricted to the kept repetitions.
+    ``[r p]([ra pa](X) [d] [ra pa](Y))`` becomes ``[r p]([ra pa](X [d']
+    Y))``, with every occurrence at the same perfect time: each inner
+    repetition holds ``X``'s occurrences of that repetition, then
+    ``Y``'s.  None also when ``d'`` would be negative.
     """
-    if len(instances) < 2:
-        raise DomainError("horizontal combination needs at least 2 instances")
-    inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
-    r_n = min(q.tree.r for q in inst)
-    p_n = inst[0].tree.p
-    tau_n = inst[0].tau
-
-    children: list[Node] = []
-    distances: list[int] = []
-    for i, q in enumerate(inst):
-        if i == 0:
-            connect = 0
-        else:
-            prev_intra = sum(inst[i - 1].tree.distances)
-            connect = (q.tau - inst[i - 1].tau) - prev_intra
-            if connect < 0:
-                raise InvalidPatternError(
-                    "instances are too entangled to concatenate "
-                    f"(negative connecting distance {connect})"
-                )
-        children.extend(q.tree.children)
-        distances.extend((connect,) + q.tree.distances[1:])
-
-    new_tree = Block(r=r_n, p=p_n, children=tuple(children), distances=tuple(distances))
-
-    # Target corrected timestamps: per new-root repetition, each member's
-    # corrected occurrences of that repetition, in member order.
-    member_reps = [_kept_corrected(q, r_n) for q in inst]
-    targets = [t for k in range(r_n) for reps in member_reps for t, _ in reps[k]]
-    corrections = solve_corrections(new_tree, tau_n, targets)
-    return Pattern(tree=new_tree, tau=tau_n, corrections=corrections)
-
-
-def factorize(p: Pattern) -> Pattern | None:
-    """Merge a root's two same-(r, p) interior children into one inner block.
-
-    ``[r p]([ra pa](X) [d] [ra pa](Y))`` becomes
-    ``[r p]([ra pa](X [d'] Y))``, with the corrections re-derived so the
-    result covers exactly the occurrences of ``p``.  Returns None when the
-    root does not have that shape.  Which of the two is cheaper depends on
-    the sequence statistics, so choosing is left to the caller.
-    """
-    tree = p.tree
-    if len(tree.children) != 2:
+    tree = layout.root
+    if len(tree.children) != 2 or not all(isinstance(c, Block) for c in tree.children):
         return None
     a, b = tree.children
-    if not (isinstance(a, Block) and isinstance(b, Block)):
-        return None
-    if a.r != b.r or a.p != b.p:
-        return None
     connect = tree.distances[1] - sum(a.distances)
-    if connect < 0:
+    if (a.r, a.p) != (b.r, b.p) or connect < 0:
         return None
     inner = Block(
         r=a.r,
@@ -520,24 +550,57 @@ def factorize(p: Pattern) -> Pattern | None:
         children=a.children + b.children,
         distances=a.distances + (connect,) + b.distances[1:],
     )
-    factored = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
-    # Reorder the corrected timestamps to the factored traversal: per root
-    # repetition, inner repetitions alternate a's children then b's.
-    n_a = occurrence_count(a)
-    n_b = occurrence_count(b)
-    per_rep = n_a + n_b
-    per_rep_a = n_a // a.r
-    per_rep_b = n_b // b.r
-    corrected = corrected_occurrences(p)
-    targets: list[int] = []
-    for k in range(tree.r):
-        occ_a = corrected[k * per_rep : k * per_rep + n_a]
-        occ_b = corrected[k * per_rep + n_a : (k + 1) * per_rep]
-        for j in range(a.r):
-            targets.extend(t for t, _ in occ_a[j * per_rep_a : (j + 1) * per_rep_a])
-            targets.extend(t for t, _ in occ_b[j * per_rep_b : (j + 1) * per_rep_b])
-    corrections = solve_corrections(factored, p.tau, targets)
-    return Pattern(tree=factored, tau=p.tau, corrections=corrections)
+    root = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
+    per_a, per_b = a.count // a.r, b.count // b.r
+    slots = layout.slots
+    order: list[tuple[int, int]] = []
+    for j in range(a.r):
+        order += slots[j * per_a : (j + 1) * per_a]
+        order += slots[a.count + j * per_b : a.count + (j + 1) * per_b]
+    return MergeLayout(root=root, tau=layout.tau, slots=tuple(order))
+
+
+def _build(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
+    """The pattern a layout describes: its corrections solved so that
+    each occurrence lands on its member's corrected one."""
+    corrected = [corrected_occurrences(q) for q in members]
+    per = [q.tree.count // q.tree.r for q in members]
+    targets = [
+        corrected[m][k * per[m] + j][0]
+        for k in range(layout.root.r)
+        for m, j in layout.slots
+    ]
+    corrections = solve_corrections(layout.root, layout.tau, targets)
+    return Pattern(tree=layout.root, tau=layout.tau, corrections=corrections)
+
+
+def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
+    """Concatenate patterns as siblings under a merged root cycle.
+
+    The instances are ordered by starting point (then by tree notation)
+    and laid out by :func:`concat_layout`.  The corrections are
+    re-derived so the result covers exactly the union of the members'
+    occurrences restricted to the kept repetitions.
+    """
+    if len(instances) < 2:
+        raise DomainError("horizontal combination needs at least 2 instances")
+    inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
+    return _build(concat_layout(inst), inst)
+
+
+def factorize(p: Pattern) -> Pattern | None:
+    """Merge a root's two same-(r, p) interior children into one inner block.
+
+    ``[r p]([ra pa](X) [d] [ra pa](Y))`` becomes
+    ``[r p]([ra pa](X [d'] Y))`` (:func:`factor_layout`), with the
+    corrections re-derived so the result covers exactly the occurrences
+    of ``p``.  Returns None when the root does not have that shape.
+    Which of the two is cheaper depends on the sequence statistics, so
+    choosing is left to the caller.
+    """
+    own = tuple((0, j) for j in range(p.tree.count // p.tree.r))
+    layout = factor_layout(MergeLayout(root=p.tree, tau=p.tau, slots=own))
+    return None if layout is None else _build(layout, [p])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ the encoder separately).  The recursive correction walk and the
 origins-based end offset are the tree kernel's references, and the
 three-walk layout and repetition terms are the encoder's.  The capped
 triple chaining is the pass that whole-log chaining replaced, kept to
-show where its caps stopped it.
+show where its caps stopped it.  The target-and-solve concatenation and
+factorization are the builders that merge layouts replaced: they gather
+each root repetition's corrected occurrences in traversal order and
+solve for the corrections.
 """
 
 from __future__ import annotations
@@ -43,11 +46,17 @@ from cadence.pattern import (
     Block,
     Cycle,
     Leaf,
+    Node,
+    Pattern,
+    corrected_occurrences,
     cycle_cover,
     expand_tree,
     factorize,
     fit_cycle,
+    format_tree,
     grow_horizontally,
+    occurrence_count,
+    solve_corrections,
 )
 
 
@@ -434,3 +443,92 @@ def layout_and_repetition_bits(tree: Block, stats: SeqStats) -> tuple[float, flo
         return bits
 
     return layout(tree), repetitions(tree)
+
+
+def _kept_corrected(p: Pattern, keep_reps: int) -> list[list[tuple[int, str]]]:
+    """Corrected occurrences grouped by root repetition, truncated."""
+    per_rep = occurrence_count(p.tree) // p.tree.r
+    corrected = corrected_occurrences(p)
+    return [
+        list(corrected[k * per_rep : (k + 1) * per_rep]) for k in range(keep_reps)
+    ]
+
+
+def target_grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
+    """Concatenation as siblings under a merged root cycle, built from
+    per-repetition targets.
+
+    The instances are ordered by starting point (then tree notation); the
+    merged root keeps the earliest period and start and the minimum
+    length, and the distance between consecutive instances' contents is
+    the difference of their starting points.  The targets are, per root
+    repetition, each member's corrected occurrences of that repetition,
+    in member order.
+    """
+    if len(instances) < 2:
+        raise DomainError("horizontal combination needs at least 2 instances")
+    inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
+    r_n = min(q.tree.r for q in inst)
+    children: list[Node] = []
+    distances: list[int] = []
+    for i, q in enumerate(inst):
+        if i == 0:
+            connect = 0
+        else:
+            prev_intra = sum(inst[i - 1].tree.distances)
+            connect = (q.tau - inst[i - 1].tau) - prev_intra
+            if connect < 0:
+                raise InvalidPatternError(
+                    "instances are too entangled to concatenate "
+                    f"(negative connecting distance {connect})"
+                )
+        children.extend(q.tree.children)
+        distances.extend((connect,) + q.tree.distances[1:])
+    tree = Block(
+        r=r_n, p=inst[0].tree.p, children=tuple(children), distances=tuple(distances)
+    )
+    member_reps = [_kept_corrected(q, r_n) for q in inst]
+    targets = [t for k in range(r_n) for reps in member_reps for t, _ in reps[k]]
+    corrections = solve_corrections(tree, inst[0].tau, targets)
+    return Pattern(tree=tree, tau=inst[0].tau, corrections=corrections)
+
+
+def target_factorize(p: Pattern) -> Pattern | None:
+    """A root's two same-``(r, p)`` interior children merged into one
+    inner block, built from targets: per root repetition, the inner
+    repetitions alternate the first child's occurrences and the
+    second's.  None when the root has no such pair or the join is
+    negative."""
+    tree = p.tree
+    if len(tree.children) != 2:
+        return None
+    a, b = tree.children
+    if not (isinstance(a, Block) and isinstance(b, Block)):
+        return None
+    if a.r != b.r or a.p != b.p:
+        return None
+    connect = tree.distances[1] - sum(a.distances)
+    if connect < 0:
+        return None
+    inner = Block(
+        r=a.r,
+        p=a.p,
+        children=a.children + b.children,
+        distances=a.distances + (connect,) + b.distances[1:],
+    )
+    factored = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
+    n_a = occurrence_count(a)
+    n_b = occurrence_count(b)
+    per_rep = n_a + n_b
+    per_rep_a = n_a // a.r
+    per_rep_b = n_b // b.r
+    corrected = corrected_occurrences(p)
+    targets: list[int] = []
+    for k in range(tree.r):
+        occ_a = corrected[k * per_rep : k * per_rep + n_a]
+        occ_b = corrected[k * per_rep + n_a : (k + 1) * per_rep]
+        for j in range(a.r):
+            targets.extend(t for t, _ in occ_a[j * per_rep_a : (j + 1) * per_rep_a])
+            targets.extend(t for t, _ in occ_b[j * per_rep_b : (j + 1) * per_rep_b])
+    corrections = solve_corrections(factored, p.tau, targets)
+    return Pattern(tree=factored, tau=p.tau, corrections=corrections)

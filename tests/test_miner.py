@@ -52,7 +52,9 @@ from cadence.pattern import (
     Pattern,
     classify_tree,
     compile_tree,
+    concat_layout,
     cycle_cover,
+    factor_layout,
     factorize,
     fit_cycle,
     format_tree,
@@ -819,6 +821,21 @@ def random_merge_pool(rng: random.Random) -> tuple[list, SeqStats]:
     return [c for c in cands if c is not None], stats
 
 
+def laid_out_merges(a: Pattern, b: Pattern) -> list:
+    """Each form of the merge of ``a`` then ``b`` as ``(layout, built
+    pattern)``: the plain one, then the factorized one when it exists;
+    none when the two cannot be concatenated."""
+    try:
+        layout = concat_layout([a, b])
+    except InvalidPatternError:
+        return []
+    merged = grow_horizontally([a, b])
+    forms = [(layout, merged)]
+    if (factored := factor_layout(layout)) is not None:
+        forms.append((factored, factorize(merged)))
+    return forms
+
+
 def pair_kinds(calls) -> Counter:
     """What the slack-passing pairs of recorded ``(new, pool, stats)``
     calls are: merges that fail, are uncodable, leave occurrences out,
@@ -913,9 +930,9 @@ class TestHorizontalPricing:
             "factorizable",
         ):
             assert kinds[kind] > 0, (kind, kinds)
-        # Members that reach outside the narrower window are priced from
-        # their members too, unless they may factorize; only the kept
-        # occurrences must lie inside.
+        # Merges whose members reach outside the narrower window are
+        # priced from their members too, plain and factorized; only the
+        # kept occurrences must lie inside.
         priced = Counter()
         for new, pool, stats in calls:
             for ia, ib, cands in slack_pairs(new, pool):
@@ -923,22 +940,18 @@ class TestHorizontalPricing:
                 window = range(stats.t_start, stats.t_end + 1)
                 if all(t in window for t, _ in a.cover | b.cover):
                     continue
-                fa, fb = miner._member(a, stats), miner._member(b, stats)
-                if fa.factor and fa.factor == fb.factor:
-                    continue
-                try:
-                    merged = grow_horizontally([a.pattern, b.pattern])
-                except InvalidPatternError:
-                    merged = None
-                want = merged and make_candidate(merged, stats, "test")
-                got = miner._concat_cost([fa, fb], stats)
-                assert got == ((want.cost, want.cover) if want else None)
-                priced["codable" if want else "uncodable"] += 1
+                facts = [miner._member(a, stats), miner._member(b, stats)]
+                for layout, merged in laid_out_merges(a.pattern, b.pattern):
+                    want = make_candidate(merged, stats, "test")
+                    got = miner._layout_cost(layout, facts, stats)
+                    assert got == ((want.cost, want.cover) if want else None)
+                    priced["codable" if want else "uncodable"] += 1
         assert min(priced["codable"], priced["uncodable"]) > 0, priced
 
     def test_closed_form_equals_the_built_merge(self):
-        # The price and cover read off 2, 3 or 4 members equal those of
-        # the merge built and priced by the encoder, float for float.
+        # The price and cover of the concatenation's layout, read off 2, 3
+        # or 4 members, equal those of the merge built and priced by the
+        # encoder, float for float.
         rng = random.Random(7)
         seen: Counter = Counter()
         for draw in range(8100):
@@ -960,13 +973,15 @@ class TestHorizontalPricing:
                 continue
             members.sort(key=lambda c: (c.tau, format_tree(c.pattern.tree)))
             facts = [miner._member(c, stats) for c in members]
-            got = miner._concat_cost(facts, stats)
             try:
-                merged = grow_horizontally([c.pattern for c in members])
+                layout = concat_layout([c.pattern for c in members])
             except InvalidPatternError:
-                assert got is None
+                with pytest.raises(InvalidPatternError):
+                    grow_horizontally([c.pattern for c in members])
                 seen[n, "negative distance"] += 1
                 continue
+            got = miner._layout_cost(layout, facts, stats)
+            merged = grow_horizontally([c.pattern for c in members])
             want = make_candidate(merged, stats, "test")
             if want is None:
                 assert got is None
@@ -985,9 +1000,9 @@ class TestHorizontalPricing:
                 assert seen[n, kind] >= 100, seen
 
     def test_factored_closed_form_equals_the_built_merge(self):
-        # The price and cover of factorizing a pair's merge, read off the
-        # two members, equal those of the factorized merge built and
-        # priced by the encoder, float for float.
+        # The price and cover of the factorized layout of a pair's merge,
+        # read off the two members, equal those of the factorized merge
+        # built and priced by the encoder, float for float.
         rng = random.Random(3)
         counts = {"a": 60, "b": 60, "c": 60}
         wide = SeqStats(length=180, t_start=0, t_end=200, counts=counts)
@@ -998,13 +1013,14 @@ class TestHorizontalPricing:
             if pair is None:
                 continue
             a, b = pair
-            fa, fb = miner._member(a, stats), miner._member(b, stats)
-            got = miner._factored_cost(fa, fb, stats)
+            facts = [miner._member(a, stats), miner._member(b, stats)]
+            layout = factor_layout(concat_layout([a.pattern, b.pattern]))
             factored = factorize(grow_horizontally([a.pattern, b.pattern]))
             if factored is None:
-                assert got is None
+                assert layout is None
                 seen["negative join"] += 1
                 continue
+            got = miner._layout_cost(layout, facts, stats)
             try:
                 want = pattern_cost(factored, stats).total
             except UncodablePatternError:
@@ -1093,6 +1109,40 @@ class TestHorizontalPricing:
         monkeypatch.setattr(miner, "grow_horizontally", counting)
         mine(seq)
         assert 0 < len(built) < tried
+
+    def test_oversized_component_takes_a_greedy_clique_cover(self, monkeypatch):
+        # Seventy one-event cycles four ticks apart, period 40: each merges
+        # with the ten that start within its period, so the merge graph is
+        # one band-shaped component, larger than the cap and no clique.
+        n = 70
+        counts = {f"e{i}": 4 for i in range(n)}
+        stats = SeqStats(length=4 * n, t_start=0, t_end=4000, counts=counts)
+        cands = [
+            make_candidate(Cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)), stats, "test")
+            for i in range(n)
+        ]
+        covers = []
+        original = miner._greedy_clique_cover
+
+        def recording(adj, nodes):
+            out = original(adj, nodes)
+            covers.append((adj, set(nodes), out))
+            return out
+
+        monkeypatch.setattr(miner, "_greedy_clique_cover", recording)
+        for k in (1, 2, 3):
+            self.same(
+                combine_horizontally(cands, [], stats, k),
+                build_every_merge(cands, [], stats, k),
+            )
+        assert len(covers) == 3
+        for adj, nodes, groups in covers:
+            assert len(nodes) > miner._CLIQUE_NODE_CAP
+            assert len(groups) > 1
+            for group in groups:
+                assert all(v in adj[u] for u in group for v in group if v != u)
+            assert sum(len(g) for g in groups) == len(nodes)
+            assert set().union(*groups) == nodes
 
     @pytest.mark.parametrize("shape", ["heartbeats", "stream"])
     def test_builds_fewer_clique_merges_than_cliques(self, monkeypatch, shape):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +43,12 @@ from cadence.pattern import (
     tree_width,
 )
 
-from _oracles import end_offset_by_origins, walk_corrections
+from _oracles import (
+    end_offset_by_origins,
+    target_factorize,
+    target_grow_horizontally,
+    walk_corrections,
+)
 from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, random_tree
 
 # Reference trees and their full expansions, spelled out by hand from
@@ -396,6 +404,81 @@ class TestGrowHorizontally:
             pattern_cost(factored, stats).total
             <= pattern_cost(plain, stats).total + 1e-9
         )
+
+
+def closes_with_a_leaf(tree: Block) -> bool:
+    """Whether a child block of the root ends with a leaf."""
+    return any(
+        isinstance(c, Block) and isinstance(c.children[-1], Leaf) for c in tree.children
+    )
+
+
+def random_pattern(rng: random.Random, tree: Block, lo: int, hi: int) -> Pattern:
+    """A pattern over the tree with corrections in -1..1, started in
+    ``lo..hi`` past a margin that keeps every corrected time positive."""
+    n = occurrence_count(tree)
+    corrections = tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n - 1))
+    return Pattern(tree=tree, tau=n + rng.randint(lo, hi), corrections=corrections)
+
+
+class TestMergeLayouts:
+    # The constructors built from a merge layout equal the target-and-solve
+    # builders they replaced, on random draws of every kind of merge.
+    def test_concatenation_equals_the_target_builder(self):
+        rng = random.Random(41)
+        seen: Counter = Counter()
+        for draw in range(1500):
+            members = [
+                random_pattern(rng, random_tree(rng, depth=3, leaves=3), 0, 30)
+                for _ in range(2 + draw % 3)
+            ]
+            try:
+                want = target_grow_horizontally(members)
+            except InvalidPatternError as exc:
+                with pytest.raises(InvalidPatternError, match=re.escape(str(exc))):
+                    grow_horizontally(members)
+                seen["negative join"] += 1
+                continue
+            got = grow_horizontally(members)
+            assert got == want
+            seen["built"] += 1
+            seen["unequal r"] += len({q.tree.r for q in members}) > 1
+            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["leaf closes"] += closes_with_a_leaf(got.tree)
+        assert seen["built"] >= 1000, seen
+        for kind in ("negative join", "unequal r", "interleaved", "leaf closes"):
+            assert seen[kind] >= 100, seen
+
+    def test_factorization_equals_the_target_builder(self):
+        # Concatenations of two roots that each hold one block, the
+        # blocks of one (r, p) in most draws.
+        rng = random.Random(42)
+        seen: Counter = Counter()
+        for _ in range(1500):
+            shapes = [(rng.randint(2, 3), rng.randint(2, 6))] * 2
+            if rng.random() < 0.1:
+                shapes[1] = (shapes[0][0], shapes[0][1] + 1)
+            members = []
+            for r, p in shapes:
+                inner = random_tree(rng, depth=2, leaves=3)
+                inner = dataclasses.replace(inner, r=r, p=p)
+                r_root = rng.randint(2, 4)
+                tree = Block(r=r_root, p=30, children=(inner,), distances=(0,))
+                members.append(random_pattern(rng, tree, 0, 15))
+            grown = grow_horizontally(members)
+            got, want = factorize(grown), target_factorize(grown)
+            assert got == want
+            if got is None:
+                seen["negative join" if shapes[0] == shapes[1] else "other shape"] += 1
+                continue
+            seen["built"] += 1
+            seen["unequal r"] += members[0].tree.r != members[1].tree.r
+            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["leaf closes"] += closes_with_a_leaf(grown.tree)
+        assert seen["built"] >= 1000, seen
+        for kind in ("negative join", "other shape", "unequal r", "interleaved"):
+            assert seen[kind] >= 50, seen
+        assert seen["leaf closes"] >= 50, seen
 
 
 # ---------------------------------------------------------------------------
