@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from dataclasses import replace
 from time import perf_counter
@@ -237,7 +238,7 @@ def _cmd_synth_eval(args: argparse.Namespace) -> int:
     print(f"exact recovery: {recovered}/{n}")
     print(
         f"diff: mean {mean_diff:.3f}, min {diffs[0]:.3f}, "
-        f"median {diffs[n // 2]:.3f}, max {diffs[-1]:.3f}"
+        f"median {statistics.median(diffs):.3f}, max {diffs[-1]:.3f}"
     )
     if args.out:
         _write_json(

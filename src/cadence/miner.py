@@ -19,12 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from time import perf_counter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DomainError,
     EventSequence,
-    InvalidCycleError,
     InvalidPatternError,
     UncodablePatternError,
 )
@@ -39,6 +38,7 @@ from .pattern import (
     factor_layout,
     factorize,
     fit_cycle,
+    fit_period,
     format_pattern,
     format_tree,
     grow_horizontally,
@@ -97,27 +97,6 @@ class Candidate:
     @property
     def tau(self) -> int:
         return self.pattern.tau
-
-
-def make_candidate(
-    p: Union[Pattern, Cycle], stats: SeqStats, provenance: str
-) -> Candidate | None:
-    """Cost a pattern; None when it cannot be transmitted."""
-    pat = p.as_pattern() if isinstance(p, Cycle) else p
-    try:
-        cost = codec.pattern_cost(pat, stats).total
-        cover = frozenset(corrected_occurrences(pat))
-    except (UncodablePatternError, InvalidPatternError, DomainError):
-        return None
-    if not cover:
-        return None
-    return Candidate(
-        pattern=pat,
-        cover=cover,
-        cost=cost,
-        notation=format_pattern(pat),
-        provenance=provenance,
-    )
 
 
 def _labels(pairs: Iterable[tuple[int, str]]) -> Counter:
@@ -427,13 +406,49 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
     return out
 
 
+def _grow(provenance: str, parts) -> Pattern:
+    """The pattern a priced candidate's recipe describes: a stage-S
+    cycle, or the growth of the member patterns that ``provenance``
+    names."""
+    if provenance == "vertical":
+        return grow_vertically(parts)
+    if provenance == "horizontal":
+        return grow_horizontally(parts)
+    if provenance == "factorized":
+        return factorize(grow_horizontally(parts))
+    return parts.as_pattern()
+
+
+def _build_survivors(
+    winners: Sequence[tuple[float, frozenset, str, tuple[str, object]]], k: int
+) -> list[Candidate]:
+    """The one build site: candidates priced before they are built,
+    given as ``(cost, cover, notation, (provenance, parts))``, pruned to
+    width ``k``.
+
+    The notation is a stage-S cycle's, known before it is built, and
+    ``""`` for a growth.  Only the winners whose ``(efficiency, cost,
+    notation)`` is within the ``k`` smallest for some occurrence they
+    cover are built (:func:`_grow`).  Equal winners count once and a
+    growth's ties are kept, so every candidate that
+    ``filter_candidates(k)`` keeps is among them.  Each candidate carries
+    the cost and cover it was priced with; the result is
+    ``filter_candidates`` of what was built.
+    """
+    groups = list(dict.fromkeys(entry[:3] for entry in winners))
+    keys = [(cost / len(cover), cost, notation) for cost, cover, notation in groups]
+    kept = {groups[i] for i in _within_k(keys, [g[1] for g in groups], k)}
+    out = []
+    for cost, cover, notation, (provenance, parts) in winners:
+        if (cost, cover, notation) in kept:
+            pattern = _grow(provenance, parts)
+            notation = notation or format_pattern(pattern)
+            out.append(Candidate(pattern, cover, cost, notation, provenance))
+    return filter_candidates(out, k)
+
+
 # ---------------------------------------------------------------------------
 # Combination rounds
-
-
-def _zero_pattern(tree: Block, tau: int) -> Pattern:
-    n = occurrence_count(tree)
-    return Pattern(tree=tree, tau=tau, corrections=(0,) * (n - 1))
 
 
 def combine_vertically(
@@ -447,51 +462,46 @@ def combine_vertically(
     For each distinct tree among the new candidates, the starting points
     of all candidates over that tree (new and pooled) are themselves
     mined for near-periodic chains; each chain's members are nested under
-    an outer cycle.  A nested candidate is kept when it is cheaper than
-    the summed cost of the members it replaces.
+    an outer cycle.  A nesting is priced from its members
+    (:func:`_nest_cost`) and kept when it is cheaper than the summed cost
+    of the members it replaces; the build site
+    (:func:`_build_survivors`) builds those that can survive pruning.
     """
-    merged = _dedupe(list(new) + list(pool))
     by_tree: dict[str, list[Candidate]] = {}
-    tree_of: dict[str, Block] = {}
-    for c in merged:
-        key = format_tree(c.pattern.tree)
-        by_tree.setdefault(key, []).append(c)
-        tree_of[key] = c.pattern.tree
+    for c in _dedupe(list(new) + list(pool)):
+        by_tree.setdefault(format_tree(c.pattern.tree), []).append(c)
     new_tree_keys = sorted({format_tree(c.pattern.tree) for c in new})
 
-    out: list[Candidate] = []
+    facts: dict[str, _Member] = {}
+    winners: list[tuple[float, frozenset, str, tuple]] = []
     for tree_key in new_tree_keys:
-        group = by_tree.get(tree_key, [])
         by_tau: dict[int, Candidate] = {}
-        for c in group:
+        for c in by_tree[tree_key]:
             prev = by_tau.get(c.tau)
             if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
                 by_tau[c.tau] = c
         if len(by_tau) < 3:
             continue
         taus = sorted(by_tau)
+        tree = by_tau[taus[0]].pattern.tree
+        zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
-            l_max = codec.pattern_cost(
-                _zero_pattern(tree_of[tree_key], taus[0]), stats
-            ).total
+            l_max = codec.pattern_cost(zero, stats).total
         except (UncodablePatternError, InvalidPatternError, DomainError):
             continue
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[t] for t in cycle_cover(chain)]
-            try:
-                grown = grow_vertically([m.pattern for m in members])
-            except (DomainError, InvalidPatternError, InvalidCycleError):
+            for c in members:
+                if c.notation not in facts:
+                    facts[c.notation] = _member(c, stats)
+            cost = _nest_cost(tree, [facts[c.notation] for c in members], stats)
+            if cost is None or cost >= sum(m.cost for m in members):
                 continue
-            cand = make_candidate(grown, stats, "vertical")
-            if cand is None:
-                continue
-            union_cover = frozenset().union(*(m.cover for m in members))
-            if cand.cover != union_cover:
-                continue
-            if cand.cost >= sum(m.cost for m in members):
-                continue
-            out.append(cand)
-    return filter_candidates(out, k)
+            cover = frozenset().union(*(m.cover for m in members))
+            winners.append(
+                (cost, cover, "", ("vertical", [m.pattern for m in members]))
+            )
+    return _build_survivors(winners, k)
 
 
 def _boundary_correction_sum(p: Pattern) -> int:
@@ -501,48 +511,24 @@ def _boundary_correction_sum(p: Pattern) -> int:
     return sum(abs(p.corrections[k * per_rep - 1]) for k in range(1, p.tree.r))
 
 
-def _degeneracy_order(adj: Mapping[int, set[int]]) -> list[int]:
-    deg = {v: len(ns) for v, ns in adj.items()}
-    heap = [(d, v) for v, d in deg.items()]
-    heapq.heapify(heap)
-    removed: set[int] = set()
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in removed or d != deg[v]:
-            continue
-        removed.add(v)
-        order.append(v)
-        for u in adj[v]:
-            if u not in removed:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
-    return order
-
-
 def maximal_cliques(adj: Mapping[int, set[int]]) -> list[tuple[int, ...]]:
-    """All maximal cliques of a small graph, deterministically ordered.
-
-    Outer loop over a degeneracy ordering, recursion with pivoting.
-    """
-    order = _degeneracy_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
+    """All maximal cliques of a small graph, sorted: Bron–Kerbosch with
+    pivoting.  A graph has one set of maximal cliques, so the pivot
+    choice only decides how fast they are found."""
     cliques: list[tuple[int, ...]] = []
 
     def extend(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             cliques.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -pos[u]))
-        for v in sorted(p - adj[pivot], key=pos.__getitem__):
+        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        for v in sorted(p - adj[pivot]):
             extend(r | {v}, p & adj[v], x & adj[v])
             p = p - {v}
             x = x | {v}
 
-    for v in order:
-        later = {u for u in adj[v] if pos[u] > pos[v]}
-        earlier = {u for u in adj[v] if pos[u] < pos[v]}
-        extend({v}, later, earlier)
+    if adj:
+        extend(set(), set(adj), set())
     cliques.sort()
     return cliques
 
@@ -685,18 +671,44 @@ def _layout_cost(
     return cost, frozenset().union(*(q.kept(r) for q in members))
 
 
-def _can_survive(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
-    """Merges, given as ``(cost, cover)``, whose ``(efficiency, cost)`` is
-    within the ``k`` smallest for some occurrence they cover.
+def _nest_cost(
+    tree: Block, members: Sequence[_Member], stats: SeqStats
+) -> float | None:
+    """Price of nesting the members, over ``tree`` and in start order,
+    under an outer cycle (:func:`grow_vertically`), without building it;
+    None when it is uncodable.
 
-    Entries of equal ``(cost, cover)`` count once and ties are kept, so
-    every merge that ``filter_candidates(k)`` keeps is among them,
-    whatever its notation.
+    Root repetition ``k`` is member ``k``, and every occurrence keeps its
+    corrected time, so its offset is its member's plus the fitted start
+    corrections of the first ``k`` repetitions: those are the only new
+    corrections.  The nesting lies in the window when its members do.
     """
-    groups = list(dict.fromkeys(entries))
-    keys = [(cost / len(cover), cost) for cost, cover in groups]
-    kept = {groups[i] for i in _within_k(keys, [cover for _, cover in groups], k)}
-    return {i for i, entry in enumerate(entries) if entry in kept}
+    if any(q.fits < len(q.occurrences) for q in members):
+        return None
+    p, starts = fit_period([q.cand.tau for q in members])
+    root = Block(r=len(members), p=p, children=(tree,), distances=(0,))
+    rep = root.repetition
+    shift = sum(starts)
+    last = members[-1].cand.pattern.offsets
+    if rep.interleaved:
+        end_offset = shift + min(last[s] for s in rep.last_right)
+    else:
+        end_offset = shift + last[-1]
+    # a member's summed |E| is the last entry of each of its columns
+    magnitude = sum(col[-1] for q in members for col in q.columns)
+    try:
+        return codec.placed_cost(
+            root,
+            members[0].cand.tau,
+            stats,
+            start_offset=shift,
+            end_offset=end_offset,
+            width=max(rep.times),
+            interleaved=rep.interleaved,
+            abs_corrections=magnitude + sum(abs(e) for e in starts),
+        ).total
+    except (UncodablePatternError, DomainError):
+        return None
 
 
 def combine_horizontally(
@@ -717,10 +729,10 @@ def combine_horizontally(
     Every merge is priced exactly from its members
     (:func:`_layout_cost` over :func:`concat_layout`), a pair's before it
     is kept; a pair whose merge can factorize is priced factorized too
-    (over :func:`factor_layout`), and the cheaper form strictly wins.  Only
-    the merges whose ``(efficiency, cost)`` can survive width-``k``
-    pruning are built, in their priced form, at one site.  The result is
-    what building every merge and then pruning gives.
+    (over :func:`factor_layout`), and the cheaper form strictly wins.  The
+    build site (:func:`_build_survivors`) builds, in their priced form,
+    the merges that can survive pruning.  The result is what building
+    every merge and then pruning gives.
     """
     if not new:
         return []
@@ -735,30 +747,30 @@ def combine_horizontally(
     boundary = [_boundary_correction_sum(c.pattern) for c in cands]
     facts: dict[int, _Member] = {}
 
-    def price(ids: tuple[int, ...]) -> tuple[float, frozenset, bool] | None:
-        """``(cost, cover, factored)`` of merging the candidates at
-        ``ids``: factorized when that is strictly cheaper."""
+    def price(ids: tuple[int, ...]) -> tuple[float, frozenset, str, tuple] | None:
+        """The winner entry of merging the candidates at ``ids``:
+        factorized when that is strictly cheaper."""
         for i in ids:
             if i not in facts:
                 facts[i] = _member(cands[i], stats)
         fs = [facts[i] for i in ids]
+        patterns = [f.cand.pattern for f in fs]
         try:
-            layout = concat_layout([f.cand.pattern for f in fs])
+            layout = concat_layout(patterns)
         except InvalidPatternError:
             return None
         plain = _layout_cost(layout, fs, stats)
         factored = factor_layout(layout) if len(fs) == 2 else None
         if factored and (alt := _layout_cost(factored, fs, stats)):
             if plain is None or alt[0] < plain[0]:
-                return (*alt, True)
-        return None if plain is None else (*plain, False)
+                return (*alt, "", ("factorized", patterns))
+        return None if plain is None else (*plain, "", ("horizontal", patterns))
 
-    # Pair merges that beat their members, then clique merges:
-    # (cost, cover, member indices, factored).
+    # Pair merges that beat their members, then clique merges.
     # ``cands`` is sorted by (tau, notation), which puts every merge's
     # members in grow_horizontally's (tau, format_tree) order: no tree's
     # bracket notation is a proper prefix of another's.
-    winners: list[tuple[float, frozenset, tuple[int, ...], bool]] = []
+    winners: list[tuple[float, frozenset, str, tuple]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
     for ia, a in enumerate(cands):
         p_a, r_a = periods[ia], lengths[ia]
@@ -774,14 +786,14 @@ def combine_horizontally(
             priced = price((ia, ib))
             if priced is None:
                 continue
-            cost, cover, factored = priced
+            cost, cover, _, _ = priced
             b = cands[ib]
             bits = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.cover | b.cover) - cover
                 bits += codec.residual_bits(stats, _labels(left_out))
             if bits < a.cost + b.cost:
-                winners.append((cost, cover, (ia, ib), factored))
+                winners.append(priced)
                 adj[ia].add(ib)
                 adj[ib].add(ia)
 
@@ -794,26 +806,8 @@ def combine_horizontally(
             cliques = _greedy_clique_cover(sub, comp)
         for clique in cliques:
             if len(clique) >= 3 and (priced := price(clique)) is not None:
-                cost, cover, factored = priced
-                winners.append((cost, cover, clique, factored))
-
-    keep = _can_survive([(cost, cover) for cost, cover, _, _ in winners], k)
-    out = []
-    for i in sorted(keep):
-        _, _, ids, factored = winners[i]
-        out.append(_merge_candidates([cands[j] for j in ids], stats, factored))
-    return filter_candidates(out, k)
-
-
-def _merge_candidates(
-    members: Sequence[Candidate], stats: SeqStats, factored: bool
-) -> Candidate | None:
-    """Build the concatenation of the members, factorized when
-    ``factored``."""
-    merged = grow_horizontally([m.pattern for m in members])
-    if factored:
-        return make_candidate(factorize(merged), stats, "factorized")
-    return make_candidate(merged, stats, "horizontal")
+                winners.append(priced)
+    return _build_survivors(winners, k)
 
 
 # ---------------------------------------------------------------------------
@@ -926,50 +920,41 @@ class MineResult:
 def _stage_one_event(
     seq: EventSequence, event: str, stats: SeqStats, k: int
 ) -> list[Candidate]:
-    """Stage-S candidates of one event that can survive width-``k`` pruning.
+    """Stage-S candidates of one event, pruned to width ``k``.
 
     The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
-    by :func:`codec.cycle_bits` (``inf`` when uncodable), and
-    only those among the ``k`` best by ``(cost / r, cost, notation)`` for
-    some timestamp they cover (:func:`_within_k`; notations make the keys
-    unique) become candidates, best first.  A stage-S cover holds
-    one event, so ``filter_candidates`` over all events keeps what it
-    would keep had every cycle been built.
+    by :func:`codec.cycle_bits` (``inf`` when uncodable) and covered by
+    :func:`cycle_cover`, and the build site (:func:`_build_survivors`)
+    builds those that can survive pruning.
     """
     ts = list(seq.per_event[event])
+    tri = extract_cycles_tri(ts, codec.extension_margin(stats), event=event)
     tagged = [("dp", cyc) for cyc in extract_cycles_dp(ts, event, stats)]
-    tagged += [
-        ("tri", cyc)
-        for cyc in extract_cycles_tri(
-            ts, codec.extension_margin(stats), event=event
-        )
-    ]
-    ranked: dict[str, tuple] = {}
+    tagged += [("tri", cyc) for cyc in tri]
+    winners: dict[str, tuple] = {}
     for provenance, cyc in tagged:
         notation = format_pattern(cyc)
-        if notation in ranked:
+        if notation in winners:
             continue
         abs_dev = sum(abs(e) for e in cyc.corrections)
         cost = codec.cycle_bits(
             stats, event, cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev
         )
         if cost < math.inf:
-            ranked[notation] = ((cost / cyc.r, cost, notation), provenance, cyc)
-    entries = sorted(ranked.values(), key=lambda entry: entry[0])
-    keep = _within_k(
-        [key for key, _, _ in entries], [cycle_cover(cyc) for _, _, cyc in entries], k
-    )
-    return [
-        make_candidate(cyc, stats, provenance)
-        for i, (_, provenance, cyc) in enumerate(entries)
-        if i in keep
-    ]
+            cover = frozenset((t, event) for t in cycle_cover(cyc))
+            winners[notation] = (cost, cover, notation, (provenance, cyc))
+    return _build_survivors(list(winners.values()), k)
 
 
 def extract_cycles(
     seq: EventSequence, stats: SeqStats, k: int, config: MiningConfig | None = None
 ) -> list[Candidate]:
-    """Stage one: per-event cycle candidates, pruned to width ``k``."""
+    """Stage one: per-event cycle candidates, pruned to width ``k``.
+
+    Each event's candidates are pruned on their own: covers of different
+    events are disjoint, so pruning them together would drop nothing, and
+    they are only sorted as :func:`filter_candidates` sorts.
+    """
     cfg = config or MiningConfig()
     events = list(seq.alphabet)
     if cfg.threads > 1 and len(events) > 1:
@@ -979,10 +964,9 @@ def extract_cycles(
             )
     else:
         results = [_stage_one_event(seq, e, stats, k) for e in events]
-    merged: list[Candidate] = []
-    for r in results:
-        merged.extend(r)
-    return filter_candidates(merged, k)
+    merged = [c for r in results for c in r]
+    merged.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
+    return merged
 
 
 def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:

@@ -451,9 +451,10 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
 
     The instances must share one tree and have distinct starting points.
     The result repeats that tree ``len(instances)`` times with the period
-    fitted to the starting points; its corrections interleave the
-    instances' correction lists with the fitted start corrections, so the
-    result covers exactly the union of the instances' occurrences.
+    fitted to the starting points, and its corrections are solved so that
+    repetition ``k`` lands on the ``k``-th instance's corrected
+    occurrences: the result covers exactly the union of the instances'
+    occurrences.
     """
     if len(instances) < 3:
         raise DomainError("vertical combination needs at least 3 instances")
@@ -464,13 +465,11 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     starts = [q.tau for q in inst]
     if len(set(starts)) != len(starts):
         raise DomainError("starting points must be distinct")
-    p_j, e_j = fit_period(starts)
-    corrections: list[int] = list(inst[0].corrections)
-    for q, boundary in zip(inst[1:], e_j):
-        corrections.append(boundary)
-        corrections.extend(q.corrections)
-    new_tree = Block(r=len(inst), p=p_j, children=(tree,), distances=(0,))
-    return Pattern(tree=new_tree, tau=inst[0].tau, corrections=tuple(corrections))
+    root = Block(r=len(inst), p=fit_period(starts)[0], children=(tree,), distances=(0,))
+    times = tree.compiled.times
+    targets = [q.tau + t + off for q in inst for t, off in zip(times, q.offsets)]
+    corrections = solve_corrections(root, inst[0].tau, targets)
+    return Pattern(tree=root, tau=inst[0].tau, corrections=corrections)
 
 
 @dataclass(frozen=True)

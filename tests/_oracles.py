@@ -2,20 +2,26 @@
 
 These deliberately avoid the library's search code: they re-derive the
 same quantities from the cost primitives alone, so the mining tests
-compare two separate routes to the same number.  The unpruned
-segmentation, the eager greedy cover, the build-everything stage S and
-the build-every-merge horizontal combination are the plain searches
-that the miner's pruned, lazy and ranked ones must reproduce exactly;
-the segmentation shares the miner's prices (``codec.cycle_bits``) so
-that the two compare float for float (that price is checked against
-the encoder separately).  The recursive correction walk and the
-origins-based end offset are the tree kernel's references, and the
-three-walk layout and repetition terms are the encoder's.  The capped
-triple chaining is the pass that whole-log chaining replaced, kept to
-show where its caps stopped it.  The target-and-solve concatenation and
-factorization are the builders that merge layouts replaced: they gather
-each root repetition's corrected occurrences in traversal order and
-solve for the corrections.
+compare two separate routes to the same number.  The miner prices a
+candidate before it builds it; :func:`make_candidate` builds a pattern
+and then prices it through the encoder, and the plain searches below
+build every candidate that way.  The unpruned segmentation, the eager
+greedy cover, the build-everything stage S, the build-every-nesting
+vertical combination and the build-every-merge horizontal combination
+are the plain searches that the miner's pruned, lazy and ranked ones
+must reproduce exactly; the segmentation shares the miner's prices
+(``codec.cycle_bits``) so that the two compare float for float (that
+price is checked against the encoder separately).  The survivor bound is
+the one the build site applies, written out on ``(cost, cover)`` pairs.
+The recursive correction walk and the origins-based end offset are the
+tree kernel's references, and the three-walk layout and repetition
+terms are the encoder's.  The capped triple chaining is the pass that
+whole-log chaining replaced, kept to show where its caps stopped it.
+The target-and-solve concatenation and factorization are the builders
+that merge layouts replaced: they gather each root repetition's
+corrected occurrences in traversal order and solve for the corrections;
+the interleaved-corrections nesting is the builder that solving
+replaced in vertical growth.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from cadence.miner import (
     _greedy_clique_cover,
     _labels,
     _RunningMedian,
+    _within_k,
     extract_cycles_dp,
     extract_cycles_tri,
+    Candidate,
     filter_candidates,
-    make_candidate,
     maximal_cliques,
 )
 from cadence.pattern import (
@@ -53,11 +60,35 @@ from cadence.pattern import (
     expand_tree,
     factorize,
     fit_cycle,
+    fit_period,
+    format_pattern,
     format_tree,
     grow_horizontally,
+    grow_vertically,
     occurrence_count,
     solve_corrections,
 )
+
+
+def make_candidate(p: Pattern | Cycle, stats: SeqStats, provenance: str):
+    """Build a candidate by pricing a built pattern through the encoder;
+    None when it cannot be transmitted.  The miner prices before it
+    builds; this is the reference it is checked against."""
+    pat = p.as_pattern() if isinstance(p, Cycle) else p
+    try:
+        cost = codec.pattern_cost(pat, stats).total
+        cover = frozenset(corrected_occurrences(pat))
+    except (UncodablePatternError, InvalidPatternError, DomainError):
+        return None
+    if not cover:
+        return None
+    return Candidate(
+        pattern=pat,
+        cover=cover,
+        cost=cost,
+        notation=format_pattern(pat),
+        provenance=provenance,
+    )
 
 
 def optimal_segmentation_bits(
@@ -200,6 +231,62 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
         built = [make_candidate(c, stats, prov) for prov, c in tagged]
         merged += _dedupe(c for c in built if c is not None)
     return filter_candidates(merged, k)
+
+
+def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
+    """Vertical combination building every chain's nesting.
+
+    The candidates over each tree of a new candidate, the cheapest (then
+    the first notation) at each start, have their starts chained, with
+    the zero-correction instance's price as tolerance.  Every chain's
+    nesting is built and priced, and kept when it covers its members'
+    union and beats their summed cost; width-``k`` pruning runs once at
+    the end.
+    """
+    merged = _dedupe(list(new) + list(pool))
+    by_tree: dict[str, list] = {}
+    for c in merged:
+        by_tree.setdefault(format_tree(c.pattern.tree), []).append(c)
+    out = []
+    for key in sorted({format_tree(c.pattern.tree) for c in new}):
+        by_tau: dict = {}
+        for c in by_tree[key]:
+            prev = by_tau.get(c.tau)
+            if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
+                by_tau[c.tau] = c
+        if len(by_tau) < 3:
+            continue
+        taus = sorted(by_tau)
+        tree = by_tau[taus[0]].pattern.tree
+        zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
+        try:
+            l_max = codec.pattern_cost(zero, stats).total
+        except (UncodablePatternError, DomainError):
+            continue
+        for chain in extract_cycles_tri(taus, l_max):
+            members = [by_tau[t] for t in cycle_cover(chain)]
+            try:
+                grown = grow_vertically([m.pattern for m in members])
+            except (DomainError, InvalidPatternError):
+                continue
+            cand = make_candidate(grown, stats, "vertical")
+            if cand is None:
+                continue
+            if cand.cover != frozenset().union(*(m.cover for m in members)):
+                continue
+            if cand.cost < sum(m.cost for m in members):
+                out.append(cand)
+    return filter_candidates(out, k)
+
+
+def survivor_bound(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
+    """Indices of the ``(cost, cover)`` entries whose ``(efficiency,
+    cost)`` is within the ``k`` smallest for some occurrence they cover,
+    equal entries counted once and ties kept."""
+    groups = list(dict.fromkeys(entries))
+    keys = [(cost / len(cover), cost) for cost, cover in groups]
+    kept = {groups[i] for i in _within_k(keys, [cover for _, cover in groups], k)}
+    return {i for i, entry in enumerate(entries) if entry in kept}
 
 
 def capped_triple_chains(
@@ -532,3 +619,18 @@ def target_factorize(p: Pattern) -> Pattern | None:
             targets.extend(t for t, _ in occ_b[j * per_rep_b : (j + 1) * per_rep_b])
     corrections = solve_corrections(factored, p.tau, targets)
     return Pattern(tree=factored, tau=p.tau, corrections=corrections)
+
+
+def interleaved_grow_vertically(instances: Sequence[Pattern]) -> Pattern:
+    """Same-tree patterns nested under an outer cycle over their starts,
+    built by interleaving the instances' correction lists with the
+    corrections of the period fitted to the starts.  Assumes the
+    instances share one tree and have distinct starts."""
+    inst = sorted(instances, key=lambda q: q.tau)
+    p, boundaries = fit_period([q.tau for q in inst])
+    corrections = list(inst[0].corrections)
+    for q, boundary in zip(inst[1:], boundaries):
+        corrections.append(boundary)
+        corrections.extend(q.corrections)
+    tree = Block(r=len(inst), p=p, children=(inst[0].tree,), distances=(0,))
+    return Pattern(tree=tree, tau=inst[0].tau, corrections=tuple(corrections))

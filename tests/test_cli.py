@@ -249,14 +249,32 @@ class TestSynthEval:
         "n_patterns=1\n"
     )
 
+    # Two trials whose diffs differ (14.35 and 29.70 bits): the median of
+    # two values is their mean, as ``cadence stats`` takes it.
+    UNEVEN_SPEC_TEXT = (
+        "basis=a d=2 b d=1 c\n"
+        "depth=2\n"
+        "outer_length=3,4\n"
+        "seed=3\n"
+        "n_patterns=1\n"
+        "shift_level=1\n"
+        "shift_density=0.2\n"
+        "additive_density=0.1\n"
+    )
+
     def test_two_trials_print_a_summary(self, tmp_path, capsys):
         spec = tmp_path / "plant.cfg"
-        spec.write_text(self.SPEC_TEXT, encoding="utf-8")
-        rc = main(["synth-eval", "--spec", str(spec), "--trials", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "exact recovery:" in out
-        assert "diff: mean" in out
+        for text, uneven in ((self.SPEC_TEXT, False), (self.UNEVEN_SPEC_TEXT, True)):
+            spec.write_text(text, encoding="utf-8")
+            rc = main(["synth-eval", "--spec", str(spec), "--trials", "2"])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "exact recovery:" in out
+            (line,) = [row for row in out.splitlines() if row.startswith("diff: mean")]
+            words = line.replace(",", "").split()
+            figures = dict(zip(words[1::2], words[2::2]))
+            assert figures["median"] == figures["mean"]
+            assert (float(figures["min"]) < float(figures["max"])) == uneven
 
     def test_json_report_lists_every_trial(self, tmp_path, capsys):
         spec = tmp_path / "plant.cfg"

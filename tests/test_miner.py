@@ -41,7 +41,6 @@ from cadence.miner import (
     extract_cycles_tri,
     filter_candidates,
     greedy_cover,
-    make_candidate,
     maximal_cliques,
     mine,
 )
@@ -53,12 +52,14 @@ from cadence.pattern import (
     classify_tree,
     compile_tree,
     concat_layout,
+    corrected_occurrences,
     cycle_cover,
     factor_layout,
     factorize,
     fit_cycle,
     format_tree,
     grow_horizontally,
+    grow_vertically,
     occurrence_count,
     parse_pattern,
     parse_tree,
@@ -69,12 +70,15 @@ from cadence.synth import PlantSpec, generate
 from _oracles import (
     build_every_cycle,
     build_every_merge,
+    build_every_nesting,
     capped_triple_chains,
     cycle_selection_bits,
     eager_greedy_cover,
+    make_candidate,
     optimal_segmentation_bits,
     single_candidate_bits,
     slack_pairs,
+    survivor_bound,
     unpruned_segmentation,
 )
 from conftest import approx_bits, random_tree
@@ -710,13 +714,13 @@ class TestStageSRanking:
 
     def test_builds_only_the_survivors(self, monkeypatch):
         built = []
-        original = miner.make_candidate
+        original = miner._grow
 
-        def counting(p, stats, provenance):
+        def counting(provenance, parts):
             built.append(provenance)
-            return original(p, stats, provenance)
+            return original(provenance, parts)
 
-        monkeypatch.setattr(miner, "make_candidate", counting)
+        monkeypatch.setattr(miner, "_grow", counting)
         rng = random.Random(5)
         seq = EventSequence.from_pairs(wobbly_log(rng, "abc", 20))
         out = extract_cycles(seq, own_stats(seq), 3)
@@ -1047,8 +1051,8 @@ class TestHorizontalPricing:
             assert seen[kind] >= 50, seen
 
     def test_merges_are_built_only_at_the_build_site(self, monkeypatch):
-        # _merge_candidates builds each merge that can survive pruning
-        # once, in its priced form, and never builds a pair to price it,
+        # The build site builds each merge that can survive pruning once,
+        # in its priced form, and nothing builds a pair to price it,
         # although the mined logs and the random pools hold factorizable
         # pairs, and in the pools factorizing wins some.
         calls = self.recorded_calls(monkeypatch, shaped_log("braids", 0))
@@ -1057,32 +1061,57 @@ class TestHorizontalPricing:
         for _ in range(40):
             cands, stats = random_merge_pool(rng)
             calls.append((cands[:5], cands[5:], stats))
-        built, survivors = [], []
-        build, survive = miner._merge_candidates, miner._can_survive
+        built, survivors, merges = [], [], []
+        grow, site = miner._grow, miner._build_survivors
+        concatenate = miner.grow_horizontally
 
-        def building(members, *args):
-            out = build(members, *args)
-            built.append(out and out.provenance)
-            return out
+        def building(provenance, parts):
+            built.append(provenance)
+            return grow(provenance, parts)
 
-        def surviving(entries, k):
-            keep = survive(entries, k)
-            survivors.append(len(keep))
-            return keep
+        def surviving(winners, k):
+            entries = [(cost, cover) for cost, cover, _, _ in winners]
+            survivors.append(len(survivor_bound(entries, k)))
+            return site(winners, k)
 
-        monkeypatch.setattr(miner, "_merge_candidates", building)
-        monkeypatch.setattr(miner, "_can_survive", surviving)
+        def concatenating(instances):
+            merges.append(len(instances))
+            return concatenate(instances)
+
+        monkeypatch.setattr(miner, "_grow", building)
+        monkeypatch.setattr(miner, "_build_survivors", surviving)
+        monkeypatch.setattr(miner, "grow_horizontally", concatenating)
         for new, pool, stats in calls:
             combine_horizontally(new, pool, stats, 3)
-        assert len(built) == sum(survivors)
+        assert len(built) == sum(survivors) == len(merges)
         assert "factorized" in built and "horizontal" in built
 
-    def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self):
+    def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self, monkeypatch):
         x, y, z = (0, "a"), (1, "a"), (2, "a")
+        stand_in = parse_pattern("[r=2 p=1](a) @ tau=0 E=[0]")
+        built = set()
+
+        def building(provenance, parts):
+            built.add(parts)
+            return stand_in
+
+        def survivors(entries, k, notations=None):
+            built.clear()
+            notations = notations or [""] * len(entries)
+            miner._build_survivors(
+                [
+                    (cost, cover, notation, ("test", i))
+                    for i, ((cost, cover), notation) in enumerate(zip(entries, notations))
+                ],
+                k,
+            )
+            return built
+
+        monkeypatch.setattr(miner, "_grow", building)
         # Two merges of equal cost and cover are one notation or several;
         # counted once, they leave room for the runner-up at k = 2.
         same = [(2.0, frozenset({x})), (2.0, frozenset({x})), (3.0, frozenset({x}))]
-        assert miner._can_survive(same, 2) == {0, 1, 2}
+        assert survivors(same, 2) == {0, 1, 2}
         # Equal (efficiency, cost) at x: notation would break the tie, so
         # both stay at k = 1.
         tied = [
@@ -1091,7 +1120,10 @@ class TestHorizontalPricing:
             (1.0, frozenset({y})),
             (1.0, frozenset({z})),
         ]
-        assert miner._can_survive(tied, 1) == {0, 1, 2, 3}
+        assert survivors(tied, 1) == {0, 1, 2, 3}
+        # A stage-S cycle's notation is known before it is built, and it
+        # breaks that tie as filter_candidates would.
+        assert survivors(tied, 1, ["b", "a", "c", "d"]) == {1, 2, 3}
 
     def test_builds_fewer_merges_than_pairs_it_tries(self, monkeypatch):
         # Building every pair that passes the slack test calls
@@ -1146,11 +1178,11 @@ class TestHorizontalPricing:
 
     @pytest.mark.parametrize("shape", ["heartbeats", "stream"])
     def test_builds_fewer_clique_merges_than_cliques(self, monkeypatch, shape):
-        # Building every clique merge calls _merge_candidates once per
-        # clique of three or more members.  The seeds give logs whose
-        # pools hold cliques, some of which cannot survive pruning.
+        # Building every clique merge builds once per clique of three or
+        # more members.  The seeds give logs whose pools hold cliques,
+        # some of which cannot survive pruning.
         cliques, built = [], []
-        original = miner._merge_candidates
+        original = miner._grow
 
         def recording(find):
             def found(*args):
@@ -1160,16 +1192,198 @@ class TestHorizontalPricing:
 
             return found
 
-        def counting(members, *args):
-            if len(members) >= 3:
-                built.append(len(members))
-            return original(members, *args)
+        def counting(provenance, parts):
+            if provenance in ("horizontal", "factorized") and len(parts) >= 3:
+                built.append(len(parts))
+            return original(provenance, parts)
 
         for name in ("maximal_cliques", "_greedy_clique_cover"):
             monkeypatch.setattr(miner, name, recording(getattr(miner, name)))
-        monkeypatch.setattr(miner, "_merge_candidates", counting)
+        monkeypatch.setattr(miner, "_grow", counting)
         mine(shaped_log(shape, {"heartbeats": 3, "stream": 38}[shape]))
         assert 0 < len(built) < len(cliques)
+
+
+def random_nesting(rng: random.Random, wide: SeqStats):
+    """Three to six candidates over one random tree, priced in ``wide``,
+    in start order with starts near a common period; None when a draw is
+    invalid or uncodable."""
+    tree = random_tree(rng, depth=3, leaves=3)
+    period = rng.randint(4, 40)
+    tau = rng.randint(0, 20)
+    members = []
+    for i in range(rng.randint(3, 6)):
+        corrections = tuple(
+            rng.randint(-2, 2) for _ in range(occurrence_count(tree) - 1)
+        )
+        start = tau + i * period + rng.randint(-2, 2)
+        if members and start <= members[-1].tau:
+            return None
+        try:
+            pattern = Pattern(tree=tree, tau=start, corrections=corrections)
+        except InvalidPatternError:
+            return None
+        cand = make_candidate(pattern, wide, "test")
+        if cand is None:
+            return None
+        members.append(cand)
+    return members
+
+
+def nesting_pools(rng: random.Random, draws: int) -> list:
+    """``(new, pool, stats)`` calls over random nestable groups and
+    strays, in a window that some members reach past."""
+    counts = {"a": 60, "b": 60, "c": 5}
+    wide = SeqStats(length=125, t_start=0, t_end=400, counts=counts)
+    calls = []
+    for _ in range(draws):
+        cands = []
+        for _ in range(rng.randint(1, 3)):
+            group = random_nesting(rng, wide)
+            if group is not None:
+                cands += group + rng.sample(group, 1)
+        if not cands:
+            continue
+        rng.shuffle(cands)
+        stats = dataclasses.replace(wide, t_end=rng.randint(120, 400))
+        cut = rng.randint(1, len(cands))
+        calls.append((cands[:cut], cands[cut:], stats))
+    return calls
+
+
+# Seeds whose shaped logs grow vertically as well as horizontally.
+NESTING_SEEDS = {"heartbeats": 3, "stream": 3, "braids": 6}
+
+
+class TestNestPricing:
+    # Pricing each chain's nesting from its members and building only
+    # those that can survive pruning gives what building every nesting
+    # gives.
+    @staticmethod
+    def same(got, want):
+        assert [(c.notation, c.provenance, c.cost) for c in got] == [
+            (c.notation, c.provenance, c.cost) for c in want
+        ]
+
+    @staticmethod
+    def recorded_calls(monkeypatch, seq) -> list:
+        calls = []
+        original = miner.combine_vertically
+
+        def recording(new, pool, stats, k):
+            calls.append((list(new), list(pool), stats))
+            return original(new, pool, stats, k)
+
+        monkeypatch.setattr(miner, "combine_vertically", recording)
+        mine(seq)
+        monkeypatch.undo()
+        return calls
+
+    def test_closed_form_equals_the_built_nesting(self):
+        # The price of a nesting read off its members equals that of the
+        # nesting built and priced by the encoder, float for float, and
+        # is None exactly when the encoder raises.
+        rng = random.Random(11)
+        wide = SeqStats(
+            length=125, t_start=0, t_end=400, counts={"a": 60, "b": 60, "c": 5}
+        )
+        seen: Counter = Counter()
+        for _ in range(2500):
+            members = random_nesting(rng, wide)
+            if members is None:
+                continue
+            stats = dataclasses.replace(
+                wide, t_start=rng.randint(0, 6), t_end=rng.randint(80, 400)
+            )
+            tree = members[0].pattern.tree
+            facts = [miner._member(c, stats) for c in members]
+            got = miner._nest_cost(tree, facts, stats)
+            nested = grow_vertically([c.pattern for c in members])
+            window = range(stats.t_start, stats.t_end + 1)
+            outside = any(t not in window for c in members for t, _ in c.cover)
+            rarest = min(stats.counts[e] for _, e in members[0].cover)
+            try:
+                want = pattern_cost(nested, stats).total
+            except UncodablePatternError:
+                assert got is None
+                seen["outside"] += outside
+                seen["r above rarest"] += not outside and len(members) > rarest
+                continue
+            assert got == want
+            seen["priced"] += 1
+            seen["interleaved"] += nested.tree.compiled.interleaved
+            seen["nested"] += any(isinstance(c, Block) for c in tree.children)
+        assert seen["priced"] >= 1000, seen
+        for kind in ("interleaved", "nested", "outside", "r above rarest"):
+            assert seen[kind] >= 50, seen
+
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
+    def test_same_candidates_as_building_every_nesting(self, monkeypatch, shape):
+        calls = self.recorded_calls(monkeypatch, shaped_log(shape, NESTING_SEEDS[shape]))
+        assert any(combine_vertically(*call, 3) for call in calls)
+        for new, pool, stats in calls:
+            for k in (1, 2, 3):
+                self.same(
+                    combine_vertically(new, pool, stats, k),
+                    build_every_nesting(new, pool, stats, k),
+                )
+
+    def test_same_candidates_on_random_pools(self):
+        # Random trees reach what the mined logs do not: members outside
+        # the window, nestings longer than their rarest event allows, and
+        # interleaved trees.
+        found = 0
+        for new, pool, stats in nesting_pools(random.Random(17), 60):
+            for k in (1, 2, 3):
+                want = build_every_nesting(new, pool, stats, k)
+                self.same(combine_vertically(new, pool, stats, k), want)
+                found += len(want)
+        assert found >= 50
+
+    def test_builds_only_the_survivors(self, monkeypatch):
+        # The nestings built are those the survivor bound keeps, fewer
+        # than the chains found.
+        calls = self.recorded_calls(monkeypatch, shaped_log("braids", 6))
+        calls += nesting_pools(random.Random(17), 60)
+        built, survivors, chained = [], [], []
+        grow, site = miner._grow, miner._build_survivors
+        chain = miner.extract_cycles_tri
+
+        def building(provenance, parts):
+            built.append(provenance)
+            return grow(provenance, parts)
+
+        def surviving(winners, k):
+            entries = [(cost, cover) for cost, cover, _, _ in winners]
+            survivors.append(len(survivor_bound(entries, k)))
+            return site(winners, k)
+
+        def chaining(*args):
+            out = chain(*args)
+            chained.append(len(out))
+            return out
+
+        monkeypatch.setattr(miner, "_grow", building)
+        monkeypatch.setattr(miner, "_build_survivors", surviving)
+        monkeypatch.setattr(miner, "extract_cycles_tri", chaining)
+        for new, pool, stats in calls:
+            combine_vertically(new, pool, stats, 3)
+        assert built == ["vertical"] * sum(survivors)
+        assert 0 < len(built) < sum(chained), (len(built), sum(chained))
+
+
+class TestBuildSite:
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
+    def test_pool_carries_the_price_it_was_kept_with(self, shape):
+        # Nothing re-prices a built candidate, so every pooled one must
+        # carry its encoder price and cover.
+        seq = shaped_log(shape, NESTING_SEEDS[shape])
+        stats = own_stats(seq)
+        pool = mine(seq).pool
+        assert {"vertical", "horizontal"} <= {c.provenance for c in pool}
+        for c in pool:
+            assert c.cost == pattern_cost(c.pattern, stats).total, c.notation
+            assert c.cover == frozenset(corrected_occurrences(c.pattern)), c.notation
 
 
 class TestExtractCyclesStage:

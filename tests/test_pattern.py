@@ -45,6 +45,7 @@ from cadence.pattern import (
 
 from _oracles import (
     end_offset_by_origins,
+    interleaved_grow_vertically,
     target_factorize,
     target_grow_horizontally,
     walk_corrections,
@@ -479,6 +480,31 @@ class TestMergeLayouts:
         for kind in ("negative join", "other shape", "unequal r", "interleaved"):
             assert seen[kind] >= 50, seen
         assert seen["leaf closes"] >= 50, seen
+
+    def test_nesting_equals_the_interleaved_corrections(self):
+        # Solving a nesting's corrections against its members' corrected
+        # occurrences gives the corrections interleaved with the fitted
+        # start corrections, which grow_vertically used to assemble.
+        rng = random.Random(43)
+        seen: Counter = Counter()
+        for _ in range(1000):
+            tree = random_tree(rng, depth=3, leaves=3)
+            period = rng.randint(1, 40)
+            members = [
+                random_pattern(rng, tree, i * period, i * period + 3)
+                for i in range(rng.randint(3, 6))
+            ]
+            if len({q.tau for q in members}) < len(members):
+                continue
+            rng.shuffle(members)
+            got = grow_vertically(members)
+            assert got == interleaved_grow_vertically(members)
+            seen["built"] += 1
+            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["nested"] += any(isinstance(c, Block) for c in tree.children)
+        assert seen["built"] >= 900, seen
+        for kind in ("interleaved", "nested"):
+            assert seen[kind] >= 100, seen
 
 
 # ---------------------------------------------------------------------------
