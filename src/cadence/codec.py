@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .core import (
     DomainError,
@@ -42,7 +42,6 @@ from .pattern import (
     Leaf,
     Node,
     Pattern,
-    CompiledTree,
     classify_tree,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
@@ -255,20 +254,6 @@ def _block_bits(block: Block, tspan: int, interleaved: bool) -> float:
     return bits + _distance_and_period_bits(block, width, interleaved)
 
 
-def _last_content_offset(compiled: CompiledTree, offsets: Sequence[int]) -> int:
-    """Cumulative offset of the occurrence that pins the decoder's view of
-    where the last repetition's content ends.
-
-    In reading order this is simply the last occurrence.  When the tree
-    interleaves, the candidates are the last root repetition's occurrences
-    whose leaf is the right-most child of its parent, and the smallest
-    offset among them is used.
-    """
-    if not compiled.interleaved:
-        return offsets[-1]
-    return min(offsets[i] for i in compiled.last_right)
-
-
 def _root_ranges(
     stats: SeqStats, r: int, p: int, tau: int, start_offset: int
 ) -> tuple[int, int] | None:
@@ -294,28 +279,28 @@ def placed_cost(
     tau: int,
     stats: SeqStats,
     *,
-    start_offset: int,
-    end_offset: int,
-    width: int,
-    interleaved: bool,
+    last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> CostBreakdown:
     """Bits to transmit a tree started at ``tau`` whose corrected
-    occurrences lie in the window, placed as the keywords say.
+    occurrences lie in the window.
 
-    ``start_offset`` is the cumulative offset of the last root
-    repetition's first occurrence, ``end_offset`` the one of
-    :func:`_last_content_offset`, ``width`` the largest perfect time in
-    the first root repetition, and ``abs_corrections`` the corrections'
-    summed magnitudes.  This is the one sequence of encoder terms:
-    :func:`pattern_cost` reads the placement off a built pattern and the
-    miner off the layout and members of a merge it has not built, so
-    the two price bit for bit alike.  Raises :class:`UncodablePatternError`
-    when a term is out of range.
+    ``last_offset(i)`` is the cumulative offset of occurrence ``i`` of
+    the last root repetition, and ``abs_corrections`` the corrections'
+    summed magnitudes; the rest is read off ``tree.repetition``.  The
+    root period and the start are coded against the last repetition's
+    first occurrence, and the distances against where the decoder knows
+    that repetition's content ends: its last occurrence, or, when the
+    tree interleaves, the one with the smallest offset among those whose
+    leaf is its parent's right-most child.  This is the one sequence of encoder
+    terms: :func:`pattern_cost` reads the offsets off a built pattern
+    and the miner off the layout and members of a merge it has not
+    built, so the two price bit for bit alike.  Raises
+    :class:`UncodablePatternError` when a term is out of range.
     """
     bits_a, bits_r, _ = _tree_bits(tree, stats)
 
-    ranges = _root_ranges(stats, tree.r, tree.p, tau, start_offset)
+    ranges = _root_ranges(stats, tree.r, tree.p, tau, last_offset(0))
     if ranges is None:
         raise UncodablePatternError(
             f"root period {tree.p} or starting point {tau} out of range"
@@ -325,13 +310,19 @@ def placed_cost(
     if is_simple(tree):
         bits_d = 0.0
     else:
+        rep = tree.repetition
+        if rep.interleaved:
+            end_offset = min(last_offset(i) for i in rep.last_right)
+        else:
+            end_offset = last_offset(len(rep.times) - 1)
+        width = max(rep.times)
         max_width = stats.t_end - tau - end_offset - (tree.r - 1) * tree.p
-        if width < 0 or width > max_width:
+        if width > max_width:
             raise UncodablePatternError(
                 f"repetition width {width} outside [0, {max_width}]"
             )
         bits_d = log2(max_width + 1)
-        bits_d += _distance_and_period_bits(tree, width, interleaved)
+        bits_d += _distance_and_period_bits(tree, width, rep.interleaved)
 
     bits_e = _correction_bits(tree.count - 1, abs_corrections)
     return CostBreakdown(
@@ -382,15 +373,12 @@ def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
                 f"corrected occurrence ({ct}, {e}) falls outside "
                 f"[{stats.t_start}, {stats.t_end}]"
             )
-    per_rep = len(offsets) // tree.r
+    base = (tree.r - 1) * len(tree.repetition.times)
     return placed_cost(
         tree,
         p.tau,
         stats,
-        start_offset=offsets[(tree.r - 1) * per_rep],
-        end_offset=_last_content_offset(compiled, offsets),
-        width=max(compiled.times[:per_rep]),
-        interleaved=compiled.interleaved,
+        last_offset=lambda i: offsets[base + i],
         abs_corrections=sum(abs(e) for e in p.corrections),
     )
 

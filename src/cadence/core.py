@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, TextIO
 
@@ -175,12 +176,10 @@ class EventSequence:
 
 
 def _parse_line(line: str, number: int, separator: str) -> tuple[int, str]:
-    if separator == "tab" or (separator == "auto" and "\t" in line):
-        parts = line.split("\t")
-    else:
-        parts = line.split(",")
+    tab = separator == "tab" or (separator == "auto" and "\t" in line)
+    parts = line.split("\t" if tab else ",")
     if len(parts) != 2:
-        raise ParseError(f"expected 'timestamp{'<TAB>' if chr(9) in line else ','}label', got {line!r}", number)
+        raise ParseError(f"expected 'timestamp{'<TAB>' if tab else ','}label', got {line!r}", number)
     raw_t, label = parts[0].strip(), parts[1].strip()
     if not label:
         raise ParseError("empty event label", number)
@@ -266,12 +265,6 @@ class SequenceSummary:
 def stats(seq: EventSequence) -> SequenceSummary:
     """Summarize a sequence (length, span, per-event counts and extremes)."""
     counts = {e: len(ts) for e, ts in seq.per_event.items()}
-    values = sorted(counts.values())
-    n = len(values)
-    if n % 2 == 1:
-        median: float = float(values[n // 2])
-    else:
-        median = (values[n // 2 - 1] + values[n // 2]) / 2.0
     return SequenceSummary(
         length=len(seq),
         span=seq.span,
@@ -279,8 +272,8 @@ def stats(seq: EventSequence) -> SequenceSummary:
         t_end=seq.t_end,
         alphabet_size=len(seq.alphabet),
         counts=counts,
-        median_count=median,
-        max_count=max(values),
+        median_count=float(statistics.median(counts.values())),
+        max_count=max(counts.values()),
     )
 
 

@@ -511,10 +511,11 @@ def _boundary_correction_sum(p: Pattern) -> int:
     return sum(abs(p.corrections[k * per_rep - 1]) for k in range(1, p.tree.r))
 
 
-def maximal_cliques(adj: Mapping[int, set[int]]) -> list[tuple[int, ...]]:
-    """All maximal cliques of a small graph, sorted: Bron–Kerbosch with
-    pivoting.  A graph has one set of maximal cliques, so the pivot
-    choice only decides how fast they are found."""
+def maximal_cliques(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[int, ...]]:
+    """All maximal cliques among ``nodes``, a union of components of a
+    small symmetric graph, sorted: Bron–Kerbosch with pivoting.  A graph
+    has one set of maximal cliques, so the pivot choice only decides how
+    fast they are found."""
     cliques: list[tuple[int, ...]] = []
 
     def extend(r: set[int], p: set[int], x: set[int]) -> None:
@@ -527,8 +528,8 @@ def maximal_cliques(adj: Mapping[int, set[int]]) -> list[tuple[int, ...]]:
             p = p - {v}
             x = x | {v}
 
-    if adj:
-        extend(set(), set(adj), set())
+    if nodes:
+        extend(set(), set(nodes), set())
     cliques.sort()
     return cliques
 
@@ -650,20 +651,12 @@ def _layout_cost(
         abs_corrections += sum(
             abs(a[k * per_a + j] - b[k * per_b + i] + k * d) for k in range(r)
         )
-    last = r - 1
-    if rep.interleaved:
-        end_offset = min(offset(last, s) for s in rep.last_right)
-    else:
-        end_offset = offset(last, len(slots) - 1)
     try:
         cost = codec.placed_cost(
             root,
             layout.tau,
             stats,
-            start_offset=offset(last, 0),
-            end_offset=end_offset,
-            width=max(rep.times),
-            interleaved=rep.interleaved,
+            last_offset=lambda s: offset(r - 1, s),
             abs_corrections=abs_corrections,
         ).total
     except (UncodablePatternError, DomainError):
@@ -687,13 +680,8 @@ def _nest_cost(
         return None
     p, starts = fit_period([q.cand.tau for q in members])
     root = Block(r=len(members), p=p, children=(tree,), distances=(0,))
-    rep = root.repetition
     shift = sum(starts)
     last = members[-1].cand.pattern.offsets
-    if rep.interleaved:
-        end_offset = shift + min(last[s] for s in rep.last_right)
-    else:
-        end_offset = shift + last[-1]
     # a member's summed |E| is the last entry of each of its columns
     magnitude = sum(col[-1] for q in members for col in q.columns)
     try:
@@ -701,10 +689,7 @@ def _nest_cost(
             root,
             members[0].cand.tau,
             stats,
-            start_offset=shift,
-            end_offset=end_offset,
-            width=max(rep.times),
-            interleaved=rep.interleaved,
+            last_offset=lambda i: shift + last[i],
             abs_corrections=magnitude + sum(abs(e) for e in starts),
         ).total
     except (UncodablePatternError, DomainError):
@@ -797,13 +782,12 @@ def combine_horizontally(
                 adj[ia].add(ib)
                 adj[ib].add(ia)
 
-    nodes = {v for v, ns in adj.items() if ns}
-    sub = {v: adj[v] & nodes for v in nodes}
-    for comp in _components(sub, nodes):
+    # ``adj`` is symmetric, so each component holds all its nodes' neighbours.
+    for comp in _components(adj, [v for v, ns in adj.items() if ns]):
         if len(comp) <= _CLIQUE_NODE_CAP:
-            cliques = maximal_cliques({v: sub[v] & comp for v in comp})
+            cliques = maximal_cliques(adj, comp)
         else:
-            cliques = _greedy_clique_cover(sub, comp)
+            cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:
             if len(clique) >= 3 and (priced := price(clique)) is not None:
                 winners.append(priced)

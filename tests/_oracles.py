@@ -484,7 +484,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
             adj.setdefault(ib, set()).add(ia)
     for comp in _components(adj, adj):
         if len(comp) <= _CLIQUE_NODE_CAP:
-            cliques = maximal_cliques({v: adj[v] & comp for v in comp})
+            cliques = maximal_cliques(adj, comp)
         else:
             cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:

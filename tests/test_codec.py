@@ -25,9 +25,9 @@ from cadence.codec import (
     w_threshold,
 )
 from cadence.core import DomainError, EventSequence, UncodablePatternError
-from cadence.pattern import Cycle, Pattern, fit_cycle, parse_pattern, parse_tree
+from cadence.pattern import Cycle, Pattern, fit_cycle, is_simple, parse_pattern, parse_tree
 
-from _oracles import layout_and_repetition_bits
+from _oracles import end_offset_by_origins, layout_and_repetition_bits
 from conftest import (
     BIT_TOL,
     REFERENCE_COLLECTIONS,
@@ -198,17 +198,14 @@ class TestCycleCost:
 class TestTreeTerms:
     # The layout and repetition terms come from one post-order walk; the
     # three-walk reference gives the same floats and rejects the same
-    # trees.  A huge window and width keep every other term codable.
+    # trees.  A huge window keeps every other term codable.
     @staticmethod
     def placed(tree, stats):
         return placed_cost(
             tree,
             0,
             stats,
-            start_offset=0,
-            end_offset=0,
-            width=10**6,
-            interleaved=True,
+            last_offset=lambda i: 0,
             abs_corrections=0,
         )
 
@@ -233,6 +230,48 @@ class TestTreeTerms:
             assert (got.A, got.R) == want
             seen["priced"] += 1
         assert seen["priced"] >= 2000 and seen["r above the rarest count"] >= 100, seen
+
+
+class TestContentEnd:
+    # A non-simple tree's width is coded out of what is left of the
+    # window after where the decoder knows the last repetition's content
+    # ends.  A window that ends exactly the width after that end (found
+    # from the block paths) prices the tree; one tick less does not.
+    def test_width_bound_follows_the_origins_rule(self):
+        rng = random.Random(31)
+        seen: Counter = Counter()
+        counts = {e: 10**4 for e in "abc"}
+        for _ in range(2000):
+            tree = random_tree(rng, depth=3, leaves=3)
+            if is_simple(tree):
+                continue
+            n = tree.count
+            corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            offsets = Pattern(tree=tree, tau=0, corrections=corrections).offsets
+            width = max(tree.repetition.times)
+            base = n - len(tree.repetition.times)
+            end = end_offset_by_origins(tree, offsets)
+            if end + width <= offsets[base]:
+                continue  # the start's range binds first
+            t_end = end + (tree.r - 1) * tree.p + width
+
+            def placed(t_end):
+                stats = SeqStats(length=3 * 10**4, t_start=0, t_end=t_end, counts=counts)
+                return placed_cost(
+                    tree,
+                    0,
+                    stats,
+                    last_offset=lambda i: offsets[base + i],
+                    abs_corrections=0,
+                )
+
+            assert placed(t_end).D >= 0.0
+            with pytest.raises(UncodablePatternError, match="repetition width"):
+                placed(t_end - 1)
+            seen["priced"] += 1
+            seen["ends before the last occurrence"] += end != offsets[-1]
+        assert seen["priced"] >= 1200, seen
+        assert seen["ends before the last occurrence"] >= 600, seen
 
 
 class TestBaseline:

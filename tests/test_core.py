@@ -47,6 +47,19 @@ class TestLoadSequence:
             load_sequence("1\ta\nnot-a-line\n")
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "separator, line, hint",
+        [
+            ("tab", "5,a", "'timestamp<TAB>label'"),
+            ("comma", "5\ta", "'timestamp,label'"),
+            ("auto", "5\ta\tb", "'timestamp<TAB>label'"),
+            ("auto", "5;a", "'timestamp,label'"),
+        ],
+    )
+    def test_parse_error_names_the_separator_in_effect(self, separator, line, hint):
+        with pytest.raises(ParseError, match=f"expected {hint}"):
+            load_sequence(line + "\n", IngestOptions(separator=separator))
+
     def test_non_integer_timestamp(self):
         with pytest.raises(ParseError) as exc:
             load_sequence("1\ta\n2.5\tb\n")

@@ -7,7 +7,8 @@ including those inside function bodies.  No module uses another's
 underscore-prefixed names, so each one's public functions are the only
 way in: the miner prices through ``codec``'s public pricing path.  Only
 ``codec`` (and ``core``, which defines it) takes logarithms, so the
-encoder's terms have one home, and no module keeps a function cache:
+encoder's terms have one home; only ``codec`` and ``pattern`` read where a
+tree's last repetition ends; and no module keeps a function cache:
 what is computed once lives on its object.
 """
 
@@ -179,6 +180,20 @@ def test_only_the_encoder_takes_logarithms(name):
     # ``codec`` prices with it.
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert "log2" not in names_used(source)
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"codec", "pattern"}))
+def test_only_the_encoder_and_the_trees_read_where_content_ends(name):
+    # Where the last repetition's content ends is the encoder's rule,
+    # read off the tree that ``pattern`` compiles: no other module reads
+    # the interleaving or the right-most leaves it is found from.
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    assert not read & {"interleaved", "last_right"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -602,12 +602,12 @@ class TestLazyGreedy:
 class TestMaximalCliques:
     def test_triangle_with_pendant(self):
         adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}}
-        cliques = {frozenset(c) for c in maximal_cliques(adj)}
+        cliques = {frozenset(c) for c in maximal_cliques(adj, set(adj))}
         assert cliques == {frozenset({0, 1, 2}), frozenset({2, 3})}
 
     def test_disconnected_pairs(self):
         adj = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
-        cliques = {frozenset(c) for c in maximal_cliques(adj)}
+        cliques = {frozenset(c) for c in maximal_cliques(adj, set(adj))}
         assert cliques == {frozenset({0, 1}), frozenset({2, 3})}
 
 

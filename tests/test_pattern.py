@@ -15,7 +15,7 @@ from cadence.core import (
     InvalidCycleError,
     InvalidPatternError,
 )
-from cadence.codec import SeqStats, _last_content_offset, pattern_cost
+from cadence.codec import SeqStats, pattern_cost
 from cadence.pattern import (
     Block,
     Cycle,
@@ -590,9 +590,11 @@ class TestCompiledKernel:
             p = Pattern(tree=tree, tau=10 * n, corrections=corrections)
             offsets = p.offsets
             assert list(offsets) == walk_corrections(tree, (0,) + corrections, False)
-            assert _last_content_offset(compiled, offsets) == end_offset_by_origins(
-                tree, offsets
-            )
+            # codec.placed_cost's end of the last repetition's content
+            rep = tree.repetition
+            last = offsets[(tree.r - 1) * len(rep.times) :]
+            end = min(last[i] for i in rep.last_right) if rep.interleaved else last[-1]
+            assert end == end_offset_by_origins(tree, offsets)
 
             corrected = [t for t, _ in corrected_occurrences(p)]
             assert solve_corrections(tree, p.tau, corrected) == corrections
