@@ -330,6 +330,38 @@ def placed_cost(
     )
 
 
+def cycle_pricer(
+    stats: SeqStats, event: str
+) -> Callable[[int, int, int, int, int], float]:
+    """The price of a fitted cycle of ``event`` from its parameters, as
+    a callable ``(r, p, tau, sigma, abs_corrections) -> bits``: the
+    cycle's occurrences increase, its corrections sum to ``sigma`` and
+    their magnitudes to ``abs_corrections``.  It returns
+    ``pattern_cost(cycle, stats).total`` bit for bit, and ``inf``
+    exactly when that raises.
+
+    The event's terms are worked out once, so a search that prices many
+    segments of one event builds this once and calls it per segment.
+    They are the left prefix of :attr:`CostBreakdown.total`'s sum, which
+    Python adds left to right, so hoisting them changes no bit.
+    """
+    leaf, count = _leaf_bits(stats, event)
+    head = 2.0 * _LOG3 + leaf + log2(count)  # A, then R
+    span, t_start = stats.span, stats.t_start
+
+    def price(r: int, p: int, tau: int, sigma: int, abs_corrections: int) -> float:
+        # _root_ranges with the first occurrence's offset sigma, inline
+        numer = span - sigma
+        p0_max = numer // (r - 1)
+        v = numer - (r - 1) * p + 1
+        if p > p0_max or not t_start <= tau < t_start + v or r > count:
+            return math.inf
+        # p0, D (0.0 for a simple cycle, which adds nothing), tau and E
+        return head + log2(p0_max) + log2(v) + float(2 * (r - 1) + abs_corrections)
+
+    return price
+
+
 def cycle_bits(
     stats: SeqStats,
     event: str,
@@ -339,19 +371,9 @@ def cycle_bits(
     sigma: int,
     abs_corrections: int,
 ) -> float:
-    """Bits to transmit a fitted cycle (increasing occurrences, corrections
-    summing to ``sigma`` with magnitudes summing to ``abs_corrections``)
-    without building it: ``pattern_cost(cycle, stats).total`` bit for
-    bit, and ``inf`` exactly when that raises."""
-    leaf, count = _leaf_bits(stats, event)
-    ranges = _root_ranges(stats, r, p, tau, sigma)
-    if ranges is None or r > count:
-        return math.inf
-    # A, R, p0, D (0.0 for a simple cycle), tau and E, in CostBreakdown.total's order
-    return (
-        2.0 * _LOG3 + leaf + log2(count) + log2(ranges[0]) + 0.0 + log2(ranges[1])
-        + _correction_bits(r - 1, abs_corrections)
-    )
+    """Bits to transmit a fitted cycle without building it: one price
+    from :func:`cycle_pricer`."""
+    return cycle_pricer(stats, event)(r, p, tau, sigma, abs_corrections)
 
 
 def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:

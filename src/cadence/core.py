@@ -277,6 +277,5 @@ def stats(seq: EventSequence) -> SequenceSummary:
     )
 
 
-def log2(x: float) -> float:
-    """Base-2 logarithm used throughout the cost model."""
-    return math.log2(x)
+# Base-2 logarithm used throughout the cost model.
+log2 = math.log2

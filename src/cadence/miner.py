@@ -119,52 +119,6 @@ def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
 # Cycle extraction: optimal windowed segmentation
 
 
-class _RunningMedian:
-    """Median and absolute-deviation sum under online insertion.
-
-    Keeps the smaller half in a max-heap and the larger half in a
-    min-heap so that the upper middle value (the fitted period
-    convention) is always the top of the large half.
-    """
-
-    __slots__ = ("lo", "hi", "sum_lo", "sum_hi")
-
-    def __init__(self) -> None:
-        self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.sum_lo = 0
-        self.sum_hi = 0
-
-    def insert(self, x: int) -> None:
-        if self.lo and x <= -self.lo[0]:
-            heapq.heappush(self.lo, -x)
-            self.sum_lo += x
-        else:
-            heapq.heappush(self.hi, x)
-            self.sum_hi += x
-        total = len(self.lo) + len(self.hi)
-        want_lo = total // 2
-        if len(self.lo) > want_lo:
-            x = -heapq.heappop(self.lo)
-            self.sum_lo -= x
-            heapq.heappush(self.hi, x)
-            self.sum_hi += x
-        elif len(self.lo) < want_lo:
-            x = heapq.heappop(self.hi)
-            self.sum_hi -= x
-            heapq.heappush(self.lo, -x)
-            self.sum_lo += x
-
-    @property
-    def median(self) -> int:
-        return self.hi[0]
-
-    @property
-    def abs_deviation(self) -> int:
-        p = self.hi[0]
-        return (p * len(self.lo) - self.sum_lo) + (self.sum_hi - p * len(self.hi))
-
-
 def extract_cycles_dp(
     timestamps: Sequence[int],
     event: str,
@@ -177,8 +131,12 @@ def extract_cycles_dp(
     cycle; everything else stays residual.  The segmentation minimizing
     the total bits is found by dynamic programming over prefixes, with
     segments capped at ``window`` occurrences.  Each segment is priced by
-    :func:`codec.cycle_bits`, the encoder's price of a fitted cycle from
-    its parameters, with the period kept by an online median.
+    :func:`codec.cycle_pricer`, the encoder's price of a fitted cycle from
+    its parameters, built once for the event.  The period is the upper
+    median of the segment's gaps, kept online in two heaps as the scan
+    adds a gap per step: a max-heap (negated) of the smaller half and a
+    min-heap of the larger, whose top is the median, with each half's
+    sum for the gaps' absolute deviation from it.
 
     The last segment's start ``i`` is scanned leftwards from ``j - 1``,
     and the scan stops early by an exact bound.  Extending a segment
@@ -202,11 +160,15 @@ def extract_cycles_dp(
     n = len(ts)
     if n < 3:
         return []
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    gaps = [b - a for a, b in zip(ts, ts[1:])]
+    if min(gaps) < 1:
         raise DomainError("timestamps must be strictly increasing")
     l_res = codec.residual_cost(stats, (ts[0], event))
+    price = codec.cycle_pricer(stats, event)
     bounded = stats.t_start <= ts[0] and ts[-1] <= stats.t_end
     lam = codec.placement_bits_bound(stats) if bounded else 0.0
+    heappush, heappushpop = heapq.heappush, heapq.heappushpop
+    inf = math.inf
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
@@ -216,19 +178,41 @@ def extract_cycles_dp(
         lo = max(0, j - window + 1)
         bj = best[j] + l_res  # singleton segment [j..j]
         cj, aj = j, False
-        med = _RunningMedian()
+        small: list[int] = []  # the k // 2 smallest gaps, negated
+        large: list[int] = []  # the other k - k // 2; large[0] is the median
+        sum_small = sum_large = 0
+        t_j = ts[j]
         stop = -1
         for i in range(j - 1, lo - 1, -1):
-            med.insert(ts[i + 1] - ts[i])
-            m = j - i + 1
+            x = gaps[i]
+            k = j - i  # gaps in the segment [i..j], x included
+            if small and x <= -small[0]:
+                if k & 1:  # the smaller half is full: its largest moves up
+                    y = -heappushpop(small, -x)
+                    sum_small += x - y
+                    heappush(large, y)
+                    sum_large += y
+                else:
+                    heappush(small, -x)
+                    sum_small += x
+            elif k & 1:
+                heappush(large, x)
+                sum_large += x
+            else:  # the smaller half is one short: the larger's least moves down
+                y = heappushpop(large, x)
+                sum_large += x - y
+                heappush(small, -y)
+                sum_small += y
+            p = large[0]
+            half = k >> 1
+            dev = (p * half - sum_small) + (sum_large - p * (k - half))
+            m = k + 1
             cost = m * l_res
             cand_cost = best[i] + cost
-            cyc_cost = float("inf")
-            dev = med.abs_deviation
+            cyc_cost = inf
             if m >= 3:
-                p = med.median
-                sigma = (ts[j] - ts[i]) - (m - 1) * p
-                cyc_cost = codec.cycle_bits(stats, event, m, p, ts[i], sigma, dev)
+                t_i = ts[i]
+                cyc_cost = price(m, p, t_i, (t_j - t_i) - k * p, dev)
                 if cyc_cost < cost:
                     cand_cost = best[i] + cyc_cost
             if cand_cost < bj:
@@ -237,11 +221,10 @@ def extract_cycles_dp(
                 aj = cyc_cost < cost
             if i == stop:
                 break
-            if bounded and (
-                best[i + 1] + min((m - 1) * l_res, 2 * (m - 1) + dev - lam) - 1e-6
-                >= bj
-            ):
-                stop = i - 1
+            if bounded:
+                as_res, as_cyc = k * l_res, 2 * k + dev - lam
+                if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
+                    stop = i - 1
         best[j + 1] = bj
         cut[j + 1] = cj
         as_cycle[j + 1] = aj
@@ -907,7 +890,8 @@ def _stage_one_event(
     """Stage-S candidates of one event, pruned to width ``k``.
 
     The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
-    by :func:`codec.cycle_bits` (``inf`` when uncodable) and covered by
+    by the event's :func:`codec.cycle_pricer` (``inf`` when uncodable),
+    the kernel the segmentation prices through, and covered by
     :func:`cycle_cover`, and the build site (:func:`_build_survivors`)
     builds those that can survive pruning.
     """
@@ -915,15 +899,14 @@ def _stage_one_event(
     tri = extract_cycles_tri(ts, codec.extension_margin(stats), event=event)
     tagged = [("dp", cyc) for cyc in extract_cycles_dp(ts, event, stats)]
     tagged += [("tri", cyc) for cyc in tri]
+    price = codec.cycle_pricer(stats, event)
     winners: dict[str, tuple] = {}
     for provenance, cyc in tagged:
         notation = format_pattern(cyc)
         if notation in winners:
             continue
         abs_dev = sum(abs(e) for e in cyc.corrections)
-        cost = codec.cycle_bits(
-            stats, event, cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev
-        )
+        cost = price(cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev)
         if cost < math.inf:
             cover = frozenset((t, event) for t in cycle_cover(cyc))
             winners[notation] = (cost, cover, notation, (provenance, cyc))

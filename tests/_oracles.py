@@ -9,9 +9,13 @@ build every candidate that way.  The unpruned segmentation, the eager
 greedy cover, the build-everything stage S, the build-every-nesting
 vertical combination and the build-every-merge horizontal combination
 are the plain searches that the miner's pruned, lazy and ranked ones
-must reproduce exactly; the segmentation shares the miner's prices
-(``codec.cycle_bits``) so that the two compare float for float (that
-price is checked against the encoder separately).  The survivor bound is
+must reproduce exactly.  The segmentation shares the miner's prices:
+``codec.cycle_bits`` is one call of ``codec.cycle_pricer``, the
+per-event kernel the miner's segmentation and stage S price through, so
+the two compare float for float (that price is checked against the
+encoder separately).  Its period and absolute deviation come from its
+own running median, :class:`_RunningMedian`, where the miner keeps the
+two heaps in the scan's locals.  The survivor bound is
 the one the build site applies, written out on ``(cost, cover)`` pairs.
 The recursive correction walk and the origins-based end offset are the
 tree kernel's references, and the three-walk layout and repetition
@@ -26,6 +30,7 @@ replaced in vertical growth.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -41,7 +46,6 @@ from cadence.miner import (
     _dedupe,
     _greedy_clique_cover,
     _labels,
-    _RunningMedian,
     _within_k,
     extract_cycles_dp,
     extract_cycles_tri,
@@ -144,14 +148,60 @@ def single_candidate_bits(candidate, all_pairs, stats: SeqStats) -> float:
     )
 
 
+class _RunningMedian:
+    """Median and absolute-deviation sum under online insertion.
+
+    Keeps the smaller half in a max-heap and the larger half in a
+    min-heap so that the upper middle value (the fitted period
+    convention) is always the top of the large half.
+    """
+
+    __slots__ = ("lo", "hi", "sum_lo", "sum_hi")
+
+    def __init__(self) -> None:
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.sum_lo = 0
+        self.sum_hi = 0
+
+    def insert(self, x: int) -> None:
+        if self.lo and x <= -self.lo[0]:
+            heapq.heappush(self.lo, -x)
+            self.sum_lo += x
+        else:
+            heapq.heappush(self.hi, x)
+            self.sum_hi += x
+        total = len(self.lo) + len(self.hi)
+        want_lo = total // 2
+        if len(self.lo) > want_lo:
+            x = -heapq.heappop(self.lo)
+            self.sum_lo -= x
+            heapq.heappush(self.hi, x)
+            self.sum_hi += x
+        elif len(self.lo) < want_lo:
+            x = heapq.heappop(self.hi)
+            self.sum_hi -= x
+            heapq.heappush(self.lo, -x)
+            self.sum_lo += x
+
+    @property
+    def median(self) -> int:
+        return self.hi[0]
+
+    @property
+    def abs_deviation(self) -> int:
+        p = self.hi[0]
+        return (p * len(self.lo) - self.sum_lo) + (self.sum_hi - p * len(self.hi))
+
+
 def unpruned_segmentation(
     timestamps: Sequence[int], event: str, stats: SeqStats, window: int = 500
 ) -> list[Cycle]:
     """The windowed segmentation DP with every start priced.
 
-    The same prefix recursion and ``codec.cycle_bits`` prices as
-    ``extract_cycles_dp``, with ties to the shortest last segment, but
-    without its early stop.
+    The same prefix recursion and prices as ``extract_cycles_dp``, with
+    ties to the shortest last segment, but without its early stop, and
+    with the period kept by :class:`_RunningMedian`.
     """
     ts = list(timestamps)
     n = len(ts)

@@ -321,7 +321,16 @@ class TestSynthEval:
 class TestExitCodes:
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "cadence: error:" in err
+        assert "'frobnicate'" in err
+
+    def test_bad_option_value_is_a_usage_error(self, capsys):
+        assert main(["mine", "log.txt", "--k", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cadence mine")
+        assert "cadence mine: error:" in err
+        assert "--k" in err
 
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 1

@@ -155,6 +155,7 @@ class TestExtractCyclesDp:
                 t_end=ts[-1] + rng.randint(0, 10),
                 counts=counts,
             )
+            price = codec.cycle_pricer(stats, "a")
             for i in range(n):
                 for j in range(i + 3, n + 1):
                     c = fit_cycle(ts[i:j], "a")
@@ -164,7 +165,7 @@ class TestExtractCyclesDp:
                         encoded = cycle_cost(c, stats)
                     except UncodablePatternError:
                         encoded = float("inf")
-                    assert closed == encoded
+                    assert price(c.r, c.p, c.tau, c.sigma, abs_dev) == closed == encoded
             cycles = extract_cycles_dp(ts, "a", stats)
             got = cycle_selection_bits(cycles, ts, "a", stats)
             want = optimal_segmentation_bits(ts, "a", stats)
@@ -184,11 +185,52 @@ def braid_like(rng: random.Random, blocks: int, noise: int) -> list[int]:
     return sorted(ts)
 
 
+def heartbeat_like(rng: random.Random, runs: int, noise: int) -> list[int]:
+    """One event of a heartbeat log: long wobbly cycles of 40 to 80
+    beats, each with its own period jittered at every beat, plus noise."""
+    ts: set[int] = set()
+    t = rng.randint(1, 30)
+    for _ in range(runs):
+        p = rng.randint(5, 20)
+        for _ in range(rng.randint(40, 80)):
+            ts.add(t)
+            t += p + rng.randint(-2, 2)
+        t += rng.randint(0, 200)
+    ts.update(rng.randint(1, t) for _ in range(noise))
+    return sorted(ts)
+
+
+# Short runs far apart, where the stop rule cuts most scans, and long
+# wobbly runs, where it cuts few.
+SEGMENTATION_INPUTS = [
+    *(
+        pytest.param(
+            lambda rng: braid_like(
+                rng, blocks=rng.randint(8, 25), noise=rng.randint(0, 30)
+            ),
+            seed,
+            id=str(seed),
+        )
+        for seed in range(8)
+    ),
+    *(
+        pytest.param(
+            lambda rng: heartbeat_like(
+                rng, runs=rng.randint(2, 4), noise=rng.randint(0, 30)
+            ),
+            seed,
+            id=f"heartbeats-{seed}",
+        )
+        for seed in range(4)
+    ),
+]
+
+
 class TestDpStopRule:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_same_cycles_as_the_unpruned_search(self, seed):
+    @pytest.mark.parametrize("shape, seed", SEGMENTATION_INPUTS)
+    def test_same_cycles_as_the_unpruned_search(self, shape, seed):
         rng = random.Random(seed)
-        ts = braid_like(rng, blocks=rng.randint(8, 25), noise=rng.randint(0, 30))
+        ts = shape(rng)
         n = len(ts)
         other = rng.randint(0, 3 * n)
         counts = {"a": n, "b": other} if other else {"a": n}
@@ -222,13 +264,19 @@ class TestDpStopRule:
             length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)}
         )
         calls = 0
+        build = codec.cycle_pricer
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return cycle_bits(*args)
+        def counting_pricer(*args):
+            price = build(*args)
 
-        monkeypatch.setattr(codec, "cycle_bits", counting)
+            def counting(*segment):
+                nonlocal calls
+                calls += 1
+                return price(*segment)
+
+            return counting
+
+        monkeypatch.setattr(codec, "cycle_pricer", counting_pricer)
         window = 500
         cycles = extract_cycles_dp(ts, "a", stats, window=window)
         assert len(ts) == 1000 and len(cycles) > 50
@@ -636,7 +684,8 @@ class TestClosedFormTermOrder:
         c = fit_cycle([213, 305, 309], "a")
         abs_dev = sum(abs(e) for e in c.corrections)
         closed = cycle_bits(stats, "a", c.r, c.p, c.tau, c.sigma, abs_dev)
-        assert closed == cycle_cost(c, stats) == 107.2940463132715
+        kernel = codec.cycle_pricer(stats, "a")(c.r, c.p, c.tau, c.sigma, abs_dev)
+        assert kernel == closed == cycle_cost(c, stats) == 107.2940463132715
 
     def test_more_repetitions_than_occurrences_are_uncodable(self):
         stats = SeqStats(length=4, t_start=0, t_end=40, counts={"a": 2, "b": 2})
@@ -644,6 +693,44 @@ class TestClosedFormTermOrder:
         with pytest.raises(UncodablePatternError):
             cycle_cost(c, stats)
         assert cycle_bits(stats, "a", 3, 10, 0, 0, 0) == float("inf")
+
+    def test_kernel_is_inf_exactly_when_the_encoder_raises(self):
+        # Windows that cut the log on either side and event counts below
+        # the cycle's length reach every uncodable branch; the kernel,
+        # cycle_bits and the built cycle's encoder price agree on every
+        # segment, codable or not.
+        rng = random.Random(13)
+        branches: Counter = Counter()
+        for _ in range(200):
+            n = rng.randint(3, 12)
+            ts = sorted(rng.sample(range(10, 300), n))
+            count = rng.randint(1, n)
+            t_start = ts[0] + rng.randint(-10, 20)
+            stats = SeqStats(
+                length=count + 5,
+                t_start=t_start,
+                t_end=max(t_start, ts[-1] + rng.randint(-40, 10)),
+                counts={"a": count, "b": 5},
+            )
+            price = codec.cycle_pricer(stats, "a")
+            for i in range(n):
+                for j in range(i + 3, n + 1):
+                    c = fit_cycle(ts[i:j], "a")
+                    args = (c.r, c.p, c.tau, c.sigma, sum(map(abs, c.corrections)))
+                    try:
+                        encoded = cycle_cost(c, stats)
+                    except UncodablePatternError:
+                        encoded = float("inf")
+                    assert price(*args) == cycle_bits(stats, "a", *args) == encoded
+                    numer = stats.span - c.sigma
+                    branches["codable"] += encoded < float("inf")
+                    branches["r > count"] += c.r > count
+                    branches["p > p0_max"] += c.p > numer // (c.r - 1)
+                    branches["tau before t_start"] += c.tau < stats.t_start
+                    branches["tau past the start range"] += (
+                        c.tau > stats.t_start + numer - (c.r - 1) * c.p
+                    )
+        assert len(branches) == 5 and min(branches.values()) > 0, branches
 
 
 def wobbly_log(rng: random.Random, events: str, n_noise: int) -> list[tuple[int, str]]:
