@@ -25,6 +25,7 @@ from .core import (
     DomainError,
     EventSequence,
     IngestOptions,
+    InvalidPatternError,
     load_sequence,
     stats as sequence_stats,
 )
@@ -140,10 +141,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _read_patterns(path: str):
     patterns = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                patterns.append(parse_pattern(line))
+                try:
+                    patterns.append(parse_pattern(line))
+                except (DomainError, InvalidPatternError) as exc:
+                    raise DomainError(f"{path}: line {number}: {exc}") from None
     return patterns
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     DomainError,
@@ -39,13 +39,17 @@ from .core import (
 from .pattern import (
     Block,
     Cycle,
+    Frame,
     Leaf,
+    MergeLayout,
     Node,
     Pattern,
+    Placement,
     classify_tree,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
+    nest_placement,
     pattern_occurrences,
 )
 
@@ -176,31 +180,59 @@ def _leaf_bits(stats: SeqStats, event: str) -> tuple[float, int]:
     return log2(3.0 * stats.length / count), count
 
 
-def _tree_bits(node: Node, stats: SeqStats) -> tuple[float, float, int]:
-    """Layout bits, repetition bits and rarest event count of a subtree,
-    in one post-order walk.  A block costs one bracket pair plus its
-    children's layout, and codes its length out of its rarest event's
-    count, then adds its children's repetition bits in order (a leaf's
-    0.0 leaves the sum as it is)."""
-    if isinstance(node, Leaf):
-        bits, count = _leaf_bits(stats, node.event)
-        return bits, 0.0, count
-    terms = [_tree_bits(child, stats) for child in node.children]
-    rarest = min(count for _, _, count in terms)
-    if node.r > rarest:
+Terms = tuple[float, float, int]
+
+
+def _block_terms(r: int, terms: Sequence[Terms]) -> Terms:
+    """Layout bits, repetition bits and rarest event count of a block of
+    length ``r`` from its children's, in order.  A block costs one
+    bracket pair plus its children's layout, and codes its length out of
+    its rarest event's count, then adds its children's repetition bits
+    in order (a leaf's 0.0 leaves the sum as it is)."""
+    rarest = min([count for _, _, count in terms])
+    if r > rarest:
         raise UncodablePatternError(
-            f"block repeats {node.r} times but its rarest event "
+            f"block repeats {r} times but its rarest event "
             f"occurs only {rarest} times"
         )
     layout, repetitions = 0.0, log2(rarest)
-    for a, r, _ in terms:
+    for a, b, _ in terms:
         layout += a
-        repetitions += r
+        repetitions += b
     return 2.0 * _LOG3 + layout, repetitions, rarest
 
 
-def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> float:
-    """Bits for a block's child distances and interior-child periods.
+def _tree_bits(node: Node, stats: SeqStats) -> Terms:
+    """Layout bits, repetition bits and rarest event count of a subtree,
+    in one post-order walk (:func:`_block_terms`)."""
+    if isinstance(node, Leaf):
+        bits, count = _leaf_bits(stats, node.event)
+        return bits, 0.0, count
+    return _block_terms(node.r, [_tree_bits(child, stats) for child in node.children])
+
+
+def child_terms(tree: Block, stats: SeqStats) -> tuple[Terms, ...]:
+    """Layout bits, repetition bits and rarest event count of each of a
+    block's children, the parts a merge's layout and repetition bits are
+    summed from.  Raises :class:`UncodablePatternError` when a child
+    block repeats more often than its rarest event occurs."""
+    return tuple(_tree_bits(child, stats) for child in tree.children)
+
+
+def _frame_terms(frame: Frame, terms: Iterator[Terms]) -> Terms:
+    """A frame's terms, its children's drawn in order from ``terms``
+    except a child frame's, which are its own children's."""
+    return _block_terms(
+        frame.r,
+        [_frame_terms(c, terms) if isinstance(c, Frame) else next(terms) for c in frame.children],
+    )
+
+
+def _distance_and_period_bits(
+    block: Block | Frame, width: int, interleaved: bool
+) -> float:
+    """Bits for a block's child distances and interior-child periods; a
+    frame's are the block's it describes.
 
     ``width`` is the time available for one repetition's content.  Each
     inter-block distance takes ``log2(width + 1)`` bits; each interior
@@ -209,33 +241,31 @@ def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> fl
     """
     if width < 0:
         raise UncodablePatternError("negative repetition width")
+    distances = block.distances
     bits = 0.0
-    offsets = []
-    offset = 0
-    for i, d in enumerate(block.distances):
-        offset += d
-        offsets.append(offset)
-        if i > 0:
-            if d > width:
-                raise UncodablePatternError(
-                    f"inter-block distance {d} exceeds the width budget {width}"
-                )
-            bits += log2(width + 1)
+    if len(distances) > 1:
+        if max(distances) > width:
+            raise UncodablePatternError(
+                f"inter-block distance {max(distances)} exceeds the width budget {width}"
+            )
+        step = log2(width + 1)
+        for _ in distances[1:]:
+            bits += step
     last = len(block.children) - 1
+    offset = 0
     for i, child in enumerate(block.children):
-        if not isinstance(child, Block):
+        offset += distances[i]
+        if isinstance(child, Leaf):
             continue
-        if interleaved:
-            tspan = width - offsets[i]
-        elif i == last:
-            tspan = width - offsets[last]
+        if interleaved or i == last:
+            tspan = width - offset
         else:
-            tspan = block.distances[i + 1]
+            tspan = distances[i + 1]
         bits += _block_bits(child, tspan, interleaved)
     return bits
 
 
-def _block_bits(block: Block, tspan: int, interleaved: bool) -> float:
+def _block_bits(block: Block | Frame, tspan: int, interleaved: bool) -> float:
     """Bits for an interior block's period and its own content."""
     if tspan < block.r - 1:
         raise UncodablePatternError(
@@ -274,6 +304,54 @@ def placement_bits_bound(stats: SeqStats) -> float:
     return log2(stats.span) + log2(stats.span + 1)
 
 
+def _placed(
+    root: Block | Frame,
+    tau: int,
+    stats: SeqStats,
+    terms: Terms,
+    size: int,
+    placement: Placement,
+    last_offset: Callable[[int], int],
+    abs_corrections: int,
+) -> tuple[float, float, float, float, float, float]:
+    """The one sequence of encoder terms: the bits of a root with
+    ``size`` occurrences per repetition, its layout and repetition
+    ``terms`` and its ``placement``, started at ``tau``, in
+    :class:`CostBreakdown`'s order (:func:`placed_cost`)."""
+    bits_a, bits_r, _ = terms
+    ranges = _root_ranges(stats, root.r, root.p, tau, last_offset(0))
+    if ranges is None:
+        raise UncodablePatternError(
+            f"root period {root.p} or starting point {tau} out of range"
+        )
+    bits_p0, bits_tau = log2(ranges[0]), log2(ranges[1])
+
+    if is_simple(root):
+        bits_d = 0.0
+    else:
+        width, interleaved, last_right = placement
+        if interleaved:
+            end_offset = min(map(last_offset, last_right))
+        else:
+            end_offset = last_offset(size - 1)
+        max_width = stats.t_end - tau - end_offset - (root.r - 1) * root.p
+        if width > max_width:
+            raise UncodablePatternError(
+                f"repetition width {width} outside [0, {max_width}]"
+            )
+        bits_d = log2(max_width + 1)
+        bits_d += _distance_and_period_bits(root, width, interleaved)
+
+    bits_e = _correction_bits(root.r * size - 1, abs_corrections)
+    return bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e
+
+
+def _total(bits: tuple[float, float, float, float, float, float]) -> float:
+    """:attr:`CostBreakdown.total` of the terms, summed in its order."""
+    bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = bits
+    return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
+
+
 def placed_cost(
     tree: Block,
     tau: int,
@@ -287,47 +365,87 @@ def placed_cost(
 
     ``last_offset(i)`` is the cumulative offset of occurrence ``i`` of
     the last root repetition, and ``abs_corrections`` the corrections'
-    summed magnitudes; the rest is read off ``tree.repetition``.  The
-    root period and the start are coded against the last repetition's
-    first occurrence, and the distances against where the decoder knows
-    that repetition's content ends: its last occurrence, or, when the
-    tree interleaves, the one with the smallest offset among those whose
-    leaf is its parent's right-most child.  This is the one sequence of encoder
-    terms: :func:`pattern_cost` reads the offsets off a built pattern
-    and the miner off the layout and members of a merge it has not
-    built, so the two price bit for bit alike.  Raises
-    :class:`UncodablePatternError` when a term is out of range.
+    summed magnitudes; the rest is read off the tree.  The root period
+    and the start are coded against the last repetition's first
+    occurrence, and the distances against where the decoder knows that
+    repetition's content ends: its last occurrence, or, when the tree
+    interleaves, the one with the smallest offset among those whose leaf
+    is its parent's right-most child.  This is the one sequence of
+    encoder terms: :func:`pattern_cost` reads the offsets off a built
+    pattern, and :func:`layout_cost` and :func:`nest_cost` price a merge
+    the miner has not built by the same terms, so they price bit for bit
+    alike.  Raises :class:`UncodablePatternError` when a term is out of
+    range.
     """
-    bits_a, bits_r, _ = _tree_bits(tree, stats)
-
-    ranges = _root_ranges(stats, tree.r, tree.p, tau, last_offset(0))
-    if ranges is None:
-        raise UncodablePatternError(
-            f"root period {tree.p} or starting point {tau} out of range"
-        )
-    bits_p0, bits_tau = log2(ranges[0]), log2(ranges[1])
-
-    if is_simple(tree):
-        bits_d = 0.0
-    else:
-        rep = tree.repetition
-        if rep.interleaved:
-            end_offset = min(last_offset(i) for i in rep.last_right)
-        else:
-            end_offset = last_offset(len(rep.times) - 1)
-        width = max(rep.times)
-        max_width = stats.t_end - tau - end_offset - (tree.r - 1) * tree.p
-        if width > max_width:
-            raise UncodablePatternError(
-                f"repetition width {width} outside [0, {max_width}]"
-            )
-        bits_d = log2(max_width + 1)
-        bits_d += _distance_and_period_bits(tree, width, rep.interleaved)
-
-    bits_e = _correction_bits(tree.count - 1, abs_corrections)
-    return CostBreakdown(
-        A=bits_a, R=bits_r, p0=bits_p0, D=bits_d, tau=bits_tau, E=bits_e
+    rep = tree.repetition
+    bits = _placed(
+        tree,
+        tau,
+        stats,
+        _tree_bits(tree, stats),
+        len(rep.times),
+        Placement(rep.width, rep.interleaved, rep.last_right),
+        last_offset,
+        abs_corrections,
     )
+    return CostBreakdown(*bits)
+
+
+def layout_cost(
+    layout: MergeLayout,
+    stats: SeqStats,
+    *,
+    terms: Sequence[Terms],
+    last_offset: Callable[[int], int],
+    abs_corrections: int,
+) -> float:
+    """Bits to transmit the merge a layout describes, without building
+    it: the total of :func:`placed_cost` of the built merge, bit for bit.
+
+    ``terms`` are the :func:`child_terms` of the nodes among the root's
+    children, and of the nodes among a child frame's children in its
+    place, in order; ``last_offset(s)`` is the offset of slot ``s`` in
+    the last root repetition.
+    """
+    root = layout.root
+    return _total(_placed(
+        root,
+        layout.tau,
+        stats,
+        _frame_terms(root, iter(terms)),
+        len(layout.slots),
+        layout.placement,
+        last_offset,
+        abs_corrections,
+    ))
+
+
+def nest_cost(
+    tree: Block,
+    r: int,
+    p: int,
+    tau: int,
+    stats: SeqStats,
+    *,
+    terms: Sequence[Terms],
+    last_offset: Callable[[int], int],
+    abs_corrections: int,
+) -> float:
+    """Bits to transmit ``r`` instances of ``tree`` nested under an
+    outer cycle of period ``p`` started at ``tau``, without building it:
+    the total of :func:`placed_cost` of the built nesting, bit for bit.  ``terms``
+    are the tree's :func:`child_terms`, and ``last_offset(i)`` is the
+    offset of the last instance's occurrence ``i``."""
+    return _total(_placed(
+        Frame(r, p, (tree,), (0,)),
+        tau,
+        stats,
+        _block_terms(r, [_block_terms(tree.r, terms)]),
+        tree.count,
+        nest_placement(tree, p),
+        last_offset,
+        abs_corrections,
+    ))
 
 
 def cycle_pricer(

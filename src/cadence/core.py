@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import statistics
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, TextIO
+
+
+# An event label: any run of characters other than whitespace, the
+# notation's brackets and parentheses, and ``#``, which starts a comment.
+LABEL = re.compile(r"[^\s\[\]()#]+")
 
 
 class CadenceError(Exception):
@@ -192,6 +199,26 @@ def _parse_line(line: str, number: int, separator: str) -> tuple[int, str]:
     return t, label
 
 
+def _check_labels(raw: list[tuple[int, str]], skipped: list[int]) -> None:
+    """Raise a :class:`ParseError` at the first line whose label the
+    pattern notation cannot carry (:data:`LABEL`).  Each distinct label
+    is checked once; ``skipped`` are the blank and comment lines, which
+    ``raw`` has no entry for."""
+    bad = {e for e in set(map(itemgetter(1), raw)) if not LABEL.fullmatch(e)}
+    if not bad:
+        return
+    number = next(i for i, (_, e) in enumerate(raw, start=1) if e in bad)
+    label = raw[number - 1][1]
+    for s in skipped:
+        if s > number:
+            break
+        number += 1
+    raise ParseError(
+        f"event label {label!r} holds whitespace, a bracket, a parenthesis or '#'",
+        number,
+    )
+
+
 def load_sequence(
     source: str | TextIO, opts: IngestOptions | None = None
 ) -> EventSequence:
@@ -213,7 +240,8 @@ def load_sequence(
     Raises
     ------
     ParseError
-        On a malformed line (reported with its line number).
+        On a malformed line (reported with its line number), including a
+        label that the pattern notation cannot carry (:data:`LABEL`).
     DomainError
         On a negative timestamp.
     EmptySequenceError
@@ -223,13 +251,16 @@ def load_sequence(
         opts = IngestOptions()
     stream = io.StringIO(source) if isinstance(source, str) else source
     raw: list[tuple[int, str]] = []
+    skipped: list[int] = []
     for number, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
+            skipped.append(number)
             continue
         raw.append(_parse_line(stripped, number, opts.separator))
     if not raw:
         raise EmptySequenceError("input contains no event lines")
+    _check_labels(raw, skipped)
 
     if opts.succession_mode:
         pairs = [(rank, e) for rank, (_, e) in enumerate(raw)]

@@ -17,7 +17,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from functools import cached_property
+from itertools import groupby, repeat
+from operator import add, sub
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +30,6 @@ from .core import (
     UncodablePatternError,
 )
 from .pattern import (
-    Block,
     Cycle,
     MergeLayout,
     Pattern,
@@ -43,7 +44,6 @@ from .pattern import (
     format_tree,
     grow_horizontally,
     grow_vertically,
-    occurrence_count,
 )
 from . import codec
 from .codec import CollectionReport, SeqStats
@@ -439,34 +439,36 @@ def combine_vertically(
     pool: Sequence[Candidate],
     stats: SeqStats,
     k: int,
+    records: dict[str, "_Member"] | None = None,
 ) -> list[Candidate]:
     """Nest groups of same-tree candidates with periodic starting points.
 
     For each distinct tree among the new candidates, the starting points
     of all candidates over that tree (new and pooled) are themselves
     mined for near-periodic chains; each chain's members are nested under
-    an outer cycle.  A nesting is priced from its members
+    an outer cycle.  A nesting is priced from its members' records
     (:func:`_nest_cost`) and kept when it is cheaper than the summed cost
     of the members it replaces; the build site
     (:func:`_build_survivors`) builds those that can survive pruning.
+    ``records`` holds the candidates' records by notation, shared by
+    every call of one :func:`mine` (:func:`_records`).
     """
-    by_tree: dict[str, list[Candidate]] = {}
-    for c in _dedupe(list(new) + list(pool)):
-        by_tree.setdefault(format_tree(c.pattern.tree), []).append(c)
-    new_tree_keys = sorted({format_tree(c.pattern.tree) for c in new})
+    by_tree: dict[str, list[_Member]] = {}
+    for q in _records(_dedupe(list(new) + list(pool)), stats, records):
+        by_tree.setdefault(q.key, []).append(q)
+    new_tree_keys = sorted({q.key for q in _records(new, stats, records)})
 
-    facts: dict[str, _Member] = {}
     winners: list[tuple[float, frozenset, str, tuple]] = []
     for tree_key in new_tree_keys:
-        by_tau: dict[int, Candidate] = {}
-        for c in by_tree[tree_key]:
-            prev = by_tau.get(c.tau)
-            if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
-                by_tau[c.tau] = c
+        by_tau: dict[int, _Member] = {}
+        for q in by_tree[tree_key]:
+            c, prev = q.cand, by_tau.get(q.cand.tau)
+            if prev is None or (c.cost, c.notation) < (prev.cand.cost, prev.cand.notation):
+                by_tau[c.tau] = q
         if len(by_tau) < 3:
             continue
         taus = sorted(by_tau)
-        tree = by_tau[taus[0]].pattern.tree
+        tree = by_tau[taus[0]].tree
         zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
             l_max = codec.pattern_cost(zero, stats).total
@@ -474,24 +476,14 @@ def combine_vertically(
             continue
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[t] for t in cycle_cover(chain)]
-            for c in members:
-                if c.notation not in facts:
-                    facts[c.notation] = _member(c, stats)
-            cost = _nest_cost(tree, [facts[c.notation] for c in members], stats)
-            if cost is None or cost >= sum(m.cost for m in members):
+            cost = _nest_cost(members, stats)
+            if cost is None or cost >= sum(q.cand.cost for q in members):
                 continue
-            cover = frozenset().union(*(m.cover for m in members))
+            cover = frozenset().union(*(q.cand.cover for q in members))
             winners.append(
-                (cost, cover, "", ("vertical", [m.pattern for m in members]))
+                (cost, cover, "", ("vertical", [q.pattern for q in members]))
             )
     return _build_survivors(winners, k)
-
-
-def _boundary_correction_sum(p: Pattern) -> int:
-    """Sum of |correction| at the root repetition boundaries."""
-    n = occurrence_count(p.tree)
-    per_rep = n // p.tree.r
-    return sum(abs(p.corrections[k * per_rep - 1]) for k in range(1, p.tree.r))
 
 
 def maximal_cliques(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[int, ...]]:
@@ -551,130 +543,192 @@ def _components(adj: Mapping[int, set[int]], nodes: Iterable[int]) -> list[set[i
     return comps
 
 
-@dataclass(frozen=True)
 class _Member:
-    """What pricing a merge reads of one member, once per call.
+    """The record of one candidate: what growing reads of it.
 
-    ``occurrences`` are the corrected ones in traversal order, ``per`` of
-    them in each root repetition, and the first ``fits`` lie in the stats
-    window.  ``columns[j][k]`` sums ``|E|`` over the occurrences at
-    position ``j`` of the first ``k`` root repetitions, the first
-    occurrence counting 0.
+    :func:`mine` keeps one record per candidate for the whole call,
+    shared by both growths in every round (:func:`_records`), and each
+    part is worked out when first read.  ``occurrences`` are the
+    corrected ones in traversal order, ``per`` of them in each root
+    repetition, and the first ``fits`` lie in the stats window.
+    ``magnitudes`` are the corrections' ``|E|``, the first occurrence's
+    0, and :meth:`total` sums them over the repetitions a merge keeps.
+    ``slack`` sums ``|E|`` at the root repetitions' boundaries, and
+    ``key`` is the tree's notation.  ``terms`` are the root's children's
+    layout and repetition bits and rarest counts
+    (:func:`codec.child_terms`), and ``inner_terms`` those of its first
+    child's children, the parts of a factorized merge; None when a child
+    is uncodable.  The root repetition's width, ordering, last child and
+    right-most leaves are its tree's, which ``pattern`` compiles once
+    and lays merges out from.
     """
 
-    cand: Candidate
-    occurrences: tuple[tuple[int, str], ...]
-    per: int
-    fits: int
-    columns: tuple[tuple[int, ...], ...]
+    def __init__(self, cand: Candidate, stats: SeqStats) -> None:
+        self.cand = cand
+        self.stats = stats
+        self.pattern = cand.pattern
+        self.tree = cand.pattern.tree
+        self.per = self.tree.count // self.tree.r
+
+    @cached_property
+    def key(self) -> str:
+        return format_tree(self.tree)
+
+    @cached_property
+    def occurrences(self) -> tuple[tuple[int, str], ...]:
+        return corrected_occurrences(self.pattern)
+
+    @cached_property
+    def fits(self) -> int:
+        lo, hi = self.stats.t_start, self.stats.t_end
+        cover = self.cand.cover
+        if lo <= min(cover)[0] and max(cover)[0] <= hi:
+            return self.tree.count
+        return next(
+            (i for i, (t, _) in enumerate(self.occurrences) if not lo <= t <= hi),
+            self.tree.count,
+        )
+
+    @cached_property
+    def magnitudes(self) -> list[int]:
+        return [0, *map(abs, self.pattern.corrections)]
+
+    def total(self, r: int) -> int:
+        """``|E|`` summed over the first ``r`` root repetitions."""
+        return sum(self.magnitudes[: r * self.per])
+
+    @cached_property
+    def slack(self) -> int:
+        es, per = self.pattern.corrections, self.per
+        return sum(abs(es[k * per - 1]) for k in range(1, self.tree.r))
+
+    @cached_property
+    def terms(self) -> tuple | None:
+        try:
+            return codec.child_terms(self.tree, self.stats)
+        except UncodablePatternError:
+            return None
+
+    @cached_property
+    def inner_terms(self) -> tuple | None:
+        try:
+            return codec.child_terms(self.tree.children[0], self.stats)
+        except UncodablePatternError:
+            return None
 
     def kept(self, r: int) -> frozenset[tuple[int, str]]:
         """Cover of the first ``r`` repetitions."""
-        if r == self.cand.pattern.tree.r:
+        if r == self.tree.r:
             return self.cand.cover
         return frozenset(self.occurrences[: r * self.per])
 
 
-def _member(c: Candidate, stats: SeqStats) -> _Member:
-    tree = c.pattern.tree
-    per = tree.count // tree.r
-    mags = [0, *(abs(e) for e in c.pattern.corrections)]
-    occurrences = corrected_occurrences(c.pattern)
-    window = range(stats.t_start, stats.t_end + 1)
-    return _Member(
-        cand=c,
-        occurrences=occurrences,
-        per=per,
-        fits=next(
-            (i for i, (t, _) in enumerate(occurrences) if t not in window),
-            len(occurrences),
-        ),
-        columns=tuple(tuple(accumulate(mags[j::per], initial=0)) for j in range(per)),
-    )
+def _records(
+    cands: Iterable[Candidate], stats: SeqStats, records: dict[str, _Member] | None
+) -> list[_Member]:
+    """The candidates' records, each built on first use and kept in
+    ``records`` by notation (in a fresh dict when None)."""
+    if records is None:
+        records = {}
+    out = []
+    for c in cands:
+        q = records.get(c.notation)
+        if q is None:
+            q = records[c.notation] = _Member(c, stats)
+        out.append(q)
+    return out
+
+
+def _kept(members: Sequence[_Member], r: int) -> frozenset[tuple[int, str]]:
+    """Cover of the members' first ``r`` repetitions: the cover of their
+    merge."""
+    return members[0].kept(r).union(*[q.kept(r) for q in members[1:]])
 
 
 def _layout_cost(
-    layout: MergeLayout, members: Sequence[_Member], stats: SeqStats
-) -> tuple[float, frozenset[tuple[int, str]]] | None:
-    """Price and cover of the merge that ``layout`` describes over the
-    members, without building it; None when it is uncodable.
+    layout: MergeLayout, members: Sequence[_Member], stats: SeqStats, factored: bool
+) -> float | None:
+    """Price of the merge that ``layout`` describes over the members,
+    from their records alone; None when it is uncodable.
 
-    Each occurrence's offset is its member's, shifted by the drift of
-    the member's period from the root's (:class:`MergeLayout`).  An
-    occurrence whose predecessor is its member's own keeps its member's
-    correction, so its position is summed by column; the others are
-    summed repetition by repetition.  :func:`codec.placed_cost` then
-    prices the merge by the terms that :func:`codec.pattern_cost` uses.
-    The merge's occurrences are the members' kept ones, so it lies in the
-    window when they do.
+    A ``factored`` layout is priced from the members' ``inner_terms``,
+    any other from their ``terms`` (:func:`codec.layout_cost`).  Each
+    occurrence's offset is its member's, shifted by the drift of the
+    member's period from the root's (:class:`MergeLayout`).  An
+    occurrence keeps its member's correction unless it is a join, so the
+    members' ``|E|`` totals are summed, and each join's column is
+    replaced by its corrections against its new predecessor, repetition
+    by repetition.  The merge's occurrences are the members' kept ones,
+    so it lies in the window when they do.
     """
-    root, slots, r = layout.root, layout.slots, layout.root.r
-    if any(r * q.per > q.fits for q in members):
-        return None
-    rep = root.repetition
-    pats = [q.cand.pattern for q in members]
-    drift = [q.tree.p - root.p for q in pats]
-    own = [q.tree.repetition.pred for q in pats]
-    cols = [q.columns for q in members]
-
-    def offset(k: int, s: int) -> int:
-        m, j = slots[s]
-        return pats[m].offsets[k * members[m].per + j] + k * drift[m]
-
-    # The first occurrence is the first member's, at the root's period.
-    abs_corrections = cols[0][0][r]
-    for (m, j), t in zip(slots[1:], rep.pred[1:]):
-        n, i = slots[t]
-        if n == m and i == own[m][j]:
-            abs_corrections += cols[m][j][r]
-            continue
-        a, per_a = pats[m].offsets, members[m].per
-        b, per_b = pats[n].offsets, members[n].per
-        d = drift[m] - drift[n]
-        abs_corrections += sum(
-            abs(a[k * per_a + j] - b[k * per_b + i] + k * d) for k in range(r)
-        )
+    root = layout.root
+    r, last = root.r, root.r - 1
+    terms: list = []
+    offs, pers, ps = [], [], []
+    abs_corrections = 0
+    for q in members:
+        part = q.inner_terms if factored else q.terms
+        if part is None or r * q.per > q.fits:
+            return None
+        terms += part
+        abs_corrections += q.total(r)
+        offs.append(q.pattern.offsets)
+        pers.append(q.per)
+        ps.append(q.tree.p)
+    # Join (m, j) after (n, i) takes, in repetition k, the correction
+    # offset(m, j) - offset(n, i) + k d, d the drift between the two.
+    ends, starts, drifts, dropped = [], [], [], []
+    for (m, j), (n, i) in layout.joins:
+        ends += offs[m][j : j + r * pers[m] : pers[m]]
+        starts += offs[n][i : i + r * pers[n] : pers[n]]
+        if d := ps[m] - ps[n]:
+            drifts += range(0, r * d, d)
+        else:
+            drifts += repeat(0, r)
+        dropped += members[m].magnitudes[j : r * pers[m] : pers[m]]
+    abs_corrections += sum(map(abs, map(add, map(sub, ends, starts), drifts)))
+    abs_corrections -= sum(dropped)
+    lasts = [offs[m][last * pers[m] + j] + last * (ps[m] - root.p) for m, j in layout.slots]
     try:
-        cost = codec.placed_cost(
-            root,
-            layout.tau,
+        return codec.layout_cost(
+            layout,
             stats,
-            last_offset=lambda s: offset(r - 1, s),
+            terms=terms,
+            last_offset=lasts.__getitem__,
             abs_corrections=abs_corrections,
-        ).total
+        )
     except (UncodablePatternError, DomainError):
         return None
-    return cost, frozenset().union(*(q.kept(r) for q in members))
 
 
-def _nest_cost(
-    tree: Block, members: Sequence[_Member], stats: SeqStats
-) -> float | None:
-    """Price of nesting the members, over ``tree`` and in start order,
-    under an outer cycle (:func:`grow_vertically`), without building it;
-    None when it is uncodable.
+def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
+    """Price of nesting the members, which share one tree and are in
+    start order, under an outer cycle (:func:`grow_vertically`), from
+    their records alone; None when it is uncodable.
 
     Root repetition ``k`` is member ``k``, and every occurrence keeps its
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
     corrections.  The nesting lies in the window when its members do.
     """
-    if any(q.fits < len(q.occurrences) for q in members):
+    first = members[0]
+    if first.terms is None or any(q.fits < q.tree.count for q in members):
         return None
     p, starts = fit_period([q.cand.tau for q in members])
-    root = Block(r=len(members), p=p, children=(tree,), distances=(0,))
     shift = sum(starts)
-    last = members[-1].cand.pattern.offsets
-    # a member's summed |E| is the last entry of each of its columns
-    magnitude = sum(col[-1] for q in members for col in q.columns)
+    last = members[-1].pattern.offsets
     try:
-        return codec.placed_cost(
-            root,
-            members[0].cand.tau,
+        return codec.nest_cost(
+            first.tree,
+            len(members),
+            p,
+            first.cand.tau,
             stats,
+            terms=first.terms,
             last_offset=lambda i: shift + last[i],
-            abs_corrections=magnitude + sum(abs(e) for e in starts),
-        ).total
+            abs_corrections=sum(q.total(q.tree.r) for q in members)
+            + sum(map(abs, starts)),
+        )
     except (UncodablePatternError, DomainError):
         return None
 
@@ -684,6 +738,7 @@ def combine_horizontally(
     pool: Sequence[Candidate],
     stats: SeqStats,
     k: int,
+    records: dict[str, _Member] | None = None,
 ) -> list[Candidate]:
     """Concatenate co-periodic candidates that start close to each other.
 
@@ -694,45 +749,43 @@ def combine_horizontally(
     that pass pairwise merging for every pair are merged whole, one per
     maximal clique of the pairwise-success graph.
 
-    Every merge is priced exactly from its members
+    Every merge is priced exactly from its members' records
     (:func:`_layout_cost` over :func:`concat_layout`), a pair's before it
     is kept; a pair whose merge can factorize is priced factorized too
     (over :func:`factor_layout`), and the cheaper form strictly wins.  The
     build site (:func:`_build_survivors`) builds, in their priced form,
     the merges that can survive pruning.  The result is what building
-    every merge and then pruning gives.
+    every merge and then pruning gives.  ``records`` is as in
+    :func:`combine_vertically`.
     """
     if not new:
         return []
     merged = _dedupe(list(new) + list(pool))
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
+    recs = _records(cands, stats, records)
     taus = [c.tau for c in cands]
-    periods = [c.pattern.tree.p for c in cands]
-    lengths = [c.pattern.tree.r for c in cands]
+    periods = [q.tree.p for q in recs]
+    lengths = [q.tree.r for q in recs]
     fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
     is_new = set(fresh)
-    boundary = [_boundary_correction_sum(c.pattern) for c in cands]
-    facts: dict[int, _Member] = {}
 
-    def price(ids: tuple[int, ...]) -> tuple[float, frozenset, str, tuple] | None:
-        """The winner entry of merging the candidates at ``ids``:
-        factorized when that is strictly cheaper."""
-        for i in ids:
-            if i not in facts:
-                facts[i] = _member(cands[i], stats)
-        fs = [facts[i] for i in ids]
-        patterns = [f.cand.pattern for f in fs]
+    def price(fs: list[_Member]) -> tuple | None:
+        """The winner entry of merging the members: priced factorized
+        when that is strictly cheaper, its cover built."""
         try:
-            layout = concat_layout(patterns)
+            layout = concat_layout([q.pattern for q in fs])
         except InvalidPatternError:
             return None
-        plain = _layout_cost(layout, fs, stats)
+        cost, provenance = _layout_cost(layout, fs, stats, False), "horizontal"
         factored = factor_layout(layout) if len(fs) == 2 else None
-        if factored and (alt := _layout_cost(factored, fs, stats)):
-            if plain is None or alt[0] < plain[0]:
-                return (*alt, "", ("factorized", patterns))
-        return None if plain is None else (*plain, "", ("horizontal", patterns))
+        if factored and (alt := _layout_cost(factored, fs, stats, True)) is not None:
+            if cost is None or alt < cost:
+                cost, provenance = alt, "factorized"
+        if cost is None:
+            return None
+        cover = _kept(fs, layout.root.r)
+        return cost, cover, "", (provenance, [q.pattern for q in fs])
 
     # Pair merges that beat their members, then clique merges.
     # ``cands`` is sorted by (tau, notation), which puts every merge's
@@ -749,9 +802,9 @@ def combine_horizontally(
             partners = fresh[bisect_right(fresh, ia) : bisect_left(fresh, hi)]
         for ib in partners:
             r = r_a if r_a < lengths[ib] else lengths[ib]
-            if abs(p_a - periods[ib]) > 2.0 * boundary[ib] / (r * (r - 1)):
+            if abs(p_a - periods[ib]) > 2.0 * recs[ib].slack / (r * (r - 1)):
                 continue
-            priced = price((ia, ib))
+            priced = price([recs[ia], recs[ib]])
             if priced is None:
                 continue
             cost, cover, _, _ = priced
@@ -772,7 +825,7 @@ def combine_horizontally(
         else:
             cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:
-            if len(clique) >= 3 and (priced := price(clique)) is not None:
+            if len(clique) >= 3 and (priced := price([recs[i] for i in clique])):
                 winners.append(priced)
     return _build_survivors(winners, k)
 
@@ -962,11 +1015,12 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         v_in: list[Candidate] = list(initial)
         h_in: list[Candidate] = list(initial)
         accum = []
+        records: dict[str, _Member] = {}
         for round_no in range(cfg.max_rounds):
             if not v_in and not h_in:
                 break
-            v_new = combine_vertically(h_in, accum, stats, cfg.k)
-            h_new = combine_horizontally(v_in, accum, stats, cfg.k)
+            v_new = combine_vertically(h_in, accum, stats, cfg.k, records)
+            h_new = combine_horizontally(v_in, accum, stats, cfg.k, records)
             accum = _dedupe(accum + v_in + h_in)
             v_in = [c for c in v_new if c.notation not in seen]
             seen.update(c.notation for c in v_in)

@@ -12,8 +12,8 @@ the first.
 The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
 co-periodic patterns as siblings and factorizing a concatenation), the
-layout that the last two build from (:class:`MergeLayout`), and a
-bit-exact text notation.
+layout that the last two build from (:class:`MergeLayout`, over an
+unbuilt :class:`Frame`), and a bit-exact text notation.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
-from .core import DomainError, InvalidCycleError, InvalidPatternError
+from .core import LABEL, DomainError, InvalidCycleError, InvalidPatternError
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,8 @@ class CompiledTree:
     sibling or repetition up the enclosing blocks (``pred[0] == -1``).
     ``last_right`` lists the last root repetition's occurrences whose
     leaf is its parent's right-most child.  The occurrences *interleave*
-    when their perfect times decrease somewhere.
+    when their perfect times decrease somewhere; ``width`` is the
+    largest time and ``in_order`` whether the times never decrease.
     """
 
     times: tuple[int, ...]
@@ -292,6 +293,8 @@ class CompiledTree:
     pred: tuple[int, ...]
     interleaved: bool
     last_right: tuple[int, ...]
+    width: int
+    in_order: bool
 
 
 def compile_repetition(block: Block) -> CompiledTree:
@@ -301,8 +304,9 @@ def compile_repetition(block: Block) -> CompiledTree:
     shifted to its distance, so a subtree shared by several trees
     compiles once.  The record's one repetition is its last, and
     ``interleaved`` is the whole block's: the times decrease within the
-    repetition, or from its last occurrence to the next repetition's
-    first, at ``p``.  Callers read :attr:`Block.repetition`.
+    repetition (``in_order`` is false), or from its last occurrence to
+    the next repetition's first, at ``p``.  Callers read
+    :attr:`Block.repetition`.
     """
     times: list[int] = []
     events: list[str] = []
@@ -328,12 +332,15 @@ def compile_repetition(block: Block) -> CompiledTree:
             n = len(rep.times)
             right += [base + k * n + i for k in range(child.r) for i in rep.last_right]
         first = base
+    in_order = times == sorted(times)
     return CompiledTree(
         times=tuple(times),
         events=tuple(events),
         pred=tuple(pred),
-        interleaved=times[-1] > block.p or times != sorted(times),
+        interleaved=times[-1] > block.p or not in_order,
         last_right=tuple(right),
+        width=times[-1] if in_order else max(times),
+        in_order=in_order,
     )
 
 
@@ -358,6 +365,8 @@ def compile_tree(tree: Block) -> CompiledTree:
         pred=tuple(pred),
         interleaved=rep.interleaved,
         last_right=tuple((tree.r - 1) * n + i for i in rep.last_right),
+        width=(tree.r - 1) * tree.p + rep.width,
+        in_order=not rep.interleaved,
     )
 
 
@@ -472,26 +481,71 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     return Pattern(tree=root, tau=inst[0].tau, corrections=corrections)
 
 
-@dataclass(frozen=True)
-class MergeLayout:
+class Frame(NamedTuple):
+    """An interior block laid out but not built: its length, period,
+    children (nodes, or frames themselves) and distances, as
+    :class:`Block` holds them.  The encoder's distance and period terms
+    read only these, so a merge is priced from its frame, and
+    :meth:`build` makes the block of the merge that is kept."""
+
+    r: int
+    p: int
+    children: tuple
+    distances: tuple[int, ...]
+
+    def build(self) -> Block:
+        children = tuple(c.build() if isinstance(c, Frame) else c for c in self.children)
+        return Block(r=self.r, p=self.p, children=children, distances=self.distances)
+
+
+class Placement(NamedTuple):
+    """Where one repetition of a root lies, as the encoder reads it: its
+    largest perfect time, whether the root interleaves, and the
+    occurrences of the repetition (by index) whose leaf is its parent's
+    right-most child (:class:`CompiledTree`)."""
+
+    width: int
+    interleaved: bool
+    last_right: tuple[int, ...]
+
+
+class MergeLayout(NamedTuple):
     """Where a horizontal merge of member patterns puts their occurrences.
 
-    ``root`` is the merged tree and ``tau`` its start.  Occurrence ``s``
-    of the root's repetition (:attr:`Block.repetition`) is occurrence
-    ``j`` of member ``m``'s root repetition, ``(m, j) = slots[s]``, and
-    the root's repetition ``k`` holds the members' repetitions ``k``.
-    Slot 0 is the first member's first occurrence, and the root keeps
-    that member's period and start.  Every occurrence keeps its member's
-    perfect time: ``tau + root.repetition.times[s]`` is the member's
-    start plus its ``times[j]``.  So in repetition ``k`` its offset is
-    the member's offset there plus ``k`` times the member's period minus
-    the root's, and only the occurrences whose predecessor is not the
-    member's own take a new correction.
+    ``root`` is the merged tree, unbuilt, and ``tau`` its start.
+    Occurrence ``s`` of the root's repetition is occurrence ``j`` of
+    member ``m``'s root repetition, ``(m, j) = slots[s]``, and the root's
+    repetition ``k`` holds the members' repetitions ``k``.  Slot 0 is the
+    first member's first occurrence, and the root keeps that member's
+    period and start.  Every occurrence keeps its member's perfect time:
+    ``tau`` plus its time in the root's repetition is the member's start
+    plus its ``times[j]``.  So in repetition ``k`` its offset is the
+    member's offset there plus ``k`` times the member's period minus the
+    root's, and only the occurrences whose predecessor is not the
+    member's own take a new correction: ``(slot, predecessor)`` pairs in
+    ``joins``, both as ``(m, j)``.  ``placement`` is the root's
+    (:class:`Placement`), read off the members' compiled repetitions.
     """
 
-    root: Block
+    root: Frame
     tau: int
     slots: tuple[tuple[int, int], ...]
+    joins: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    placement: Placement
+
+
+def _inner_right(block: Block) -> tuple[int, ...]:
+    """The right-most leaves of a block's repetition, without the one
+    that closes the block itself: inside a longer list of children, a
+    leaf that closes is no longer the right-most child."""
+    right = block.repetition.last_right
+    return right[:-1] if isinstance(block.children[-1], Leaf) else right
+
+
+def _last_child_start(block: Block) -> int:
+    """Index, in one repetition, of the first occurrence of the block's
+    last child."""
+    return block.count // block.r - occurrence_count(block.children[-1])
 
 
 def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
@@ -502,29 +556,47 @@ def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
     the distance between consecutive instances' contents is the
     difference of their starting points.  Raises
     :class:`InvalidPatternError` when that distance is negative.
+
+    Each instance's first occurrence follows the first leaf of the
+    previous instance's last child.  The repetition's width is the
+    largest shifted width, and its times never decrease when each
+    instance's do and each ends before the next begins.
     """
     first = instances[0]
-    children = list(first.tree.children)
-    distances = list(first.tree.distances)
-    for prev, q in zip(instances, instances[1:]):
+    tree, rep = first.tree, first.tree.repetition
+    children, distances = tree.children, tree.distances
+    slots = [(0, j) for j in range(len(rep.times))]
+    joins = []
+    right = list(_inner_right(tree))
+    r, end, in_order = tree.r, rep.width, rep.in_order
+    width = end
+    for m in range(1, len(instances)):
+        prev, q = instances[m - 1], instances[m]
+        tree, rep = q.tree, q.tree.repetition
         connect = (q.tau - prev.tau) - sum(prev.tree.distances)
         if connect < 0:
             raise InvalidPatternError(
                 "instances are too entangled to concatenate "
                 f"(negative connecting distance {connect})"
             )
-        children += q.tree.children
-        distances += (connect, *q.tree.distances[1:])
-    slots = [
-        (m, j) for m, q in enumerate(instances) for j in range(q.tree.count // q.tree.r)
-    ]
-    root = Block(
-        r=min(q.tree.r for q in instances),
-        p=first.tree.p,
-        children=tuple(children),
-        distances=tuple(distances),
+        shift, base = q.tau - first.tau, len(slots)
+        children += tree.children
+        distances += (connect,) + tree.distances[1:]
+        joins.append(((m, 0), (m - 1, _last_child_start(prev.tree))))
+        in_order = in_order and end <= shift and rep.in_order
+        r = min(r, tree.r)
+        slots += [(m, j) for j in range(len(rep.times))]
+        if inner := _inner_right(tree):
+            right += [base + i for i in inner]
+        end = shift + rep.width
+        width = max(width, end)
+    if isinstance(children[-1], Leaf):
+        right.append(len(slots) - 1)
+    p = first.tree.p
+    placement = Placement(width, not in_order or width > p, tuple(right))
+    return MergeLayout(
+        Frame(r, p, children, distances), first.tau, tuple(slots), tuple(joins), placement
     )
-    return MergeLayout(root=root, tau=first.tau, slots=tuple(slots))
 
 
 def factor_layout(layout: MergeLayout) -> MergeLayout | None:
@@ -534,43 +606,72 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
     ``[r p]([ra pa](X) [d] [ra pa](Y))`` becomes ``[r p]([ra pa](X [d']
     Y))``, with every occurrence at the same perfect time: each inner
     repetition holds ``X``'s occurrences of that repetition, then
-    ``Y``'s.  None also when ``d'`` would be negative.
+    ``Y``'s, and ``Y``'s first follows the first leaf of ``X``'s last
+    child.  None also when ``d'`` would be negative.
     """
     tree = layout.root
-    if len(tree.children) != 2 or not all(isinstance(c, Block) for c in tree.children):
+    if len(tree.children) != 2:
         return None
     a, b = tree.children
+    if not (isinstance(a, Block) and isinstance(b, Block)):
+        return None
     connect = tree.distances[1] - sum(a.distances)
     if (a.r, a.p) != (b.r, b.p) or connect < 0:
         return None
-    inner = Block(
-        r=a.r,
-        p=a.p,
-        children=a.children + b.children,
-        distances=a.distances + (connect,) + b.distances[1:],
-    )
-    root = Block(r=tree.r, p=tree.p, children=(inner,), distances=(0,))
-    per_a, per_b = a.count // a.r, b.count // b.r
+    inner = Frame(a.r, a.p, a.children + b.children, a.distances + (connect,) + b.distances[1:])
+    x, y = a.repetition, b.repetition
+    per_a, per_b = len(x.times), len(y.times)
+    shift = tree.distances[1]  # where Y starts in an inner repetition
+    x_last, n = _last_child_start(a), per_a + per_b
     slots = layout.slots
     order: list[tuple[int, int]] = []
     for j in range(a.r):
         order += slots[j * per_a : (j + 1) * per_a]
         order += slots[a.count + j * per_b : a.count + (j + 1) * per_b]
-    return MergeLayout(root=root, tau=layout.tau, slots=tuple(order))
+    # Y's first occurrence in each inner repetition follows X's last child
+    joins = tuple(
+        zip(
+            slots[a.count : a.count + a.r * per_b : per_b],
+            slots[x_last : a.r * per_a : per_a],
+        )
+    )
+    in_rep = _inner_right(a) + tuple(per_a + i for i in y.last_right)
+    right = [j * n + i for j in range(a.r) for i in in_rep]
+    width = (a.r - 1) * a.p + max(x.width, shift + y.width)
+    in_order = (
+        x.in_order and y.in_order and x.width <= shift and shift + y.width <= a.p
+    )
+    placement = Placement(width, not in_order or width > tree.p, tuple(right))
+    root = Frame(tree.r, tree.p, (inner,), (0,))
+    return MergeLayout(root, layout.tau, tuple(order), joins, placement)
+
+
+def nest_placement(tree: Block, p: int) -> Placement:
+    """The placement of ``tree`` nested under an outer cycle of period
+    ``p`` (:func:`grow_vertically`): the outer block's one repetition is
+    the whole tree, so the right-most leaves are those of every
+    repetition of the tree's root, and its times never decrease when the
+    tree does not interleave."""
+    rep = tree.repetition
+    n = len(rep.times)
+    width = (tree.r - 1) * tree.p + rep.width
+    right = tuple(k * n + i for k in range(tree.r) for i in rep.last_right)
+    return Placement(width, rep.interleaved or width > p, right)
 
 
 def _build(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
     """The pattern a layout describes: its corrections solved so that
     each occurrence lands on its member's corrected one."""
+    root = layout.root.build()
     corrected = [corrected_occurrences(q) for q in members]
     per = [q.tree.count // q.tree.r for q in members]
     targets = [
         corrected[m][k * per[m] + j][0]
-        for k in range(layout.root.r)
+        for k in range(root.r)
         for m, j in layout.slots
     ]
-    corrections = solve_corrections(layout.root, layout.tau, targets)
-    return Pattern(tree=layout.root, tau=layout.tau, corrections=corrections)
+    corrections = solve_corrections(root, layout.tau, targets)
+    return Pattern(tree=root, tau=layout.tau, corrections=corrections)
 
 
 def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
@@ -597,8 +698,7 @@ def factorize(p: Pattern) -> Pattern | None:
     Which of the two is cheaper depends on the sequence statistics, so
     choosing is left to the caller.
     """
-    own = tuple((0, j) for j in range(p.tree.count // p.tree.r))
-    layout = factor_layout(MergeLayout(root=p.tree, tau=p.tau, slots=own))
+    layout = factor_layout(concat_layout([p]))
     return None if layout is None else _build(layout, [p])
 
 
@@ -609,7 +709,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<open>\[r=(?P<r>\d+)\s+p=(?P<p>\d+)\]\()"
     r"|(?P<dist>\[d=(?P<d>\d+)\])"
     r"|(?P<close>\))"
-    r"|(?P<label>[A-Za-z0-9_]+))"
+    rf"|(?P<label>{LABEL.pattern}))"
 )
 
 
@@ -642,7 +742,7 @@ def format_pattern(p: Union[Pattern, Cycle]) -> str:
         tree = _format_block(p.r, p.p, p.event)
     else:
         tree = format_tree(p.tree)
-    es = ",".join(str(e) for e in p.corrections)
+    es = ",".join(map(str, p.corrections))
     return f"{tree} @ tau={p.tau} E=[{es}]"
 
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DomainError, EventSequence
+from .core import LABEL, DomainError, EventSequence
 from .pattern import (
     Block,
     Leaf,
@@ -35,8 +35,8 @@ from . import codec
 # Specification
 
 
-_BASIS_RE = re.compile(r"^\s*([A-Za-z0-9_]+)((?:\s+d=\d+\s+[A-Za-z0-9_]+)*)\s*$")
-_BASIS_TAIL = re.compile(r"d=(\d+)\s+([A-Za-z0-9_]+)")
+_BASIS_RE = re.compile(rf"^\s*({LABEL.pattern})((?:\s+d=\d+\s+{LABEL.pattern})*)\s*$")
+_BASIS_TAIL = re.compile(rf"d=(\d+)\s+({LABEL.pattern})")
 
 
 def parse_basis(text: str) -> tuple[tuple[str, int], ...]:
@@ -92,6 +92,18 @@ class PlantSpec:
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
 
+def _number(kind: type, text: str, number: int, key: str):
+    """``text`` read as an int or a float; a :class:`DomainError` that
+    names the line and the key when it is not one."""
+    try:
+        return kind(text.strip())
+    except ValueError:
+        raise DomainError(
+            f"line {number}: {key} needs {'an integer' if kind is int else 'a number'}, "
+            f"got {text.strip()!r}"
+        ) from None
+
+
 def parse_plant_spec(text: str) -> PlantSpec:
     """Parse a ``key=value`` configuration into a plant specification."""
     kwargs: dict = {}
@@ -105,14 +117,14 @@ def parse_plant_spec(text: str) -> PlantSpec:
         if key == "basis":
             kwargs[key] = value
         elif key in ("depth", "shift_level", "seed", "n_patterns"):
-            kwargs[key] = int(value)
+            kwargs[key] = _number(int, value, number, key)
         elif key in ("inner_period", "outer_length", "outer_period"):
-            parts = [int(x) for x in value.split(",")]
+            parts = [_number(int, x, number, key) for x in value.split(",")]
             if len(parts) != 2:
                 raise DomainError(f"line {number}: {key} needs 'lo,hi'")
             kwargs[key] = (parts[0], parts[1])
         elif key in ("shift_density", "additive_density"):
-            kwargs[key] = float(value)
+            kwargs[key] = _number(float, value, number, key)
         elif key in ("interleaving", "overlay"):
             if value.lower() not in _BOOL:
                 raise DomainError(f"line {number}: {key} must be true or false")

@@ -41,7 +41,6 @@ from cadence.codec import SeqStats, cycle_cost, residual_bits, residual_cost
 from cadence.core import DomainError, InvalidPatternError, UncodablePatternError
 from cadence.miner import (
     _CLIQUE_NODE_CAP,
-    _boundary_correction_sum,
     _components,
     _dedupe,
     _greedy_clique_cover,
@@ -469,6 +468,12 @@ def end_offset_by_origins(tree: Block, offsets: Sequence[int]) -> int:
     return best
 
 
+def boundary_correction_sum(p: Pattern) -> int:
+    """Sum of |correction| at the root repetition boundaries."""
+    per = occurrence_count(p.tree) // p.tree.r
+    return sum(abs(p.corrections[k * per - 1]) for k in range(1, p.tree.r))
+
+
 def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
     """Every pair that horizontal combination tries to merge.
 
@@ -482,7 +487,7 @@ def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
     taus = [c.tau for c in cands]
     is_new = [c.notation in new_keys for c in cands]
-    boundary = [_boundary_correction_sum(c.pattern) for c in cands]
+    boundary = [boundary_correction_sum(c.pattern) for c in cands]
     for ia, a in enumerate(cands):
         hi = bisect_right(taus, a.tau + a.pattern.tree.p)
         for ib in range(ia + 1, hi):

@@ -6,9 +6,14 @@ the exit code, captured output, and any JSON report written by
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cadence
 from cadence.cli import build_parser, main
 from cadence.synth import PlantSpec, generate
 from conftest import MIXED_PAIRS, TRIAD_PAIRS
@@ -229,6 +234,17 @@ class TestMine:
         assert captured.err == ""
         assert "winner:" in captured.out
 
+    @pytest.mark.parametrize("label", ["disk.full", "x-1", "a:b", "é"])
+    def test_labels_round_trip_through_the_notation(self, label, tmp_path, capsys):
+        # mine re-parses and re-prices every selected notation, so a label
+        # the notation cannot carry would fail here.
+        pairs = [(t, label) for t in range(0, 100, 10)] + [(3, "z"), (47, "z")]
+        log = write_log(tmp_path / "labels.tsv", sorted(pairs))
+        assert main(["mine", log]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"({label})" in captured.out
+
     def test_thread_count_does_not_change_the_text_report(
         self, triad_log, capsys
     ):
@@ -317,6 +333,19 @@ class TestSynthEval:
         assert rc == 2
         assert err.startswith("cadence:")
 
+    @pytest.mark.parametrize(
+        "line", ["depth=x", "seed=1.5", "inner_period=5,x", "shift_density=abc"]
+    )
+    def test_malformed_number_names_its_line_and_key(self, line, tmp_path, capsys):
+        spec = tmp_path / "plant.cfg"
+        spec.write_text(f"basis=a\n{line}\n", encoding="utf-8")
+        rc = main(["synth-eval", "--spec", str(spec), "--trials", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        key = line.split("=")[0]
+        assert captured.err.startswith(f"cadence: line 2: {key} ")
+        assert "Traceback" not in captured.err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
@@ -366,6 +395,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("cadence:")
+
+    @pytest.mark.parametrize(
+        "bad", ["[r=3 p=13](b [d=3] a", "[r=2 p=3](a) @ tau=0 E=[]"]
+    )
+    def test_unparsable_pattern_names_its_line(self, bad, triad_log, tmp_path, capsys):
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text(f"# braid\n{BRAID_NOTATION}\n{bad}\n", encoding="utf-8")
+        rc = main(["score", triad_log, "--patterns", str(patterns)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"cadence: {patterns}: line 3: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["stats", "nope.tsv"], ["nonsense"]])
+    def test_python_m_cadence_exits_as_main_does(self, argv, tmp_path, capsys):
+        argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(cadence.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "cadence", *argv], env=env, capture_output=True
+        )
+        assert run.returncode == main(argv)
+        capsys.readouterr()
 
 
 class TestParser:

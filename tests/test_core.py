@@ -69,6 +69,16 @@ class TestLoadSequence:
         with pytest.raises(ParseError):
             load_sequence("1\t\n")
 
+    @pytest.mark.parametrize("label", ["user login", "a(b)", "x[1]", "a#b"])
+    def test_label_the_notation_cannot_carry(self, label):
+        with pytest.raises(ParseError) as exc:
+            load_sequence(f"1\ta\n2\t{label}\n")
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("label", ["disk.full", "x-1", "a:b", "é"])
+    def test_labels_the_notation_carries(self, label):
+        assert load_sequence(f"1\t{label}\n").pairs == ((1, label),)
+
     def test_negative_timestamp_is_domain_error(self):
         with pytest.raises(DomainError):
             load_sequence("-3\ta\n")

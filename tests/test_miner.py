@@ -914,17 +914,24 @@ def random_merge_pool(rng: random.Random) -> tuple[list, SeqStats]:
 
 def laid_out_merges(a: Pattern, b: Pattern) -> list:
     """Each form of the merge of ``a`` then ``b`` as ``(layout, built
-    pattern)``: the plain one, then the factorized one when it exists;
-    none when the two cannot be concatenated."""
+    pattern, factored)``: the plain one, then the factorized one when it
+    exists; none when the two cannot be concatenated."""
     try:
         layout = concat_layout([a, b])
     except InvalidPatternError:
         return []
     merged = grow_horizontally([a, b])
-    forms = [(layout, merged)]
+    forms = [(layout, merged, False)]
     if (factored := factor_layout(layout)) is not None:
-        forms.append((factored, factorize(merged)))
+        forms.append((factored, factorize(merged), True))
     return forms
+
+
+def record_price(layout, records, stats, factored: bool):
+    """``(cost, cover)`` of a merge priced from its members' records;
+    None when it is uncodable."""
+    cost = miner._layout_cost(layout, records, stats, factored)
+    return None if cost is None else (cost, miner._kept(records, layout.root.r))
 
 
 def pair_kinds(calls) -> Counter:
@@ -966,9 +973,9 @@ class TestHorizontalPricing:
         calls = []
         original = miner.combine_horizontally
 
-        def recording(new, pool, stats, k):
+        def recording(new, pool, stats, k, records=None):
             calls.append((list(new), list(pool), stats))
-            return original(new, pool, stats, k)
+            return original(new, pool, stats, k, records)
 
         monkeypatch.setattr(miner, "combine_horizontally", recording)
         mine(seq)
@@ -1031,10 +1038,10 @@ class TestHorizontalPricing:
                 window = range(stats.t_start, stats.t_end + 1)
                 if all(t in window for t, _ in a.cover | b.cover):
                     continue
-                facts = [miner._member(a, stats), miner._member(b, stats)]
-                for layout, merged in laid_out_merges(a.pattern, b.pattern):
+                facts = [miner._Member(a, stats), miner._Member(b, stats)]
+                for layout, merged, factored in laid_out_merges(a.pattern, b.pattern):
                     want = make_candidate(merged, stats, "test")
-                    got = miner._layout_cost(layout, facts, stats)
+                    got = record_price(layout, facts, stats, factored)
                     assert got == ((want.cost, want.cover) if want else None)
                     priced["codable" if want else "uncodable"] += 1
         assert min(priced["codable"], priced["uncodable"]) > 0, priced
@@ -1063,7 +1070,7 @@ class TestHorizontalPricing:
             if None in members:
                 continue
             members.sort(key=lambda c: (c.tau, format_tree(c.pattern.tree)))
-            facts = [miner._member(c, stats) for c in members]
+            facts = [miner._Member(c, stats) for c in members]
             try:
                 layout = concat_layout([c.pattern for c in members])
             except InvalidPatternError:
@@ -1071,7 +1078,7 @@ class TestHorizontalPricing:
                     grow_horizontally([c.pattern for c in members])
                 seen[n, "negative distance"] += 1
                 continue
-            got = miner._layout_cost(layout, facts, stats)
+            got = record_price(layout, facts, stats, False)
             merged = grow_horizontally([c.pattern for c in members])
             want = make_candidate(merged, stats, "test")
             if want is None:
@@ -1104,14 +1111,14 @@ class TestHorizontalPricing:
             if pair is None:
                 continue
             a, b = pair
-            facts = [miner._member(a, stats), miner._member(b, stats)]
+            facts = [miner._Member(a, stats), miner._Member(b, stats)]
             layout = factor_layout(concat_layout([a.pattern, b.pattern]))
             factored = factorize(grow_horizontally([a.pattern, b.pattern]))
             if factored is None:
                 assert layout is None
                 seen["negative join"] += 1
                 continue
-            got = miner._layout_cost(layout, facts, stats)
+            got = record_price(layout, facts, stats, True)
             try:
                 want = pattern_cost(factored, stats).total
             except UncodablePatternError:
@@ -1357,9 +1364,9 @@ class TestNestPricing:
         calls = []
         original = miner.combine_vertically
 
-        def recording(new, pool, stats, k):
+        def recording(new, pool, stats, k, records=None):
             calls.append((list(new), list(pool), stats))
-            return original(new, pool, stats, k)
+            return original(new, pool, stats, k, records)
 
         monkeypatch.setattr(miner, "combine_vertically", recording)
         mine(seq)
@@ -1383,8 +1390,8 @@ class TestNestPricing:
                 wide, t_start=rng.randint(0, 6), t_end=rng.randint(80, 400)
             )
             tree = members[0].pattern.tree
-            facts = [miner._member(c, stats) for c in members]
-            got = miner._nest_cost(tree, facts, stats)
+            facts = [miner._Member(c, stats) for c in members]
+            got = miner._nest_cost(facts, stats)
             nested = grow_vertically([c.pattern for c in members])
             window = range(stats.t_start, stats.t_end + 1)
             outside = any(t not in window for c in members for t, _ in c.cover)
@@ -1471,6 +1478,59 @@ class TestBuildSite:
         for c in pool:
             assert c.cost == pattern_cost(c.pattern, stats).total, c.notation
             assert c.cover == frozenset(corrected_occurrences(c.pattern)), c.notation
+
+
+class TestRecords:
+    # Pricing reads one record per candidate and mine() call, and the
+    # unbuilt frame of each merge.
+    def test_blocks_are_made_only_at_the_build_site(self, monkeypatch):
+        depth = Counter()
+        stray, built = [], Counter()
+        make_block = Block.__post_init__
+
+        def making(block):
+            if depth["combine"] and not depth["grow"]:
+                stray.append(block)
+            make_block(block)
+
+        def nested(name, fn):
+            def call(*args, **kwargs):
+                depth[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[name] -= 1
+
+            return call
+
+        def growing(provenance, parts):
+            built[provenance] += 1
+            return grow(provenance, parts)
+
+        grow = miner._grow
+        monkeypatch.setattr(Block, "__post_init__", making)
+        for name in ("combine_horizontally", "combine_vertically"):
+            monkeypatch.setattr(miner, name, nested("combine", getattr(miner, name)))
+        monkeypatch.setattr(miner, "_grow", nested("grow", growing))
+        mine(shaped_log("braids", NESTING_SEEDS["braids"]))
+        assert stray == []
+        assert built["vertical"] > 0 and built["horizontal"] > 0, built
+
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
+    def test_each_record_is_built_once_per_mine(self, monkeypatch, shape):
+        built: Counter = Counter()
+        record = miner._Member.__init__
+
+        def counting(self, cand, stats):
+            built[cand.notation] += 1
+            record(self, cand, stats)
+
+        monkeypatch.setattr(miner._Member, "__init__", counting)
+        seq = shaped_log(shape, NESTING_SEEDS[shape])
+        for _ in range(2):
+            built.clear()
+            mine(seq)
+            assert built and set(built.values()) == {1}, built.most_common(3)
 
 
 class TestExtractCyclesStage:

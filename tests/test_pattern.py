@@ -21,11 +21,14 @@ from cadence.pattern import (
     Cycle,
     Leaf,
     Pattern,
+    Placement,
     classify_tree,
     compile_tree,
+    concat_layout,
     corrected_occurrences,
     cycle_cover,
     expand_tree,
+    factor_layout,
     factorize,
     fit_cycle,
     fit_period,
@@ -34,6 +37,7 @@ from cadence.pattern import (
     grow_horizontally,
     grow_vertically,
     is_simple,
+    nest_placement,
     occurrence_count,
     parse_pattern,
     parse_tree,
@@ -480,6 +484,60 @@ class TestMergeLayouts:
         for kind in ("negative join", "other shape", "unequal r", "interleaved"):
             assert seen[kind] >= 50, seen
         assert seen["leaf closes"] >= 50, seen
+
+    def test_layouts_place_and_join_as_the_built_root_compiles(self):
+        # A layout reads its root's placement and joins off the members'
+        # compiled repetitions; compiling the built root gives the same,
+        # for concatenations of 2 to 4 members, their factorized forms
+        # and nestings.
+        rng = random.Random(44)
+        seen: Counter = Counter()
+
+        def check(layout, members, kind):
+            rep = layout.root.build().repetition
+            assert layout.placement == Placement(rep.width, rep.interleaved, rep.last_right)
+            own = [q.tree.repetition.pred for q in members]
+            joins = set()
+            for s, t in enumerate(rep.pred[1:], 1):
+                (m, j), (n, i) = layout.slots[s], layout.slots[t]
+                if (n, i) != (m, own[m][j]):
+                    joins.add(((m, j), (n, i)))
+            assert set(layout.joins) == joins
+            seen[kind] += 1
+            seen[kind, "interleaved"] += rep.interleaved
+
+        for draw in range(1500):
+            members = [
+                random_pattern(rng, random_tree(rng, depth=3, leaves=3), 0, 30)
+                for _ in range(2 + draw % 3)
+            ]
+            members.sort(key=lambda q: (q.tau, format_tree(q.tree)))
+            try:
+                layout = concat_layout(members)
+            except InvalidPatternError:
+                continue
+            check(layout, members, "concatenated")
+            shape = rng.randint(2, 3), rng.randint(2, 6)
+            pair = []
+            for _ in range(2):
+                inner = dataclasses.replace(random_tree(rng, depth=2, leaves=3), r=shape[0], p=shape[1])
+                tree = Block(r=rng.randint(2, 4), p=30, children=(inner,), distances=(0,))
+                pair.append(random_pattern(rng, tree, 0, 15))
+            pair.sort(key=lambda q: (q.tau, format_tree(q.tree)))
+            if (factored := factor_layout(concat_layout(pair))) is not None:
+                check(factored, pair, "factorized")
+            tree, period = members[0].tree, rng.randint(1, 40)
+            nested = Block(r=rng.randint(2, 4), p=period, children=(tree,), distances=(0,))
+            rep = nested.repetition
+            assert nest_placement(tree, period) == Placement(
+                rep.width, rep.interleaved, rep.last_right
+            )
+            seen["nested", "interleaved"] += rep.interleaved
+        for kind in ("concatenated", "factorized"):
+            assert seen[kind] >= 900, seen
+            assert seen[kind, "interleaved"] >= 100, seen
+            assert seen[kind] - seen[kind, "interleaved"] >= 10, seen
+        assert seen["nested", "interleaved"] >= 100, seen
 
     def test_nesting_equals_the_interleaved_corrections(self):
         # Solving a nesting's corrections against its members' corrected

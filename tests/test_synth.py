@@ -119,6 +119,17 @@ class TestPlantSpecText:
         with pytest.raises(DomainError):
             parse_plant_spec(text)
 
+    @pytest.mark.parametrize(
+        "line", ["depth=x", "seed=1.5", "inner_period=5,x", "shift_density=abc"]
+    )
+    def test_malformed_numbers_name_their_line_and_key(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(DomainError, match=f"^line 2: {key} "):
+            parse_plant_spec(f"basis=a\n{line}\n")
+
+    def test_basis_takes_any_label_the_notation_carries(self):
+        assert parse_basis("disk.full d=2 x-1") == (("disk.full", 0), ("x-1", 2))
+
 
 class TestGenerate:
     def test_clean_plant_is_an_arithmetic_progression(self):
