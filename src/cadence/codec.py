@@ -38,10 +38,10 @@ from .core import (
 )
 from .pattern import (
     Block,
+    CompiledTree,
     Cycle,
     Frame,
     Leaf,
-    MergeLayout,
     Node,
     Pattern,
     Placement,
@@ -49,8 +49,8 @@ from .pattern import (
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
-    nest_placement,
     pattern_occurrences,
+    place,
 )
 
 _LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
@@ -309,15 +309,15 @@ def _placed(
     tau: int,
     stats: SeqStats,
     terms: Terms,
-    size: int,
-    placement: Placement,
+    placement: Placement | CompiledTree,
     last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> tuple[float, float, float, float, float, float]:
-    """The one sequence of encoder terms: the bits of a root with
-    ``size`` occurrences per repetition, its layout and repetition
-    ``terms`` and its ``placement``, started at ``tau``, in
-    :class:`CostBreakdown`'s order (:func:`placed_cost`)."""
+    """The one sequence of encoder terms: the bits of a root with layout
+    and repetition ``terms``, one repetition of which lies as
+    ``placement`` says (a :class:`Placement`, or the root's compiled
+    repetition), started at ``tau``, in :class:`CostBreakdown`'s order
+    (:func:`placed_cost`)."""
     bits_a, bits_r, _ = terms
     ranges = _root_ranges(stats, root.r, root.p, tau, last_offset(0))
     if ranges is None:
@@ -326,12 +326,13 @@ def _placed(
         )
     bits_p0, bits_tau = log2(ranges[0]), log2(ranges[1])
 
+    size = placement.size
     if is_simple(root):
         bits_d = 0.0
     else:
-        width, interleaved, last_right = placement
+        width, interleaved = placement.width, placement.interleaved
         if interleaved:
-            end_offset = min(map(last_offset, last_right))
+            end_offset = min(map(last_offset, placement.last_right))
         else:
             end_offset = last_offset(size - 1)
         max_width = stats.t_end - tau - end_offset - (root.r - 1) * root.p
@@ -372,58 +373,23 @@ def placed_cost(
     interleaves, the one with the smallest offset among those whose leaf
     is its parent's right-most child.  This is the one sequence of
     encoder terms: :func:`pattern_cost` reads the offsets off a built
-    pattern, and :func:`layout_cost` and :func:`nest_cost` price a merge
-    the miner has not built by the same terms, so they price bit for bit
-    alike.  Raises :class:`UncodablePatternError` when a term is out of
-    range.
+    pattern, and :func:`frame_cost` prices a block the miner has not
+    built by the same terms, so they price bit for bit alike.  Raises
+    :class:`UncodablePatternError` when a term is out of range.
     """
-    rep = tree.repetition
-    bits = _placed(
+    return CostBreakdown(*_placed(
         tree,
         tau,
         stats,
         _tree_bits(tree, stats),
-        len(rep.times),
-        Placement(rep.width, rep.interleaved, rep.last_right),
-        last_offset,
-        abs_corrections,
-    )
-    return CostBreakdown(*bits)
-
-
-def layout_cost(
-    layout: MergeLayout,
-    stats: SeqStats,
-    *,
-    terms: Sequence[Terms],
-    last_offset: Callable[[int], int],
-    abs_corrections: int,
-) -> float:
-    """Bits to transmit the merge a layout describes, without building
-    it: the total of :func:`placed_cost` of the built merge, bit for bit.
-
-    ``terms`` are the :func:`child_terms` of the nodes among the root's
-    children, and of the nodes among a child frame's children in its
-    place, in order; ``last_offset(s)`` is the offset of slot ``s`` in
-    the last root repetition.
-    """
-    root = layout.root
-    return _total(_placed(
-        root,
-        layout.tau,
-        stats,
-        _frame_terms(root, iter(terms)),
-        len(layout.slots),
-        layout.placement,
+        tree.repetition,
         last_offset,
         abs_corrections,
     ))
 
 
-def nest_cost(
-    tree: Block,
-    r: int,
-    p: int,
+def frame_cost(
+    root: Frame,
     tau: int,
     stats: SeqStats,
     *,
@@ -431,18 +397,21 @@ def nest_cost(
     last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> float:
-    """Bits to transmit ``r`` instances of ``tree`` nested under an
-    outer cycle of period ``p`` started at ``tau``, without building it:
-    the total of :func:`placed_cost` of the built nesting, bit for bit.  ``terms``
-    are the tree's :func:`child_terms`, and ``last_offset(i)`` is the
-    offset of the last instance's occurrence ``i``."""
+    """Bits to transmit the block a frame describes, started at ``tau``,
+    without building it: the total of :func:`placed_cost` of the built
+    block, bit for bit, with its repetition placed by :func:`place`.
+
+    ``terms`` are the :func:`child_terms` of the nodes among the root's
+    children, and of the nodes among a child frame's children in its
+    place, in order; ``last_offset(i)`` is the offset of occurrence ``i``
+    of the last root repetition.
+    """
     return _total(_placed(
-        Frame(r, p, (tree,), (0,)),
+        root,
         tau,
         stats,
-        _block_terms(r, [_block_terms(tree.r, terms)]),
-        tree.count,
-        nest_placement(tree, p),
+        _frame_terms(root, iter(terms)),
+        place(root),
         last_offset,
         abs_corrections,
     ))
@@ -478,20 +447,6 @@ def cycle_pricer(
         return head + log2(p0_max) + log2(v) + float(2 * (r - 1) + abs_corrections)
 
     return price
-
-
-def cycle_bits(
-    stats: SeqStats,
-    event: str,
-    r: int,
-    p: int,
-    tau: int,
-    sigma: int,
-    abs_corrections: int,
-) -> float:
-    """Bits to transmit a fitted cycle without building it: one price
-    from :func:`cycle_pricer`."""
-    return cycle_pricer(stats, event)(r, p, tau, sigma, abs_corrections)
 
 
 def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:

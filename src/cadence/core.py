@@ -126,7 +126,12 @@ class EventSequence:
     def from_pairs(
         pairs: Iterable[tuple[int, str]], duplicates_collapsed: int = 0
     ) -> "EventSequence":
-        """Build a sequence from raw pairs, collapsing exact duplicates."""
+        """Build a sequence from raw pairs, collapsing exact duplicates.
+
+        Raises a :class:`DomainError` naming the first label that the
+        pattern notation cannot carry (:data:`LABEL`); each distinct label
+        is checked once.
+        """
         seen: set[tuple[int, str]] = set()
         ordered: list[tuple[int, str]] = []
         ids: dict[str, int] = {}
@@ -140,6 +145,8 @@ class EventSequence:
             seen.add((t, e))
             ordered.append((t, e))
             if e not in ids:
+                if not LABEL.fullmatch(e):
+                    raise DomainError(_label_problem(e))
                 ids[e] = len(ids)
         if not ordered:
             raise EmptySequenceError("sequence contains no occurrences")
@@ -213,10 +220,11 @@ def _check_labels(raw: list[tuple[int, str]], skipped: list[int]) -> None:
         if s > number:
             break
         number += 1
-    raise ParseError(
-        f"event label {label!r} holds whitespace, a bracket, a parenthesis or '#'",
-        number,
-    )
+    raise ParseError(_label_problem(label), number)
+
+
+def _label_problem(label: str) -> str:
+    return f"event label {label!r} holds whitespace, a bracket, a parenthesis or '#'"
 
 
 def load_sequence(

@@ -31,13 +31,14 @@ from .core import (
 )
 from .pattern import (
     Cycle,
+    Frame,
     MergeLayout,
     Pattern,
+    build_merge,
     concat_layout,
     corrected_occurrences,
     cycle_cover,
     factor_layout,
-    factorize,
     fit_cycle,
     fit_period,
     format_pattern,
@@ -392,13 +393,15 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
 def _grow(provenance: str, parts) -> Pattern:
     """The pattern a priced candidate's recipe describes: a stage-S
     cycle, or the growth of the member patterns that ``provenance``
-    names."""
+    names.  A factorized merge's members are in
+    :func:`grow_horizontally`'s order, and it is built from its layout
+    once."""
     if provenance == "vertical":
         return grow_vertically(parts)
     if provenance == "horizontal":
         return grow_horizontally(parts)
     if provenance == "factorized":
-        return factorize(grow_horizontally(parts))
+        return build_merge(factor_layout(concat_layout(parts)), parts)
     return parts.as_pattern()
 
 
@@ -558,9 +561,8 @@ class _Member:
     layout and repetition bits and rarest counts
     (:func:`codec.child_terms`), and ``inner_terms`` those of its first
     child's children, the parts of a factorized merge; None when a child
-    is uncodable.  The root repetition's width, ordering, last child and
-    right-most leaves are its tree's, which ``pattern`` compiles once
-    and lays merges out from.
+    is uncodable.  Where a merge's repetition lies is ``pattern``'s
+    placement of its frame, read off the members' compiled repetitions.
     """
 
     def __init__(self, cand: Candidate, stats: SeqStats) -> None:
@@ -652,11 +654,11 @@ def _layout_cost(
     from their records alone; None when it is uncodable.
 
     A ``factored`` layout is priced from the members' ``inner_terms``,
-    any other from their ``terms`` (:func:`codec.layout_cost`).  Each
-    occurrence's offset is its member's, shifted by the drift of the
-    member's period from the root's (:class:`MergeLayout`).  An
-    occurrence keeps its member's correction unless it is a join, so the
-    members' ``|E|`` totals are summed, and each join's column is
+    any other from their ``terms`` (:func:`codec.frame_cost` of its
+    root).  Each occurrence's offset is its member's, shifted by the
+    drift of the member's period from the root's (:class:`MergeLayout`).
+    An occurrence keeps its member's correction unless it is a join, so
+    the members' ``|E|`` totals are summed, and each join's column is
     replaced by its corrections against its new predecessor, repetition
     by repetition.  The merge's occurrences are the members' kept ones,
     so it lies in the window when they do.
@@ -690,8 +692,9 @@ def _layout_cost(
     abs_corrections -= sum(dropped)
     lasts = [offs[m][last * pers[m] + j] + last * (ps[m] - root.p) for m, j in layout.slots]
     try:
-        return codec.layout_cost(
-            layout,
+        return codec.frame_cost(
+            root,
+            layout.tau,
             stats,
             terms=terms,
             last_offset=lasts.__getitem__,
@@ -710,6 +713,8 @@ def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
     corrections.  The nesting lies in the window when its members do.
+    Its root's one child is the members' tree as a frame, which the
+    members' ``terms`` fill (:func:`codec.frame_cost`).
     """
     first = members[0]
     if first.terms is None or any(q.fits < q.tree.count for q in members):
@@ -717,11 +722,11 @@ def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
     p, starts = fit_period([q.cand.tau for q in members])
     shift = sum(starts)
     last = members[-1].pattern.offsets
+    tree = first.tree
+    inner = Frame(tree.r, tree.p, tree.children, tree.distances)
     try:
-        return codec.nest_cost(
-            first.tree,
-            len(members),
-            p,
+        return codec.frame_cost(
+            Frame(len(members), p, (inner,), (0,)),
             first.cand.tau,
             stats,
             terms=first.terms,

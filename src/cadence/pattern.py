@@ -13,7 +13,8 @@ The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
 co-periodic patterns as siblings and factorizing a concatenation), the
 layout that the last two build from (:class:`MergeLayout`, over an
-unbuilt :class:`Frame`), and a bit-exact text notation.
+unbuilt :class:`Frame`), the one rule for where a repetition of a
+block or a frame lies (:func:`place`), and a bit-exact text notation.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ class CompiledTree:
     ``last_right`` lists the last root repetition's occurrences whose
     leaf is its parent's right-most child.  The occurrences *interleave*
     when their perfect times decrease somewhere; ``width`` is the
-    largest time and ``in_order`` whether the times never decrease.
+    largest time.
     """
 
     times: tuple[int, ...]
@@ -294,7 +295,76 @@ class CompiledTree:
     interleaved: bool
     last_right: tuple[int, ...]
     width: int
-    in_order: bool
+
+    @property
+    def size(self) -> int:
+        """The number of occurrences."""
+        return len(self.times)
+
+
+class Frame(NamedTuple):
+    """An interior block laid out but not built: its length, period,
+    children (nodes, or frames themselves) and distances, as
+    :class:`Block` holds them.  The encoder reads only these and the
+    frame's :func:`place`, so a merge is priced from its frame, and
+    :meth:`build` makes the block of the merge that is kept."""
+
+    r: int
+    p: int
+    children: tuple
+    distances: tuple[int, ...]
+
+    def build(self) -> Block:
+        children = tuple(c.build() if isinstance(c, Frame) else c for c in self.children)
+        return Block(r=self.r, p=self.p, children=children, distances=self.distances)
+
+
+class Placement(NamedTuple):
+    """Where one repetition of a block or a frame lies, as the encoder
+    reads it: its largest perfect time, whether the block interleaves,
+    the occurrences of the repetition (by index) whose leaf is its
+    parent's right-most child, and how many occurrences it holds."""
+
+    width: int
+    interleaved: bool
+    last_right: tuple[int, ...]
+    size: int
+
+
+def place(block: Block | Frame) -> Placement:
+    """The one placement rule: where one repetition of a block's or a
+    frame's children lies, from the children's own records.
+
+    A leaf lies at its offset, and a child block or frame spans ``(r -
+    1) p + width`` from its offset, its width read off its
+    :attr:`Block.repetition` or its own placement.  The times never
+    decrease exactly when no child interleaves and each child ends
+    before the next begins: a child's first time is 0, and when it is in
+    order its last time is its largest.  The block interleaves when the
+    times decrease somewhere or the repetition is wider than ``p``.  A
+    leaf is right-most when it is the last child, and a child's
+    right-most leaves are those of every repetition of it.
+    """
+    right: list[int] = []
+    size = offset = end = width = 0
+    in_order = True
+    last = len(block.children) - 1
+    for c, child in enumerate(block.children):
+        offset += block.distances[c]
+        in_order = in_order and end <= offset
+        if isinstance(child, Leaf):
+            if c == last:
+                right.append(size)
+            end, size = offset, size + 1
+        else:
+            rec = place(child) if isinstance(child, Frame) else child.repetition
+            n = rec.size
+            right += [size + k * n + i for k in range(child.r) for i in rec.last_right]
+            in_order = in_order and not rec.interleaved
+            end = offset + (child.r - 1) * child.p + rec.width
+            size += child.r * n
+        width = max(width, end)
+    return Placement(width, not in_order or width > block.p, tuple(right), size)
 
 
 def compile_repetition(block: Block) -> CompiledTree:
@@ -302,45 +372,35 @@ def compile_repetition(block: Block) -> CompiledTree:
 
     A leaf is one occurrence and a child block is its compiled tree,
     shifted to its distance, so a subtree shared by several trees
-    compiles once.  The record's one repetition is its last, and
-    ``interleaved`` is the whole block's: the times decrease within the
-    repetition (``in_order`` is false), or from its last occurrence to
-    the next repetition's first, at ``p``.  Callers read
-    :attr:`Block.repetition`.
+    compiles once.  The record's one repetition is its last, and its
+    width, interleaving and right-most leaves are the block's
+    :func:`place`.  Callers read :attr:`Block.repetition`.
     """
     times: list[int] = []
     events: list[str] = []
     pred: list[int] = []
-    right: list[int] = []
-    last = len(block.children) - 1
     offset, first = 0, -1
     for c, child in enumerate(block.children):
         offset += block.distances[c]
         base = len(times)
+        pred.append(first)
         if isinstance(child, Leaf):
             times.append(offset)
             events.append(child.event)
-            pred.append(first)
-            if c == last:
-                right.append(base)
         else:
-            sub, rep = child.compiled, child.repetition
+            sub = child.compiled
             times += [offset + t for t in sub.times]
             events += sub.events
-            pred.append(first)
             pred += [base + q for q in sub.pred[1:]]
-            n = len(rep.times)
-            right += [base + k * n + i for k in range(child.r) for i in rep.last_right]
         first = base
-    in_order = times == sorted(times)
+    width, interleaved, last_right, _ = place(block)
     return CompiledTree(
         times=tuple(times),
         events=tuple(events),
         pred=tuple(pred),
-        interleaved=times[-1] > block.p or not in_order,
-        last_right=tuple(right),
-        width=times[-1] if in_order else max(times),
-        in_order=in_order,
+        interleaved=interleaved,
+        last_right=last_right,
+        width=width,
     )
 
 
@@ -366,7 +426,6 @@ def compile_tree(tree: Block) -> CompiledTree:
         interleaved=rep.interleaved,
         last_right=tuple((tree.r - 1) * n + i for i in rep.last_right),
         width=(tree.r - 1) * tree.p + rep.width,
-        in_order=not rep.interleaved,
     )
 
 
@@ -481,34 +540,6 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     return Pattern(tree=root, tau=inst[0].tau, corrections=corrections)
 
 
-class Frame(NamedTuple):
-    """An interior block laid out but not built: its length, period,
-    children (nodes, or frames themselves) and distances, as
-    :class:`Block` holds them.  The encoder's distance and period terms
-    read only these, so a merge is priced from its frame, and
-    :meth:`build` makes the block of the merge that is kept."""
-
-    r: int
-    p: int
-    children: tuple
-    distances: tuple[int, ...]
-
-    def build(self) -> Block:
-        children = tuple(c.build() if isinstance(c, Frame) else c for c in self.children)
-        return Block(r=self.r, p=self.p, children=children, distances=self.distances)
-
-
-class Placement(NamedTuple):
-    """Where one repetition of a root lies, as the encoder reads it: its
-    largest perfect time, whether the root interleaves, and the
-    occurrences of the repetition (by index) whose leaf is its parent's
-    right-most child (:class:`CompiledTree`)."""
-
-    width: int
-    interleaved: bool
-    last_right: tuple[int, ...]
-
-
 class MergeLayout(NamedTuple):
     """Where a horizontal merge of member patterns puts their occurrences.
 
@@ -523,29 +554,25 @@ class MergeLayout(NamedTuple):
     member's offset there plus ``k`` times the member's period minus the
     root's, and only the occurrences whose predecessor is not the
     member's own take a new correction: ``(slot, predecessor)`` pairs in
-    ``joins``, both as ``(m, j)``.  ``placement`` is the root's
-    (:class:`Placement`), read off the members' compiled repetitions.
+    ``joins``, both as ``(m, j)``.  Where the root's repetition lies is
+    its :func:`place`.
     """
 
     root: Frame
     tau: int
     slots: tuple[tuple[int, int], ...]
     joins: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    placement: Placement
 
 
-def _inner_right(block: Block) -> tuple[int, ...]:
-    """The right-most leaves of a block's repetition, without the one
-    that closes the block itself: inside a longer list of children, a
-    leaf that closes is no longer the right-most child."""
-    right = block.repetition.last_right
-    return right[:-1] if isinstance(block.children[-1], Leaf) else right
+def _per(block: Block) -> int:
+    """The number of occurrences in one repetition of a block."""
+    return block.count // block.r
 
 
 def _last_child_start(block: Block) -> int:
     """Index, in one repetition, of the first occurrence of the block's
     last child."""
-    return block.count // block.r - occurrence_count(block.children[-1])
+    return _per(block) - occurrence_count(block.children[-1])
 
 
 def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
@@ -555,48 +582,30 @@ def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
     minimum length; its children are the instances' root children, and
     the distance between consecutive instances' contents is the
     difference of their starting points.  Raises
-    :class:`InvalidPatternError` when that distance is negative.
-
-    Each instance's first occurrence follows the first leaf of the
-    previous instance's last child.  The repetition's width is the
-    largest shifted width, and its times never decrease when each
-    instance's do and each ends before the next begins.
+    :class:`InvalidPatternError` when that distance is negative.  Each
+    instance's first occurrence follows the first leaf of the previous
+    instance's last child.
     """
     first = instances[0]
-    tree, rep = first.tree, first.tree.repetition
-    children, distances = tree.children, tree.distances
-    slots = [(0, j) for j in range(len(rep.times))]
+    children, distances = first.tree.children, first.tree.distances
+    slots = [(0, j) for j in range(_per(first.tree))]
     joins = []
-    right = list(_inner_right(tree))
-    r, end, in_order = tree.r, rep.width, rep.in_order
-    width = end
+    r = first.tree.r
     for m in range(1, len(instances)):
         prev, q = instances[m - 1], instances[m]
-        tree, rep = q.tree, q.tree.repetition
         connect = (q.tau - prev.tau) - sum(prev.tree.distances)
         if connect < 0:
             raise InvalidPatternError(
                 "instances are too entangled to concatenate "
                 f"(negative connecting distance {connect})"
             )
-        shift, base = q.tau - first.tau, len(slots)
-        children += tree.children
-        distances += (connect,) + tree.distances[1:]
+        children += q.tree.children
+        distances += (connect,) + q.tree.distances[1:]
         joins.append(((m, 0), (m - 1, _last_child_start(prev.tree))))
-        in_order = in_order and end <= shift and rep.in_order
-        r = min(r, tree.r)
-        slots += [(m, j) for j in range(len(rep.times))]
-        if inner := _inner_right(tree):
-            right += [base + i for i in inner]
-        end = shift + rep.width
-        width = max(width, end)
-    if isinstance(children[-1], Leaf):
-        right.append(len(slots) - 1)
-    p = first.tree.p
-    placement = Placement(width, not in_order or width > p, tuple(right))
-    return MergeLayout(
-        Frame(r, p, children, distances), first.tau, tuple(slots), tuple(joins), placement
-    )
+        r = min(r, q.tree.r)
+        slots += [(m, j) for j in range(_per(q.tree))]
+    root = Frame(r, first.tree.p, children, distances)
+    return MergeLayout(root, first.tau, tuple(slots), tuple(joins))
 
 
 def factor_layout(layout: MergeLayout) -> MergeLayout | None:
@@ -619,10 +628,7 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
     if (a.r, a.p) != (b.r, b.p) or connect < 0:
         return None
     inner = Frame(a.r, a.p, a.children + b.children, a.distances + (connect,) + b.distances[1:])
-    x, y = a.repetition, b.repetition
-    per_a, per_b = len(x.times), len(y.times)
-    shift = tree.distances[1]  # where Y starts in an inner repetition
-    x_last, n = _last_child_start(a), per_a + per_b
+    per_a, per_b = _per(a), _per(b)
     slots = layout.slots
     order: list[tuple[int, int]] = []
     for j in range(a.r):
@@ -632,39 +638,20 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
     joins = tuple(
         zip(
             slots[a.count : a.count + a.r * per_b : per_b],
-            slots[x_last : a.r * per_a : per_a],
+            slots[_last_child_start(a) : a.r * per_a : per_a],
         )
     )
-    in_rep = _inner_right(a) + tuple(per_a + i for i in y.last_right)
-    right = [j * n + i for j in range(a.r) for i in in_rep]
-    width = (a.r - 1) * a.p + max(x.width, shift + y.width)
-    in_order = (
-        x.in_order and y.in_order and x.width <= shift and shift + y.width <= a.p
-    )
-    placement = Placement(width, not in_order or width > tree.p, tuple(right))
     root = Frame(tree.r, tree.p, (inner,), (0,))
-    return MergeLayout(root, layout.tau, tuple(order), joins, placement)
+    return MergeLayout(root, layout.tau, tuple(order), joins)
 
 
-def nest_placement(tree: Block, p: int) -> Placement:
-    """The placement of ``tree`` nested under an outer cycle of period
-    ``p`` (:func:`grow_vertically`): the outer block's one repetition is
-    the whole tree, so the right-most leaves are those of every
-    repetition of the tree's root, and its times never decrease when the
-    tree does not interleave."""
-    rep = tree.repetition
-    n = len(rep.times)
-    width = (tree.r - 1) * tree.p + rep.width
-    right = tuple(k * n + i for k in range(tree.r) for i in rep.last_right)
-    return Placement(width, rep.interleaved or width > p, right)
-
-
-def _build(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
-    """The pattern a layout describes: its corrections solved so that
-    each occurrence lands on its member's corrected one."""
+def build_merge(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
+    """The pattern a merge layout over the members describes: its
+    corrections solved so that each occurrence lands on its member's
+    corrected one."""
     root = layout.root.build()
     corrected = [corrected_occurrences(q) for q in members]
-    per = [q.tree.count // q.tree.r for q in members]
+    per = [_per(q.tree) for q in members]
     targets = [
         corrected[m][k * per[m] + j][0]
         for k in range(root.r)
@@ -685,7 +672,7 @@ def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
     inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
-    return _build(concat_layout(inst), inst)
+    return build_merge(concat_layout(inst), inst)
 
 
 def factorize(p: Pattern) -> Pattern | None:
@@ -699,7 +686,7 @@ def factorize(p: Pattern) -> Pattern | None:
     choosing is left to the caller.
     """
     layout = factor_layout(concat_layout([p]))
-    return None if layout is None else _build(layout, [p])
+    return None if layout is None else build_merge(layout, [p])
 
 
 # ---------------------------------------------------------------------------
@@ -815,5 +802,8 @@ def parse_pattern(text: str) -> Pattern:
         raise DomainError(f"pattern notation: cannot parse {text!r}")
     tree = parse_tree(m.group("tree"))
     es = m.group("es").strip()
-    corrections = tuple(int(x) for x in es.split(",")) if es else ()
+    try:
+        corrections = tuple(int(x) for x in es.split(",")) if es else ()
+    except ValueError:
+        raise DomainError(f"pattern notation: malformed corrections [{es}]") from None
     return Pattern(tree=tree, tau=int(m.group("tau")), corrections=corrections)

@@ -10,16 +10,16 @@ greedy cover, the build-everything stage S, the build-every-nesting
 vertical combination and the build-every-merge horizontal combination
 are the plain searches that the miner's pruned, lazy and ranked ones
 must reproduce exactly.  The segmentation shares the miner's prices:
-``codec.cycle_bits`` is one call of ``codec.cycle_pricer``, the
-per-event kernel the miner's segmentation and stage S price through, so
-the two compare float for float (that price is checked against the
+it prices through ``codec.cycle_pricer``, the per-event kernel the
+miner's segmentation and stage S price through, so the two compare
+float for float (that price is checked against the
 encoder separately).  Its period and absolute deviation come from its
 own running median, :class:`_RunningMedian`, where the miner keeps the
 two heaps in the scan's locals.  The survivor bound is
 the one the build site applies, written out on ``(cost, cover)`` pairs.
-The recursive correction walk and the origins-based end offset are the
-tree kernel's references, and the three-walk layout and repetition
-terms are the encoder's.  The capped triple chaining is the pass that
+The recursive correction walk, the origins-based end offset and the
+expansion-based placement are the tree kernel's references, and the
+three-walk layout and repetition terms are the encoder's.  The capped triple chaining is the pass that
 whole-log chaining replaced, kept to show where its caps stopped it.
 The target-and-solve concatenation and factorization are the builders
 that merge layouts replaced: they gather each root repetition's
@@ -205,6 +205,7 @@ def unpruned_segmentation(
     ts = list(timestamps)
     n = len(ts)
     l_res = residual_cost(stats, (ts[0], event))
+    price = codec.cycle_pricer(stats, event)
     best = [0.0] * (n + 1)
     cut = [0] * (n + 1)
     as_cycle = [False] * (n + 1)
@@ -218,9 +219,7 @@ def unpruned_segmentation(
             cyc = float("inf")
             if m >= 3:
                 sigma = (ts[j] - ts[i]) - (m - 1) * med.median
-                cyc = codec.cycle_bits(
-                    stats, event, m, med.median, ts[i], sigma, med.abs_deviation
-                )
+                cyc = price(m, med.median, ts[i], sigma, med.abs_deviation)
             if best[i] + min(cost, cyc) < best[j + 1]:
                 best[j + 1], cut[j + 1] = best[i] + min(cost, cyc), i
                 as_cycle[j + 1] = cyc < cost
@@ -443,6 +442,14 @@ def walk_corrections(tree: Block, values: Sequence[int], solve: bool) -> list[in
     return out
 
 
+def _right_most(tree: Block, path: tuple[int, ...]) -> bool:
+    """Whether the leaf at a block path is its parent's last child."""
+    node = tree
+    for c in path[:-1]:
+        node = node.children[c]
+    return path[-1] == len(node.children) - 1
+
+
 def end_offset_by_origins(tree: Block, offsets: Sequence[int]) -> int:
     """The offset that pins where the last repetition's content ends.
 
@@ -456,16 +463,24 @@ def end_offset_by_origins(tree: Block, offsets: Sequence[int]) -> int:
     n = len(offsets)
     if all(a <= b for a, b in zip(ts, ts[1:])):
         return offsets[n - 1]
-    best = None
-    for i in range((tree.r - 1) * (n // tree.r), n):
-        path, _ = origins[i]
-        node = tree
-        for c in path[:-1]:
-            node = node.children[c]
-        if path[-1] == len(node.children) - 1:
-            if best is None or offsets[i] < best:
-                best = offsets[i]
-    return best
+    return min(
+        offsets[i]
+        for i in range((tree.r - 1) * (n // tree.r), n)
+        if _right_most(tree, origins[i][0])
+    )
+
+
+def placement_by_expansion(tree: Block) -> tuple[int, bool, tuple[int, ...], int]:
+    """Where one repetition of a built root lies, read off its perfect
+    occurrences: the largest time of one repetition, whether the whole
+    tree's times are unsorted, the repetition's occurrences whose leaf
+    is its parent's right-most child (by block path), and how many
+    occurrences a repetition holds."""
+    occs, origins = expand_tree(tree)
+    ts = [t for t, _ in occs]
+    n = len(ts) // tree.r
+    right = tuple(i for i in range(n) if _right_most(tree, origins[i][0]))
+    return max(ts[:n]), ts != sorted(ts), right, n
 
 
 def boundary_correction_sum(p: Pattern) -> int:

@@ -397,7 +397,12 @@ class TestExitCodes:
         assert err.startswith("cadence:")
 
     @pytest.mark.parametrize(
-        "bad", ["[r=3 p=13](b [d=3] a", "[r=2 p=3](a) @ tau=0 E=[]"]
+        "bad",
+        [
+            "[r=3 p=13](b [d=3] a",
+            "[r=2 p=3](a) @ tau=0 E=[]",
+            "[r=3 p=2](a) @ tau=0 E=[1,,2]",
+        ],
     )
     def test_unparsable_pattern_names_its_line(self, bad, triad_log, tmp_path, capsys):
         patterns = tmp_path / "patterns.txt"

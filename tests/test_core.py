@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,6 +143,13 @@ class TestEventSequence:
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
             EventSequence.from_pairs([])
+
+    @pytest.mark.parametrize("label", ["disk full", "a(b)", "x[1]", "a#b"])
+    def test_label_the_notation_cannot_carry(self, label):
+        # The library entry point checks labels as load_sequence does, so
+        # every mined notation re-parses.
+        with pytest.raises(DomainError, match=re.escape(repr(label))):
+            EventSequence.from_pairs([(1, "a"), (2, label), (3, label)])
 
 
 class TestStats:

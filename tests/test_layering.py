@@ -202,3 +202,56 @@ def test_no_module_wide_function_cache(name):
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     used = names_used(source)
     assert not used & {"functools.lru_cache", "functools.cache", "lru_cache"}, name
+
+
+def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> set[str]:
+    """``module.name`` of each module-level function and class that no
+    source refers to, by bare name or attribute, outside its own body,
+    and that is not in ``exported``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = set()
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if definition.name in exported:
+                continue
+            stack = list(trees.values())
+            while stack:
+                node = stack.pop()
+                if node is definition:
+                    continue
+                if (isinstance(node, ast.Name) and node.id == definition.name) or (
+                    isinstance(node, ast.Attribute) and node.attr == definition.name
+                ):
+                    break
+                stack.extend(ast.iter_child_nodes(node))
+            else:
+                found.add(f"{module}.{definition.name}")
+    return found
+
+
+def test_reference_walker_skips_the_own_body_and_imports():
+    sources = {
+        "a": (
+            "from .b import called\n"
+            "def lonely(n):\n"
+            "    return lonely(n - 1)\n"
+            "def shown(): pass\n"
+            "class Used: pass\n"
+            "def caller():\n"
+            "    return called(), Used\n"
+        ),
+        "b": "def called(): pass\n",
+    }
+    assert unreferenced_definitions(sources, {"shown"}) == {"a.lonely", "a.caller"}
+
+
+def test_every_definition_is_referenced_or_exported():
+    # A function or class that nothing in the package refers to and the
+    # package does not export is dead code: remove it rather than keep
+    # a second path that only tests reach.
+    sources = {
+        name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODULES
+    }
+    assert unreferenced_definitions(sources, set(cadence.__all__)) == set()

@@ -20,7 +20,6 @@ from cadence import codec, miner
 from cadence.codec import (
     SeqStats,
     collection_cost,
-    cycle_bits,
     cycle_cost,
     extension_margin,
     pattern_cost,
@@ -160,12 +159,11 @@ class TestExtractCyclesDp:
                 for j in range(i + 3, n + 1):
                     c = fit_cycle(ts[i:j], "a")
                     abs_dev = sum(abs(e) for e in c.corrections)
-                    closed = cycle_bits(stats, "a", c.r, c.p, c.tau, c.sigma, abs_dev)
                     try:
                         encoded = cycle_cost(c, stats)
                     except UncodablePatternError:
                         encoded = float("inf")
-                    assert price(c.r, c.p, c.tau, c.sigma, abs_dev) == closed == encoded
+                    assert price(c.r, c.p, c.tau, c.sigma, abs_dev) == encoded
             cycles = extract_cycles_dp(ts, "a", stats)
             got = cycle_selection_bits(cycles, ts, "a", stats)
             want = optimal_segmentation_bits(ts, "a", stats)
@@ -683,22 +681,21 @@ class TestClosedFormTermOrder:
         stats = SeqStats(length=4, t_start=210, t_end=309, counts={"a": 3, "b": 1})
         c = fit_cycle([213, 305, 309], "a")
         abs_dev = sum(abs(e) for e in c.corrections)
-        closed = cycle_bits(stats, "a", c.r, c.p, c.tau, c.sigma, abs_dev)
         kernel = codec.cycle_pricer(stats, "a")(c.r, c.p, c.tau, c.sigma, abs_dev)
-        assert kernel == closed == cycle_cost(c, stats) == 107.2940463132715
+        assert kernel == cycle_cost(c, stats) == 107.2940463132715
 
     def test_more_repetitions_than_occurrences_are_uncodable(self):
         stats = SeqStats(length=4, t_start=0, t_end=40, counts={"a": 2, "b": 2})
         c = fit_cycle([0, 10, 20], "a")
         with pytest.raises(UncodablePatternError):
             cycle_cost(c, stats)
-        assert cycle_bits(stats, "a", 3, 10, 0, 0, 0) == float("inf")
+        assert codec.cycle_pricer(stats, "a")(3, 10, 0, 0, 0) == float("inf")
 
     def test_kernel_is_inf_exactly_when_the_encoder_raises(self):
         # Windows that cut the log on either side and event counts below
-        # the cycle's length reach every uncodable branch; the kernel,
-        # cycle_bits and the built cycle's encoder price agree on every
-        # segment, codable or not.
+        # the cycle's length reach every uncodable branch; the kernel and
+        # the built cycle's encoder price agree on every segment,
+        # codable or not.
         rng = random.Random(13)
         branches: Counter = Counter()
         for _ in range(200):
@@ -721,7 +718,7 @@ class TestClosedFormTermOrder:
                         encoded = cycle_cost(c, stats)
                     except UncodablePatternError:
                         encoded = float("inf")
-                    assert price(*args) == cycle_bits(stats, "a", *args) == encoded
+                    assert price(*args) == encoded
                     numer = stats.span - c.sigma
                     branches["codable"] += encoded < float("inf")
                     branches["r > count"] += c.r > count
@@ -1148,7 +1145,9 @@ class TestHorizontalPricing:
         # The build site builds each merge that can survive pruning once,
         # in its priced form, and nothing builds a pair to price it,
         # although the mined logs and the random pools hold factorizable
-        # pairs, and in the pools factorizing wins some.
+        # pairs, and in the pools factorizing wins some.  A plain merge
+        # is built by grow_horizontally, a factorized one from its layout
+        # by build_merge, not through the plain merge.
         calls = self.recorded_calls(monkeypatch, shaped_log("braids", 0))
         assert pair_kinds(calls)["factorizable"] > 0
         rng = random.Random(31)
@@ -1157,7 +1156,7 @@ class TestHorizontalPricing:
             calls.append((cands[:5], cands[5:], stats))
         built, survivors, merges = [], [], []
         grow, site = miner._grow, miner._build_survivors
-        concatenate = miner.grow_horizontally
+        concatenate, from_layout = miner.grow_horizontally, miner.build_merge
 
         def building(provenance, parts):
             built.append(provenance)
@@ -1172,9 +1171,14 @@ class TestHorizontalPricing:
             merges.append(len(instances))
             return concatenate(instances)
 
+        def laying_out(layout, members):
+            merges.append(len(members))
+            return from_layout(layout, members)
+
         monkeypatch.setattr(miner, "_grow", building)
         monkeypatch.setattr(miner, "_build_survivors", surviving)
         monkeypatch.setattr(miner, "grow_horizontally", concatenating)
+        monkeypatch.setattr(miner, "build_merge", laying_out)
         for new, pool, stats in calls:
             combine_horizontally(new, pool, stats, 3)
         assert len(built) == sum(survivors) == len(merges)

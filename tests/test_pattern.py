@@ -19,9 +19,9 @@ from cadence.codec import SeqStats, pattern_cost
 from cadence.pattern import (
     Block,
     Cycle,
+    Frame,
     Leaf,
     Pattern,
-    Placement,
     classify_tree,
     compile_tree,
     concat_layout,
@@ -37,11 +37,11 @@ from cadence.pattern import (
     grow_horizontally,
     grow_vertically,
     is_simple,
-    nest_placement,
     occurrence_count,
     parse_pattern,
     parse_tree,
     pattern_occurrences,
+    place,
     solve_corrections,
     tree_height,
     tree_width,
@@ -50,6 +50,7 @@ from cadence.pattern import (
 from _oracles import (
     end_offset_by_origins,
     interleaved_grow_vertically,
+    placement_by_expansion,
     target_factorize,
     target_grow_horizontally,
     walk_corrections,
@@ -486,16 +487,25 @@ class TestMergeLayouts:
         assert seen["leaf closes"] >= 50, seen
 
     def test_layouts_place_and_join_as_the_built_root_compiles(self):
-        # A layout reads its root's placement and joins off the members'
-        # compiled repetitions; compiling the built root gives the same,
-        # for concatenations of 2 to 4 members, their factorized forms
-        # and nestings.
+        # place() reads a frame's repetition off its children's records;
+        # the built root's perfect expansion gives the same width,
+        # interleaving, right-most leaves and size, for concatenations
+        # of 2 to 4 members, their factorized forms (a frame child) and
+        # nestings of a member's tree as a frame.  A layout's joins are
+        # the built root's predecessors that are not the member's own.
         rng = random.Random(44)
         seen: Counter = Counter()
 
-        def check(layout, members, kind):
-            rep = layout.root.build().repetition
-            assert layout.placement == Placement(rep.width, rep.interleaved, rep.last_right)
+        def check(frame, kind):
+            built = frame.build()
+            placement = place(frame)
+            assert placement == placement_by_expansion(built)
+            seen[kind] += 1
+            seen[kind, "interleaved"] += placement.interleaved
+            return built
+
+        def check_layout(layout, members, kind):
+            rep = check(layout.root, kind).repetition
             own = [q.tree.repetition.pred for q in members]
             joins = set()
             for s, t in enumerate(rep.pred[1:], 1):
@@ -503,8 +513,6 @@ class TestMergeLayouts:
                 if (n, i) != (m, own[m][j]):
                     joins.add(((m, j), (n, i)))
             assert set(layout.joins) == joins
-            seen[kind] += 1
-            seen[kind, "interleaved"] += rep.interleaved
 
         for draw in range(1500):
             members = [
@@ -516,7 +524,7 @@ class TestMergeLayouts:
                 layout = concat_layout(members)
             except InvalidPatternError:
                 continue
-            check(layout, members, "concatenated")
+            check_layout(layout, members, "concatenated")
             shape = rng.randint(2, 3), rng.randint(2, 6)
             pair = []
             for _ in range(2):
@@ -525,14 +533,10 @@ class TestMergeLayouts:
                 pair.append(random_pattern(rng, tree, 0, 15))
             pair.sort(key=lambda q: (q.tau, format_tree(q.tree)))
             if (factored := factor_layout(concat_layout(pair))) is not None:
-                check(factored, pair, "factorized")
-            tree, period = members[0].tree, rng.randint(1, 40)
-            nested = Block(r=rng.randint(2, 4), p=period, children=(tree,), distances=(0,))
-            rep = nested.repetition
-            assert nest_placement(tree, period) == Placement(
-                rep.width, rep.interleaved, rep.last_right
-            )
-            seen["nested", "interleaved"] += rep.interleaved
+                check_layout(factored, pair, "factorized")
+            tree = members[0].tree
+            inner = Frame(tree.r, tree.p, tree.children, tree.distances)
+            check(Frame(rng.randint(2, 4), rng.randint(1, 40), (inner,), (0,)), "nested")
         for kind in ("concatenated", "factorized"):
             assert seen[kind] >= 900, seen
             assert seen[kind, "interleaved"] >= 100, seen
@@ -693,6 +697,10 @@ class TestNotation:
             "[r=4 p=0](a)",  # period too small
             "[r=4 p=2](a b)",  # missing distance marker
             "[r=4 p=2](a) @ tau=x E=[]",  # malformed start
+            "[r=3 p=2](a) @ tau=0 E=[1,,2]",  # malformed corrections
+            "[r=3 p=2](a) @ tau=0 E=[-,1]",
+            "[r=3 p=2](a) @ tau=0 E=[1 2]",
+            "[r=3 p=2](a) @ tau=0 E=[1-2,0]",
         ],
     )
     def test_bad_notation_rejected(self, text):
