@@ -38,19 +38,16 @@ from .core import (
 )
 from .pattern import (
     Block,
-    CompiledTree,
     Cycle,
     Frame,
     Leaf,
     Node,
     Pattern,
-    Placement,
     classify_tree,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
     pattern_occurrences,
-    place,
 )
 
 _LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
@@ -219,12 +216,12 @@ def child_terms(tree: Block, stats: SeqStats) -> tuple[Terms, ...]:
     return tuple(_tree_bits(child, stats) for child in tree.children)
 
 
-def _frame_terms(frame: Frame, terms: Iterator[Terms]) -> Terms:
-    """A frame's terms, its children's drawn in order from ``terms``
-    except a child frame's, which are its own children's."""
+def _frame_terms(root: Block | Frame, terms: Iterator[Terms]) -> Terms:
+    """A block's or a frame's terms, its children's drawn in order from
+    ``terms`` except a child frame's, which are its own children's."""
     return _block_terms(
-        frame.r,
-        [_frame_terms(c, terms) if isinstance(c, Frame) else next(terms) for c in frame.children],
+        root.r,
+        [_frame_terms(c, terms) if isinstance(c, Frame) else next(terms) for c in root.children],
     )
 
 
@@ -239,8 +236,6 @@ def _distance_and_period_bits(
     child gets a time-span budget derived from ``width`` and the
     distances, then codes its period and recurses.
     """
-    if width < 0:
-        raise UncodablePatternError("negative repetition width")
     distances = block.distances
     bits = 0.0
     if len(distances) > 1:
@@ -308,17 +303,27 @@ def _placed(
     root: Block | Frame,
     tau: int,
     stats: SeqStats,
-    terms: Terms,
-    placement: Placement | CompiledTree,
+    *,
+    terms: Sequence[Terms],
     last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> tuple[float, float, float, float, float, float]:
-    """The one sequence of encoder terms: the bits of a root with layout
-    and repetition ``terms``, one repetition of which lies as
-    ``placement`` says (a :class:`Placement`, or the root's compiled
-    repetition), started at ``tau``, in :class:`CostBreakdown`'s order
-    (:func:`placed_cost`)."""
-    bits_a, bits_r, _ = terms
+    """The one sequence of encoder terms: the bits of a block, or of the
+    block a frame describes, started at ``tau``, in
+    :class:`CostBreakdown`'s order, from :func:`frame_cost`'s arguments
+    (a block's ``terms`` are its :func:`child_terms`).
+
+    Where one repetition lies is the root's ``placement``.  The root
+    period and the start are coded against the last repetition's first
+    occurrence, and the distances against where the decoder knows that
+    repetition's content ends: its last occurrence, or, when the root
+    interleaves, the one with the smallest offset among those whose
+    leaf is its parent's right-most child.  :func:`pattern_cost` and
+    :func:`frame_cost` price through this alone, so they price bit for
+    bit alike.  Raises :class:`UncodablePatternError` when a term is out
+    of range.
+    """
+    bits_a, bits_r, _ = _frame_terms(root, iter(terms))
     ranges = _root_ranges(stats, root.r, root.p, tau, last_offset(0))
     if ranges is None:
         raise UncodablePatternError(
@@ -326,13 +331,12 @@ def _placed(
         )
     bits_p0, bits_tau = log2(ranges[0]), log2(ranges[1])
 
-    size = placement.size
+    width, interleaved, last_right, size = root.placement
     if is_simple(root):
         bits_d = 0.0
     else:
-        width, interleaved = placement.width, placement.interleaved
         if interleaved:
-            end_offset = min(map(last_offset, placement.last_right))
+            end_offset = min(map(last_offset, last_right))
         else:
             end_offset = last_offset(size - 1)
         max_width = stats.t_end - tau - end_offset - (root.r - 1) * root.p
@@ -347,47 +351,6 @@ def _placed(
     return bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e
 
 
-def _total(bits: tuple[float, float, float, float, float, float]) -> float:
-    """:attr:`CostBreakdown.total` of the terms, summed in its order."""
-    bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = bits
-    return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
-
-
-def placed_cost(
-    tree: Block,
-    tau: int,
-    stats: SeqStats,
-    *,
-    last_offset: Callable[[int], int],
-    abs_corrections: int,
-) -> CostBreakdown:
-    """Bits to transmit a tree started at ``tau`` whose corrected
-    occurrences lie in the window.
-
-    ``last_offset(i)`` is the cumulative offset of occurrence ``i`` of
-    the last root repetition, and ``abs_corrections`` the corrections'
-    summed magnitudes; the rest is read off the tree.  The root period
-    and the start are coded against the last repetition's first
-    occurrence, and the distances against where the decoder knows that
-    repetition's content ends: its last occurrence, or, when the tree
-    interleaves, the one with the smallest offset among those whose leaf
-    is its parent's right-most child.  This is the one sequence of
-    encoder terms: :func:`pattern_cost` reads the offsets off a built
-    pattern, and :func:`frame_cost` prices a block the miner has not
-    built by the same terms, so they price bit for bit alike.  Raises
-    :class:`UncodablePatternError` when a term is out of range.
-    """
-    return CostBreakdown(*_placed(
-        tree,
-        tau,
-        stats,
-        _tree_bits(tree, stats),
-        tree.repetition,
-        last_offset,
-        abs_corrections,
-    ))
-
-
 def frame_cost(
     root: Frame,
     tau: int,
@@ -398,23 +361,24 @@ def frame_cost(
     abs_corrections: int,
 ) -> float:
     """Bits to transmit the block a frame describes, started at ``tau``,
-    without building it: the total of :func:`placed_cost` of the built
-    block, bit for bit, with its repetition placed by :func:`place`.
+    without building it: the total of :func:`pattern_cost` of the built
+    pattern, bit for bit.
 
     ``terms`` are the :func:`child_terms` of the nodes among the root's
     children, and of the nodes among a child frame's children in its
-    place, in order; ``last_offset(i)`` is the offset of occurrence ``i``
-    of the last root repetition.
+    place, in order; ``last_offset(i)`` is the cumulative offset of
+    occurrence ``i`` of the last root repetition, and
+    ``abs_corrections`` the corrections' summed magnitudes.
     """
-    return _total(_placed(
+    bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = _placed(
         root,
         tau,
         stats,
-        _frame_terms(root, iter(terms)),
-        place(root),
-        last_offset,
-        abs_corrections,
-    ))
+        terms=terms,
+        last_offset=last_offset,
+        abs_corrections=abs_corrections,
+    )
+    return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
 
 
 def cycle_pricer(
@@ -468,14 +432,15 @@ def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
                 f"corrected occurrence ({ct}, {e}) falls outside "
                 f"[{stats.t_start}, {stats.t_end}]"
             )
-    base = (tree.r - 1) * len(tree.repetition.times)
-    return placed_cost(
+    base = (tree.r - 1) * tree.placement.size
+    return CostBreakdown(*_placed(
         tree,
         p.tau,
         stats,
+        terms=child_terms(tree, stats),
         last_offset=lambda i: offsets[base + i],
         abs_corrections=sum(abs(e) for e in p.corrections),
-    )
+    ))
 
 
 def cycle_cost(c: Cycle, stats: SeqStats) -> float:

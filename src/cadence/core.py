@@ -128,15 +128,18 @@ class EventSequence:
     ) -> "EventSequence":
         """Build a sequence from raw pairs, collapsing exact duplicates.
 
-        Raises a :class:`DomainError` naming the first label that the
-        pattern notation cannot carry (:data:`LABEL`); each distinct label
-        is checked once.
+        Raises a :class:`DomainError` naming the first pair whose
+        timestamp is not an ``int`` (a ``bool`` is not) or whose label is
+        not a ``str``, and the first label that the pattern notation
+        cannot carry (:data:`LABEL`); each distinct label is checked once.
         """
         seen: set[tuple[int, str]] = set()
         ordered: list[tuple[int, str]] = []
         ids: dict[str, int] = {}
         collapsed = duplicates_collapsed
         for t, e in pairs:
+            if type(t) is not int or not isinstance(e, str):
+                raise DomainError(f"pair {(t, e)!r}: need an int timestamp and a str label")
             if t < 0:
                 raise DomainError(f"negative timestamp: {t}")
             if (t, e) in seen:

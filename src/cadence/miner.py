@@ -562,7 +562,7 @@ class _Member:
     (:func:`codec.child_terms`), and ``inner_terms`` those of its first
     child's children, the parts of a factorized merge; None when a child
     is uncodable.  Where a merge's repetition lies is ``pattern``'s
-    placement of its frame, read off the members' compiled repetitions.
+    placement of its frame, read off the members' blocks' placements.
     """
 
     def __init__(self, cand: Candidate, stats: SeqStats) -> None:

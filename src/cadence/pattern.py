@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .core import LABEL, DomainError, InvalidCycleError, InvalidPatternError
 
@@ -70,10 +70,10 @@ class Block:
         object.__setattr__(self, "count", count)
 
     @cached_property
-    def repetition(self) -> "CompiledTree":
-        """One repetition of the children, compiled once
-        (:func:`compile_repetition`), held as long as the block is."""
-        return compile_repetition(self)
+    def placement(self) -> "Placement":
+        """Where one repetition of the children lies (:func:`place`),
+        worked out once, held as long as the block is."""
+        return place(self)
 
     @cached_property
     def compiled(self) -> "CompiledTree":
@@ -277,36 +277,25 @@ def expand_tree(
 
 @dataclass(frozen=True)
 class CompiledTree:
-    """What pricing and reconstruction need of a tree, in traversal order.
+    """What reconstruction needs of a tree, in traversal order.
 
     ``times[i]`` and ``events[i]`` are perfect occurrence ``i`` (as in
     :func:`expand_tree`).  Its cumulative offset is its own correction
     plus the offset of ``pred[i]``, the first leaf of the nearest earlier
     sibling or repetition up the enclosing blocks (``pred[0] == -1``).
-    ``last_right`` lists the last root repetition's occurrences whose
-    leaf is its parent's right-most child.  The occurrences *interleave*
-    when their perfect times decrease somewhere; ``width`` is the
-    largest time.
+    Where a repetition lies is the tree's :attr:`Block.placement`.
     """
 
     times: tuple[int, ...]
     events: tuple[str, ...]
     pred: tuple[int, ...]
-    interleaved: bool
-    last_right: tuple[int, ...]
-    width: int
-
-    @property
-    def size(self) -> int:
-        """The number of occurrences."""
-        return len(self.times)
 
 
 class Frame(NamedTuple):
     """An interior block laid out but not built: its length, period,
     children (nodes, or frames themselves) and distances, as
     :class:`Block` holds them.  The encoder reads only these and the
-    frame's :func:`place`, so a merge is priced from its frame, and
+    frame's :attr:`placement`, so a merge is priced from its frame, and
     :meth:`build` makes the block of the merge that is kept."""
 
     r: int
@@ -317,6 +306,12 @@ class Frame(NamedTuple):
     def build(self) -> Block:
         children = tuple(c.build() if isinstance(c, Frame) else c for c in self.children)
         return Block(r=self.r, p=self.p, children=children, distances=self.distances)
+
+    @property
+    def placement(self) -> "Placement":
+        """Where one repetition lies (:func:`place`), worked out on each
+        read."""
+        return place(self)
 
 
 class Placement(NamedTuple):
@@ -336,14 +331,14 @@ def place(block: Block | Frame) -> Placement:
     frame's children lies, from the children's own records.
 
     A leaf lies at its offset, and a child block or frame spans ``(r -
-    1) p + width`` from its offset, its width read off its
-    :attr:`Block.repetition` or its own placement.  The times never
-    decrease exactly when no child interleaves and each child ends
-    before the next begins: a child's first time is 0, and when it is in
-    order its last time is its largest.  The block interleaves when the
-    times decrease somewhere or the repetition is wider than ``p``.  A
-    leaf is right-most when it is the last child, and a child's
-    right-most leaves are those of every repetition of it.
+    1) p + width`` from its offset, its width read off its own
+    ``placement``.  The times never decrease exactly when no child
+    interleaves and each child ends before the next begins: a child's
+    first time is 0, and when it is in order its last time is its
+    largest.  The block interleaves when the times decrease somewhere or
+    the repetition is wider than ``p``.  A leaf is right-most when it is
+    the last child, and a child's right-most leaves are those of every
+    repetition of it.
     """
     right: list[int] = []
     size = offset = end = width = 0
@@ -357,7 +352,7 @@ def place(block: Block | Frame) -> Placement:
                 right.append(size)
             end, size = offset, size + 1
         else:
-            rec = place(child) if isinstance(child, Frame) else child.repetition
+            rec = child.placement
             n = rec.size
             right += [size + k * n + i for k in range(child.r) for i in rec.last_right]
             in_order = in_order and not rec.interleaved
@@ -367,21 +362,22 @@ def place(block: Block | Frame) -> Placement:
     return Placement(width, not in_order or width > block.p, tuple(right), size)
 
 
-def compile_repetition(block: Block) -> CompiledTree:
-    """Compile one repetition of a block from its children.
+def compile_tree(tree: Block) -> CompiledTree:
+    """Compile a tree into flat arrays: one repetition of its children,
+    replicated ``r`` times, every ``p``.
 
     A leaf is one occurrence and a child block is its compiled tree,
     shifted to its distance, so a subtree shared by several trees
-    compiles once.  The record's one repetition is its last, and its
-    width, interleaving and right-most leaves are the block's
-    :func:`place`.  Callers read :attr:`Block.repetition`.
+    compiles once.  Repetition ``k``'s first occurrence takes repetition
+    ``k - 1``'s first as its predecessor.  Callers read
+    :attr:`Block.compiled`, which compiles each tree once.
     """
     times: list[int] = []
     events: list[str] = []
     pred: list[int] = []
     offset, first = 0, -1
-    for c, child in enumerate(block.children):
-        offset += block.distances[c]
+    for c, child in enumerate(tree.children):
+        offset += tree.distances[c]
         base = len(times)
         pred.append(first)
         if isinstance(child, Leaf):
@@ -393,39 +389,15 @@ def compile_repetition(block: Block) -> CompiledTree:
             events += sub.events
             pred += [base + q for q in sub.pred[1:]]
         first = base
-    width, interleaved, last_right, _ = place(block)
-    return CompiledTree(
-        times=tuple(times),
-        events=tuple(events),
-        pred=tuple(pred),
-        interleaved=interleaved,
-        last_right=last_right,
-        width=width,
-    )
-
-
-def compile_tree(tree: Block) -> CompiledTree:
-    """Compile a tree into flat arrays: its root's repetition
-    (:attr:`Block.repetition`) replicated ``r`` times, every ``p``.
-
-    Repetition ``k``'s first occurrence takes repetition ``k - 1``'s
-    first as its predecessor.  Callers read :attr:`Block.compiled`, which
-    compiles each tree once.
-    """
-    rep = tree.repetition
-    n = len(rep.times)
-    within = rep.pred[1:]
-    pred = [-1, *within]
+    n = len(times)
+    within = pred[1:]
     for k in range(1, tree.r):
         pred.append((k - 1) * n)
         pred += [k * n + q for q in within]
     return CompiledTree(
-        times=tuple([k * tree.p + t for k in range(tree.r) for t in rep.times]),
-        events=rep.events * tree.r,
+        times=tuple([k * tree.p + t for k in range(tree.r) for t in times]),
+        events=tuple(events) * tree.r,
         pred=tuple(pred),
-        interleaved=rep.interleaved,
-        last_right=tuple((tree.r - 1) * n + i for i in rep.last_right),
-        width=(tree.r - 1) * tree.p + rep.width,
     )
 
 
@@ -488,8 +460,7 @@ def classify_tree(tree: Block) -> TreeShape:
     ``vertical`` (width 1, deeper), ``horizontal`` (wider, height 1) or
     ``mixed``.
     """
-    compiled = tree.compiled
-    ts = compiled.times
+    ts = tree.compiled.times
     overlaps = len(set(ts)) < len(ts)
     width = tree_width(tree)
     height = tree_height(tree)
@@ -504,7 +475,7 @@ def classify_tree(tree: Block) -> TreeShape:
     return TreeShape(
         height=height,
         width=width,
-        interleaved=compiled.interleaved,
+        interleaved=tree.placement.interleaved,
         overlaps=overlaps,
         shape_class=shape_class,
     )

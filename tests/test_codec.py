@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadence.codec import (
+    CostBreakdown,
     SeqStats,
+    _placed,
     baseline_cost,
+    child_terms,
     collection_cost,
     corrections_cost,
     cycle_cost,
@@ -19,7 +22,6 @@ from cadence.codec import (
     extension_margin,
     is_cost_effective,
     pattern_cost,
-    placed_cost,
     residual_bits,
     residual_cost,
     w_threshold,
@@ -195,20 +197,23 @@ class TestCycleCost:
         )
 
 
+def placed(tree, stats, last_offset=lambda i: 0):
+    """The encoder's terms of a built tree started at 0, with no
+    corrections."""
+    return CostBreakdown(*_placed(
+        tree,
+        0,
+        stats,
+        terms=child_terms(tree, stats),
+        last_offset=last_offset,
+        abs_corrections=0,
+    ))
+
+
 class TestTreeTerms:
     # The layout and repetition terms come from one post-order walk; the
     # three-walk reference gives the same floats and rejects the same
     # trees.  A huge window keeps every other term codable.
-    @staticmethod
-    def placed(tree, stats):
-        return placed_cost(
-            tree,
-            0,
-            stats,
-            last_offset=lambda i: 0,
-            abs_corrections=0,
-        )
-
     def test_one_walk_equals_three(self):
         rng = random.Random(13)
         seen: Counter = Counter()
@@ -223,10 +228,10 @@ class TestTreeTerms:
                 want = layout_and_repetition_bits(tree, stats)
             except UncodablePatternError:
                 with pytest.raises(UncodablePatternError):
-                    self.placed(tree, stats)
+                    placed(tree, stats)
                 seen["r above the rarest count"] += 1
                 continue
-            got = self.placed(tree, stats)
+            got = placed(tree, stats)
             assert (got.A, got.R) == want
             seen["priced"] += 1
         assert seen["priced"] >= 2000 and seen["r above the rarest count"] >= 100, seen
@@ -248,26 +253,20 @@ class TestContentEnd:
             n = tree.count
             corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
             offsets = Pattern(tree=tree, tau=0, corrections=corrections).offsets
-            width = max(tree.repetition.times)
-            base = n - len(tree.repetition.times)
+            base = n - n // tree.r
+            width = max(tree.compiled.times[: n - base])
             end = end_offset_by_origins(tree, offsets)
             if end + width <= offsets[base]:
                 continue  # the start's range binds first
             t_end = end + (tree.r - 1) * tree.p + width
 
-            def placed(t_end):
+            def placed_by(t_end):
                 stats = SeqStats(length=3 * 10**4, t_start=0, t_end=t_end, counts=counts)
-                return placed_cost(
-                    tree,
-                    0,
-                    stats,
-                    last_offset=lambda i: offsets[base + i],
-                    abs_corrections=0,
-                )
+                return placed(tree, stats, lambda i: offsets[base + i])
 
-            assert placed(t_end).D >= 0.0
+            assert placed_by(t_end).D >= 0.0
             with pytest.raises(UncodablePatternError, match="repetition width"):
-                placed(t_end - 1)
+                placed_by(t_end - 1)
             seen["priced"] += 1
             seen["ends before the last occurrence"] += end != offsets[-1]
         assert seen["priced"] >= 1200, seen

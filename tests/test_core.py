@@ -151,6 +151,17 @@ class TestEventSequence:
         with pytest.raises(DomainError, match=re.escape(repr(label))):
             EventSequence.from_pairs([(1, "a"), (2, label), (3, label)])
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(3.0, "b"), (True, "a"), (1, 5), ("4", "a"), (2, ["a"])],
+        ids=["float time", "bool time", "int label", "str time", "list label"],
+    )
+    def test_pair_of_the_wrong_type(self, pair):
+        # A float or bool timestamp would be mined into a start that the
+        # notation cannot parse, and a non-str label has no notation.
+        with pytest.raises(DomainError, match=re.escape(repr(pair))):
+            EventSequence.from_pairs([(2, "a"), (15, "a"), (28, "a"), pair])
+
 
 class TestStats:
     def test_mixed_log_summary(self, mixed_seq):

@@ -8,8 +8,8 @@ underscore-prefixed names, so each one's public functions are the only
 way in: the miner prices through ``codec``'s public pricing path.  Only
 ``codec`` (and ``core``, which defines it) takes logarithms, so the
 encoder's terms have one home; only ``codec`` and ``pattern`` read where a
-tree's last repetition ends; and no module keeps a function cache:
-what is computed once lives on its object.
+tree's repetition lies and where its last one ends; and no module keeps
+a function cache: what is computed once lives on its object.
 """
 
 from __future__ import annotations
@@ -185,15 +185,16 @@ def test_only_the_encoder_takes_logarithms(name):
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"codec", "pattern"}))
 def test_only_the_encoder_and_the_trees_read_where_content_ends(name):
     # Where the last repetition's content ends is the encoder's rule,
-    # read off the tree that ``pattern`` compiles: no other module reads
-    # the interleaving or the right-most leaves it is found from.
+    # read off the placement that ``pattern`` works out: no other module
+    # reads a placement, or the interleaving or the right-most leaves
+    # the end is found from.
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     read = {
         node.attr
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
     }
-    assert not read & {"interleaved", "last_right"}
+    assert not read & {"interleaved", "last_right", "placement"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -49,7 +49,6 @@ from cadence.pattern import (
     Leaf,
     Pattern,
     classify_tree,
-    compile_tree,
     concat_layout,
     corrected_occurrences,
     cycle_cover,
@@ -63,6 +62,7 @@ from cadence.pattern import (
     parse_pattern,
     parse_tree,
     pattern_occurrences,
+    place,
 )
 from cadence.synth import PlantSpec, generate
 
@@ -950,7 +950,7 @@ def pair_kinds(calls) -> Counter:
                 kinds["uncodable"] += 1
                 continue
             kinds["left out"] += bool((a.cover | b.cover) - cand.cover)
-            kinds["interleaved"] += compile_tree(merged.tree).interleaved
+            kinds["interleaved"] += place(merged.tree).interleaved
             kinds["equal tau"] += a.tau == b.tau and a.pattern.tree != b.pattern.tree
             kinds["factorizable"] += factorize(merged) is not None
     return kinds
@@ -1086,7 +1086,7 @@ class TestHorizontalPricing:
             assert cover == want.cover
             tree = want.pattern.tree
             seen[n, "priced"] += 1
-            seen[n, "interleaved"] += compile_tree(tree).interleaved
+            seen[n, "interleaved"] += place(tree).interleaved
             seen[n, "nested"] += any(isinstance(c, Block) for c in tree.children)
             seen[n, "unequal r"] += len({c.pattern.tree.r for c in members}) > 1
         for n in (2, 3, 4):
@@ -1126,8 +1126,8 @@ class TestHorizontalPricing:
             assert got[1] == frozenset(pattern_occurrences(factored))
             inner = a.pattern.tree.children[0]
             seen["priced"] += 1
-            seen["interleaved"] += compile_tree(factored.tree).interleaved
-            seen["in order"] += not compile_tree(factored.tree).interleaved
+            seen["interleaved"] += place(factored.tree).interleaved
+            seen["in order"] += not place(factored.tree).interleaved
             seen["unequal r"] += a.pattern.tree.r != b.pattern.tree.r
             seen["leaf closes"] += isinstance(inner.children[-1], Leaf)
         assert seen["priced"] >= 1000, seen
@@ -1409,7 +1409,7 @@ class TestNestPricing:
                 continue
             assert got == want
             seen["priced"] += 1
-            seen["interleaved"] += nested.tree.compiled.interleaved
+            seen["interleaved"] += nested.tree.placement.interleaved
             seen["nested"] += any(isinstance(c, Block) for c in tree.children)
         assert seen["priced"] >= 1000, seen
         for kind in ("interleaved", "nested", "outside", "r above rarest"):

@@ -449,7 +449,7 @@ class TestMergeLayouts:
             assert got == want
             seen["built"] += 1
             seen["unequal r"] += len({q.tree.r for q in members}) > 1
-            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["interleaved"] += got.tree.placement.interleaved
             seen["leaf closes"] += closes_with_a_leaf(got.tree)
         assert seen["built"] >= 1000, seen
         for kind in ("negative join", "unequal r", "interleaved", "leaf closes"):
@@ -479,7 +479,7 @@ class TestMergeLayouts:
                 continue
             seen["built"] += 1
             seen["unequal r"] += members[0].tree.r != members[1].tree.r
-            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["interleaved"] += got.tree.placement.interleaved
             seen["leaf closes"] += closes_with_a_leaf(grown.tree)
         assert seen["built"] >= 1000, seen
         for kind in ("negative join", "other shape", "unequal r", "interleaved"):
@@ -500,15 +500,17 @@ class TestMergeLayouts:
             built = frame.build()
             placement = place(frame)
             assert placement == placement_by_expansion(built)
+            assert built.placement == placement_by_expansion(built)
             seen[kind] += 1
             seen[kind, "interleaved"] += placement.interleaved
             return built
 
         def check_layout(layout, members, kind):
-            rep = check(layout.root, kind).repetition
-            own = [q.tree.repetition.pred for q in members]
+            built = check(layout.root, kind)
+            pred = built.compiled.pred[: built.placement.size]
+            own = [q.tree.compiled.pred for q in members]
             joins = set()
-            for s, t in enumerate(rep.pred[1:], 1):
+            for s, t in enumerate(pred[1:], 1):
                 (m, j), (n, i) = layout.slots[s], layout.slots[t]
                 if (n, i) != (m, own[m][j]):
                     joins.add(((m, j), (n, i)))
@@ -562,7 +564,7 @@ class TestMergeLayouts:
             got = grow_vertically(members)
             assert got == interleaved_grow_vertically(members)
             seen["built"] += 1
-            seen["interleaved"] += got.tree.compiled.interleaved
+            seen["interleaved"] += got.tree.placement.interleaved
             seen["nested"] += any(isinstance(c, Block) for c in tree.children)
         assert seen["built"] >= 900, seen
         for kind in ("interleaved", "nested"):
@@ -645,16 +647,16 @@ class TestCompiledKernel:
             occs, _ = expand_tree(tree)
             assert tuple(zip(compiled.times, compiled.events)) == occs
             ts = [t for t, _ in occs]
-            assert compiled.interleaved == (ts != sorted(ts))
-            interleaved += compiled.interleaved
+            assert tree.placement.interleaved == (ts != sorted(ts))
+            interleaved += tree.placement.interleaved
 
             corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
             p = Pattern(tree=tree, tau=10 * n, corrections=corrections)
             offsets = p.offsets
             assert list(offsets) == walk_corrections(tree, (0,) + corrections, False)
-            # codec.placed_cost's end of the last repetition's content
-            rep = tree.repetition
-            last = offsets[(tree.r - 1) * len(rep.times) :]
+            # the encoder's end of the last repetition's content
+            rep = tree.placement
+            last = offsets[(tree.r - 1) * rep.size :]
             end = min(last[i] for i in rep.last_right) if rep.interleaved else last[-1]
             assert end == end_offset_by_origins(tree, offsets)
 
@@ -670,12 +672,17 @@ class TestCompiledKernel:
         assert all(0 <= q < i for i, q in enumerate(compiled.pred) if i)
 
     def test_last_right_holds_the_last_repetition_right_most_leaves(self):
+        def last_right(text):
+            tree = parse_tree(text)
+            rep = place(tree)
+            return tuple((tree.r - 1) * rep.size + i for i in rep.last_right)
+
         # FLIPPED_NEST's only leaf is its parent's right-most child: the
         # last root repetition is occurrences 9..11.
-        assert compile_tree(parse_tree(FLIPPED_NEST)).last_right == (9, 10, 11)
+        assert last_right(FLIPPED_NEST) == (9, 10, 11)
         # In RUN_BRAID's last repetition (12..17) every a is its inner
         # block's only child and c closes the root's children; b does not.
-        assert compile_tree(parse_tree(RUN_BRAID)).last_right == (13, 14, 15, 16, 17)
+        assert last_right(RUN_BRAID) == (13, 14, 15, 16, 17)
 
 
 class TestNotation:
