@@ -73,8 +73,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     config = MiningConfig(
         k=args.k,
         max_rounds=args.max_rounds,
-        cycles_only=args.cycles_only,
-        threads=args.threads,
     )
     result = mine(seq, config)
 
@@ -123,8 +121,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             "config": {
                 "k": config.k,
                 "max_rounds": config.max_rounds,
-                "cycles_only": config.cycles_only,
-                "threads": config.threads,
             },
             "sequence": {
                 "length": len(seq),
@@ -288,11 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--k", type=int, default=3, metavar="N",
                         help="per-occurrence retention width (default 3)")
     p_mine.add_argument("--max-rounds", type=int, default=10, metavar="N",
-                        help="maximum combination rounds (default 10)")
-    p_mine.add_argument("--cycles-only", action="store_true",
-                        help="stop after cycle extraction")
-    p_mine.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for cycle extraction (default 1)")
+                        help="maximum combination rounds; 0 stops after "
+                        "cycle extraction (default 10)")
     p_mine.add_argument("--out", metavar="FILE", help="write a JSON report")
     p_mine.set_defaults(func=_cmd_mine)
 

@@ -14,7 +14,6 @@ import math
 import re
 import statistics
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping, TextIO
 
 
@@ -75,8 +74,6 @@ class IngestOptions:
 
     Parameters
     ----------
-    separator : str
-        ``"tab"``, ``"comma"`` or ``"auto"`` (try tab first, then comma).
     granularity : int
         Positive divisor applied to timestamps (floor division).
     succession_mode : bool
@@ -87,16 +84,25 @@ class IngestOptions:
         relabeled to a designated "other" label.
     """
 
-    separator: str = "auto"
     granularity: int = 1
     succession_mode: bool = False
     aggregation_threshold: int | None = None
 
     def __post_init__(self) -> None:
-        if self.granularity < 1:
-            raise DomainError("granularity must be >= 1")
-        if self.separator not in ("tab", "comma", "auto"):
-            raise DomainError(f"unknown separator option: {self.separator!r}")
+        if not _is_count(self.granularity):
+            raise DomainError(f"granularity must be an int >= 1, got {self.granularity!r}")
+        if type(self.succession_mode) is not bool:
+            raise DomainError(f"succession_mode must be a bool, got {self.succession_mode!r}")
+        if self.aggregation_threshold is not None and not _is_count(self.aggregation_threshold):
+            raise DomainError(
+                "aggregation_threshold must be None or an int >= 1, "
+                f"got {self.aggregation_threshold!r}"
+            )
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is an ``int`` of at least 1 (a ``bool`` is not)."""
+    return type(value) is int and value >= 1
 
 
 @dataclass(frozen=True)
@@ -123,23 +129,25 @@ class EventSequence:
     _ids: Mapping[str, int] = field(repr=False, default_factory=dict)
 
     @staticmethod
-    def from_pairs(
-        pairs: Iterable[tuple[int, str]], duplicates_collapsed: int = 0
-    ) -> "EventSequence":
+    def from_pairs(pairs: Iterable[tuple[int, str]]) -> "EventSequence":
         """Build a sequence from raw pairs, collapsing exact duplicates.
 
-        Raises a :class:`DomainError` naming the first pair whose
-        timestamp is not an ``int`` (a ``bool`` is not) or whose label is
-        not a ``str``, and the first label that the pattern notation
-        cannot carry (:data:`LABEL`); each distinct label is checked once.
+        Raises a :class:`DomainError` naming the first item that is not a
+        pair of an ``int`` timestamp (a ``bool`` is not) and a ``str``
+        label, and the first label that the pattern notation cannot carry
+        (:data:`LABEL`); each distinct label is checked once.
         """
         seen: set[tuple[int, str]] = set()
         ordered: list[tuple[int, str]] = []
         ids: dict[str, int] = {}
-        collapsed = duplicates_collapsed
-        for t, e in pairs:
+        collapsed = 0
+        for item in pairs:
+            try:
+                t, e = item
+            except (TypeError, ValueError):
+                t = e = None
             if type(t) is not int or not isinstance(e, str):
-                raise DomainError(f"pair {(t, e)!r}: need an int timestamp and a str label")
+                raise DomainError(f"pair {item!r}: need an int timestamp and a str label")
             if t < 0:
                 raise DomainError(f"negative timestamp: {t}")
             if (t, e) in seen:
@@ -192,8 +200,10 @@ class EventSequence:
         return "".join(f"{t}\t{e}\n" for t, e in self.pairs)
 
 
-def _parse_line(line: str, number: int, separator: str) -> tuple[int, str]:
-    tab = separator == "tab" or (separator == "auto" and "\t" in line)
+def _parse_line(line: str, number: int, labels: set[str]) -> tuple[int, str]:
+    """Parse a line, tab-separated if it holds a tab, else comma-separated;
+    a label not yet in ``labels`` is checked against :data:`LABEL` and added."""
+    tab = "\t" in line
     parts = line.split("\t" if tab else ",")
     if len(parts) != 2:
         raise ParseError(f"expected 'timestamp{'<TAB>' if tab else ','}label', got {line!r}", number)
@@ -206,24 +216,11 @@ def _parse_line(line: str, number: int, separator: str) -> tuple[int, str]:
         raise ParseError(f"timestamp {raw_t!r} is not an integer", number) from None
     if t < 0:
         raise DomainError(f"line {number}: negative timestamp {t}")
+    if label not in labels:
+        if not LABEL.fullmatch(label):
+            raise ParseError(_label_problem(label), number)
+        labels.add(label)
     return t, label
-
-
-def _check_labels(raw: list[tuple[int, str]], skipped: list[int]) -> None:
-    """Raise a :class:`ParseError` at the first line whose label the
-    pattern notation cannot carry (:data:`LABEL`).  Each distinct label
-    is checked once; ``skipped`` are the blank and comment lines, which
-    ``raw`` has no entry for."""
-    bad = {e for e in set(map(itemgetter(1), raw)) if not LABEL.fullmatch(e)}
-    if not bad:
-        return
-    number = next(i for i, (_, e) in enumerate(raw, start=1) if e in bad)
-    label = raw[number - 1][1]
-    for s in skipped:
-        if s > number:
-            break
-        number += 1
-    raise ParseError(_label_problem(label), number)
 
 
 def _label_problem(label: str) -> str:
@@ -239,10 +236,10 @@ def load_sequence(
     ----------
     source : str or text stream
         Text with one ``timestamp<TAB>label`` or ``timestamp,label`` pair
-        per line.  Empty lines and lines starting with ``#`` are ignored.
+        per line; a line that holds a tab is tab-separated.  Empty lines
+        and lines starting with ``#`` are ignored.
     opts : IngestOptions, optional
-        Ingestion options; defaults to tab/comma auto-detection,
-        granularity 1, no succession mode.
+        Ingestion options; defaults to granularity 1, no succession mode.
 
     Returns
     -------
@@ -251,8 +248,9 @@ def load_sequence(
     Raises
     ------
     ParseError
-        On a malformed line (reported with its line number), including a
-        label that the pattern notation cannot carry (:data:`LABEL`).
+        On the first malformed line (reported with its line number),
+        including a label that the pattern notation cannot carry
+        (:data:`LABEL`).
     DomainError
         On a negative timestamp.
     EmptySequenceError
@@ -262,16 +260,14 @@ def load_sequence(
         opts = IngestOptions()
     stream = io.StringIO(source) if isinstance(source, str) else source
     raw: list[tuple[int, str]] = []
-    skipped: list[int] = []
+    labels: set[str] = set()
     for number, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
-            skipped.append(number)
             continue
-        raw.append(_parse_line(stripped, number, opts.separator))
+        raw.append(_parse_line(stripped, number, labels))
     if not raw:
         raise EmptySequenceError("input contains no event lines")
-    _check_labels(raw, skipped)
 
     if opts.succession_mode:
         pairs = [(rank, e) for rank, (_, e) in enumerate(raw)]

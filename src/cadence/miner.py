@@ -64,21 +64,19 @@ class MiningConfig:
 
     ``k`` is the per-occurrence retention width: a candidate survives
     pruning while it is among the ``k`` most efficient candidates for at
-    least one occurrence it covers.
+    least one occurrence it covers.  ``max_rounds`` bounds the rounds of
+    nesting and concatenation; 0 stops after cycle extraction (stage S).
     """
 
     k: int = 3
     max_rounds: int = 10
     threads: int = 1
-    cycles_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.max_rounds < 1:
-            raise DomainError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
+        for name, least in (("k", 1), ("max_rounds", 0), ("threads", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -1001,7 +999,8 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     only, after the first nesting round, after the first concatenation
     round, after both, and over the final pool) and the cheapest one
     wins; a single-candidate collection is also considered, since greedy
-    selection carries no optimality guarantee.
+    selection carries no optimality guarantee.  With ``max_rounds`` 0
+    only the cycles and the single candidate compete.
     """
     cfg = config or MiningConfig()
     stats = SeqStats.from_sequence(seq)
@@ -1016,32 +1015,30 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     h_first: list[Candidate] = []
     accum: list[Candidate] = []
     seen = {c.notation for c in initial}
-    if not cfg.cycles_only:
-        v_in: list[Candidate] = list(initial)
-        h_in: list[Candidate] = list(initial)
-        accum = []
-        records: dict[str, _Member] = {}
-        for round_no in range(cfg.max_rounds):
-            if not v_in and not h_in:
-                break
-            v_new = combine_vertically(h_in, accum, stats, cfg.k, records)
-            h_new = combine_horizontally(v_in, accum, stats, cfg.k, records)
-            accum = _dedupe(accum + v_in + h_in)
-            v_in = [c for c in v_new if c.notation not in seen]
-            seen.update(c.notation for c in v_in)
-            h_in = [c for c in h_new if c.notation not in seen]
-            seen.update(c.notation for c in h_in)
-            if round_no == 0:
-                v_first = list(v_in)
-                h_first = list(h_in)
+    v_in: list[Candidate] = list(initial)
+    h_in: list[Candidate] = list(initial)
+    records: dict[str, _Member] = {}
+    for round_no in range(cfg.max_rounds):
+        if not v_in and not h_in:
+            break
+        v_new = combine_vertically(h_in, accum, stats, cfg.k, records)
+        h_new = combine_horizontally(v_in, accum, stats, cfg.k, records)
         accum = _dedupe(accum + v_in + h_in)
+        v_in = [c for c in v_new if c.notation not in seen]
+        seen.update(c.notation for c in v_in)
+        h_in = [c for c in h_new if c.notation not in seen]
+        seen.update(c.notation for c in h_in)
+        if round_no == 0:
+            v_first = list(v_in)
+            h_first = list(h_in)
+    accum = _dedupe(accum + v_in + h_in)
     final_pool = _dedupe(list(initial) + accum)
     clocks["combine"] = perf_counter() - t0
 
     t0 = perf_counter()
     stages: dict[str, Selection] = {}
     stages["S"] = greedy_cover(initial, seq, stats)
-    if not cfg.cycles_only:
+    if cfg.max_rounds:
         stages["V"] = greedy_cover(initial + v_first, seq, stats)
         stages["H"] = greedy_cover(initial + h_first, seq, stats)
         stages["V+H"] = greedy_cover(initial + v_first + h_first, seq, stats)

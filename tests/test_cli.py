@@ -180,7 +180,7 @@ class TestMine:
         assert "residual: 3 occurrences" in out
 
     def test_cycles_only_stops_after_extraction(self, triad_log, capsys):
-        assert main(["mine", triad_log, "--cycles-only"]) == 0
+        assert main(["mine", triad_log, "--max-rounds", "0"]) == 0
         out = capsys.readouterr().out
         stage_lines = [
             line.split()[0]
@@ -244,15 +244,6 @@ class TestMine:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert f"({label})" in captured.out
-
-    def test_thread_count_does_not_change_the_text_report(
-        self, triad_log, capsys
-    ):
-        main(["mine", triad_log, "--threads", "1"])
-        single = capsys.readouterr().out
-        main(["mine", triad_log, "--threads", "3"])
-        multi = capsys.readouterr().out
-        assert single == multi
 
 
 class TestSynthEval:
@@ -431,6 +422,4 @@ class TestParser:
         args = build_parser().parse_args(["mine", "x.tsv"])
         assert args.k == 3
         assert args.max_rounds == 10
-        assert args.cycles_only is False
-        assert args.threads == 1
         assert args.granularity == 1

@@ -28,7 +28,7 @@ class TestLoadSequence:
         assert seq.pairs == ((2, "a"), (5, "b"))
 
     def test_comma_separated(self):
-        seq = load_sequence("2,a\n5,b\n", IngestOptions(separator="comma"))
+        seq = load_sequence("2,a\n5,b\n")
         assert seq.pairs == ((2, "a"), (5, "b"))
 
     def test_auto_detects_either_separator(self):
@@ -49,17 +49,16 @@ class TestLoadSequence:
         assert exc.value.line_number == 2
 
     @pytest.mark.parametrize(
-        "separator, line, hint",
+        "line, hint",
         [
-            ("tab", "5,a", "'timestamp<TAB>label'"),
-            ("comma", "5\ta", "'timestamp,label'"),
-            ("auto", "5\ta\tb", "'timestamp<TAB>label'"),
-            ("auto", "5;a", "'timestamp,label'"),
+            # Each line's separator is detected from the line itself.
+            pytest.param(line, hint, id=f"auto-{line}-{hint}")
+            for line, hint in [("5\ta\tb", "'timestamp<TAB>label'"), ("5;a", "'timestamp,label'")]
         ],
     )
-    def test_parse_error_names_the_separator_in_effect(self, separator, line, hint):
+    def test_parse_error_names_the_separator_in_effect(self, line, hint):
         with pytest.raises(ParseError, match=f"expected {hint}"):
-            load_sequence(line + "\n", IngestOptions(separator=separator))
+            load_sequence(line + "\n")
 
     def test_non_integer_timestamp(self):
         with pytest.raises(ParseError) as exc:
@@ -70,11 +69,25 @@ class TestLoadSequence:
         with pytest.raises(ParseError):
             load_sequence("1\t\n")
 
-    @pytest.mark.parametrize("label", ["user login", "a(b)", "x[1]", "a#b"])
-    def test_label_the_notation_cannot_carry(self, label):
-        with pytest.raises(ParseError) as exc:
-            load_sequence(f"1\ta\n2\t{label}\n")
-        assert exc.value.line_number == 2
+    @pytest.mark.parametrize(
+        "text, line_number",
+        [
+            pytest.param(f"1\ta\n2\t{label}\n", 2, id=label)
+            for label in ["user login", "a(b)", "x[1]", "a#b"]
+        ]
+        + [
+            # Blank and comment lines count towards the reported number.
+            pytest.param("1\ta\n# note\n\n2\tbad label\n", 4, id="after skipped lines"),
+            # The first bad line is reported, whatever its fault.
+            pytest.param(
+                "1\ta\n# note\n2\tbad label\n3\ta\nx\ta\n", 3, id="before a bad timestamp"
+            ),
+        ],
+    )
+    def test_label_the_notation_cannot_carry(self, text, line_number):
+        with pytest.raises(ParseError, match="event label") as exc:
+            load_sequence(text)
+        assert exc.value.line_number == line_number
 
     @pytest.mark.parametrize("label", ["disk.full", "x-1", "a:b", "é"])
     def test_labels_the_notation_carries(self, label):
@@ -153,12 +166,16 @@ class TestEventSequence:
 
     @pytest.mark.parametrize(
         "pair",
-        [(3.0, "b"), (True, "a"), (1, 5), ("4", "a"), (2, ["a"])],
-        ids=["float time", "bool time", "int label", "str time", "list label"],
+        [(3.0, "b"), (True, "a"), (1, 5), ("4", "a"), (2, ["a"]), (1, "a", 2), (1,), 1],
+        ids=[
+            "float time", "bool time", "int label", "str time", "list label",
+            "triple", "single", "not a pair",
+        ],
     )
     def test_pair_of_the_wrong_type(self, pair):
         # A float or bool timestamp would be mined into a start that the
-        # notation cannot parse, and a non-str label has no notation.
+        # notation cannot parse, a non-str label has no notation, and an
+        # item that is not a pair has neither.
         with pytest.raises(DomainError, match=re.escape(repr(pair))):
             EventSequence.from_pairs([(2, "a"), (15, "a"), (28, "a"), pair])
 
@@ -183,9 +200,24 @@ class TestIngestOptions:
         with pytest.raises(DomainError):
             IngestOptions(granularity=0)
 
-    def test_unknown_separator_rejected(self):
-        with pytest.raises(DomainError):
-            IngestOptions(separator="pipe")
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"granularity": 1.5},
+            {"granularity": True},
+            {"granularity": "2"},
+            {"succession_mode": "no"},
+            {"succession_mode": 1},
+            {"aggregation_threshold": "2"},
+            {"aggregation_threshold": 0},
+            {"aggregation_threshold": 2.0},
+            {"aggregation_threshold": True},
+        ],
+    )
+    def test_value_it_cannot_run_with_rejected(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(DomainError, match=field):
+            IngestOptions(**kwargs)
 
 
 @given(

@@ -8,13 +8,16 @@ underscore-prefixed names, so each one's public functions are the only
 way in: the miner prices through ``codec``'s public pricing path.  Only
 ``codec`` (and ``core``, which defines it) takes logarithms, so the
 encoder's terms have one home; only ``codec`` and ``pattern`` read where a
-tree's repetition lies and where its last one ends; and no module keeps
-a function cache: what is computed once lives on its object.
+tree's repetition lies and where its last one ends; no module keeps a
+function cache: what is computed once lives on its object; and every
+field of ``MiningConfig`` and ``IngestOptions`` is read somewhere outside
+its class, so no setting does nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -256,3 +259,50 @@ def test_every_definition_is_referenced_or_exported():
         name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODULES
     }
     assert unreferenced_definitions(sources, set(cadence.__all__)) == set()
+
+
+def unread_fields(sources: dict[str, str], owner: str, fields: list[str]) -> set[str]:
+    """Those of ``fields`` that no source reads as an attribute (of
+    anything: the check goes by name) outside the body of class
+    ``owner``."""
+    read = set()
+    stack = [ast.parse(source) for source in sources.values()]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return set(fields) - read
+
+
+def test_field_walker_skips_the_own_body_and_stores():
+    sources = {
+        "a": (
+            "class Config:\n"
+            "    used: int = 1\n"
+            "    lonely: int = 2\n"
+            "    stored: int = 3\n"
+            "    def check(self):\n"
+            "        return self.lonely\n"
+            "def run(cfg, other):\n"
+            "    other.stored = cfg.used\n"
+        ),
+    }
+    assert unread_fields(sources, "Config", ["used", "lonely", "stored"]) == {
+        "lonely",
+        "stored",
+    }
+
+
+@pytest.mark.parametrize("settings", [cadence.MiningConfig, cadence.IngestOptions])
+def test_every_setting_is_read(settings):
+    # A setting that nothing outside its own class reads changes nothing
+    # a user can observe: remove it rather than keep a knob that does
+    # nothing.
+    sources = {
+        name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODULES
+    }
+    fields = [f.name for f in dataclasses.fields(settings)]
+    assert unread_fields(sources, settings.__name__, fields) == set()

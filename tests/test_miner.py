@@ -662,14 +662,21 @@ class TestMiningConfig:
         "kwargs",
         [
             {"k": 0},
-            {"max_rounds": 0},
             {"k": -1},
             {"max_rounds": -1},
             {"threads": 0},
+            {"k": 2.5},
+            {"k": "3"},
+            {"k": True},
+            {"max_rounds": 2.5},
+            {"max_rounds": False},
+            {"threads": 2.0},
+            {"threads": True},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
+        (field,) = kwargs
+        with pytest.raises(DomainError, match=field):
             MiningConfig(**kwargs)
 
 
@@ -1687,7 +1694,7 @@ class TestMine:
         assert len(outputs) == 1, outputs
 
     def test_cycles_only_skips_combination_stages(self, triad_seq):
-        result = mine(triad_seq, MiningConfig(cycles_only=True))
+        result = mine(triad_seq, MiningConfig(max_rounds=0))
         assert set(result.stages) <= {"S", "single"}
         assert result.winner in ("S", "single")
 
