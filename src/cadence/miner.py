@@ -14,12 +14,11 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import groupby, repeat
-from operator import add, sub
+from operator import add, or_, sub
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
 
@@ -79,28 +78,90 @@ class MiningConfig:
                 raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
 
 
+def _bits(indices: Iterable[int], size: int) -> int:
+    """The int with bit ``i`` set for each of the indices, all below
+    ``size``."""
+    row = bytearray((size >> 3) + 1)
+    for i in indices:
+        row[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(row, "little")
+
+
+class Numbering:
+    """One numbering of a log's occurrences: bit ``i`` of a cover stands
+    for ``pairs[i]``, the ``i``-th occurrence in ``(t, label)`` order.
+
+    A cover is a Python int over one numbering, so a union is ``|``, a
+    size ``int.bit_count()`` and what one cover adds to another ``a &
+    ~b``.  :func:`extract_cycles` numbers the log it mines, and every
+    candidate grown from its cycles carries that numbering: it lives as
+    long as they do, and no module keeps it.
+    """
+
+    def __init__(self, pairs: Iterable[tuple[int, str]]) -> None:
+        self.pairs = tuple(sorted(pairs))
+        self.index = {o: i for i, o in enumerate(self.pairs)}
+
+    def cover(self, pairs: Iterable[tuple[int, str]]) -> int:
+        """The cover of the pairs, each of which must be numbered."""
+        index = self.index
+        return _bits((index[o] for o in pairs), len(self.pairs))
+
+    def pairs_of(self, cover: int) -> tuple[tuple[int, str], ...]:
+        """The pairs of a cover, in order."""
+        pairs, digits, out = self.pairs, bin(cover)[:1:-1], []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(pairs[i])
+            i = digits.find("1", i + 1)
+        return tuple(out)
+
+    def rest(self, cover: int) -> tuple[tuple[int, str], ...]:
+        """The pairs the cover does not hold, in order."""
+        return self.pairs_of(cover ^ ((1 << len(self.pairs)) - 1))
+
+    @cached_property
+    def by_label(self) -> dict[str, int]:
+        """The cover of each label's occurrences."""
+        rows: dict[str, list[int]] = {}
+        for i, (_, e) in enumerate(self.pairs):
+            rows.setdefault(e, []).append(i)
+        return {e: _bits(row, len(self.pairs)) for e, row in rows.items()}
+
+    def labels(self, cover: int) -> dict[str, int]:
+        """How many of the cover's pairs carry each label, for the labels
+        it holds."""
+        held = ((e, (cover & mask).bit_count()) for e, mask in self.by_label.items())
+        return {e: n for e, n in held if n}
+
+
 @dataclass(frozen=True)
 class Candidate:
-    """A costed pattern candidate."""
+    """A costed pattern candidate.
+
+    ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
+    occurrences of the log it was mined from; :attr:`cover` lists the
+    same pairs.
+    """
 
     pattern: Pattern
-    cover: frozenset[tuple[int, str]]
+    bits: int
     cost: float
     notation: str
     provenance: str
+    numbering: Numbering = field(repr=False, compare=False)
+
+    @property
+    def cover(self) -> frozenset[tuple[int, str]]:
+        return frozenset(self.numbering.pairs_of(self.bits))
 
     @property
     def efficiency(self) -> float:
-        return self.cost / len(self.cover)
+        return self.cost / self.bits.bit_count()
 
     @property
     def tau(self) -> int:
         return self.pattern.tau
-
-
-def _labels(pairs: Iterable[tuple[int, str]]) -> Counter:
-    """How many of the pairs carry each event."""
-    return Counter(e for _, e in pairs)
 
 
 def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
@@ -352,23 +413,33 @@ def extract_cycles_tri(
 # Candidate pruning
 
 
-def _within_k(keys: Sequence, covers: Sequence[frozenset], k: int) -> set[int]:
+def _within_k(keys: Sequence, covers: Sequence[int], k: int) -> set[int]:
     """Indices whose key is within the ``k`` smallest for some occurrence
     their cover holds; keys equal to the ``k``-th smallest count too.
 
     That is, some occurrence of the cover has fewer than ``k`` strictly
     smaller keys: the indices are walked in key order, a group of equal
-    keys at a time, counting per occurrence the keys of the groups
-    before.
+    keys at a time, counting per occurrence the covers of the groups
+    before.  The counts are bit-sliced: ``at_least[j]`` holds the
+    occurrences counted more than ``j`` times, a cover adds one to its
+    occurrences' counts as a carry rippling up the slices, and it is kept
+    when it holds an occurrence outside the last slice.  No count reaches
+    the number of covers, so no more slices are kept.
     """
-    ahead: Counter = Counter()
+    at_least = [0] * min(k, len(keys))
     keep: set[int] = set()
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for _, group in groupby(order, key=keys.__getitem__):
         group = list(group)
-        keep.update(i for i in group if any(ahead.get(o, 0) < k for o in covers[i]))
+        full = at_least[-1]
+        keep.update(i for i in group if covers[i] & ~full)
         for i in group:
-            ahead.update(covers[i])
+            carry = covers[i]
+            for j, counted in enumerate(at_least):
+                at_least[j] = counted | carry
+                carry &= counted
+                if not carry:
+                    break
     return keep
 
 
@@ -383,7 +454,7 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
         raise DomainError(f"k must be >= 1, got {k}")
     cands = _dedupe(candidates)
     keys = [(c.efficiency, c.cost, c.notation) for c in cands]
-    out = [cands[i] for i in _within_k(keys, [c.cover for c in cands], k)]
+    out = [cands[i] for i in _within_k(keys, [c.bits for c in cands], k)]
     out.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
     return out
 
@@ -404,11 +475,13 @@ def _grow(provenance: str, parts) -> Pattern:
 
 
 def _build_survivors(
-    winners: Sequence[tuple[float, frozenset, str, tuple[str, object]]], k: int
+    winners: Sequence[tuple[float, int, str, tuple[str, object]]],
+    k: int,
+    numbering: Numbering,
 ) -> list[Candidate]:
     """The one build site: candidates priced before they are built,
-    given as ``(cost, cover, notation, (provenance, parts))``, pruned to
-    width ``k``.
+    given as ``(cost, cover, notation, (provenance, parts))`` with their
+    covers over ``numbering``, pruned to width ``k``.
 
     The notation is a stage-S cycle's, known before it is built, and
     ``""`` for a growth.  Only the winners whose ``(efficiency, cost,
@@ -420,14 +493,14 @@ def _build_survivors(
     ``filter_candidates`` of what was built.
     """
     groups = list(dict.fromkeys(entry[:3] for entry in winners))
-    keys = [(cost / len(cover), cost, notation) for cost, cover, notation in groups]
+    keys = [(cost / bits.bit_count(), cost, notation) for cost, bits, notation in groups]
     kept = {groups[i] for i in _within_k(keys, [g[1] for g in groups], k)}
     out = []
     for cost, cover, notation, (provenance, parts) in winners:
         if (cost, cover, notation) in kept:
             pattern = _grow(provenance, parts)
             notation = notation or format_pattern(pattern)
-            out.append(Candidate(pattern, cover, cost, notation, provenance))
+            out.append(Candidate(pattern, cover, cost, notation, provenance, numbering))
     return filter_candidates(out, k)
 
 
@@ -447,19 +520,23 @@ def combine_vertically(
     For each distinct tree among the new candidates, the starting points
     of all candidates over that tree (new and pooled) are themselves
     mined for near-periodic chains; each chain's members are nested under
-    an outer cycle.  A nesting is priced from its members' records
-    (:func:`_nest_cost`) and kept when it is cheaper than the summed cost
-    of the members it replaces; the build site
-    (:func:`_build_survivors`) builds those that can survive pruning.
+    an outer cycle.  A pattern transmits each occurrence once, so a chain
+    whose members share an occurrence is skipped unpriced.  A nesting is
+    priced from its members' records (:func:`_nest_cost`) and kept when
+    it is cheaper than the summed cost of the members it replaces; the
+    build site (:func:`_build_survivors`) builds those that can survive
+    pruning.
     ``records`` holds the candidates' records by notation, shared by
     every call of one :func:`mine` (:func:`_records`).
     """
+    if not new:
+        return []
     by_tree: dict[str, list[_Member]] = {}
     for q in _records(_dedupe(list(new) + list(pool)), stats, records):
         by_tree.setdefault(q.key, []).append(q)
     new_tree_keys = sorted({q.key for q in _records(new, stats, records)})
 
-    winners: list[tuple[float, frozenset, str, tuple]] = []
+    winners: list[tuple[float, int, str, tuple]] = []
     for tree_key in new_tree_keys:
         by_tau: dict[int, _Member] = {}
         for q in by_tree[tree_key]:
@@ -477,14 +554,16 @@ def combine_vertically(
             continue
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[t] for t in cycle_cover(chain)]
+            cover = reduce(or_, (q.cand.bits for q in members))
+            if cover.bit_count() < sum(q.tree.count for q in members):
+                continue  # the members share an occurrence
             cost = _nest_cost(members, stats)
             if cost is None or cost >= sum(q.cand.cost for q in members):
                 continue
-            cover = frozenset().union(*(q.cand.cover for q in members))
             winners.append(
                 (cost, cover, "", ("vertical", [q.pattern for q in members]))
             )
-    return _build_survivors(winners, k)
+    return _build_survivors(winners, k, new[0].numbering)
 
 
 def maximal_cliques(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[int, ...]]:
@@ -581,8 +660,9 @@ class _Member:
     @cached_property
     def fits(self) -> int:
         lo, hi = self.stats.t_start, self.stats.t_end
-        cover = self.cand.cover
-        if lo <= min(cover)[0] and max(cover)[0] <= hi:
+        bits, pairs = self.cand.bits, self.cand.numbering.pairs
+        first, last = (bits & -bits).bit_length() - 1, bits.bit_length() - 1
+        if lo <= pairs[first][0] and pairs[last][0] <= hi:
             return self.tree.count
         return next(
             (i for i, (t, _) in enumerate(self.occurrences) if not lo <= t <= hi),
@@ -616,11 +696,11 @@ class _Member:
         except UncodablePatternError:
             return None
 
-    def kept(self, r: int) -> frozenset[tuple[int, str]]:
+    def kept(self, r: int) -> int:
         """Cover of the first ``r`` repetitions."""
         if r == self.tree.r:
-            return self.cand.cover
-        return frozenset(self.occurrences[: r * self.per])
+            return self.cand.bits
+        return self.cand.numbering.cover(self.occurrences[: r * self.per])
 
 
 def _records(
@@ -639,10 +719,10 @@ def _records(
     return out
 
 
-def _kept(members: Sequence[_Member], r: int) -> frozenset[tuple[int, str]]:
+def _kept(members: Sequence[_Member], r: int) -> int:
     """Cover of the members' first ``r`` repetitions: the cover of their
     merge."""
-    return members[0].kept(r).union(*[q.kept(r) for q in members[1:]])
+    return reduce(or_, [q.kept(r) for q in members])
 
 
 def _layout_cost(
@@ -750,7 +830,10 @@ def combine_horizontally(
     member's boundary-correction slack are merged; a merged pair is kept
     when it scores better than the two members side by side.  Groups
     that pass pairwise merging for every pair are merged whole, one per
-    maximal clique of the pairwise-success graph.
+    maximal clique of the pairwise-success graph.  A merge whose kept
+    occurrences would list one twice is never priced, so its members are
+    not adjacent; a clique's members are then pairwise disjoint at the
+    clique's length.
 
     Every merge is priced exactly from its members' records
     (:func:`_layout_cost` over :func:`concat_layout`), a pair's before it
@@ -775,7 +858,13 @@ def combine_horizontally(
 
     def price(fs: list[_Member]) -> tuple | None:
         """The winner entry of merging the members: priced factorized
-        when that is strictly cheaper, its cover built."""
+        when that is strictly cheaper; None, unpriced, when the merge
+        would list an occurrence twice.  The merge keeps the members'
+        least length."""
+        r = min(q.tree.r for q in fs)
+        cover = _kept(fs, r)
+        if cover.bit_count() < sum(r * q.per for q in fs):
+            return None
         try:
             layout = concat_layout([q.pattern for q in fs])
         except InvalidPatternError:
@@ -787,14 +876,13 @@ def combine_horizontally(
                 cost, provenance = alt, "factorized"
         if cost is None:
             return None
-        cover = _kept(fs, layout.root.r)
         return cost, cover, "", (provenance, [q.pattern for q in fs])
 
     # Pair merges that beat their members, then clique merges.
     # ``cands`` is sorted by (tau, notation), which puts every merge's
     # members in grow_horizontally's (tau, format_tree) order: no tree's
     # bracket notation is a proper prefix of another's.
-    winners: list[tuple[float, frozenset, str, tuple]] = []
+    winners: list[tuple[float, int, str, tuple]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
     for ia, a in enumerate(cands):
         p_a, r_a = periods[ia], lengths[ia]
@@ -812,11 +900,11 @@ def combine_horizontally(
                 continue
             cost, cover, _, _ = priced
             b = cands[ib]
-            bits = cost
+            total = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
-                left_out = (a.cover | b.cover) - cover
-                bits += codec.residual_bits(stats, _labels(left_out))
-            if bits < a.cost + b.cost:
+                left_out = (a.bits | b.bits) & ~cover
+                total += codec.residual_bits(stats, a.numbering.labels(left_out))
+            if total < a.cost + b.cost:
                 winners.append(priced)
                 adj[ia].add(ib)
                 adj[ib].add(ia)
@@ -830,7 +918,7 @@ def combine_horizontally(
         for clique in cliques:
             if len(clique) >= 3 and (priced := price([recs[i] for i in clique])):
                 winners.append(priced)
-    return _build_survivors(winners, k)
+    return _build_survivors(winners, k, new[0].numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +941,13 @@ class Selection:
 def _make_selection(
     chosen: Sequence[Candidate], seq: EventSequence, stats: SeqStats
 ) -> Selection:
+    """The chosen candidates, their covers numbered over ``seq``, with
+    the occurrences they leave residual in ``(t, label)`` order."""
     report = codec.collection_cost([c.pattern for c in chosen], seq, stats)
-    covered: set[tuple[int, str]] = set()
-    for c in chosen:
-        covered |= c.cover
-    residuals = tuple(sorted(set(seq.pairs) - covered))
+    if chosen:
+        residuals = chosen[0].numbering.rest(reduce(or_, (c.bits for c in chosen)))
+    else:
+        residuals = tuple(sorted(seq.pairs))
     return Selection(candidates=tuple(chosen), residuals=residuals, report=report)
 
 
@@ -880,26 +970,26 @@ def greedy_cover(
     """
     cands = _dedupe(pool)
     heap = [
-        ((c.cost / len(c.cover), c.cost, c.notation), i)
+        ((c.cost / n, c.cost, c.notation), i)
         for i, c in enumerate(cands)
-        if c.cover
+        if (n := c.bits.bit_count())
     ]
     heapq.heapify(heap)
-    covered: set[tuple[int, str]] = set()
+    covered = 0
     chosen: list[Candidate] = []
     while heap:
         _, idx = heapq.heappop(heap)
         best = cands[idx]
-        new_pairs = best.cover - covered
-        if not new_pairs:
+        new = best.bits & ~covered
+        if not new:
             continue
-        key = (best.cost / len(new_pairs), best.cost, best.notation)
+        key = (best.cost / new.bit_count(), best.cost, best.notation)
         if heap and heap[0][0] < key:
             heapq.heappush(heap, (key, idx))
             continue
-        if best.cost < codec.residual_bits(stats, _labels(new_pairs)):
+        if best.cost < codec.residual_bits(stats, best.numbering.labels(new)):
             chosen.append(best)
-            covered |= best.cover
+            covered |= best.bits
         else:
             break
     return _make_selection(chosen, seq, stats)
@@ -941,7 +1031,7 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, stats: SeqStats, k: int
+    seq: EventSequence, event: str, stats: SeqStats, k: int, numbering: Numbering
 ) -> list[Candidate]:
     """Stage-S candidates of one event, pruned to width ``k``.
 
@@ -964,29 +1054,33 @@ def _stage_one_event(
         abs_dev = sum(abs(e) for e in cyc.corrections)
         cost = price(cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev)
         if cost < math.inf:
-            cover = frozenset((t, event) for t in cycle_cover(cyc))
+            cover = numbering.cover((t, event) for t in cycle_cover(cyc))
             winners[notation] = (cost, cover, notation, (provenance, cyc))
-    return _build_survivors(list(winners.values()), k)
+    return _build_survivors(list(winners.values()), k, numbering)
 
 
 def extract_cycles(
-    seq: EventSequence, stats: SeqStats, k: int, config: MiningConfig | None = None
+    seq: EventSequence, stats: SeqStats, config: MiningConfig | None = None
 ) -> list[Candidate]:
-    """Stage one: per-event cycle candidates, pruned to width ``k``.
+    """Stage one: per-event cycle candidates, pruned to width
+    ``config.k``, their covers over a new :class:`Numbering` of ``seq``.
 
     Each event's candidates are pruned on their own: covers of different
     events are disjoint, so pruning them together would drop nothing, and
     they are only sorted as :func:`filter_candidates` sorts.
     """
     cfg = config or MiningConfig()
+    numbering = Numbering(seq.pairs)
     events = list(seq.alphabet)
+
+    def stage(event: str) -> list[Candidate]:
+        return _stage_one_event(seq, event, stats, cfg.k, numbering)
+
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda e: _stage_one_event(seq, e, stats, k), events)
-            )
+            results = list(pool.map(stage, events))
     else:
-        results = [_stage_one_event(seq, e, stats, k) for e in events]
+        results = [stage(e) for e in events]
     merged = [c for r in results for c in r]
     merged.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
     return merged
@@ -1007,7 +1101,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     clocks: dict[str, float] = {}
 
     t0 = perf_counter()
-    initial = extract_cycles(seq, stats, cfg.k, cfg)
+    initial = extract_cycles(seq, stats, cfg)
     clocks["extract"] = perf_counter() - t0
 
     t0 = perf_counter()
@@ -1046,10 +1140,11 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
 
     # Every cover lies inside the log, so what a candidate leaves residual
     # is the log's per-event counts minus its own.
-    counts = Counter(stats.counts)
     best_single = None
     for c in final_pool:
-        total = c.cost + codec.residual_bits(stats, counts - _labels(c.cover))
+        held = c.numbering.labels(c.bits)
+        left = {e: n - held.get(e, 0) for e, n in stats.counts.items()}
+        total = c.cost + codec.residual_bits(stats, left)
         if best_single is None or (total, c.notation) < best_single:
             best_single = (total, c.notation)
             best_single_cand = c

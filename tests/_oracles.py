@@ -16,7 +16,9 @@ float for float (that price is checked against the
 encoder separately).  Its period and absolute deviation come from its
 own running median, :class:`_RunningMedian`, where the miner keeps the
 two heaps in the scan's locals.  The survivor bound is
-the one the build site applies, written out on ``(cost, cover)`` pairs.
+the one the build site applies, written out on ``(cost, cover)`` pairs,
+and it counts each occurrence's better covers in a counter, where the
+miner keeps bit-sliced counts over its occurrence numbering.
 The recursive correction walk, the origins-based end offset and the
 expansion-based placement are the tree kernel's references, and the
 three-walk layout and repetition terms are the encoder's.  The capped triple chaining is the pass that
@@ -34,6 +36,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import groupby
 from typing import Iterator, Sequence
 
 from cadence import codec
@@ -44,11 +47,10 @@ from cadence.miner import (
     _components,
     _dedupe,
     _greedy_clique_cover,
-    _labels,
-    _within_k,
     extract_cycles_dp,
     extract_cycles_tri,
     Candidate,
+    Numbering,
     filter_candidates,
     maximal_cliques,
 )
@@ -73,10 +75,13 @@ from cadence.pattern import (
 )
 
 
-def make_candidate(p: Pattern | Cycle, stats: SeqStats, provenance: str):
-    """Build a candidate by pricing a built pattern through the encoder;
-    None when it cannot be transmitted.  The miner prices before it
-    builds; this is the reference it is checked against."""
+def make_candidate(
+    p: Pattern | Cycle, stats: SeqStats, provenance: str, numbering: Numbering
+):
+    """Build a candidate by pricing a built pattern through the encoder,
+    its cover over ``numbering``; None when it cannot be transmitted.
+    The miner prices before it builds; this is the reference it is
+    checked against."""
     pat = p.as_pattern() if isinstance(p, Cycle) else p
     try:
         cost = codec.pattern_cost(pat, stats).total
@@ -87,11 +92,38 @@ def make_candidate(p: Pattern | Cycle, stats: SeqStats, provenance: str):
         return None
     return Candidate(
         pattern=pat,
-        cover=cover,
+        bits=numbering.cover(cover),
         cost=cost,
         notation=format_pattern(pat),
         provenance=provenance,
+        numbering=numbering,
     )
+
+
+def label_counts(pairs) -> Counter:
+    """How many of the pairs carry each event."""
+    return Counter(e for _, e in pairs)
+
+
+def within_k_by_counter(
+    keys: Sequence, covers: Sequence[frozenset], k: int
+) -> set[int]:
+    """Indices whose key is within the ``k`` smallest for some occurrence
+    their cover holds; keys equal to the ``k``-th smallest count too.
+
+    The reference for the miner's bit-sliced counts: the indices are
+    walked in key order, a group of equal keys at a time, with a counter
+    per occurrence of the covers of the groups before.
+    """
+    ahead: Counter = Counter()
+    keep: set[int] = set()
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for _, group in groupby(order, key=keys.__getitem__):
+        group = list(group)
+        keep.update(i for i in group if any(ahead.get(o, 0) < k for o in covers[i]))
+        for i in group:
+            ahead.update(covers[i])
+    return keep
 
 
 def optimal_segmentation_bits(
@@ -267,6 +299,7 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
     first provenance; width-``k`` pruning runs once over all events.
     """
     merged = []
+    numbering = Numbering(seq.pairs)
     for event in seq.alphabet:
         ts = list(seq.per_event[event])
         tagged = [("dp", c) for c in extract_cycles_dp(ts, event, stats)]
@@ -276,7 +309,7 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
                 ts, codec.extension_margin(stats), event=event
             )
         ]
-        built = [make_candidate(c, stats, prov) for prov, c in tagged]
+        built = [make_candidate(c, stats, prov, numbering) for prov, c in tagged]
         merged += _dedupe(c for c in built if c is not None)
     return filter_candidates(merged, k)
 
@@ -287,9 +320,9 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
     The candidates over each tree of a new candidate, the cheapest (then
     the first notation) at each start, have their starts chained, with
     the zero-correction instance's price as tolerance.  Every chain's
-    nesting is built and priced, and kept when it covers its members'
-    union and beats their summed cost; width-``k`` pruning runs once at
-    the end.
+    nesting is built and priced, and kept when it lists each occurrence
+    once (:func:`lists_once`), covers its members' union and beats their
+    summed cost; width-``k`` pruning runs once at the end.
     """
     merged = _dedupe(list(new) + list(pool))
     by_tree: dict[str, list] = {}
@@ -317,8 +350,8 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
                 grown = grow_vertically([m.pattern for m in members])
             except (DomainError, InvalidPatternError):
                 continue
-            cand = make_candidate(grown, stats, "vertical")
-            if cand is None:
+            cand = make_candidate(grown, stats, "vertical", members[0].numbering)
+            if cand is None or not lists_once(cand):
                 continue
             if cand.cover != frozenset().union(*(m.cover for m in members)):
                 continue
@@ -333,7 +366,8 @@ def survivor_bound(entries: Sequence[tuple[float, frozenset]], k: int) -> set[in
     equal entries counted once and ties kept."""
     groups = list(dict.fromkeys(entries))
     keys = [(cost / len(cover), cost) for cost, cover in groups]
-    kept = {groups[i] for i in _within_k(keys, [cover for _, cover in groups], k)}
+    covers = [cover for _, cover in groups]
+    kept = {groups[i] for i in within_k_by_counter(keys, covers, k)}
     return {i for i, entry in enumerate(entries) if entry in kept}
 
 
@@ -516,28 +550,39 @@ def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
             yield ia, ib, cands
 
 
+def lists_once(cand) -> bool:
+    """Whether a built candidate lists each of its occurrences once: a
+    pattern transmits an occurrence once, so one that lists it twice is
+    never a candidate."""
+    listed = corrected_occurrences(cand.pattern)
+    return len(set(listed)) == len(listed)
+
+
 def cheapest_merge(members, stats: SeqStats):
     """The members' concatenation built, or its factorized form built when
-    that is strictly cheaper; None when neither can be transmitted."""
+    that is strictly cheaper; None when neither can be transmitted or the
+    one built lists an occurrence twice."""
     try:
         plain = grow_horizontally([m.pattern for m in members])
     except (DomainError, InvalidPatternError):
         return None
-    best = make_candidate(plain, stats, "horizontal")
+    numbering = members[0].numbering
+    best = make_candidate(plain, stats, "horizontal", numbering)
     factored = factorize(plain)
     if factored is not None:
-        alt = make_candidate(factored, stats, "factorized")
+        alt = make_candidate(factored, stats, "factorized", numbering)
         if alt is not None and (best is None or alt.cost < best.cost):
-            return alt
-    return best
+            best = alt
+    return best if best is not None and lists_once(best) else None
 
 
 def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
     """Horizontal combination building every admissible pair merge.
 
     Each pair from :func:`slack_pairs` is built and priced, kept when it
-    beats its members, and every maximal clique of the kept pairs is
-    merged whole; width-``k`` pruning runs once at the end.
+    lists each occurrence once (:func:`lists_once`) and beats its
+    members, and every maximal clique of the kept pairs is merged whole
+    under the same rule; width-``k`` pruning runs once at the end.
     """
     out = []
     adj: dict[int, set[int]] = {}
@@ -548,7 +593,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
         if cand is None:
             continue
         left_out = (a.cover | b.cover) - cand.cover
-        if cand.cost + residual_bits(stats, _labels(left_out)) < a.cost + b.cost:
+        if cand.cost + residual_bits(stats, label_counts(left_out)) < a.cost + b.cost:
             out.append(cand)
             adj.setdefault(ia, set()).add(ib)
             adj.setdefault(ib, set()).add(ia)

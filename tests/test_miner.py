@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from cadence.core import (
 from cadence.miner import (
     Candidate,
     MiningConfig,
+    Numbering,
     combine_horizontally,
     combine_vertically,
     extract_cycles,
@@ -73,20 +75,27 @@ from _oracles import (
     capped_triple_chains,
     cycle_selection_bits,
     eager_greedy_cover,
+    lists_once,
     make_candidate,
     optimal_segmentation_bits,
     single_candidate_bits,
     slack_pairs,
     survivor_bound,
     unpruned_segmentation,
+    within_k_by_counter,
 )
 from conftest import approx_bits, random_tree
 
 STAGES = ("S", "V", "H", "V+H", "F", "single")
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def own_stats(seq: EventSequence) -> SeqStats:
     return SeqStats.from_sequence(seq)
+
+
+# The occurrences that random trees over a, b and c can reach.
+WIDE = Numbering((t, e) for t in range(1024) for e in "abc")
 
 
 class TestExtractCyclesDp:
@@ -335,14 +344,19 @@ class TestExtractCyclesTri:
         assert n < len(lookups) <= 48 * n
 
 
+# Every stub covers some of the first twelve ticks of a.
+STUBBED = Numbering((t, "a") for t in range(12))
+
+
 def _stub_candidate(cover, cost, notation):
     pattern = parse_pattern("[r=2 p=1](a) @ tau=0 E=[0]")
     return Candidate(
         pattern=pattern,
-        cover=frozenset(cover),
+        bits=STUBBED.cover(cover),
         cost=cost,
         notation=notation,
         provenance="test",
+        numbering=STUBBED,
     )
 
 
@@ -416,6 +430,26 @@ class TestFilterCandidates:
             filter_candidates([], 0)
 
 
+class TestWithinK:
+    # The bit-sliced counts keep what a counter per occurrence keeps.
+    def test_same_as_counting_per_occurrence(self):
+        rng = random.Random(23)
+        ties = 0
+        for _ in range(400):
+            universe = rng.randint(1, 30)
+            covers = [
+                frozenset(rng.sample(range(universe), rng.randint(0, min(universe, 8))))
+                for _ in range(rng.randint(0, 20))
+            ]
+            keys = [rng.randint(0, 5) for _ in covers]  # groups of equal keys
+            ties += len(keys) - len(set(keys))
+            bits = [sum(1 << o for o in cover) for cover in covers]
+            for k in (1, 2, 3, 4, 10**6):
+                want = within_k_by_counter(keys, covers, k)
+                assert miner._within_k(keys, bits, k) == want
+        assert ties > 1000
+
+
 class TestCombineVertically:
     def _burst_candidates(self, dozen_a_seq):
         stats = own_stats(dozen_a_seq)
@@ -424,7 +458,8 @@ class TestCombineVertically:
             parse_pattern("[r=4 p=2](a) @ tau=13 E=[0,3,-1]"),
             parse_pattern("[r=4 p=2](a) @ tau=26 E=[1,1,-1]"),
         ]
-        return [make_candidate(p, stats, "dp") for p in patterns]
+        numbering = Numbering(dozen_a_seq.pairs)
+        return [make_candidate(p, stats, "dp", numbering) for p in patterns]
 
     def test_three_bursts_nest(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)
@@ -454,10 +489,13 @@ class TestCombineVertically:
         seq = EventSequence.from_pairs(
             [(t, "a") for t in (0, 2, 4, 6, 50, 52, 54, 56, 61, 63, 65, 67)]
         )
-        stats = own_stats(seq)
+        stats, numbering = own_stats(seq), Numbering(seq.pairs)
         members = [
             make_candidate(
-                parse_pattern(f"[r=4 p=2](a) @ tau={t} E=[0,0,0]"), stats, "dp"
+                parse_pattern(f"[r=4 p=2](a) @ tau={t} E=[0,0,0]"),
+                stats,
+                "dp",
+                numbering,
             )
             for t in (0, 50, 61)
         ]
@@ -474,7 +512,8 @@ class TestCombineHorizontally:
             fit_cycle((5, 18, 30), "a"),
             fit_cycle((7, 21, 31), "c"),
         ]
-        return [make_candidate(c, stats, "tri") for c in cycles]
+        numbering = Numbering(triad_seq.pairs)
+        return [make_candidate(c, stats, "tri", numbering) for c in cycles]
 
     def test_three_tracks_merge_into_one_braid(self, triad_seq):
         members = self._track_candidates(triad_seq)
@@ -500,10 +539,10 @@ class TestCombineHorizontally:
         seq = EventSequence.from_pairs(
             [(t, "x") for t in (0, 10, 20)] + [(t, "y") for t in (100, 110, 120)]
         )
-        stats = own_stats(seq)
+        stats, numbering = own_stats(seq), Numbering(seq.pairs)
         members = [
-            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri"),
-            make_candidate(fit_cycle((100, 110, 120), "y"), stats, "tri"),
+            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri", numbering),
+            make_candidate(fit_cycle((100, 110, 120), "y"), stats, "tri", numbering),
         ]
         assert combine_horizontally(members, [], stats, k=3) == []
 
@@ -511,10 +550,10 @@ class TestCombineHorizontally:
         seq = EventSequence.from_pairs(
             [(t, "x") for t in (0, 10, 20)] + [(t, "y") for t in (3, 20, 37)]
         )
-        stats = own_stats(seq)
+        stats, numbering = own_stats(seq), Numbering(seq.pairs)
         members = [
-            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri"),
-            make_candidate(fit_cycle((3, 20, 37), "y"), stats, "tri"),
+            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri", numbering),
+            make_candidate(fit_cycle((3, 20, 37), "y"), stats, "tri", numbering),
         ]
         # periods 10 vs 17 with zero slack in the later member
         assert combine_horizontally(members, [], stats, k=3) == []
@@ -528,7 +567,8 @@ class TestCombineHorizontally:
             [pair for p in patterns for pair in pattern_occurrences(p)]
         )
         stats = own_stats(seq)
-        members = [make_candidate(p, stats, "test") for p in patterns]
+        numbering = Numbering(seq.pairs)
+        members = [make_candidate(p, stats, "test", numbering) for p in patterns]
         out = combine_horizontally(members, [], stats, k=3)
         assert [(c.provenance, c.notation) for c in out] == [
             (
@@ -545,6 +585,7 @@ class TestGreedyCover:
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
             triad_stats,
             "test",
+            Numbering(triad_seq.pairs),
         )
         selection = greedy_cover([braid], triad_seq, triad_stats)
         assert [c.notation for c in selection.candidates] == [braid.notation]
@@ -556,8 +597,11 @@ class TestGreedyCover:
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
             triad_stats,
             "test",
+            Numbering(triad_seq.pairs),
         )
-        sub = make_candidate(fit_cycle((2, 13, 26), "b"), triad_stats, "test")
+        sub = make_candidate(
+            fit_cycle((2, 13, 26), "b"), triad_stats, "test", Numbering(triad_seq.pairs)
+        )
         selection = greedy_cover([braid, sub], triad_seq, triad_stats)
         assert [c.notation for c in selection.candidates] == [braid.notation]
 
@@ -571,7 +615,12 @@ class TestGreedyCover:
 
     def test_not_cost_effective_candidate_rejected(self, dozen_a_seq, dozen_a_stats):
         # one 4-occurrence burst costs more than its four residuals
-        burst = make_candidate(fit_cycle((2, 5, 7, 8), "a"), dozen_a_stats, "test")
+        burst = make_candidate(
+            fit_cycle((2, 5, 7, 8), "a"),
+            dozen_a_stats,
+            "test",
+            Numbering(dozen_a_seq.pairs),
+        )
         selection = greedy_cover([burst], dozen_a_seq, dozen_a_stats)
         assert selection.candidates == ()
 
@@ -579,12 +628,13 @@ class TestGreedyCover:
 def random_pool(rng: random.Random, seq: EventSequence, stats: SeqStats):
     """Cycles over random runs of the log, repriced so ratios tie often."""
     pool = []
+    numbering = Numbering(seq.pairs)
     for _ in range(rng.randint(5, 40)):
         event = rng.choice(sorted(seq.per_event))
         ts = seq.per_event[event]
         i = rng.randrange(len(ts) - 3)
         run = ts[i : i + rng.randint(3, min(12, len(ts) - i))]
-        cand = make_candidate(fit_cycle(run, event), stats, "test")
+        cand = make_candidate(fit_cycle(run, event), stats, "test", numbering)
         if cand is None:
             continue
         # per-occurrence prices around the residual price (10.5-11.2
@@ -628,10 +678,10 @@ class TestLazyGreedy:
 
     def test_equal_ratios_break_by_cost_then_notation(self):
         seq = EventSequence.from_pairs((t, "a") for t in range(0, 61, 3))
-        stats = own_stats(seq)
+        stats, numbering = own_stats(seq), Numbering(seq.pairs)
 
         def priced(ts, cost, notation):
-            cand = make_candidate(fit_cycle(ts, "a"), stats, "test")
+            cand = make_candidate(fit_cycle(ts, "a"), stats, "test", numbering)
             return dataclasses.replace(cand, cost=cost, notation=notation)
 
         pool = [
@@ -767,7 +817,10 @@ class TestStageSRanking:
         seq = EventSequence.from_pairs(wobbly_log(rng, "abc", rng.randint(0, 25)))
         stats = own_stats(seq)
         for k in (1, 2, 3):
-            self.same(extract_cycles(seq, stats, k), build_every_cycle(seq, stats, k))
+            self.same(
+                extract_cycles(seq, stats, MiningConfig(k=k)),
+                build_every_cycle(seq, stats, k),
+            )
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_candidates_when_the_window_cuts_the_log(self, seed):
@@ -784,7 +837,7 @@ class TestStageSRanking:
         want = build_every_cycle(seq, stats, 3)
         every = build_every_cycle(seq, stats, 10**6)
         assert len(every) < len(build_every_cycle(seq, full, 10**6))
-        self.same(extract_cycles(seq, stats, 3), want)
+        self.same(extract_cycles(seq, stats, MiningConfig(k=3)), want)
 
     def test_logs_hold_duplicates_and_ties(self):
         # The seeded logs above exercise dp/tri duplicate notations and
@@ -814,7 +867,7 @@ class TestStageSRanking:
         monkeypatch.setattr(miner, "_grow", counting)
         rng = random.Random(5)
         seq = EventSequence.from_pairs(wobbly_log(rng, "abc", 20))
-        out = extract_cycles(seq, own_stats(seq), 3)
+        out = extract_cycles(seq, own_stats(seq), MiningConfig(k=3))
         assert len(built) == len(out)
 
 
@@ -831,6 +884,34 @@ def heartbeat_log(rng: random.Random, beats: int, span: int) -> list[tuple[int, 
             t += p + rng.choice((-1, 0, 0, 0, 1))
     pairs.update((rng.randint(0, span), "x") for _ in range(span // 25))
     return sorted(pairs)
+
+
+def coperiodic_log(
+    rng: random.Random, events: str, n_noise: int
+) -> list[tuple[int, str]]:
+    """One wobbly track per event, all of period 10 and starting within
+    one period of each other, and noise: a small stream log whose tracks
+    all merge, so its pools hold cliques."""
+    pairs: set[tuple[int, str]] = set()
+    for e in events:
+        t = rng.randint(0, 9)
+        for _ in range(rng.randint(8, 14)):
+            pairs.add((t, e))
+            t += 10 + rng.choice((-1, 0, 0, 0, 1))
+    pairs.update((rng.randint(0, 150), rng.choice(events)) for _ in range(n_noise))
+    return sorted(pairs)
+
+
+def burst_pair_log() -> EventSequence:
+    """Six bursts, 50 ticks apart, of four a's two ticks apart, each a
+    followed by a b: the two events' nestings merge, and the merge
+    factorizes.  Their cycles share no occurrence."""
+    return EventSequence.from_pairs(
+        (50 * k + 2 * j + d, e)
+        for k in range(6)
+        for j in range(4)
+        for d, e in ((0, "a"), (1, "b"))
+    )
 
 
 def braid_log(seed: int) -> EventSequence:
@@ -871,7 +952,7 @@ def random_member(rng: random.Random, stats: SeqStats):
         pattern = Pattern(tree=tree, tau=rng.randint(0, 15), corrections=corrections)
     except InvalidPatternError:
         return None
-    return make_candidate(pattern, stats, "test")
+    return make_candidate(pattern, stats, "test", WIDE)
 
 
 def factorizable_pair(rng: random.Random, stats: SeqStats):
@@ -898,7 +979,7 @@ def factorizable_pair(rng: random.Random, stats: SeqStats):
             )
         except InvalidPatternError:
             return None
-        members.append(make_candidate(pattern, stats, "test"))
+        members.append(make_candidate(pattern, stats, "test", WIDE))
     if None in members:
         return None
     return sorted(members, key=lambda c: (c.tau, format_tree(c.pattern.tree)))
@@ -952,7 +1033,7 @@ def pair_kinds(calls) -> Counter:
             except InvalidPatternError:
                 kinds["negative distance"] += 1
                 continue
-            cand = make_candidate(merged, stats, "test")
+            cand = make_candidate(merged, stats, "test", a.numbering)
             if cand is None:
                 kinds["uncodable"] += 1
                 continue
@@ -998,7 +1079,7 @@ class TestHorizontalPricing:
                 )
 
     def test_mined_logs_hold_every_kind_of_pair(self, monkeypatch):
-        calls = []
+        calls = self.recorded_calls(monkeypatch, burst_pair_log())
         for shape in ("heartbeats", "stream", "braids"):
             for seed in range(3):
                 calls += self.recorded_calls(monkeypatch, shaped_log(shape, seed))
@@ -1044,9 +1125,9 @@ class TestHorizontalPricing:
                     continue
                 facts = [miner._Member(a, stats), miner._Member(b, stats)]
                 for layout, merged, factored in laid_out_merges(a.pattern, b.pattern):
-                    want = make_candidate(merged, stats, "test")
+                    want = make_candidate(merged, stats, "test", a.numbering)
                     got = record_price(layout, facts, stats, factored)
-                    assert got == ((want.cost, want.cover) if want else None)
+                    assert got == ((want.cost, want.bits) if want else None)
                     priced["codable" if want else "uncodable"] += 1
         assert min(priced["codable"], priced["uncodable"]) > 0, priced
 
@@ -1070,7 +1151,7 @@ class TestHorizontalPricing:
                 count = occurrence_count(tree)
                 corrections = tuple(rng.randint(-2, 2) for _ in range(count - 1))
                 pattern = Pattern(tree=tree, tau=rng.randint(5, 40), corrections=corrections)
-                members.append(make_candidate(pattern, stats, "test"))
+                members.append(make_candidate(pattern, stats, "test", WIDE))
             if None in members:
                 continue
             members.sort(key=lambda c: (c.tau, format_tree(c.pattern.tree)))
@@ -1084,13 +1165,13 @@ class TestHorizontalPricing:
                 continue
             got = record_price(layout, facts, stats, False)
             merged = grow_horizontally([c.pattern for c in members])
-            want = make_candidate(merged, stats, "test")
+            want = make_candidate(merged, stats, "test", WIDE)
             if want is None:
                 assert got is None
                 continue
             cost, cover = got
             assert cost == want.cost
-            assert cover == want.cover
+            assert cover == want.bits
             tree = want.pattern.tree
             seen[n, "priced"] += 1
             seen[n, "interleaved"] += place(tree).interleaved
@@ -1130,7 +1211,7 @@ class TestHorizontalPricing:
                 seen["uncodable"] += 1
                 continue
             assert got[0] == want
-            assert got[1] == frozenset(pattern_occurrences(factored))
+            assert got[1] == WIDE.cover(pattern_occurrences(factored))
             inner = a.pattern.tree.children[0]
             seen["priced"] += 1
             seen["interleaved"] += place(factored.tree).interleaved
@@ -1156,6 +1237,7 @@ class TestHorizontalPricing:
         # is built by grow_horizontally, a factorized one from its layout
         # by build_merge, not through the plain merge.
         calls = self.recorded_calls(monkeypatch, shaped_log("braids", 0))
+        calls += self.recorded_calls(monkeypatch, burst_pair_log())
         assert pair_kinds(calls)["factorizable"] > 0
         rng = random.Random(31)
         for _ in range(40):
@@ -1169,10 +1251,13 @@ class TestHorizontalPricing:
             built.append(provenance)
             return grow(provenance, parts)
 
-        def surviving(winners, k):
-            entries = [(cost, cover) for cost, cover, _, _ in winners]
+        def surviving(winners, k, numbering):
+            entries = [
+                (cost, frozenset(numbering.pairs_of(cover)))
+                for cost, cover, _, _ in winners
+            ]
             survivors.append(len(survivor_bound(entries, k)))
-            return site(winners, k)
+            return site(winners, k, numbering)
 
         def concatenating(instances):
             merges.append(len(instances))
@@ -1192,7 +1277,8 @@ class TestHorizontalPricing:
         assert "factorized" in built and "horizontal" in built
 
     def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self, monkeypatch):
-        x, y, z = (0, "a"), (1, "a"), (2, "a")
+        numbering = Numbering([(0, "a"), (1, "a"), (2, "a")])
+        x, y, z = 1, 2, 4  # the covers of the three pairs alone
         stand_in = parse_pattern("[r=2 p=1](a) @ tau=0 E=[0]")
         built = set()
 
@@ -1209,22 +1295,18 @@ class TestHorizontalPricing:
                     for i, ((cost, cover), notation) in enumerate(zip(entries, notations))
                 ],
                 k,
+                numbering,
             )
             return built
 
         monkeypatch.setattr(miner, "_grow", building)
         # Two merges of equal cost and cover are one notation or several;
         # counted once, they leave room for the runner-up at k = 2.
-        same = [(2.0, frozenset({x})), (2.0, frozenset({x})), (3.0, frozenset({x}))]
+        same = [(2.0, x), (2.0, x), (3.0, x)]
         assert survivors(same, 2) == {0, 1, 2}
         # Equal (efficiency, cost) at x: notation would break the tie, so
         # both stay at k = 1.
-        tied = [
-            (4.0, frozenset({x, y})),
-            (4.0, frozenset({x, z})),
-            (1.0, frozenset({y})),
-            (1.0, frozenset({z})),
-        ]
+        tied = [(4.0, x | y), (4.0, x | z), (1.0, y), (1.0, z)]
         assert survivors(tied, 1) == {0, 1, 2, 3}
         # A stage-S cycle's notation is known before it is built, and it
         # breaks that tie as filter_candidates would.
@@ -1254,10 +1336,11 @@ class TestHorizontalPricing:
         n = 70
         counts = {f"e{i}": 4 for i in range(n)}
         stats = SeqStats(length=4 * n, t_start=0, t_end=4000, counts=counts)
-        cands = [
-            make_candidate(Cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)), stats, "test")
-            for i in range(n)
-        ]
+        cycles = [Cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)) for i in range(n)]
+        numbering = Numbering(
+            o for c in cycles for o in pattern_occurrences(c.as_pattern())
+        )
+        cands = [make_candidate(c, stats, "test", numbering) for c in cycles]
         covers = []
         original = miner._greedy_clique_cover
 
@@ -1285,7 +1368,9 @@ class TestHorizontalPricing:
     def test_builds_fewer_clique_merges_than_cliques(self, monkeypatch, shape):
         # Building every clique merge builds once per clique of three or
         # more members.  The seeds give logs whose pools hold cliques,
-        # some of which cannot survive pruning.
+        # some of which cannot survive pruning.  No wobbly stream log of
+        # seeds 0-599 holds one that cannot, so the stream log's tracks
+        # share their period.
         cliques, built = [], []
         original = miner._grow
 
@@ -1305,7 +1390,13 @@ class TestHorizontalPricing:
         for name in ("maximal_cliques", "_greedy_clique_cover"):
             monkeypatch.setattr(miner, name, recording(getattr(miner, name)))
         monkeypatch.setattr(miner, "_grow", counting)
-        mine(shaped_log(shape, {"heartbeats": 3, "stream": 38}[shape]))
+        if shape == "heartbeats":
+            seq = shaped_log(shape, 31)
+        else:
+            rng = random.Random(25)
+            pairs = coperiodic_log(rng, "abcd", rng.randint(0, 10))
+            seq = EventSequence.from_pairs(pairs)
+        mine(seq)
         assert 0 < len(built) < len(cliques)
 
 
@@ -1328,7 +1419,7 @@ def random_nesting(rng: random.Random, wide: SeqStats):
             pattern = Pattern(tree=tree, tau=start, corrections=corrections)
         except InvalidPatternError:
             return None
-        cand = make_candidate(pattern, wide, "test")
+        cand = make_candidate(pattern, wide, "test", WIDE)
         if cand is None:
             return None
         members.append(cand)
@@ -1458,10 +1549,13 @@ class TestNestPricing:
             built.append(provenance)
             return grow(provenance, parts)
 
-        def surviving(winners, k):
-            entries = [(cost, cover) for cost, cover, _, _ in winners]
+        def surviving(winners, k, numbering):
+            entries = [
+                (cost, frozenset(numbering.pairs_of(cover)))
+                for cost, cover, _, _ in winners
+            ]
             survivors.append(len(survivor_bound(entries, k)))
-            return site(winners, k)
+            return site(winners, k, numbering)
 
         def chaining(*args):
             out = chain(*args)
@@ -1546,17 +1640,28 @@ class TestRecords:
 
 class TestExtractCyclesStage:
     def test_triad_log_yields_the_two_steady_tracks(self, triad_seq):
-        cands = extract_cycles(triad_seq, own_stats(triad_seq), k=3)
+        cands = extract_cycles(triad_seq, own_stats(triad_seq), MiningConfig(k=3))
         events = {next(iter(c.pattern.tree.children)).event for c in cands}
         assert events == {"a", "b"}
         assert all(c.provenance in ("dp", "tri") for c in cands)
 
+    def test_width_comes_from_the_config(self, monkeypatch):
+        # Benchmark log 0 of heartbeats seed 501: the retention width is
+        # the config's, and no other argument carries it.
+        monkeypatch.syspath_prepend(str(BENCH))
+        gen = importlib.import_module("gen")
+        seq = cadence.load_sequence(next(gen.logs("heartbeats", 501, 20)).text)
+        stats = own_stats(seq)
+        assert len(extract_cycles(seq, stats, MiningConfig(k=5))) == 87
+        assert len(extract_cycles(seq, stats, MiningConfig(k=3))) == 45
+        assert len(extract_cycles(seq, stats)) == 45
+
     def test_threading_does_not_change_the_result(self, mixed_seq):
         serial = extract_cycles(
-            mixed_seq, own_stats(mixed_seq), k=3, config=MiningConfig(threads=1)
+            mixed_seq, own_stats(mixed_seq), config=MiningConfig(k=3, threads=1)
         )
         threaded = extract_cycles(
-            mixed_seq, own_stats(mixed_seq), k=3, config=MiningConfig(threads=3)
+            mixed_seq, own_stats(mixed_seq), config=MiningConfig(k=3, threads=3)
         )
         assert [c.notation for c in serial] == [c.notation for c in threaded]
 
@@ -1698,6 +1803,31 @@ class TestMine:
         assert set(result.stages) <= {"S", "single"}
         assert result.winner in ("S", "single")
 
+    def test_residuals_in_time_then_label_order(self):
+        # b is seen first, so the log orders (5, b) before (5, a); the
+        # residuals are in (t, label) order all the same, with a
+        # selection and without one.
+        noise = [(t, e) for t in (5, 17, 33) for e in "ba"]
+        seq = EventSequence.from_pairs([(10 * i, "b") for i in range(8)] + noise)
+        assert list(seq.pairs) != sorted(seq.pairs)
+        result = mine(seq)
+        assert result.selection.candidates
+        nothing = greedy_cover([], seq, own_stats(seq))
+        for selection in [*result.stages.values(), nothing]:
+            covered = set().union(*(c.cover for c in selection.candidates))
+            assert selection.residuals == tuple(sorted(set(seq.pairs) - covered))
+        assert result.selection.residuals[:2] == ((5, "a"), (5, "b"))
+
+    def test_no_pooled_candidate_lists_an_occurrence_twice(self):
+        # Stage-S cycles of this log share occurrences; a merge or nesting
+        # of two that share one would list it twice, and is never pooled.
+        seq = shaped_log("stream", 0)
+        initial = extract_cycles(seq, own_stats(seq))
+        assert any(a.cover & b.cover for a in initial for b in initial if a is not b)
+        result = mine(seq)
+        assert {"vertical", "horizontal"} & {c.provenance for c in result.pool}
+        assert all(lists_once(c) for c in result.pool)
+
     def test_every_stage_beats_or_matches_the_baseline(self, dozen_a_seq):
         result = mine(dozen_a_seq)
         assert set(result.stages) == {"S", "V", "H", "V+H", "F", "single"}
@@ -1750,10 +1880,12 @@ class TestMemory:
 
     def test_dropped_results_release_their_trees(self):
         # No module-wide cache keeps a tree once its result is gone.
+        # Nor its occurrence numbering, which only its candidates hold.
         result = mine(EventSequence.from_pairs(heartbeat_log(random.Random(5), 4, 200)))
         tree = max(result.pool, key=lambda c: len(c.cover)).pattern.tree
         assert "compiled" in vars(tree)
-        ref = weakref.ref(tree)
+        assert {id(c.numbering) for c in result.pool} == {id(result.pool[0].numbering)}
+        refs = [weakref.ref(tree), weakref.ref(result.pool[0].numbering)]
         del result, tree
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
