@@ -44,6 +44,7 @@ from .pattern import (
     Node,
     Pattern,
     classify_tree,
+    corrected_times,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
@@ -439,7 +440,7 @@ def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
         stats,
         terms=child_terms(tree, stats),
         last_offset=lambda i: offsets[base + i],
-        abs_corrections=sum(abs(e) for e in p.corrections),
+        abs_corrections=sum(map(abs, p.corrections)),
     ))
 
 
@@ -514,38 +515,37 @@ def collection_cost(
     """Score a pattern collection plus residuals against a sequence."""
     if stats is None:
         stats = SeqStats.from_sequence(seq)
-    all_pairs = set(seq.pairs)
-    covered: set[tuple[int, str]] = set()
+    # an occurrence (t, e) is the int t * m + e's id; m exceeds every id,
+    # so the id m - 1 stands for any event that the log does not hold
+    ids = {e: i for i, e in enumerate(seq.alphabet)}
+    m = len(ids) + 1
+    logged = {t * m + i for i, e in enumerate(seq.alphabet) for t in seq.per_event[e]}
+    covered: set[int] = set()
     pattern_bits = 0.0
     entries = []
     shape_counts = {"s": 0, "v": 0, "h": 0, "m": 0}
     max_cover = 0
     for item in patterns:
         pat = item.as_pattern() if isinstance(item, Cycle) else item
-        cover = set(pattern_occurrences(pat))
-        outside = cover - all_pairs
-        if outside:
-            raise DomainError(
-                f"pattern covers occurrences outside the sequence: "
-                f"{sorted(outside)[:3]}"
-            )
+        times, events = corrected_times(pat), pat.tree.compiled.events
+        cover = {t * m + ids.get(e, m - 1) for t, e in zip(times, events)}
+        if not cover <= logged:
+            outside = sorted(set(zip(times, events)) - set(seq.pairs))[:3]
+            raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
         breakdown = pattern_cost(pat, stats)
         shape = classify_tree(pat.tree)
-        key = shape.shape_class[0]
-        shape_counts[key] += 1
+        shape_counts[shape.shape_class[0]] += 1
         max_cover = max(max_cover, len(cover))
         pattern_bits += breakdown.total
         covered |= cover
-        entries.append(
-            PatternEntry(
-                notation=format_pattern(pat),
-                cost=breakdown,
-                cover_size=len(cover),
-                shape_class=shape.shape_class,
-            )
-        )
-    residuals = all_pairs - covered
-    leftover_bits = residual_bits(stats, Counter(e for _, e in residuals))
+        entries.append(PatternEntry(
+            notation=format_pattern(pat),
+            cost=breakdown,
+            cover_size=len(cover),
+            shape_class=shape.shape_class,
+        ))
+    residuals = logged - covered
+    leftover_bits = residual_bits(stats, Counter(seq.alphabet[k % m] for k in residuals))
     total = pattern_bits + leftover_bits
     baseline = baseline_cost(stats)
     return CollectionReport(

@@ -9,7 +9,6 @@ global statistics that the cost model and the miner consume.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import statistics
@@ -20,6 +19,8 @@ from typing import Iterable, Mapping, TextIO
 # An event label: any run of characters other than whitespace, the
 # notation's brackets and parentheses, and ``#``, which starts a comment.
 LABEL = re.compile(r"[^\s\[\]()#]+")
+
+_TIMESTAMP = re.compile(r"[+-]?[0-9]+")  # int() alone also takes 1_0 and non-ASCII digits
 
 
 class CadenceError(Exception):
@@ -137,10 +138,7 @@ class EventSequence:
         label, and the first label that the pattern notation cannot carry
         (:data:`LABEL`); each distinct label is checked once.
         """
-        seen: set[tuple[int, str]] = set()
-        ordered: list[tuple[int, str]] = []
-        ids: dict[str, int] = {}
-        collapsed = 0
+        times: dict[str, list[int]] = {}
         for item in pairs:
             try:
                 t, e = item
@@ -150,28 +148,32 @@ class EventSequence:
                 raise DomainError(f"pair {item!r}: need an int timestamp and a str label")
             if t < 0:
                 raise DomainError(f"negative timestamp: {t}")
-            if (t, e) in seen:
-                collapsed += 1
-                continue
-            seen.add((t, e))
-            ordered.append((t, e))
-            if e not in ids:
+            ts = times.get(e)
+            if ts is None:
                 if not LABEL.fullmatch(e):
                     raise DomainError(_label_problem(e))
-                ids[e] = len(ids)
-        if not ordered:
+                times[e] = ts = []
+            ts.append(t)
+        if not times:
             raise EmptySequenceError("sequence contains no occurrences")
-        ordered.sort(key=lambda p: (p[0], ids[p[1]]))
-        per_event: dict[str, list[int]] = {}
-        for t, e in ordered:
-            per_event.setdefault(e, []).append(t)
-        alphabet = tuple(sorted(ids, key=ids.__getitem__))
+        return EventSequence._assemble(times)
+
+    @staticmethod
+    def _assemble(times: dict[str, list[int]]) -> "EventSequence":
+        """A sequence from each label's timestamps, labels in first-seen
+        order: each list deduped and sorted, the pairs ordered by ``(t,
+        event id)`` as the sorted ints ``t * m + id``, ``m`` labels."""
+        alphabet = tuple(times)
+        m = len(alphabet)
+        per_label = [tuple(sorted(set(ts))) for ts in times.values()]
+        keys = sorted([t * m + i for i, ts in enumerate(per_label) for t in ts])
         return EventSequence(
-            pairs=tuple(ordered),
+            pairs=tuple([(k // m, alphabet[k % m]) for k in keys]),
             alphabet=alphabet,
-            per_event={e: tuple(ts) for e, ts in per_event.items()},
-            duplicates_collapsed=collapsed,
-            _ids=ids,
+            # labels in the order of their first occurrences, ties by id
+            per_event=dict(sorted(zip(alphabet, per_label), key=lambda item: item[1][0])),
+            duplicates_collapsed=sum(map(len, times.values())) - len(keys),
+            _ids={e: i for i, e in enumerate(alphabet)},
         )
 
     def event_id(self, label: str) -> int:
@@ -200,29 +202,6 @@ class EventSequence:
         return "".join(f"{t}\t{e}\n" for t, e in self.pairs)
 
 
-def _parse_line(line: str, number: int, labels: set[str]) -> tuple[int, str]:
-    """Parse a line, tab-separated if it holds a tab, else comma-separated;
-    a label not yet in ``labels`` is checked against :data:`LABEL` and added."""
-    tab = "\t" in line
-    parts = line.split("\t" if tab else ",")
-    if len(parts) != 2:
-        raise ParseError(f"expected 'timestamp{'<TAB>' if tab else ','}label', got {line!r}", number)
-    raw_t, label = parts[0].strip(), parts[1].strip()
-    if not label:
-        raise ParseError("empty event label", number)
-    try:
-        t = int(raw_t)
-    except ValueError:
-        raise ParseError(f"timestamp {raw_t!r} is not an integer", number) from None
-    if t < 0:
-        raise DomainError(f"line {number}: negative timestamp {t}")
-    if label not in labels:
-        if not LABEL.fullmatch(label):
-            raise ParseError(_label_problem(label), number)
-        labels.add(label)
-    return t, label
-
-
 def _label_problem(label: str) -> str:
     return f"event label {label!r} holds whitespace, a bracket, a parenthesis or '#'"
 
@@ -236,8 +215,10 @@ def load_sequence(
     ----------
     source : str or text stream
         Text with one ``timestamp<TAB>label`` or ``timestamp,label`` pair
-        per line; a line that holds a tab is tab-separated.  Empty lines
-        and lines starting with ``#`` are ignored.
+        per line; a line that holds a tab is tab-separated, and a
+        timestamp is an optional sign and ASCII digits.  Empty lines and
+        lines starting with ``#`` are ignored.  Duplicates collapse after
+        the granularity is applied, as in :meth:`EventSequence.from_pairs`.
     opts : IngestOptions, optional
         Ingestion options; defaults to granularity 1, no succession mode.
 
@@ -249,8 +230,8 @@ def load_sequence(
     ------
     ParseError
         On the first malformed line (reported with its line number),
-        including a label that the pattern notation cannot carry
-        (:data:`LABEL`).
+        including a timestamp outside the grammar and a label that the
+        pattern notation cannot carry (:data:`LABEL`).
     DomainError
         On a negative timestamp.
     EmptySequenceError
@@ -258,32 +239,46 @@ def load_sequence(
     """
     if opts is None:
         opts = IngestOptions()
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    raw: list[tuple[int, str]] = []
-    labels: set[str] = set()
-    for number, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    lines = source.split("\n") if isinstance(source, str) else source
+    times: dict[str, list[int]] = {}
+    rank = 0
+    succession, granularity = opts.succession_mode, opts.granularity
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        raw.append(_parse_line(stripped, number, labels))
-    if not raw:
+        tab = "\t" in line
+        sep = "\t" if tab else ","
+        raw_t, found, label = line.partition(sep)
+        if not found or sep in label:
+            raise ParseError(f"expected 'timestamp{'<TAB>' if tab else ','}label', got {line!r}", number)
+        raw_t, label = raw_t.strip(), label.strip()
+        if not label:
+            raise ParseError("empty event label", number)
+        if not (raw_t.isdigit() and raw_t.isascii() or _TIMESTAMP.fullmatch(raw_t)):
+            raise ParseError(f"timestamp {raw_t!r} is not an integer", number)
+        t = int(raw_t)
+        if t < 0:
+            raise DomainError(f"line {number}: negative timestamp {t}")
+        ts = times.get(label)
+        if ts is None:
+            if not LABEL.fullmatch(label):
+                raise ParseError(_label_problem(label), number)
+            times[label] = ts = []
+        ts.append(rank if succession else t // granularity)
+        rank += 1
+    if not times:
         raise EmptySequenceError("input contains no event lines")
 
-    if opts.succession_mode:
-        pairs = [(rank, e) for rank, (_, e) in enumerate(raw)]
-    else:
-        pairs = [(t // opts.granularity, e) for t, e in raw]
-
-    if opts.aggregation_threshold is not None:
-        counts: dict[str, int] = {}
-        for _, e in pairs:
-            counts[e] = counts.get(e, 0) + 1
-        pairs = [
-            (t, e if counts[e] >= opts.aggregation_threshold else OTHER_LABEL)
-            for t, e in pairs
-        ]
-
-    return EventSequence.from_pairs(pairs)
+    threshold = opts.aggregation_threshold
+    if threshold is not None:
+        # a rare label's occurrences join OTHER_LABEL's, which takes the
+        # place of the first label that maps to it
+        merged: dict[str, list[int]] = {}
+        for e, ts in times.items():
+            merged.setdefault(e if len(ts) >= threshold else OTHER_LABEL, []).extend(ts)
+        times = merged
+    return EventSequence._assemble(times)
 
 
 @dataclass(frozen=True)

@@ -419,16 +419,19 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
     return tuple(targets[i] - targets[pred[i]] for i in range(1, n))
 
 
+def corrected_times(p: Pattern) -> list[int]:
+    """Corrected timestamps in order: ``p.tree.compiled.events``'s."""
+    tau = p.tau
+    times = [tau + t + off for t, off in zip(p.tree.compiled.times, p.offsets)]
+    if min(times) < 0:
+        ct = next(t for t in times if t < 0)
+        raise InvalidPatternError(f"corrected timestamp {ct} is negative")
+    return times
+
+
 def corrected_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
     """Corrected occurrence list in traversal order (may repeat pairs)."""
-    compiled = p.tree.compiled
-    out = []
-    for t, e, off in zip(compiled.times, compiled.events, p.offsets):
-        ct = p.tau + t + off
-        if ct < 0:
-            raise InvalidPatternError(f"corrected timestamp {ct} is negative")
-        out.append((ct, e))
-    return tuple(out)
+    return tuple(zip(corrected_times(p), p.tree.compiled.events))
 
 
 def pattern_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
@@ -664,8 +667,8 @@ def factorize(p: Pattern) -> Pattern | None:
 # Text notation
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<open>\[r=(?P<r>\d+)\s+p=(?P<p>\d+)\]\()"
-    r"|(?P<dist>\[d=(?P<d>\d+)\])"
+    r"\s*(?:(?P<open>\[r=(?P<r>[0-9]+)\s+p=(?P<p>[0-9]+)\]\()"
+    r"|(?P<dist>\[d=(?P<d>[0-9]+)\])"
     r"|(?P<close>\))"
     rf"|(?P<label>{LABEL.pattern}))"
 )
@@ -762,7 +765,7 @@ def parse_tree(text: str) -> Block:
 
 
 _PATTERN_RE = re.compile(
-    r"^(?P<tree>.*\))\s*@\s*tau=(?P<tau>\d+)\s*E=\[(?P<es>[-0-9,\s]*)\]\s*$"
+    r"^(?P<tree>.*\))\s*@\s*tau=(?P<tau>[0-9]+)\s*E=\[(?P<es>[-0-9,\s]*)\]\s*$"
 )
 
 
@@ -774,7 +777,7 @@ def parse_pattern(text: str) -> Pattern:
     tree = parse_tree(m.group("tree"))
     es = m.group("es").strip()
     try:
-        corrections = tuple(int(x) for x in es.split(",")) if es else ()
+        corrections = tuple(map(int, es.split(","))) if es else ()
     except ValueError:
         raise DomainError(f"pattern notation: malformed corrections [{es}]") from None
     return Pattern(tree=tree, tau=int(m.group("tau")), corrections=corrections)

@@ -27,12 +27,18 @@ The target-and-solve concatenation and factorization are the builders
 that merge layouts replaced: they gather each root repetition's
 corrected occurrences in traversal order and solve for the corrections;
 the interleaved-corrections nesting is the builder that solving
-replaced in vertical growth.
+replaced in vertical growth.  The three-pass loader (parse every line
+into a list, map the timestamps, relabel the rare events, then
+revalidate through the pairs constructor), that constructor's
+sort-by-tuple assembly and the set-based collection pricing are the
+ingest and scoring paths that one-pass grouping and C-level expansion
+replaced.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -40,8 +46,28 @@ from itertools import groupby
 from typing import Iterator, Sequence
 
 from cadence import codec
-from cadence.codec import SeqStats, cycle_cost, residual_bits, residual_cost
-from cadence.core import DomainError, InvalidPatternError, UncodablePatternError
+from cadence.codec import (
+    CollectionReport,
+    PatternEntry,
+    SeqStats,
+    baseline_cost,
+    cycle_cost,
+    pattern_cost,
+    residual_bits,
+    residual_cost,
+)
+from cadence.core import (
+    LABEL,
+    OTHER_LABEL,
+    DomainError,
+    EmptySequenceError,
+    EventSequence,
+    IngestOptions,
+    InvalidPatternError,
+    ParseError,
+    UncodablePatternError,
+    _label_problem,
+)
 from cadence.miner import (
     _CLIQUE_NODE_CAP,
     _components,
@@ -70,7 +96,9 @@ from cadence.pattern import (
     format_tree,
     grow_horizontally,
     grow_vertically,
+    classify_tree,
     occurrence_count,
+    pattern_occurrences,
     solve_corrections,
 )
 
@@ -749,3 +777,145 @@ def interleaved_grow_vertically(instances: Sequence[Pattern]) -> Pattern:
         corrections.extend(q.corrections)
     tree = Block(r=len(inst), p=p, children=(inst[0].tree,), distances=(0,))
     return Pattern(tree=tree, tau=inst[0].tau, corrections=tuple(corrections))
+
+
+def pairs_sequence(pairs) -> EventSequence:
+    """``EventSequence.from_pairs`` as a set of seen pairs, a list in
+    input order and a sort by ``(t, event id)`` tuples."""
+    seen: set[tuple[int, str]] = set()
+    ordered: list[tuple[int, str]] = []
+    ids: dict[str, int] = {}
+    collapsed = 0
+    for item in pairs:
+        try:
+            t, e = item
+        except (TypeError, ValueError):
+            t = e = None
+        if type(t) is not int or not isinstance(e, str):
+            raise DomainError(f"pair {item!r}: need an int timestamp and a str label")
+        if t < 0:
+            raise DomainError(f"negative timestamp: {t}")
+        if (t, e) in seen:
+            collapsed += 1
+            continue
+        seen.add((t, e))
+        ordered.append((t, e))
+        if e not in ids:
+            if not LABEL.fullmatch(e):
+                raise DomainError(_label_problem(e))
+            ids[e] = len(ids)
+    if not ordered:
+        raise EmptySequenceError("sequence contains no occurrences")
+    ordered.sort(key=lambda p: (p[0], ids[p[1]]))
+    per_event: dict[str, list[int]] = {}
+    for t, e in ordered:
+        per_event.setdefault(e, []).append(t)
+    return EventSequence(
+        pairs=tuple(ordered),
+        alphabet=tuple(sorted(ids, key=ids.__getitem__)),
+        per_event={e: tuple(ts) for e, ts in per_event.items()},
+        duplicates_collapsed=collapsed,
+        _ids=ids,
+    )
+
+
+def _parse_line(line: str, number: int, labels: set[str]) -> tuple[int, str]:
+    tab = "\t" in line
+    parts = line.split("\t" if tab else ",")
+    if len(parts) != 2:
+        raise ParseError(f"expected 'timestamp{'<TAB>' if tab else ','}label', got {line!r}", number)
+    raw_t, label = parts[0].strip(), parts[1].strip()
+    if not label:
+        raise ParseError("empty event label", number)
+    try:
+        t = int(raw_t)
+    except ValueError:
+        raise ParseError(f"timestamp {raw_t!r} is not an integer", number) from None
+    if t < 0:
+        raise DomainError(f"line {number}: negative timestamp {t}")
+    if label not in labels:
+        if not LABEL.fullmatch(label):
+            raise ParseError(_label_problem(label), number)
+        labels.add(label)
+    return t, label
+
+
+def three_pass_load(source, opts: IngestOptions | None = None) -> EventSequence:
+    """``load_sequence`` in three passes: parse every line into a list,
+    map its timestamps and relabel its rare events, then build through
+    :func:`pairs_sequence`.  Its timestamps are read by ``int``, so it
+    also takes ``1_0`` and non-ASCII digits, which the loader rejects."""
+    if opts is None:
+        opts = IngestOptions()
+    stream = io.StringIO(source) if isinstance(source, str) else source
+    raw: list[tuple[int, str]] = []
+    labels: set[str] = set()
+    for number, line in enumerate(stream, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        raw.append(_parse_line(stripped, number, labels))
+    if not raw:
+        raise EmptySequenceError("input contains no event lines")
+    if opts.succession_mode:
+        pairs = [(rank, e) for rank, (_, e) in enumerate(raw)]
+    else:
+        pairs = [(t // opts.granularity, e) for t, e in raw]
+    if opts.aggregation_threshold is not None:
+        counts = Counter(e for _, e in pairs)
+        pairs = [
+            (t, e if counts[e] >= opts.aggregation_threshold else OTHER_LABEL)
+            for t, e in pairs
+        ]
+    return pairs_sequence(pairs)
+
+
+def set_collection_cost(patterns, seq, stats: SeqStats | None = None) -> CollectionReport:
+    """``collection_cost`` over sets of pairs: each cover is the sorted
+    ``pattern_occurrences``, checked by a set difference, and the
+    residuals are the log's pairs less the union of the covers."""
+    if stats is None:
+        stats = SeqStats.from_sequence(seq)
+    all_pairs = set(seq.pairs)
+    covered: set[tuple[int, str]] = set()
+    pattern_bits = 0.0
+    entries = []
+    shape_counts = {"s": 0, "v": 0, "h": 0, "m": 0}
+    max_cover = 0
+    for item in patterns:
+        pat = item.as_pattern() if isinstance(item, Cycle) else item
+        cover = set(pattern_occurrences(pat))
+        outside = cover - all_pairs
+        if outside:
+            raise DomainError(
+                f"pattern covers occurrences outside the sequence: "
+                f"{sorted(outside)[:3]}"
+            )
+        breakdown = pattern_cost(pat, stats)
+        shape = classify_tree(pat.tree)
+        shape_counts[shape.shape_class[0]] += 1
+        max_cover = max(max_cover, len(cover))
+        pattern_bits += breakdown.total
+        covered |= cover
+        entries.append(PatternEntry(
+            notation=format_pattern(pat),
+            cost=breakdown,
+            cover_size=len(cover),
+            shape_class=shape.shape_class,
+        ))
+    residuals = all_pairs - covered
+    leftover_bits = residual_bits(stats, Counter(e for _, e in residuals))
+    total = pattern_bits + leftover_bits
+    baseline = baseline_cost(stats)
+    return CollectionReport(
+        total_bits=total,
+        pattern_bits=pattern_bits,
+        residual_bits=leftover_bits,
+        residual_count=len(residuals),
+        baseline_bits=baseline,
+        percent_length=(100.0 * total / baseline) if baseline > 0 else 100.0,
+        residual_ratio=(leftover_bits / total) if total > 0 else 1.0,
+        shape_counts=shape_counts,
+        max_cover=max_cover,
+        patterns=tuple(entries),
+    )

@@ -29,7 +29,10 @@ from cadence.codec import (
 from cadence.core import DomainError, EventSequence, UncodablePatternError
 from cadence.pattern import Cycle, Pattern, fit_cycle, is_simple, parse_pattern, parse_tree
 
-from _oracles import end_offset_by_origins, layout_and_repetition_bits
+from cadence.miner import MiningConfig, mine
+from cadence.synth import PlantSpec, generate
+
+from _oracles import end_offset_by_origins, layout_and_repetition_bits, set_collection_cost
 from conftest import (
     BIT_TOL,
     REFERENCE_COLLECTIONS,
@@ -333,6 +336,63 @@ class TestCollectionCost:
         assert payload["patterns"][0]["shape"] == "horizontal"
 
 
+def same_report(patterns, seq, stats=None) -> None:
+    """collection_cost returns the set-based reference's report, or
+    raises its error with the same message."""
+    try:
+        expected = set_collection_cost(patterns, seq, stats)
+    except (DomainError, UncodablePatternError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            collection_cost(patterns, seq, stats)
+        assert str(caught.value) == str(exc)
+        return
+    assert collection_cost(patterns, seq, stats) == expected
+
+
+class TestCollectionCostMatchesSetReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mined_selections_and_pools(self, seed):
+        spec = PlantSpec(
+            basis="a d=2 b d=1 c", depth=2, outer_length=(3, 5), n_patterns=2,
+            shift_level=1, shift_density=0.2, additive_density=0.1, seed=seed,
+        )
+        seq = generate(spec).perturbed
+        result = mine(seq, MiningConfig(threads=1))
+        for selection in result.stages.values():
+            same_report([c.pattern for c in selection.candidates], seq)
+        # the pool's covers overlap
+        same_report([c.pattern for c in result.pool], seq)
+
+    def test_overlapping_hand_collection(self, triad_seq, triad_stats):
+        braid = parse_pattern(REFERENCE_ROWS[12][1])
+        bs = fit_cycle([t for t, e in triad_seq.pairs if e == "b"], "b")
+        same_report([braid, bs, braid], triad_seq, triad_stats)
+        same_report([bs], triad_seq)
+
+    def test_cycle_item(self, dozen_a_seq, dozen_a_stats):
+        same_report([fit_cycle((2, 5, 7, 8), "a")], dozen_a_seq, dozen_a_stats)
+
+    def test_pattern_outside_the_window(self, dozen_a_seq):
+        # the window's first tick lies after the pattern's first occurrence
+        narrow = SeqStats(
+            length=len(dozen_a_seq), t_start=3, t_end=34,
+            counts={"a": len(dozen_a_seq)},
+        )
+        cycle = fit_cycle((2, 5, 7, 8), "a")
+        with pytest.raises(UncodablePatternError, match=r"\(2, a\) falls outside \[3, 34\]"):
+            collection_cost([cycle], dozen_a_seq, narrow)
+        same_report([cycle], dozen_a_seq, narrow)
+
+    @pytest.mark.parametrize(
+        "notation",
+        ["[r=4 p=2](a) @ tau=0 E=[0,0,0]", "[r=2 p=3](b) @ tau=2 E=[0]"],
+    )
+    def test_cover_outside_the_log(self, dozen_a_seq, dozen_a_stats, notation):
+        with pytest.raises(DomainError, match="outside the sequence"):
+            collection_cost([parse_pattern(notation)], dozen_a_seq, dozen_a_stats)
+        same_report([parse_pattern(notation)], dozen_a_seq, dozen_a_stats)
+
+
 class TestCostEffectiveness:
     def test_burst_cycle_alone_is_not_worth_it(self, dozen_a_stats):
         # 24.657 bits vs 4 residuals at 5.129 bits each
@@ -386,6 +446,12 @@ class TestUncodable:
     def test_occurrence_past_window_end(self, dozen_a_stats):
         p = Pattern(tree=parse_tree("[r=4 p=2](a)"), tau=30, corrections=(0, 0, 0))
         with pytest.raises(UncodablePatternError):
+            pattern_cost(p, dozen_a_stats)
+
+    def test_first_occurrence_outside_is_named(self, dozen_a_stats):
+        # traversal order: 36 lies outside [0, 34] before -19 does
+        p = Pattern(tree=parse_tree("[r=3 p=18](a)"), tau=0, corrections=(18, -73))
+        with pytest.raises(UncodablePatternError, match=r"\(36, a\) falls outside"):
             pattern_cost(p, dozen_a_stats)
 
 

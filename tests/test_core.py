@@ -1,4 +1,11 @@
-"""Ingestion, sequence model, and summary statistics."""
+"""Ingestion, sequence model, and summary statistics.
+
+The loader and the pairs constructor are checked against the three-pass
+loader and the sort-by-tuple constructor they replaced
+(``_oracles.three_pass_load`` and ``_oracles.pairs_sequence``): on the
+same text or pairs both build equal sequences, or both raise the same
+error for the same first faulty line or item.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +13,10 @@ import io
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cadence.core import (
+    CadenceError,
     DomainError,
     EmptySequenceError,
     EventSequence,
@@ -19,6 +27,7 @@ from cadence.core import (
     stats,
 )
 
+from _oracles import pairs_sequence, three_pass_load
 from conftest import MIXED_PAIRS
 
 
@@ -42,6 +51,32 @@ class TestLoadSequence:
     def test_stream_input(self):
         seq = load_sequence(io.StringIO("4\tx\n9\ty\n"))
         assert seq.pairs == ((4, "x"), (9, "y"))
+
+    @pytest.mark.parametrize("raw", ["1_0", "\u0663", "1\u0663", "+\u0663", "\uff15", "0x5", "5e2", "--5"])
+    def test_timestamp_is_a_sign_and_ascii_digits(self, raw):
+        # int() would read 1_0 as 10 and the Arabic-Indic three as 3
+        with pytest.raises(ParseError, match=re.escape(repr(raw))) as exc:
+            load_sequence(f"1\ta\n{raw}\tb\n")
+        assert exc.value.line_number == 2
+
+    def test_signed_timestamps(self):
+        assert load_sequence("+5,a\n-0,b\n007,c\n").pairs == ((0, "b"), (5, "a"), (7, "c"))
+        with pytest.raises(DomainError, match="line 2: negative timestamp -5"):
+            load_sequence("1,a\n-5,b\n")
+
+    def test_duplicates_collapse_after_granularity(self):
+        seq = load_sequence("10\ta\n19\ta\n10\ta\n", IngestOptions(granularity=10))
+        assert seq.pairs == ((1, "a"),)
+        assert seq.duplicates_collapsed == 2
+
+    def test_aggregation_when_the_first_label_is_rare(self):
+        text = "9\tz\n1\ta\n2\ta\n3\ty\n4\t__other__\n5\t__other__\n"
+        seq = load_sequence(text, IngestOptions(aggregation_threshold=2))
+        # OTHER_LABEL takes the place of z, the first label mapped to it
+        assert seq.alphabet == (OTHER_LABEL, "a")
+        assert seq.per_event == {"a": (1, 2), OTHER_LABEL: (3, 4, 5, 9)}
+        assert list(seq.per_event) == ["a", OTHER_LABEL]
+        assert seq == three_pass_load(text, IngestOptions(aggregation_threshold=2))
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -240,3 +275,94 @@ def test_text_round_trip_preserves_occurrences(raw_pairs):
 
 def test_mixed_log_matches_fixture_constant(mixed_seq):
     assert mixed_seq.pairs == MIXED_PAIRS
+
+
+def same_outcome(build, reference) -> None:
+    """``build`` and ``reference`` return equal sequences (per_event in
+    the same order, every label under the same id), or raise the same
+    error type with the same message."""
+    try:
+        expected = reference()
+    except CadenceError as exc:
+        with pytest.raises(type(exc)) as caught:
+            build()
+        assert str(caught.value) == str(exc)
+        assert type(caught.value) is type(exc)
+        return
+    got = build()
+    assert got.pairs == expected.pairs
+    assert got.alphabet == expected.alphabet
+    assert list(got.per_event.items()) == list(expected.per_event.items())
+    assert got.duplicates_collapsed == expected.duplicates_collapsed
+    assert [got.event_id(e) for e in got.alphabet] == [expected.event_id(e) for e in expected.alphabet]
+    assert got == expected
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\u00a0"])
+_LABELS = ["a", "b", "c", "\u00e9v", "x.y", OTHER_LABEL]
+# int() also takes 1_0 and non-ASCII digits, which the loader rejects
+# (TestLoadSequence.test_timestamp_is_a_sign_and_ascii_digits), so the
+# generated timestamps hold neither.
+_TIMESTAMP = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map(lambda t: f"+{t}"),
+    st.integers(0, 9).map(lambda t: f"00{t}"),
+    st.just("-0"),
+)
+_GOOD_LINE = st.builds(
+    lambda pad1, t, sep, pad2, label, pad3: f"{pad1}{t}{pad2}{sep}{pad2}{label}{pad3}",
+    _PAD, _TIMESTAMP, st.sampled_from(["\t", ","]), _PAD, st.sampled_from(_LABELS), _PAD,
+)
+_SKIPPED_LINE = st.sampled_from(["", "   ", "# a comment", "  #x\t1", "#"])
+_FAULTY_LINE = st.sampled_from([
+    "5\ta\tb", "5;a", "5,a,b", "5\t", "5,", "x,a", "2.5\ta", ",a", "+-1,a",
+    "-3\ta", "-12,b", "5,a[b", "5\ta b", "5,a(", "5\t#a", "7\t\u00e9 v",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(_GOOD_LINE, _GOOD_LINE, _GOOD_LINE, _SKIPPED_LINE, _FAULTY_LINE),
+        max_size=30,
+    ),
+    ending=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+    stream=st.booleans(),
+    granularity=st.integers(1, 4),
+    succession=st.booleans(),
+    threshold=st.one_of(st.none(), st.integers(1, 4)),
+)
+@example(
+    lines=["3\tz", "1\ta", "2\ta"], ending="\n", final=True, stream=False,
+    granularity=1, succession=False, threshold=2,
+)
+def test_loader_matches_the_three_pass_loader(
+    lines, ending, final, stream, granularity, succession, threshold
+):
+    text = ending.join(lines) + (ending if final else "")
+    opts = IngestOptions(
+        granularity=granularity, succession_mode=succession, aggregation_threshold=threshold
+    )
+
+    def source():
+        return io.StringIO(text) if stream else text
+
+    same_outcome(
+        lambda: load_sequence(source(), opts), lambda: three_pass_load(source(), opts)
+    )
+
+
+_ITEM = st.one_of(
+    st.tuples(st.integers(0, 30), st.sampled_from(_LABELS)),
+    st.tuples(st.integers(0, 30), st.sampled_from(_LABELS)),
+    st.tuples(st.integers(-3, -1), st.sampled_from(_LABELS)),
+    st.tuples(st.integers(0, 30), st.sampled_from(["a b", "[x", "#"])),
+    st.sampled_from([(True, "a"), (1.0, "a"), (1, 2), (1,), (1, "a", 2), None, "1a"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ITEM, max_size=30))
+def test_pairs_constructor_matches_the_tuple_sorting_one(items):
+    same_outcome(lambda: EventSequence.from_pairs(iter(items)), lambda: pairs_sequence(iter(items)))

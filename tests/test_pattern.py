@@ -256,6 +256,12 @@ class TestCorrections:
         with pytest.raises(InvalidPatternError):
             corrected_occurrences(p)
 
+    def test_first_negative_timestamp_is_named(self):
+        # traversal order, not the most negative: -1 comes before -4
+        p = Pattern(tree=parse_tree("[r=4 p=1](a)"), tau=0, corrections=(-2, 0, -5))
+        with pytest.raises(InvalidPatternError, match="corrected timestamp -1 is negative"):
+            corrected_occurrences(p)
+
     def test_pattern_occurrences_sorted_and_unique(self):
         p = parse_pattern(FLIPPED_PATTERN)
         occs = pattern_occurrences(p)
@@ -708,6 +714,11 @@ class TestNotation:
             "[r=3 p=2](a) @ tau=0 E=[-,1]",
             "[r=3 p=2](a) @ tau=0 E=[1 2]",
             "[r=3 p=2](a) @ tau=0 E=[1-2,0]",
+            # digits are ASCII: int() would read the Arabic-Indic three as 3
+            "[r=\u0663 p=5](a) @ tau=0 E=[0,0]",
+            "[r=3 p=5](a) @ tau=\u0663 E=[0,0]",
+            "[r=3 p=\uff15](a)",
+            "[r=2 p=9](a [d=\u0661] b)",
         ],
     )
     def test_bad_notation_rejected(self, text):
