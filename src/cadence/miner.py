@@ -29,17 +29,16 @@ from .core import (
     UncodablePatternError,
 )
 from .pattern import (
-    Cycle,
     Frame,
     MergeLayout,
     Pattern,
     build_merge,
     concat_layout,
     corrected_occurrences,
-    cycle_cover,
     factor_layout,
     fit_cycle,
     fit_period,
+    format_cycle,
     format_pattern,
     format_tree,
     grow_horizontally,
@@ -65,6 +64,10 @@ class MiningConfig:
     pruning while it is among the ``k`` most efficient candidates for at
     least one occurrence it covers.  ``max_rounds`` bounds the rounds of
     nesting and concatenation; 0 stops after cycle extraction (stage S).
+    ``threads`` above 1 runs stage S's events on a thread pool.  The pool
+    is bound by the GIL: it changes neither the results nor the measured
+    speed.  ROADMAP item 5 retires it together with the benchmark's use
+    of it (``perfbench/run.py`` sets it).
     """
 
     k: int = 3
@@ -184,7 +187,7 @@ def extract_cycles_dp(
     event: str,
     stats: SeqStats,
     window: int = 500,
-) -> list[Cycle]:
+) -> list[tuple[int, ...]]:
     """Cost-optimal segmentation of one event's timestamps into cycles.
 
     Consecutive runs of at least 3 occurrences may be coded as one fitted
@@ -213,8 +216,10 @@ def extract_cycles_dp(
     timestamps lie in ``[stats.t_start, stats.t_end]``.  Ties go to the
     shortest last segment, with or without the bound.
 
-    Returns the fitted cycles of the optimal segmentation (only those
-    strictly cheaper than leaving their occurrences residual).
+    Returns the runs of the optimal segmentation that are coded as
+    cycles (only those strictly cheaper than leaving their occurrences
+    residual), each as the tuple of its indices into ``timestamps``, in
+    order.
     """
     ts = list(timestamps)
     n = len(ts)
@@ -289,15 +294,15 @@ def extract_cycles_dp(
         cut[j + 1] = cj
         as_cycle[j + 1] = aj
 
-    cycles = []
+    runs = []
     j = n
     while j > 0:
         i = cut[j]
         if as_cycle[j]:
-            cycles.append(fit_cycle(ts[i:j], event))
+            runs.append(tuple(range(i, j)))
         j = i
-    cycles.reverse()
-    return cycles
+    runs.reverse()
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +325,9 @@ def _chain(
     tolerance: float,
     steady: bool,
     room: Sequence[int],
-) -> tuple[int, ...]:
-    """The chain through seed ``(i, j)``, extended both ways.
+) -> tuple[tuple[int, ...], bool]:
+    """The chain through seed ``(i, j)``, extended both ways, and whether
+    every step landed exactly on its predicted time.
 
     The ``m``-th step on a side goes to the occurrence nearest the
     predicted time: ``m`` seed periods ``ts[j] - ts[i]`` beyond the seed
@@ -331,6 +337,7 @@ def _chain(
     ``tolerance``, or at an occurrence with no ``room`` left.
     """
     period = ts[j] - ts[i]
+    exact = True
     ends = []
     for sign, a, b in ((1, i, j), (-1, j, i)):
         side, anchor = [], ts[b]
@@ -345,17 +352,14 @@ def _chain(
             if k < 0 or room[k] <= 0 or abs(abs(ts[k] - ts[b]) - gap) > tolerance:
                 break
             side.append(k)
+            exact = exact and ts[k] == target
             a, b = b, k
         ends.append(side)
-    return (*reversed(ends[1]), i, j, *ends[0])
+    return (*reversed(ends[1]), i, j, *ends[0]), exact
 
 
-def extract_cycles_tri(
-    timestamps: Sequence[int],
-    tolerance: float,
-    event: str = "",
-) -> list[Cycle]:
-    """Chain near-periodic triples of occurrences into fitted cycles.
+def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tuple[int, ...]]:
+    """Chain near-periodic triples of occurrences.
 
     Any three occurrences in a row of a chain are a triple whose two
     distances differ by at most ``tolerance``.  A chain is seeded by
@@ -366,8 +370,9 @@ def extract_cycles_tri(
     once at the seed's period and once at the chain's local gap: the
     first rides out a wobbled occurrence, the second follows a drifting
     period.  A seed that is already two consecutive occurrences of an
-    earlier chain is skipped, since its chains are found.  Every chain
-    of three or more occurrences is fitted into a cycle.
+    earlier chain is skipped, since its chains are found.  Returns every
+    chain of three or more occurrences as its sorted tuple of indices
+    into ``timestamps``, the chains in sorted order.
 
     The seeds cover the whole log and a chain runs until the
     occurrences stop fitting, so the chains reach every part of the
@@ -377,9 +382,18 @@ def extract_cycles_tri(
     before a full one.  There are at most ``G n`` seeds of two chains
     each, the twins of one seed can coincide but two seeds' chains
     cannot, and every step, and the end of every side, is one bisection
-    (:func:`_nearest`).  So at most ``2 G n`` cycles come out, and at
+    (:func:`_nearest`).  So at most ``2 G n`` chains come out, and at
     most ``2 (4 G n) + 4 G n = 12 G n`` lookups are made: ``8 n`` and
     ``48 n`` once ``n >= 150``.
+
+    A steady walk whose every step lands exactly on its predicted time
+    is the local-gap walk from its seed too: the two predict the same
+    time at every step, so they take the same steps and stop at the same
+    place, and a stop tests ``room`` only beyond the chain's ends.  The
+    second walk is skipped then, and makes no lookups, unless the steady
+    chain was just added and used up the ``room`` of one of its members
+    past the seed; then it runs and may stop there.  On a strictly
+    periodic event this skips nearly every second walk.
     """
     ts = list(timestamps)
     n = len(ts)
@@ -398,15 +412,19 @@ def extract_cycles_tri(
             if (i, j) in linked:
                 continue
             for steady in (True, False):
-                chain = _chain(ts, i, j, tolerance, steady, room)
-                if len(chain) >= 3 and chain not in chains:
+                chain, exact = _chain(ts, i, j, tolerance, steady, room)
+                added = len(chain) >= 3 and chain not in chains
+                if added:
                     chains.add(chain)
                     linked.update(zip(chain, chain[1:]))
                     for k in chain:
                         room[k] -= 1
-    out = [fit_cycle([ts[i] for i in idxs], event) for idxs in sorted(chains)]
-    out.sort(key=lambda c: (c.tau, c.r, c.p))
-    return out
+                if not exact:
+                    continue
+                if added and any(room[k] <= 0 for k in chain if k != i and k != j):
+                    continue  # the local-gap walk may stop at the spent member
+                break  # the local-gap walk would retrace this one
+    return sorted(chains)
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +478,18 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
 
 
 def _grow(provenance: str, parts) -> Pattern:
-    """The pattern a priced candidate's recipe describes: a stage-S
-    cycle, or the growth of the member patterns that ``provenance``
-    names.  A factorized merge's members are in
-    :func:`grow_horizontally`'s order, and it is built from its layout
-    once."""
+    """The pattern a priced candidate's recipe describes: the cycle
+    fitted to a stage-S chain's ``(timestamps, event)``, or the growth of
+    the member patterns that ``provenance`` names.  A factorized merge's
+    members are in :func:`grow_horizontally`'s order, and it is built
+    from its layout once."""
     if provenance == "vertical":
         return grow_vertically(parts)
     if provenance == "horizontal":
         return grow_horizontally(parts)
     if provenance == "factorized":
         return build_merge(factor_layout(concat_layout(parts)), parts)
-    return parts.as_pattern()
+    return fit_cycle(*parts).as_pattern()
 
 
 def _build_survivors(
@@ -553,7 +571,7 @@ def combine_vertically(
         except (UncodablePatternError, InvalidPatternError, DomainError):
             continue
         for chain in extract_cycles_tri(taus, l_max):
-            members = [by_tau[t] for t in cycle_cover(chain)]
+            members = [by_tau[taus[i]] for i in chain]
             cover = reduce(or_, (q.cand.bits for q in members))
             if cover.bit_count() < sum(q.tree.count for q in members):
                 continue  # the members share an occurrence
@@ -927,11 +945,21 @@ def combine_horizontally(
 
 @dataclass(frozen=True)
 class Selection:
-    """A chosen pattern collection, its residuals and its report."""
+    """A chosen pattern collection over ``seq`` and its residuals.
+
+    Its :attr:`report` is priced on first read, from the patterns alone
+    (:func:`codec.collection_cost`), and kept.
+    """
 
     candidates: tuple[Candidate, ...]
     residuals: tuple[tuple[int, str], ...]
-    report: CollectionReport
+    seq: EventSequence = field(repr=False, compare=False)
+    stats: SeqStats = field(repr=False, compare=False)
+
+    @cached_property
+    def report(self) -> CollectionReport:
+        patterns = [c.pattern for c in self.candidates]
+        return codec.collection_cost(patterns, self.seq, self.stats)
 
     @property
     def total_bits(self) -> float:
@@ -943,12 +971,25 @@ def _make_selection(
 ) -> Selection:
     """The chosen candidates, their covers numbered over ``seq``, with
     the occurrences they leave residual in ``(t, label)`` order."""
-    report = codec.collection_cost([c.pattern for c in chosen], seq, stats)
     if chosen:
         residuals = chosen[0].numbering.rest(reduce(or_, (c.bits for c in chosen)))
     else:
         residuals = tuple(sorted(seq.pairs))
-    return Selection(candidates=tuple(chosen), residuals=residuals, report=report)
+    return Selection(tuple(chosen), residuals, seq, stats)
+
+
+def _total_bits(chosen: Sequence[Candidate], stats: SeqStats) -> float:
+    """What the report of the chosen candidates, mined from the log that
+    ``stats`` describes, gives as its total: their costs plus the
+    residuals they leave, added as :func:`codec.collection_cost` adds
+    them.  A mined candidate's cost is its pattern's price bit for bit,
+    and its cover lies inside the log, so what it leaves residual is the
+    log's per-event counts minus its own."""
+    held = {}
+    if chosen:
+        held = chosen[0].numbering.labels(reduce(or_, (c.bits for c in chosen)))
+    left = {e: n - h for e, n in stats.counts.items() if (h := held.get(e, 0)) < n}
+    return codec.collection_bits((c.cost for c in chosen), stats, left)[2]
 
 
 def greedy_cover(
@@ -1035,28 +1076,32 @@ def _stage_one_event(
 ) -> list[Candidate]:
     """Stage-S candidates of one event, pruned to width ``k``.
 
-    The ``dp`` then ``tri`` cycles, deduplicated by notation, are priced
-    by the event's :func:`codec.cycle_pricer` (``inf`` when uncodable),
-    the kernel the segmentation prices through, and covered by
-    :func:`cycle_cover`, and the build site (:func:`_build_survivors`)
-    builds those that can survive pruning.
+    The ``dp`` then ``tri`` chains, deduplicated by their occurrence
+    indices, are fitted by :func:`fit_period` and priced by the event's
+    :func:`codec.cycle_pricer` (``inf`` when uncodable), the kernel the
+    segmentation prices through.  A chain's cover is its occurrences'
+    positions in ``numbering`` and its notation :func:`format_cycle`'s,
+    and the build site (:func:`_build_survivors`) builds the cycles of
+    those that can survive pruning.
     """
-    ts = list(seq.per_event[event])
-    tri = extract_cycles_tri(ts, codec.extension_margin(stats), event=event)
-    tagged = [("dp", cyc) for cyc in extract_cycles_dp(ts, event, stats)]
-    tagged += [("tri", cyc) for cyc in tri]
+    ts = seq.per_event[event]
+    chains = dict.fromkeys(extract_cycles_dp(ts, event, stats), "dp")
+    for chain in extract_cycles_tri(ts, codec.extension_margin(stats)):
+        chains.setdefault(chain, "tri")
     price = codec.cycle_pricer(stats, event)
-    winners: dict[str, tuple] = {}
-    for provenance, cyc in tagged:
-        notation = format_pattern(cyc)
-        if notation in winners:
-            continue
-        abs_dev = sum(abs(e) for e in cyc.corrections)
-        cost = price(cyc.r, cyc.p, cyc.tau, cyc.sigma, abs_dev)
+    index, size = numbering.index, len(numbering.pairs)
+    at = [index[t, event] for t in ts]
+    winners = []
+    for chain, provenance in chains.items():
+        times = [ts[i] for i in chain]
+        p, corrections = fit_period(times)
+        r, tau = len(times), times[0]
+        cost = price(r, p, tau, times[-1] - tau - (r - 1) * p, sum(map(abs, corrections)))
         if cost < math.inf:
-            cover = numbering.cover((t, event) for t in cycle_cover(cyc))
-            winners[notation] = (cost, cover, notation, (provenance, cyc))
-    return _build_survivors(list(winners.values()), k, numbering)
+            notation = format_cycle(event, r, p, tau, corrections)
+            cover = _bits((at[i] for i in chain), size)
+            winners.append((cost, cover, notation, (provenance, (times, event))))
+    return _build_survivors(winners, k, numbering)
 
 
 def extract_cycles(
@@ -1138,22 +1183,23 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         stages["V+H"] = greedy_cover(initial + v_first + h_first, seq, stats)
         stages["F"] = greedy_cover(final_pool, seq, stats)
 
-    # Every cover lies inside the log, so what a candidate leaves residual
-    # is the log's per-event counts minus its own.
+    totals = {name: _total_bits(sel.candidates, stats) for name, sel in stages.items()}
+
     best_single = None
     for c in final_pool:
-        held = c.numbering.labels(c.bits)
-        left = {e: n - held.get(e, 0) for e, n in stats.counts.items()}
-        total = c.cost + codec.residual_bits(stats, left)
+        total = _total_bits([c], stats)
         if best_single is None or (total, c.notation) < best_single:
             best_single = (total, c.notation)
             best_single_cand = c
     if best_single is not None:
         stages["single"] = _make_selection([best_single_cand], seq, stats)
+        totals["single"] = best_single[0]
 
+    # Each stage's total is its report's total_bits, which is priced only
+    # when read.
     winner = "S"
     for name in _STAGE_ORDER:
-        if name in stages and stages[name].total_bits < stages[winner].total_bits:
+        if name in totals and totals[name] < totals[winner]:
             winner = name
     clocks["select"] = perf_counter() - t0
     clocks["total"] = sum(clocks.values())

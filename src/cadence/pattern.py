@@ -694,17 +694,25 @@ def _format_block(r: int, p: int, content: str) -> str:
     return f"[r={r} p={p}]({content})"
 
 
+def _format_placed(tree: str, tau: int, corrections: Sequence[int]) -> str:
+    es = ",".join(map(str, corrections))
+    return f"{tree} @ tau={tau} E=[{es}]"
+
+
+def format_cycle(event: str, r: int, p: int, tau: int, corrections: Sequence[int]) -> str:
+    """The notation of the cycle of ``event`` with these parameters,
+    without building it: ``format_pattern`` of that :class:`Cycle`."""
+    return _format_placed(_format_block(r, p, event), tau, corrections)
+
+
 def format_pattern(p: Union[Pattern, Cycle]) -> str:
     """Render a full pattern: ``<tree> @ tau=<int> E=[<int>,...]``.
 
     A cycle renders as its width-1, depth-1 pattern.
     """
     if isinstance(p, Cycle):
-        tree = _format_block(p.r, p.p, p.event)
-    else:
-        tree = format_tree(p.tree)
-    es = ",".join(map(str, p.corrections))
-    return f"{tree} @ tau={p.tau} E=[{es}]"
+        return format_cycle(p.event, p.r, p.p, p.tau, p.corrections)
+    return _format_placed(format_tree(p.tree), p.tau, p.corrections)
 
 
 class _Parser:

@@ -22,7 +22,9 @@ miner keeps bit-sliced counts over its occurrence numbering.
 The recursive correction walk, the origins-based end offset and the
 expansion-based placement are the tree kernel's references, and the
 three-walk layout and repetition terms are the encoder's.  The capped triple chaining is the pass that
-whole-log chaining replaced, kept to show where its caps stopped it.
+whole-log chaining replaced, kept to show where its caps stopped it, and
+the two-walk triple chaining walks every seed at its period and then at
+the local gap, the pass that skipping a retraced walk must reproduce.
 The target-and-solve concatenation and factorization are the builders
 that merge layouts replaced: they gather each root repetition's
 corrected occurrences in traversal order and solve for the corrections;
@@ -183,15 +185,17 @@ def optimal_segmentation_bits(
 
 
 def cycle_selection_bits(
-    cycles: Sequence[Cycle],
+    runs: Sequence[Sequence[int]],
     timestamps: Sequence[int],
     event: str,
     stats: SeqStats,
 ) -> float:
-    """Total bits of a cycle list plus residuals over the timestamps."""
+    """Total bits of the cycles fitted to runs of indices into the
+    timestamps plus residuals over the rest."""
     covered: set[int] = set()
     bits = 0.0
-    for c in cycles:
+    for run in runs:
+        c = fit_cycle([timestamps[i] for i in run], event)
         bits += cycle_cost(c, stats)
         covered.update(cycle_cover(c))
     bits += sum(
@@ -255,12 +259,13 @@ class _RunningMedian:
 
 def unpruned_segmentation(
     timestamps: Sequence[int], event: str, stats: SeqStats, window: int = 500
-) -> list[Cycle]:
+) -> list[tuple[int, ...]]:
     """The windowed segmentation DP with every start priced.
 
     The same prefix recursion and prices as ``extract_cycles_dp``, with
     ties to the shortest last segment, but without its early stop, and
-    with the period kept by :class:`_RunningMedian`.
+    with the period kept by :class:`_RunningMedian`.  Returns the runs
+    coded as cycles, as index tuples.
     """
     ts = list(timestamps)
     n = len(ts)
@@ -283,13 +288,13 @@ def unpruned_segmentation(
             if best[i] + min(cost, cyc) < best[j + 1]:
                 best[j + 1], cut[j + 1] = best[i] + min(cost, cyc), i
                 as_cycle[j + 1] = cyc < cost
-    cycles = []
+    runs = []
     j = n
     while j > 0:
         if as_cycle[j]:
-            cycles.append(fit_cycle(ts[cut[j]:j], event))
+            runs.append(tuple(range(cut[j], j)))
         j = cut[j]
-    return cycles[::-1]
+    return runs[::-1]
 
 
 def eager_greedy_cover(pool, stats: SeqStats) -> list:
@@ -322,9 +327,10 @@ def eager_greedy_cover(pool, stats: SeqStats) -> list:
 def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
     """Stage S building a candidate for every cycle, then filtering.
 
-    Each event's ``dp`` then ``tri`` cycles become candidates through the
-    encoder, the uncodable ones are dropped and duplicates keep their
-    first provenance; width-``k`` pruning runs once over all events.
+    Each event's ``dp`` then ``tri`` chains are fitted into cycles that
+    become candidates through the encoder, the uncodable ones are dropped
+    and duplicates keep their first provenance; width-``k`` pruning runs
+    once over all events.
     """
     merged = []
     numbering = Numbering(seq.pairs)
@@ -332,12 +338,12 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
         ts = list(seq.per_event[event])
         tagged = [("dp", c) for c in extract_cycles_dp(ts, event, stats)]
         tagged += [
-            ("tri", c)
-            for c in extract_cycles_tri(
-                ts, codec.extension_margin(stats), event=event
-            )
+            ("tri", c) for c in extract_cycles_tri(ts, codec.extension_margin(stats))
         ]
-        built = [make_candidate(c, stats, prov, numbering) for prov, c in tagged]
+        built = [
+            make_candidate(fit_cycle([ts[i] for i in c], event), stats, prov, numbering)
+            for prov, c in tagged
+        ]
         merged += _dedupe(c for c in built if c is not None)
     return filter_candidates(merged, k)
 
@@ -373,7 +379,7 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
         except (UncodablePatternError, DomainError):
             continue
         for chain in extract_cycles_tri(taus, l_max):
-            members = [by_tau[t] for t in cycle_cover(chain)]
+            members = [by_tau[taus[i]] for i in chain]
             try:
                 grown = grow_vertically([m.pattern for m in members])
             except (DomainError, InvalidPatternError):
@@ -397,6 +403,67 @@ def survivor_bound(entries: Sequence[tuple[float, frozenset]], k: int) -> set[in
     covers = [cover for _, cover in groups]
     kept = {groups[i] for i in within_k_by_counter(keys, covers, k)}
     return {i for i, entry in enumerate(entries) if entry in kept}
+
+
+def two_walk_triple_chains(
+    timestamps: Sequence[int], tolerance: float
+) -> list[tuple[int, ...]]:
+    """Whole-log triple chaining that walks every seed twice, the pass
+    the miner's skip of a retraced walk must reproduce.
+
+    Every pair ``(i, j)`` with ``0 < j - i <= G`` (``G = max(4,
+    ceil(600 / n))``) that is not two consecutive occurrences of an
+    earlier chain seeds a walk at the seed's period and then one at the
+    chain's local gap, each step to the nearest occurrence of the
+    prediction, the earlier on a tie.  A side stops when none lies within
+    ``tolerance``, when the new gap strays from the one before by more
+    than ``tolerance`` or at an occurrence that already joined ``4 G``
+    chains.  Returns the chains of three or more, sorted.
+    """
+    ts = list(timestamps)
+    n = len(ts)
+    if n < 3 or tolerance < 0:
+        return []
+    reach = max(4, -(-600 // n))
+    room = [4 * reach] * n
+
+    def nearest(target: int, lo: int, hi: int) -> int:
+        near = [k for k in range(lo, hi) if abs(ts[k] - target) <= tolerance]
+        return min(near, key=lambda k: (abs(ts[k] - target), k), default=-1)
+
+    def walk(i: int, j: int, steady: bool) -> tuple[int, ...]:
+        ends = []
+        for sign, a, b in ((1, i, j), (-1, j, i)):
+            side: list[int] = []
+            anchor = ts[b]
+            while True:
+                gap = abs(ts[b] - ts[a])
+                if steady:
+                    target = anchor + sign * (len(side) + 1) * (ts[j] - ts[i])
+                else:
+                    target = ts[b] + sign * gap
+                k = nearest(target, b + 1, n) if sign > 0 else nearest(target, 0, b)
+                if k < 0 or room[k] <= 0 or abs(abs(ts[k] - ts[b]) - gap) > tolerance:
+                    break
+                side.append(k)
+                a, b = b, k
+            ends.append(side)
+        return (*reversed(ends[1]), i, j, *ends[0])
+
+    linked: set[tuple[int, int]] = set()
+    chains: set[tuple[int, ...]] = set()
+    for i in range(n - 1):
+        for j in range(i + 1, min(n, i + reach + 1)):
+            if (i, j) in linked:
+                continue
+            for steady in (True, False):
+                chain = walk(i, j, steady)
+                if len(chain) >= 3 and chain not in chains:
+                    chains.add(chain)
+                    linked.update(zip(chain, chain[1:]))
+                    for k in chain:
+                        room[k] -= 1
+    return sorted(chains)
 
 
 def capped_triple_chains(

@@ -306,3 +306,46 @@ def test_every_setting_is_read(settings):
     }
     fields = [f.name for f in dataclasses.fields(settings)]
     assert unread_fields(sources, settings.__name__, fields) == set()
+
+
+def enclosing_functions(source: str, name: str) -> list[str]:
+    """The module-level function around each call of ``name``, by bare
+    name or attribute, in source order; ``""`` for a call outside every
+    function."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for definition in ast.parse(source).body:
+        if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+            visit(definition, definition.name)
+        else:
+            visit(definition, "")
+    return found
+
+
+def test_call_walker_names_the_enclosing_function():
+    source = (
+        "def build(ts):\n"
+        "    return fit_cycle(ts, 'a')\n"
+        "def stage(ts):\n"
+        "    def inner():\n"
+        "        return pattern.fit_cycle(ts, 'a')\n"
+        "    return fit_period(ts)\n"
+        "fit_cycle([1, 2], 'b')\n"
+    )
+    assert enclosing_functions(source, "fit_cycle") == ["build", "stage", ""]
+
+
+def test_miner_fits_a_cycle_only_at_the_build_site():
+    # Stage S prices a chain from its timestamps; only a chain that
+    # survives pruning is fitted into a cycle, by ``_grow``.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    assert enclosing_functions(source, "fit_cycle") == ["_grow"]

@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cadence
 from cadence import codec, miner
@@ -81,6 +82,7 @@ from _oracles import (
     single_candidate_bits,
     slack_pairs,
     survivor_bound,
+    two_walk_triple_chains,
     unpruned_segmentation,
     within_k_by_counter,
 )
@@ -102,10 +104,11 @@ class TestExtractCyclesDp:
     def test_perfect_progression_becomes_one_cycle(self):
         ts = [0, 7, 14, 21, 28]
         stats = SeqStats(length=5, t_start=0, t_end=28, counts={"a": 5})
-        cycles = extract_cycles_dp(ts, "a", stats)
-        assert cycles == [
-            Cycle(event="a", r=5, p=7, tau=0, corrections=(0, 0, 0, 0))
-        ]
+        runs = extract_cycles_dp(ts, "a", stats)
+        assert runs == [(0, 1, 2, 3, 4)]
+        assert fit_cycle([ts[i] for i in runs[0]], "a") == Cycle(
+            event="a", r=5, p=7, tau=0, corrections=(0, 0, 0, 0)
+        )
 
     def test_two_pairs_stay_residual(self):
         stats = SeqStats(length=4, t_start=0, t_end=51, counts={"a": 4})
@@ -142,7 +145,7 @@ class TestExtractCyclesDp:
         ts = [0, 7, 14, 21, 28]
         stats = SeqStats(length=5, t_start=0, t_end=28, counts={"a": 5})
         cycles = extract_cycles_dp(ts, "a", stats, window=3)
-        assert all(c.r <= 3 for c in cycles)
+        assert all(len(run) <= 3 for run in cycles)
         got = cycle_selection_bits(cycles, ts, "a", stats)
         want = optimal_segmentation_bits(ts, "a", stats, max_segment=3)
         assert got == pytest.approx(want, abs=1e-9)
@@ -290,25 +293,27 @@ class TestDpStopRule:
         assert 0 < calls < 0.1 * len(ts) * window
 
 
+def chained_times(ts, tolerance):
+    """The timestamps of each chain ``extract_cycles_tri`` finds."""
+    return [tuple(ts[i] for i in chain) for chain in extract_cycles_tri(ts, tolerance)]
+
+
 class TestExtractCyclesTri:
     def test_burst_chains_and_keeps_the_gapped_triple(self):
-        cycles = extract_cycles_tri((2, 5, 7, 8), tolerance=3.129, event="a")
-        covers = {cycle_cover(c) for c in cycles}
-        assert covers == {(2, 5, 7, 8), (2, 5, 8)}
+        covers = chained_times((2, 5, 7, 8), tolerance=3.129)
+        assert covers == [(2, 5, 7, 8), (2, 5, 8)]
 
     def test_perfect_triple_at_zero_tolerance(self):
-        cycles = extract_cycles_tri((0, 10, 20), tolerance=0.0, event="a")
-        assert [cycle_cover(c) for c in cycles] == [(0, 10, 20)]
+        assert extract_cycles_tri((0, 10, 20), tolerance=0.0) == [(0, 1, 2)]
 
     def test_irregular_gaps_give_nothing(self):
-        assert extract_cycles_tri((0, 3, 20), tolerance=3.129, event="a") == []
+        assert extract_cycles_tri((0, 3, 20), tolerance=3.129) == []
 
     def test_triples_may_skip_occurrences(self):
-        cycles = extract_cycles_tri((0, 10, 19, 30), tolerance=1.0, event="a")
-        assert {cycle_cover(c) for c in cycles} == {(0, 10, 19)}
+        assert chained_times((0, 10, 19, 30), tolerance=1.0) == [(0, 10, 19)]
 
     def test_short_input(self):
-        assert extract_cycles_tri((5, 9), tolerance=10.0, event="a") == []
+        assert extract_cycles_tri((5, 9), tolerance=10.0) == []
 
     def test_chains_reach_the_last_block(self):
         # Four blocks of 30 occurrences 3 ticks apart, 300 ticks between
@@ -319,7 +324,7 @@ class TestExtractCyclesTri:
         blocks = [tuple(range(300 * b, 300 * b + 90, 3)) for b in range(4)]
         capped = {cycle_cover(c) for c in capped_triple_chains(ts, 12.0, "a")}
         assert capped and max(cover[0] for cover in capped) < 300
-        covers = {cycle_cover(c) for c in extract_cycles_tri(ts, 12.0, "a")}
+        covers = set(chained_times(ts, 12.0))
         assert all(block in covers for block in blocks)
 
     @pytest.mark.parametrize("n", [500, 1000, 2000])
@@ -339,9 +344,82 @@ class TestExtractCyclesTri:
             return original(*args)
 
         monkeypatch.setattr(miner, "_nearest", counting)
-        cycles = extract_cycles_tri(ts, 12.0, "a")
+        cycles = extract_cycles_tri(ts, 12.0)
         assert 0 < len(cycles) <= 8 * n
         assert n < len(lookups) <= 48 * n
+
+
+def wobbled(rng: random.Random, n: int) -> list[int]:
+    """A periodic event, some occurrences a tick early or late."""
+    p = rng.randint(1, 25)
+    return sorted({p * (k + 1) + rng.choice((-1, 0, 0, 0, 1)) for k in range(n)})
+
+
+def bursty(rng: random.Random, n: int) -> list[int]:
+    """Bursts of two to five occurrences a few ticks apart."""
+    ts: set[int] = set()
+    t = rng.randint(0, 20)
+    while len(ts) < n:
+        gap = rng.randint(1, 3)
+        ts.update(t + gap * k + rng.choice((0, 0, 1)) for k in range(rng.randint(2, 5)))
+        t += rng.randint(20, 60)
+    return sorted(ts)[:n]
+
+
+def scattered(rng: random.Random, n: int) -> list[int]:
+    return sorted(rng.sample(range(20 * n + 10), n))
+
+
+class TestTriSkipsRetracedWalks:
+    """``extract_cycles_tri`` skips the local-gap walk that an exact
+    steady walk proves to be a retrace; its chains are the two-walk
+    pass's."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shape=st.sampled_from([wobbled, bursty, scattered]),
+        n=st.integers(0, 160),
+        tolerance=st.sampled_from([0.0, -1.0, 1.0, 3.129, 12.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_chains_as_walking_twice(self, shape, n, tolerance, seed):
+        ts = shape(random.Random(seed), n)
+        assert extract_cycles_tri(ts, tolerance) == two_walk_triple_chains(ts, tolerance)
+
+    def test_a_spent_member_makes_the_second_walk_run(self, monkeypatch):
+        # Bursts of four 2 ticks apart every 40 ticks, every seventh
+        # occurrence a tick late.  The exact steady chain (88, 89, 90, 91)
+        # uses up the room of a member past its seed, so the local-gap
+        # walk from (88, 89) runs and stops there.
+        ts = [40 * (k // 4) + 2 * (k % 4) + (k % 7 == 3) for k in range(150)]
+        walks = []
+        chain = miner._chain
+
+        def recording(ts, i, j, tolerance, steady, room):
+            out = chain(ts, i, j, tolerance, steady, room)
+            walks.append((i, j, steady, out))
+            return out
+
+        monkeypatch.setattr(miner, "_chain", recording)
+        got = extract_cycles_tri(ts, 3.0)
+        assert got == two_walk_triple_chains(ts, 3.0)
+        assert (88, 89, True, ((88, 89, 90, 91), True)) in walks
+        assert (88, 89, False, ((88, 89), True)) in walks
+
+    def test_exact_walks_skip_the_second_walk(self, monkeypatch):
+        # On a strictly periodic event every steady walk is exact, so
+        # no local-gap walk runs.
+        walks = []
+        chain = miner._chain
+
+        def recording(*args):
+            walks.append(args[4])
+            return chain(*args)
+
+        monkeypatch.setattr(miner, "_chain", recording)
+        ts = list(range(0, 7 * 200, 7))
+        assert extract_cycles_tri(ts, 3.0) == two_walk_triple_chains(ts, 3.0)
+        assert walks and all(walks)
 
 
 # Every stub covers some of the first twelve ticks of a.
@@ -850,7 +928,7 @@ class TestStageSRanking:
             for e in seq.alphabet:
                 ts = list(seq.per_event[e])
                 dp = set(extract_cycles_dp(ts, e, stats))
-                tri = extract_cycles_tri(ts, extension_margin(stats), event=e)
+                tri = extract_cycles_tri(ts, extension_margin(stats))
                 dupes += sum(c in dp for c in tri)
             keys = [(c.efficiency, c.cost) for c in build_every_cycle(seq, stats, 3)]
             ties += len(keys) - len(set(keys))
@@ -1833,6 +1911,60 @@ class TestMine:
         assert set(result.stages) == {"S", "V", "H", "V+H", "F", "single"}
         for selection in result.stages.values():
             assert selection.report.percent_length <= 100.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [("heartbeats", 3), ("stream", 0), ("stream", 3), ("braids", 6), ("planted", 2)],
+    )
+    def test_winner_is_picked_by_the_report_totals(self, monkeypatch, shape, seed):
+        # mine() totals each stage from its candidates' costs; every such
+        # total is the stage report's total_bits, bit for bit.
+        if shape == "planted":
+            spec = PlantSpec(
+                basis="a d=3 b",
+                outer_length=(4, 6),
+                n_patterns=2,
+                shift_level=1,
+                shift_density=0.2,
+                additive_density=0.1,
+                seed=seed,
+            )
+            seq = generate(spec).perturbed
+        else:
+            seq = shaped_log(shape, seed)
+        used = {}
+        total = miner._total_bits
+
+        def recording(chosen, stats):
+            out = total(chosen, stats)
+            used[tuple(c.notation for c in chosen)] = out
+            return out
+
+        monkeypatch.setattr(miner, "_total_bits", recording)
+        result = mine(seq)
+        reports = {}
+        for name, selection in result.stages.items():
+            reports[name] = selection.report.total_bits
+            assert used[tuple(c.notation for c in selection.candidates)] == reports[name]
+        assert reports[result.winner] == min(reports.values())
+        assert len(result.stages) == 6 and result.selection.candidates
+
+    def test_reports_are_priced_only_when_read(self, monkeypatch):
+        calls = []
+        price = codec.collection_cost
+
+        def counting(*args):
+            calls.append(args)
+            return price(*args)
+
+        monkeypatch.setattr(codec, "collection_cost", counting)
+        result = mine(shaped_log("stream", 3))
+        assert calls == []
+        report = result.selection.report
+        assert len(calls) == 1 and result.selection.report is report
+        assert report is result.stages[result.winner].report
+        result.to_dict()
+        assert len(calls) == len(result.stages)
 
 
 class TestMemory:
