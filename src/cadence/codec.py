@@ -114,15 +114,25 @@ def residual_cost(stats: SeqStats, occurrence: tuple[int, str]) -> float:
     return log2(stats.span + 1) + log2(stats.length / count)
 
 
+def add_bits(values: Iterable[float]) -> float:
+    """The values added left to right from ``0.0``, the one way the
+    package adds bits: unlike ``sum()``, which compensates rounding from
+    Python 3.12 on, it gives the same float on every supported version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def residual_bits(stats: SeqStats, labels: Mapping[str, int]) -> float:
     """Bits to transmit ``labels[e]`` occurrences of each event ``e`` on
     their own.
 
     A residual's price depends only on its event, so this is one product
-    per event, summed in sorted event order: the total is the same in
+    per event, added in sorted event order: the total is the same in
     every process, whatever order the caller's mapping or set was in.
     """
-    return sum(
+    return add_bits(
         n * residual_cost(stats, (stats.t_start, event))
         for event, n in sorted(labels.items())
     )
@@ -509,14 +519,10 @@ def collection_bits(
     patterns cost ``pattern_costs`` and leave ``residual_labels[e]``
     occurrences of each event ``e`` residual.
 
-    The costs are added left to right with ``+=``, not by ``sum()``,
-    which compensates float rounding from Python 3.12: every caller that
-    totals a collection goes through here, so the totals agree bit for
-    bit.
+    Every caller that totals a collection goes through here, so the
+    totals agree bit for bit.
     """
-    pattern_bits = 0.0
-    for cost in pattern_costs:
-        pattern_bits += cost
+    pattern_bits = add_bits(pattern_costs)
     leftover_bits = residual_bits(stats, residual_labels)
     return pattern_bits, leftover_bits, pattern_bits + leftover_bits
 

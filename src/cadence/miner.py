@@ -143,8 +143,8 @@ class Candidate:
     """A costed pattern candidate.
 
     ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
-    occurrences of the log it was mined from; :attr:`cover` lists the
-    same pairs.
+    occurrences of the log it was mined from; ``numbering.pairs_of(bits)``
+    lists them.
     """
 
     pattern: Pattern
@@ -153,10 +153,6 @@ class Candidate:
     notation: str
     provenance: str
     numbering: Numbering = field(repr=False, compare=False)
-
-    @property
-    def cover(self) -> frozenset[tuple[int, str]]:
-        return frozenset(self.numbering.pairs_of(self.bits))
 
     @property
     def efficiency(self) -> float:
@@ -576,7 +572,7 @@ def combine_vertically(
             if cover.bit_count() < sum(q.tree.count for q in members):
                 continue  # the members share an occurrence
             cost = _nest_cost(members, stats)
-            if cost is None or cost >= sum(q.cand.cost for q in members):
+            if cost is None or cost >= codec.add_bits(q.cand.cost for q in members):
                 continue
             winners.append(
                 (cost, cover, "", ("vertical", [q.pattern for q in members]))
@@ -945,16 +941,22 @@ def combine_horizontally(
 
 @dataclass(frozen=True)
 class Selection:
-    """A chosen pattern collection over ``seq`` and its residuals.
-
-    Its :attr:`report` is priced on first read, from the patterns alone
-    (:func:`codec.collection_cost`), and kept.
+    """A chosen pattern collection over ``seq``.  Its :attr:`residuals`
+    and its :attr:`report` (:func:`codec.collection_cost`) are derived
+    on first read and kept.
     """
 
     candidates: tuple[Candidate, ...]
-    residuals: tuple[tuple[int, str], ...]
     seq: EventSequence = field(repr=False, compare=False)
     stats: SeqStats = field(repr=False, compare=False)
+
+    @cached_property
+    def residuals(self) -> tuple[tuple[int, str], ...]:
+        """What the candidates leave uncovered, in ``(t, label)`` order."""
+        if not self.candidates:
+            return tuple(sorted(self.seq.pairs))
+        cover = reduce(or_, (c.bits for c in self.candidates))
+        return self.candidates[0].numbering.rest(cover)
 
     @cached_property
     def report(self) -> CollectionReport:
@@ -964,18 +966,6 @@ class Selection:
     @property
     def total_bits(self) -> float:
         return self.report.total_bits
-
-
-def _make_selection(
-    chosen: Sequence[Candidate], seq: EventSequence, stats: SeqStats
-) -> Selection:
-    """The chosen candidates, their covers numbered over ``seq``, with
-    the occurrences they leave residual in ``(t, label)`` order."""
-    if chosen:
-        residuals = chosen[0].numbering.rest(reduce(or_, (c.bits for c in chosen)))
-    else:
-        residuals = tuple(sorted(seq.pairs))
-    return Selection(tuple(chosen), residuals, seq, stats)
 
 
 def _total_bits(chosen: Sequence[Candidate], stats: SeqStats) -> float:
@@ -1033,7 +1023,7 @@ def greedy_cover(
             covered |= best.bits
         else:
             break
-    return _make_selection(chosen, seq, stats)
+    return Selection(tuple(chosen), seq, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1192,7 +1182,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
             best_single = (total, c.notation)
             best_single_cand = c
     if best_single is not None:
-        stages["single"] = _make_selection([best_single_cand], seq, stats)
+        stages["single"] = Selection((best_single_cand,), seq, stats)
         totals["single"] = best_single[0]
 
     # Each stage's total is its report's total_bits, which is priced only
@@ -1202,7 +1192,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         if name in totals and totals[name] < totals[winner]:
             winner = name
     clocks["select"] = perf_counter() - t0
-    clocks["total"] = sum(clocks.values())
+    clocks["total"] = clocks["extract"] + clocks["combine"] + clocks["select"]
 
     return MineResult(
         selection=stages[winner],

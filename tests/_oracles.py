@@ -105,6 +105,11 @@ from cadence.pattern import (
 )
 
 
+def cover_pairs(candidate) -> frozenset[tuple[int, str]]:
+    """A candidate's cover as the set of its ``(t, event)`` pairs."""
+    return frozenset(candidate.numbering.pairs_of(candidate.bits))
+
+
 def make_candidate(
     p: Pattern | Cycle, stats: SeqStats, provenance: str, numbering: Numbering
 ):
@@ -206,8 +211,9 @@ def cycle_selection_bits(
 
 def single_candidate_bits(candidate, all_pairs, stats: SeqStats) -> float:
     """Total bits of one candidate plus residuals for everything else."""
+    cover = cover_pairs(candidate)
     return candidate.cost + sum(
-        residual_cost(stats, o) for o in all_pairs if o not in candidate.cover
+        residual_cost(stats, o) for o in all_pairs if o not in cover
     )
 
 
@@ -305,22 +311,23 @@ def eager_greedy_cover(pool, stats: SeqStats) -> list:
     """
     # the first candidate of each notation, as the miner dedupes
     remaining = list({c.notation: c for c in reversed(pool)}.values())
+    covers = {c.notation: cover_pairs(c) for c in remaining}
     covered: set = set()
     chosen = []
     while True:
         scored = [
-            ((c.cost / len(c.cover - covered), c.cost, c.notation), c)
+            ((c.cost / len(covers[c.notation] - covered), c.cost, c.notation), c)
             for c in remaining
-            if c.cover - covered
+            if covers[c.notation] - covered
         ]
         if not scored:
             return chosen
         _, best = min(scored, key=lambda kc: kc[0])
-        new = best.cover - covered
+        new = covers[best.notation] - covered
         if best.cost >= residual_bits(stats, Counter(e for _, e in new)):
             return chosen
         chosen.append(best)
-        covered |= best.cover
+        covered |= covers[best.notation]
         remaining.remove(best)
 
 
@@ -387,9 +394,9 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
             cand = make_candidate(grown, stats, "vertical", members[0].numbering)
             if cand is None or not lists_once(cand):
                 continue
-            if cand.cover != frozenset().union(*(m.cover for m in members)):
+            if cover_pairs(cand) != frozenset().union(*map(cover_pairs, members)):
                 continue
-            if cand.cost < sum(m.cost for m in members):
+            if cand.cost < codec.add_bits(m.cost for m in members):
                 out.append(cand)
     return filter_candidates(out, k)
 
@@ -687,7 +694,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
         cand = cheapest_merge([a, b], stats)
         if cand is None:
             continue
-        left_out = (a.cover | b.cover) - cand.cover
+        left_out = (cover_pairs(a) | cover_pairs(b)) - cover_pairs(cand)
         if cand.cost + residual_bits(stats, label_counts(left_out)) < a.cost + b.cost:
             out.append(cand)
             adj.setdefault(ia, set()).add(ib)

@@ -228,6 +228,7 @@ ACCEPTANCE_CRITERIA = (
     "planted-recovery",
     "threshold-soundness",
     "scale-smoke",
+    "compression-floor",
 )
 
 _ACCEPTANCE_RESULTS: dict[str, tuple[bool, str]] = {}

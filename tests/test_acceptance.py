@@ -1,4 +1,4 @@
-"""Acceptance gate: eight criteria checked end to end, one test each.
+"""Acceptance gate: nine criteria checked end to end, one test each.
 
 Every test records its verdict through the ``acceptance`` fixture before
 asserting, so the terminal summary always prints one PASS/FAIL line per
@@ -27,6 +27,8 @@ The criteria, in order:
     threshold grows by more than the extension margin per repetition.
 8.  scale-smoke: a five-figure event log with twenty planted patterns
     mines end to end inside a minute with a clear compression win.
+9.  compression-floor: three small planted logs mine to a %L no higher
+    than the value each was pinned at, plus a small margin.
 """
 
 from __future__ import annotations
@@ -374,3 +376,67 @@ def test_scale_smoke(acceptance):
     acceptance("scale-smoke", ok, detail)
     assert percent < 90.0, detail
     assert elapsed < 60.0, detail
+
+
+# (name, log, planted collection, mined %L when the floor was set).  A
+# change that mines one of them to a lower %L lowers its value here.
+FLOOR_MARGIN = 0.25  # points of %L
+
+
+def _floor_logs():
+    braid = generate(PlantSpec(
+        basis="a d=2 b d=3 c",
+        depth=2,
+        outer_length=(4, 6),
+        shift_level=1,
+        shift_density=0.2,
+        seed=2,
+    ))
+    # a burst of three in a cycle of six; the last burst's last occurrence
+    # is one tick late, so two occurrences lie equally near its predicted
+    # time
+    burst = parse_pattern(
+        "[r=6 p=17]([r=3 p=1](s0)) @ tau=25 E=[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]"
+    )
+    noisy = generate(PlantSpec(
+        basis="a",
+        outer_length=(20, 30),
+        inner_period=(4, 9),
+        shift_level=2,
+        shift_density=0.3,
+        additive_density=0.2,
+        seed=1,
+    ))
+    burst_log = EventSequence.from_pairs(corrected_occurrences(burst))
+    return (
+        ("nested braid with wobble", braid.perturbed, braid.patterns, 44.73),
+        ("burst in a cycle, last occurrence +1", burst_log, (burst,), 63.56),
+        ("wobbled cycle, 20% spurious", noisy.perturbed, noisy.patterns, 62.31),
+    )
+
+
+def test_compression_floor(acceptance):
+    t0 = perf_counter()
+    failures = []
+    gaps = []
+    for name, seq, planted, pinned in _floor_logs():
+        mined = mine(seq).selection.report.percent_length
+        gap = mined - collection_cost(list(planted), seq).percent_length
+        gaps.append(f"{gap:+.2f}")
+        if mined > pinned + FLOOR_MARGIN:
+            failures.append(
+                f"{name}: %L {mined:.3f} above {pinned} + {FLOOR_MARGIN}, "
+                f"{gap:+.3f} points against its plant"
+            )
+    elapsed = perf_counter() - t0
+
+    ok = not failures and elapsed < 5.0
+    detail = (
+        f"3 logs at most {FLOOR_MARGIN} points of %L above their pins, "
+        f"mined - planted %L {' / '.join(gaps)} in {elapsed:.2f}s"
+        if not failures
+        else "; ".join(failures)
+    )
+    acceptance("compression-floor", ok, detail)
+    assert not failures, failures
+    assert elapsed < 5.0, detail

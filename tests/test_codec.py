@@ -13,6 +13,7 @@ from cadence.codec import (
     CostBreakdown,
     SeqStats,
     _placed,
+    add_bits,
     baseline_cost,
     child_terms,
     collection_cost,
@@ -114,6 +115,18 @@ class TestResidualBits:
     def test_empty_mix_is_free(self, triad_stats):
         assert residual_bits(triad_stats, {}) == 0.0
 
+    def test_empty_mix_is_a_float(self, triad_stats):
+        # reports write it to JSON, where an int 0 would read as 0, not 0.0
+        assert type(residual_bits(triad_stats, {})) is float
+
+    def test_events_are_added_in_sorted_order(self):
+        stats = SeqStats(length=60, t_start=0, t_end=997, counts={"c": 7, "a": 41, "b": 12})
+        labels = {"c": 5, "b": 9, "a": 3}
+        total = 0.0
+        for event in ("a", "b", "c"):
+            total += labels[event] * residual_cost(stats, (0, event))
+        assert residual_bits(stats, labels) == total
+
     def test_baseline_is_every_occurrence_residual(self, triad_seq, triad_stats):
         per_occurrence = sum(residual_cost(triad_stats, o) for o in triad_seq.pairs)
         assert baseline_cost(triad_stats) == pytest.approx(per_occurrence, abs=1e-9)
@@ -121,6 +134,17 @@ class TestResidualBits:
     def test_unknown_event(self, triad_stats):
         with pytest.raises(DomainError):
             residual_bits(triad_stats, {"a": 1, "zz": 2})
+
+
+class TestAddBits:
+    def test_adds_left_to_right_without_compensation(self):
+        # sum() from Python 3.12 on keeps the 1.0 that 1e16 absorbs
+        assert add_bits([1e16, 1.0, -1e16]) == 0.0
+        assert add_bits([1.0, 1e16, -1e16]) == 0.0
+        assert add_bits([1e16, -1e16, 1.0]) == 1.0
+
+    def test_nothing_adds_to_a_float_zero(self):
+        assert type(add_bits([])) is float and add_bits(iter(())) == 0.0
 
 
 class TestCorrectionsCost:
@@ -306,6 +330,8 @@ class TestCollectionCost:
         report = collection_cost([braid], triad_seq, triad_stats)
         assert report.residual_count == 0
         assert report.residual_bits == 0.0
+        assert type(report.residual_bits) is float
+        assert type(report.to_dict()["residual_bits"]) is float
         assert report.percent_length == pytest.approx(88.6, abs=0.05)
         assert report.shape_counts == {"s": 0, "v": 0, "h": 1, "m": 0}
         assert report.max_cover == 9

@@ -7,6 +7,7 @@ import gc
 import importlib
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -74,6 +75,7 @@ from _oracles import (
     build_every_merge,
     build_every_nesting,
     capped_triple_chains,
+    cover_pairs,
     cycle_selection_bits,
     eager_greedy_cover,
     lists_once,
@@ -440,13 +442,12 @@ def _stub_candidate(cover, cost, notation):
 
 def _top_k_oracle(candidates, k):
     """Direct evaluation of the per-occurrence top-k retention rule."""
-    occurrences = set()
-    for c in candidates:
-        occurrences |= c.cover
+    covers = [cover_pairs(c) for c in candidates]
+    occurrences = set().union(*covers)
     keep = set()
     for o in occurrences:
         ranked = sorted(
-            (c for c in candidates if o in c.cover),
+            (c for c, cover in zip(candidates, covers) if o in cover),
             key=lambda c: (c.efficiency, c.cost, c.notation),
         )
         keep.update(c.notation for c in ranked[:k])
@@ -548,7 +549,7 @@ class TestCombineVertically:
         assert best.notation == (
             "[r=3 p=13]([r=4 p=2](a)) @ tau=2 E=[1,0,-1,-2,0,3,-1,0,1,1,-1]"
         )
-        assert best.cover == frozenset().union(*(m.cover for m in members))
+        assert cover_pairs(best) == frozenset().union(*map(cover_pairs, members))
         assert best.cost < sum(m.cost for m in members)
         assert best.provenance == "vertical"
 
@@ -596,17 +597,17 @@ class TestCombineHorizontally:
     def test_three_tracks_merge_into_one_braid(self, triad_seq):
         members = self._track_candidates(triad_seq)
         out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
-        full = [c for c in out if len(c.cover) == 9]
+        full = [c for c in out if c.bits.bit_count() == 9]
         assert full, "expected a candidate covering all nine occurrences"
         braid = full[0]
-        assert braid.cover == frozenset(triad_seq.pairs)
+        assert cover_pairs(braid) == frozenset(triad_seq.pairs)
         assert braid.cost < sum(m.cost for m in members)
         assert braid.provenance in ("horizontal", "factorized")
 
     def test_pairwise_merges_also_emitted(self, triad_seq):
         members = self._track_candidates(triad_seq)
         out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
-        sizes = {len(c.cover) for c in out}
+        sizes = {c.bits.bit_count() for c in out}
         assert 6 in sizes
 
     def test_requires_a_new_member(self, triad_seq):
@@ -717,7 +718,7 @@ def random_pool(rng: random.Random, seq: EventSequence, stats: SeqStats):
             continue
         # per-occurrence prices around the residual price (10.5-11.2
         # bits here), so some picks are rejected
-        cost = rng.choice((2.0, 4.0, 8.0, 10.0, 12.0, 16.0)) * len(cand.cover)
+        cost = rng.choice((2.0, 4.0, 8.0, 10.0, 12.0, 16.0)) * cand.bits.bit_count()
         pool.append(dataclasses.replace(cand, cost=cost))
     return pool
 
@@ -747,7 +748,7 @@ class TestLazyGreedy:
         )
         stats = own_stats(seq)
         pool = [
-            dataclasses.replace(c, cost=50.0 * len(c.cover))
+            dataclasses.replace(c, cost=50.0 * c.bits.bit_count())
             for c in random_pool(rng, seq, stats)
         ]
         assert pool
@@ -1006,6 +1007,17 @@ def braid_log(seed: int) -> EventSequence:
     return generate(spec).perturbed
 
 
+VERSION_DIGEST = Path(__file__).resolve().with_name("version_digest.py")
+
+
+@pytest.fixture(scope="module")
+def this_digest() -> str:
+    """What ``version_digest.py`` prints under the running interpreter."""
+    import version_digest
+
+    return version_digest.digest()
+
+
 def shaped_log(shape: str, seed: int) -> EventSequence:
     rng = random.Random(seed)
     if shape == "heartbeats":
@@ -1115,7 +1127,7 @@ def pair_kinds(calls) -> Counter:
             if cand is None:
                 kinds["uncodable"] += 1
                 continue
-            kinds["left out"] += bool((a.cover | b.cover) - cand.cover)
+            kinds["left out"] += bool((a.bits | b.bits) & ~cand.bits)
             kinds["interleaved"] += place(merged.tree).interleaved
             kinds["equal tau"] += a.tau == b.tau and a.pattern.tree != b.pattern.tree
             kinds["factorizable"] += factorize(merged) is not None
@@ -1199,7 +1211,7 @@ class TestHorizontalPricing:
             for ia, ib, cands in slack_pairs(new, pool):
                 a, b = cands[ia], cands[ib]
                 window = range(stats.t_start, stats.t_end + 1)
-                if all(t in window for t, _ in a.cover | b.cover):
+                if all(t in window for t, _ in a.numbering.pairs_of(a.bits | b.bits)):
                     continue
                 facts = [miner._Member(a, stats), miner._Member(b, stats)]
                 for layout, merged, factored in laid_out_merges(a.pattern, b.pattern):
@@ -1574,8 +1586,8 @@ class TestNestPricing:
             got = miner._nest_cost(facts, stats)
             nested = grow_vertically([c.pattern for c in members])
             window = range(stats.t_start, stats.t_end + 1)
-            outside = any(t not in window for c in members for t, _ in c.cover)
-            rarest = min(stats.counts[e] for _, e in members[0].cover)
+            outside = any(t not in window for c in members for t, _ in cover_pairs(c))
+            rarest = min(stats.counts[e] for _, e in cover_pairs(members[0]))
             try:
                 want = pattern_cost(nested, stats).total
             except UncodablePatternError:
@@ -1660,7 +1672,7 @@ class TestBuildSite:
         assert {"vertical", "horizontal"} <= {c.provenance for c in pool}
         for c in pool:
             assert c.cost == pattern_cost(c.pattern, stats).total, c.notation
-            assert c.cover == frozenset(corrected_occurrences(c.pattern)), c.notation
+            assert cover_pairs(c) == frozenset(corrected_occurrences(c.pattern)), c.notation
 
 
 class TestRecords:
@@ -1749,7 +1761,7 @@ class TestMine:
         result = mine(dozen_a_seq)
         assert result.selection.total_bits <= 61.551 + 0.005
         assert result.selection.total_bits < 76.681
-        assert any(len(c.cover) == 12 for c in result.pool)
+        assert any(c.bits.bit_count() == 12 for c in result.pool)
         assert result.winner in STAGES
 
     def test_long_perfect_progression(self):
@@ -1783,8 +1795,9 @@ class TestMine:
         result = mine(triad_seq)
         assert result.winner == "H"
         merged = result.selection.candidates[0]
-        assert len(merged.cover) == 6
-        assert {e for _, e in merged.cover} == {"a", "b"}
+        cover = cover_pairs(merged)
+        assert len(cover) == 6
+        assert {e for _, e in cover} == {"a", "b"}
         # the drifting c track stays residual
         assert {e for _, e in result.selection.residuals} == {"c"}
 
@@ -1876,6 +1889,24 @@ class TestMine:
             outputs.add(done.stdout)
         assert len(outputs) == 1, outputs
 
+    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    def test_totals_do_not_depend_on_the_python_version(self, python, this_digest):
+        # sum() compensates float rounding from Python 3.12 on; the
+        # package adds bits one way (codec.add_bits), so every version
+        # mines and totals alike.
+        if shutil.which(python) is None:
+            pytest.skip(f"{python} is not on PATH")
+        # a pyenv shim runs the version PYENV_VERSION names; anything else
+        # ignores it
+        env = dict(os.environ, PYENV_VERSION=python.removeprefix("python"))
+        done = subprocess.run(
+            [python, str(VERSION_DIGEST)], env=env, capture_output=True, text=True, timeout=120
+        )
+        if done.returncode == 127:  # a launcher that finds no such interpreter
+            pytest.skip(f"{python} is not installed: {done.stderr.strip()}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == this_digest
+
     def test_cycles_only_skips_combination_stages(self, triad_seq):
         result = mine(triad_seq, MiningConfig(max_rounds=0))
         assert set(result.stages) <= {"S", "single"}
@@ -1892,7 +1923,7 @@ class TestMine:
         assert result.selection.candidates
         nothing = greedy_cover([], seq, own_stats(seq))
         for selection in [*result.stages.values(), nothing]:
-            covered = set().union(*(c.cover for c in selection.candidates))
+            covered = set().union(*map(cover_pairs, selection.candidates))
             assert selection.residuals == tuple(sorted(set(seq.pairs) - covered))
         assert result.selection.residuals[:2] == ((5, "a"), (5, "b"))
 
@@ -1901,7 +1932,7 @@ class TestMine:
         # of two that share one would list it twice, and is never pooled.
         seq = shaped_log("stream", 0)
         initial = extract_cycles(seq, own_stats(seq))
-        assert any(a.cover & b.cover for a in initial for b in initial if a is not b)
+        assert any(a.bits & b.bits for a in initial for b in initial if a is not b)
         result = mine(seq)
         assert {"vertical", "horizontal"} & {c.provenance for c in result.pool}
         assert all(lists_once(c) for c in result.pool)
@@ -1948,6 +1979,13 @@ class TestMine:
             assert used[tuple(c.notation for c in selection.candidates)] == reports[name]
         assert reports[result.winner] == min(reports.values())
         assert len(result.stages) == 6 and result.selection.candidates
+
+    def test_residuals_are_derived_only_when_read(self):
+        result = mine(shaped_log("stream", 3))
+        assert all("residuals" not in vars(s) for s in result.stages.values())
+        selection = result.selection
+        assert selection.residuals is selection.residuals
+        assert "residuals" in vars(selection)
 
     def test_reports_are_priced_only_when_read(self, monkeypatch):
         calls = []
@@ -2014,7 +2052,7 @@ class TestMemory:
         # No module-wide cache keeps a tree once its result is gone.
         # Nor its occurrence numbering, which only its candidates hold.
         result = mine(EventSequence.from_pairs(heartbeat_log(random.Random(5), 4, 200)))
-        tree = max(result.pool, key=lambda c: len(c.cover)).pattern.tree
+        tree = max(result.pool, key=lambda c: c.bits.bit_count()).pattern.tree
         assert "compiled" in vars(tree)
         assert {id(c.numbering) for c in result.pool} == {id(result.pool[0].numbering)}
         refs = [weakref.ref(tree), weakref.ref(result.pool[0].numbering)]

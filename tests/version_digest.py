@@ -1,0 +1,56 @@
+"""Print one digest of what a few mined logs total, to compare Python
+versions.
+
+    python3 tests/version_digest.py
+
+Mines a few logs planted by :func:`cadence.synth.generate` over several
+labels, with displaced and spurious occurrences, and prints the SHA-256
+of every log's ``mine().to_dict()`` (wall clocks removed: each stage's
+report, its ``collection_cost`` totals included), the winning
+collection's ``collection_cost`` total and the log's ``baseline_cost``.
+Floats are written with ``repr``, so a total that differs in its last
+bit changes the digest.  Every supported Python must print the same
+line.  The script needs nothing outside the standard library and
+``src/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cadence import PlantSpec, SeqStats, baseline_cost, collection_cost, generate, mine  # noqa: E402
+
+SPECS = tuple(
+    PlantSpec(
+        basis="a d=2 b d=3 c",
+        n_patterns=3,
+        shift_level=1,
+        shift_density=0.2,
+        additive_density=0.2,
+        seed=seed,
+    )
+    for seed in range(4)
+)
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    for spec in SPECS:
+        seq = generate(spec).perturbed
+        result = mine(seq)
+        out = result.to_dict()
+        del out["wall_clock_s"]
+        patterns = [c.pattern for c in result.selection.candidates]
+        out["collection_total_bits"] = collection_cost(patterns, seq).total_bits
+        out["baseline_bits"] = baseline_cost(SeqStats.from_sequence(seq))
+        h.update(json.dumps(out, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())
