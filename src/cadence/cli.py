@@ -27,7 +27,6 @@ from .core import (
     IngestOptions,
     InvalidPatternError,
     load_sequence,
-    stats as sequence_stats,
 )
 from .codec import SeqStats, collection_cost, pattern_cost
 from .miner import MiningConfig, mine
@@ -36,7 +35,8 @@ from .synth import generate, parse_plant_spec, evaluate
 
 
 def _load(path: str, opts: IngestOptions | None = None) -> EventSequence:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the leading byte-order mark that some editors write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return load_sequence(fh, opts or IngestOptions())
 
 
@@ -136,7 +136,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _read_patterns(path: str):
     patterns = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -177,29 +177,31 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    seq = _load(args.file)
-    summary = sequence_stats(seq)
-    print(f"occurrences:   {summary.length}")
-    print(f"time range:    [{summary.t_start}, {summary.t_end}] (span {summary.span})")
-    print(f"events:        {summary.alphabet_size}")
-    print(f"median count:  {summary.median_count}")
-    print(f"max count:     {summary.max_count}")
+    stats = SeqStats.from_sequence(_load(args.file))
+    counts = stats.counts
+    median_count = float(statistics.median(counts.values()))
+    max_count = max(counts.values())
+    print(f"occurrences:   {stats.length}")
+    print(f"time range:    [{stats.t_start}, {stats.t_end}] (span {stats.span})")
+    print(f"events:        {len(counts)}")
+    print(f"median count:  {median_count}")
+    print(f"max count:     {max_count}")
     print("counts:")
-    for label in sorted(summary.counts):
-        print(f"  {label:<16} {summary.counts[label]}")
+    for label in sorted(counts):
+        print(f"  {label:<16} {counts[label]}")
     if args.out:
         _write_json(
             args.out,
             {
                 "source": args.file,
-                "length": summary.length,
-                "t_start": summary.t_start,
-                "t_end": summary.t_end,
-                "span": summary.span,
-                "alphabet_size": summary.alphabet_size,
-                "median_count": summary.median_count,
-                "max_count": summary.max_count,
-                "counts": dict(summary.counts),
+                "length": stats.length,
+                "t_start": stats.t_start,
+                "t_end": stats.t_end,
+                "span": stats.span,
+                "alphabet_size": len(counts),
+                "median_count": median_count,
+                "max_count": max_count,
+                "counts": dict(counts),
             },
         )
     return 0

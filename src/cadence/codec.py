@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     DomainError,
@@ -38,7 +38,6 @@ from .core import (
 )
 from .pattern import (
     Block,
-    Cycle,
     Frame,
     Leaf,
     Node,
@@ -424,15 +423,13 @@ def cycle_pricer(
     return price
 
 
-def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
+def pattern_cost(p: Pattern, stats: SeqStats) -> CostBreakdown:
     """Bits to transmit a pattern against a sequence's statistics.
 
     Raises :class:`UncodablePatternError` when the pattern cannot be
     transmitted in that context: a parameter outside its code's range,
     or a corrected occurrence outside the sequence window.
     """
-    if isinstance(p, Cycle):
-        p = p.as_pattern()
     tree = p.tree
     compiled = tree.compiled
     offsets = p.offsets
@@ -452,11 +449,6 @@ def pattern_cost(p: Union[Pattern, Cycle], stats: SeqStats) -> CostBreakdown:
         last_offset=lambda i: offsets[base + i],
         abs_corrections=sum(map(abs, p.corrections)),
     ))
-
-
-def cycle_cost(c: Cycle, stats: SeqStats) -> float:
-    """Bits to transmit a cycle (as a width-1, depth-1 pattern)."""
-    return pattern_cost(c, stats).total
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +525,15 @@ def baseline_cost(stats: SeqStats) -> float:
 
 
 def collection_cost(
-    patterns: Sequence[Union[Pattern, Cycle]],
+    patterns: Sequence[Pattern],
     seq: EventSequence,
     stats: SeqStats | None = None,
 ) -> CollectionReport:
-    """Score a pattern collection plus residuals against a sequence."""
+    """Score a pattern collection plus residuals against a sequence.
+
+    Raises :class:`DomainError` when a pattern covers an occurrence that
+    the sequence does not hold, or lists one occurrence twice.
+    """
     if stats is None:
         stats = SeqStats.from_sequence(seq)
     # an occurrence (t, e) is the int t * m + e's id; m exceeds every id,
@@ -550,13 +546,18 @@ def collection_cost(
     entries = []
     shape_counts = {"s": 0, "v": 0, "h": 0, "m": 0}
     max_cover = 0
-    for item in patterns:
-        pat = item.as_pattern() if isinstance(item, Cycle) else item
+    for pat in patterns:
         times, events = corrected_times(pat), pat.tree.compiled.events
         cover = {t * m + ids.get(e, m - 1) for t, e in zip(times, events)}
         if not cover <= logged:
             outside = sorted(set(zip(times, events)) - set(seq.pairs))[:3]
             raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
+        if len(cover) < len(times):
+            listed = Counter(zip(times, events))
+            twice = next(o for o in listed if listed[o] > 1)
+            raise DomainError(
+                f"pattern {format_pattern(pat)} lists occurrence {twice} more than once"
+            )
         breakdown = pattern_cost(pat, stats)
         shape = classify_tree(pat.tree)
         shape_counts[shape.shape_class[0]] += 1
@@ -589,27 +590,24 @@ def collection_cost(
 
 
 def is_cost_effective(
-    p: Union[Pattern, Cycle],
+    p: Pattern,
     stats: SeqStats,
     pairs: Sequence[tuple[int, str]] | None = None,
 ) -> bool:
     """True when the pattern is cheaper than leaving ``pairs`` (its own
     cover by default) as residuals."""
-    pat = p.as_pattern() if isinstance(p, Cycle) else p
     if pairs is None:
-        pairs = pattern_occurrences(pat)
+        pairs = pattern_occurrences(p)
     try:
-        bits = pattern_cost(pat, stats).total
+        bits = pattern_cost(p, stats).total
     except UncodablePatternError:
         return False
     return bits < residual_bits(stats, Counter(e for _, e in pairs))
 
 
-def efficiency(p: Union[Pattern, Cycle], stats: SeqStats) -> float:
+def efficiency(p: Pattern, stats: SeqStats) -> float:
     """Bits per covered occurrence; smaller is better."""
-    pat = p.as_pattern() if isinstance(p, Cycle) else p
-    cover = pattern_occurrences(pat)
-    return pattern_cost(pat, stats).total / len(cover)
+    return pattern_cost(p, stats).total / len(pattern_occurrences(p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
-"""Event-sequence data model, ingestion and summary statistics.
+"""Event-sequence data model and ingestion.
 
 A sequence is an ordered list of ``(timestamp, event)`` pairs over integer
 time units, with each event occurring at most once per time step.  The
 loader understands a line-oriented text format (``t<TAB>label`` or
 ``t,label``, ``#`` comments) and exposes the per-event projections and
-global statistics that the cost model and the miner consume.
+global extent that the cost model and the miner consume.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, TextIO
 
@@ -47,10 +46,6 @@ class DomainError(CadenceError):
 
 class EmptySequenceError(CadenceError):
     """The input contained no event occurrences."""
-
-
-class InvalidCycleError(CadenceError):
-    """A cycle's reconstructed timestamps are not strictly increasing."""
 
 
 class InvalidPatternError(CadenceError):
@@ -279,35 +274,6 @@ def load_sequence(
             merged.setdefault(e if len(ts) >= threshold else OTHER_LABEL, []).extend(ts)
         times = merged
     return EventSequence._assemble(times)
-
-
-@dataclass(frozen=True)
-class SequenceSummary:
-    """Human-facing summary statistics of a sequence."""
-
-    length: int
-    span: int
-    t_start: int
-    t_end: int
-    alphabet_size: int
-    counts: Mapping[str, int]
-    median_count: float
-    max_count: int
-
-
-def stats(seq: EventSequence) -> SequenceSummary:
-    """Summarize a sequence (length, span, per-event counts and extremes)."""
-    counts = {e: len(ts) for e, ts in seq.per_event.items()}
-    return SequenceSummary(
-        length=len(seq),
-        span=seq.span,
-        t_start=seq.t_start,
-        t_end=seq.t_end,
-        alphabet_size=len(seq.alphabet),
-        counts=counts,
-        median_count=float(statistics.median(counts.values())),
-        max_count=max(counts.values()),
-    )
 
 
 # Base-2 logarithm used throughout the cost model.

@@ -175,7 +175,7 @@ def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
 
 
 # ---------------------------------------------------------------------------
-# Cycle extraction: optimal windowed segmentation
+# Stage S: optimal windowed segmentation
 
 
 def extract_cycles_dp(
@@ -302,7 +302,7 @@ def extract_cycles_dp(
 
 
 # ---------------------------------------------------------------------------
-# Cycle extraction: triple chaining
+# Stage S: triple chaining
 
 
 def _nearest(ts: Sequence[int], target: int, lo: int, hi: int, tolerance: float) -> int:
@@ -485,7 +485,7 @@ def _grow(provenance: str, parts) -> Pattern:
         return grow_horizontally(parts)
     if provenance == "factorized":
         return build_merge(factor_layout(concat_layout(parts)), parts)
-    return fit_cycle(*parts).as_pattern()
+    return fit_cycle(*parts)
 
 
 def _build_survivors(

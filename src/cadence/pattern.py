@@ -7,7 +7,8 @@ of cyclic blocks: interior nodes repeat their ordered children ``r`` times
 every ``p`` units, and every child after the first carries a non-negative
 inter-block distance to its predecessor.  A *pattern* is a tree plus a
 starting point and a correction list with one entry per occurrence except
-the first.
+the first, so a cycle is the pattern whose tree is one block over one
+leaf (:func:`fit_cycle`).
 
 The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
-from .core import LABEL, DomainError, InvalidCycleError, InvalidPatternError
+from .core import LABEL, DomainError, InvalidPatternError
 
 
 # ---------------------------------------------------------------------------
@@ -110,66 +111,7 @@ def is_simple(tree: Block) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cycles
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A periodic repetition of a single event."""
-
-    event: str
-    r: int
-    p: int
-    tau: int
-    corrections: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise InvalidCycleError(f"cycle length must be >= 2, got {self.r}")
-        if self.p < 1:
-            raise InvalidCycleError(f"cycle period must be >= 1, got {self.p}")
-        if self.tau < 0:
-            raise InvalidCycleError(f"cycle start must be >= 0, got {self.tau}")
-        if len(self.corrections) != self.r - 1:
-            raise InvalidCycleError(
-                f"expected {self.r - 1} corrections, got {len(self.corrections)}"
-            )
-
-    @property
-    def sigma(self) -> int:
-        """Sum of the corrections."""
-        return sum(self.corrections)
-
-    @property
-    def span(self) -> int:
-        """Time between first and last occurrence: ``(r-1)*p + sigma``."""
-        return (self.r - 1) * self.p + self.sigma
-
-    def as_tree(self) -> Block:
-        """Depth-1 tree rendering of the cycle."""
-        return Block(r=self.r, p=self.p, children=(Leaf(self.event),), distances=(0,))
-
-    def as_pattern(self) -> "Pattern":
-        """Render the cycle as a width-1, depth-1 pattern."""
-        return Pattern(tree=self.as_tree(), tau=self.tau, corrections=self.corrections)
-
-
-def cycle_cover(c: Cycle) -> tuple[int, ...]:
-    """Reconstruct a cycle's timestamps.
-
-    ``t_1 = tau`` and ``t_k = t_{k-1} + p + e_{k-1}``; the result must be
-    strictly increasing, otherwise the corrections are order-breaking and
-    an :class:`InvalidCycleError` is raised.
-    """
-    ts = [c.tau]
-    for e in c.corrections:
-        nxt = ts[-1] + c.p + e
-        if nxt <= ts[-1]:
-            raise InvalidCycleError(
-                f"corrections break the occurrence order at t={ts[-1]}"
-            )
-        ts.append(nxt)
-    return tuple(ts)
+# Fitting cycles
 
 
 def fit_period(timestamps: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -190,21 +132,17 @@ def fit_period(timestamps: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return p, tuple(d - p for d in diffs)
 
 
-def fit_cycle(timestamps: Sequence[int], event: str) -> Cycle:
-    """Fit a cycle to strictly increasing timestamps of one event.
+def fit_cycle(timestamps: Sequence[int], event: str) -> Pattern:
+    """Fit a cycle, the one-leaf pattern that repeats ``event``, to
+    strictly increasing timestamps of it.
 
     The period is the median inter-occurrence distance and the
-    corrections are the per-step deviations, so that
-    ``cycle_cover(fit_cycle(ts, e)) == tuple(ts)``.
+    corrections are the per-step deviations (:func:`fit_period`), so the
+    pattern's corrected timestamps are ``timestamps``.
     """
     p, corrections = fit_period(timestamps)
-    return Cycle(
-        event=event,
-        r=len(timestamps),
-        p=p,
-        tau=timestamps[0],
-        corrections=corrections,
-    )
+    tree = Block(r=len(timestamps), p=p, children=(Leaf(event),), distances=(0,))
+    return Pattern(tree=tree, tau=timestamps[0], corrections=corrections)
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +639,12 @@ def _format_placed(tree: str, tau: int, corrections: Sequence[int]) -> str:
 
 def format_cycle(event: str, r: int, p: int, tau: int, corrections: Sequence[int]) -> str:
     """The notation of the cycle of ``event`` with these parameters,
-    without building it: ``format_pattern`` of that :class:`Cycle`."""
+    without building it: ``format_pattern`` of that one-leaf pattern."""
     return _format_placed(_format_block(r, p, event), tau, corrections)
 
 
-def format_pattern(p: Union[Pattern, Cycle]) -> str:
-    """Render a full pattern: ``<tree> @ tau=<int> E=[<int>,...]``.
-
-    A cycle renders as its width-1, depth-1 pattern.
-    """
-    if isinstance(p, Cycle):
-        return format_cycle(p.event, p.r, p.p, p.tau, p.corrections)
+def format_pattern(p: Pattern) -> str:
+    """Render a full pattern: ``<tree> @ tau=<int> E=[<int>,...]``."""
     return _format_placed(format_tree(p.tree), p.tau, p.corrections)
 
 

@@ -19,7 +19,9 @@ two heaps in the scan's locals.  The survivor bound is
 the one the build site applies, written out on ``(cost, cover)`` pairs,
 and it counts each occurrence's better covers in a counter, where the
 miner keeps bit-sliced counts over its occurrence numbering.
-The recursive correction walk, the origins-based end offset and the
+The step-by-step cycle reconstruction is the reference that
+:func:`~cadence.pattern.fit_cycle`'s fit is checked against.  The
+recursive correction walk, the origins-based end offset and the
 expansion-based placement are the tree kernel's references, and the
 three-walk layout and repetition terms are the encoder's.  The capped triple chaining is the pass that
 whole-log chaining replaced, kept to show where its caps stopped it, and
@@ -53,7 +55,6 @@ from cadence.codec import (
     PatternEntry,
     SeqStats,
     baseline_cost,
-    cycle_cost,
     pattern_cost,
     residual_bits,
     residual_cost,
@@ -84,12 +85,10 @@ from cadence.miner import (
 )
 from cadence.pattern import (
     Block,
-    Cycle,
     Leaf,
     Node,
     Pattern,
     corrected_occurrences,
-    cycle_cover,
     expand_tree,
     factorize,
     fit_cycle,
@@ -110,26 +109,23 @@ def cover_pairs(candidate) -> frozenset[tuple[int, str]]:
     return frozenset(candidate.numbering.pairs_of(candidate.bits))
 
 
-def make_candidate(
-    p: Pattern | Cycle, stats: SeqStats, provenance: str, numbering: Numbering
-):
+def make_candidate(p: Pattern, stats: SeqStats, provenance: str, numbering: Numbering):
     """Build a candidate by pricing a built pattern through the encoder,
     its cover over ``numbering``; None when it cannot be transmitted.
     The miner prices before it builds; this is the reference it is
     checked against."""
-    pat = p.as_pattern() if isinstance(p, Cycle) else p
     try:
-        cost = codec.pattern_cost(pat, stats).total
-        cover = frozenset(corrected_occurrences(pat))
+        cost = codec.pattern_cost(p, stats).total
+        cover = frozenset(corrected_occurrences(p))
     except (UncodablePatternError, InvalidPatternError, DomainError):
         return None
     if not cover:
         return None
     return Candidate(
-        pattern=pat,
+        pattern=p,
         bits=numbering.cover(cover),
         cost=cost,
-        notation=format_pattern(pat),
+        notation=format_pattern(p),
         provenance=provenance,
         numbering=numbering,
     )
@@ -181,12 +177,28 @@ def optimal_segmentation_bits(
         cheapest = resid[i] + best[i + 1]
         for j in range(i + 3, min(i + cap, n) + 1):
             try:
-                bits = cycle_cost(fit_cycle(timestamps[i:j], event), stats)
+                bits = pattern_cost(fit_cycle(timestamps[i:j], event), stats).total
             except UncodablePatternError:
                 continue
             cheapest = min(cheapest, bits + best[j])
         best[i] = cheapest
     return best[0]
+
+
+def cycle_cover(c: Pattern) -> tuple[int, ...]:
+    """A cycle's timestamps, rebuilt step by step from its one-leaf
+    pattern: ``t_1 = tau`` and ``t_k = t_{k-1} + p + e_{k-1}``.  Raises
+    :class:`InvalidPatternError` when the tree is not one block over
+    one leaf or the timestamps do not strictly increase."""
+    if len(c.tree.children) != 1 or not isinstance(c.tree.children[0], Leaf):
+        raise InvalidPatternError("a cycle is one block over one leaf")
+    ts = [c.tau]
+    for e in c.corrections:
+        nxt = ts[-1] + c.tree.p + e
+        if nxt <= ts[-1]:
+            raise InvalidPatternError(f"corrections break the occurrence order at t={ts[-1]}")
+        ts.append(nxt)
+    return tuple(ts)
 
 
 def cycle_selection_bits(
@@ -201,7 +213,7 @@ def cycle_selection_bits(
     bits = 0.0
     for run in runs:
         c = fit_cycle([timestamps[i] for i in run], event)
-        bits += cycle_cost(c, stats)
+        bits += pattern_cost(c, stats).total
         covered.update(cycle_cover(c))
     bits += sum(
         residual_cost(stats, (t, event)) for t in timestamps if t not in covered
@@ -479,7 +491,7 @@ def capped_triple_chains(
     event: str = "",
     max_pairs: int = 100_000,
     max_chains: int = 2_000,
-) -> list[Cycle]:
+) -> list[Pattern]:
     """Triple chaining under global caps, the pass whole-log chaining
     replaced.
 
@@ -525,7 +537,7 @@ def capped_triple_chains(
             by_last.setdefault((j, k), []).append(len(chains) - 1)
     kept = sorted({c for cid, c in enumerate(chains) if cid not in absorbed})
     out = [fit_cycle([ts[i] for i in idxs], event) for idxs in kept]
-    out.sort(key=lambda c: (c.tau, c.r, c.p))
+    out.sort(key=lambda c: (c.tau, c.tree.r, c.tree.p))
     return out
 
 
@@ -946,8 +958,9 @@ def three_pass_load(source, opts: IngestOptions | None = None) -> EventSequence:
 
 def set_collection_cost(patterns, seq, stats: SeqStats | None = None) -> CollectionReport:
     """``collection_cost`` over sets of pairs: each cover is the sorted
-    ``pattern_occurrences``, checked by a set difference, and the
-    residuals are the log's pairs less the union of the covers."""
+    ``pattern_occurrences``, checked by a set difference and against the
+    length of the occurrence list, and the residuals are the log's pairs
+    less the union of the covers."""
     if stats is None:
         stats = SeqStats.from_sequence(seq)
     all_pairs = set(seq.pairs)
@@ -956,14 +969,19 @@ def set_collection_cost(patterns, seq, stats: SeqStats | None = None) -> Collect
     entries = []
     shape_counts = {"s": 0, "v": 0, "h": 0, "m": 0}
     max_cover = 0
-    for item in patterns:
-        pat = item.as_pattern() if isinstance(item, Cycle) else item
+    for pat in patterns:
         cover = set(pattern_occurrences(pat))
         outside = cover - all_pairs
         if outside:
             raise DomainError(
                 f"pattern covers occurrences outside the sequence: "
                 f"{sorted(outside)[:3]}"
+            )
+        listed = corrected_occurrences(pat)
+        if len(cover) < len(listed):
+            twice = next(o for o in listed if listed.count(o) > 1)
+            raise DomainError(
+                f"pattern {format_pattern(pat)} lists occurrence {twice} more than once"
             )
         breakdown = pattern_cost(pat, stats)
         shape = classify_tree(pat.tree)

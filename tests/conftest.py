@@ -16,13 +16,19 @@ import pytest
 
 from cadence.codec import SeqStats
 from cadence.core import EventSequence
-from cadence.pattern import Block, Leaf, tree_width
+from cadence.pattern import Block, Leaf, Pattern, tree_width
 
 BIT_TOL = 0.005
 
 
 def approx_bits(value: float):
     return pytest.approx(value, abs=BIT_TOL)
+
+
+def cycle(event: str, r: int, p: int, tau: int, corrections) -> Pattern:
+    """The cycle of ``event`` with these parameters: one block over one
+    leaf, placed at ``tau``."""
+    return Pattern(Block(r, p, (Leaf(event),), (0,)), tau, tuple(corrections))
 
 
 def random_tree(rng: random.Random, depth: int, leaves: int) -> Block:

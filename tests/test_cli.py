@@ -62,6 +62,15 @@ class TestStats:
         assert payload["counts"] == {"a": 7, "b": 2, "c": 4}
         assert payload["source"] == mixed_log
 
+    def test_even_alphabet_median_averages_middle_pair(self, tmp_path, capsys):
+        log = write_log(tmp_path / "even.tsv", [(1, "a"), (2, "a"), (3, "a"), (4, "b")])
+        out_file = tmp_path / "stats.json"
+        assert main(["stats", log, "--out", str(out_file)]) == 0
+        assert "median count:  2.0" in capsys.readouterr().out
+        payload = json.loads(out_file.read_text())
+        summary = [payload[key] for key in ("alphabet_size", "median_count", "max_count")]
+        assert summary == [2, 2.0, 3]
+
 
 class TestScore:
     def test_braid_collection_in_an_explicit_window(
@@ -123,6 +132,31 @@ class TestScore:
         entry = report["patterns"][0]
         assert entry["notation"] == BRAID_NOTATION
         assert entry["cost"]["D"] == pytest.approx(7.644, abs=0.005)
+
+    def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
+        log = tmp_path / "bom.tsv"
+        log.write_text("".join(f"{t}\t{e}\n" for t, e in TRIAD_PAIRS), encoding="utf-8-sig")
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text(BRAID_NOTATION + "\n", encoding="utf-8-sig")
+        assert log.read_bytes().startswith(b"\xef\xbb\xbf")
+        window = ["--t-start", "0", "--t-end", "34"]
+        assert main(["score", str(log), "--patterns", str(patterns), *window]) == 0
+        out = capsys.readouterr().out
+        assert "residual: 0 occurrences" in out
+        assert "(88.6% of baseline 60.428)" in out
+
+    def test_occurrence_listed_twice_is_a_domain_error(self, tmp_path, capsys):
+        log = write_log(tmp_path / "four.tsv", [(t, "a") for t in (0, 10, 20, 30)])
+        notation = "[r=2 p=10]([r=2 p=10](a)) @ tau=0 E=[0,-10,0]"
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_text(notation + "\n", encoding="utf-8")
+        rc = main(["score", log, "--patterns", str(patterns)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"cadence: pattern {notation} lists occurrence (0, 'a') more than once\n"
+        )
 
     def test_unscorable_window_is_a_domain_error(
         self, triad_log, tmp_path, capsys

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +19,6 @@ from cadence.codec import (
     child_terms,
     collection_cost,
     corrections_cost,
-    cycle_cost,
     efficiency,
     extension_margin,
     is_cost_effective,
@@ -28,7 +28,7 @@ from cadence.codec import (
     w_threshold,
 )
 from cadence.core import DomainError, EventSequence, UncodablePatternError
-from cadence.pattern import Cycle, Pattern, fit_cycle, is_simple, parse_pattern, parse_tree
+from cadence.pattern import Pattern, fit_cycle, is_simple, parse_pattern, parse_tree
 
 from cadence.miner import MiningConfig, mine
 from cadence.synth import PlantSpec, generate
@@ -39,6 +39,7 @@ from conftest import (
     REFERENCE_COLLECTIONS,
     REFERENCE_ROWS,
     approx_bits,
+    cycle,
     random_tree,
 )
 
@@ -207,21 +208,13 @@ class TestReferenceCollections:
 
 
 class TestCycleCost:
-    def test_equals_pattern_cost(self, dozen_a_stats):
-        c = fit_cycle((2, 5, 7, 8), "a")
-        assert cycle_cost(c, dozen_a_stats) == pattern_cost(
-            c.as_pattern(), dozen_a_stats
-        ).total
-
     def test_burst_cycle(self, dozen_a_stats):
-        assert cycle_cost(fit_cycle((2, 5, 7, 8), "a"), dozen_a_stats) == approx_bits(
-            24.657
-        )
+        cost = pattern_cost(fit_cycle((2, 5, 7, 8), "a"), dozen_a_stats)
+        assert cost.total == approx_bits(24.657)
 
     def test_sparse_cycle(self, dozen_a_stats):
-        assert cycle_cost(fit_cycle((2, 13, 26), "a"), dozen_a_stats) == approx_bits(
-            21.969
-        )
+        cost = pattern_cost(fit_cycle((2, 13, 26), "a"), dozen_a_stats)
+        assert cost.total == approx_bits(21.969)
 
 
 def placed(tree, stats, last_offset=lambda i: 0):
@@ -355,6 +348,23 @@ class TestCollectionCost:
         with pytest.raises(DomainError):
             collection_cost([stray], dozen_a_seq, dozen_a_stats)
 
+    def test_occurrence_listed_twice_rejected(self):
+        # the nested cycle lists 0 and 10 twice each: four occurrences
+        # listed and priced, two covered
+        seq = EventSequence.from_pairs([(t, "a") for t in (0, 10, 20, 30)])
+        notation = "[r=2 p=10]([r=2 p=10](a)) @ tau=0 E=[0,-10,0]"
+        message = f"pattern {notation} lists occurrence (0, 'a') more than once"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            collection_cost([parse_pattern(notation)], seq)
+        same_report([parse_pattern(notation)], seq)
+
+    def test_unknown_event_is_outside_before_it_is_listed_twice(self):
+        seq = EventSequence.from_pairs([(t, "a") for t in (0, 10, 20, 30)])
+        twice = parse_pattern("[r=2 p=10]([r=2 p=10](z)) @ tau=0 E=[0,-10,0]")
+        with pytest.raises(DomainError, match="outside the sequence"):
+            collection_cost([twice], seq)
+        same_report([twice], seq)
+
     def test_to_dict_counts_patterns(self, triad_seq, triad_stats):
         braid = parse_pattern(REFERENCE_ROWS[12][1])
         payload = collection_cost([braid], triad_seq, triad_stats).to_dict()
@@ -440,7 +450,7 @@ class TestCostEffectiveness:
         assert not is_cost_effective(braid, triad_stats, pairs=one_pair)
 
     def test_uncodable_is_never_cost_effective(self, triad_stats):
-        c = Cycle(event="b", r=5, p=2, tau=0, corrections=(0, 0, 0, 0))
+        c = cycle("b", r=5, p=2, tau=0, corrections=(0, 0, 0, 0))
         assert not is_cost_effective(c, triad_stats)
 
     def test_efficiency_is_bits_per_covered_occurrence(self, dozen_a_stats):
@@ -450,24 +460,21 @@ class TestCostEffectiveness:
 
 class TestUncodable:
     def test_repetitions_exceed_event_count(self, triad_stats):
-        c = Cycle(event="b", r=4, p=2, tau=0, corrections=(0, 0, 0))
+        c = cycle("b", r=4, p=2, tau=0, corrections=(0, 0, 0))
         with pytest.raises(UncodablePatternError):
-            cycle_cost(c, triad_stats)
+            pattern_cost(c, triad_stats)
 
     def test_period_exceeds_budget(self, dozen_a_stats):
-        c = Cycle(event="a", r=3, p=20, tau=0, corrections=(0, 0))
+        c = cycle("a", r=3, p=20, tau=0, corrections=(0, 0))
         with pytest.raises(UncodablePatternError):
-            cycle_cost(c, dozen_a_stats)
+            pattern_cost(c, dozen_a_stats)
 
     def test_start_exceeds_budget(self, dozen_a_stats):
         # the span is exhausted by the repetitions; only tau=0 fits
-        assert cycle_cost(
-            Cycle(event="a", r=3, p=17, tau=0, corrections=(0, 0)), dozen_a_stats
-        ) > 0
+        fits = cycle("a", r=3, p=17, tau=0, corrections=(0, 0))
+        assert pattern_cost(fits, dozen_a_stats).total > 0
         with pytest.raises(UncodablePatternError):
-            cycle_cost(
-                Cycle(event="a", r=3, p=17, tau=1, corrections=(0, 0)), dozen_a_stats
-            )
+            pattern_cost(cycle("a", r=3, p=17, tau=1, corrections=(0, 0)), dozen_a_stats)
 
     def test_occurrence_past_window_end(self, dozen_a_stats):
         p = Pattern(tree=parse_tree("[r=4 p=2](a)"), tau=30, corrections=(0, 0, 0))
@@ -534,9 +541,9 @@ def test_costs_are_translation_invariant(raw, shift):
     moved_stats = SeqStats(
         length=len(ts), t_start=shift, t_end=100 + shift, counts={"a": len(ts)}
     )
-    base = cycle_cost(fit_cycle(ts, "a"), base_stats)
-    moved = cycle_cost(fit_cycle([t + shift for t in ts], "a"), moved_stats)
-    assert moved == pytest.approx(base, abs=1e-9)
+    base = pattern_cost(fit_cycle(ts, "a"), base_stats)
+    moved = pattern_cost(fit_cycle([t + shift for t in ts], "a"), moved_stats)
+    assert moved.total == pytest.approx(base.total, abs=1e-9)
 
 
 @settings(max_examples=40)

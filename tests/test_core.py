@@ -24,8 +24,8 @@ from cadence.core import (
     OTHER_LABEL,
     ParseError,
     load_sequence,
-    stats,
 )
+from cadence.codec import SeqStats
 
 from _oracles import pairs_sequence, three_pass_load
 from conftest import MIXED_PAIRS
@@ -58,6 +58,12 @@ class TestLoadSequence:
         with pytest.raises(ParseError, match=re.escape(repr(raw))) as exc:
             load_sequence(f"1\ta\n{raw}\tb\n")
         assert exc.value.line_number == 2
+
+    def test_byte_order_mark_in_text_is_a_parse_error(self):
+        # the CLI opens files with utf-8-sig; text handed in stays strict
+        with pytest.raises(ParseError, match=re.escape("timestamp '\\ufeff0'")) as exc:
+            load_sequence("\ufeff0\ta\n")
+        assert exc.value.line_number == 1
 
     def test_signed_timestamps(self):
         assert load_sequence("+5,a\n-0,b\n007,c\n").pairs == ((0, "b"), (5, "a"), (7, "c"))
@@ -217,17 +223,12 @@ class TestEventSequence:
 
 class TestStats:
     def test_mixed_log_summary(self, mixed_seq):
-        summary = stats(mixed_seq)
-        assert summary.length == 13
-        assert summary.span == 52
-        assert summary.alphabet_size == 3
+        # a log's statistics are the encoder's SeqStats
+        summary = SeqStats.from_sequence(mixed_seq)
+        assert summary.length == len(mixed_seq) == 13
+        assert (summary.t_start, summary.t_end, summary.span) == (2, 54, 52)
         assert summary.counts == {"a": 7, "b": 2, "c": 4}
-        assert summary.median_count == 4.0
-        assert summary.max_count == 7
-
-    def test_even_alphabet_median_averages_middle_pair(self):
-        seq = EventSequence.from_pairs([(1, "a"), (2, "a"), (3, "a"), (4, "b")])
-        assert stats(seq).median_count == 2.0
+        assert list(summary.counts) == list(mixed_seq.per_event)
 
 
 class TestIngestOptions:

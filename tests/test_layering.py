@@ -349,3 +349,21 @@ def test_miner_fits_a_cycle_only_at_the_build_site():
     # survives pruning is fitted into a cycle, by ``_grow``.
     source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
     assert enclosing_functions(source, "fit_cycle") == ["_grow"]
+
+
+def test_export_list_is_the_imported_names():
+    # ``from cadence import *`` binds exactly what ``__init__`` imports:
+    # a removed name cannot linger in ``__all__``, nor an import be left
+    # out of it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exported = cadence.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(cadence, name)] == []
+    assert set(exported) == imported

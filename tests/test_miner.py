@@ -23,7 +23,6 @@ from cadence import codec, miner
 from cadence.codec import (
     SeqStats,
     collection_cost,
-    cycle_cost,
     extension_margin,
     pattern_cost,
 )
@@ -49,16 +48,15 @@ from cadence.miner import (
 )
 from cadence.pattern import (
     Block,
-    Cycle,
     Leaf,
     Pattern,
     classify_tree,
     concat_layout,
     corrected_occurrences,
-    cycle_cover,
     factor_layout,
     factorize,
     fit_cycle,
+    format_pattern,
     format_tree,
     grow_horizontally,
     grow_vertically,
@@ -76,6 +74,7 @@ from _oracles import (
     build_every_nesting,
     capped_triple_chains,
     cover_pairs,
+    cycle_cover,
     cycle_selection_bits,
     eager_greedy_cover,
     lists_once,
@@ -88,7 +87,7 @@ from _oracles import (
     unpruned_segmentation,
     within_k_by_counter,
 )
-from conftest import approx_bits, random_tree
+from conftest import approx_bits, cycle, random_tree
 
 STAGES = ("S", "V", "H", "V+H", "F", "single")
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -108,8 +107,8 @@ class TestExtractCyclesDp:
         stats = SeqStats(length=5, t_start=0, t_end=28, counts={"a": 5})
         runs = extract_cycles_dp(ts, "a", stats)
         assert runs == [(0, 1, 2, 3, 4)]
-        assert fit_cycle([ts[i] for i in runs[0]], "a") == Cycle(
-            event="a", r=5, p=7, tau=0, corrections=(0, 0, 0, 0)
+        assert fit_cycle([ts[i] for i in runs[0]], "a") == cycle(
+            "a", r=5, p=7, tau=0, corrections=(0, 0, 0, 0)
         )
 
     def test_two_pairs_stay_residual(self):
@@ -174,10 +173,10 @@ class TestExtractCyclesDp:
                     c = fit_cycle(ts[i:j], "a")
                     abs_dev = sum(abs(e) for e in c.corrections)
                     try:
-                        encoded = cycle_cost(c, stats)
+                        encoded = pattern_cost(c, stats).total
                     except UncodablePatternError:
                         encoded = float("inf")
-                    assert price(c.r, c.p, c.tau, c.sigma, abs_dev) == encoded
+                    assert price(c.tree.r, c.tree.p, c.tau, sum(c.corrections), abs_dev) == encoded
             cycles = extract_cycles_dp(ts, "a", stats)
             got = cycle_selection_bits(cycles, ts, "a", stats)
             want = optimal_segmentation_bits(ts, "a", stats)
@@ -817,14 +816,15 @@ class TestClosedFormTermOrder:
         stats = SeqStats(length=4, t_start=210, t_end=309, counts={"a": 3, "b": 1})
         c = fit_cycle([213, 305, 309], "a")
         abs_dev = sum(abs(e) for e in c.corrections)
-        kernel = codec.cycle_pricer(stats, "a")(c.r, c.p, c.tau, c.sigma, abs_dev)
-        assert kernel == cycle_cost(c, stats) == 107.2940463132715
+        args = (c.tree.r, c.tree.p, c.tau, sum(c.corrections), abs_dev)
+        kernel = codec.cycle_pricer(stats, "a")(*args)
+        assert kernel == pattern_cost(c, stats).total == 107.2940463132715
 
     def test_more_repetitions_than_occurrences_are_uncodable(self):
         stats = SeqStats(length=4, t_start=0, t_end=40, counts={"a": 2, "b": 2})
         c = fit_cycle([0, 10, 20], "a")
         with pytest.raises(UncodablePatternError):
-            cycle_cost(c, stats)
+            pattern_cost(c, stats)
         assert codec.cycle_pricer(stats, "a")(3, 10, 0, 0, 0) == float("inf")
 
     def test_kernel_is_inf_exactly_when_the_encoder_raises(self):
@@ -849,19 +849,20 @@ class TestClosedFormTermOrder:
             for i in range(n):
                 for j in range(i + 3, n + 1):
                     c = fit_cycle(ts[i:j], "a")
-                    args = (c.r, c.p, c.tau, c.sigma, sum(map(abs, c.corrections)))
+                    r, p, sigma = c.tree.r, c.tree.p, sum(c.corrections)
+                    args = (r, p, c.tau, sigma, sum(map(abs, c.corrections)))
                     try:
-                        encoded = cycle_cost(c, stats)
+                        encoded = pattern_cost(c, stats).total
                     except UncodablePatternError:
                         encoded = float("inf")
                     assert price(*args) == encoded
-                    numer = stats.span - c.sigma
+                    numer = stats.span - sigma
                     branches["codable"] += encoded < float("inf")
-                    branches["r > count"] += c.r > count
-                    branches["p > p0_max"] += c.p > numer // (c.r - 1)
+                    branches["r > count"] += r > count
+                    branches["p > p0_max"] += p > numer // (r - 1)
                     branches["tau before t_start"] += c.tau < stats.t_start
                     branches["tau past the start range"] += (
-                        c.tau > stats.t_start + numer - (c.r - 1) * c.p
+                        c.tau > stats.t_start + numer - (r - 1) * p
                     )
         assert len(branches) == 5 and min(branches.values()) > 0, branches
 
@@ -1426,10 +1427,8 @@ class TestHorizontalPricing:
         n = 70
         counts = {f"e{i}": 4 for i in range(n)}
         stats = SeqStats(length=4 * n, t_start=0, t_end=4000, counts=counts)
-        cycles = [Cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)) for i in range(n)]
-        numbering = Numbering(
-            o for c in cycles for o in pattern_occurrences(c.as_pattern())
-        )
+        cycles = [cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)) for i in range(n)]
+        numbering = Numbering(o for c in cycles for o in pattern_occurrences(c))
         cands = [make_candidate(c, stats, "test", numbering) for c in cycles]
         covers = []
         original = miner._greedy_clique_cover
@@ -1673,6 +1672,15 @@ class TestBuildSite:
         for c in pool:
             assert c.cost == pattern_cost(c.pattern, stats).total, c.notation
             assert cover_pairs(c) == frozenset(corrected_occurrences(c.pattern)), c.notation
+
+    @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
+    def test_pool_notation_names_the_built_pattern(self, shape):
+        # Stage S names a chain before _grow builds its cycle, and the
+        # other stages name the merge they built.
+        pool = mine(shaped_log(shape, NESTING_SEEDS[shape])).pool
+        assert {"dp", "tri"} & {c.provenance for c in pool}
+        for c in pool:
+            assert c.notation == format_pattern(c.pattern), c.provenance
 
 
 class TestRecords:

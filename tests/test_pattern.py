@@ -12,13 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from cadence.core import (
     DomainError,
-    InvalidCycleError,
     InvalidPatternError,
 )
 from cadence.codec import SeqStats, pattern_cost
 from cadence.pattern import (
     Block,
-    Cycle,
     Frame,
     Leaf,
     Pattern,
@@ -26,12 +24,12 @@ from cadence.pattern import (
     compile_tree,
     concat_layout,
     corrected_occurrences,
-    cycle_cover,
     expand_tree,
     factor_layout,
     factorize,
     fit_cycle,
     fit_period,
+    format_cycle,
     format_pattern,
     format_tree,
     grow_horizontally,
@@ -48,6 +46,7 @@ from cadence.pattern import (
 )
 
 from _oracles import (
+    cycle_cover,
     end_offset_by_origins,
     interleaved_grow_vertically,
     placement_by_expansion,
@@ -55,7 +54,7 @@ from _oracles import (
     target_grow_horizontally,
     walk_corrections,
 )
-from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, random_tree
+from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, cycle, random_tree
 
 # Reference trees and their full expansions, spelled out by hand from
 # the traversal rule: per repetition of a block, all children (and their
@@ -108,55 +107,54 @@ BRAID_PATTERN = f"{BRAID} @ tau=2 E=[0,1,-2,2,2,0,1,0]"
 
 class TestCycle:
     def test_validation(self):
-        with pytest.raises(InvalidCycleError):
-            Cycle(event="a", r=1, p=5, tau=0, corrections=())
-        with pytest.raises(InvalidCycleError):
-            Cycle(event="a", r=3, p=0, tau=0, corrections=(0, 0))
-        with pytest.raises(InvalidCycleError):
-            Cycle(event="a", r=3, p=5, tau=-1, corrections=(0, 0))
-        with pytest.raises(InvalidCycleError):
-            Cycle(event="a", r=3, p=5, tau=0, corrections=(0,))
+        with pytest.raises(InvalidPatternError):
+            cycle("a", r=1, p=5, tau=0, corrections=())
+        with pytest.raises(InvalidPatternError):
+            cycle("a", r=3, p=0, tau=0, corrections=(0, 0))
+        with pytest.raises(InvalidPatternError):
+            cycle("a", r=3, p=5, tau=-1, corrections=(0, 0))
+        with pytest.raises(InvalidPatternError):
+            cycle("a", r=3, p=5, tau=0, corrections=(0,))
 
     def test_sigma_and_span(self):
-        c = Cycle(event="a", r=4, p=2, tau=2, corrections=(1, 0, -1))
-        assert c.sigma == 0
-        assert c.span == 6
-
-    def test_as_pattern_round_trip(self):
-        c = Cycle(event="a", r=3, p=13, tau=2, corrections=(-2, 0))
-        p = c.as_pattern()
-        assert format_pattern(p) == "[r=3 p=13](a) @ tau=2 E=[-2,0]"
-        assert format_pattern(c) == format_pattern(p)
-        assert [t for t, _ in pattern_occurrences(p)] == list(cycle_cover(c))
+        # the last occurrence lies (r - 1) p + sum(E) after the first
+        c = cycle("a", r=4, p=2, tau=2, corrections=(1, 0, -1))
+        times = [t for t, _ in pattern_occurrences(c)]
+        assert sum(c.corrections) == 0
+        assert times[-1] - times[0] == 6 == (c.tree.r - 1) * c.tree.p + sum(c.corrections)
 
 
 class TestCycleCover:
     def test_quad_burst(self):
-        c = Cycle(event="a", r=4, p=2, tau=2, corrections=(1, 0, -1))
+        c = parse_pattern("[r=4 p=2](a) @ tau=2 E=[1,0,-1]")
         assert cycle_cover(c) == (2, 5, 7, 8)
+        assert [t for t, _ in corrected_occurrences(c)] == [2, 5, 7, 8]
 
     def test_perfect(self):
-        c = Cycle(event="a", r=3, p=7, tau=0, corrections=(0, 0))
+        c = parse_pattern("[r=3 p=7](a) @ tau=0 E=[0,0]")
         assert cycle_cover(c) == (0, 7, 14)
-
-    def test_order_breaking_corrections_rejected(self):
-        c = Cycle(event="a", r=3, p=2, tau=10, corrections=(-5, 0))
-        with pytest.raises(InvalidCycleError):
-            cycle_cover(c)
+        assert [t for t, _ in corrected_occurrences(c)] == [0, 7, 14]
 
 
 class TestFit:
     def test_fit_cycle_quad_burst(self):
         c = fit_cycle((2, 5, 7, 8), "a")
-        assert (c.p, c.tau, c.corrections) == (2, 2, (1, 0, -1))
+        assert (c.tree.p, c.tau, c.corrections) == (2, 2, (1, 0, -1))
 
     def test_fit_cycle_perfect(self):
         c = fit_cycle((0, 7, 14, 21), "a")
-        assert (c.p, c.corrections) == (7, (0, 0, 0))
+        assert (c.tree.p, c.corrections) == (7, (0, 0, 0))
 
     def test_fit_cycle_sparse_triple(self):
         c = fit_cycle((2, 13, 26), "a")
-        assert (c.p, c.tau, c.corrections) == (13, 2, (-2, 0))
+        assert (c.tree.p, c.tau, c.corrections) == (13, 2, (-2, 0))
+
+    def test_fit_cycle_is_one_block_over_one_leaf(self):
+        c = fit_cycle((2, 13, 26), "a")
+        assert c == cycle("a", r=3, p=13, tau=2, corrections=(-2, 0))
+        assert is_simple(c.tree)
+        assert format_pattern(c) == "[r=3 p=13](a) @ tau=2 E=[-2,0]"
+        assert parse_pattern(format_pattern(c)) == c
 
     def test_even_diff_count_takes_upper_middle(self):
         # diffs (1, 5): both medians give |E| = 4; the larger one wins
@@ -176,6 +174,16 @@ class TestFit:
     def test_fit_cycle_reconstructs_input(self, raw):
         ts = tuple(sorted(raw))
         assert cycle_cover(fit_cycle(ts, "a")) == ts
+
+    @given(
+        st.lists(st.integers(0, 500), min_size=2, max_size=20, unique=True),
+        st.sampled_from(["a", "e7", "__other__"]),
+    )
+    def test_format_cycle_names_the_fitted_cycle(self, raw, event):
+        # stage S names a chain before it builds the cycle
+        ts = sorted(raw)
+        p, es = fit_period(ts)
+        assert format_cycle(event, len(ts), p, ts[0], es) == format_pattern(fit_cycle(ts, event))
 
 
 class TestExpandTree:
