@@ -47,7 +47,6 @@ from .pattern import (
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
-    pattern_occurrences,
 )
 
 _LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
@@ -309,6 +308,18 @@ def placement_bits_bound(stats: SeqStats) -> float:
     return log2(stats.span) + log2(stats.span + 1)
 
 
+def cycle_placement_floor(stats: SeqStats, reach: int, least_gap: int) -> float:
+    """Lower bound on the root period's plus the start's bits of a fitted
+    cycle inside the window whose first and last occurrences lie at most
+    ``reach`` apart and whose gaps are all at least ``least_gap >= 1``.
+
+    A fitted cycle's period is the median of its gaps, and inside the
+    window ``p0_max = p + (span - (last - first)) // (r - 1) >= p >=
+    least_gap`` and ``v = span - (last - first) + 1 >= span - reach + 1``.
+    """
+    return log2(least_gap) + log2(stats.span - reach + 1)
+
+
 def _placed(
     root: Block | Frame,
     tau: int,
@@ -391,6 +402,17 @@ def frame_cost(
     return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
 
 
+def cycle_head_bits(stats: SeqStats, event: str) -> float:
+    """A cycle's A and R bits: its layout and leaf, then its repetition
+    count.  Every other term of :func:`cycle_pricer`'s price is a
+    ``log2`` of a value ``>= 1`` or the corrections' bits, so a cycle of
+    ``r`` occurrences whose corrections' magnitudes sum to ``D`` costs
+    at least ``head + (2 * (r - 1) + D)``, and adding the same terms in
+    the price's order never gives less: float addition is monotone."""
+    leaf, count = _leaf_bits(stats, event)
+    return 2.0 * _LOG3 + leaf + log2(count)
+
+
 def cycle_pricer(
     stats: SeqStats, event: str
 ) -> Callable[[int, int, int, int, int], float]:
@@ -406,8 +428,8 @@ def cycle_pricer(
     They are the left prefix of :attr:`CostBreakdown.total`'s sum, which
     Python adds left to right, so hoisting them changes no bit.
     """
-    leaf, count = _leaf_bits(stats, event)
-    head = 2.0 * _LOG3 + leaf + log2(count)  # A, then R
+    head = cycle_head_bits(stats, event)
+    count = stats.counts[event]
     span, t_start = stats.span, stats.t_start
 
     def price(r: int, p: int, tau: int, sigma: int, abs_corrections: int) -> float:
@@ -524,6 +546,27 @@ def baseline_cost(stats: SeqStats) -> float:
     return residual_bits(stats, stats.counts)
 
 
+def _require_listed_once(
+    p: Pattern, times: Sequence[int], events: Sequence[str], distinct: int
+) -> None:
+    """Raise :class:`DomainError` when the pattern's occurrences, its
+    corrected ``times`` and their ``events``, hold only ``distinct``
+    distinct pairs: a pattern lists each occurrence once."""
+    if distinct < len(times):
+        listed = Counter(zip(times, events))
+        twice = next(o for o in listed if listed[o] > 1)
+        raise DomainError(f"pattern {format_pattern(p)} lists occurrence {twice} more than once")
+
+
+def _listed_once(p: Pattern) -> set[tuple[int, str]]:
+    """The pattern's occurrences; raises :class:`DomainError` when it
+    lists one twice."""
+    times, events = corrected_times(p), p.tree.compiled.events
+    pairs = set(zip(times, events))
+    _require_listed_once(p, times, events, len(pairs))
+    return pairs
+
+
 def collection_cost(
     patterns: Sequence[Pattern],
     seq: EventSequence,
@@ -552,12 +595,7 @@ def collection_cost(
         if not cover <= logged:
             outside = sorted(set(zip(times, events)) - set(seq.pairs))[:3]
             raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
-        if len(cover) < len(times):
-            listed = Counter(zip(times, events))
-            twice = next(o for o in listed if listed[o] > 1)
-            raise DomainError(
-                f"pattern {format_pattern(pat)} lists occurrence {twice} more than once"
-            )
+        _require_listed_once(pat, times, events, len(cover))
         breakdown = pattern_cost(pat, stats)
         shape = classify_tree(pat.tree)
         shape_counts[shape.shape_class[0]] += 1
@@ -595,9 +633,14 @@ def is_cost_effective(
     pairs: Sequence[tuple[int, str]] | None = None,
 ) -> bool:
     """True when the pattern is cheaper than leaving ``pairs`` (its own
-    cover by default) as residuals."""
+    cover by default) as residuals.
+
+    Raises :class:`DomainError` when the pattern lists an occurrence
+    twice, as :func:`collection_cost` does.
+    """
+    cover = _listed_once(p)
     if pairs is None:
-        pairs = pattern_occurrences(p)
+        pairs = cover
     try:
         bits = pattern_cost(p, stats).total
     except UncodablePatternError:
@@ -606,8 +649,12 @@ def is_cost_effective(
 
 
 def efficiency(p: Pattern, stats: SeqStats) -> float:
-    """Bits per covered occurrence; smaller is better."""
-    return pattern_cost(p, stats).total / len(pattern_occurrences(p))
+    """Bits per covered occurrence; smaller is better.
+
+    Raises :class:`DomainError` when the pattern lists an occurrence
+    twice, as :func:`collection_cost` does.
+    """
+    return pattern_cost(p, stats).total / len(_listed_once(p))
 
 
 # ---------------------------------------------------------------------------

@@ -198,19 +198,59 @@ def extract_cycles_dp(
     sum for the gaps' absolute deviation from it.
 
     The last segment's start ``i`` is scanned leftwards from ``j - 1``,
-    and the scan stops early by an exact bound.  Extending a segment
-    ``[a..i]`` of three or more occurrences to ``[a..j]`` adds at least
-    ``min(m2 * l, 2 * m2 + D - Λ)`` bits, where ``m2 = j - i``, ``l`` is
-    the residual price, ``D`` the absolute deviation of the gaps of
-    ``[i..j]`` (deviations are superadditive over a split of the gaps)
-    and ``Λ`` (:func:`codec.placement_bits_bound`) bounds the period and
-    offset terms of any cycle inside the log.  With ``best[i + 1] <=
-    best[a] + seg(a, i)``, once ``best[i + 1]`` plus that increment
-    reaches the best price found for ``j``, no start ``a <= i - 2`` can
-    beat it: ``i - 1`` is still priced and the scan stops.  The bound
-    needs every cycle price to be finite, so it applies only when the
-    timestamps lie in ``[stats.t_start, stats.t_end]``.  Ties go to the
-    shortest last segment, with or without the bound.
+    and three exact rules skip work.  Start ``a``'s candidate for row
+    ``j`` is ``best[a] + min((j - a + 1) * l, price(a..j))``, with ``l``
+    the residual price; ``bj`` is the best candidate found so far.
+
+    *Stop rule.*  Extending a segment ``[a..i]`` of three or more
+    occurrences to ``[a..j]`` adds at least ``min(m2 * l, 2 * m2 + D -
+    Λ)`` bits, where ``m2 = j - i``, ``D`` is the absolute deviation of
+    the gaps of ``[i..j]`` (deviations are superadditive over a split of
+    the gaps) and ``Λ`` (:func:`codec.placement_bits_bound`) bounds the
+    period and offset terms of any cycle inside the log.  With ``best[i
+    + 1] <= best[a] + seg(a, i)``, once ``best[i + 1]`` plus that
+    increment reaches ``bj``, no start ``a <= i - 2`` can beat it: ``i -
+    1`` is still priced and the scan stops.
+
+    *Price floor.*  A cycle of ``k + 1`` occurrences whose gaps deviate
+    by ``D`` costs at least ``h + (2 * k + D)``, where ``h`` is its A and
+    R bits (:func:`codec.cycle_head_bits`): its period and start bits
+    are logarithms of values ``>= 1``.  Float addition is monotone, so
+    when ``best[i] + (h + (2 * k + D))`` is not below ``bj``, neither is
+    ``best[i]`` plus the price, and the pricer is not called; the
+    residual candidate is still compared.
+
+    *Range bound.*  Let ``a0 = cut[j]``, the start of the previous row's
+    last segment.  For every start ``a <= i - 1`` in the window
+    ``[lo..]``::
+
+        cand(a) >= (best[a] - 2a) + 2j + min(l + (j - i + 1)(l - 2),
+                                            h + D + P)
+
+    The residual term holds since ``j - a >= j - i + 1`` and ``l >= 2``.
+    The cycle term holds since the deviation of a set of gaps only grows
+    as gaps are added, so the gaps of ``[a..j]`` deviate by at least the
+    ``D`` of ``[i..j]``; and since inside the window the period and
+    start bits are at least ``P`` (:func:`codec.cycle_placement_floor`):
+    ``v = span - (t_j - t_a) + 1 >= span - (t_j - t_lo) + 1`` and
+    ``p0_max >= p >=`` the least gap.  After 8 steps without a stop, and
+    then at steps growing by half while as many starts remain as were
+    scanned, the scan prices ``[a0..j]`` exactly as ``U``, from a sorted
+    fit of its gaps (the integer upper median and deviation the heaps
+    give).  When the bound's least ``best[a] - 2a`` over the remaining
+    starts other than ``a0`` exceeds ``min(U, bj)`` by more than ``1e-6``
+    (the margin covers float rounding), none of them can win or tie:
+    ``a0`` takes the row if ``U < bj``, as the full scan would, and the
+    scan ends.  The least is taken by ``min()`` over slices, once the
+    two end starts alone show that it might pass.
+
+    The stop rule and the range bound need every cycle price inside the
+    window, so they apply only when the timestamps lie in
+    ``[stats.t_start, stats.t_end]``; the range bound also needs ``l >=
+    2``, which then holds from four occurrences on (``l >= log2(span +
+    1)``).  Each rule skips only starts that cannot undercut the kept
+    candidate, and the full scan replaces it only when undercut, so ties
+    still go to the shortest last segment.
 
     Returns the runs of the optimal segmentation that are coded as
     cycles (only those strictly cheaper than leaving their occurrences
@@ -222,17 +262,21 @@ def extract_cycles_dp(
     if n < 3:
         return []
     gaps = [b - a for a, b in zip(ts, ts[1:])]
-    if min(gaps) < 1:
+    least_gap = min(gaps)
+    if least_gap < 1:
         raise DomainError("timestamps must be strictly increasing")
     l_res = codec.residual_cost(stats, (ts[0], event))
     price = codec.cycle_pricer(stats, event)
+    head = codec.cycle_head_bits(stats, event)
     bounded = stats.t_start <= ts[0] and ts[-1] <= stats.t_end
     lam = codec.placement_bits_bound(stats) if bounded else 0.0
+    ranged = bounded and l_res >= 2.0
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     inf = math.inf
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
+    net = [0.0] * (n + 1)  # best[a] - 2 * a
     cut = [0] * (n + 1)  # start index of the last segment
     as_cycle = [False] * (n + 1)
     for j in range(n):
@@ -244,6 +288,8 @@ def extract_cycles_dp(
         sum_small = sum_large = 0
         t_j = ts[j]
         stop = -1
+        test = 8 if ranged else n  # the next step that tries the range bound
+        a0 = -1  # the previous row's last start, once priced
         for i in range(j - 1, lo - 1, -1):
             x = gaps[i]
             k = j - i  # gaps in the segment [i..j], x included
@@ -267,15 +313,15 @@ def extract_cycles_dp(
             p = large[0]
             half = k >> 1
             dev = (p * half - sum_small) + (sum_large - p * (k - half))
-            m = k + 1
-            cost = m * l_res
-            cand_cost = best[i] + cost
+            cost = (k + 1) * l_res
+            b_i = best[i]
+            cand_cost = b_i + cost
             cyc_cost = inf
-            if m >= 3:
+            if k >= 2 and b_i + (head + (2 * k + dev)) < bj:
                 t_i = ts[i]
-                cyc_cost = price(m, p, t_i, (t_j - t_i) - k * p, dev)
+                cyc_cost = price(k + 1, p, t_i, (t_j - t_i) - k * p, dev)
                 if cyc_cost < cost:
-                    cand_cost = best[i] + cyc_cost
+                    cand_cost = b_i + cyc_cost
             if cand_cost < bj:
                 bj = cand_cost
                 cj = i
@@ -286,7 +332,37 @@ def extract_cycles_dp(
                 as_res, as_cyc = k * l_res, 2 * k + dev - lam
                 if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
                     stop = i - 1
+            if k == test and i - lo >= k:
+                test += test >> 1
+                if a0 < 0:
+                    a0 = cut[j]
+                    if not lo <= a0 < i:  # out of the window, or already priced
+                        test = n
+                        continue
+                    place = codec.cycle_placement_floor(stats, t_j - ts[lo], least_gap)
+                    # [a0..j] priced from a sorted fit: the heaps' median and deviation
+                    seg = sorted(gaps[a0:j])
+                    k0 = j - a0
+                    h0 = k0 >> 1
+                    p0 = seg[h0]
+                    d0 = (p0 * h0 - sum(seg[:h0])) + (sum(seg[h0:]) - p0 * (k0 - h0))
+                    c0 = (k0 + 1) * l_res
+                    y0 = price(k0 + 1, p0, ts[a0], (t_j - ts[a0]) - k0 * p0, d0)
+                    u_cyc = y0 < c0
+                    u_cost = best[a0] + (y0 if u_cyc else c0)
+                ref = u_cost if u_cost < bj else bj
+                as_res, as_cyc = l_res + (k + 1) * (l_res - 2.0), head + dev + place
+                bound = 2 * j + (as_res if as_res < as_cyc else as_cyc) - 1e-6
+                # the starts at either end bound the least from above: a cheap test first
+                rival = min((net[a] for a in (lo, i - 1) if a != a0), default=inf)
+                if rival + bound > ref:
+                    rival = min(min(net[lo:a0], default=inf), min(net[a0 + 1:i], default=inf))
+                    if rival + bound > ref:
+                        if u_cost < bj:
+                            bj, cj, aj = u_cost, a0, u_cyc
+                        break
         best[j + 1] = bj
+        net[j + 1] = bj - 2 * (j + 1)
         cut[j + 1] = cj
         as_cycle[j + 1] = aj
 

@@ -453,6 +453,23 @@ class TestCostEffectiveness:
         c = cycle("b", r=5, p=2, tau=0, corrections=(0, 0, 0, 0))
         assert not is_cost_effective(c, triad_stats)
 
+    @pytest.mark.parametrize(
+        "score",
+        [
+            efficiency,
+            is_cost_effective,
+            lambda p, stats: is_cost_effective(p, stats, pairs=[(0, "a")]),
+        ],
+        ids=["efficiency", "is_cost_effective", "is_cost_effective-pairs"],
+    )
+    def test_occurrence_listed_twice_rejected(self, score):
+        # the message collection_cost gives for the same pattern
+        seq = EventSequence.from_pairs([(t, "a") for t in (0, 10, 20, 30)])
+        notation = "[r=2 p=10]([r=2 p=10](a)) @ tau=0 E=[0,-10,0]"
+        message = f"pattern {notation} lists occurrence (0, 'a') more than once"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            score(parse_pattern(notation), SeqStats.from_sequence(seq))
+
     def test_efficiency_is_bits_per_covered_occurrence(self, dozen_a_stats):
         c = fit_cycle((2, 5, 7, 8), "a")
         assert efficiency(c, dozen_a_stats) == approx_bits(6.164)

@@ -211,8 +211,20 @@ def heartbeat_like(rng: random.Random, runs: int, noise: int) -> list[int]:
     return sorted(ts)
 
 
-# Short runs far apart, where the stop rule cuts most scans, and long
-# wobbly runs, where it cuts few.
+def wobbly_cycle(rng: random.Random, beats: int, wobble: float, noise: int = 0) -> list[int]:
+    """One event that is a single long cycle: ``beats`` beats at one
+    period, each one tick early or late with probability ``wobble``,
+    plus ``noise`` spurious occurrences among them."""
+    p, t = rng.randint(5, 20), rng.randint(1, 30)
+    ts = {t + k * p + (rng.choice((-1, 1)) if rng.random() < wobble else 0) for k in range(beats)}
+    ts.update(rng.randint(1, t + beats * p) for _ in range(noise))
+    return sorted(ts)
+
+
+# Short runs far apart, where the stop rule cuts most scans; long wobbly
+# runs, where it cuts few; and single long wobbly cycles, where it cuts
+# none and the range bound ends the scans (the second window of each
+# case is shorter than the event).
 SEGMENTATION_INPUTS = [
     *(
         pytest.param(
@@ -234,7 +246,40 @@ SEGMENTATION_INPUTS = [
         )
         for seed in range(4)
     ),
+    *(
+        pytest.param(
+            lambda rng: wobbly_cycle(
+                rng,
+                beats=rng.randint(80, 200),
+                wobble=rng.uniform(0.1, 0.3),
+                noise=rng.choice((0, rng.randint(1, 20))),
+            ),
+            seed,
+            id=f"one-cycle-{seed}",
+        )
+        for seed in range(12)
+    ),
 ]
+
+
+@pytest.fixture
+def segment_prices(monkeypatch) -> list[int]:
+    """A one-item list counting the segments priced while the test runs:
+    the calls to every ``codec.cycle_pricer`` built meanwhile."""
+    calls = [0]
+    build = codec.cycle_pricer
+
+    def counting_pricer(*args):
+        price = build(*args)
+
+        def counting(*segment):
+            calls[0] += 1
+            return price(*segment)
+
+        return counting
+
+    monkeypatch.setattr(codec, "cycle_pricer", counting_pricer)
+    return calls
 
 
 class TestDpStopRule:
@@ -268,30 +313,67 @@ class TestDpStopRule:
             ts, "a", stats
         )
 
-    def test_nested_event_prices_few_segments(self, monkeypatch):
+    def test_residual_price_below_two_bits(self):
+        # A residual under two bits needs a window narrower than the
+        # timestamps (or three occurrences); the range bound is off there.
+        ts = wobbly_cycle(random.Random(5), beats=120, wobble=0.2)
+        stats = SeqStats(length=1, t_start=ts[0], t_end=ts[0] + 1, counts={"a": 1})
+        assert codec.residual_cost(stats, (ts[0], "a")) < 2
+        for window in (500, 30):
+            assert extract_cycles_dp(ts, "a", stats, window=window) == unpruned_segmentation(
+                ts, "a", stats, window
+            )
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_price_floor_is_tight(self, n):
+        # Consecutive occurrences that fill the window: the whole run's
+        # period and start are each coded out of one value, so its price
+        # is the floor itself.  The runner-up, the run less its last
+        # occurrence plus a residual, costs only l - 1 bits more.
+        ts = list(range(100, 100 + n))
+        stats = SeqStats(length=n, t_start=100, t_end=100 + n - 1, counts={"a": n})
+        head = codec.cycle_head_bits(stats, "a")
+        assert codec.cycle_pricer(stats, "a")(n, 1, 100, 0, 0) == head + 2 * (n - 1)
+        cycles = extract_cycles_dp(ts, "a", stats)
+        assert cycles == [tuple(range(n))] == unpruned_segmentation(ts, "a", stats)
+
+    @pytest.mark.parametrize("window", [10, 20, 30])
+    def test_tie_between_two_starts(self, window):
+        # A perfect cycle one beat shorter than two windows splits into
+        # runs of window and window - 1 beats, in either order, at the
+        # same price bit for bit: the last row's starts window and
+        # window - 1 tie, and the shorter last segment wins.
+        n = 2 * window - 1
+        ts = [5 + 7 * k for k in range(n)]
+        stats = SeqStats(length=n, t_start=0, t_end=ts[-1] + 5, counts={"a": n})
+        l_res = codec.residual_cost(stats, (0, "a"))
+        price = codec.cycle_pricer(stats, "a")
+        w, w1 = (price(r, 7, 5, 0, 0) for r in (window, window - 1))
+        assert w + w1 == w1 + w < (2 * window - 1) * l_res
+        cycles = extract_cycles_dp(ts, "a", stats, window=window)
+        assert cycles == [tuple(range(window)), tuple(range(window, n))]
+        assert cycles == unpruned_segmentation(ts, "a", stats, window)
+
+    def test_nested_event_prices_few_segments(self, segment_prices):
         ts = braid_like(random.Random(3), blocks=160, noise=0)
         ts = ts[:1000]
         stats = SeqStats(
             length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)}
         )
-        calls = 0
-        build = codec.cycle_pricer
-
-        def counting_pricer(*args):
-            price = build(*args)
-
-            def counting(*segment):
-                nonlocal calls
-                calls += 1
-                return price(*segment)
-
-            return counting
-
-        monkeypatch.setattr(codec, "cycle_pricer", counting_pricer)
         window = 500
         cycles = extract_cycles_dp(ts, "a", stats, window=window)
         assert len(ts) == 1000 and len(cycles) > 50
-        assert 0 < calls < 0.1 * len(ts) * window
+        assert 0 < segment_prices[0] < 0.1 * len(ts) * window
+
+    def test_heartbeat_prices_few_segments(self, segment_prices):
+        # One wobbly cycle: the prefix stop cannot fire, since every
+        # bound over the earlier starts includes the winning start 0.
+        # The price floor and the range bound must still skip the rest.
+        ts = wobbly_cycle(random.Random(1), beats=80, wobble=0.1)
+        stats = SeqStats(length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)})
+        cycles = extract_cycles_dp(ts, "a", stats)
+        assert cycles == [tuple(range(80))]
+        assert 0 < segment_prices[0] < 0.1 * len(ts) ** 2 / 2
 
 
 def chained_times(ts, tolerance):

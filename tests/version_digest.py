@@ -4,7 +4,9 @@ versions.
     python3 tests/version_digest.py
 
 Mines a few logs planted by :func:`cadence.synth.generate` over several
-labels, with displaced and spurious occurrences, and prints the SHA-256
+labels, with displaced and spurious occurrences, and one long wobbly
+cycle, whose segmentation scan ends on the range bound's float
+comparisons (``extract_cycles_dp``), and prints the SHA-256
 of every log's ``mine().to_dict()`` (wall clocks removed: each stage's
 report, its ``collection_cost`` totals included), the winning
 collection's ``collection_cost`` total and the log's ``baseline_cost``.
@@ -18,12 +20,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cadence import PlantSpec, SeqStats, baseline_cost, collection_cost, generate, mine  # noqa: E402
+from cadence import (  # noqa: E402
+    EventSequence,
+    PlantSpec,
+    SeqStats,
+    baseline_cost,
+    collection_cost,
+    generate,
+    mine,
+)
 
 SPECS = tuple(
     PlantSpec(
@@ -38,10 +49,19 @@ SPECS = tuple(
 )
 
 
+def wobbly_cycle() -> EventSequence:
+    """160 beats of period 9, one in five one tick off, and a few
+    occurrences of a second label."""
+    rng = random.Random(23)
+    beats = [
+        (9 * k + (rng.choice((-1, 1)) if rng.random() < 0.2 else 0), "h") for k in range(1, 161)
+    ]
+    return EventSequence.from_pairs(beats + [(rng.randrange(1450), "x") for _ in range(8)])
+
+
 def digest() -> str:
     h = hashlib.sha256()
-    for spec in SPECS:
-        seq = generate(spec).perturbed
+    for seq in [*(generate(spec).perturbed for spec in SPECS), wobbly_cycle()]:
         result = mine(seq)
         out = result.to_dict()
         del out["wall_clock_s"]
