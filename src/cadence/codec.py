@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     DomainError,
@@ -38,7 +38,6 @@ from .core import (
 )
 from .pattern import (
     Block,
-    Frame,
     Leaf,
     Node,
     Pattern,
@@ -189,7 +188,7 @@ def _leaf_bits(stats: SeqStats, event: str) -> tuple[float, int]:
 Terms = tuple[float, float, int]
 
 
-def _block_terms(r: int, terms: Sequence[Terms]) -> Terms:
+def block_terms(r: int, terms: Sequence[Terms]) -> Terms:
     """Layout bits, repetition bits and rarest event count of a block of
     length ``r`` from its children's, in order.  A block costs one
     bracket pair plus its children's layout, and codes its length out of
@@ -210,11 +209,11 @@ def _block_terms(r: int, terms: Sequence[Terms]) -> Terms:
 
 def _tree_bits(node: Node, stats: SeqStats) -> Terms:
     """Layout bits, repetition bits and rarest event count of a subtree,
-    in one post-order walk (:func:`_block_terms`)."""
+    in one post-order walk (:func:`block_terms`)."""
     if isinstance(node, Leaf):
         bits, count = _leaf_bits(stats, node.event)
         return bits, 0.0, count
-    return _block_terms(node.r, [_tree_bits(child, stats) for child in node.children])
+    return block_terms(node.r, [_tree_bits(child, stats) for child in node.children])
 
 
 def child_terms(tree: Block, stats: SeqStats) -> tuple[Terms, ...]:
@@ -225,20 +224,8 @@ def child_terms(tree: Block, stats: SeqStats) -> tuple[Terms, ...]:
     return tuple(_tree_bits(child, stats) for child in tree.children)
 
 
-def _frame_terms(root: Block | Frame, terms: Iterator[Terms]) -> Terms:
-    """A block's or a frame's terms, its children's drawn in order from
-    ``terms`` except a child frame's, which are its own children's."""
-    return _block_terms(
-        root.r,
-        [_frame_terms(c, terms) if isinstance(c, Frame) else next(terms) for c in root.children],
-    )
-
-
-def _distance_and_period_bits(
-    block: Block | Frame, width: int, interleaved: bool
-) -> float:
-    """Bits for a block's child distances and interior-child periods; a
-    frame's are the block's it describes.
+def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> float:
+    """Bits for a block's child distances and interior-child periods.
 
     ``width`` is the time available for one repetition's content.  Each
     inter-block distance takes ``log2(width + 1)`` bits; each interior
@@ -269,7 +256,7 @@ def _distance_and_period_bits(
     return bits
 
 
-def _block_bits(block: Block | Frame, tspan: int, interleaved: bool) -> float:
+def _block_bits(block: Block, tspan: int, interleaved: bool) -> float:
     """Bits for an interior block's period and its own content."""
     if tspan < block.r - 1:
         raise UncodablePatternError(
@@ -321,7 +308,7 @@ def cycle_placement_floor(stats: SeqStats, reach: int, least_gap: int) -> float:
 
 
 def _placed(
-    root: Block | Frame,
+    root: Block,
     tau: int,
     stats: SeqStats,
     *,
@@ -329,10 +316,10 @@ def _placed(
     last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> tuple[float, float, float, float, float, float]:
-    """The one sequence of encoder terms: the bits of a block, or of the
-    block a frame describes, started at ``tau``, in
-    :class:`CostBreakdown`'s order, from :func:`frame_cost`'s arguments
-    (a block's ``terms`` are its :func:`child_terms`).
+    """The one sequence of encoder terms: the bits of a block started at
+    ``tau``, in :class:`CostBreakdown`'s order, from :func:`block_cost`'s
+    arguments.  The root's layout and repetition bits are its direct
+    children's ``terms`` folded by :func:`block_terms`.
 
     Where one repetition lies is the root's ``placement``.  The root
     period and the start are coded against the last repetition's first
@@ -340,11 +327,11 @@ def _placed(
     repetition's content ends: its last occurrence, or, when the root
     interleaves, the one with the smallest offset among those whose
     leaf is its parent's right-most child.  :func:`pattern_cost` and
-    :func:`frame_cost` price through this alone, so they price bit for
+    :func:`block_cost` price through this alone, so they price bit for
     bit alike.  Raises :class:`UncodablePatternError` when a term is out
     of range.
     """
-    bits_a, bits_r, _ = _frame_terms(root, iter(terms))
+    bits_a, bits_r, _ = block_terms(root.r, terms)
     ranges = _root_ranges(stats, root.r, root.p, tau, last_offset(0))
     if ranges is None:
         raise UncodablePatternError(
@@ -372,8 +359,8 @@ def _placed(
     return bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e
 
 
-def frame_cost(
-    root: Frame,
+def block_cost(
+    root: Block,
     tau: int,
     stats: SeqStats,
     *,
@@ -381,13 +368,13 @@ def frame_cost(
     last_offset: Callable[[int], int],
     abs_corrections: int,
 ) -> float:
-    """Bits to transmit the block a frame describes, started at ``tau``,
-    without building it: the total of :func:`pattern_cost` of the built
-    pattern, bit for bit.
+    """Bits to transmit a block started at ``tau`` without solving its
+    corrections: the total of :func:`pattern_cost` of the pattern over
+    it, bit for bit.
 
-    ``terms`` are the :func:`child_terms` of the nodes among the root's
-    children, and of the nodes among a child frame's children in its
-    place, in order; ``last_offset(i)`` is the cumulative offset of
+    ``terms`` are the terms of the root's children, in order (its
+    :func:`child_terms`, or a child's :func:`block_terms` folded from
+    its own children's); ``last_offset(i)`` is the cumulative offset of
     occurrence ``i`` of the last root repetition, and
     ``abs_corrections`` the corrections' summed magnitudes.
     """

@@ -29,7 +29,7 @@ from .core import (
     UncodablePatternError,
 )
 from .pattern import (
-    Frame,
+    Block,
     MergeLayout,
     Pattern,
     build_merge,
@@ -56,6 +56,13 @@ _CLIQUE_NODE_CAP = 64
 # Configuration and candidates
 
 
+def _require_int(name: str, value: object, least: int = 1) -> None:
+    """Raise :class:`DomainError`, naming the argument, unless ``value``
+    is an int (a bool is not) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MiningConfig:
     """Tunable knobs of the miner.
@@ -76,9 +83,7 @@ class MiningConfig:
 
     def __post_init__(self) -> None:
         for name, least in (("k", 1), ("max_rounds", 0), ("threads", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+            _require_int(name, getattr(self, name), least)
 
 
 def _bits(indices: Iterable[int], size: int) -> int:
@@ -257,6 +262,7 @@ def extract_cycles_dp(
     residual), each as the tuple of its indices into ``timestamps``, in
     order.
     """
+    _require_int("window", window)
     ts = list(timestamps)
     n = len(ts)
     if n < 3:
@@ -540,8 +546,7 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
     (efficiency, cost, notation) are retained; a candidate survives if it
     is retained for at least one occurrence.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    _require_int("k", k)
     cands = _dedupe(candidates)
     keys = [(c.efficiency, c.cost, c.notation) for c in cands]
     out = [cands[i] for i in _within_k(keys, [c.bits for c in cands], k)]
@@ -619,6 +624,7 @@ def combine_vertically(
     ``records`` holds the candidates' records by notation, shared by
     every call of one :func:`mine` (:func:`_records`).
     """
+    _require_int("k", k)
     if not new:
         return []
     by_tree: dict[str, list[_Member]] = {}
@@ -728,8 +734,8 @@ class _Member:
     layout and repetition bits and rarest counts
     (:func:`codec.child_terms`), and ``inner_terms`` those of its first
     child's children, the parts of a factorized merge; None when a child
-    is uncodable.  Where a merge's repetition lies is ``pattern``'s
-    placement of its frame, read off the members' blocks' placements.
+    is uncodable.  Where a merge's repetition lies is its root block's
+    placement, read off the members' blocks' placements.
     """
 
     def __init__(self, cand: Candidate, stats: SeqStats) -> None:
@@ -821,10 +827,12 @@ def _layout_cost(
     """Price of the merge that ``layout`` describes over the members,
     from their records alone; None when it is uncodable.
 
-    A ``factored`` layout is priced from the members' ``inner_terms``,
-    any other from their ``terms`` (:func:`codec.frame_cost` of its
-    root).  Each occurrence's offset is its member's, shifted by the
-    drift of the member's period from the root's (:class:`MergeLayout`).
+    The root is priced by :func:`codec.block_cost` from its children's
+    terms: the members' ``terms``, or, for a ``factored`` layout, the
+    members' ``inner_terms`` folded into its one inner block's
+    (:func:`codec.block_terms`).  Each occurrence's offset is its
+    member's, shifted by the drift of the member's period from the
+    root's (:class:`MergeLayout`).
     An occurrence keeps its member's correction unless it is a join, so
     the members' ``|E|`` totals are summed, and each join's column is
     replaced by its corrections against its new predecessor, repetition
@@ -860,7 +868,9 @@ def _layout_cost(
     abs_corrections -= sum(dropped)
     lasts = [offs[m][last * pers[m] + j] + last * (ps[m] - root.p) for m, j in layout.slots]
     try:
-        return codec.frame_cost(
+        if factored:
+            terms = [codec.block_terms(root.children[0].r, terms)]
+        return codec.block_cost(
             root,
             layout.tau,
             stats,
@@ -881,8 +891,9 @@ def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
     corrections.  The nesting lies in the window when its members do.
-    Its root's one child is the members' tree as a frame, which the
-    members' ``terms`` fill (:func:`codec.frame_cost`).
+    Its root's one child is the members' tree, whose terms the members'
+    ``terms`` fold into (:func:`codec.block_terms`), and the root is
+    priced before its corrections are solved (:func:`codec.block_cost`).
     """
     first = members[0]
     if first.terms is None or any(q.fits < q.tree.count for q in members):
@@ -891,13 +902,12 @@ def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
     shift = sum(starts)
     last = members[-1].pattern.offsets
     tree = first.tree
-    inner = Frame(tree.r, tree.p, tree.children, tree.distances)
     try:
-        return codec.frame_cost(
-            Frame(len(members), p, (inner,), (0,)),
+        return codec.block_cost(
+            Block(len(members), p, (tree,), (0,)),
             first.cand.tau,
             stats,
-            terms=first.terms,
+            terms=[codec.block_terms(tree.r, first.terms)],
             last_offset=lambda i: shift + last[i],
             abs_corrections=sum(q.total(q.tree.r) for q in members)
             + sum(map(abs, starts)),
@@ -934,6 +944,7 @@ def combine_horizontally(
     every merge and then pruning gives.  ``records`` is as in
     :func:`combine_vertically`.
     """
+    _require_int("k", k)
     if not new:
         return []
     merged = _dedupe(list(new) + list(pool))
@@ -1236,8 +1247,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         if round_no == 0:
             v_first = list(v_in)
             h_first = list(h_in)
-    accum = _dedupe(accum + v_in + h_in)
-    final_pool = _dedupe(list(initial) + accum)
+    final_pool = _dedupe(accum + v_in + h_in)
     clocks["combine"] = perf_counter() - t0
 
     t0 = perf_counter()

@@ -13,15 +13,16 @@ leaf (:func:`fit_cycle`).
 The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
 co-periodic patterns as siblings and factorizing a concatenation), the
-layout that the last two build from (:class:`MergeLayout`, over an
-unbuilt :class:`Frame`), the one rule for where a repetition of a
-block or a frame lies (:func:`place`), and a bit-exact text notation.
+layout that the last two build from (:class:`MergeLayout`, whose root
+is a :class:`Block` that is priced before its corrections are solved),
+the one rule for where a repetition of a block lies (:func:`place`),
+and a bit-exact text notation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
@@ -45,14 +46,13 @@ class Block:
 
     ``distances[i]`` is the inter-block distance between child ``i-1`` and
     child ``i``; ``distances[0]`` is always 0 (the first child carries no
-    distance).  ``count`` is the number of occurrences the block generates.
+    distance).
     """
 
     r: int
     p: int
     children: tuple["Node", ...]
     distances: tuple[int, ...]
-    count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 2:
@@ -65,10 +65,14 @@ class Block:
             raise InvalidPatternError("one distance slot per child expected")
         if self.distances[0] != 0:
             raise InvalidPatternError("first child carries no distance")
-        if any(d < 0 for d in self.distances[1:]):
+        if min(self.distances) < 0:
             raise InvalidPatternError("inter-block distances must be >= 0")
-        count = self.r * sum(occurrence_count(c) for c in self.children)
-        object.__setattr__(self, "count", count)
+
+    @cached_property
+    def count(self) -> int:
+        """The number of occurrences the block generates, worked out once
+        on first read."""
+        return self.r * sum(occurrence_count(c) for c in self.children)
 
     @cached_property
     def placement(self) -> "Placement":
@@ -229,32 +233,9 @@ class CompiledTree:
     pred: tuple[int, ...]
 
 
-class Frame(NamedTuple):
-    """An interior block laid out but not built: its length, period,
-    children (nodes, or frames themselves) and distances, as
-    :class:`Block` holds them.  The encoder reads only these and the
-    frame's :attr:`placement`, so a merge is priced from its frame, and
-    :meth:`build` makes the block of the merge that is kept."""
-
-    r: int
-    p: int
-    children: tuple
-    distances: tuple[int, ...]
-
-    def build(self) -> Block:
-        children = tuple(c.build() if isinstance(c, Frame) else c for c in self.children)
-        return Block(r=self.r, p=self.p, children=children, distances=self.distances)
-
-    @property
-    def placement(self) -> "Placement":
-        """Where one repetition lies (:func:`place`), worked out on each
-        read."""
-        return place(self)
-
-
 class Placement(NamedTuple):
-    """Where one repetition of a block or a frame lies, as the encoder
-    reads it: its largest perfect time, whether the block interleaves,
+    """Where one repetition of a block lies, as the encoder reads it:
+    its largest perfect time, whether the block interleaves,
     the occurrences of the repetition (by index) whose leaf is its
     parent's right-most child, and how many occurrences it holds."""
 
@@ -264,16 +245,16 @@ class Placement(NamedTuple):
     size: int
 
 
-def place(block: Block | Frame) -> Placement:
-    """The one placement rule: where one repetition of a block's or a
-    frame's children lies, from the children's own records.
+def place(block: Block) -> Placement:
+    """The one placement rule: where one repetition of a block's
+    children lies, from the children's own records.  Callers read
+    :attr:`Block.placement`, which places each block once.
 
-    A leaf lies at its offset, and a child block or frame spans ``(r -
-    1) p + width`` from its offset, its width read off its own
-    ``placement``.  The times never decrease exactly when no child
-    interleaves and each child ends before the next begins: a child's
-    first time is 0, and when it is in order its last time is its
-    largest.  The block interleaves when the times decrease somewhere or
+    A leaf lies at its offset, and a child block spans ``(r - 1) p +
+    width`` from its offset, its width read off its own ``placement``.
+    The times never decrease exactly when no child interleaves and each
+    child ends before the next begins: a child's first time is 0, and
+    when it is in order its last time is its largest.  The block interleaves when the times decrease somewhere or
     the repetition is wider than ``p``.  A leaf is right-most when it is
     the last child, and a child's right-most leaves are those of every
     repetition of it.
@@ -455,7 +436,8 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
 class MergeLayout(NamedTuple):
     """Where a horizontal merge of member patterns puts their occurrences.
 
-    ``root`` is the merged tree, unbuilt, and ``tau`` its start.
+    ``root`` is the merged tree and ``tau`` its start: the pattern's
+    tree before its corrections are solved (:func:`build_merge`).
     Occurrence ``s`` of the root's repetition is occurrence ``j`` of
     member ``m``'s root repetition, ``(m, j) = slots[s]``, and the root's
     repetition ``k`` holds the members' repetitions ``k``.  Slot 0 is the
@@ -467,10 +449,10 @@ class MergeLayout(NamedTuple):
     root's, and only the occurrences whose predecessor is not the
     member's own take a new correction: ``(slot, predecessor)`` pairs in
     ``joins``, both as ``(m, j)``.  Where the root's repetition lies is
-    its :func:`place`.
+    its :attr:`Block.placement`.
     """
 
-    root: Frame
+    root: Block
     tau: int
     slots: tuple[tuple[int, int], ...]
     joins: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
@@ -516,7 +498,7 @@ def concat_layout(instances: Sequence[Pattern]) -> MergeLayout:
         joins.append(((m, 0), (m - 1, _last_child_start(prev.tree))))
         r = min(r, q.tree.r)
         slots += [(m, j) for j in range(_per(q.tree))]
-    root = Frame(r, first.tree.p, children, distances)
+    root = Block(r, first.tree.p, children, distances)
     return MergeLayout(root, first.tau, tuple(slots), tuple(joins))
 
 
@@ -539,7 +521,7 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
     connect = tree.distances[1] - sum(a.distances)
     if (a.r, a.p) != (b.r, b.p) or connect < 0:
         return None
-    inner = Frame(a.r, a.p, a.children + b.children, a.distances + (connect,) + b.distances[1:])
+    inner = Block(a.r, a.p, a.children + b.children, a.distances + (connect,) + b.distances[1:])
     per_a, per_b = _per(a), _per(b)
     slots = layout.slots
     order: list[tuple[int, int]] = []
@@ -553,7 +535,7 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
             slots[_last_child_start(a) : a.r * per_a : per_a],
         )
     )
-    root = Frame(tree.r, tree.p, (inner,), (0,))
+    root = Block(tree.r, tree.p, (inner,), (0,))
     return MergeLayout(root, layout.tau, tuple(order), joins)
 
 
@@ -561,7 +543,7 @@ def build_merge(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
     """The pattern a merge layout over the members describes: its
     corrections solved so that each occurrence lands on its member's
     corrected one."""
-    root = layout.root.build()
+    root = layout.root
     corrected = [corrected_occurrences(q) for q in members]
     per = [_per(q.tree) for q in members]
     targets = [

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cadence
-from cadence import codec, miner
+from cadence import codec, miner, pattern as pattern_module
 from cadence.codec import (
     SeqStats,
     collection_cost,
@@ -888,6 +888,40 @@ class TestMiningConfig:
         (field,) = kwargs
         with pytest.raises(DomainError, match=field):
             MiningConfig(**kwargs)
+
+
+class TestWidthArguments:
+    # A width is an int >= 1, a bool is not one, and it is checked before
+    # any work: here the inputs would end the call early or raise first.
+    class Untouched:
+        def __iter__(self):
+            raise AssertionError("read before the width was checked")
+
+    BAD = [0, -1, True, False, 2.5, 2.0, "3", None]
+    STATS = SeqStats(length=1, t_start=0, t_end=0, counts={"a": 1})
+
+    @pytest.mark.parametrize("k", BAD)
+    def test_filter_candidates_rejects_k(self, k):
+        with pytest.raises(DomainError, match=r"^k must be an int >= 1"):
+            filter_candidates(self.Untouched(), k)
+
+    @pytest.mark.parametrize("grow", [combine_vertically, combine_horizontally])
+    @pytest.mark.parametrize("k", BAD)
+    def test_combine_rejects_k(self, grow, k):
+        with pytest.raises(DomainError, match=r"^k must be an int >= 1"):
+            grow([], self.Untouched(), self.STATS, k)
+
+    @pytest.mark.parametrize("window", BAD)
+    def test_extract_cycles_dp_rejects_window(self, window):
+        with pytest.raises(DomainError, match=r"^window must be an int >= 1"):
+            extract_cycles_dp([0], "a", self.STATS, window=window)
+
+    def test_least_width_is_accepted(self):
+        assert filter_candidates([], 1) == []
+        assert combine_vertically([], [], self.STATS, 1) == []
+        assert combine_horizontally([], [], self.STATS, 1) == []
+        stats = SeqStats(length=5, t_start=0, t_end=28, counts={"a": 5})
+        assert extract_cycles_dp([0, 7, 14, 21, 28], "a", stats, window=1) == []
 
 
 class TestClosedFormTermOrder:
@@ -1767,16 +1801,28 @@ class TestBuildSite:
 
 class TestRecords:
     # Pricing reads one record per candidate and mine() call, and the
-    # unbuilt frame of each merge.
-    def test_blocks_are_made_only_at_the_build_site(self, monkeypatch):
+    # root block of each merge or nesting, which it never compiles: a
+    # priced root's corrections are never solved, and the candidate that
+    # survives is grown anew at the build site.
+    def test_priced_roots_are_never_compiled_or_solved(self, monkeypatch):
         depth = Counter()
-        stray, built = [], Counter()
+        priced, compiled, solved_outside, built = [], [], [], Counter()
         make_block = Block.__post_init__
+        compile_tree, solve = pattern_module.compile_tree, pattern_module.solve_corrections
 
         def making(block):
-            if depth["combine"] and not depth["grow"]:
-                stray.append(block)
             make_block(block)
+            if depth["combine"] and not depth["grow"]:
+                priced.append(block)
+
+        def compiling(tree):
+            compiled.append(tree)
+            return compile_tree(tree)
+
+        def solving(tree, tau, corrected):
+            if not depth["grow"]:
+                solved_outside.append(tree)
+            return solve(tree, tau, corrected)
 
         def nested(name, fn):
             def call(*args, **kwargs):
@@ -1794,11 +1840,16 @@ class TestRecords:
 
         grow = miner._grow
         monkeypatch.setattr(Block, "__post_init__", making)
+        monkeypatch.setattr(pattern_module, "compile_tree", compiling)
+        monkeypatch.setattr(pattern_module, "solve_corrections", solving)
         for name in ("combine_horizontally", "combine_vertically"):
             monkeypatch.setattr(miner, name, nested("combine", getattr(miner, name)))
         monkeypatch.setattr(miner, "_grow", nested("grow", growing))
         mine(shaped_log("braids", NESTING_SEEDS["braids"]))
-        assert stray == []
+        assert priced and compiled
+        priced_ids = {id(block) for block in priced}  # all held alive above
+        assert [tree for tree in compiled if id(tree) in priced_ids] == []
+        assert solved_outside == []
         assert built["vertical"] > 0 and built["horizontal"] > 0, built
 
     @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])

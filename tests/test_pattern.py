@@ -17,9 +17,9 @@ from cadence.core import (
 from cadence.codec import SeqStats, pattern_cost
 from cadence.pattern import (
     Block,
-    Frame,
     Leaf,
     Pattern,
+    build_merge,
     classify_tree,
     compile_tree,
     concat_layout,
@@ -501,27 +501,27 @@ class TestMergeLayouts:
         assert seen["leaf closes"] >= 50, seen
 
     def test_layouts_place_and_join_as_the_built_root_compiles(self):
-        # place() reads a frame's repetition off its children's records;
-        # the built root's perfect expansion gives the same width,
+        # place() reads a root's repetition off its children's records;
+        # the root's perfect expansion gives the same width,
         # interleaving, right-most leaves and size, for concatenations
-        # of 2 to 4 members, their factorized forms (a frame child) and
-        # nestings of a member's tree as a frame.  A layout's joins are
-        # the built root's predecessors that are not the member's own.
+        # of 2 to 4 members, their factorized forms (an inner block
+        # child) and nestings of a member's tree.  The pattern a layout
+        # builds keeps the layout's root, and a layout's joins are the
+        # root's predecessors that are not the member's own.
         rng = random.Random(44)
         seen: Counter = Counter()
 
-        def check(frame, kind):
-            built = frame.build()
-            placement = place(frame)
-            assert placement == placement_by_expansion(built)
-            assert built.placement == placement_by_expansion(built)
+        def check(root, kind):
+            placement = place(root)
+            assert placement == root.placement == placement_by_expansion(root)
             seen[kind] += 1
             seen[kind, "interleaved"] += placement.interleaved
-            return built
 
         def check_layout(layout, members, kind):
-            built = check(layout.root, kind)
-            pred = built.compiled.pred[: built.placement.size]
+            root = layout.root
+            check(root, kind)
+            assert build_merge(layout, members).tree is root
+            pred = root.compiled.pred[: root.placement.size]
             own = [q.tree.compiled.pred for q in members]
             joins = set()
             for s, t in enumerate(pred[1:], 1):
@@ -551,8 +551,7 @@ class TestMergeLayouts:
             if (factored := factor_layout(concat_layout(pair))) is not None:
                 check_layout(factored, pair, "factorized")
             tree = members[0].tree
-            inner = Frame(tree.r, tree.p, tree.children, tree.distances)
-            check(Frame(rng.randint(2, 4), rng.randint(1, 40), (inner,), (0,)), "nested")
+            check(Block(rng.randint(2, 4), rng.randint(1, 40), (tree,), (0,)), "nested")
         for kind in ("concatenated", "factorized"):
             assert seen[kind] >= 900, seen
             assert seen[kind, "interleaved"] >= 100, seen
@@ -732,6 +731,32 @@ class TestNotation:
     def test_bad_notation_rejected(self, text):
         with pytest.raises(DomainError):
             parse_pattern(text) if "@" in text else parse_tree(text)
+
+
+class TestBlockRecords:
+    # count, placement and compiled are worked out on first read and are
+    # no part of a block's identity.
+    def test_equal_trees_compare_and_hash_alike_read_or_not(self):
+        assert [f.name for f in dataclasses.fields(Block)] == ["r", "p", "children", "distances"]
+        rng = random.Random(45)
+        for _ in range(200):
+            text = format_tree(random_tree(rng, depth=3, leaves=3))
+            read, fresh = parse_tree(text), parse_tree(text)
+            read.count, read.placement, read.compiled
+            assert read == fresh and hash(read) == hash(fresh)
+            assert {read: 1}[fresh] == 1
+            assert fresh.count == read.count
+
+    def test_replace_counts_the_new_block(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            tree = random_tree(rng, depth=3, leaves=3)
+            before = tree.count
+            r = rng.randint(2, 9)
+            grown = dataclasses.replace(tree, r=r)
+            assert grown.count == r * before // tree.r
+            assert grown.count == len(expand_tree(grown)[0])
+            assert tree.count == before
 
 
 class TestBlockValidation:

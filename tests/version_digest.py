@@ -8,8 +8,10 @@ labels, with displaced and spurious occurrences, and one long wobbly
 cycle, whose segmentation scan ends on the range bound's float
 comparisons (``extract_cycles_dp``), and prints the SHA-256
 of every log's ``mine().to_dict()`` (wall clocks removed: each stage's
-report, its ``collection_cost`` totals included), the winning
-collection's ``collection_cost`` total and the log's ``baseline_cost``.
+report, its ``collection_cost`` totals included), its final pool as
+``(notation, cost, provenance)`` per candidate, so a price that moves
+on a candidate no stage selects shows too, the winning collection's
+``collection_cost`` total and the log's ``baseline_cost``.
 Floats are written with ``repr``, so a total that differs in its last
 bit changes the digest.  Every supported Python must print the same
 line.  The script needs nothing outside the standard library and
@@ -65,6 +67,7 @@ def digest() -> str:
         result = mine(seq)
         out = result.to_dict()
         del out["wall_clock_s"]
+        out["final_pool"] = [(c.notation, c.cost, c.provenance) for c in result.pool]
         patterns = [c.pattern for c in result.selection.candidates]
         out["collection_total_bits"] = collection_cost(patterns, seq).total_bits
         out["baseline_bits"] = baseline_cost(SeqStats.from_sequence(seq))
