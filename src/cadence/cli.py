@@ -16,9 +16,10 @@ import argparse
 import json
 import statistics
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from time import perf_counter
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .core import (
     CadenceError,
@@ -34,9 +35,29 @@ from .pattern import parse_pattern
 from .synth import generate, parse_plant_spec, evaluate
 
 
-def _load(path: str, opts: IngestOptions | None = None) -> EventSequence:
-    # utf-8-sig drops the leading byte-order mark that some editors write
+@contextmanager
+def _text(path: str) -> Iterator[TextIO]:
+    """The file opened as UTF-8 text: every input file's one way in.
+
+    ``utf-8-sig`` drops the leading byte-order mark that some editors
+    write.  A byte that is not UTF-8 raises :class:`DomainError` naming
+    the file and the byte's offset in it.
+    """
     with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # a text stream decodes in chunks: exc.start counts from the chunk's start
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole
+            raise DomainError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+
+
+def _load(path: str, opts: IngestOptions | None = None) -> EventSequence:
+    with _text(path) as fh:
         return load_sequence(fh, opts or IngestOptions())
 
 
@@ -136,7 +157,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _read_patterns(path: str):
     patterns = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _text(path) as fh:
         for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -210,7 +231,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_synth_eval(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
-    with open(args.spec, "r", encoding="utf-8") as fh:
+    with _text(args.spec) as fh:
         base = parse_plant_spec(fh.read())
     trials = []
     print(

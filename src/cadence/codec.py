@@ -89,7 +89,10 @@ class SeqStats:
         start = seq.t_start if t_start is None else t_start
         end = seq.t_end if t_end is None else t_end
         if start > seq.t_start or end < seq.t_end:
-            raise DomainError("the time window must contain all occurrences")
+            raise DomainError(
+                f"the time window [{start}, {end}] must contain all occurrences, "
+                f"{seq.t_start} to {seq.t_end}"
+            )
         counts = {e: len(ts) for e, ts in seq.per_event.items()}
         return cls(length=len(seq), t_start=start, t_end=end, counts=counts)
 

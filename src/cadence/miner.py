@@ -246,16 +246,16 @@ def extract_cycles_dp(
     starts other than ``a0`` exceeds ``min(U, bj)`` by more than ``1e-6``
     (the margin covers float rounding), none of them can win or tie:
     ``a0`` takes the row if ``U < bj``, as the full scan would, and the
-    scan ends.  The least is taken by ``min()`` over slices, once the
-    two end starts alone show that it might pass.
+    scan ends.  The least is taken by ``min()`` over slices.
 
-    The stop rule and the range bound need every cycle price inside the
-    window, so they apply only when the timestamps lie in
-    ``[stats.t_start, stats.t_end]``; the range bound also needs ``l >=
-    2``, which then holds from four occurrences on (``l >= log2(span +
-    1)``).  Each rule skips only starts that cannot undercut the kept
-    candidate, and the full scan replaces it only when undercut, so ties
-    still go to the shortest last segment.
+    The stop rule and the range bound hold for cycles inside the window,
+    so timestamps outside ``[stats.t_start, stats.t_end]`` raise
+    :class:`DomainError`.  The range bound's ``l >= 2`` holds wherever
+    it is tried: first at step 8 with ``i - lo >= 8``, so at row ``j >=
+    16``, and seventeen distinct timestamps in the window give ``span >=
+    16``, so ``l >= log2(17) > 2``.  Each rule skips only starts that
+    cannot undercut the kept candidate, and the full scan replaces it
+    only when undercut, so ties still go to the shortest last segment.
 
     Returns the runs of the optimal segmentation that are coded as
     cycles (only those strictly cheaper than leaving their occurrences
@@ -264,6 +264,9 @@ def extract_cycles_dp(
     """
     _require_int("window", window)
     ts = list(timestamps)
+    if ts and not (stats.t_start <= min(ts) and max(ts) <= stats.t_end):
+        where = f"the statistics' window [{stats.t_start}, {stats.t_end}]"
+        raise DomainError(f"timestamps {min(ts)} to {max(ts)} leave {where}")
     n = len(ts)
     if n < 3:
         return []
@@ -274,9 +277,7 @@ def extract_cycles_dp(
     l_res = codec.residual_cost(stats, (ts[0], event))
     price = codec.cycle_pricer(stats, event)
     head = codec.cycle_head_bits(stats, event)
-    bounded = stats.t_start <= ts[0] and ts[-1] <= stats.t_end
-    lam = codec.placement_bits_bound(stats) if bounded else 0.0
-    ranged = bounded and l_res >= 2.0
+    lam = codec.placement_bits_bound(stats)
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     inf = math.inf
 
@@ -294,7 +295,7 @@ def extract_cycles_dp(
         sum_small = sum_large = 0
         t_j = ts[j]
         stop = -1
-        test = 8 if ranged else n  # the next step that tries the range bound
+        test = 8  # the next step that tries the range bound
         a0 = -1  # the previous row's last start, once priced
         for i in range(j - 1, lo - 1, -1):
             x = gaps[i]
@@ -334,10 +335,9 @@ def extract_cycles_dp(
                 aj = cyc_cost < cost
             if i == stop:
                 break
-            if bounded:
-                as_res, as_cyc = k * l_res, 2 * k + dev - lam
-                if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
-                    stop = i - 1
+            as_res, as_cyc = k * l_res, 2 * k + dev - lam
+            if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
+                stop = i - 1
             if k == test and i - lo >= k:
                 test += test >> 1
                 if a0 < 0:
@@ -359,14 +359,11 @@ def extract_cycles_dp(
                 ref = u_cost if u_cost < bj else bj
                 as_res, as_cyc = l_res + (k + 1) * (l_res - 2.0), head + dev + place
                 bound = 2 * j + (as_res if as_res < as_cyc else as_cyc) - 1e-6
-                # the starts at either end bound the least from above: a cheap test first
-                rival = min((net[a] for a in (lo, i - 1) if a != a0), default=inf)
+                rival = min(min(net[lo:a0], default=inf), min(net[a0 + 1:i], default=inf))
                 if rival + bound > ref:
-                    rival = min(min(net[lo:a0], default=inf), min(net[a0 + 1:i], default=inf))
-                    if rival + bound > ref:
-                        if u_cost < bj:
-                            bj, cj, aj = u_cost, a0, u_cyc
-                        break
+                    if u_cost < bj:
+                        bj, cj, aj = u_cost, a0, u_cyc
+                    break
         best[j + 1] = bj
         net[j + 1] = bj - 2 * (j + 1)
         cut[j + 1] = cj
@@ -971,7 +968,7 @@ def combine_horizontally(
         except InvalidPatternError:
             return None
         cost, provenance = _layout_cost(layout, fs, stats, False), "horizontal"
-        factored = factor_layout(layout) if len(fs) == 2 else None
+        factored = factor_layout(layout)
         if factored and (alt := _layout_cost(factored, fs, stats, True)) is not None:
             if cost is None or alt < cost:
                 cost, provenance = alt, "factorized"
@@ -1149,17 +1146,17 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, stats: SeqStats, k: int, numbering: Numbering
-) -> list[Candidate]:
-    """Stage-S candidates of one event, pruned to width ``k``.
+    seq: EventSequence, event: str, stats: SeqStats, numbering: Numbering
+) -> list[tuple[float, int, str, tuple[str, object]]]:
+    """Stage-S winners of one event, as :func:`_build_survivors` entries.
 
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
     indices, are fitted by :func:`fit_period` and priced by the event's
-    :func:`codec.cycle_pricer` (``inf`` when uncodable), the kernel the
-    segmentation prices through.  A chain's cover is its occurrences'
-    positions in ``numbering`` and its notation :func:`format_cycle`'s,
-    and the build site (:func:`_build_survivors`) builds the cycles of
-    those that can survive pruning.
+    :func:`codec.cycle_pricer`.  Each is codable: its occurrences are the
+    event's and lie in the window, where ``p <= p0_max`` reduces to
+    ``last - tau <= span`` and ``tau < t_start + v`` to ``last <= t_end``.
+    A chain's cover is its occurrences' positions in ``numbering`` and
+    its notation :func:`format_cycle`'s.
     """
     ts = seq.per_event[event]
     chains = dict.fromkeys(extract_cycles_dp(ts, event, stats), "dp")
@@ -1174,11 +1171,10 @@ def _stage_one_event(
         p, corrections = fit_period(times)
         r, tau = len(times), times[0]
         cost = price(r, p, tau, times[-1] - tau - (r - 1) * p, sum(map(abs, corrections)))
-        if cost < math.inf:
-            notation = format_cycle(event, r, p, tau, corrections)
-            cover = _bits((at[i] for i in chain), size)
-            winners.append((cost, cover, notation, (provenance, (times, event))))
-    return _build_survivors(winners, k, numbering)
+        notation = format_cycle(event, r, p, tau, corrections)
+        cover = _bits((at[i] for i in chain), size)
+        winners.append((cost, cover, notation, (provenance, (times, event))))
+    return winners
 
 
 def extract_cycles(
@@ -1187,25 +1183,27 @@ def extract_cycles(
     """Stage one: per-event cycle candidates, pruned to width
     ``config.k``, their covers over a new :class:`Numbering` of ``seq``.
 
-    Each event's candidates are pruned on their own: covers of different
-    events are disjoint, so pruning them together would drop nothing, and
-    they are only sorted as :func:`filter_candidates` sorts.
+    ``stats`` must be ``SeqStats.from_sequence(seq, t_start, t_end)``
+    over a window that holds the log, or :class:`DomainError` is raised.
+    Every event's winners (:func:`_stage_one_event`) go to the build site
+    (:func:`_build_survivors`) in one call.
     """
     cfg = config or MiningConfig()
+    if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
+        window = f"[{stats.t_start}, {stats.t_end}]"
+        raise DomainError(f"the statistics over {window} describe another log")
     numbering = Numbering(seq.pairs)
     events = list(seq.alphabet)
 
-    def stage(event: str) -> list[Candidate]:
-        return _stage_one_event(seq, event, stats, cfg.k, numbering)
+    def stage(event: str) -> list[tuple]:
+        return _stage_one_event(seq, event, stats, numbering)
 
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(stage, events))
     else:
         results = [stage(e) for e in events]
-    merged = [c for r in results for c in r]
-    merged.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
-    return merged
+    return _build_survivors([w for r in results for w in r], cfg.k, numbering)
 
 
 def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:

@@ -180,6 +180,51 @@ class TestScore:
         assert err.startswith("cadence:")
 
 
+class TestInputEncoding:
+    # Every input file is read as UTF-8 with an optional byte-order mark;
+    # a byte that is not UTF-8 is a domain error naming the file and the
+    # byte's offset in it.
+    def test_spec_with_a_byte_order_mark(self, tmp_path, capsys):
+        spec = tmp_path / "plant.cfg"
+        spec.write_text(TestSynthEval.SPEC_TEXT, encoding="utf-8-sig")
+        assert spec.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["synth-eval", "--spec", str(spec), "--trials", "1"]) == 0
+        assert "exact recovery: 1/1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["stats", "mine"])
+    def test_log_that_is_not_utf8(self, command, tmp_path, capsys):
+        # The bad byte lies past the first chunk a text stream decodes.
+        head = "".join(f"{t}\ta\n" for t in range(2000)).encode()
+        log = tmp_path / "latin1.tsv"
+        log.write_bytes(head + b"2000\tcaf\xe9\n")
+        assert len(head) > 8192
+        assert main([command, str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cadence: {log}: byte {len(head) + 8}: not UTF-8 (invalid continuation byte)\n"
+        )
+
+    def test_pattern_file_that_is_not_utf8(self, triad_log, tmp_path, capsys):
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_bytes(BRAID_NOTATION.encode() + b"\n# \xff\n")
+        rc = main(["score", triad_log, "--patterns", str(patterns)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"cadence: {patterns}: byte {len(BRAID_NOTATION) + 3}: "
+            "not UTF-8 (invalid start byte)\n"
+        )
+
+    def test_spec_that_is_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "plant.cfg"
+        spec.write_bytes(b"\xef\xbb\xbfbasis=a\n\xff\n")
+        rc = main(["synth-eval", "--spec", str(spec), "--trials", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"cadence: {spec}: byte 11: not UTF-8 (invalid start byte)\n"
+
+
 class TestOneOccurrenceLog:
     # A one-line log has a baseline of 0 bits, which reads as 100%.
     def test_mine(self, tmp_path, capsys):

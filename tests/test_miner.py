@@ -303,26 +303,39 @@ class TestDpStopRule:
         assert got
 
     def test_timestamps_outside_the_stats_window(self):
-        # Cycles that leave the window are unpriceable; the bound does not
-        # apply there and the search stays exhaustive.
+        # The stop rule and the range bound price every cycle inside the
+        # window, so timestamps before or after it are refused, and the
+        # message names the window and the timestamps outside it.
         ts = braid_like(random.Random(11), blocks=12, noise=10)
         stats = SeqStats(
             length=len(ts), t_start=ts[3], t_end=ts[-4], counts={"a": len(ts)}
         )
-        assert extract_cycles_dp(ts, "a", stats) == unpruned_segmentation(
-            ts, "a", stats
-        )
+        for lo, hi in ((ts[3], ts[-4]), (ts[3], ts[-1]), (ts[0], ts[-4])):
+            stats = dataclasses.replace(stats, t_start=lo, t_end=hi)
+            with pytest.raises(DomainError) as raised:
+                extract_cycles_dp(ts, "a", stats)
+            assert str(raised.value) == (
+                f"timestamps {ts[0]} to {ts[-1]} leave the statistics' window [{lo}, {hi}]"
+            )
 
     def test_residual_price_below_two_bits(self):
         # A residual under two bits needs a window narrower than the
-        # timestamps (or three occurrences); the range bound is off there.
+        # timestamps (or three occurrences), and such statistics describe
+        # another log: the segmentation refuses the window, and stage S
+        # refuses the counts even over a window that holds the log.
         ts = wobbly_cycle(random.Random(5), beats=120, wobble=0.2)
         stats = SeqStats(length=1, t_start=ts[0], t_end=ts[0] + 1, counts={"a": 1})
         assert codec.residual_cost(stats, (ts[0], "a")) < 2
         for window in (500, 30):
-            assert extract_cycles_dp(ts, "a", stats, window=window) == unpruned_segmentation(
-                ts, "a", stats, window
-            )
+            with pytest.raises(DomainError, match=r"^timestamps \d+ to \d+ leave"):
+                extract_cycles_dp(ts, "a", stats, window=window)
+        seq = EventSequence.from_pairs((t, "a") for t in ts)
+        wide = dataclasses.replace(stats, t_end=ts[-1])
+        with pytest.raises(DomainError) as raised:
+            extract_cycles(seq, wide)
+        assert str(raised.value) == (
+            f"the statistics over [{ts[0]}, {ts[-1]}] describe another log"
+        )
 
     @pytest.mark.parametrize("n", [8, 40])
     def test_price_floor_is_tight(self, n):
@@ -1020,20 +1033,27 @@ class TestStageSRanking:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_same_candidates_when_the_window_cuts_the_log(self, seed):
-        # Stats narrower than the log: cycles that reach past an edge are
-        # uncodable and must drop out before ranking.
+        # Stats narrower than the log describe another log: stage S
+        # refuses them, naming the window.  The same draws widening the
+        # window instead give valid stats, and the same candidates as
+        # building every cycle.
         rng = random.Random(100 + seed)
         seq = EventSequence.from_pairs(wobbly_log(rng, "ab", 10))
         full = own_stats(seq)
-        stats = dataclasses.replace(
-            full,
-            t_start=full.t_start + rng.randint(5, 40),
-            t_end=full.t_end - rng.randint(5, 40),
+        d_start, d_end = rng.randint(5, 40), rng.randint(5, 40)
+        cut = dataclasses.replace(
+            full, t_start=full.t_start + d_start, t_end=full.t_end - d_end
         )
-        want = build_every_cycle(seq, stats, 3)
-        every = build_every_cycle(seq, stats, 10**6)
-        assert len(every) < len(build_every_cycle(seq, full, 10**6))
-        self.same(extract_cycles(seq, stats, MiningConfig(k=3)), want)
+        window = rf"^the time window \[{cut.t_start}, {cut.t_end}\] must contain"
+        with pytest.raises(DomainError, match=window):
+            extract_cycles(seq, cut, MiningConfig(k=3))
+        wide = SeqStats.from_sequence(
+            seq, max(0, full.t_start - d_start), full.t_end + d_end
+        )
+        self.same(
+            extract_cycles(seq, wide, MiningConfig(k=3)),
+            build_every_cycle(seq, wide, 3),
+        )
 
     def test_logs_hold_duplicates_and_ties(self):
         # The seeded logs above exercise dp/tri duplicate notations and
@@ -1051,6 +1071,24 @@ class TestStageSRanking:
             keys = [(c.efficiency, c.cost) for c in build_every_cycle(seq, stats, 3)]
             ties += len(keys) - len(set(keys))
         assert dupes > 0 and ties > 0
+
+    def test_one_build_site_call_per_log(self, monkeypatch):
+        # Every event's winners reach the build site together, so it and
+        # its pruning run once per log, however many events it holds.
+        calls = Counter()
+        for name in ("_build_survivors", "filter_candidates"):
+            original = getattr(miner, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(miner, name, counting)
+        seq = EventSequence.from_pairs(wobbly_log(random.Random(5), "abcd", 20))
+        assert len(seq.alphabet) == 4
+        out = extract_cycles(seq, own_stats(seq), MiningConfig(k=3))
+        assert {c.pattern.tree.children[0].event for c in out} == set("abcd")
+        assert calls == {"_build_survivors": 1, "filter_candidates": 1}
 
     def test_builds_only_the_survivors(self, monkeypatch):
         built = []

@@ -11,7 +11,11 @@ of every log's ``mine().to_dict()`` (wall clocks removed: each stage's
 report, its ``collection_cost`` totals included), its final pool as
 ``(notation, cost, provenance)`` per candidate, so a price that moves
 on a candidate no stage selects shows too, the winning collection's
-``collection_cost`` total and the log's ``baseline_cost``.
+``collection_cost`` total and the log's ``baseline_cost``.  Stage S is
+hashed on its own too: every event's ``extract_cycles_dp`` runs and the
+``extract_cycles`` candidates as ``(notation, cost, provenance)``, so a
+change to the segmentation or to stage S shows even when no selection
+moves.
 Floats are written with ``repr``, so a total that differs in its last
 bit changes the digest.  Every supported Python must print the same
 line.  The script needs nothing outside the standard library and
@@ -34,6 +38,8 @@ from cadence import (  # noqa: E402
     SeqStats,
     baseline_cost,
     collection_cost,
+    extract_cycles,
+    extract_cycles_dp,
     generate,
     mine,
 )
@@ -70,7 +76,14 @@ def digest() -> str:
         out["final_pool"] = [(c.notation, c.cost, c.provenance) for c in result.pool]
         patterns = [c.pattern for c in result.selection.candidates]
         out["collection_total_bits"] = collection_cost(patterns, seq).total_bits
-        out["baseline_bits"] = baseline_cost(SeqStats.from_sequence(seq))
+        stats = SeqStats.from_sequence(seq)
+        out["baseline_bits"] = baseline_cost(stats)
+        out["dp_runs"] = {
+            e: extract_cycles_dp(seq.per_event[e], e, stats) for e in seq.alphabet
+        }
+        out["stage_s"] = [
+            (c.notation, c.cost, c.provenance) for c in extract_cycles(seq, stats)
+        ]
         h.update(json.dumps(out, sort_keys=True).encode())
     return h.hexdigest()
 
