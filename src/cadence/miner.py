@@ -96,8 +96,12 @@ def _bits(indices: Iterable[int], size: int) -> int:
 
 
 class Numbering:
-    """One numbering of a log's occurrences: bit ``i`` of a cover stands
-    for ``pairs[i]``, the ``i``-th occurrence in ``(t, label)`` order.
+    """One numbering of a log's occurrences, which keeps the log's
+    statistics: bit ``i`` of a cover stands for ``pairs[i]``, the
+    ``i``-th occurrence in ``(t, label)`` order, and ``stats``, which
+    must be ``SeqStats.from_sequence(seq, t_start, t_end)`` over a
+    window that holds the log (or :class:`DomainError` is raised),
+    price every candidate numbered here.
 
     A cover is a Python int over one numbering, so a union is ``|``, a
     size ``int.bit_count()`` and what one cover adds to another ``a &
@@ -106,8 +110,12 @@ class Numbering:
     long as they do, and no module keeps it.
     """
 
-    def __init__(self, pairs: Iterable[tuple[int, str]]) -> None:
-        self.pairs = tuple(sorted(pairs))
+    def __init__(self, seq: EventSequence, stats: SeqStats) -> None:
+        if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
+            window = f"[{stats.t_start}, {stats.t_end}]"
+            raise DomainError(f"the statistics over {window} describe another log")
+        self.stats = stats
+        self.pairs = tuple(sorted(seq.pairs))
         self.index = {o: i for i, o in enumerate(self.pairs)}
 
     def cover(self, pairs: Iterable[tuple[int, str]]) -> int:
@@ -149,7 +157,7 @@ class Candidate:
 
     ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
     occurrences of the log it was mined from; ``numbering.pairs_of(bits)``
-    lists them.
+    lists them, and ``cost`` is its price under ``numbering.stats``.
     """
 
     pattern: Pattern
@@ -600,10 +608,18 @@ def _build_survivors(
 # Combination rounds
 
 
+def _numbering(new: Sequence[Candidate], pool: Sequence[Candidate]) -> Numbering:
+    """The numbering of ``new`` (not empty) and ``pool``; raises
+    :class:`DomainError` when a candidate has another."""
+    numbering = new[0].numbering
+    if any(c.numbering is not numbering for c in (*new, *pool)):
+        raise DomainError("the candidates are numbered over different logs")
+    return numbering
+
+
 def combine_vertically(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
-    stats: SeqStats,
     k: int,
     records: dict[str, "_Member"] | None = None,
 ) -> list[Candidate]:
@@ -617,17 +633,19 @@ def combine_vertically(
     priced from its members' records (:func:`_nest_cost`) and kept when
     it is cheaper than the summed cost of the members it replaces; the
     build site (:func:`_build_survivors`) builds those that can survive
-    pruning.
+    pruning.  The candidates must share one :class:`Numbering`, whose
+    statistics price them, or :class:`DomainError` is raised.
     ``records`` holds the candidates' records by notation, shared by
     every call of one :func:`mine` (:func:`_records`).
     """
     _require_int("k", k)
     if not new:
         return []
+    numbering = _numbering(new, pool)
     by_tree: dict[str, list[_Member]] = {}
-    for q in _records(_dedupe(list(new) + list(pool)), stats, records):
+    for q in _records(_dedupe(list(new) + list(pool)), records):
         by_tree.setdefault(q.key, []).append(q)
-    new_tree_keys = sorted({q.key for q in _records(new, stats, records)})
+    new_tree_keys = sorted({q.key for q in _records(new, records)})
 
     winners: list[tuple[float, int, str, tuple]] = []
     for tree_key in new_tree_keys:
@@ -642,21 +660,21 @@ def combine_vertically(
         tree = by_tau[taus[0]].tree
         zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
-            l_max = codec.pattern_cost(zero, stats).total
-        except (UncodablePatternError, InvalidPatternError, DomainError):
+            l_max = codec.pattern_cost(zero, numbering.stats).total
+        except UncodablePatternError:
             continue
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[taus[i]] for i in chain]
             cover = reduce(or_, (q.cand.bits for q in members))
             if cover.bit_count() < sum(q.tree.count for q in members):
                 continue  # the members share an occurrence
-            cost = _nest_cost(members, stats)
+            cost = _nest_cost(members)
             if cost is None or cost >= codec.add_bits(q.cand.cost for q in members):
                 continue
             winners.append(
                 (cost, cover, "", ("vertical", [q.pattern for q in members]))
             )
-    return _build_survivors(winners, k, new[0].numbering)
+    return _build_survivors(winners, k, numbering)
 
 
 def maximal_cliques(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[int, ...]]:
@@ -723,21 +741,24 @@ class _Member:
     shared by both growths in every round (:func:`_records`), and each
     part is worked out when first read.  ``occurrences`` are the
     corrected ones in traversal order, ``per`` of them in each root
-    repetition, and the first ``fits`` lie in the stats window.
-    ``magnitudes`` are the corrections' ``|E|``, the first occurrence's
-    0, and :meth:`total` sums them over the repetitions a merge keeps.
-    ``slack`` sums ``|E|`` at the root repetitions' boundaries, and
-    ``key`` is the tree's notation.  ``terms`` are the root's children's
-    layout and repetition bits and rarest counts
-    (:func:`codec.child_terms`), and ``inner_terms`` those of its first
-    child's children, the parts of a factorized merge; None when a child
-    is uncodable.  Where a merge's repetition lies is its root block's
-    placement, read off the members' blocks' placements.
+    repetition.  ``magnitudes`` are the corrections' ``|E|``, the first
+    occurrence's 0, and :meth:`total` sums them over the repetitions a
+    merge keeps.  ``slack`` sums ``|E|`` at the root repetitions'
+    boundaries, and ``key`` is the tree's notation.  ``terms`` are the
+    root's children's layout and repetition bits and rarest counts under
+    the numbering's ``stats`` (:func:`codec.child_terms`), and
+    ``inner_terms`` those of its first child's children, the parts of a
+    factorized merge.  Both are codable: a block of ``r`` repetitions
+    whose cover lists each occurrence once, inside the log, holds at
+    least ``r`` occurrences of each of its leaf events, so
+    :func:`codec.block_terms` never finds ``r`` above the rarest count.
+    Where a merge's repetition lies is its root block's placement, read
+    off the members' blocks' placements.
     """
 
-    def __init__(self, cand: Candidate, stats: SeqStats) -> None:
+    def __init__(self, cand: Candidate) -> None:
         self.cand = cand
-        self.stats = stats
+        self.stats = cand.numbering.stats
         self.pattern = cand.pattern
         self.tree = cand.pattern.tree
         self.per = self.tree.count // self.tree.r
@@ -749,18 +770,6 @@ class _Member:
     @cached_property
     def occurrences(self) -> tuple[tuple[int, str], ...]:
         return corrected_occurrences(self.pattern)
-
-    @cached_property
-    def fits(self) -> int:
-        lo, hi = self.stats.t_start, self.stats.t_end
-        bits, pairs = self.cand.bits, self.cand.numbering.pairs
-        first, last = (bits & -bits).bit_length() - 1, bits.bit_length() - 1
-        if lo <= pairs[first][0] and pairs[last][0] <= hi:
-            return self.tree.count
-        return next(
-            (i for i, (t, _) in enumerate(self.occurrences) if not lo <= t <= hi),
-            self.tree.count,
-        )
 
     @cached_property
     def magnitudes(self) -> list[int]:
@@ -776,18 +785,12 @@ class _Member:
         return sum(abs(es[k * per - 1]) for k in range(1, self.tree.r))
 
     @cached_property
-    def terms(self) -> tuple | None:
-        try:
-            return codec.child_terms(self.tree, self.stats)
-        except UncodablePatternError:
-            return None
+    def terms(self) -> tuple:
+        return codec.child_terms(self.tree, self.stats)
 
     @cached_property
-    def inner_terms(self) -> tuple | None:
-        try:
-            return codec.child_terms(self.tree.children[0], self.stats)
-        except UncodablePatternError:
-            return None
+    def inner_terms(self) -> tuple:
+        return codec.child_terms(self.tree.children[0], self.stats)
 
     def kept(self, r: int) -> int:
         """Cover of the first ``r`` repetitions."""
@@ -797,7 +800,7 @@ class _Member:
 
 
 def _records(
-    cands: Iterable[Candidate], stats: SeqStats, records: dict[str, _Member] | None
+    cands: Iterable[Candidate], records: dict[str, _Member] | None
 ) -> list[_Member]:
     """The candidates' records, each built on first use and kept in
     ``records`` by notation (in a fresh dict when None)."""
@@ -807,7 +810,7 @@ def _records(
     for c in cands:
         q = records.get(c.notation)
         if q is None:
-            q = records[c.notation] = _Member(c, stats)
+            q = records[c.notation] = _Member(c)
         out.append(q)
     return out
 
@@ -819,10 +822,11 @@ def _kept(members: Sequence[_Member], r: int) -> int:
 
 
 def _layout_cost(
-    layout: MergeLayout, members: Sequence[_Member], stats: SeqStats, factored: bool
+    layout: MergeLayout, members: Sequence[_Member], factored: bool
 ) -> float | None:
     """Price of the merge that ``layout`` describes over the members,
-    from their records alone; None when it is uncodable.
+    numbered over one log, from their records alone; None when it is
+    uncodable.
 
     The root is priced by :func:`codec.block_cost` from its children's
     terms: the members' ``terms``, or, for a ``factored`` layout, the
@@ -834,7 +838,7 @@ def _layout_cost(
     the members' ``|E|`` totals are summed, and each join's column is
     replaced by its corrections against its new predecessor, repetition
     by repetition.  The merge's occurrences are the members' kept ones,
-    so it lies in the window when they do.
+    so it lies inside the log, as they do.
     """
     root = layout.root
     r, last = root.r, root.r - 1
@@ -842,10 +846,7 @@ def _layout_cost(
     offs, pers, ps = [], [], []
     abs_corrections = 0
     for q in members:
-        part = q.inner_terms if factored else q.terms
-        if part is None or r * q.per > q.fits:
-            return None
-        terms += part
+        terms += q.inner_terms if factored else q.terms
         abs_corrections += q.total(r)
         offs.append(q.pattern.offsets)
         pers.append(q.per)
@@ -870,31 +871,30 @@ def _layout_cost(
         return codec.block_cost(
             root,
             layout.tau,
-            stats,
+            members[0].stats,
             terms=terms,
             last_offset=lasts.__getitem__,
             abs_corrections=abs_corrections,
         )
-    except (UncodablePatternError, DomainError):
+    except UncodablePatternError:
         return None
 
 
-def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
-    """Price of nesting the members, which share one tree and are in
-    start order, under an outer cycle (:func:`grow_vertically`), from
-    their records alone; None when it is uncodable.
+def _nest_cost(members: Sequence[_Member]) -> float | None:
+    """Price of nesting the members, which share one tree, are numbered
+    over one log and are in start order, under an outer cycle
+    (:func:`grow_vertically`), from their records alone; None when it is
+    uncodable.
 
     Root repetition ``k`` is member ``k``, and every occurrence keeps its
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
-    corrections.  The nesting lies in the window when its members do.
+    corrections.  The nesting lies inside the log, as its members do.
     Its root's one child is the members' tree, whose terms the members'
     ``terms`` fold into (:func:`codec.block_terms`), and the root is
     priced before its corrections are solved (:func:`codec.block_cost`).
     """
     first = members[0]
-    if first.terms is None or any(q.fits < q.tree.count for q in members):
-        return None
     p, starts = fit_period([q.cand.tau for q in members])
     shift = sum(starts)
     last = members[-1].pattern.offsets
@@ -903,20 +903,19 @@ def _nest_cost(members: Sequence[_Member], stats: SeqStats) -> float | None:
         return codec.block_cost(
             Block(len(members), p, (tree,), (0,)),
             first.cand.tau,
-            stats,
+            first.stats,
             terms=[codec.block_terms(tree.r, first.terms)],
             last_offset=lambda i: shift + last[i],
             abs_corrections=sum(q.total(q.tree.r) for q in members)
             + sum(map(abs, starts)),
         )
-    except (UncodablePatternError, DomainError):
+    except UncodablePatternError:
         return None
 
 
 def combine_horizontally(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
-    stats: SeqStats,
     k: int,
     records: dict[str, _Member] | None = None,
 ) -> list[Candidate]:
@@ -938,16 +937,17 @@ def combine_horizontally(
     (over :func:`factor_layout`), and the cheaper form strictly wins.  The
     build site (:func:`_build_survivors`) builds, in their priced form,
     the merges that can survive pruning.  The result is what building
-    every merge and then pruning gives.  ``records`` is as in
-    :func:`combine_vertically`.
+    every merge and then pruning gives.  The candidates and ``records``
+    are as in :func:`combine_vertically`.
     """
     _require_int("k", k)
     if not new:
         return []
+    numbering = _numbering(new, pool)
     merged = _dedupe(list(new) + list(pool))
     new_keys = {c.notation for c in new}
     cands = sorted(merged, key=lambda c: (c.tau, c.notation))
-    recs = _records(cands, stats, records)
+    recs = _records(cands, records)
     taus = [c.tau for c in cands]
     periods = [q.tree.p for q in recs]
     lengths = [q.tree.r for q in recs]
@@ -967,9 +967,9 @@ def combine_horizontally(
             layout = concat_layout([q.pattern for q in fs])
         except InvalidPatternError:
             return None
-        cost, provenance = _layout_cost(layout, fs, stats, False), "horizontal"
+        cost, provenance = _layout_cost(layout, fs, False), "horizontal"
         factored = factor_layout(layout)
-        if factored and (alt := _layout_cost(factored, fs, stats, True)) is not None:
+        if factored and (alt := _layout_cost(factored, fs, True)) is not None:
             if cost is None or alt < cost:
                 cost, provenance = alt, "factorized"
         if cost is None:
@@ -1001,7 +1001,7 @@ def combine_horizontally(
             total = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.bits | b.bits) & ~cover
-                total += codec.residual_bits(stats, a.numbering.labels(left_out))
+                total += codec.residual_bits(numbering.stats, numbering.labels(left_out))
             if total < a.cost + b.cost:
                 winners.append(priced)
                 adj[ia].add(ib)
@@ -1016,7 +1016,7 @@ def combine_horizontally(
         for clique in cliques:
             if len(clique) >= 3 and (priced := price([recs[i] for i in clique])):
                 winners.append(priced)
-    return _build_survivors(winners, k, new[0].numbering)
+    return _build_survivors(winners, k, numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,18 +1146,19 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, stats: SeqStats, numbering: Numbering
+    seq: EventSequence, event: str, numbering: Numbering
 ) -> list[tuple[float, int, str, tuple[str, object]]]:
     """Stage-S winners of one event, as :func:`_build_survivors` entries.
 
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
     indices, are fitted by :func:`fit_period` and priced by the event's
     :func:`codec.cycle_pricer`.  Each is codable: its occurrences are the
-    event's and lie in the window, where ``p <= p0_max`` reduces to
-    ``last - tau <= span`` and ``tau < t_start + v`` to ``last <= t_end``.
-    A chain's cover is its occurrences' positions in ``numbering`` and
-    its notation :func:`format_cycle`'s.
+    event's and lie in the window of ``numbering.stats``, where ``p <=
+    p0_max`` reduces to ``last - tau <= span`` and ``tau < t_start + v``
+    to ``last <= t_end``.  A chain's cover is its occurrences' positions
+    in ``numbering`` and its notation :func:`format_cycle`'s.
     """
+    stats = numbering.stats
     ts = seq.per_event[event]
     chains = dict.fromkeys(extract_cycles_dp(ts, event, stats), "dp")
     for chain in extract_cycles_tri(ts, codec.extension_margin(stats)):
@@ -1183,20 +1184,17 @@ def extract_cycles(
     """Stage one: per-event cycle candidates, pruned to width
     ``config.k``, their covers over a new :class:`Numbering` of ``seq``.
 
-    ``stats`` must be ``SeqStats.from_sequence(seq, t_start, t_end)``
-    over a window that holds the log, or :class:`DomainError` is raised.
-    Every event's winners (:func:`_stage_one_event`) go to the build site
+    ``stats`` must describe ``seq``, as :class:`Numbering` requires, or
+    :class:`DomainError` is raised.  Every event's winners
+    (:func:`_stage_one_event`) go to the build site
     (:func:`_build_survivors`) in one call.
     """
     cfg = config or MiningConfig()
-    if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
-        window = f"[{stats.t_start}, {stats.t_end}]"
-        raise DomainError(f"the statistics over {window} describe another log")
-    numbering = Numbering(seq.pairs)
+    numbering = Numbering(seq, stats)
     events = list(seq.alphabet)
 
     def stage(event: str) -> list[tuple]:
-        return _stage_one_event(seq, event, stats, numbering)
+        return _stage_one_event(seq, event, numbering)
 
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -1235,8 +1233,8 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     for round_no in range(cfg.max_rounds):
         if not v_in and not h_in:
             break
-        v_new = combine_vertically(h_in, accum, stats, cfg.k, records)
-        h_new = combine_horizontally(v_in, accum, stats, cfg.k, records)
+        v_new = combine_vertically(h_in, accum, cfg.k, records)
+        h_new = combine_horizontally(v_in, accum, cfg.k, records)
         accum = _dedupe(accum + v_in + h_in)
         v_in = [c for c in v_new if c.notation not in seen]
         seen.update(c.notation for c in v_in)

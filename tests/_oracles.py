@@ -109,13 +109,13 @@ def cover_pairs(candidate) -> frozenset[tuple[int, str]]:
     return frozenset(candidate.numbering.pairs_of(candidate.bits))
 
 
-def make_candidate(p: Pattern, stats: SeqStats, provenance: str, numbering: Numbering):
-    """Build a candidate by pricing a built pattern through the encoder,
-    its cover over ``numbering``; None when it cannot be transmitted.
-    The miner prices before it builds; this is the reference it is
-    checked against."""
+def make_candidate(p: Pattern, provenance: str, numbering: Numbering):
+    """Build a candidate by pricing a built pattern through the encoder
+    against ``numbering.stats``, its cover over ``numbering``; None when
+    it cannot be transmitted.  The miner prices before it builds; this is
+    the reference it is checked against."""
     try:
-        cost = codec.pattern_cost(p, stats).total
+        cost = codec.pattern_cost(p, numbering.stats).total
         cover = frozenset(corrected_occurrences(p))
     except (UncodablePatternError, InvalidPatternError, DomainError):
         return None
@@ -352,7 +352,7 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
     once over all events.
     """
     merged = []
-    numbering = Numbering(seq.pairs)
+    numbering = Numbering(seq, stats)
     for event in seq.alphabet:
         ts = list(seq.per_event[event])
         tagged = [("dp", c) for c in extract_cycles_dp(ts, event, stats)]
@@ -360,14 +360,14 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
             ("tri", c) for c in extract_cycles_tri(ts, codec.extension_margin(stats))
         ]
         built = [
-            make_candidate(fit_cycle([ts[i] for i in c], event), stats, prov, numbering)
+            make_candidate(fit_cycle([ts[i] for i in c], event), prov, numbering)
             for prov, c in tagged
         ]
         merged += _dedupe(c for c in built if c is not None)
     return filter_candidates(merged, k)
 
 
-def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
+def build_every_nesting(new, pool, k: int) -> list:
     """Vertical combination building every chain's nesting.
 
     The candidates over each tree of a new candidate, the cheapest (then
@@ -375,7 +375,9 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
     the zero-correction instance's price as tolerance.  Every chain's
     nesting is built and priced, and kept when it lists each occurrence
     once (:func:`lists_once`), covers its members' union and beats their
-    summed cost; width-``k`` pruning runs once at the end.
+    summed cost; width-``k`` pruning runs once at the end.  Every
+    candidate is priced against the statistics of the log it is numbered
+    over.
     """
     merged = _dedupe(list(new) + list(pool))
     by_tree: dict[str, list] = {}
@@ -394,7 +396,7 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
         tree = by_tau[taus[0]].pattern.tree
         zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
-            l_max = codec.pattern_cost(zero, stats).total
+            l_max = codec.pattern_cost(zero, by_tau[taus[0]].numbering.stats).total
         except (UncodablePatternError, DomainError):
             continue
         for chain in extract_cycles_tri(taus, l_max):
@@ -403,7 +405,7 @@ def build_every_nesting(new, pool, stats: SeqStats, k: int) -> list:
                 grown = grow_vertically([m.pattern for m in members])
             except (DomainError, InvalidPatternError):
                 continue
-            cand = make_candidate(grown, stats, "vertical", members[0].numbering)
+            cand = make_candidate(grown, "vertical", members[0].numbering)
             if cand is None or not lists_once(cand):
                 continue
             if cover_pairs(cand) != frozenset().union(*map(cover_pairs, members)):
@@ -672,7 +674,7 @@ def lists_once(cand) -> bool:
     return len(set(listed)) == len(listed)
 
 
-def cheapest_merge(members, stats: SeqStats):
+def cheapest_merge(members):
     """The members' concatenation built, or its factorized form built when
     that is strictly cheaper; None when neither can be transmitted or the
     one built lists an occurrence twice."""
@@ -681,33 +683,36 @@ def cheapest_merge(members, stats: SeqStats):
     except (DomainError, InvalidPatternError):
         return None
     numbering = members[0].numbering
-    best = make_candidate(plain, stats, "horizontal", numbering)
+    best = make_candidate(plain, "horizontal", numbering)
     factored = factorize(plain)
     if factored is not None:
-        alt = make_candidate(factored, stats, "factorized", numbering)
+        alt = make_candidate(factored, "factorized", numbering)
         if alt is not None and (best is None or alt.cost < best.cost):
             best = alt
     return best if best is not None and lists_once(best) else None
 
 
-def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
+def build_every_merge(new, pool, k: int) -> list:
     """Horizontal combination building every admissible pair merge.
 
     Each pair from :func:`slack_pairs` is built and priced, kept when it
     lists each occurrence once (:func:`lists_once`) and beats its
     members, and every maximal clique of the kept pairs is merged whole
     under the same rule; width-``k`` pruning runs once at the end.
+    Every candidate is priced against the statistics of the log it is
+    numbered over.
     """
     out = []
     adj: dict[int, set[int]] = {}
     cands: list = []
     for ia, ib, cands in slack_pairs(new, pool):
         a, b = cands[ia], cands[ib]
-        cand = cheapest_merge([a, b], stats)
+        cand = cheapest_merge([a, b])
         if cand is None:
             continue
         left_out = (cover_pairs(a) | cover_pairs(b)) - cover_pairs(cand)
-        if cand.cost + residual_bits(stats, label_counts(left_out)) < a.cost + b.cost:
+        residual = residual_bits(a.numbering.stats, label_counts(left_out))
+        if cand.cost + residual < a.cost + b.cost:
             out.append(cand)
             adj.setdefault(ia, set()).add(ib)
             adj.setdefault(ib, set()).add(ia)
@@ -718,7 +723,7 @@ def build_every_merge(new, pool, stats: SeqStats, k: int) -> list:
             cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:
             if len(clique) >= 3:
-                cand = cheapest_merge([cands[i] for i in clique], stats)
+                cand = cheapest_merge([cands[i] for i in clique])
                 if cand is not None:
                     out.append(cand)
     return filter_candidates(out, k)

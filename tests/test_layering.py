@@ -351,6 +351,13 @@ def test_miner_fits_a_cycle_only_at_the_build_site():
     assert enclosing_functions(source, "fit_cycle") == ["_grow"]
 
 
+def test_miner_checks_a_logs_statistics_in_one_place():
+    # A log's numbering owns its statistics: it alone checks that they
+    # describe the log, and ``mine`` builds them.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    assert enclosing_functions(source, "from_sequence") == ["Numbering", "mine"]
+
+
 def test_export_list_is_the_imported_names():
     # ``from cadence import *`` binds exactly what ``__init__`` imports:
     # a removed name cannot linger in ``__all__``, nor an import be left

@@ -97,8 +97,9 @@ def own_stats(seq: EventSequence) -> SeqStats:
     return SeqStats.from_sequence(seq)
 
 
-# The occurrences that random trees over a, b and c can reach.
-WIDE = Numbering((t, e) for t in range(1024) for e in "abc")
+def numbered(seq: EventSequence, stats: SeqStats | None = None) -> Numbering:
+    """A numbering of the log, priced by its own statistics or ``stats``."""
+    return Numbering(seq, stats or own_stats(seq))
 
 
 class TestExtractCyclesDp:
@@ -519,7 +520,7 @@ class TestTriSkipsRetracedWalks:
 
 
 # Every stub covers some of the first twelve ticks of a.
-STUBBED = Numbering((t, "a") for t in range(12))
+STUBBED = numbered(EventSequence.from_pairs((t, "a") for t in range(12)))
 
 
 def _stub_candidate(cover, cost, notation):
@@ -625,18 +626,17 @@ class TestWithinK:
 
 class TestCombineVertically:
     def _burst_candidates(self, dozen_a_seq):
-        stats = own_stats(dozen_a_seq)
         patterns = [
             parse_pattern("[r=4 p=2](a) @ tau=2 E=[1,0,-1]"),
             parse_pattern("[r=4 p=2](a) @ tau=13 E=[0,3,-1]"),
             parse_pattern("[r=4 p=2](a) @ tau=26 E=[1,1,-1]"),
         ]
-        numbering = Numbering(dozen_a_seq.pairs)
-        return [make_candidate(p, stats, "dp", numbering) for p in patterns]
+        numbering = numbered(dozen_a_seq)
+        return [make_candidate(p, "dp", numbering) for p in patterns]
 
     def test_three_bursts_nest(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)
-        out = combine_vertically(members, [], own_stats(dozen_a_seq), k=3)
+        out = combine_vertically(members, [], k=3)
         nested = [c for c in out if c.pattern.tree.r == 3]
         assert nested, "expected a nested candidate"
         best = nested[0]
@@ -649,48 +649,42 @@ class TestCombineVertically:
 
     def test_members_may_come_from_the_pool(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)
-        out = combine_vertically(
-            members[:1], members[1:], own_stats(dozen_a_seq), k=3
-        )
+        out = combine_vertically(members[:1], members[1:], k=3)
         assert any(c.pattern.tree.r == 3 for c in out)
 
     def test_two_instances_are_not_enough(self, dozen_a_seq):
         members = self._burst_candidates(dozen_a_seq)[:2]
-        assert combine_vertically(members, [], own_stats(dozen_a_seq), k=3) == []
+        assert combine_vertically(members, [], k=3) == []
 
     def test_irregular_starts_make_no_chain(self):
         seq = EventSequence.from_pairs(
             [(t, "a") for t in (0, 2, 4, 6, 50, 52, 54, 56, 61, 63, 65, 67)]
         )
-        stats, numbering = own_stats(seq), Numbering(seq.pairs)
+        numbering = numbered(seq)
         members = [
             make_candidate(
-                parse_pattern(f"[r=4 p=2](a) @ tau={t} E=[0,0,0]"),
-                stats,
-                "dp",
-                numbering,
+                parse_pattern(f"[r=4 p=2](a) @ tau={t} E=[0,0,0]"), "dp", numbering
             )
             for t in (0, 50, 61)
         ]
         # start deviations |11 - 50| far exceed one zero-correction
         # instance cost, so no triple is admissible
-        assert combine_vertically(members, [], stats, k=3) == []
+        assert combine_vertically(members, [], k=3) == []
 
 
 class TestCombineHorizontally:
     def _track_candidates(self, triad_seq):
-        stats = own_stats(triad_seq)
         cycles = [
             fit_cycle((2, 13, 26), "b"),
             fit_cycle((5, 18, 30), "a"),
             fit_cycle((7, 21, 31), "c"),
         ]
-        numbering = Numbering(triad_seq.pairs)
-        return [make_candidate(c, stats, "tri", numbering) for c in cycles]
+        numbering = numbered(triad_seq)
+        return [make_candidate(c, "tri", numbering) for c in cycles]
 
     def test_three_tracks_merge_into_one_braid(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
+        out = combine_horizontally(members, [], k=3)
         full = [c for c in out if c.bits.bit_count() == 9]
         assert full, "expected a candidate covering all nine occurrences"
         braid = full[0]
@@ -700,36 +694,36 @@ class TestCombineHorizontally:
 
     def test_pairwise_merges_also_emitted(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        out = combine_horizontally(members, [], own_stats(triad_seq), k=3)
+        out = combine_horizontally(members, [], k=3)
         sizes = {c.bits.bit_count() for c in out}
         assert 6 in sizes
 
     def test_requires_a_new_member(self, triad_seq):
         members = self._track_candidates(triad_seq)
-        assert combine_horizontally([], members, own_stats(triad_seq), k=3) == []
+        assert combine_horizontally([], members, k=3) == []
 
     def test_far_apart_starts_are_not_paired(self):
         seq = EventSequence.from_pairs(
             [(t, "x") for t in (0, 10, 20)] + [(t, "y") for t in (100, 110, 120)]
         )
-        stats, numbering = own_stats(seq), Numbering(seq.pairs)
+        numbering = numbered(seq)
         members = [
-            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri", numbering),
-            make_candidate(fit_cycle((100, 110, 120), "y"), stats, "tri", numbering),
+            make_candidate(fit_cycle((0, 10, 20), "x"), "tri", numbering),
+            make_candidate(fit_cycle((100, 110, 120), "y"), "tri", numbering),
         ]
-        assert combine_horizontally(members, [], stats, k=3) == []
+        assert combine_horizontally(members, [], k=3) == []
 
     def test_period_mismatch_blocks_the_pair(self):
         seq = EventSequence.from_pairs(
             [(t, "x") for t in (0, 10, 20)] + [(t, "y") for t in (3, 20, 37)]
         )
-        stats, numbering = own_stats(seq), Numbering(seq.pairs)
+        numbering = numbered(seq)
         members = [
-            make_candidate(fit_cycle((0, 10, 20), "x"), stats, "tri", numbering),
-            make_candidate(fit_cycle((3, 20, 37), "y"), stats, "tri", numbering),
+            make_candidate(fit_cycle((0, 10, 20), "x"), "tri", numbering),
+            make_candidate(fit_cycle((3, 20, 37), "y"), "tri", numbering),
         ]
         # periods 10 vs 17 with zero slack in the later member
-        assert combine_horizontally(members, [], stats, k=3) == []
+        assert combine_horizontally(members, [], k=3) == []
 
     def test_cheaper_factorized_merge_replaces_the_plain_one(self):
         patterns = [
@@ -739,10 +733,9 @@ class TestCombineHorizontally:
         seq = EventSequence.from_pairs(
             [pair for p in patterns for pair in pattern_occurrences(p)]
         )
-        stats = own_stats(seq)
-        numbering = Numbering(seq.pairs)
-        members = [make_candidate(p, stats, "test", numbering) for p in patterns]
-        out = combine_horizontally(members, [], stats, k=3)
+        numbering = numbered(seq)
+        members = [make_candidate(p, "test", numbering) for p in patterns]
+        out = combine_horizontally(members, [], k=3)
         assert [(c.provenance, c.notation) for c in out] == [
             (
                 "factorized",
@@ -752,13 +745,50 @@ class TestCombineHorizontally:
         assert out[0].cost == approx_bits(63.675)
 
 
+class TestOneLogPerGrowth:
+    # A numbering carries the statistics of the log it numbers, and
+    # growth prices every candidate with them, so it refuses candidates
+    # numbered over another log.
+    @staticmethod
+    def logs():
+        x = [(t, "x") for t in (0, 10, 20)]
+        y = [(t, "y") for t in (2, 12, 22)]
+        z = [(t, "z") for t in (3, 13, 23)]
+        return EventSequence.from_pairs(x + y), EventSequence.from_pairs(x + y + z)
+
+    def test_numbering_keeps_the_statistics_of_its_log(self):
+        log_a, log_b = self.logs()
+        stats = SeqStats.from_sequence(log_a, 0, 30)
+        assert Numbering(log_a, stats).stats is stats
+        with pytest.raises(DomainError) as raised:
+            Numbering(log_a, dataclasses.replace(own_stats(log_b), t_start=0, t_end=30))
+        assert str(raised.value) == "the statistics over [0, 30] describe another log"
+        with pytest.raises(DomainError, match=r"^the time window \[1, 30\] must contain"):
+            Numbering(log_a, dataclasses.replace(stats, t_start=1))
+
+    @pytest.mark.parametrize("grow", [combine_vertically, combine_horizontally])
+    def test_growth_refuses_a_candidate_numbered_over_another_log(self, grow):
+        log_a, log_b = self.logs()
+        over_a, over_b = numbered(log_a), numbered(log_b)
+        x_a = make_candidate(fit_cycle((0, 10, 20), "x"), "tri", over_a)
+        y_a = make_candidate(fit_cycle((2, 12, 22), "y"), "tri", over_a)
+        y_b = make_candidate(fit_cycle((2, 12, 22), "y"), "tri", over_b)
+        if grow is combine_horizontally:
+            assert [c.notation for c in grow([x_a], [y_a], 3)] == [
+                "[r=3 p=10](x [d=2] y) @ tau=0 E=[0,0,0,0,0]"
+            ]
+        for new, pool in (([x_a], [y_b]), ([y_b], [x_a]), ([x_a, y_b], [])):
+            with pytest.raises(DomainError) as raised:
+                grow(new, pool, 3)
+            assert str(raised.value) == "the candidates are numbered over different logs"
+
+
 class TestGreedyCover:
     def test_braid_alone_is_selected(self, triad_seq, triad_stats):
         braid = make_candidate(
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
-            triad_stats,
             "test",
-            Numbering(triad_seq.pairs),
+            numbered(triad_seq, triad_stats),
         )
         selection = greedy_cover([braid], triad_seq, triad_stats)
         assert [c.notation for c in selection.candidates] == [braid.notation]
@@ -768,12 +798,11 @@ class TestGreedyCover:
     def test_redundant_subset_candidate_is_skipped(self, triad_seq, triad_stats):
         braid = make_candidate(
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
-            triad_stats,
             "test",
-            Numbering(triad_seq.pairs),
+            numbered(triad_seq, triad_stats),
         )
         sub = make_candidate(
-            fit_cycle((2, 13, 26), "b"), triad_stats, "test", Numbering(triad_seq.pairs)
+            fit_cycle((2, 13, 26), "b"), "test", numbered(triad_seq, triad_stats)
         )
         selection = greedy_cover([braid, sub], triad_seq, triad_stats)
         assert [c.notation for c in selection.candidates] == [braid.notation]
@@ -789,10 +818,7 @@ class TestGreedyCover:
     def test_not_cost_effective_candidate_rejected(self, dozen_a_seq, dozen_a_stats):
         # one 4-occurrence burst costs more than its four residuals
         burst = make_candidate(
-            fit_cycle((2, 5, 7, 8), "a"),
-            dozen_a_stats,
-            "test",
-            Numbering(dozen_a_seq.pairs),
+            fit_cycle((2, 5, 7, 8), "a"), "test", numbered(dozen_a_seq, dozen_a_stats)
         )
         selection = greedy_cover([burst], dozen_a_seq, dozen_a_stats)
         assert selection.candidates == ()
@@ -801,13 +827,13 @@ class TestGreedyCover:
 def random_pool(rng: random.Random, seq: EventSequence, stats: SeqStats):
     """Cycles over random runs of the log, repriced so ratios tie often."""
     pool = []
-    numbering = Numbering(seq.pairs)
+    numbering = numbered(seq, stats)
     for _ in range(rng.randint(5, 40)):
         event = rng.choice(sorted(seq.per_event))
         ts = seq.per_event[event]
         i = rng.randrange(len(ts) - 3)
         run = ts[i : i + rng.randint(3, min(12, len(ts) - i))]
-        cand = make_candidate(fit_cycle(run, event), stats, "test", numbering)
+        cand = make_candidate(fit_cycle(run, event), "test", numbering)
         if cand is None:
             continue
         # per-occurrence prices around the residual price (10.5-11.2
@@ -851,10 +877,10 @@ class TestLazyGreedy:
 
     def test_equal_ratios_break_by_cost_then_notation(self):
         seq = EventSequence.from_pairs((t, "a") for t in range(0, 61, 3))
-        stats, numbering = own_stats(seq), Numbering(seq.pairs)
+        stats, numbering = own_stats(seq), numbered(seq)
 
         def priced(ts, cost, notation):
-            cand = make_candidate(fit_cycle(ts, "a"), stats, "test", numbering)
+            cand = make_candidate(fit_cycle(ts, "a"), "test", numbering)
             return dataclasses.replace(cand, cost=cost, notation=notation)
 
         pool = [
@@ -922,7 +948,7 @@ class TestWidthArguments:
     @pytest.mark.parametrize("k", BAD)
     def test_combine_rejects_k(self, grow, k):
         with pytest.raises(DomainError, match=r"^k must be an int >= 1"):
-            grow([], self.Untouched(), self.STATS, k)
+            grow([], self.Untouched(), k)
 
     @pytest.mark.parametrize("window", BAD)
     def test_extract_cycles_dp_rejects_window(self, window):
@@ -931,8 +957,8 @@ class TestWidthArguments:
 
     def test_least_width_is_accepted(self):
         assert filter_candidates([], 1) == []
-        assert combine_vertically([], [], self.STATS, 1) == []
-        assert combine_horizontally([], [], self.STATS, 1) == []
+        assert combine_vertically([], [], 1) == []
+        assert combine_horizontally([], [], 1) == []
         stats = SeqStats(length=5, t_start=0, t_end=28, counts={"a": 5})
         assert extract_cycles_dp([0, 7, 14, 21, 28], "a", stats, window=1) == []
 
@@ -1182,9 +1208,51 @@ def shaped_log(shape: str, seed: int) -> EventSequence:
     return braid_log(seed)
 
 
-def random_member(rng: random.Random, stats: SeqStats):
-    """A candidate over a random tree (sometimes one nested block, so
-    that pairs can factorize), near period 10 and start 0..15."""
+def loggable(pattern: Pattern) -> bool:
+    """Whether every occurrence of the pattern lies at time 0 or later,
+    where a log can hold it."""
+    try:
+        corrected_occurrences(pattern)
+    except InvalidPatternError:
+        return False
+    return True
+
+
+def pattern_log(patterns) -> EventSequence:
+    """The log that the patterns' occurrences make."""
+    return EventSequence.from_pairs(o for p in patterns for o in corrected_occurrences(p))
+
+
+def widened(seq: EventSequence, lo: int, hi: int) -> Numbering:
+    """A numbering of the log, priced by its own statistics over the
+    window ``[lo, hi]`` widened to hold it."""
+    stats = SeqStats.from_sequence(seq, min(lo, seq.t_start), max(hi, seq.t_end))
+    return Numbering(seq, stats)
+
+
+def refuses(seq: EventSequence, lo: int, hi: int) -> bool:
+    """Whether the log leaves the window ``[lo, hi]``, after checking
+    that a numbering then refuses the log's counts over that window,
+    naming it."""
+    if lo <= seq.t_start and seq.t_end <= hi:
+        return False
+    cut = dataclasses.replace(own_stats(seq), t_start=lo, t_end=hi)
+    with pytest.raises(DomainError, match=rf"^the time window \[{lo}, {hi}\] must contain"):
+        Numbering(seq, cut)
+    return True
+
+
+def priced_over(patterns, numbering: Numbering) -> list:
+    """The candidates of the patterns that can be transmitted in the log
+    ``numbering`` numbers, in order."""
+    cands = (make_candidate(p, "test", numbering) for p in patterns)
+    return [c for c in cands if c is not None]
+
+
+def random_member(rng: random.Random):
+    """A pattern over a random tree (sometimes one nested block, so that
+    pairs can factorize), near period 10 and start 0..15; None when the
+    draw is invalid or reaches before time 0."""
     if rng.random() < 0.3:
         inner = Block(r=3, p=3, children=(Leaf(rng.choice("abc")),), distances=(0,))
         tree = Block(r=rng.randint(2, 3), p=10, children=(inner,), distances=(0,))
@@ -1197,13 +1265,13 @@ def random_member(rng: random.Random, stats: SeqStats):
         pattern = Pattern(tree=tree, tau=rng.randint(0, 15), corrections=corrections)
     except InvalidPatternError:
         return None
-    return make_candidate(pattern, stats, "test", WIDE)
+    return pattern if loggable(pattern) else None
 
 
-def factorizable_pair(rng: random.Random, stats: SeqStats):
-    """Two candidates, in merge order, whose roots each hold one block of
+def factorizable_pair(rng: random.Random):
+    """Two patterns, in merge order, whose roots each hold one block of
     the same ``(r, p)`` over random children: their merge may factorize.
-    None when a draw is invalid or uncodable."""
+    None when a draw is invalid."""
     r, p = rng.randint(2, 3), rng.randint(2, 6)
     members = []
     for _ in range(2):
@@ -1224,22 +1292,21 @@ def factorizable_pair(rng: random.Random, stats: SeqStats):
             )
         except InvalidPatternError:
             return None
-        members.append(make_candidate(pattern, stats, "test", WIDE))
-    if None in members:
+        members.append(pattern)
+    if not all(map(loggable, members)):
         return None
-    return sorted(members, key=lambda c: (c.tau, format_tree(c.pattern.tree)))
+    return sorted(members, key=lambda p: (p.tau, format_tree(p.tree)))
 
 
-def random_merge_pool(rng: random.Random) -> tuple[list, SeqStats]:
-    """Candidates priced in a wide window, and a narrower window to
-    combine them in: merges that reach past its edges are uncodable."""
-    counts = {"a": 60, "b": 60, "c": 60}
-    wide = SeqStats(length=180, t_start=0, t_end=200, counts=counts)
-    cands = [random_member(rng, wide) for _ in range(14)]
-    stats = dataclasses.replace(
-        wide, t_start=rng.randint(0, 4), t_end=rng.randint(40, 60)
-    )
-    return [c for c in cands if c is not None], stats
+def random_merge_pool(rng: random.Random) -> tuple[list, EventSequence, tuple[int, int]]:
+    """Candidates over random trees, numbered over the log that their
+    occurrences make; that log; and a window ``[lo, hi]`` drawn to cut
+    it, to which the log's own statistics are widened where it is
+    wider."""
+    patterns = [p for p in (random_member(rng) for _ in range(14)) if p is not None]
+    lo, hi = rng.randint(0, 4), rng.randint(40, 60)
+    seq = pattern_log(patterns)
+    return priced_over(patterns, widened(seq, lo, hi)), seq, (lo, hi)
 
 
 def laid_out_merges(a: Pattern, b: Pattern) -> list:
@@ -1257,19 +1324,19 @@ def laid_out_merges(a: Pattern, b: Pattern) -> list:
     return forms
 
 
-def record_price(layout, records, stats, factored: bool):
+def record_price(layout, records, factored: bool):
     """``(cost, cover)`` of a merge priced from its members' records;
     None when it is uncodable."""
-    cost = miner._layout_cost(layout, records, stats, factored)
+    cost = miner._layout_cost(layout, records, factored)
     return None if cost is None else (cost, miner._kept(records, layout.root.r))
 
 
 def pair_kinds(calls) -> Counter:
-    """What the slack-passing pairs of recorded ``(new, pool, stats)``
-    calls are: merges that fail, are uncodable, leave occurrences out,
+    """What the slack-passing pairs of recorded ``(new, pool)`` calls
+    are: merges that fail, are uncodable, leave occurrences out,
     interleave, start together or may factorize."""
     kinds: Counter = Counter()
-    for new, pool, stats in calls:
+    for new, pool in calls:
         kinds["empty new"] += not new
         for ia, ib, cands in slack_pairs(new, pool):
             a, b = cands[ia], cands[ib]
@@ -1278,7 +1345,7 @@ def pair_kinds(calls) -> Counter:
             except InvalidPatternError:
                 kinds["negative distance"] += 1
                 continue
-            cand = make_candidate(merged, stats, "test", a.numbering)
+            cand = make_candidate(merged, "test", a.numbering)
             if cand is None:
                 kinds["uncodable"] += 1
                 continue
@@ -1303,9 +1370,9 @@ class TestHorizontalPricing:
         calls = []
         original = miner.combine_horizontally
 
-        def recording(new, pool, stats, k, records=None):
-            calls.append((list(new), list(pool), stats))
-            return original(new, pool, stats, k, records)
+        def recording(new, pool, k, records=None):
+            calls.append((list(new), list(pool)))
+            return original(new, pool, k, records)
 
         monkeypatch.setattr(miner, "combine_horizontally", recording)
         mine(seq)
@@ -1316,11 +1383,11 @@ class TestHorizontalPricing:
     @pytest.mark.parametrize("seed", range(3))
     def test_same_candidates_as_building_every_merge(self, monkeypatch, shape, seed):
         calls = self.recorded_calls(monkeypatch, shaped_log(shape, seed))
-        for new, pool, stats in calls:
+        for new, pool in calls:
             for k in (1, 2, 3):
                 self.same(
-                    combine_horizontally(new, pool, stats, k),
-                    build_every_merge(new, pool, stats, k),
+                    combine_horizontally(new, pool, k),
+                    build_every_merge(new, pool, k),
                 )
 
     def test_mined_logs_hold_every_kind_of_pair(self, monkeypatch):
@@ -1334,73 +1401,75 @@ class TestHorizontalPricing:
 
     def test_same_candidates_on_random_pools(self):
         # Random trees reach the pairs that mining the small logs above
-        # does not: negative connecting distances, and merges that the
-        # narrower window makes uncodable.
+        # does not, such as negative connecting distances.  Each draw's
+        # log is made of its members' occurrences; statistics over the
+        # window drawn to cut it are refused.
         rng = random.Random(31)
-        calls = []
+        calls, refused = [], 0
         for _ in range(40):
-            cands, stats = random_merge_pool(rng)
+            cands, seq, (lo, hi) = random_merge_pool(rng)
+            refused += refuses(seq, lo, hi)
             new, pool = cands[:5], cands[5:]
-            calls.append((new, pool, stats))
+            calls.append((new, pool))
             for k in (1, 2, 3):
                 self.same(
-                    combine_horizontally(new, pool, stats, k),
-                    build_every_merge(new, pool, stats, k),
+                    combine_horizontally(new, pool, k),
+                    build_every_merge(new, pool, k),
                 )
-            assert combine_horizontally([], cands, stats, 3) == []
+            assert combine_horizontally([], cands, 3) == []
+        assert refused > 0
         kinds = pair_kinds(calls)
         for kind in (
             "negative distance",
-            "uncodable",
             "left out",
             "interleaved",
             "equal tau",
             "factorizable",
         ):
             assert kinds[kind] > 0, (kind, kinds)
-        # Merges whose members reach outside the narrower window are
-        # priced from their members too, plain and factorized; only the
-        # kept occurrences must lie inside.
+        # A merge of codable members lies inside their log and repeats
+        # no more often than either member, so it is codable too.
+        assert kinds["uncodable"] == 0, kinds
+        # Every pair's merge is priced from its members' records, plain
+        # and factorized.
         priced = Counter()
-        for new, pool, stats in calls:
+        for new, pool in calls:
             for ia, ib, cands in slack_pairs(new, pool):
                 a, b = cands[ia], cands[ib]
-                window = range(stats.t_start, stats.t_end + 1)
-                if all(t in window for t, _ in a.numbering.pairs_of(a.bits | b.bits)):
-                    continue
-                facts = [miner._Member(a, stats), miner._Member(b, stats)]
+                facts = [miner._Member(a), miner._Member(b)]
                 for layout, merged, factored in laid_out_merges(a.pattern, b.pattern):
-                    want = make_candidate(merged, stats, "test", a.numbering)
-                    got = record_price(layout, facts, stats, factored)
+                    want = make_candidate(merged, "test", a.numbering)
+                    got = record_price(layout, facts, factored)
                     assert got == ((want.cost, want.bits) if want else None)
                     priced["codable" if want else "uncodable"] += 1
-        assert min(priced["codable"], priced["uncodable"]) > 0, priced
+        assert priced["codable"] > 0 and priced["uncodable"] == 0, priced
 
     def test_closed_form_equals_the_built_merge(self):
         # The price and cover of the concatenation's layout, read off 2, 3
         # or 4 members, equal those of the merge built and priced by the
-        # encoder, float for float.
+        # encoder, float for float, in the log of the members'
+        # occurrences.
         rng = random.Random(7)
         seen: Counter = Counter()
         for draw in range(8100):
             n = 2 + draw % 3
-            stats = SeqStats(
-                length=180,
-                t_start=0,
-                t_end=rng.randint(60, 160),
-                counts={"a": 60, "b": 60, "c": 60},
-            )
-            members = []
+            hi = rng.randint(60, 160)
+            patterns = []
             for _ in range(n):
                 tree = random_tree(rng, depth=3, leaves=3)
                 count = occurrence_count(tree)
                 corrections = tuple(rng.randint(-2, 2) for _ in range(count - 1))
-                pattern = Pattern(tree=tree, tau=rng.randint(5, 40), corrections=corrections)
-                members.append(make_candidate(pattern, stats, "test", WIDE))
-            if None in members:
+                patterns.append(
+                    Pattern(tree=tree, tau=rng.randint(5, 40), corrections=corrections)
+                )
+            if not all(map(loggable, patterns)):
+                continue
+            numbering = widened(pattern_log(patterns), 0, hi)
+            members = priced_over(patterns, numbering)
+            if len(members) < n:
                 continue
             members.sort(key=lambda c: (c.tau, format_tree(c.pattern.tree)))
-            facts = [miner._Member(c, stats) for c in members]
+            facts = [miner._Member(c) for c in members]
             try:
                 layout = concat_layout([c.pattern for c in members])
             except InvalidPatternError:
@@ -1408,9 +1477,9 @@ class TestHorizontalPricing:
                     grow_horizontally([c.pattern for c in members])
                 seen[n, "negative distance"] += 1
                 continue
-            got = record_price(layout, facts, stats, False)
+            got = record_price(layout, facts, False)
             merged = grow_horizontally([c.pattern for c in members])
-            want = make_candidate(merged, stats, "test", WIDE)
+            want = make_candidate(merged, "test", numbering)
             if want is None:
                 assert got is None
                 continue
@@ -1430,43 +1499,45 @@ class TestHorizontalPricing:
     def test_factored_closed_form_equals_the_built_merge(self):
         # The price and cover of the factorized layout of a pair's merge,
         # read off the two members, equal those of the factorized merge
-        # built and priced by the encoder, float for float.
+        # built and priced by the encoder, float for float, in the log of
+        # the members' occurrences.
         rng = random.Random(3)
-        counts = {"a": 60, "b": 60, "c": 60}
-        wide = SeqStats(length=180, t_start=0, t_end=200, counts=counts)
         seen: Counter = Counter()
         for _ in range(2500):
-            stats = dataclasses.replace(wide, t_end=rng.randint(60, 140))
-            pair = factorizable_pair(rng, wide)
+            hi = rng.randint(60, 140)
+            pair = factorizable_pair(rng)
             if pair is None:
                 continue
-            a, b = pair
-            facts = [miner._Member(a, stats), miner._Member(b, stats)]
+            numbering = widened(pattern_log(pair), 0, hi)
+            members = priced_over(pair, numbering)
+            if len(members) < 2:
+                continue
+            a, b = members
+            facts = [miner._Member(a), miner._Member(b)]
             layout = factor_layout(concat_layout([a.pattern, b.pattern]))
             factored = factorize(grow_horizontally([a.pattern, b.pattern]))
             if factored is None:
                 assert layout is None
                 seen["negative join"] += 1
                 continue
-            got = record_price(layout, facts, stats, True)
+            got = record_price(layout, facts, True)
             try:
-                want = pattern_cost(factored, stats).total
+                want = pattern_cost(factored, numbering.stats).total
             except UncodablePatternError:
                 assert got is None
                 seen["uncodable"] += 1
                 continue
             assert got[0] == want
-            assert got[1] == WIDE.cover(pattern_occurrences(factored))
+            assert got[1] == numbering.cover(pattern_occurrences(factored))
             inner = a.pattern.tree.children[0]
             seen["priced"] += 1
             seen["interleaved"] += place(factored.tree).interleaved
             seen["in order"] += not place(factored.tree).interleaved
             seen["unequal r"] += a.pattern.tree.r != b.pattern.tree.r
             seen["leaf closes"] += isinstance(inner.children[-1], Leaf)
-        assert seen["priced"] >= 1000, seen
+        assert seen["priced"] >= 1000 and seen["uncodable"] == 0, seen
         for kind in (
             "negative join",
-            "uncodable",
             "interleaved",
             "in order",
             "unequal r",
@@ -1486,8 +1557,8 @@ class TestHorizontalPricing:
         assert pair_kinds(calls)["factorizable"] > 0
         rng = random.Random(31)
         for _ in range(40):
-            cands, stats = random_merge_pool(rng)
-            calls.append((cands[:5], cands[5:], stats))
+            cands, _, _ = random_merge_pool(rng)
+            calls.append((cands[:5], cands[5:]))
         built, survivors, merges = [], [], []
         grow, site = miner._grow, miner._build_survivors
         concatenate, from_layout = miner.grow_horizontally, miner.build_merge
@@ -1516,13 +1587,13 @@ class TestHorizontalPricing:
         monkeypatch.setattr(miner, "_build_survivors", surviving)
         monkeypatch.setattr(miner, "grow_horizontally", concatenating)
         monkeypatch.setattr(miner, "build_merge", laying_out)
-        for new, pool, stats in calls:
-            combine_horizontally(new, pool, stats, 3)
+        for new, pool in calls:
+            combine_horizontally(new, pool, 3)
         assert len(built) == sum(survivors) == len(merges)
         assert "factorized" in built and "horizontal" in built
 
     def test_survivor_bound_counts_equal_merges_once_and_keeps_ties(self, monkeypatch):
-        numbering = Numbering([(0, "a"), (1, "a"), (2, "a")])
+        numbering = numbered(EventSequence.from_pairs((t, "a") for t in range(3)))
         x, y, z = 1, 2, 4  # the covers of the three pairs alone
         stand_in = parse_pattern("[r=2 p=1](a) @ tau=0 E=[0]")
         built = set()
@@ -1562,7 +1633,7 @@ class TestHorizontalPricing:
         # grow_horizontally at least once per such pair.
         seq = shaped_log("heartbeats", 0)
         calls = self.recorded_calls(monkeypatch, seq)
-        tried = sum(1 for new, pool, _ in calls for _ in slack_pairs(new, pool))
+        tried = sum(1 for new, pool in calls for _ in slack_pairs(new, pool))
         built = []
         original = miner.grow_horizontally
 
@@ -1579,11 +1650,10 @@ class TestHorizontalPricing:
         # with the ten that start within its period, so the merge graph is
         # one band-shaped component, larger than the cap and no clique.
         n = 70
-        counts = {f"e{i}": 4 for i in range(n)}
-        stats = SeqStats(length=4 * n, t_start=0, t_end=4000, counts=counts)
         cycles = [cycle(f"e{i}", 4, 40, 4 * i, (0, 0, 0)) for i in range(n)]
-        numbering = Numbering(o for c in cycles for o in pattern_occurrences(c))
-        cands = [make_candidate(c, stats, "test", numbering) for c in cycles]
+        seq = pattern_log(cycles)
+        numbering = Numbering(seq, SeqStats.from_sequence(seq, 0, 4000))
+        cands = [make_candidate(c, "test", numbering) for c in cycles]
         covers = []
         original = miner._greedy_clique_cover
 
@@ -1595,8 +1665,8 @@ class TestHorizontalPricing:
         monkeypatch.setattr(miner, "_greedy_clique_cover", recording)
         for k in (1, 2, 3):
             self.same(
-                combine_horizontally(cands, [], stats, k),
-                build_every_merge(cands, [], stats, k),
+                combine_horizontally(cands, [], k),
+                build_every_merge(cands, [], k),
             )
         assert len(covers) == 3
         for adj, nodes, groups in covers:
@@ -1643,10 +1713,10 @@ class TestHorizontalPricing:
         assert 0 < len(built) < len(cliques)
 
 
-def random_nesting(rng: random.Random, wide: SeqStats):
-    """Three to six candidates over one random tree, priced in ``wide``,
-    in start order with starts near a common period; None when a draw is
-    invalid or uncodable."""
+def random_nesting(rng: random.Random):
+    """Three to six patterns over one random tree, in start order with
+    starts near a common period; None when a draw is invalid or reaches
+    before time 0."""
     tree = random_tree(rng, depth=3, leaves=3)
     period = rng.randint(4, 40)
     tau = rng.randint(0, 20)
@@ -1662,31 +1732,31 @@ def random_nesting(rng: random.Random, wide: SeqStats):
             pattern = Pattern(tree=tree, tau=start, corrections=corrections)
         except InvalidPatternError:
             return None
-        cand = make_candidate(pattern, wide, "test", WIDE)
-        if cand is None:
+        if not loggable(pattern):
             return None
-        members.append(cand)
+        members.append(pattern)
     return members
 
 
 def nesting_pools(rng: random.Random, draws: int) -> list:
-    """``(new, pool, stats)`` calls over random nestable groups and
-    strays, in a window that some members reach past."""
-    counts = {"a": 60, "b": 60, "c": 5}
-    wide = SeqStats(length=125, t_start=0, t_end=400, counts=counts)
+    """``(new, pool)`` calls over random nestable groups and strays, each
+    numbered over the log that their occurrences make, in a window as
+    wide as a drawn one or wider."""
     calls = []
     for _ in range(draws):
-        cands = []
+        patterns = []
         for _ in range(rng.randint(1, 3)):
-            group = random_nesting(rng, wide)
+            group = random_nesting(rng)
             if group is not None:
-                cands += group + rng.sample(group, 1)
+                patterns += group + rng.sample(group, 1)
+        if not patterns:
+            continue
+        rng.shuffle(patterns)
+        cands = priced_over(patterns, widened(pattern_log(patterns), 0, rng.randint(120, 400)))
         if not cands:
             continue
-        rng.shuffle(cands)
-        stats = dataclasses.replace(wide, t_end=rng.randint(120, 400))
         cut = rng.randint(1, len(cands))
-        calls.append((cands[:cut], cands[cut:], stats))
+        calls.append((cands[:cut], cands[cut:]))
     return calls
 
 
@@ -1709,9 +1779,9 @@ class TestNestPricing:
         calls = []
         original = miner.combine_vertically
 
-        def recording(new, pool, stats, k, records=None):
-            calls.append((list(new), list(pool), stats))
-            return original(new, pool, stats, k, records)
+        def recording(new, pool, k, records=None):
+            calls.append((list(new), list(pool)))
+            return original(new, pool, k, records)
 
         monkeypatch.setattr(miner, "combine_vertically", recording)
         mine(seq)
@@ -1721,61 +1791,57 @@ class TestNestPricing:
     def test_closed_form_equals_the_built_nesting(self):
         # The price of a nesting read off its members equals that of the
         # nesting built and priced by the encoder, float for float, and
-        # is None exactly when the encoder raises.
+        # is None exactly when the encoder raises, in the log of the
+        # members' occurrences.  Statistics over the window drawn to cut
+        # that log are refused.
         rng = random.Random(11)
-        wide = SeqStats(
-            length=125, t_start=0, t_end=400, counts={"a": 60, "b": 60, "c": 5}
-        )
         seen: Counter = Counter()
         for _ in range(2500):
-            members = random_nesting(rng, wide)
-            if members is None:
+            patterns = random_nesting(rng)
+            if patterns is None:
                 continue
-            stats = dataclasses.replace(
-                wide, t_start=rng.randint(0, 6), t_end=rng.randint(80, 400)
-            )
-            tree = members[0].pattern.tree
-            facts = [miner._Member(c, stats) for c in members]
-            got = miner._nest_cost(facts, stats)
-            nested = grow_vertically([c.pattern for c in members])
-            window = range(stats.t_start, stats.t_end + 1)
-            outside = any(t not in window for c in members for t, _ in cover_pairs(c))
-            rarest = min(stats.counts[e] for _, e in cover_pairs(members[0]))
+            lo, hi = rng.randint(0, 6), rng.randint(80, 400)
+            seq = pattern_log(patterns)
+            seen["refused"] += refuses(seq, lo, hi)
+            numbering = widened(seq, lo, hi)
+            members = priced_over(patterns, numbering)
+            if len(members) < len(patterns):
+                continue
+            tree = patterns[0].tree
+            got = miner._nest_cost([miner._Member(c) for c in members])
+            nested = grow_vertically(patterns)
             try:
-                want = pattern_cost(nested, stats).total
+                want = pattern_cost(nested, numbering.stats).total
             except UncodablePatternError:
                 assert got is None
-                seen["outside"] += outside
-                seen["r above rarest"] += not outside and len(members) > rarest
                 continue
             assert got == want
             seen["priced"] += 1
             seen["interleaved"] += nested.tree.placement.interleaved
             seen["nested"] += any(isinstance(c, Block) for c in tree.children)
         assert seen["priced"] >= 1000, seen
-        for kind in ("interleaved", "nested", "outside", "r above rarest"):
+        for kind in ("interleaved", "nested", "refused"):
             assert seen[kind] >= 50, seen
 
     @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
     def test_same_candidates_as_building_every_nesting(self, monkeypatch, shape):
         calls = self.recorded_calls(monkeypatch, shaped_log(shape, NESTING_SEEDS[shape]))
         assert any(combine_vertically(*call, 3) for call in calls)
-        for new, pool, stats in calls:
+        for new, pool in calls:
             for k in (1, 2, 3):
                 self.same(
-                    combine_vertically(new, pool, stats, k),
-                    build_every_nesting(new, pool, stats, k),
+                    combine_vertically(new, pool, k),
+                    build_every_nesting(new, pool, k),
                 )
 
     def test_same_candidates_on_random_pools(self):
-        # Random trees reach what the mined logs do not: members outside
-        # the window, nestings longer than their rarest event allows, and
-        # interleaved trees.
+        # Random trees reach what the mined logs do not: interleaved and
+        # deeper trees, and up to three groups and their strays in one log.
         found = 0
-        for new, pool, stats in nesting_pools(random.Random(17), 60):
+        for new, pool in nesting_pools(random.Random(17), 60):
             for k in (1, 2, 3):
-                want = build_every_nesting(new, pool, stats, k)
-                self.same(combine_vertically(new, pool, stats, k), want)
+                want = build_every_nesting(new, pool, k)
+                self.same(combine_vertically(new, pool, k), want)
                 found += len(want)
         assert found >= 50
 
@@ -1808,8 +1874,8 @@ class TestNestPricing:
         monkeypatch.setattr(miner, "_grow", building)
         monkeypatch.setattr(miner, "_build_survivors", surviving)
         monkeypatch.setattr(miner, "extract_cycles_tri", chaining)
-        for new, pool, stats in calls:
-            combine_vertically(new, pool, stats, 3)
+        for new, pool in calls:
+            combine_vertically(new, pool, 3)
         assert built == ["vertical"] * sum(survivors)
         assert 0 < len(built) < sum(chained), (len(built), sum(chained))
 
@@ -1895,9 +1961,9 @@ class TestRecords:
         built: Counter = Counter()
         record = miner._Member.__init__
 
-        def counting(self, cand, stats):
+        def counting(self, cand):
             built[cand.notation] += 1
-            record(self, cand, stats)
+            record(self, cand)
 
         monkeypatch.setattr(miner._Member, "__init__", counting)
         seq = shaped_log(shape, NESTING_SEEDS[shape])
