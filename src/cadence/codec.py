@@ -564,50 +564,57 @@ def collection_cost(
 ) -> CollectionReport:
     """Score a pattern collection plus residuals against a sequence.
 
+    The log is held as one set per event of its own timestamps, and a
+    pattern's cover likewise: one root repetition of its tree holds
+    ``n = len(events) // r`` occurrences, and column ``j``'s times are
+    ``times[j::n]``, all of event ``events[j]``.  Every check and count
+    below is then a set operation per event.
+
     Raises :class:`DomainError` when a pattern covers an occurrence that
     the sequence does not hold, or lists one occurrence twice.
     """
     if stats is None:
         stats = SeqStats.from_sequence(seq)
-    # an occurrence (t, e) is the int t * m + e's id; m exceeds every id,
-    # so the id m - 1 stands for any event that the log does not hold
-    ids = {e: i for i, e in enumerate(seq.alphabet)}
-    m = len(ids) + 1
-    logged = {t * m + i for i, e in enumerate(seq.alphabet) for t in seq.per_event[e]}
-    covered: set[int] = set()
+    logged = {e: set(ts) for e, ts in seq.per_event.items()}
+    covered: dict[str, set[int]] = {e: set() for e in logged}
     costs = []
     entries = []
     shape_counts = {"s": 0, "v": 0, "h": 0, "m": 0}
     max_cover = 0
     for pat in patterns:
-        times, events = corrected_times(pat), pat.tree.compiled.events
-        cover = {t * m + ids.get(e, m - 1) for t, e in zip(times, events)}
-        if not cover <= logged:
+        tree = pat.tree
+        times, events = corrected_times(pat), tree.compiled.events
+        n = len(events) // tree.r
+        cover: dict[str, set[int]] = {}
+        for j in range(n):
+            cover.setdefault(events[j], set()).update(times[j::n])
+        if not all(e in logged and ts <= logged[e] for e, ts in cover.items()):
             outside = sorted(set(zip(times, events)) - set(seq.pairs))[:3]
             raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
-        _require_listed_once(pat, times, events, len(cover))
+        size = sum(map(len, cover.values()))
+        _require_listed_once(pat, times, events, size)
         breakdown = pattern_cost(pat, stats)
-        shape = classify_tree(pat.tree)
+        shape = classify_tree(tree)
         shape_counts[shape.shape_class[0]] += 1
-        max_cover = max(max_cover, len(cover))
+        max_cover = max(max_cover, size)
         costs.append(breakdown.total)
-        covered |= cover
+        for e, ts in cover.items():
+            covered[e] |= ts
         entries.append(PatternEntry(
             notation=format_pattern(pat),
             cost=breakdown,
-            cover_size=len(cover),
+            cover_size=size,
             shape_class=shape.shape_class,
         ))
-    residuals = logged - covered
-    pattern_bits, leftover_bits, total = collection_bits(
-        costs, stats, Counter(seq.alphabet[k % m] for k in residuals)
-    )
+    left = {e: len(ts) - len(covered[e]) for e, ts in logged.items()}
+    residuals = {e: k for e, k in left.items() if k}
+    pattern_bits, leftover_bits, total = collection_bits(costs, stats, residuals)
     baseline = baseline_cost(stats)
     return CollectionReport(
         total_bits=total,
         pattern_bits=pattern_bits,
         residual_bits=leftover_bits,
-        residual_count=len(residuals),
+        residual_count=sum(residuals.values()),
         baseline_bits=baseline,
         percent_length=(100.0 * total / baseline) if baseline > 0 else 100.0,
         residual_ratio=(leftover_bits / total) if total > 0 else 1.0,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, TextIO
 
 
@@ -105,20 +106,22 @@ def _is_count(value: object) -> bool:
 class EventSequence:
     """An immutable timestamped event sequence.
 
+    A sequence is kept as each label's timestamps; the ``(t, label)``
+    pairs are derived from them on first read (:attr:`pairs`), so a
+    caller that never reads them never builds them.
+
     Attributes
     ----------
-    pairs : tuple of (int, str)
-        All occurrences, sorted by ``(t, event id)``.
     alphabet : tuple of str
         Event labels in first-appearance order; the index of a label is
         its dense event id.
     per_event : mapping of str to tuple of int
-        Strictly increasing timestamp list per event label.
+        Strictly increasing timestamp list per event label, the labels
+        in the order of their first occurrences (ties by event id).
     duplicates_collapsed : int
         Number of exact ``(t, e)`` duplicates dropped during ingestion.
     """
 
-    pairs: tuple[tuple[int, str], ...]
     alphabet: tuple[str, ...]
     per_event: Mapping[str, tuple[int, ...]]
     duplicates_collapsed: int = 0
@@ -156,34 +159,41 @@ class EventSequence:
     @staticmethod
     def _assemble(times: dict[str, list[int]]) -> "EventSequence":
         """A sequence from each label's timestamps, labels in first-seen
-        order: each list deduped and sorted, the pairs ordered by ``(t,
-        event id)`` as the sorted ints ``t * m + id``, ``m`` labels."""
+        order: each list deduped and sorted, and the labels ordered by
+        their first timestamps."""
         alphabet = tuple(times)
-        m = len(alphabet)
         per_label = [tuple(sorted(set(ts))) for ts in times.values()]
-        keys = sorted([t * m + i for i, ts in enumerate(per_label) for t in ts])
         return EventSequence(
-            pairs=tuple([(k // m, alphabet[k % m]) for k in keys]),
             alphabet=alphabet,
             # labels in the order of their first occurrences, ties by id
             per_event=dict(sorted(zip(alphabet, per_label), key=lambda item: item[1][0])),
-            duplicates_collapsed=sum(map(len, times.values())) - len(keys),
+            duplicates_collapsed=sum(map(len, times.values())) - sum(map(len, per_label)),
             _ids={e: i for i, e in enumerate(alphabet)},
         )
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, str], ...]:
+        """All occurrences, sorted by ``(t, event id)``: the sorted ints
+        ``t * m + id`` over ``m`` labels, built on first read and kept."""
+        alphabet, per_event = self.alphabet, self.per_event
+        m = len(alphabet)
+        keys = sorted([t * m + i for i, e in enumerate(alphabet) for t in per_event[e]])
+        return tuple([(k // m, alphabet[k % m]) for k in keys])
 
     def event_id(self, label: str) -> int:
         return self._ids[label]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(map(len, self.per_event.values()))
 
     @property
     def t_start(self) -> int:
-        return self.pairs[0][0]
+        # per_event runs in the order of the labels' first occurrences
+        return next(iter(self.per_event.values()))[0]
 
     @property
     def t_end(self) -> int:
-        return self.pairs[-1][0]
+        return max(ts[-1] for ts in self.per_event.values())
 
     @property
     def span(self) -> int:

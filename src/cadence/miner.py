@@ -72,9 +72,13 @@ class MiningConfig:
     least one occurrence it covers.  ``max_rounds`` bounds the rounds of
     nesting and concatenation; 0 stops after cycle extraction (stage S).
     ``threads`` above 1 runs stage S's events on a thread pool.  The pool
-    is bound by the GIL: it changes neither the results nor the measured
-    speed.  ROADMAP item 5 retires it together with the benchmark's use
-    of it (``perfbench/run.py`` sets it).
+    is bound by the GIL: it does not change the results, and it makes
+    mining slower.  Alternating ``threads=1`` and ``threads=2`` in one
+    process on a 2-core x86 machine (seed 501), ``threads=2`` took 1.056
+    times as long on stream (median of 14 runs, slower in 12) and 1.040
+    times on heartbeats (median of 20, slower in 17).  ROADMAP item 5
+    retires it together with the benchmark's use of it
+    (``perfbench/run.py`` sets it).
     """
 
     k: int = 3
@@ -115,7 +119,7 @@ class Numbering:
             window = f"[{stats.t_start}, {stats.t_end}]"
             raise DomainError(f"the statistics over {window} describe another log")
         self.stats = stats
-        self.pairs = tuple(sorted(seq.pairs))
+        self.pairs = tuple(sorted((t, e) for e, ts in seq.per_event.items() for t in ts))
         self.index = {o: i for i, o in enumerate(self.pairs)}
 
     def cover(self, pairs: Iterable[tuple[int, str]]) -> int:

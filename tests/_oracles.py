@@ -870,9 +870,12 @@ def interleaved_grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     return Pattern(tree=tree, tau=inst[0].tau, corrections=tuple(corrections))
 
 
-def pairs_sequence(pairs) -> EventSequence:
+def pairs_sequence(pairs) -> tuple[EventSequence, tuple[tuple[int, str], ...]]:
     """``EventSequence.from_pairs`` as a set of seen pairs, a list in
-    input order and a sort by ``(t, event id)`` tuples."""
+    input order and a sort by ``(t, event id)`` tuples: the sequence,
+    built from its per-event timestamps, and the sorted pairs, which the
+    sequence's derived :attr:`~cadence.core.EventSequence.pairs` must
+    equal."""
     seen: set[tuple[int, str]] = set()
     ordered: list[tuple[int, str]] = []
     ids: dict[str, int] = {}
@@ -901,13 +904,13 @@ def pairs_sequence(pairs) -> EventSequence:
     per_event: dict[str, list[int]] = {}
     for t, e in ordered:
         per_event.setdefault(e, []).append(t)
-    return EventSequence(
-        pairs=tuple(ordered),
+    seq = EventSequence(
         alphabet=tuple(sorted(ids, key=ids.__getitem__)),
         per_event={e: tuple(ts) for e, ts in per_event.items()},
         duplicates_collapsed=collapsed,
         _ids=ids,
     )
+    return seq, tuple(ordered)
 
 
 def _parse_line(line: str, number: int, labels: set[str]) -> tuple[int, str]:
@@ -931,11 +934,14 @@ def _parse_line(line: str, number: int, labels: set[str]) -> tuple[int, str]:
     return t, label
 
 
-def three_pass_load(source, opts: IngestOptions | None = None) -> EventSequence:
+def three_pass_load(
+    source, opts: IngestOptions | None = None
+) -> tuple[EventSequence, tuple[tuple[int, str], ...]]:
     """``load_sequence`` in three passes: parse every line into a list,
     map its timestamps and relabel its rare events, then build through
-    :func:`pairs_sequence`.  Its timestamps are read by ``int``, so it
-    also takes ``1_0`` and non-ASCII digits, which the loader rejects."""
+    :func:`pairs_sequence`, which returns the sequence and its sorted
+    pairs.  Its timestamps are read by ``int``, so it also takes ``1_0``
+    and non-ASCII digits, which the loader rejects."""
     if opts is None:
         opts = IngestOptions()
     stream = io.StringIO(source) if isinstance(source, str) else source

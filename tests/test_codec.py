@@ -8,7 +8,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cadence.codec import (
     CostBreakdown,
@@ -27,8 +27,21 @@ from cadence.codec import (
     residual_cost,
     w_threshold,
 )
-from cadence.core import DomainError, EventSequence, UncodablePatternError
-from cadence.pattern import Pattern, fit_cycle, is_simple, parse_pattern, parse_tree
+from cadence.core import (
+    CadenceError,
+    DomainError,
+    EventSequence,
+    UncodablePatternError,
+    load_sequence,
+)
+from cadence.pattern import (
+    Pattern,
+    corrected_times,
+    fit_cycle,
+    is_simple,
+    parse_pattern,
+    parse_tree,
+)
 
 from cadence.miner import MiningConfig, mine
 from cadence.synth import PlantSpec, generate
@@ -377,7 +390,7 @@ def same_report(patterns, seq, stats=None) -> None:
     raises its error with the same message."""
     try:
         expected = set_collection_cost(patterns, seq, stats)
-    except (DomainError, UncodablePatternError) as exc:
+    except CadenceError as exc:
         with pytest.raises(type(exc)) as caught:
             collection_cost(patterns, seq, stats)
         assert str(caught.value) == str(exc)
@@ -427,6 +440,88 @@ class TestCollectionCostMatchesSetReference:
         with pytest.raises(DomainError, match="outside the sequence"):
             collection_cost([parse_pattern(notation)], dozen_a_seq, dozen_a_stats)
         same_report([parse_pattern(notation)], dozen_a_seq, dozen_a_stats)
+
+
+# Trees whose root repetition holds one event in several columns, so a
+# correction can make two columns hit one tick, and trees with an event
+# (z) that no drawn log holds.
+_COLUMN_TREES = tuple(map(parse_tree, [
+    "[r=3 p=9](a [d=1] a)",
+    "[r=2 p=30]([r=3 p=4](a) [d=2] a)",
+    "[r=2 p=12](a [d=1] b [d=1] a)",
+    "[r=3 p=6]([r=2 p=1](a) [d=0] b)",
+    "[r=2 p=5](a [d=1] z)",
+    "[r=4 p=3](b)",
+]))
+
+
+def _column_pattern(tree, tau: int, corrections) -> Pattern:
+    n = len(tree.compiled.times)
+    return Pattern(tree=tree, tau=tau, corrections=tuple((list(corrections) + [0] * n)[: n - 1]))
+
+
+@st.composite
+def _column_collections(draw):
+    """One to three patterns over the column trees or random trees, with
+    small corrections (two columns often hit one tick), and a log of
+    their occurrences with some dropped (covers outside the log) and
+    noise added; events outside ``abc`` are never logged."""
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        tree = draw(st.one_of(
+            st.sampled_from(_COLUMN_TREES),
+            st.integers(0, 10**6).map(lambda seed: random_tree(random.Random(seed), 2, 4)),
+        ))
+        corrections = draw(st.lists(st.sampled_from([0, 0, 0, -1, 1, -2, 2]), max_size=40))
+        patterns.append(_column_pattern(tree, draw(st.integers(8, 40)), corrections))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 160), st.sampled_from("abc")), min_size=1))
+    for pat in patterns:
+        compiled = pat.tree.compiled
+        whole = draw(st.integers(0, 3))  # 0: drop about one occurrence in four
+        for t, off, e in zip(compiled.times, pat.offsets, compiled.events):
+            if pat.tau + t + off >= 0 and e in "abc" and (whole or draw(st.integers(0, 3))):
+                pairs.append((pat.tau + t + off, e))
+    return patterns, EventSequence.from_pairs(pairs)
+
+
+def _column_case(notation: str, *extra: tuple[int, str], drop: int = -1):
+    """The pattern and a log of its occurrences (less the ``drop``-th)
+    plus ``extra``."""
+    pat = parse_pattern(notation)
+    occurrences = [
+        (t, e) for t, e in zip(corrected_times(pat), pat.tree.compiled.events) if e != "z"
+    ]
+    if drop >= 0:
+        del occurrences[drop]
+    return [pat], EventSequence.from_pairs(occurrences + list(extra))
+
+
+class TestColumnPricing:
+    """collection_cost splits a cover by event, one column of the root
+    repetition at a time (``times[j::n]``); the set reference builds it
+    from the pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_column_collections())
+    @example(case=_column_case("[r=3 p=9](a [d=1] a) @ tau=5 E=[0,1,0,0,0]", (0, "b")))
+    @example(case=_column_case("[r=3 p=9](a [d=1] a) @ tau=5 E=[-1,1,0,0,0]", (0, "b")))
+    @example(case=_column_case("[r=2 p=30]([r=3 p=4](a) [d=2] a) @ tau=3 E=[0,0,-2,0,0,0,0]"))
+    @example(case=_column_case("[r=2 p=30]([r=3 p=4](a) [d=2] a) @ tau=3 E=[0,0,0,0,0,0,1]"))
+    @example(case=_column_case("[r=2 p=5](a [d=1] z) @ tau=2 E=[0,0,0]", (0, "b")))
+    @example(case=_column_case("[r=3 p=9](a [d=1] a) @ tau=5 E=[0,0,0,0,0]", drop=4))
+    def test_matches_the_set_reference(self, case):
+        patterns, seq = case
+        same_report(patterns, seq)
+
+    def test_scoring_builds_no_pair_tuple(self):
+        truth = generate(PlantSpec(
+            basis="a d=2 b d=1 c", depth=2, outer_length=(3, 5), n_patterns=2,
+            shift_level=1, shift_density=0.2, additive_density=0.1, seed=4,
+        ))
+        seq = load_sequence(truth.perturbed.to_text())
+        report = collection_cost(truth.patterns, seq)
+        assert report.residual_count < len(seq)
+        assert "pairs" not in vars(seq)
 
 
 class TestCostEffectiveness:

@@ -3,8 +3,9 @@
 The loader and the pairs constructor are checked against the three-pass
 loader and the sort-by-tuple constructor they replaced
 (``_oracles.three_pass_load`` and ``_oracles.pairs_sequence``): on the
-same text or pairs both build equal sequences, or both raise the same
-error for the same first faulty line or item.
+same text or pairs both build equal sequences, the derived pairs equal
+the reference's own sorted pairs, or both raise the same error for the
+same first faulty line or item.
 """
 
 from __future__ import annotations
@@ -82,7 +83,9 @@ class TestLoadSequence:
         assert seq.alphabet == (OTHER_LABEL, "a")
         assert seq.per_event == {"a": (1, 2), OTHER_LABEL: (3, 4, 5, 9)}
         assert list(seq.per_event) == ["a", OTHER_LABEL]
-        assert seq == three_pass_load(text, IngestOptions(aggregation_threshold=2))
+        expected, pairs = three_pass_load(text, IngestOptions(aggregation_threshold=2))
+        assert seq == expected
+        assert seq.pairs == pairs
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -279,11 +282,12 @@ def test_mixed_log_matches_fixture_constant(mixed_seq):
 
 
 def same_outcome(build, reference) -> None:
-    """``build`` and ``reference`` return equal sequences (per_event in
-    the same order, every label under the same id), or raise the same
-    error type with the same message."""
+    """``build`` returns the sequence that ``reference`` returns with its
+    sorted pairs (per_event in the same order, every label under the
+    same id, and the derived pairs equal to the reference's), or both
+    raise the same error type with the same message."""
     try:
-        expected = reference()
+        expected, pairs = reference()
     except CadenceError as exc:
         with pytest.raises(type(exc)) as caught:
             build()
@@ -292,6 +296,7 @@ def same_outcome(build, reference) -> None:
         return
     got = build()
     assert got.pairs == expected.pairs
+    assert got.pairs == pairs
     assert got.alphabet == expected.alphabet
     assert list(got.per_event.items()) == list(expected.per_event.items())
     assert got.duplicates_collapsed == expected.duplicates_collapsed

@@ -766,6 +766,22 @@ class TestOneLogPerGrowth:
         with pytest.raises(DomainError, match=r"^the time window \[1, 30\] must contain"):
             Numbering(log_a, dataclasses.replace(stats, t_start=1))
 
+    def test_numbering_builds_its_own_order(self):
+        # b is seen first, so the log's (t, event id) order puts b before
+        # a at t = 3, where the numbering's (t, label) order puts a first
+        seq = EventSequence.from_pairs([(3, "b"), (1, "b"), (3, "a"), (5, "a")])
+        numbering = Numbering(seq, own_stats(seq))
+        assert "pairs" not in vars(seq)
+        assert numbering.pairs == ((1, "b"), (3, "a"), (3, "b"), (5, "a"))
+        assert numbering.pairs == tuple(sorted(seq.pairs))
+
+    def test_mining_builds_no_pair_tuple(self):
+        seq = braid_log(4)
+        result = mine(seq)
+        assert result.selection.candidates
+        assert result.selection.report.percent_length < 100.0
+        assert "pairs" not in vars(seq)
+
     @pytest.mark.parametrize("grow", [combine_vertically, combine_horizontally])
     def test_growth_refuses_a_candidate_numbered_over_another_log(self, grow):
         log_a, log_b = self.logs()
