@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -431,6 +432,93 @@ def cycle_pricer(
             return math.inf
         # p0, D (0.0 for a simple cycle, which adds nothing), tau and E
         return head + log2(p0_max) + log2(v) + float(2 * (r - 1) + abs_corrections)
+
+    return price
+
+
+Cycle = tuple[str, int, int, int, Sequence[int]]
+
+
+def cycle_merge_pricer(stats: SeqStats) -> Callable[[Sequence[Cycle]], float]:
+    """The price of a horizontal merge of one-leaf cycles from their
+    parameters, as a callable ``cycles -> bits``: each cycle is ``(event,
+    r, p, tau, offsets)``, ``offsets`` its cumulative offsets
+    (:attr:`Pattern.offsets`), and the cycles are in merge order, which
+    starts never decrease along.  It returns :func:`block_cost` of the
+    merged root that :func:`pattern.concat_layout` lays out, so
+    ``pattern_cost`` of the built merge, bit for bit, without building
+    the root, its layout or a slot list.
+
+    The root repeats the members' least ``r`` times at the first
+    member's period ``p0`` from its start ``tau0``; its children are the
+    members' leaves, member ``m`` at ``tau_m - tau0``, so its width is
+    ``tau_last - tau0`` and member ``m``'s offset in repetition ``k`` is
+    ``offsets_m[k] + k (p_m - p0)``.  The first member keeps its
+    corrections, and member ``m >= 1``'s occurrence of repetition ``k``
+    follows member ``m - 1``'s, so its correction is the difference of
+    their offsets there.  Every leaf is its own child, so only the last
+    one is right-most, and the last repetition's content ends at the last
+    member's occurrence whether or not the root interleaves.  The floats
+    are added one at a time in :func:`_placed`'s order, never by a float
+    ``sum()``, so the price is the same float on every Python.
+
+    A merge of cycles numbered over one log, each listing distinct
+    occurrences of its event inside the window of ``stats``, is always
+    codable, so the price has no uncodable branch.  Write ``T_m`` for
+    the corrected time of member ``m``'s occurrence of repetition ``r -
+    1``, which exists since ``r <= r_m``, and ``s0`` for ``offsets_0[r -
+    1]``:
+
+    * ``r <= rarest``: ``r <= r_m <= count(e_m)`` for every member, since
+      a cycle of ``e`` lists at most ``count(e)`` occurrences;
+    * the root period: ``p0 <= (span - s0) // (r - 1)`` is ``(r - 1) p0
+      + s0 <= span``, that is ``T_0 - tau0 <= t_end - t_start``;
+    * the start: ``t_start <= tau0`` holds, as ``tau0`` is an occurrence,
+      and ``tau0 < t_start + v`` with ``v = span - s0 - (r - 1) p0 + 1``
+      is ``T_0 <= t_end``;
+    * the width: ``tau_last - tau0 <= t_end - tau0 - (offsets_last[r -
+      1] + (r - 1) (p_last - p0)) - (r - 1) p0`` is ``T_last <=
+      t_end``, and no distance exceeds the width, which is their sum.
+
+    Each bound is one member occurrence of repetition ``r - 1`` lying
+    inside the window.
+    """
+    leaves = {e: _leaf_bits(stats, e) for e in stats.counts}
+    span, t_end = stats.span, stats.t_end
+
+    def price(cycles: Sequence[Cycle]) -> float:
+        r = min([cycle[1] for cycle in cycles])
+        last = r - 1
+        _, _, p0, tau0, first = cycles[0]
+        _, _, p_end, tau_end, end = cycles[-1]
+        layout, counts = 0.0, []
+        for cycle in cycles:
+            bits, count = leaves[cycle[0]]
+            layout += bits
+            counts.append(count)
+        # The first member's own corrections, then each join's, the
+        # drift between the two periods added in repetition k.
+        abs_corrections = sum(map(abs, map(sub, first[1:r], first[:last])))
+        for (_, _, p_a, _, a), (_, _, p_b, _, b) in zip(cycles, cycles[1:]):
+            moved = map(sub, b[:r], a[:r])
+            if d := p_b - p_a:
+                moved = map(add, moved, range(0, r * d, d))
+            abs_corrections += sum(map(abs, moved))
+        numer = span - first[last]
+        max_width = t_end - tau0 - (end[last] + last * (p_end - p0)) - last * p0
+        step, distances = log2(tau_end - tau0 + 1), 0.0
+        for _ in cycles[1:]:
+            distances += step
+        bits_d = log2(max_width + 1)
+        bits_d += distances
+        return (
+            (2.0 * _LOG3 + layout)
+            + log2(min(counts))
+            + log2(numer // last)
+            + bits_d
+            + log2(numer - last * p0 + 1)
+            + float(2 * (r * len(cycles) - 1) + abs_corrections)
+        )
 
     return price
 

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 from operator import add, or_, sub
 from time import perf_counter
 from typing import Iterable, Mapping, Sequence
@@ -743,14 +743,20 @@ class _Member:
 
     :func:`mine` keeps one record per candidate for the whole call,
     shared by both growths in every round (:func:`_records`), and each
-    part is worked out when first read.  ``occurrences`` are the
-    corrected ones in traversal order, ``per`` of them in each root
-    repetition.  ``magnitudes`` are the corrections' ``|E|``, the first
-    occurrence's 0, and :meth:`total` sums them over the repetitions a
-    merge keeps.  ``slack`` sums ``|E|`` at the root repetitions'
-    boundaries, and ``key`` is the tree's notation.  ``terms`` are the
-    root's children's layout and repetition bits and rarest counts under
-    the numbering's ``stats`` (:func:`codec.child_terms`), and
+    part is worked out when first read, so every later read takes
+    constant time.  ``occurrences`` are the corrected ones in traversal
+    order, ``per`` of them in each root repetition.  ``magnitudes`` are
+    the corrections' ``|E|``, the first occurrence's 0, and ``running``
+    their running sums by root repetition, off which :meth:`total` reads
+    their sum over the repetitions a merge keeps.  :meth:`kept` makes
+    the cover of those repetitions once per length and keeps it in
+    ``covers``, which lives as long as the record: one :func:`mine`
+    call.  ``cycle`` holds
+    a one-leaf cycle's parameters for :func:`codec.cycle_merge_pricer`.
+    ``slack`` sums ``|E|`` at the root repetitions' boundaries, and
+    ``key`` is the tree's notation.  ``terms`` are the root's children's
+    layout and repetition bits and rarest counts under the numbering's
+    ``stats`` (:func:`codec.child_terms`), and
     ``inner_terms`` those of its first child's children, the parts of a
     factorized merge.  Both are codable: a block of ``r`` repetitions
     whose cover lists each occurrence once, inside the log, holds at
@@ -772,6 +778,16 @@ class _Member:
         return format_tree(self.tree)
 
     @cached_property
+    def cycle(self) -> codec.Cycle | None:
+        """``(event, r, p, tau, offsets)`` of a one-leaf cycle, the
+        parameters :func:`codec.cycle_merge_pricer` reads; None for any
+        other tree.  A repetition of one occurrence is one leaf."""
+        if self.per != 1:
+            return None
+        tree = self.tree
+        return tree.children[0].event, tree.r, tree.p, self.pattern.tau, self.pattern.offsets
+
+    @cached_property
     def occurrences(self) -> tuple[tuple[int, str], ...]:
         return corrected_occurrences(self.pattern)
 
@@ -779,9 +795,16 @@ class _Member:
     def magnitudes(self) -> list[int]:
         return [0, *map(abs, self.pattern.corrections)]
 
+    @cached_property
+    def running(self) -> list[int]:
+        """``running[k]`` is ``|E|`` summed over the first ``k`` root
+        repetitions."""
+        m, per = self.magnitudes, self.per
+        return [0, *accumulate(sum(m[i : i + per]) for i in range(0, len(m), per))]
+
     def total(self, r: int) -> int:
         """``|E|`` summed over the first ``r`` root repetitions."""
-        return sum(self.magnitudes[: r * self.per])
+        return self.running[r]
 
     @cached_property
     def slack(self) -> int:
@@ -796,11 +819,19 @@ class _Member:
     def inner_terms(self) -> tuple:
         return codec.child_terms(self.tree.children[0], self.stats)
 
+    @cached_property
+    def covers(self) -> dict[int, int]:
+        """The covers :meth:`kept` has made, by length."""
+        return {}
+
     def kept(self, r: int) -> int:
-        """Cover of the first ``r`` repetitions."""
+        """Cover of the first ``r`` repetitions, made once per ``r``."""
         if r == self.tree.r:
             return self.cand.bits
-        return self.cand.numbering.cover(self.occurrences[: r * self.per])
+        cover = self.covers.get(r)
+        if cover is None:
+            cover = self.covers[r] = self.cand.numbering.cover(self.occurrences[: r * self.per])
+        return cover
 
 
 def _records(
@@ -841,8 +872,12 @@ def _layout_cost(
     An occurrence keeps its member's correction unless it is a join, so
     the members' ``|E|`` totals are summed, and each join's column is
     replaced by its corrections against its new predecessor, repetition
-    by repetition.  The merge's occurrences are the members' kept ones,
-    so it lies inside the log, as they do.
+    by repetition.  The encoder reads the offsets of the last
+    repetition's occurrences one by one (``last_offset``), only those it
+    needs.  The merge's occurrences are the members' kept ones, so it
+    lies inside the log, as they do.  A merge of one-leaf cycles is
+    priced without a layout (:func:`codec.cycle_merge_pricer`); this
+    path prices the others.
     """
     root = layout.root
     r, last = root.r, root.r - 1
@@ -868,7 +903,11 @@ def _layout_cost(
         dropped += members[m].magnitudes[j : r * pers[m] : pers[m]]
     abs_corrections += sum(map(abs, map(add, map(sub, ends, starts), drifts)))
     abs_corrections -= sum(dropped)
-    lasts = [offs[m][last * pers[m] + j] + last * (ps[m] - root.p) for m, j in layout.slots]
+
+    def last_offset(s: int) -> int:
+        m, j = layout.slots[s]
+        return offs[m][last * pers[m] + j] + last * (ps[m] - root.p)
+
     try:
         if factored:
             terms = [codec.block_terms(root.children[0].r, terms)]
@@ -877,7 +916,7 @@ def _layout_cost(
             layout.tau,
             members[0].stats,
             terms=terms,
-            last_offset=lasts.__getitem__,
+            last_offset=last_offset,
             abs_corrections=abs_corrections,
         )
     except UncodablePatternError:
@@ -935,12 +974,17 @@ def combine_horizontally(
     not adjacent; a clique's members are then pairwise disjoint at the
     clique's length.
 
-    Every merge is priced exactly from its members' records
-    (:func:`_layout_cost` over :func:`concat_layout`), a pair's before it
-    is kept; a pair whose merge can factorize is priced factorized too
-    (over :func:`factor_layout`), and the cheaper form strictly wins.  The
-    build site (:func:`_build_survivors`) builds, in their priced form,
-    the merges that can survive pruning.  The result is what building
+    Every merge is priced exactly from its members' records, a pair's
+    before it is kept.  A merge of one-leaf cycles is priced in closed
+    form from the cycles' parameters (:func:`codec.cycle_merge_pricer`):
+    its members are in start order, so :func:`concat_layout` could not
+    refuse them, and its leaves cannot factorize.  Any other merge is
+    laid out and priced through its layout (:func:`_layout_cost` over
+    :func:`concat_layout`); a pair whose merge can factorize is priced
+    factorized too (over :func:`factor_layout`), and the cheaper form
+    strictly wins.  The build site (:func:`_build_survivors`) builds, in
+    their priced form, the merges that can survive pruning, and only
+    there is a merge of cycles laid out.  The result is what building
     every merge and then pruning gives.  The candidates and ``records``
     are as in :func:`combine_vertically`.
     """
@@ -957,6 +1001,7 @@ def combine_horizontally(
     lengths = [q.tree.r for q in recs]
     fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
     is_new = set(fresh)
+    cycle_merge_price = codec.cycle_merge_pricer(numbering.stats)
 
     def price(fs: list[_Member]) -> tuple | None:
         """The winner entry of merging the members: priced factorized
@@ -967,6 +1012,10 @@ def combine_horizontally(
         cover = _kept(fs, r)
         if cover.bit_count() < sum(r * q.per for q in fs):
             return None
+        cycles = [q.cycle for q in fs]
+        if None not in cycles:
+            cost = cycle_merge_price(cycles)
+            return cost, cover, "", ("horizontal", [q.pattern for q in fs])
         try:
             layout = concat_layout([q.pattern for q in fs])
         except InvalidPatternError:

@@ -60,6 +60,7 @@ from cadence.pattern import (
     format_tree,
     grow_horizontally,
     grow_vertically,
+    is_simple,
     occurrence_count,
     parse_pattern,
     parse_tree,
@@ -69,6 +70,7 @@ from cadence.pattern import (
 from cadence.synth import PlantSpec, generate
 
 from _oracles import (
+    boundary_correction_sum,
     build_every_cycle,
     build_every_merge,
     build_every_nesting,
@@ -1347,15 +1349,29 @@ def record_price(layout, records, factored: bool):
     return None if cost is None else (cost, miner._kept(records, layout.root.r))
 
 
+def in_slack_gate(a: Pattern, b: Pattern) -> bool:
+    """Whether the root periods of ``a`` and the later ``b`` agree within
+    ``b``'s boundary-correction slack, as horizontal growth requires."""
+    r = min(a.tree.r, b.tree.r)
+    return abs(a.tree.p - b.tree.p) <= 2.0 * boundary_correction_sum(b) / (r * (r - 1))
+
+
 def pair_kinds(calls) -> Counter:
     """What the slack-passing pairs of recorded ``(new, pool)`` calls
     are: merges that fail, are uncodable, leave occurrences out,
-    interleave, start together or may factorize."""
+    interleave, start together, may factorize or join two one-leaf
+    cycles; and how many triples of cycles pass pairwise, the cliques
+    that a merge of cycles can be priced for."""
     kinds: Counter = Counter()
     for new, pool in calls:
         kinds["empty new"] += not new
+        cycle_pairs: dict[int, set[int]] = {}
         for ia, ib, cands in slack_pairs(new, pool):
             a, b = cands[ia], cands[ib]
+            if is_simple(a.pattern.tree) and is_simple(b.pattern.tree):
+                kinds["cycle merge"] += 1
+                kinds["cycle clique"] += len(cycle_pairs.get(ia, set()) & cycle_pairs.get(ib, set()))
+                cycle_pairs.setdefault(ib, set()).add(ia)
             try:
                 merged = grow_horizontally([a.pattern, b.pattern])
             except InvalidPatternError:
@@ -1412,7 +1428,15 @@ class TestHorizontalPricing:
             for seed in range(3):
                 calls += self.recorded_calls(monkeypatch, shaped_log(shape, seed))
         kinds = pair_kinds(calls)
-        for kind in ("empty new", "left out", "interleaved", "equal tau", "factorizable"):
+        for kind in (
+            "empty new",
+            "left out",
+            "interleaved",
+            "equal tau",
+            "factorizable",
+            "cycle merge",
+            "cycle clique",
+        ):
             assert kinds[kind] > 0, (kind, kinds)
 
     def test_same_candidates_on_random_pools(self):
@@ -1560,6 +1584,93 @@ class TestHorizontalPricing:
             "leaf closes",
         ):
             assert seen[kind] >= 50, seen
+
+    def test_cycle_merge_pricer_equals_the_general_path(self):
+        # A merge of 2, 3 or 4 one-leaf cycles priced from their
+        # parameters equals its layout's price and the encoder's price of
+        # the built merge, float for float, in the log of the members'
+        # occurrences with its window widened on either side.  Every draw
+        # is codable, as codec.cycle_merge_pricer's docstring proves.
+        rng = random.Random(29)
+        seen: Counter = Counter()
+        for draw in range(3000):
+            n = 2 + draw % 3
+            p, start = rng.randint(4, 30), rng.randint(5, 25)
+            patterns = []
+            for _ in range(n):
+                r = rng.randint(2, 9)
+                corrections = [rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(r - 1)]
+                period = p + rng.choice((-1, 0, 0, 0, 1))
+                patterns.append(cycle(rng.choice("abc"), r, period, start, corrections))
+                start += rng.choice((0, rng.randint(1, p), rng.randint(p, 2 * p)))
+            patterns.sort(key=lambda q: (q.tau, format_tree(q.tree)))
+            seq = pattern_log(patterns)
+            if len(seq) < sum(q.tree.r for q in patterns):
+                seen["shares an occurrence"] += 1
+                continue
+            below = rng.choice((0, rng.randint(1, 5)))
+            above = rng.choice((0, rng.randint(1, 40)))
+            numbering = widened(seq, seq.t_start - below, seq.t_end + above)
+            members = [miner._Member(make_candidate(q, "test", numbering)) for q in patterns]
+            cycles = [(q.tree.children[0].event, q.tree.r, q.tree.p, q.tau, q.offsets) for q in patterns]
+            assert [q.cycle for q in members] == cycles
+            got = codec.cycle_merge_pricer(numbering.stats)(cycles)
+            via_layout = miner._layout_cost(concat_layout(patterns), members, False)
+            assert via_layout is not None
+            assert got == via_layout
+            merged = grow_horizontally(patterns)
+            assert got == pattern_cost(merged, numbering.stats).total
+            periods = {q.tree.p for q in patterns}
+            seen["priced"] += 1
+            seen["wobbled"] += any(q.corrections for q in patterns)
+            seen["unequal r"] += len({q.tree.r for q in patterns}) > 1
+            seen["equal tau"] += len({q.tau for q in patterns}) < n
+            seen["drift in the gate"] += len(periods) > 1 and all(
+                in_slack_gate(a, b) for i, a in enumerate(patterns) for b in patterns[i + 1 :]
+            )
+            seen["interleaved clique"] += n > 2 and place(merged.tree).interleaved
+            seen["widened below"] += below > 0
+            seen["widened above"] += above > 0
+        for kind in (
+            "wobbled",
+            "unequal r",
+            "equal tau",
+            "drift in the gate",
+            "interleaved clique",
+            "widened below",
+            "widened above",
+        ):
+            assert seen[kind] >= 100, seen
+
+    def test_cycle_merges_are_laid_out_only_where_survivors_are_built(self, monkeypatch):
+        # A merge of one-leaf cycles is priced in closed form, so only
+        # _grow lays one out: for a survivor, built by grow_horizontally.
+        lay_out, grow = pattern_module.concat_layout, miner._grow
+        depth, inside, outside = Counter(), Counter(), []
+
+        def laying_out(instances):
+            if all(is_simple(q.tree) for q in instances):
+                if depth["grow"]:
+                    inside[len(instances)] += 1
+                else:
+                    outside.append([format_pattern(q) for q in instances])
+            return lay_out(instances)
+
+        def growing(provenance, parts):
+            depth["grow"] += 1
+            try:
+                return grow(provenance, parts)
+            finally:
+                depth["grow"] -= 1
+
+        monkeypatch.setattr(pattern_module, "concat_layout", laying_out)
+        monkeypatch.setattr(miner, "concat_layout", laying_out)
+        monkeypatch.setattr(miner, "_grow", growing)
+        for shape in ("stream", "braids"):
+            for seed in range(3):
+                mine(shaped_log(shape, seed))
+        assert outside == []
+        assert inside[2] > 0 and max(inside) > 2, inside
 
     def test_merges_are_built_only_at_the_build_site(self, monkeypatch):
         # The build site builds each merge that can survive pruning once,
@@ -1971,6 +2082,24 @@ class TestRecords:
         assert [tree for tree in compiled if id(tree) in priced_ids] == []
         assert solved_outside == []
         assert built["vertical"] > 0 and built["horizontal"] > 0, built
+
+    def test_record_reads_equal_their_definitions(self):
+        # A record reads its |E| totals off running sums and makes each
+        # kept cover once per length.
+        rng = random.Random(37)
+        read = Counter()
+        for _ in range(20):
+            cands, _, _ = random_merge_pool(rng)
+            for c in cands:
+                q = miner._Member(c)
+                magnitudes = [0, *map(abs, c.pattern.corrections)]
+                for r in range(1, q.tree.r + 1):
+                    assert q.total(r) == sum(magnitudes[: r * q.per])
+                    cover = q.kept(r)
+                    assert cover == c.numbering.cover(q.occurrences[: r * q.per])
+                    assert q.kept(r) is cover
+                    read["cycle" if q.per == 1 else "wider tree"] += 1
+        assert read["cycle"] >= 100 and read["wider tree"] >= 100, read
 
     @pytest.mark.parametrize("shape", ["heartbeats", "stream", "braids"])
     def test_each_record_is_built_once_per_mine(self, monkeypatch, shape):

@@ -15,7 +15,13 @@ on a candidate no stage selects shows too, the winning collection's
 hashed on its own too: every event's ``extract_cycles_dp`` runs and the
 ``extract_cycles`` candidates as ``(notation, cost, provenance)``, so a
 change to the segmentation or to stage S shows even when no selection
-moves.
+moves.  The final pools of three of the planted logs hold 19 merges of
+three or more one-leaf cycles (1, 2 and 16), each carrying the price
+``codec.cycle_merge_pricer`` gave it, so the digest checks that
+pricer's float order too.  None of them is wider than its period, nor
+can a mined one be: horizontal growth merges only candidates that
+start within the first one's period.  The pricer adds the same terms
+in the same order whatever the width.
 Floats are written with ``repr``, so a total that differs in its last
 bit changes the digest.  Every supported Python must print the same
 line.  The script needs nothing outside the standard library and
