@@ -334,6 +334,33 @@ def _placed(
     :func:`block_cost` price through this alone, so they price bit for
     bit alike.  Raises :class:`UncodablePatternError` when a term is out
     of range.
+
+    Theorem: it raises nothing for a root whose corrected occurrences
+    are distinct occurrences of the log that ``stats`` counts, all inside
+    the window.  Write ``T(i)`` for the corrected time of occurrence ``i``
+    of the last repetition, ``tau + (r - 1) p + t_i + last_offset(i)``:
+
+    * R: each of a block's ``r`` repetitions holds its own occurrence of
+      the block's rarest event, so ``r`` is at most that event's count.
+    * ``p0`` and ``tau``: ``p <= p0_max`` is ``T(0) - tau <= span`` and
+      ``tau < t_start + v`` is ``T(0) <= t_end``, as ``tau`` and ``T(0)``
+      lie inside the window.
+    * The root's width: ``width <= max_width`` follows from ``T(i) <=
+      t_end`` for an ``i`` at ``t_i = width`` with ``last_offset(i) >=
+      end_offset``.  In order, that is the last occurrence.
+      Interleaved, take the last child that ends at the width: a leaf is
+      then the last child, as offsets grow along the children, and a
+      block's last repetition holds one of its own ``last_right`` at its
+      width, by induction; :func:`place` adds both to ``last_right``.
+    * Distances: they sum to the last child's offset, at most the width.
+    * Inner blocks, by induction in both modes: a child's span ``(r_c -
+      1) p_c + w_c`` fits its ``tspan``, the width left after its offset
+      or, in order, the distance to the next child, which starts after
+      it ends; so ``p_c <= p_max``, and the width passed down is at least
+      ``w_c``, as ``p_c >= 1`` and in order ``w_c <= p_c``.
+
+    So every candidate mined from a log, and every merge or nesting of
+    them that lists each occurrence once, is codable.
     """
     bits_a, bits_r, _ = block_terms(root.r, terms)
     ranges = _root_ranges(stats, root.r, root.p, tau, last_offset(0))
@@ -462,26 +489,9 @@ def cycle_merge_pricer(stats: SeqStats) -> Callable[[Sequence[Cycle]], float]:
     are added one at a time in :func:`_placed`'s order, never by a float
     ``sum()``, so the price is the same float on every Python.
 
-    A merge of cycles numbered over one log, each listing distinct
-    occurrences of its event inside the window of ``stats``, is always
-    codable, so the price has no uncodable branch.  Write ``T_m`` for
-    the corrected time of member ``m``'s occurrence of repetition ``r -
-    1``, which exists since ``r <= r_m``, and ``s0`` for ``offsets_0[r -
-    1]``:
-
-    * ``r <= rarest``: ``r <= r_m <= count(e_m)`` for every member, since
-      a cycle of ``e`` lists at most ``count(e)`` occurrences;
-    * the root period: ``p0 <= (span - s0) // (r - 1)`` is ``(r - 1) p0
-      + s0 <= span``, that is ``T_0 - tau0 <= t_end - t_start``;
-    * the start: ``t_start <= tau0`` holds, as ``tau0`` is an occurrence,
-      and ``tau0 < t_start + v`` with ``v = span - s0 - (r - 1) p0 + 1``
-      is ``T_0 <= t_end``;
-    * the width: ``tau_last - tau0 <= t_end - tau0 - (offsets_last[r -
-      1] + (r - 1) (p_last - p0)) - (r - 1) p0`` is ``T_last <=
-      t_end``, and no distance exceeds the width, which is their sum.
-
-    Each bound is one member occurrence of repetition ``r - 1`` lying
-    inside the window.
+    The merges it prices list each occurrence of their log once, so
+    they are codable (:func:`_placed`) and the price has no uncodable
+    branch.
     """
     leaves = {e: _leaf_bits(stats, e) for e in stats.counts}
     span, t_end = stats.span, stats.t_end

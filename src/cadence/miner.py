@@ -673,7 +673,7 @@ def combine_vertically(
             if cover.bit_count() < sum(q.tree.count for q in members):
                 continue  # the members share an occurrence
             cost = _nest_cost(members)
-            if cost is None or cost >= codec.add_bits(q.cand.cost for q in members):
+            if cost >= codec.add_bits(q.cand.cost for q in members):
                 continue
             winners.append(
                 (cost, cover, "", ("vertical", [q.pattern for q in members]))
@@ -687,21 +687,25 @@ def maximal_cliques(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[
     has one set of maximal cliques, so the pivot choice only decides how
     fast they are found."""
     cliques: list[tuple[int, ...]] = []
-
-    def extend(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        for v in sorted(p - adj[pivot]):
-            extend(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
     if nodes:
-        extend(set(), set(nodes), set())
+        _extend_cliques(adj, set(), set(nodes), set(), cliques)
     cliques.sort()
     return cliques
+
+
+def _extend_cliques(
+    adj: Mapping[int, set[int]], r: set[int], p: set[int], x: set[int], cliques: list
+) -> None:
+    """Append each maximal clique of ``r`` and nodes of ``p`` that no node
+    of ``x`` extends; a closure would hold ``adj`` in a reference cycle."""
+    if not p and not x:
+        cliques.append(tuple(sorted(r)))
+        return
+    pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+    for v in sorted(p - adj[pivot]):
+        _extend_cliques(adj, r | {v}, p & adj[v], x & adj[v], cliques)
+        p = p - {v}
+        x = x | {v}
 
 
 def _greedy_clique_cover(adj: Mapping[int, set[int]], nodes: set[int]) -> list[tuple[int, ...]]:
@@ -758,10 +762,7 @@ class _Member:
     layout and repetition bits and rarest counts under the numbering's
     ``stats`` (:func:`codec.child_terms`), and
     ``inner_terms`` those of its first child's children, the parts of a
-    factorized merge.  Both are codable: a block of ``r`` repetitions
-    whose cover lists each occurrence once, inside the log, holds at
-    least ``r`` occurrences of each of its leaf events, so
-    :func:`codec.block_terms` never finds ``r`` above the rarest count.
+    factorized merge; both are codable (:func:`codec._placed`).
     Where a merge's repetition lies is its root block's placement, read
     off the members' blocks' placements.
     """
@@ -856,12 +857,9 @@ def _kept(members: Sequence[_Member], r: int) -> int:
     return reduce(or_, [q.kept(r) for q in members])
 
 
-def _layout_cost(
-    layout: MergeLayout, members: Sequence[_Member], factored: bool
-) -> float | None:
+def _layout_cost(layout: MergeLayout, members: Sequence[_Member], factored: bool) -> float:
     """Price of the merge that ``layout`` describes over the members,
-    numbered over one log, from their records alone; None when it is
-    uncodable.
+    numbered over one log, from their records alone.
 
     The root is priced by :func:`codec.block_cost` from its children's
     terms: the members' ``terms``, or, for a ``factored`` layout, the
@@ -874,8 +872,8 @@ def _layout_cost(
     replaced by its corrections against its new predecessor, repetition
     by repetition.  The encoder reads the offsets of the last
     repetition's occurrences one by one (``last_offset``), only those it
-    needs.  The merge's occurrences are the members' kept ones, so it
-    lies inside the log, as they do.  A merge of one-leaf cycles is
+    needs.  The merge lists the members' kept occurrences, each once, so
+    it is codable (:func:`codec._placed`).  A merge of one-leaf cycles is
     priced without a layout (:func:`codec.cycle_merge_pricer`); this
     path prices the others.
     """
@@ -908,31 +906,28 @@ def _layout_cost(
         m, j = layout.slots[s]
         return offs[m][last * pers[m] + j] + last * (ps[m] - root.p)
 
-    try:
-        if factored:
-            terms = [codec.block_terms(root.children[0].r, terms)]
-        return codec.block_cost(
-            root,
-            layout.tau,
-            members[0].stats,
-            terms=terms,
-            last_offset=last_offset,
-            abs_corrections=abs_corrections,
-        )
-    except UncodablePatternError:
-        return None
+    if factored:
+        terms = [codec.block_terms(root.children[0].r, terms)]
+    return codec.block_cost(
+        root,
+        layout.tau,
+        members[0].stats,
+        terms=terms,
+        last_offset=last_offset,
+        abs_corrections=abs_corrections,
+    )
 
 
-def _nest_cost(members: Sequence[_Member]) -> float | None:
+def _nest_cost(members: Sequence[_Member]) -> float:
     """Price of nesting the members, which share one tree, are numbered
-    over one log and are in start order, under an outer cycle
-    (:func:`grow_vertically`), from their records alone; None when it is
-    uncodable.
+    over one log, list no occurrence twice and are in start order, under
+    an outer cycle (:func:`grow_vertically`), from their records alone.
 
     Root repetition ``k`` is member ``k``, and every occurrence keeps its
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
-    corrections.  The nesting lies inside the log, as its members do.
+    corrections.  The nesting lists its members' occurrences, each once,
+    so it is codable (:func:`codec._placed`).
     Its root's one child is the members' tree, whose terms the members'
     ``terms`` fold into (:func:`codec.block_terms`), and the root is
     priced before its corrections are solved (:func:`codec.block_cost`).
@@ -942,18 +937,14 @@ def _nest_cost(members: Sequence[_Member]) -> float | None:
     shift = sum(starts)
     last = members[-1].pattern.offsets
     tree = first.tree
-    try:
-        return codec.block_cost(
-            Block(len(members), p, (tree,), (0,)),
-            first.cand.tau,
-            first.stats,
-            terms=[codec.block_terms(tree.r, first.terms)],
-            last_offset=lambda i: shift + last[i],
-            abs_corrections=sum(q.total(q.tree.r) for q in members)
-            + sum(map(abs, starts)),
-        )
-    except UncodablePatternError:
-        return None
+    return codec.block_cost(
+        Block(len(members), p, (tree,), (0,)),
+        first.cand.tau,
+        first.stats,
+        terms=[codec.block_terms(tree.r, first.terms)],
+        last_offset=lambda i: shift + last[i],
+        abs_corrections=sum(q.total(q.tree.r) for q in members) + sum(map(abs, starts)),
+    )
 
 
 def combine_horizontally(
@@ -1022,11 +1013,8 @@ def combine_horizontally(
             return None
         cost, provenance = _layout_cost(layout, fs, False), "horizontal"
         factored = factor_layout(layout)
-        if factored and (alt := _layout_cost(factored, fs, True)) is not None:
-            if cost is None or alt < cost:
-                cost, provenance = alt, "factorized"
-        if cost is None:
-            return None
+        if factored and (alt := _layout_cost(factored, fs, True)) < cost:
+            cost, provenance = alt, "factorized"
         return cost, cover, "", (provenance, [q.pattern for q in fs])
 
     # Pair merges that beat their members, then clique merges.
@@ -1205,11 +1193,10 @@ def _stage_one_event(
 
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
     indices, are fitted by :func:`fit_period` and priced by the event's
-    :func:`codec.cycle_pricer`.  Each is codable: its occurrences are the
-    event's and lie in the window of ``numbering.stats``, where ``p <=
-    p0_max`` reduces to ``last - tau <= span`` and ``tau < t_start + v``
-    to ``last <= t_end``.  A chain's cover is its occurrences' positions
-    in ``numbering`` and its notation :func:`format_cycle`'s.
+    :func:`codec.cycle_pricer`; each is codable, as its occurrences are
+    the log's (:func:`codec._placed`).  A chain's cover is its
+    occurrences' positions in ``numbering`` and its notation
+    :func:`format_cycle`'s.
     """
     stats = numbering.stats
     ts = seq.per_event[event]

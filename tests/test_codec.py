@@ -35,6 +35,7 @@ from cadence.core import (
     load_sequence,
 )
 from cadence.pattern import (
+    Leaf,
     Pattern,
     corrected_times,
     fit_cycle,
@@ -304,6 +305,37 @@ class TestContentEnd:
             seen["ends before the last occurrence"] += end != offsets[-1]
         assert seen["priced"] >= 1200, seen
         assert seen["ends before the last occurrence"] >= 600, seen
+
+
+class TestCodability:
+    # The theorem on codec._placed: a pattern whose corrected occurrences
+    # are distinct occurrences of the log that the statistics count, all
+    # inside the window, is codable.  Each draw's log is its occurrences
+    # plus a few others, priced over its own window and a widened one.
+    def test_patterns_inside_their_log_are_codable(self):
+        rng = random.Random(41)
+        seen: Counter = Counter()
+        for _ in range(4000):
+            tree = random_tree(rng, depth=rng.randint(1, 3), leaves=rng.randint(1, 4))
+            corrections = tuple(rng.randint(-3, 3) for _ in range(tree.count - 1))
+            p = Pattern(tree=tree, tau=rng.randint(0, 20), corrections=corrections)
+            times = [p.tau + t + off for t, off in zip(tree.compiled.times, p.offsets)]
+            occurrences = set(zip(times, tree.compiled.events))
+            if min(times) < 0 or len(occurrences) < len(times):
+                seen["not in a log"] += 1
+                continue
+            extras = [(rng.randint(0, max(times) + 9), rng.choice("abcd")) for _ in range(3)]
+            seq = EventSequence.from_pairs(occurrences.union(extras[: rng.randint(0, 3)]))
+            wide = SeqStats.from_sequence(
+                seq, max(0, seq.t_start - rng.randint(1, 5)), seq.t_end + rng.randint(1, 40)
+            )
+            for stats in (SeqStats.from_sequence(seq), wide):
+                pattern_cost(p, stats)
+            seen["priced"] += 1
+            seen["interleaved"] += tree.placement.interleaved
+            seen["nested"] += not all(isinstance(c, Leaf) for c in tree.children)
+        assert seen["priced"] >= 1500, seen
+        assert seen["interleaved"] >= 300 and seen["nested"] >= 300, seen
 
 
 class TestBaseline:

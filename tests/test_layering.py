@@ -308,18 +308,39 @@ def test_every_setting_is_read(settings):
     assert unread_fields(sources, settings.__name__, fields) == set()
 
 
+def bare_name(node: ast.AST) -> str | None:
+    """The name a ``Name`` or ``Attribute`` node ends in."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def enclosing_functions(source: str, name: str) -> list[str]:
     """The module-level function around each call of ``name``, by bare
     name or attribute, in source order; ``""`` for a call outside every
     function."""
+    return owners(source, lambda node: isinstance(node, ast.Call) and bare_name(node.func) == name)
+
+
+def catching_functions(source: str, error: str) -> list[str]:
+    """The module-level function around each ``except`` clause that
+    names ``error``, alone or in a tuple, in source order."""
+
+    def catches(node: ast.AST) -> bool:
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return error in map(bare_name, types)
+
+    return owners(source, catches)
+
+
+def owners(source: str, matches) -> list[str]:
+    """The module-level function or class around each node that
+    ``matches``, in source order; ``""`` for one outside every one."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == name:
-                found.append(owner)
+        if matches(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -342,6 +363,37 @@ def test_call_walker_names_the_enclosing_function():
         "fit_cycle([1, 2], 'b')\n"
     )
     assert enclosing_functions(source, "fit_cycle") == ["build", "stage", ""]
+
+
+def test_catch_walker_sees_names_attributes_and_tuples():
+    source = (
+        "def a():\n"
+        "    try: pass\n"
+        "    except UncodablePatternError: pass\n"
+        "def b():\n"
+        "    try: pass\n"
+        "    except (ValueError, core.UncodablePatternError): pass\n"
+        "    except Exception: pass\n"
+        "def c():\n"
+        "    try: pass\n"
+        "    except: pass\n"
+    )
+    assert catching_functions(source, "UncodablePatternError") == ["a", "b"]
+
+
+def test_growth_prices_without_uncodable_branches():
+    # A merge or nesting that lists occurrences of its log once is
+    # codable (the theorem on ``codec._placed``), so growth prices it to
+    # a float.  Only the ``l_max`` probe of ``combine_vertically`` may
+    # meet an uncodable pattern: it prices perfect times, not the log's.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    assert catching_functions(source, "UncodablePatternError") == ["combine_vertically"]
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_layout_cost", "_nest_cost")
+    }
+    assert returns == {"_layout_cost": "float", "_nest_cost": "float"}
 
 
 def test_miner_fits_a_cycle_only_at_the_build_site():

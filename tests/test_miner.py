@@ -1343,10 +1343,8 @@ def laid_out_merges(a: Pattern, b: Pattern) -> list:
 
 
 def record_price(layout, records, factored: bool):
-    """``(cost, cover)`` of a merge priced from its members' records;
-    None when it is uncodable."""
-    cost = miner._layout_cost(layout, records, factored)
-    return None if cost is None else (cost, miner._kept(records, layout.root.r))
+    """``(cost, cover)`` of a merge priced from its members' records."""
+    return miner._layout_cost(layout, records, factored), miner._kept(records, layout.root.r)
 
 
 def in_slack_gate(a: Pattern, b: Pattern) -> bool:
@@ -1467,22 +1465,21 @@ class TestHorizontalPricing:
             "factorizable",
         ):
             assert kinds[kind] > 0, (kind, kinds)
-        # A merge of codable members lies inside their log and repeats
-        # no more often than either member, so it is codable too.
+        # A merge that lists occurrences of its log once is codable, as
+        # the theorem on codec._placed proves.
         assert kinds["uncodable"] == 0, kinds
         # Every pair's merge is priced from its members' records, plain
         # and factorized.
-        priced = Counter()
+        priced = 0
         for new, pool in calls:
             for ia, ib, cands in slack_pairs(new, pool):
                 a, b = cands[ia], cands[ib]
                 facts = [miner._Member(a), miner._Member(b)]
                 for layout, merged, factored in laid_out_merges(a.pattern, b.pattern):
                     want = make_candidate(merged, "test", a.numbering)
-                    got = record_price(layout, facts, factored)
-                    assert got == ((want.cost, want.bits) if want else None)
-                    priced["codable" if want else "uncodable"] += 1
-        assert priced["codable"] > 0 and priced["uncodable"] == 0, priced
+                    assert record_price(layout, facts, factored) == (want.cost, want.bits)
+                    priced += 1
+        assert priced > 0
 
     def test_closed_form_equals_the_built_merge(self):
         # The price and cover of the concatenation's layout, read off 2, 3
@@ -1517,13 +1514,13 @@ class TestHorizontalPricing:
                     grow_horizontally([c.pattern for c in members])
                 seen[n, "negative distance"] += 1
                 continue
-            got = record_price(layout, facts, False)
             merged = grow_horizontally([c.pattern for c in members])
             want = make_candidate(merged, "test", numbering)
             if want is None:
-                assert got is None
+                with pytest.raises(UncodablePatternError):
+                    record_price(layout, facts, False)
                 continue
-            cost, cover = got
+            cost, cover = record_price(layout, facts, False)
             assert cost == want.cost
             assert cover == want.bits
             tree = want.pattern.tree
@@ -1560,13 +1557,14 @@ class TestHorizontalPricing:
                 assert layout is None
                 seen["negative join"] += 1
                 continue
-            got = record_price(layout, facts, True)
             try:
                 want = pattern_cost(factored, numbering.stats).total
             except UncodablePatternError:
-                assert got is None
+                with pytest.raises(UncodablePatternError):
+                    record_price(layout, facts, True)
                 seen["uncodable"] += 1
                 continue
+            got = record_price(layout, facts, True)
             assert got[0] == want
             assert got[1] == numbering.cover(pattern_occurrences(factored))
             inner = a.pattern.tree.children[0]
@@ -1590,7 +1588,7 @@ class TestHorizontalPricing:
         # parameters equals its layout's price and the encoder's price of
         # the built merge, float for float, in the log of the members'
         # occurrences with its window widened on either side.  Every draw
-        # is codable, as codec.cycle_merge_pricer's docstring proves.
+        # is codable, as the theorem on codec._placed proves.
         rng = random.Random(29)
         seen: Counter = Counter()
         for draw in range(3000):
@@ -1616,7 +1614,6 @@ class TestHorizontalPricing:
             assert [q.cycle for q in members] == cycles
             got = codec.cycle_merge_pricer(numbering.stats)(cycles)
             via_layout = miner._layout_cost(concat_layout(patterns), members, False)
-            assert via_layout is not None
             assert got == via_layout
             merged = grow_horizontally(patterns)
             assert got == pattern_cost(merged, numbering.stats).total
@@ -1918,7 +1915,7 @@ class TestNestPricing:
     def test_closed_form_equals_the_built_nesting(self):
         # The price of a nesting read off its members equals that of the
         # nesting built and priced by the encoder, float for float, and
-        # is None exactly when the encoder raises, in the log of the
+        # raises exactly when the encoder does, in the log of the
         # members' occurrences.  Statistics over the window drawn to cut
         # that log are refused.
         rng = random.Random(11)
@@ -1935,14 +1932,15 @@ class TestNestPricing:
             if len(members) < len(patterns):
                 continue
             tree = patterns[0].tree
-            got = miner._nest_cost([miner._Member(c) for c in members])
+            records = [miner._Member(c) for c in members]
             nested = grow_vertically(patterns)
             try:
                 want = pattern_cost(nested, numbering.stats).total
             except UncodablePatternError:
-                assert got is None
+                with pytest.raises(UncodablePatternError):
+                    miner._nest_cost(records)
                 continue
-            assert got == want
+            assert miner._nest_cost(records) == want
             seen["priced"] += 1
             seen["interleaved"] += nested.tree.placement.interleaved
             seen["nested"] += any(isinstance(c, Block) for c in tree.children)
@@ -2279,6 +2277,11 @@ class TestMine:
             outputs.add(done.stdout)
         assert len(outputs) == 1, outputs
 
+    def test_outputs_match_the_pinned_digest(self, this_digest):
+        # Mined outputs are bit-identical from change to change; one that
+        # moves them on purpose updates this pin and says so in CHANGES.md.
+        assert this_digest == "df3ae58bf75cc730212a259bbb3e137d5ffa90dfe8a3be412d06fc02fc69b179"
+
     @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
     def test_totals_do_not_depend_on_the_python_version(self, python, this_digest):
         # sum() compensates float rounding from Python 3.12 on; the
@@ -2437,6 +2440,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert held / len(trees) < 256 * 1024, held
+
+    def test_mining_leaves_no_reference_cycles(self):
+        # Reference counting alone frees what one call allocates: no
+        # closure or record holds itself, or a growth's graph, in a cycle.
+        seq = braid_log(0)
+        gc.collect()
+        gc.disable()
+        try:
+            mine(seq)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_dropped_results_release_their_trees(self):
         # No module-wide cache keeps a tree once its result is gone.
