@@ -304,11 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--succession", action="store_true",
         help="replace timestamps by 0-based input ranks",
     )
-    p_mine.add_argument("--k", type=int, default=3, metavar="N",
-                        help="per-occurrence retention width (default 3)")
-    p_mine.add_argument("--max-rounds", type=int, default=10, metavar="N",
+    defaults = MiningConfig()
+    p_mine.add_argument("--k", type=int, default=defaults.k, metavar="N",
+                        help="per-occurrence retention width (default %(default)s)")
+    p_mine.add_argument("--max-rounds", type=int, default=defaults.max_rounds, metavar="N",
                         help="maximum combination rounds; 0 stops after "
-                        "cycle extraction (default 10)")
+                        "cycle extraction (default %(default)s)")
     p_mine.add_argument("--out", metavar="FILE", help="write a JSON report")
     p_mine.set_defaults(func=_cmd_mine)
 

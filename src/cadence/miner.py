@@ -100,24 +100,26 @@ def _bits(indices: Iterable[int], size: int) -> int:
 
 
 class Numbering:
-    """One numbering of a log's occurrences, which keeps the log's
-    statistics: bit ``i`` of a cover stands for ``pairs[i]``, the
-    ``i``-th occurrence in ``(t, label)`` order, and ``stats``, which
-    must be ``SeqStats.from_sequence(seq, t_start, t_end)`` over a
-    window that holds the log (or :class:`DomainError` is raised),
-    price every candidate numbered here.
+    """One numbering of a log's occurrences, the miner's one handle on
+    the log: it keeps the log ``seq`` and its statistics.  Bit ``i`` of
+    a cover stands for ``pairs[i]``, the ``i``-th occurrence in ``(t,
+    label)`` order, and ``stats``, which must be
+    ``SeqStats.from_sequence(seq, t_start, t_end)`` over a window that
+    holds the log (or :class:`DomainError` is raised), price every
+    candidate numbered here.
 
     A cover is a Python int over one numbering, so a union is ``|``, a
     size ``int.bit_count()`` and what one cover adds to another ``a &
-    ~b``.  :func:`extract_cycles` numbers the log it mines, and every
-    candidate grown from its cycles carries that numbering: it lives as
-    long as they do, and no module keeps it.
+    ~b``.  :func:`mine` numbers the log it mines, and every candidate
+    that :func:`extract_cycles` and growth make carries that numbering:
+    it lives as long as they do, and no module keeps it.
     """
 
     def __init__(self, seq: EventSequence, stats: SeqStats) -> None:
         if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
             window = f"[{stats.t_start}, {stats.t_end}]"
             raise DomainError(f"the statistics over {window} describe another log")
+        self.seq = seq
         self.stats = stats
         self.pairs = tuple(sorted((t, e) for e, ts in seq.per_event.items() for t in ts))
         self.index = {o: i for i, o in enumerate(self.pairs)}
@@ -189,6 +191,18 @@ def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
             seen.add(c.notation)
             out.append(c)
     return out
+
+
+def _numbering(cands: Sequence[Candidate], numbering: Numbering | None = None) -> Numbering:
+    """The one numbering of the candidates: ``numbering``, or else the
+    first candidate's.  Raises :class:`DomainError` when a candidate has
+    another, so every public function that reads covers reads them over
+    one log."""
+    if numbering is None:
+        numbering = cands[0].numbering
+    if any(c.numbering is not numbering for c in cands):
+        raise DomainError("the candidates are numbered over different logs")
+    return numbering
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +567,12 @@ def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate
 
     For every covered occurrence the ``k`` best candidates by
     (efficiency, cost, notation) are retained; a candidate survives if it
-    is retained for at least one occurrence.
+    is retained for at least one occurrence.  The candidates must share
+    one :class:`Numbering`, or :class:`DomainError` is raised.
     """
     _require_int("k", k)
+    if candidates:
+        _numbering(candidates)
     cands = _dedupe(candidates)
     keys = [(c.efficiency, c.cost, c.notation) for c in cands]
     out = [cands[i] for i in _within_k(keys, [c.bits for c in cands], k)]
@@ -612,15 +629,6 @@ def _build_survivors(
 # Combination rounds
 
 
-def _numbering(new: Sequence[Candidate], pool: Sequence[Candidate]) -> Numbering:
-    """The numbering of ``new`` (not empty) and ``pool``; raises
-    :class:`DomainError` when a candidate has another."""
-    numbering = new[0].numbering
-    if any(c.numbering is not numbering for c in (*new, *pool)):
-        raise DomainError("the candidates are numbered over different logs")
-    return numbering
-
-
 def combine_vertically(
     new: Sequence[Candidate],
     pool: Sequence[Candidate],
@@ -645,9 +653,10 @@ def combine_vertically(
     _require_int("k", k)
     if not new:
         return []
-    numbering = _numbering(new, pool)
+    cands = [*new, *pool]
+    numbering = _numbering(cands)
     by_tree: dict[str, list[_Member]] = {}
-    for q in _records(_dedupe(list(new) + list(pool)), records):
+    for q in _records(_dedupe(cands), records):
         by_tree.setdefault(q.key, []).append(q)
     new_tree_keys = sorted({q.key for q in _records(new, records)})
 
@@ -751,9 +760,9 @@ class _Member:
     constant time.  ``occurrences`` are the corrected ones in traversal
     order, ``per`` of them in each root repetition.  ``magnitudes`` are
     the corrections' ``|E|``, the first occurrence's 0, and ``running``
-    their running sums by root repetition, off which :meth:`total` reads
-    their sum over the repetitions a merge keeps.  :meth:`kept` makes
-    the cover of those repetitions once per length and keeps it in
+    their running sums by root repetition: ``running[r]`` is their sum
+    over the first ``r``, the repetitions a merge keeps.  :meth:`kept`
+    makes the cover of those repetitions once per length and keeps it in
     ``covers``, which lives as long as the record: one :func:`mine`
     call.  ``cycle`` holds
     a one-leaf cycle's parameters for :func:`codec.cycle_merge_pricer`.
@@ -773,6 +782,7 @@ class _Member:
         self.pattern = cand.pattern
         self.tree = cand.pattern.tree
         self.per = self.tree.count // self.tree.r
+        self.covers: dict[int, int] = {}
 
     @cached_property
     def key(self) -> str:
@@ -803,10 +813,6 @@ class _Member:
         m, per = self.magnitudes, self.per
         return [0, *accumulate(sum(m[i : i + per]) for i in range(0, len(m), per))]
 
-    def total(self, r: int) -> int:
-        """``|E|`` summed over the first ``r`` root repetitions."""
-        return self.running[r]
-
     @cached_property
     def slack(self) -> int:
         es, per = self.pattern.corrections, self.per
@@ -819,11 +825,6 @@ class _Member:
     @cached_property
     def inner_terms(self) -> tuple:
         return codec.child_terms(self.tree.children[0], self.stats)
-
-    @cached_property
-    def covers(self) -> dict[int, int]:
-        """The covers :meth:`kept` has made, by length."""
-        return {}
 
     def kept(self, r: int) -> int:
         """Cover of the first ``r`` repetitions, made once per ``r``."""
@@ -884,7 +885,7 @@ def _layout_cost(layout: MergeLayout, members: Sequence[_Member], factored: bool
     abs_corrections = 0
     for q in members:
         terms += q.inner_terms if factored else q.terms
-        abs_corrections += q.total(r)
+        abs_corrections += q.running[r]
         offs.append(q.pattern.offsets)
         pers.append(q.per)
         ps.append(q.tree.p)
@@ -943,7 +944,7 @@ def _nest_cost(members: Sequence[_Member]) -> float:
         first.stats,
         terms=[codec.block_terms(tree.r, first.terms)],
         last_offset=lambda i: shift + last[i],
-        abs_corrections=sum(q.total(q.tree.r) for q in members) + sum(map(abs, starts)),
+        abs_corrections=sum(q.running[q.tree.r] for q in members) + sum(map(abs, starts)),
     )
 
 
@@ -982,10 +983,10 @@ def combine_horizontally(
     _require_int("k", k)
     if not new:
         return []
-    numbering = _numbering(new, pool)
-    merged = _dedupe(list(new) + list(pool))
+    merged = [*new, *pool]
+    numbering = _numbering(merged)
     new_keys = {c.notation for c in new}
-    cands = sorted(merged, key=lambda c: (c.tau, c.notation))
+    cands = sorted(_dedupe(merged), key=lambda c: (c.tau, c.notation))
     recs = _records(cands, records)
     taus = [c.tau for c in cands]
     periods = [q.tree.p for q in recs]
@@ -1066,51 +1067,42 @@ def combine_horizontally(
 
 @dataclass(frozen=True)
 class Selection:
-    """A chosen pattern collection over ``seq``.  Its :attr:`residuals`
-    and its :attr:`report` (:func:`codec.collection_cost`) are derived
-    on first read and kept.
+    """A chosen pattern collection over the log that ``numbering``
+    numbers.  Its :attr:`residuals`, its :attr:`total_bits` and its
+    :attr:`report` (:func:`codec.collection_cost`) are derived on first
+    read and kept.
     """
 
     candidates: tuple[Candidate, ...]
-    seq: EventSequence = field(repr=False, compare=False)
-    stats: SeqStats = field(repr=False, compare=False)
+    numbering: Numbering = field(repr=False, compare=False)
 
     @cached_property
     def residuals(self) -> tuple[tuple[int, str], ...]:
         """What the candidates leave uncovered, in ``(t, label)`` order."""
-        if not self.candidates:
-            return tuple(sorted(self.seq.pairs))
-        cover = reduce(or_, (c.bits for c in self.candidates))
-        return self.candidates[0].numbering.rest(cover)
+        return self.numbering.rest(reduce(or_, (c.bits for c in self.candidates), 0))
 
     @cached_property
     def report(self) -> CollectionReport:
         patterns = [c.pattern for c in self.candidates]
-        return codec.collection_cost(patterns, self.seq, self.stats)
+        return codec.collection_cost(patterns, self.numbering.seq, self.numbering.stats)
 
-    @property
+    @cached_property
     def total_bits(self) -> float:
-        return self.report.total_bits
+        """The candidates' costs plus the residuals they leave, added as
+        :func:`codec.collection_cost` adds them.  A mined candidate's cost
+        is its pattern's price bit for bit, so for mined candidates this
+        is ``report.total_bits``, read without pricing a pattern."""
+        numbering = self.numbering
+        held = numbering.labels(reduce(or_, (c.bits for c in self.candidates), 0))
+        counts = numbering.stats.counts
+        left = {e: n - h for e, n in counts.items() if (h := held.get(e, 0)) < n}
+        return codec.collection_bits((c.cost for c in self.candidates), numbering.stats, left)[2]
 
 
-def _total_bits(chosen: Sequence[Candidate], stats: SeqStats) -> float:
-    """What the report of the chosen candidates, mined from the log that
-    ``stats`` describes, gives as its total: their costs plus the
-    residuals they leave, added as :func:`codec.collection_cost` adds
-    them.  A mined candidate's cost is its pattern's price bit for bit,
-    and its cover lies inside the log, so what it leaves residual is the
-    log's per-event counts minus its own."""
-    held = {}
-    if chosen:
-        held = chosen[0].numbering.labels(reduce(or_, (c.bits for c in chosen)))
-    left = {e: n - h for e, n in stats.counts.items() if (h := held.get(e, 0)) < n}
-    return codec.collection_bits((c.cost for c in chosen), stats, left)[2]
-
-
-def greedy_cover(
-    pool: Sequence[Candidate], seq: EventSequence, stats: SeqStats
-) -> Selection:
-    """Pick patterns by bits per newly covered occurrence.
+def greedy_cover(pool: Sequence[Candidate], numbering: Numbering) -> Selection:
+    """Pick patterns by bits per newly covered occurrence, from a pool
+    numbered by ``numbering``; raises :class:`DomainError` when a
+    candidate carries another numbering.
 
     Repeatedly selects the candidate minimizing ``(cost / gain, cost,
     notation)``, where the gain is its count of newly covered
@@ -1124,6 +1116,7 @@ def greedy_cover(
     and dropped at gain 0.  Notations are unique and costs positive, so
     the picks are exactly those of re-scoring every candidate each time.
     """
+    stats = _numbering(pool, numbering).stats
     cands = _dedupe(pool)
     heap = [
         ((c.cost / n, c.cost, c.notation), i)
@@ -1143,12 +1136,12 @@ def greedy_cover(
         if heap and heap[0][0] < key:
             heapq.heappush(heap, (key, idx))
             continue
-        if best.cost < codec.residual_bits(stats, best.numbering.labels(new)):
+        if best.cost < codec.residual_bits(stats, numbering.labels(new)):
             chosen.append(best)
             covered |= best.bits
         else:
             break
-    return Selection(tuple(chosen), seq, stats)
+    return Selection(tuple(chosen), numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,7 +1180,7 @@ class MineResult:
 
 
 def _stage_one_event(
-    seq: EventSequence, event: str, numbering: Numbering
+    event: str, numbering: Numbering
 ) -> list[tuple[float, int, str, tuple[str, object]]]:
     """Stage-S winners of one event, as :func:`_build_survivors` entries.
 
@@ -1199,7 +1192,7 @@ def _stage_one_event(
     :func:`format_cycle`'s.
     """
     stats = numbering.stats
-    ts = seq.per_event[event]
+    ts = numbering.seq.per_event[event]
     chains = dict.fromkeys(extract_cycles_dp(ts, event, stats), "dp")
     for chain in extract_cycles_tri(ts, codec.extension_margin(stats)):
         chains.setdefault(chain, "tri")
@@ -1218,23 +1211,22 @@ def _stage_one_event(
     return winners
 
 
-def extract_cycles(
-    seq: EventSequence, stats: SeqStats, config: MiningConfig | None = None
-) -> list[Candidate]:
-    """Stage one: per-event cycle candidates, pruned to width
-    ``config.k``, their covers over a new :class:`Numbering` of ``seq``.
+def extract_cycles(numbering: Numbering, config: MiningConfig | None = None) -> list[Candidate]:
+    """Stage one: per-event cycle candidates of the log that
+    ``numbering`` numbers, priced under its statistics, pruned to width
+    ``config.k``, their covers over ``numbering``.
 
-    ``stats`` must describe ``seq``, as :class:`Numbering` requires, or
-    :class:`DomainError` is raised.  Every event's winners
+    A :class:`Numbering` holds only statistics that describe its log, so
+    statistics over a window that cuts the log are refused when the
+    numbering is built.  Every event's winners
     (:func:`_stage_one_event`) go to the build site
     (:func:`_build_survivors`) in one call.
     """
     cfg = config or MiningConfig()
-    numbering = Numbering(seq, stats)
-    events = list(seq.alphabet)
+    events = list(numbering.seq.alphabet)
 
     def stage(event: str) -> list[tuple]:
-        return _stage_one_event(seq, event, numbering)
+        return _stage_one_event(event, numbering)
 
     if cfg.threads > 1 and len(events) > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -1255,11 +1247,11 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     only the cycles and the single candidate compete.
     """
     cfg = config or MiningConfig()
-    stats = SeqStats.from_sequence(seq)
     clocks: dict[str, float] = {}
 
     t0 = perf_counter()
-    initial = extract_cycles(seq, stats, cfg)
+    numbering = Numbering(seq, SeqStats.from_sequence(seq))
+    initial = extract_cycles(numbering, cfg)
     clocks["extract"] = perf_counter() - t0
 
     t0 = perf_counter()
@@ -1288,31 +1280,21 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
 
     t0 = perf_counter()
     stages: dict[str, Selection] = {}
-    stages["S"] = greedy_cover(initial, seq, stats)
+    stages["S"] = greedy_cover(initial, numbering)
     if cfg.max_rounds:
-        stages["V"] = greedy_cover(initial + v_first, seq, stats)
-        stages["H"] = greedy_cover(initial + h_first, seq, stats)
-        stages["V+H"] = greedy_cover(initial + v_first + h_first, seq, stats)
-        stages["F"] = greedy_cover(final_pool, seq, stats)
+        stages["V"] = greedy_cover(initial + v_first, numbering)
+        stages["H"] = greedy_cover(initial + h_first, numbering)
+        stages["V+H"] = greedy_cover(initial + v_first + h_first, numbering)
+        stages["F"] = greedy_cover(final_pool, numbering)
+    if final_pool:
+        stages["single"] = min(
+            (Selection((c,), numbering) for c in final_pool),
+            key=lambda sel: (sel.total_bits, sel.candidates[0].notation),
+        )
 
-    totals = {name: _total_bits(sel.candidates, stats) for name, sel in stages.items()}
-
-    best_single = None
-    for c in final_pool:
-        total = _total_bits([c], stats)
-        if best_single is None or (total, c.notation) < best_single:
-            best_single = (total, c.notation)
-            best_single_cand = c
-    if best_single is not None:
-        stages["single"] = Selection((best_single_cand,), seq, stats)
-        totals["single"] = best_single[0]
-
-    # Each stage's total is its report's total_bits, which is priced only
-    # when read.
-    winner = "S"
-    for name in _STAGE_ORDER:
-        if name in totals and totals[name] < totals[winner]:
-            winner = name
+    # Each stage's total is its report's total_bits, and no report is
+    # priced here; ties go to the earlier stage.
+    winner = min((n for n in _STAGE_ORDER if n in stages), key=lambda n: stages[n].total_bits)
     clocks["select"] = perf_counter() - t0
     clocks["total"] = clocks["extract"] + clocks["combine"] + clocks["select"]
 

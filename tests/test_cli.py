@@ -502,3 +502,14 @@ class TestParser:
         assert args.k == 3
         assert args.max_rounds == 10
         assert args.granularity == 1
+
+    def test_mine_defaults_are_the_configs(self, capsys):
+        # The parser restates no miner setting: its defaults, and the
+        # defaults its help prints, are MiningConfig's.
+        config = cadence.MiningConfig()
+        args = build_parser().parse_args(["mine", "x.tsv"])
+        assert (args.k, args.max_rounds) == (config.k, config.max_rounds)
+        assert main(["mine", "--help"]) == 0
+        usage = " ".join(capsys.readouterr().out.split())
+        assert f"width (default {config.k})" in usage
+        assert f"cycle extraction (default {config.max_rounds})" in usage

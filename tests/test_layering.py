@@ -410,6 +410,61 @@ def test_miner_checks_a_logs_statistics_in_one_place():
     assert enclosing_functions(source, "from_sequence") == ["Numbering", "mine"]
 
 
+def annotation_names(node: ast.AST) -> set:
+    """The bare names an annotation mentions, inside unions, subscripts
+    and quoted annotations too."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names |= annotation_names(ast.parse(part.value, mode="eval"))
+        else:
+            names.add(bare_name(part))
+    return names
+
+
+def functions_taking(source: str, names: set[str]) -> list[str]:
+    """Each function or method, as ``name`` or ``Class.name``, whose
+    parameters' annotations between them mention every one of
+    ``names``, in source order."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                mentioned = set().union(
+                    *(annotation_names(p.annotation) for p in params if p and p.annotation)
+                )
+                if names <= mentioned:
+                    found.append(prefix + child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_signature_walker_sees_methods_unions_and_quotes():
+    source = (
+        "def a(seq: EventSequence, stats: SeqStats): pass\n"
+        "def b(seq: core.EventSequence, *, stats: 'SeqStats | None' = None): pass\n"
+        "def c(numbering: Numbering, seq: list[EventSequence]): pass\n"
+        "class K:\n"
+        "    def m(self, seq: EventSequence, stats: SeqStats): pass\n"
+    )
+    assert functions_taking(source, {"EventSequence", "SeqStats"}) == ["a", "b", "K.m"]
+
+
+def test_miner_takes_a_log_as_its_numbering():
+    # A log reaches the miner as one handle, its ``Numbering``, which
+    # keeps the log and its statistics together: only building one takes
+    # the two, so no stage can pair a log with another log's statistics.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    taking = functions_taking(source, {"EventSequence", "SeqStats"})
+    assert taking == ["Numbering.__init__"]
+
+
 def test_export_list_is_the_imported_names():
     # ``from cadence import *`` binds exactly what ``__init__`` imports:
     # a removed name cannot linger in ``__all__``, nor an import be left

@@ -324,8 +324,9 @@ class TestDpStopRule:
     def test_residual_price_below_two_bits(self):
         # A residual under two bits needs a window narrower than the
         # timestamps (or three occurrences), and such statistics describe
-        # another log: the segmentation refuses the window, and stage S
-        # refuses the counts even over a window that holds the log.
+        # another log: the segmentation refuses the window, and the
+        # log's numbering, which stage S reads, refuses the counts even
+        # over a window that holds the log.
         ts = wobbly_cycle(random.Random(5), beats=120, wobble=0.2)
         stats = SeqStats(length=1, t_start=ts[0], t_end=ts[0] + 1, counts={"a": 1})
         assert codec.residual_cost(stats, (ts[0], "a")) < 2
@@ -335,7 +336,7 @@ class TestDpStopRule:
         seq = EventSequence.from_pairs((t, "a") for t in ts)
         wide = dataclasses.replace(stats, t_end=ts[-1])
         with pytest.raises(DomainError) as raised:
-            extract_cycles(seq, wide)
+            extract_cycles(numbered(seq, wide))
         assert str(raised.value) == (
             f"the statistics over [{ts[0]}, {ts[-1]}] describe another log"
         )
@@ -803,30 +804,30 @@ class TestOneLogPerGrowth:
 
 class TestGreedyCover:
     def test_braid_alone_is_selected(self, triad_seq, triad_stats):
+        numbering = numbered(triad_seq, triad_stats)
         braid = make_candidate(
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
             "test",
-            numbered(triad_seq, triad_stats),
+            numbering,
         )
-        selection = greedy_cover([braid], triad_seq, triad_stats)
+        selection = greedy_cover([braid], numbering)
         assert [c.notation for c in selection.candidates] == [braid.notation]
         assert selection.residuals == ()
         assert selection.total_bits == approx_bits(53.538)
 
     def test_redundant_subset_candidate_is_skipped(self, triad_seq, triad_stats):
+        numbering = numbered(triad_seq, triad_stats)
         braid = make_candidate(
             parse_pattern("[r=3 p=13](b [d=3] a [d=1] c) @ tau=2 E=[0,1,-2,2,2,0,1,0]"),
             "test",
-            numbered(triad_seq, triad_stats),
+            numbering,
         )
-        sub = make_candidate(
-            fit_cycle((2, 13, 26), "b"), "test", numbered(triad_seq, triad_stats)
-        )
-        selection = greedy_cover([braid, sub], triad_seq, triad_stats)
+        sub = make_candidate(fit_cycle((2, 13, 26), "b"), "test", numbering)
+        selection = greedy_cover([braid, sub], numbering)
         assert [c.notation for c in selection.candidates] == [braid.notation]
 
     def test_empty_pool_leaves_everything_residual(self, triad_seq, triad_stats):
-        selection = greedy_cover([], triad_seq, triad_stats)
+        selection = greedy_cover([], numbered(triad_seq, triad_stats))
         assert selection.candidates == ()
         assert set(selection.residuals) == set(triad_seq.pairs)
         assert selection.total_bits == pytest.approx(
@@ -835,17 +836,58 @@ class TestGreedyCover:
 
     def test_not_cost_effective_candidate_rejected(self, dozen_a_seq, dozen_a_stats):
         # one 4-occurrence burst costs more than its four residuals
-        burst = make_candidate(
-            fit_cycle((2, 5, 7, 8), "a"), "test", numbered(dozen_a_seq, dozen_a_stats)
-        )
-        selection = greedy_cover([burst], dozen_a_seq, dozen_a_stats)
+        numbering = numbered(dozen_a_seq, dozen_a_stats)
+        burst = make_candidate(fit_cycle((2, 5, 7, 8), "a"), "test", numbering)
+        selection = greedy_cover([burst], numbering)
         assert selection.candidates == ()
 
 
-def random_pool(rng: random.Random, seq: EventSequence, stats: SeqStats):
-    """Cycles over random runs of the log, repriced so ratios tie often."""
+def planted_log(seed: int) -> EventSequence:
+    """A planted log of two-event patterns with displaced and spurious
+    occurrences."""
+    spec = PlantSpec(
+        basis="a d=3 b",
+        outer_length=(4, 6),
+        n_patterns=2,
+        shift_level=1,
+        shift_density=0.2,
+        additive_density=0.1,
+        seed=seed,
+    )
+    return generate(spec).perturbed
+
+
+class TestOneLogPerSelection:
+    # Selection and pruning read covers, as growth does, so they refuse
+    # candidates numbered over another log: a selection whose covers
+    # count one log and whose prices read another's statistics would
+    # total neither.
+    def test_greedy_cover_refuses_another_numbering(self):
+        seq = planted_log(3)
+        cands = extract_cycles(numbered(seq))
+        assert greedy_cover(cands, cands[0].numbering).candidates
+        wide = numbered(seq, SeqStats.from_sequence(seq, seq.t_start, seq.t_end + 500))
+        with pytest.raises(DomainError) as raised:
+            greedy_cover(cands, wide)
+        assert str(raised.value) == "the candidates are numbered over different logs"
+
+    def test_filter_candidates_refuses_mixed_numberings(self):
+        seq = planted_log(3)
+        own, again = extract_cycles(numbered(seq)), extract_cycles(numbered(seq))
+        assert filter_candidates(own, 3) == own
+        other = extract_cycles(numbered(planted_log(4)))
+        for cands in (own + again[:1], again[:1] + own, own + other):
+            with pytest.raises(DomainError) as raised:
+                filter_candidates(cands, 3)
+            assert str(raised.value) == "the candidates are numbered over different logs"
+        assert filter_candidates([], 3) == []
+
+
+def random_pool(rng: random.Random, numbering: Numbering):
+    """Cycles over random runs of the log that ``numbering`` numbers,
+    repriced so ratios tie often."""
     pool = []
-    numbering = numbered(seq, stats)
+    seq = numbering.seq
     for _ in range(rng.randint(5, 40)):
         event = rng.choice(sorted(seq.per_event))
         ts = seq.per_event[event]
@@ -868,14 +910,16 @@ class TestLazyGreedy:
         seq = EventSequence.from_pairs(
             (rng.randint(0, 600), rng.choice("abc")) for _ in range(150)
         )
-        stats = own_stats(seq)
-        pool = random_pool(rng, seq, stats)
+        numbering = numbered(seq)
+        stats = numbering.stats
+        pool = random_pool(rng, numbering)
         pool += rng.sample(pool, len(pool) // 4)  # duplicate notations
         rng.shuffle(pool)
-        got = greedy_cover(pool, seq, stats)
+        got = greedy_cover(pool, numbering)
         want = eager_greedy_cover(pool, stats)
         assert [c.notation for c in got.candidates] == [c.notation for c in want]
-        assert got.total_bits == collection_cost(
+        # the costs are set by hand, so the priced total is the report's
+        assert got.report.total_bits == collection_cost(
             [c.pattern for c in want], seq, stats
         ).total_bits
 
@@ -884,14 +928,14 @@ class TestLazyGreedy:
         seq = EventSequence.from_pairs(
             (rng.randint(0, 600), rng.choice("abc")) for _ in range(150)
         )
-        stats = own_stats(seq)
+        numbering = numbered(seq)
         pool = [
             dataclasses.replace(c, cost=50.0 * c.bits.bit_count())
-            for c in random_pool(rng, seq, stats)
+            for c in random_pool(rng, numbering)
         ]
         assert pool
-        assert greedy_cover(pool, seq, stats).candidates == ()
-        assert eager_greedy_cover(pool, stats) == []
+        assert greedy_cover(pool, numbering).candidates == ()
+        assert eager_greedy_cover(pool, numbering.stats) == []
 
     def test_equal_ratios_break_by_cost_then_notation(self):
         seq = EventSequence.from_pairs((t, "a") for t in range(0, 61, 3))
@@ -907,7 +951,7 @@ class TestLazyGreedy:
             priced((0, 3, 6, 9), 8.0, "z"),  # 2 bits each
             priced((48, 51, 54, 57), 8.0, "y"),  # 2 bits each
         ]
-        picks = greedy_cover(pool, seq, stats).candidates
+        picks = greedy_cover(pool, numbering).candidates
         assert [c.notation for c in picks] == ["y", "z", "a"]
         assert [c.notation for c in eager_greedy_cover(pool, stats)] == ["y", "z", "a"]
 
@@ -1071,7 +1115,7 @@ class TestStageSRanking:
         stats = own_stats(seq)
         for k in (1, 2, 3):
             self.same(
-                extract_cycles(seq, stats, MiningConfig(k=k)),
+                extract_cycles(numbered(seq, stats), MiningConfig(k=k)),
                 build_every_cycle(seq, stats, k),
             )
 
@@ -1090,12 +1134,12 @@ class TestStageSRanking:
         )
         window = rf"^the time window \[{cut.t_start}, {cut.t_end}\] must contain"
         with pytest.raises(DomainError, match=window):
-            extract_cycles(seq, cut, MiningConfig(k=3))
+            extract_cycles(numbered(seq, cut), MiningConfig(k=3))
         wide = SeqStats.from_sequence(
             seq, max(0, full.t_start - d_start), full.t_end + d_end
         )
         self.same(
-            extract_cycles(seq, wide, MiningConfig(k=3)),
+            extract_cycles(numbered(seq, wide), MiningConfig(k=3)),
             build_every_cycle(seq, wide, 3),
         )
 
@@ -1130,7 +1174,7 @@ class TestStageSRanking:
             monkeypatch.setattr(miner, name, counting)
         seq = EventSequence.from_pairs(wobbly_log(random.Random(5), "abcd", 20))
         assert len(seq.alphabet) == 4
-        out = extract_cycles(seq, own_stats(seq), MiningConfig(k=3))
+        out = extract_cycles(numbered(seq), MiningConfig(k=3))
         assert {c.pattern.tree.children[0].event for c in out} == set("abcd")
         assert calls == {"_build_survivors": 1, "filter_candidates": 1}
 
@@ -1145,7 +1189,7 @@ class TestStageSRanking:
         monkeypatch.setattr(miner, "_grow", counting)
         rng = random.Random(5)
         seq = EventSequence.from_pairs(wobbly_log(rng, "abc", 20))
-        out = extract_cycles(seq, own_stats(seq), MiningConfig(k=3))
+        out = extract_cycles(numbered(seq), MiningConfig(k=3))
         assert len(built) == len(out)
 
 
@@ -2092,7 +2136,7 @@ class TestRecords:
                 q = miner._Member(c)
                 magnitudes = [0, *map(abs, c.pattern.corrections)]
                 for r in range(1, q.tree.r + 1):
-                    assert q.total(r) == sum(magnitudes[: r * q.per])
+                    assert q.running[r] == sum(magnitudes[: r * q.per])
                     cover = q.kept(r)
                     assert cover == c.numbering.cover(q.occurrences[: r * q.per])
                     assert q.kept(r) is cover
@@ -2118,7 +2162,7 @@ class TestRecords:
 
 class TestExtractCyclesStage:
     def test_triad_log_yields_the_two_steady_tracks(self, triad_seq):
-        cands = extract_cycles(triad_seq, own_stats(triad_seq), MiningConfig(k=3))
+        cands = extract_cycles(numbered(triad_seq), MiningConfig(k=3))
         events = {next(iter(c.pattern.tree.children)).event for c in cands}
         assert events == {"a", "b"}
         assert all(c.provenance in ("dp", "tri") for c in cands)
@@ -2129,18 +2173,14 @@ class TestExtractCyclesStage:
         monkeypatch.syspath_prepend(str(BENCH))
         gen = importlib.import_module("gen")
         seq = cadence.load_sequence(next(gen.logs("heartbeats", 501, 20)).text)
-        stats = own_stats(seq)
-        assert len(extract_cycles(seq, stats, MiningConfig(k=5))) == 87
-        assert len(extract_cycles(seq, stats, MiningConfig(k=3))) == 45
-        assert len(extract_cycles(seq, stats)) == 45
+        numbering = numbered(seq)
+        assert len(extract_cycles(numbering, MiningConfig(k=5))) == 87
+        assert len(extract_cycles(numbering, MiningConfig(k=3))) == 45
+        assert len(extract_cycles(numbering)) == 45
 
     def test_threading_does_not_change_the_result(self, mixed_seq):
-        serial = extract_cycles(
-            mixed_seq, own_stats(mixed_seq), config=MiningConfig(k=3, threads=1)
-        )
-        threaded = extract_cycles(
-            mixed_seq, own_stats(mixed_seq), config=MiningConfig(k=3, threads=3)
-        )
+        serial = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=1))
+        threaded = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=3))
         assert [c.notation for c in serial] == [c.notation for c in threaded]
 
 
@@ -2314,7 +2354,7 @@ class TestMine:
         assert list(seq.pairs) != sorted(seq.pairs)
         result = mine(seq)
         assert result.selection.candidates
-        nothing = greedy_cover([], seq, own_stats(seq))
+        nothing = greedy_cover([], numbered(seq))
         for selection in [*result.stages.values(), nothing]:
             covered = set().union(*map(cover_pairs, selection.candidates))
             assert selection.residuals == tuple(sorted(set(seq.pairs) - covered))
@@ -2324,7 +2364,7 @@ class TestMine:
         # Stage-S cycles of this log share occurrences; a merge or nesting
         # of two that share one would list it twice, and is never pooled.
         seq = shaped_log("stream", 0)
-        initial = extract_cycles(seq, own_stats(seq))
+        initial = extract_cycles(numbered(seq))
         assert any(a.bits & b.bits for a in initial for b in initial if a is not b)
         result = mine(seq)
         assert {"vertical", "horizontal"} & {c.provenance for c in result.pool}
@@ -2340,37 +2380,17 @@ class TestMine:
         "shape, seed",
         [("heartbeats", 3), ("stream", 0), ("stream", 3), ("braids", 6), ("planted", 2)],
     )
-    def test_winner_is_picked_by_the_report_totals(self, monkeypatch, shape, seed):
-        # mine() totals each stage from its candidates' costs; every such
-        # total is the stage report's total_bits, bit for bit.
-        if shape == "planted":
-            spec = PlantSpec(
-                basis="a d=3 b",
-                outer_length=(4, 6),
-                n_patterns=2,
-                shift_level=1,
-                shift_density=0.2,
-                additive_density=0.1,
-                seed=seed,
-            )
-            seq = generate(spec).perturbed
-        else:
-            seq = shaped_log(shape, seed)
-        used = {}
-        total = miner._total_bits
-
-        def recording(chosen, stats):
-            out = total(chosen, stats)
-            used[tuple(c.notation for c in chosen)] = out
-            return out
-
-        monkeypatch.setattr(miner, "_total_bits", recording)
+    def test_winner_is_picked_by_the_report_totals(self, shape, seed):
+        # mine() reads each stage's total_bits, added from its candidates'
+        # costs without pricing a report; every such total is the stage
+        # report's total_bits, bit for bit, and the winner holds the least.
+        seq = planted_log(seed) if shape == "planted" else shaped_log(shape, seed)
         result = mine(seq)
-        reports = {}
-        for name, selection in result.stages.items():
-            reports[name] = selection.report.total_bits
-            assert used[tuple(c.notation for c in selection.candidates)] == reports[name]
-        assert reports[result.winner] == min(reports.values())
+        for selection in result.stages.values():
+            assert "total_bits" in vars(selection) and "report" not in vars(selection)
+            assert selection.total_bits == selection.report.total_bits
+        totals = [selection.total_bits for selection in result.stages.values()]
+        assert result.selection.total_bits == min(totals)
         assert len(result.stages) == 6 and result.selection.candidates
 
     def test_residuals_are_derived_only_when_read(self):

@@ -13,9 +13,9 @@ report, its ``collection_cost`` totals included), its final pool as
 on a candidate no stage selects shows too, the winning collection's
 ``collection_cost`` total and the log's ``baseline_cost``.  Stage S is
 hashed on its own too: every event's ``extract_cycles_dp`` runs and the
-``extract_cycles`` candidates as ``(notation, cost, provenance)``, so a
-change to the segmentation or to stage S shows even when no selection
-moves.  The final pools of three of the planted logs hold 19 merges of
+``extract_cycles`` candidates of the log's ``Numbering`` as
+``(notation, cost, provenance)``, so a change to the segmentation or to
+stage S shows even when no selection moves.  The final pools of three of the planted logs hold 19 merges of
 three or more one-leaf cycles (1, 2 and 16), each carrying the price
 ``codec.cycle_merge_pricer`` gave it, so the digest checks that
 pricer's float order too.  None of them is wider than its period, nor
@@ -40,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cadence import (  # noqa: E402
     EventSequence,
+    Numbering,
     PlantSpec,
     SeqStats,
     baseline_cost,
@@ -88,7 +89,8 @@ def digest() -> str:
             e: extract_cycles_dp(seq.per_event[e], e, stats) for e in seq.alphabet
         }
         out["stage_s"] = [
-            (c.notation, c.cost, c.provenance) for c in extract_cycles(seq, stats)
+            (c.notation, c.cost, c.provenance)
+            for c in extract_cycles(Numbering(seq, stats))
         ]
         h.update(json.dumps(out, sort_keys=True).encode())
     return h.hexdigest()
