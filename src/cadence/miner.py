@@ -163,7 +163,9 @@ class Candidate:
 
     ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
     occurrences of the log it was mined from; ``numbering.pairs_of(bits)``
-    lists them, and ``cost`` is its price under ``numbering.stats``.
+    lists them, and ``cost`` is its price under ``numbering.stats``.  A
+    pattern covers at least one occurrence, so a cover that is not a
+    positive int raises :class:`DomainError`.
     """
 
     pattern: Pattern
@@ -172,6 +174,10 @@ class Candidate:
     notation: str
     provenance: str
     numbering: Numbering = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if type(self.bits) is not int or self.bits <= 0:
+            raise DomainError(f"a candidate's cover must be a positive int, got {self.bits!r}")
 
     @property
     def efficiency(self) -> float:
@@ -266,9 +272,15 @@ def extract_cycles_dp(
     ``v = span - (t_j - t_a) + 1 >= span - (t_j - t_lo) + 1`` and
     ``p0_max >= p >=`` the least gap.  After 8 steps without a stop, and
     then at steps growing by half while as many starts remain as were
-    scanned, the scan prices ``[a0..j]`` exactly as ``U``, from a sorted
-    fit of its gaps (the integer upper median and deviation the heaps
-    give).  When the bound's least ``best[a] - 2a`` over the remaining
+    scanned, the scan prices ``[a0..j]`` exactly as ``U``, from the
+    sorted gaps of ``[a0..j]`` (the integer upper median and deviation
+    the heaps give).  That fit is carried from row to row.  When
+    ``cut[j]`` moves, the gaps are sorted afresh, in ``O(w log w)`` for
+    ``w = window``.  While it stays, a row adds the gaps of the rows
+    since the fit was last read, each by a bisection and a list insert
+    that keep the sums of the lower half and of all the gaps: ``O(log
+    w)`` comparisons and a move of at most ``w`` list entries per row,
+    amortized.  When the bound's least ``best[a] - 2a`` over the remaining
     starts other than ``a0`` exceeds ``min(U, bj)`` by more than ``1e-6``
     (the margin covers float rounding), none of them can win or tie:
     ``a0`` takes the row if ``U < bj``, as the full scan would, and the
@@ -306,12 +318,16 @@ def extract_cycles_dp(
     lam = codec.placement_bits_bound(stats)
     heappush, heappushpop = heapq.heappush, heapq.heappushpop
     inf = math.inf
+    res = [k * l_res for k in range(min(n, window) + 1)]  # k residuals' price
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
     net = [0.0] * (n + 1)  # best[a] - 2 * a
     cut = [0] * (n + 1)  # start index of the last segment
     as_cycle = [False] * (n + 1)
+    # The sorted gaps of [fit_a0..fit_end], carried from row to row, and
+    # the sums of its lower half (its first len // 2) and of all of it.
+    fit_a0, fit_end, seg, low, total = -1, 0, [], 0, 0
     for j in range(n):
         lo = max(0, j - window + 1)
         bj = best[j] + l_res  # singleton segment [j..j]
@@ -344,13 +360,14 @@ def extract_cycles_dp(
                 heappush(small, -y)
                 sum_small += y
             p = large[0]
-            half = k >> 1
-            dev = (p * half - sum_small) + (sum_large - p * (k - half))
-            cost = (k + 1) * l_res
+            # (p * h - sum_small) + (sum_large - p * (k - h)) for h = k // 2
+            dev = sum_large - sum_small - p if k & 1 else sum_large - sum_small
+            cost = res[k + 1]
             b_i = best[i]
             cand_cost = b_i + cost
             cyc_cost = inf
-            if k >= 2 and b_i + (head + (2 * k + dev)) < bj:
+            spread = 2 * k + dev
+            if k >= 2 and b_i + (head + spread) < bj:
                 t_i = ts[i]
                 cyc_cost = price(k + 1, p, t_i, (t_j - t_i) - k * p, dev)
                 if cyc_cost < cost:
@@ -361,7 +378,7 @@ def extract_cycles_dp(
                 aj = cyc_cost < cost
             if i == stop:
                 break
-            as_res, as_cyc = k * l_res, 2 * k + dev - lam
+            as_res, as_cyc = res[k], spread - lam
             if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
                 stop = i - 1
             if k == test and i - lo >= k:
@@ -372,12 +389,27 @@ def extract_cycles_dp(
                         test = n
                         continue
                     place = codec.cycle_placement_floor(stats, t_j - ts[lo], least_gap)
-                    # [a0..j] priced from a sorted fit: the heaps' median and deviation
-                    seg = sorted(gaps[a0:j])
+                    left = min(net[lo:a0], default=inf)  # the starts before a0
+                    # [a0..j] priced from the carried sorted fit of its gaps
+                    if a0 != fit_a0:  # cut[j] moved: fit afresh
+                        fit_a0, fit_end = a0, j
+                        seg = sorted(gaps[a0:j])
+                        low = sum(seg[: (j - a0) >> 1])
+                        total = sum(seg)
+                    for x in gaps[fit_end:j]:
+                        pos = bisect_right(seg, x)
+                        seg.insert(pos, x)
+                        total += x
+                        h0 = len(seg) >> 1
+                        if pos < h0:  # x joins the lower half
+                            low += x - (seg[h0] if len(seg) & 1 else 0)
+                        elif not len(seg) & 1:  # the lower half grows by the median
+                            low += seg[h0 - 1]
+                    fit_end = j
                     k0 = j - a0
                     h0 = k0 >> 1
                     p0 = seg[h0]
-                    d0 = (p0 * h0 - sum(seg[:h0])) + (sum(seg[h0:]) - p0 * (k0 - h0))
+                    d0 = (p0 * h0 - low) + ((total - low) - p0 * (k0 - h0))
                     c0 = (k0 + 1) * l_res
                     y0 = price(k0 + 1, p0, ts[a0], (t_j - ts[a0]) - k0 * p0, d0)
                     u_cyc = y0 < c0
@@ -385,8 +417,8 @@ def extract_cycles_dp(
                 ref = u_cost if u_cost < bj else bj
                 as_res, as_cyc = l_res + (k + 1) * (l_res - 2.0), head + dev + place
                 bound = 2 * j + (as_res if as_res < as_cyc else as_cyc) - 1e-6
-                rival = min(min(net[lo:a0], default=inf), min(net[a0 + 1:i], default=inf))
-                if rival + bound > ref:
+                rival = min(net[a0 + 1:i], default=inf)
+                if (left if left < rival else rival) + bound > ref:
                     if u_cost < bj:
                         bj, cj, aj = u_cost, a0, u_cyc
                     break
@@ -410,15 +442,6 @@ def extract_cycles_dp(
 # Stage S: triple chaining
 
 
-def _nearest(ts: Sequence[int], target: int, lo: int, hi: int, tolerance: float) -> int:
-    """Index in ``[lo, hi)`` of the timestamp nearest ``target``, the
-    earlier on a tie; -1 when none lies within ``tolerance``."""
-    k = bisect_left(ts, target, lo, hi)
-    if k > lo and (k == hi or target - ts[k - 1] <= ts[k] - target):
-        k -= 1
-    return k if k < hi and abs(ts[k] - target) <= tolerance else -1
-
-
 def _chain(
     ts: Sequence[int],
     i: int,
@@ -431,32 +454,54 @@ def _chain(
     every step landed exactly on its predicted time.
 
     The ``m``-th step on a side goes to the occurrence nearest the
-    predicted time: ``m`` seed periods ``ts[j] - ts[i]`` beyond the seed
-    (``steady``), or the chain's gap at that end repeated.  A side ends
-    when no occurrence lies within ``tolerance`` of the prediction, when
-    the new gap differs from the gap next to it by more than
-    ``tolerance``, or at an occurrence with no ``room`` left.
+    predicted time, the earlier on a tie: ``m`` seed periods ``ts[j] -
+    ts[i]`` beyond the seed (``steady``), or the chain's gap at that end
+    repeated.  A step is taken only when ``abs(x) <= tolerance`` holds
+    for ``x`` the occurrence's distance from the prediction and for ``x``
+    the new gap less the gap next to it, and the occurrence has ``room``
+    left; else the side ends.  Each side is its own loop, and each step,
+    and the end of each side, is one bisection of ``ts`` made inline.
     """
-    period = ts[j] - ts[i]
+    bisect, n = bisect_left, len(ts)
+    t_i, t_j = ts[i], ts[j]
+    period = t_j - t_i
     exact = True
-    ends = []
-    for sign, a, b in ((1, i, j), (-1, j, i)):
-        side, anchor = [], ts[b]
-        while True:
-            gap = abs(ts[b] - ts[a])
-            if steady:
-                target = anchor + sign * (len(side) + 1) * period
-            else:
-                target = ts[b] + sign * gap
-            lo, hi = (b + 1, len(ts)) if sign > 0 else (0, b)
-            k = _nearest(ts, target, lo, hi, tolerance)
-            if k < 0 or room[k] <= 0 or abs(abs(ts[k] - ts[b]) - gap) > tolerance:
-                break
-            side.append(k)
-            exact = exact and ts[k] == target
-            a, b = b, k
-        ends.append(side)
-    return (*reversed(ends[1]), i, j, *ends[0]), exact
+    after: list[int] = []
+    lo, t_b, gap, target = j + 1, t_j, period, t_j
+    while True:
+        target = target + period if steady else t_b + gap
+        k = bisect(ts, target, lo)
+        if k > lo and (k == n or target - ts[k - 1] <= ts[k] - target):
+            k -= 1
+        elif k == n:
+            break
+        t_k = ts[k]
+        step = t_k - t_b
+        if not (abs(t_k - target) <= tolerance and abs(step - gap) <= tolerance and room[k] > 0):
+            break
+        after.append(k)
+        if t_k != target:
+            exact = False
+        lo, t_b, gap = k + 1, t_k, step
+    before: list[int] = []
+    hi, t_b, gap, target = i, t_i, period, t_i
+    while True:
+        target = target - period if steady else t_b - gap
+        k = bisect(ts, target, 0, hi)
+        if k > 0 and (k == hi or target - ts[k - 1] <= ts[k] - target):
+            k -= 1
+        elif k == hi:
+            break
+        t_k = ts[k]
+        step = t_b - t_k
+        if not (abs(t_k - target) <= tolerance and abs(step - gap) <= tolerance and room[k] > 0):
+            break
+        before.append(k)
+        if t_k != target:
+            exact = False
+        hi, t_b, gap = k, t_k, step
+    before.reverse()
+    return (*before, i, j, *after), exact
 
 
 def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tuple[int, ...]]:
@@ -482,10 +527,10 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
     about ``2 G``, one per seed period and kind), and a side stops
     before a full one.  There are at most ``G n`` seeds of two chains
     each, the twins of one seed can coincide but two seeds' chains
-    cannot, and every step, and the end of every side, is one bisection
-    (:func:`_nearest`).  So at most ``2 G n`` chains come out, and at
-    most ``2 (4 G n) + 4 G n = 12 G n`` lookups are made: ``8 n`` and
-    ``48 n`` once ``n >= 150``.
+    cannot, and every step, and the end of every side, is one
+    ``bisect_left`` made inline in :func:`_chain`.  So at most
+    ``2 G n`` chains come out, and at most ``2 (4 G n) + 4 G n = 12 G
+    n`` lookups are made: ``8 n`` and ``48 n`` once ``n >= 150``.
 
     A steady walk whose every step lands exactly on its predicted time
     is the local-gap walk from its seed too: the two predict the same
@@ -495,7 +540,12 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
     chain was just added and used up the ``room`` of one of its members
     past the seed; then it runs and may stop there.  On a strictly
     periodic event this skips nearly every second walk.
+
+    A NaN ``tolerance`` raises :class:`DomainError`: every comparison
+    with it is false, so no rule could say what it admits.
     """
+    if math.isnan(tolerance):
+        raise DomainError(f"tolerance must be a number, got {tolerance!r}")
     ts = list(timestamps)
     n = len(ts)
     if n < 3:
@@ -1118,11 +1168,7 @@ def greedy_cover(pool: Sequence[Candidate], numbering: Numbering) -> Selection:
     """
     stats = _numbering(pool, numbering).stats
     cands = _dedupe(pool)
-    heap = [
-        ((c.cost / n, c.cost, c.notation), i)
-        for i, c in enumerate(cands)
-        if (n := c.bits.bit_count())
-    ]
+    heap = [((c.efficiency, c.cost, c.notation), i) for i, c in enumerate(cands)]
     heapq.heapify(heap)
     covered = 0
     chosen: list[Candidate] = []
@@ -1187,9 +1233,9 @@ def _stage_one_event(
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
     indices, are fitted by :func:`fit_period` and priced by the event's
     :func:`codec.cycle_pricer`; each is codable, as its occurrences are
-    the log's (:func:`codec._placed`).  A chain's cover is its
-    occurrences' positions in ``numbering`` and its notation
-    :func:`format_cycle`'s.
+    the log's (:func:`codec._placed`).  A chain's cover ORs its
+    occurrences' bits in ``numbering``, made once per event, and its
+    notation is :func:`format_cycle`'s.
     """
     stats = numbering.stats
     ts = numbering.seq.per_event[event]
@@ -1197,8 +1243,8 @@ def _stage_one_event(
     for chain in extract_cycles_tri(ts, codec.extension_margin(stats)):
         chains.setdefault(chain, "tri")
     price = codec.cycle_pricer(stats, event)
-    index, size = numbering.index, len(numbering.pairs)
-    at = [index[t, event] for t in ts]
+    index = numbering.index
+    bit = [1 << index[t, event] for t in ts]
     winners = []
     for chain, provenance in chains.items():
         times = [ts[i] for i in chain]
@@ -1206,7 +1252,7 @@ def _stage_one_event(
         r, tau = len(times), times[0]
         cost = price(r, p, tau, times[-1] - tau - (r - 1) * p, sum(map(abs, corrections)))
         notation = format_cycle(event, r, p, tau, corrections)
-        cover = _bits((at[i] for i in chain), size)
+        cover = reduce(or_, map(bit.__getitem__, chain))
         winners.append((cost, cover, notation, (provenance, (times, event))))
     return winners
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import importlib
+import math
 import os
 import random
 import shutil
@@ -36,6 +37,7 @@ from cadence.miner import (
     Candidate,
     MiningConfig,
     Numbering,
+    Selection,
     combine_horizontally,
     combine_vertically,
     extract_cycles,
@@ -224,10 +226,24 @@ def wobbly_cycle(rng: random.Random, beats: int, wobble: float, noise: int = 0) 
     return sorted(ts)
 
 
+def two_cycles(rng: random.Random, wobble: float) -> list[int]:
+    """Two single long cycles of different periods, 40 to 80 beats
+    each, back to back, each beat one tick early or late with
+    probability ``wobble``."""
+    ts, t = [], rng.randint(1, 30)
+    for p in rng.sample(range(5, 21), 2):
+        for _ in range(rng.randint(40, 80)):
+            ts.append(t + (rng.choice((-1, 1)) if rng.random() < wobble else 0))
+            t += p
+    return ts
+
+
 # Short runs far apart, where the stop rule cuts most scans; long wobbly
-# runs, where it cuts few; and single long wobbly cycles, where it cuts
-# none and the range bound ends the scans (the second window of each
-# case is shorter than the event).
+# runs, where it cuts few; single long wobbly cycles, where it cuts none
+# and the range bound ends the scans; and two such cycles back to back,
+# where the last segment's start moves mid-event and the range bound's
+# carried fit is made afresh (the second window of each case is shorter
+# than the event).
 SEGMENTATION_INPUTS = [
     *(
         pytest.param(
@@ -261,6 +277,14 @@ SEGMENTATION_INPUTS = [
             id=f"one-cycle-{seed}",
         )
         for seed in range(12)
+    ),
+    *(
+        pytest.param(
+            lambda rng: two_cycles(rng, wobble=rng.uniform(0.1, 0.3)),
+            seed,
+            id=f"two-cycles-{seed}",
+        )
+        for seed in range(20)
     ),
 ]
 
@@ -437,16 +461,31 @@ class TestExtractCyclesTri:
         rng = random.Random(n)
         ts = [40 * (i // 4) + 2 * (i % 4) + rng.choice((0, 0, 1)) for i in range(n)]
         lookups = []
-        original = miner._nearest
+        original = miner.bisect_left
 
         def counting(*args):
             lookups.append(args[1])
             return original(*args)
 
-        monkeypatch.setattr(miner, "_nearest", counting)
+        monkeypatch.setattr(miner, "bisect_left", counting)
         cycles = extract_cycles_tri(ts, 12.0)
         assert 0 < len(cycles) <= 8 * n
         assert n < len(lookups) <= 48 * n
+
+    @pytest.mark.parametrize("steady", [True, False])
+    def test_the_earlier_occurrence_wins_an_exact_tie(self, steady):
+        # Both walks predict 20 after the seed (0, 10), and 19 and 21
+        # lie a tick either side of it: the step goes to 19.
+        room = [1, 1, 1, 1]
+        assert miner._chain([0, 10, 19, 21], 0, 1, 2.0, steady, room) == ((0, 1, 2), False)
+
+    def test_nan_tolerance_is_refused(self):
+        # Every comparison with NaN is false, so a NaN tolerance would
+        # accept or refuse every step depending on how a test is written.
+        for ts in ([0, 10, 20, 30], [0, 10]):
+            with pytest.raises(DomainError) as raised:
+                extract_cycles_tri(ts, math.nan)
+            assert str(raised.value) == "tolerance must be a number, got nan"
 
 
 def wobbled(rng: random.Random, n: int) -> list[int]:
@@ -479,7 +518,7 @@ class TestTriSkipsRetracedWalks:
     @given(
         shape=st.sampled_from([wobbled, bursty, scattered]),
         n=st.integers(0, 160),
-        tolerance=st.sampled_from([0.0, -1.0, 1.0, 3.129, 12.0, 40.0]),
+        tolerance=st.sampled_from([0.0, -1.0, 1.0, 3.129, 12.0, 40.0, 150.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_same_chains_as_walking_twice(self, shape, n, tolerance, seed):
@@ -605,6 +644,28 @@ class TestFilterCandidates:
     def test_k_must_be_positive(self):
         with pytest.raises(DomainError):
             filter_candidates([], 0)
+
+
+class TestCandidateCover:
+    # A candidate with no occurrence would divide by zero in
+    # filter_candidates, be skipped by greedy_cover and add its cost to
+    # Selection.total_bits; none of them can be given one.
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda c: filter_candidates([c], 1),
+            lambda c: greedy_cover([c], STUBBED),
+            lambda c: Selection((c,), STUBBED).total_bits,
+        ],
+        ids=["filter_candidates", "greedy_cover", "total_bits"],
+    )
+    @pytest.mark.parametrize("bits", [0, -2, True, 1.0, None])
+    def test_a_cover_that_is_not_a_positive_int_is_refused(self, entry, bits):
+        good = _stub_candidate([(0, "a")], 8.0, "A")
+        with pytest.raises(DomainError) as raised:
+            entry(dataclasses.replace(good, bits=bits))
+        assert str(raised.value) == f"a candidate's cover must be a positive int, got {bits!r}"
+        assert entry(good)
 
 
 class TestWithinK:
