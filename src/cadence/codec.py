@@ -29,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .core import (
     DomainError,
@@ -47,6 +47,8 @@ from .pattern import (
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
+    occurrence_count,
+    place_children,
 )
 
 _LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
@@ -228,15 +230,17 @@ def child_terms(tree: Block, stats: SeqStats) -> tuple[Terms, ...]:
     return tuple(_tree_bits(child, stats) for child in tree.children)
 
 
-def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> float:
-    """Bits for a block's child distances and interior-child periods.
+def _content_bits(
+    children: Sequence[Node], distances: Sequence[int], width: int, interleaved: bool
+) -> float:
+    """Bits for a block's child distances and interior-child periods,
+    from its ``children`` at ``distances``.
 
     ``width`` is the time available for one repetition's content.  Each
     inter-block distance takes ``log2(width + 1)`` bits; each interior
     child gets a time-span budget derived from ``width`` and the
     distances, then codes its period and recurses.
     """
-    distances = block.distances
     bits = 0.0
     if len(distances) > 1:
         if max(distances) > width:
@@ -246,9 +250,9 @@ def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> fl
         step = log2(width + 1)
         for _ in distances[1:]:
             bits += step
-    last = len(block.children) - 1
+    last = len(children) - 1
     offset = 0
-    for i, child in enumerate(block.children):
+    for i, child in enumerate(children):
         offset += distances[i]
         if isinstance(child, Leaf):
             continue
@@ -256,27 +260,35 @@ def _distance_and_period_bits(block: Block, width: int, interleaved: bool) -> fl
             tspan = width - offset
         else:
             tspan = distances[i + 1]
-        bits += _block_bits(child, tspan, interleaved)
+        bits += _block_bits(
+            child.r, child.p, child.children, child.distances, tspan, interleaved
+        )
     return bits
 
 
-def _block_bits(block: Block, tspan: int, interleaved: bool) -> float:
-    """Bits for an interior block's period and its own content."""
-    if tspan < block.r - 1:
+def _block_bits(
+    r: int,
+    p: int,
+    children: Sequence[Node],
+    distances: Sequence[int],
+    tspan: int,
+    interleaved: bool,
+) -> float:
+    """Bits for an interior block's period and its own content, from its
+    parts: a merge's inner block is priced before it is built."""
+    if tspan < r - 1:
+        raise UncodablePatternError(f"time span {tspan} cannot hold {r} repetitions")
+    p_max = tspan // (r - 1)
+    if p > p_max:
         raise UncodablePatternError(
-            f"time span {tspan} cannot hold {block.r} repetitions"
-        )
-    p_max = tspan // (block.r - 1)
-    if block.p > p_max:
-        raise UncodablePatternError(
-            f"period {block.p} exceeds the largest transmittable value {p_max}"
+            f"period {p} exceeds the largest transmittable value {p_max}"
         )
     bits = log2(p_max)
     if interleaved:
-        width = tspan - block.r + 1
+        width = tspan - r + 1
     else:
-        width = min(block.p, tspan // block.r)
-    return bits + _distance_and_period_bits(block, width, interleaved)
+        width = min(p, tspan // r)
+    return bits + _content_bits(children, distances, width, interleaved)
 
 
 def _root_ranges(
@@ -321,18 +333,22 @@ def _placed(
     abs_corrections: int,
 ) -> tuple[float, float, float, float, float, float]:
     """The one sequence of encoder terms: the bits of a block started at
-    ``tau``, in :class:`CostBreakdown`'s order, from :func:`block_cost`'s
-    arguments.  The root's layout and repetition bits are its direct
-    children's ``terms`` folded by :func:`block_terms`.
+    ``tau``, in :class:`CostBreakdown`'s order.  ``terms`` are the terms
+    of the root's children, in order (its :func:`child_terms`), folded
+    into the root's layout and repetition bits by :func:`block_terms`;
+    ``last_offset(i)`` is the cumulative offset of occurrence ``i`` of
+    the last root repetition, and ``abs_corrections`` the corrections'
+    summed magnitudes.
 
     Where one repetition lies is the root's ``placement``.  The root
     period and the start are coded against the last repetition's first
     occurrence, and the distances against where the decoder knows that
     repetition's content ends: its last occurrence, or, when the root
     interleaves, the one with the smallest offset among those whose
-    leaf is its parent's right-most child.  :func:`pattern_cost` and
-    :func:`block_cost` price through this alone, so they price bit for
-    bit alike.  Raises :class:`UncodablePatternError` when a term is out
+    leaf is its parent's right-most child.  :func:`pattern_cost` prices
+    through this alone, and the pricers below work out the same terms
+    from a pattern's parts and add them in this order, so they price bit
+    for bit alike.  Raises :class:`UncodablePatternError` when a term is out
     of range.
 
     Theorem: it raises nothing for a root whose corrected occurrences
@@ -384,40 +400,10 @@ def _placed(
                 f"repetition width {width} outside [0, {max_width}]"
             )
         bits_d = log2(max_width + 1)
-        bits_d += _distance_and_period_bits(root, width, interleaved)
+        bits_d += _content_bits(root.children, root.distances, width, interleaved)
 
     bits_e = _correction_bits(root.r * size - 1, abs_corrections)
     return bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e
-
-
-def block_cost(
-    root: Block,
-    tau: int,
-    stats: SeqStats,
-    *,
-    terms: Sequence[Terms],
-    last_offset: Callable[[int], int],
-    abs_corrections: int,
-) -> float:
-    """Bits to transmit a block started at ``tau`` without solving its
-    corrections: the total of :func:`pattern_cost` of the pattern over
-    it, bit for bit.
-
-    ``terms`` are the terms of the root's children, in order (its
-    :func:`child_terms`, or a child's :func:`block_terms` folded from
-    its own children's); ``last_offset(i)`` is the cumulative offset of
-    occurrence ``i`` of the last root repetition, and
-    ``abs_corrections`` the corrections' summed magnitudes.
-    """
-    bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = _placed(
-        root,
-        tau,
-        stats,
-        terms=terms,
-        last_offset=last_offset,
-        abs_corrections=abs_corrections,
-    )
-    return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
 
 
 def cycle_head_bits(stats: SeqStats, event: str) -> float:
@@ -471,10 +457,10 @@ def cycle_merge_pricer(stats: SeqStats) -> Callable[[Sequence[Cycle]], float]:
     parameters, as a callable ``cycles -> bits``: each cycle is ``(event,
     r, p, tau, offsets)``, ``offsets`` its cumulative offsets
     (:attr:`Pattern.offsets`), and the cycles are in merge order, which
-    starts never decrease along.  It returns :func:`block_cost` of the
-    merged root that :func:`pattern.concat_layout` lays out, so
-    ``pattern_cost`` of the built merge, bit for bit, without building
-    the root, its layout or a slot list.
+    starts never decrease along.  It returns ``pattern_cost`` of the
+    merge built over the root that :func:`pattern.concat_layout` lays
+    out, bit for bit, without building the root, its layout or a slot
+    list.
 
     The root repeats the members' least ``r`` times at the first
     member's period ``p0`` from its start ``tau0``; its children are the
@@ -528,6 +514,207 @@ def cycle_merge_pricer(stats: SeqStats) -> Callable[[Sequence[Cycle]], float]:
             + bits_d
             + log2(numer - last * p0 + 1)
             + float(2 * (r * len(cycles) - 1) + abs_corrections)
+        )
+
+    return price
+
+
+class MergeMember(Protocol):
+    """What :func:`merge_pricer` reads of a member of a merge: its
+    pattern; the ``|E|`` of its occurrences in traversal order, the
+    first's 0, and their running sums by root repetition, ``running[r]``
+    over the first ``r``; and the :func:`child_terms` of its root and,
+    where the root's first child is a block, of that child."""
+
+    pattern: Pattern
+    magnitudes: Sequence[int]
+    running: Sequence[int]
+    terms: Sequence[Terms]
+    inner_terms: Sequence[Terms]
+
+
+def _join(a: MergeMember, i: int, b: MergeMember, r: int, reps: int = 1) -> int:
+    """How the summed ``|E|`` changes when ``b``'s first occurrence
+    follows occurrence ``i`` of ``a``'s in each of the first ``r`` root
+    repetitions, or, with ``reps``, in each of the ``reps`` repetitions
+    of the two members' inner blocks within them.  Its corrections there
+    become the two offsets' difference plus ``k`` times the drift of
+    ``b``'s period from ``a``'s in root repetition ``k``, and replace its
+    own."""
+    pa, pb = a.pattern, b.pattern
+    step_a, step_b = pa.tree.placement.size // reps, pb.tree.placement.size // reps
+    at = slice(0, r * reps * step_b, step_b)
+    moved = map(sub, pb.offsets[at], pa.offsets[i : i + r * reps * step_a : step_a])
+    if d := pb.tree.p - pa.tree.p:
+        moved = map(add, moved, [k * d for k in range(r) for _ in range(reps)])
+    return sum(map(abs, moved)) - sum(b.magnitudes[at])
+
+
+def merge_pricer(stats: SeqStats) -> Callable[..., float]:
+    """The price of a horizontal merge from its members' records, as a
+    callable ``(members, factored=False) -> bits``: the members are
+    :class:`MergeMember` s in merge order.  It returns ``pattern_cost``
+    of the merge built over the root that :func:`pattern.concat_layout`
+    lays out, or with ``factored`` over the one
+    :func:`pattern.factor_layout` makes of it, bit for bit, without
+    building a root, an inner block or a layout.  It returns ``inf``
+    exactly when there is no such layout: a negative connecting
+    distance, or, with ``factored``, a root whose children are not two
+    same-``(r, p)`` blocks.
+
+    The root repeats the members' least ``r`` times at the first
+    member's period ``p0`` from its start ``tau0``.  Plain, its children
+    are the members' root children, member ``m``'s first one at ``tau_m -
+    tau0``, each member's next at the difference of starts less the
+    member's distances; factored, its one child is an inner block over
+    the two members' inner children, the second's at the difference of
+    starts less the first's inner distances.  Either is placed by
+    :func:`pattern.place_children`, and its inner blocks' period bits
+    are the members' own child blocks', any depth, so they are read off
+    those blocks.  Occurrence ``j`` of member ``m``'s repetition ``k``
+    keeps its offset plus ``k (p_m - p0)``, and its correction unless it
+    follows another member's occurrence (a join, :func:`_join`): each
+    member's first occurrence, plain, or the second's first of each
+    inner repetition, factored.  The last repetition's content ends at
+    the last member's last occurrence, or, when the root interleaves, at
+    the least offset of its right-most leaves, each read at its member.
+    The floats are added one at a time in :func:`_placed`'s order, never
+    by a float ``sum()``.
+
+    The merges growth prices list each occurrence of their log once, so
+    they are codable (:func:`_placed`) and the price has no uncodable
+    branch.
+    """
+    span, t_end = stats.span, stats.t_end
+
+    def price(members: Sequence[MergeMember], factored: bool = False) -> float:
+        head, end = members[0], members[-1]
+        first, r = head.pattern, min([q.pattern.tree.r for q in members])
+        last, p0 = r - 1, first.tree.p
+        abs_corrections = head.running[r]
+        if not factored:
+            tree = first.tree
+            children, distances, terms = tree.children, tree.distances, [*head.terms]
+            for a, b in zip(members, members[1:]):
+                pa, pb = a.pattern, b.pattern
+                connect = (pb.tau - pa.tau) - sum(pa.tree.distances)
+                if connect < 0:
+                    return math.inf
+                children += pb.tree.children
+                distances += (connect, *pb.tree.distances[1:])
+                terms += b.terms
+                tail = pa.tree.placement.size - occurrence_count(pa.tree.children[-1])
+                abs_corrections += b.running[r] + _join(a, tail, b, r)
+            width, interleaved, right, size = place_children(p0, children, distances)
+            content = _content_bits(children, distances, width, interleaved)
+            if interleaved:  # each member's right-most occurrences, in its repetition
+                parts, start = [], 0
+                for q in members:
+                    stop = start + q.pattern.tree.placement.size
+                    parts.append((q, [s - start for s in right if start <= s < stop]))
+                    start = stop
+        else:
+            if len(members) != 2:
+                return math.inf
+            (x, *more), (y, *others) = first.tree.children, end.pattern.tree.children
+            if more or others or not isinstance(x, Block) or not isinstance(y, Block):
+                return math.inf
+            connect = (end.pattern.tau - first.tau) - sum(x.distances)
+            if (x.r, x.p) != (y.r, y.p) or connect < 0:
+                return math.inf
+            children = x.children + y.children
+            distances = (*x.distances, connect, *y.distances[1:])
+            inner = place_children(x.p, children, distances)
+            n, n_x, n_y = inner.size, x.placement.size, y.placement.size
+            terms = [block_terms(x.r, [*head.inner_terms, *end.inner_terms])]
+            tail = n_x - occurrence_count(x.children[-1])
+            abs_corrections += end.running[r] + _join(head, tail, end, r, x.r)
+            # place() of a root whose one child is the inner block
+            width, size = (x.r - 1) * x.p + inner.width, x.r * n
+            interleaved = inner.interleaved or width > p0
+            content = _block_bits(x.r, x.p, children, distances, width, interleaved)
+            if interleaved:
+                rights = inner.last_right
+                parts = [
+                    (head, [k * n_x + i for k in range(x.r) for i in rights if i < n_x]),
+                    (end, [k * n_y + i - n_x for k in range(x.r) for i in rights if i >= n_x]),
+                ]
+
+        bits_a, bits_r, _ = block_terms(r, terms)
+        numer = span - first.offsets[last * first.tree.placement.size]
+        if not interleaved:
+            parts = [(end, [end.pattern.tree.placement.size - 1])]
+        ends = []
+        for q, columns in parts:
+            if columns:
+                tree, offsets = q.pattern.tree, q.pattern.offsets
+                base = last * tree.placement.size
+                ends.append(min([offsets[base + j] for j in columns]) + last * (tree.p - p0))
+        end_offset = min(ends)
+        bits_d = log2(t_end - first.tau - end_offset - last * p0 + 1)
+        bits_d += content
+        return (
+            bits_a
+            + bits_r
+            + log2(numer // last)
+            + bits_d
+            + log2(numer - last * p0 + 1)
+            + float(2 * (r * size - 1) + abs_corrections)
+        )
+
+    return price
+
+
+def nest_pricer(
+    stats: SeqStats, tree: Block
+) -> Callable[[int, int, int, int, Sequence[int], int], float]:
+    """The price of nesting instances of ``tree`` under an outer cycle
+    (:func:`pattern.grow_vertically`) from the nesting's parameters, as a
+    callable ``(r, p, tau, sigma, last, abs_corrections) -> bits``: the
+    root repeats the tree ``r`` times every ``p`` from ``tau``, ``sigma``
+    is its start corrections' sum, ``last`` the last instance's offsets
+    (:attr:`Pattern.offsets`) and ``abs_corrections`` the nesting's
+    summed ``|E|``.  It returns ``pattern_cost`` of the built nesting,
+    bit for bit, without building its root.
+
+    The root's one child is ``tree``, so its layout and repetition bits
+    are the tree's plus one bracket pair, and its repetition spans the
+    tree, ``(r_t - 1) p_t + w_t``, in every nesting.  The tree's own
+    bits within that width then depend only on whether the root
+    interleaves, which it does when the tree does or that span exceeds
+    ``p``; they are worked out once per tree and mode, on first need.
+    Occurrence ``i`` of the last repetition lies at ``sigma + last[i]``,
+    and its content ends at the tree's right-most leaves when the root
+    interleaves, else at its last occurrence.  Built once per tree, the
+    pricer costs each nesting its root's terms and corrections only.
+    The nestings growth prices list each occurrence of their log once,
+    so they are codable (:func:`_placed`).
+    """
+    layout, repetitions, count = _tree_bits(tree, stats)
+    head = 2.0 * _LOG3 + layout + (log2(count) + repetitions)
+    rec = tree.placement
+    width, size = (tree.r - 1) * tree.p + rec.width, tree.count
+    right = [k * rec.size + i for k in range(tree.r) for i in rec.last_right]
+    parts = tree.r, tree.p, tree.children, tree.distances, width
+    content: dict[bool, float] = {}
+    span, t_end = stats.span, stats.t_end
+
+    def price(
+        r: int, p: int, tau: int, sigma: int, last: Sequence[int], abs_corrections: int
+    ) -> float:
+        interleaved = rec.interleaved or width > p
+        if interleaved not in content:
+            content[interleaved] = _block_bits(*parts, interleaved)
+        end = min([last[i] for i in right]) if interleaved else last[size - 1]
+        numer = span - sigma
+        bits_d = log2(t_end - tau - (sigma + end) - (r - 1) * p + 1)
+        bits_d += content[interleaved]
+        return (
+            head
+            + log2(numer // (r - 1))
+            + bits_d
+            + log2(numer - (r - 1) * p + 1)
+            + float(2 * (r * size - 1) + abs_corrections)
         )
 
     return price

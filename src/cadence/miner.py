@@ -17,20 +17,17 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate, groupby, repeat
-from operator import add, or_, sub
+from itertools import accumulate, groupby
+from operator import or_
 from time import perf_counter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     DomainError,
     EventSequence,
-    InvalidPatternError,
     UncodablePatternError,
 )
 from .pattern import (
-    Block,
-    MergeLayout,
     Pattern,
     build_merge,
     concat_layout,
@@ -692,11 +689,13 @@ def combine_vertically(
     mined for near-periodic chains; each chain's members are nested under
     an outer cycle.  A pattern transmits each occurrence once, so a chain
     whose members share an occurrence is skipped unpriced.  A nesting is
-    priced from its members' records (:func:`_nest_cost`) and kept when
-    it is cheaper than the summed cost of the members it replaces; the
-    build site (:func:`_build_survivors`) builds those that can survive
-    pruning.  The candidates must share one :class:`Numbering`, whose
-    statistics price them, or :class:`DomainError` is raised.
+    priced in closed form from its members' records (:func:`_nest_cost`)
+    by its tree's :func:`codec.nest_pricer`, built once per tree, and
+    kept when it is cheaper than the summed cost of the members it
+    replaces; no root block is built to price it.  The build site
+    (:func:`_build_survivors`) builds those that can survive pruning.
+    The candidates must share one :class:`Numbering`, whose statistics
+    price them, or :class:`DomainError` is raised.
     ``records`` holds the candidates' records by notation, shared by
     every call of one :func:`mine` (:func:`_records`).
     """
@@ -726,12 +725,13 @@ def combine_vertically(
             l_max = codec.pattern_cost(zero, numbering.stats).total
         except UncodablePatternError:
             continue
+        nest_price = codec.nest_pricer(numbering.stats, tree)
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[taus[i]] for i in chain]
             cover = reduce(or_, (q.cand.bits for q in members))
             if cover.bit_count() < sum(q.tree.count for q in members):
                 continue  # the members share an occurrence
-            cost = _nest_cost(members)
+            cost = _nest_cost(nest_price, members)
             if cost >= codec.add_bits(q.cand.cost for q in members):
                 continue
             winners.append(
@@ -814,16 +814,18 @@ class _Member:
     over the first ``r``, the repetitions a merge keeps.  :meth:`kept`
     makes the cover of those repetitions once per length and keeps it in
     ``covers``, which lives as long as the record: one :func:`mine`
-    call.  ``cycle`` holds
-    a one-leaf cycle's parameters for :func:`codec.cycle_merge_pricer`.
-    ``slack`` sums ``|E|`` at the root repetitions' boundaries, and
-    ``key`` is the tree's notation.  ``terms`` are the root's children's
-    layout and repetition bits and rarest counts under the numbering's
-    ``stats`` (:func:`codec.child_terms`), and
-    ``inner_terms`` those of its first child's children, the parts of a
-    factorized merge; both are codable (:func:`codec._placed`).
-    Where a merge's repetition lies is its root block's placement, read
-    off the members' blocks' placements.
+    call.  ``cycle`` holds a one-leaf cycle's parameters for
+    :func:`codec.cycle_merge_pricer`.  ``slack`` sums ``|E|`` at the
+    root repetitions' boundaries, and ``key`` is the tree's notation.
+    ``terms`` are the root's children's layout and repetition bits and
+    rarest counts under the numbering's ``stats``
+    (:func:`codec.child_terms`), and ``inner_terms`` those of its first
+    child's children, the parts of a factorized merge; both are codable
+    (:func:`codec._placed`).  A record is a :class:`codec.MergeMember`:
+    :func:`codec.merge_pricer` reads its pattern's ``(r, p, tau,
+    offsets)``, its root children's terms and placements, and the
+    ``|E|`` sums, and places a merge's root from the members' blocks
+    without building it.
     """
 
     def __init__(self, cand: Candidate) -> None:
@@ -908,93 +910,25 @@ def _kept(members: Sequence[_Member], r: int) -> int:
     return reduce(or_, [q.kept(r) for q in members])
 
 
-def _layout_cost(layout: MergeLayout, members: Sequence[_Member], factored: bool) -> float:
-    """Price of the merge that ``layout`` describes over the members,
-    numbered over one log, from their records alone.
-
-    The root is priced by :func:`codec.block_cost` from its children's
-    terms: the members' ``terms``, or, for a ``factored`` layout, the
-    members' ``inner_terms`` folded into its one inner block's
-    (:func:`codec.block_terms`).  Each occurrence's offset is its
-    member's, shifted by the drift of the member's period from the
-    root's (:class:`MergeLayout`).
-    An occurrence keeps its member's correction unless it is a join, so
-    the members' ``|E|`` totals are summed, and each join's column is
-    replaced by its corrections against its new predecessor, repetition
-    by repetition.  The encoder reads the offsets of the last
-    repetition's occurrences one by one (``last_offset``), only those it
-    needs.  The merge lists the members' kept occurrences, each once, so
-    it is codable (:func:`codec._placed`).  A merge of one-leaf cycles is
-    priced without a layout (:func:`codec.cycle_merge_pricer`); this
-    path prices the others.
-    """
-    root = layout.root
-    r, last = root.r, root.r - 1
-    terms: list = []
-    offs, pers, ps = [], [], []
-    abs_corrections = 0
-    for q in members:
-        terms += q.inner_terms if factored else q.terms
-        abs_corrections += q.running[r]
-        offs.append(q.pattern.offsets)
-        pers.append(q.per)
-        ps.append(q.tree.p)
-    # Join (m, j) after (n, i) takes, in repetition k, the correction
-    # offset(m, j) - offset(n, i) + k d, d the drift between the two.
-    ends, starts, drifts, dropped = [], [], [], []
-    for (m, j), (n, i) in layout.joins:
-        ends += offs[m][j : j + r * pers[m] : pers[m]]
-        starts += offs[n][i : i + r * pers[n] : pers[n]]
-        if d := ps[m] - ps[n]:
-            drifts += range(0, r * d, d)
-        else:
-            drifts += repeat(0, r)
-        dropped += members[m].magnitudes[j : r * pers[m] : pers[m]]
-    abs_corrections += sum(map(abs, map(add, map(sub, ends, starts), drifts)))
-    abs_corrections -= sum(dropped)
-
-    def last_offset(s: int) -> int:
-        m, j = layout.slots[s]
-        return offs[m][last * pers[m] + j] + last * (ps[m] - root.p)
-
-    if factored:
-        terms = [codec.block_terms(root.children[0].r, terms)]
-    return codec.block_cost(
-        root,
-        layout.tau,
-        members[0].stats,
-        terms=terms,
-        last_offset=last_offset,
-        abs_corrections=abs_corrections,
-    )
-
-
-def _nest_cost(members: Sequence[_Member]) -> float:
+def _nest_cost(price: Callable[..., float], members: Sequence[_Member]) -> float:
     """Price of nesting the members, which share one tree, are numbered
     over one log, list no occurrence twice and are in start order, under
-    an outer cycle (:func:`grow_vertically`), from their records alone.
+    an outer cycle (:func:`grow_vertically`), from their records alone,
+    by their tree's :func:`codec.nest_pricer` ``price``.
 
     Root repetition ``k`` is member ``k``, and every occurrence keeps its
     corrected time, so its offset is its member's plus the fitted start
     corrections of the first ``k`` repetitions: those are the only new
-    corrections.  The nesting lists its members' occurrences, each once,
-    so it is codable (:func:`codec._placed`).
-    Its root's one child is the members' tree, whose terms the members'
-    ``terms`` fold into (:func:`codec.block_terms`), and the root is
-    priced before its corrections are solved (:func:`codec.block_cost`).
+    corrections.
     """
-    first = members[0]
     p, starts = fit_period([q.cand.tau for q in members])
-    shift = sum(starts)
-    last = members[-1].pattern.offsets
-    tree = first.tree
-    return codec.block_cost(
-        Block(len(members), p, (tree,), (0,)),
-        first.cand.tau,
-        first.stats,
-        terms=[codec.block_terms(tree.r, first.terms)],
-        last_offset=lambda i: shift + last[i],
-        abs_corrections=sum(q.running[q.tree.r] for q in members) + sum(map(abs, starts)),
+    return price(
+        len(members),
+        p,
+        members[0].cand.tau,
+        sum(starts),
+        members[-1].pattern.offsets,
+        sum(q.running[q.tree.r] for q in members) + sum(map(abs, starts)),
     )
 
 
@@ -1016,19 +950,20 @@ def combine_horizontally(
     not adjacent; a clique's members are then pairwise disjoint at the
     clique's length.
 
-    Every merge is priced exactly from its members' records, a pair's
-    before it is kept.  A merge of one-leaf cycles is priced in closed
-    form from the cycles' parameters (:func:`codec.cycle_merge_pricer`):
-    its members are in start order, so :func:`concat_layout` could not
-    refuse them, and its leaves cannot factorize.  Any other merge is
-    laid out and priced through its layout (:func:`_layout_cost` over
-    :func:`concat_layout`); a pair whose merge can factorize is priced
-    factorized too (over :func:`factor_layout`), and the cheaper form
-    strictly wins.  The build site (:func:`_build_survivors`) builds, in
-    their priced form, the merges that can survive pruning, and only
-    there is a merge of cycles laid out.  The result is what building
-    every merge and then pruning gives.  The candidates and ``records``
-    are as in :func:`combine_vertically`.
+    Every merge is priced exactly, in closed form, from its members'
+    records, a pair's before it is kept; no root block or layout is
+    built to price it.  A merge of one-leaf cycles is priced from the
+    cycles' parameters (:func:`codec.cycle_merge_pricer`): its members
+    are in start order, so :func:`concat_layout` could not refuse them,
+    and its leaves cannot factorize.  Any other merge is priced by
+    :func:`codec.merge_pricer`, which refuses it, as
+    :func:`concat_layout` would, when a connecting distance is negative;
+    a pair whose merge can factorize is priced factorized too, and the
+    cheaper form strictly wins.  The build site
+    (:func:`_build_survivors`) builds, in their priced form, the merges
+    that can survive pruning, and only there is a merge laid out.  The
+    result is what building every merge and then pruning gives.  The
+    candidates and ``records`` are as in :func:`combine_vertically`.
     """
     _require_int("k", k)
     if not new:
@@ -1044,6 +979,7 @@ def combine_horizontally(
     fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
     is_new = set(fresh)
     cycle_merge_price = codec.cycle_merge_pricer(numbering.stats)
+    merge_price = codec.merge_pricer(numbering.stats)
 
     def price(fs: list[_Member]) -> tuple | None:
         """The winner entry of merging the members: priced factorized
@@ -1056,16 +992,13 @@ def combine_horizontally(
             return None
         cycles = [q.cycle for q in fs]
         if None not in cycles:
-            cost = cycle_merge_price(cycles)
-            return cost, cover, "", ("horizontal", [q.pattern for q in fs])
-        try:
-            layout = concat_layout([q.pattern for q in fs])
-        except InvalidPatternError:
-            return None
-        cost, provenance = _layout_cost(layout, fs, False), "horizontal"
-        factored = factor_layout(layout)
-        if factored and (alt := _layout_cost(factored, fs, True)) < cost:
-            cost, provenance = alt, "factorized"
+            cost, provenance = cycle_merge_price(cycles), "horizontal"
+        else:
+            cost, provenance = merge_price(fs), "horizontal"
+            if cost == math.inf:
+                return None  # a negative connecting distance
+            if (alt := merge_price(fs, True)) < cost:
+                cost, provenance = alt, "factorized"
         return cost, cover, "", (provenance, [q.pattern for q in fs])
 
     # Pair merges that beat their members, then clique merges.

@@ -14,9 +14,10 @@ The module also provides the combination constructors used by the
 miner (nesting same-tree patterns under an outer cycle, concatenating
 co-periodic patterns as siblings and factorizing a concatenation), the
 layout that the last two build from (:class:`MergeLayout`, whose root
-is a :class:`Block` that is priced before its corrections are solved),
-the one rule for where a repetition of a block lies (:func:`place`),
-and a bit-exact text notation.
+is a :class:`Block` whose corrections are solved from the members'),
+the one rule for where a repetition of a block lies (:func:`place`,
+which places a merge's root before it is built too), and a bit-exact
+text notation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence, Union
 
 from .core import LABEL, DomainError, InvalidPatternError
@@ -178,8 +180,12 @@ class Pattern:
         """Per-occurrence cumulative offsets, computed once per pattern.
 
         Occurrence ``i`` is shifted by its own correction plus the offset
-        of occurrence ``pred[i]`` of the compiled tree.
+        of occurrence ``pred[i]`` of the compiled tree.  A cycle's
+        predecessor is the occurrence before, so its offsets are the
+        running sums of its corrections, read without compiling its tree.
         """
+        if is_simple(self.tree):
+            return (0, *accumulate(self.corrections))
         pred = self.tree.compiled.pred
         off = [0] * len(pred)
         for i, e in enumerate(self.corrections, 1):
@@ -247,24 +253,32 @@ class Placement(NamedTuple):
 
 def place(block: Block) -> Placement:
     """The one placement rule: where one repetition of a block's
-    children lies, from the children's own records.  Callers read
-    :attr:`Block.placement`, which places each block once.
+    children lies, from the children's own records
+    (:func:`place_children`).  Callers read :attr:`Block.placement`,
+    which places each block once."""
+    return place_children(block.p, block.children, block.distances)
+
+
+def place_children(p: int, children: Sequence[Node], distances: Sequence[int]) -> Placement:
+    """Where one repetition of a block of period ``p`` over ``children``
+    at ``distances`` lies, without building the block: a merge is
+    priced before its root exists.
 
     A leaf lies at its offset, and a child block spans ``(r - 1) p +
     width`` from its offset, its width read off its own ``placement``.
     The times never decrease exactly when no child interleaves and each
     child ends before the next begins: a child's first time is 0, and
-    when it is in order its last time is its largest.  The block interleaves when the times decrease somewhere or
-    the repetition is wider than ``p``.  A leaf is right-most when it is
-    the last child, and a child's right-most leaves are those of every
-    repetition of it.
+    when it is in order its last time is its largest.  The block
+    interleaves when the times decrease somewhere or the repetition is
+    wider than ``p``.  A leaf is right-most when it is the last child,
+    and a child's right-most leaves are those of every repetition of it.
     """
     right: list[int] = []
     size = offset = end = width = 0
     in_order = True
-    last = len(block.children) - 1
-    for c, child in enumerate(block.children):
-        offset += block.distances[c]
+    last = len(children) - 1
+    for c, child in enumerate(children):
+        offset += distances[c]
         in_order = in_order and end <= offset
         if isinstance(child, Leaf):
             if c == last:
@@ -278,7 +292,7 @@ def place(block: Block) -> Placement:
             end = offset + (child.r - 1) * child.p + rec.width
             size += child.r * n
         width = max(width, end)
-    return Placement(width, not in_order or width > block.p, tuple(right), size)
+    return Placement(width, not in_order or width > p, tuple(right), size)
 
 
 def compile_tree(tree: Block) -> CompiledTree:
@@ -544,10 +558,10 @@ def build_merge(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
     corrections solved so that each occurrence lands on its member's
     corrected one."""
     root = layout.root
-    corrected = [corrected_occurrences(q) for q in members]
+    corrected = [corrected_times(q) for q in members]
     per = [_per(q.tree) for q in members]
     targets = [
-        corrected[m][k * per[m] + j][0]
+        corrected[m][k * per[m] + j]
         for k in range(root.r)
         for m, j in layout.slots
     ]
@@ -565,7 +579,11 @@ def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     """
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
-    inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
+    inst = sorted(instances, key=lambda q: q.tau)
+    if any(a.tau == b.tau for a, b in zip(inst, inst[1:])):
+        # Notations only order equal starts; the sorts are stable, so the
+        # order is (tau, notation)'s either way.
+        inst.sort(key=lambda q: (q.tau, format_tree(q.tree)))
     return build_merge(concat_layout(inst), inst)
 
 

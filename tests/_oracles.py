@@ -27,6 +27,9 @@ three-walk layout and repetition terms are the encoder's.  The capped triple cha
 whole-log chaining replaced, kept to show where its caps stopped it, and
 the two-walk triple chaining walks every seed at its period and then at
 the local gap, the pass that skipping a retraced walk must reproduce.
+The layout price is the path that ``codec.merge_pricer`` replaced: it
+lays a merge out and prices its root block, and the pricer must match
+it float for float.
 The target-and-solve concatenation and factorization are the builders
 that merge layouts replaced: they gather each root repetition's
 corrected occurrences in traversal order and solve for the corrections;
@@ -46,7 +49,8 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from cadence import codec
@@ -86,6 +90,7 @@ from cadence.miner import (
 from cadence.pattern import (
     Block,
     Leaf,
+    MergeLayout,
     Node,
     Pattern,
     corrected_occurrences,
@@ -727,6 +732,66 @@ def build_every_merge(new, pool, k: int) -> list:
                 if cand is not None:
                     out.append(cand)
     return filter_candidates(out, k)
+
+
+def layout_cost(layout: MergeLayout, members: Sequence, factored: bool) -> float:
+    """Price of the merge that ``layout`` describes over the members'
+    records (``miner._Member``, numbered over one log), through the
+    merge's root block: the layout path that ``codec.merge_pricer``
+    replaced, kept as its reference.
+
+    The root's terms are :func:`codec._placed`'s, from its children's
+    terms: the members' ``terms``, or, for a ``factored`` layout, the
+    members' ``inner_terms`` folded into its one inner block's
+    (:func:`codec.block_terms`).  Each occurrence's offset is its
+    member's, shifted by the drift of the member's period from the
+    root's (:class:`MergeLayout`).  An occurrence keeps its member's
+    correction unless it is a join, so the members' ``|E|`` totals are
+    summed, and each join's column is replaced by its corrections
+    against its new predecessor, repetition by repetition.  The encoder
+    reads the offsets of the last repetition's occurrences one by one
+    (``last_offset``), only those it needs.
+    """
+    root = layout.root
+    r, last = root.r, root.r - 1
+    terms: list = []
+    offs, pers, ps = [], [], []
+    abs_corrections = 0
+    for q in members:
+        terms += q.inner_terms if factored else q.terms
+        abs_corrections += q.running[r]
+        offs.append(q.pattern.offsets)
+        pers.append(q.per)
+        ps.append(q.tree.p)
+    # Join (m, j) after (n, i) takes, in repetition k, the correction
+    # offset(m, j) - offset(n, i) + k d, d the drift between the two.
+    ends, starts, drifts, dropped = [], [], [], []
+    for (m, j), (n, i) in layout.joins:
+        ends += offs[m][j : j + r * pers[m] : pers[m]]
+        starts += offs[n][i : i + r * pers[n] : pers[n]]
+        if d := ps[m] - ps[n]:
+            drifts += range(0, r * d, d)
+        else:
+            drifts += repeat(0, r)
+        dropped += members[m].magnitudes[j : r * pers[m] : pers[m]]
+    abs_corrections += sum(map(abs, map(add, map(sub, ends, starts), drifts)))
+    abs_corrections -= sum(dropped)
+
+    def last_offset(s: int) -> int:
+        m, j = layout.slots[s]
+        return offs[m][last * pers[m] + j] + last * (ps[m] - root.p)
+
+    if factored:
+        terms = [codec.block_terms(root.children[0].r, terms)]
+    bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = codec._placed(
+        root,
+        layout.tau,
+        members[0].stats,
+        terms=terms,
+        last_offset=last_offset,
+        abs_corrections=abs_corrections,
+    )
+    return bits_a + bits_r + bits_p0 + bits_d + bits_tau + bits_e
 
 
 def layout_and_repetition_bits(tree: Block, stats: SeqStats) -> tuple[float, float]:

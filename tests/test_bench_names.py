@@ -29,6 +29,25 @@ UNCALLED = {
 }
 
 
+# A small synthetic braid log: every stage of mining does some work on it.
+SMALL_BRAID = PlantSpec(
+    basis="a d=2 b d=1 c",
+    depth=2,
+    outer_length=(3, 5),
+    n_patterns=2,
+    shift_level=1,
+    shift_density=0.2,
+    additive_density=0.1,
+    seed=6,
+)
+
+
+def small_braid_log() -> cadence.EventSequence:
+    """:data:`SMALL_BRAID`'s perturbed log, read as a user reads one."""
+    text = "".join(f"{t}\t{e}\n" for t, e in generate(SMALL_BRAID).perturbed.pairs)
+    return cadence.load_sequence(text)
+
+
 def traced_names() -> list[tuple[str, str]]:
     """The ``(module, function)`` pairs of ``SPANNED`` and ``COUNTED``."""
     tables = {}
@@ -66,18 +85,7 @@ def test_traced_functions_are_called(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
 
-    spec = PlantSpec(
-        basis="a d=2 b d=1 c",
-        depth=2,
-        outer_length=(3, 5),
-        n_patterns=2,
-        shift_level=1,
-        shift_density=0.2,
-        additive_density=0.1,
-        seed=6,
-    )
-    text = "".join(f"{t}\t{e}\n" for t, e in generate(spec).perturbed.pairs)
-    seq = cadence.load_sequence(text)
+    seq = small_braid_log()
     result = cadence.mine(seq)
     notations = [c.notation for c in result.selection.candidates]
     cadence.collection_cost([cadence.parse_pattern(n) for n in notations], seq)

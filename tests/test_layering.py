@@ -384,16 +384,37 @@ def test_catch_walker_sees_names_attributes_and_tuples():
 def test_growth_prices_without_uncodable_branches():
     # A merge or nesting that lists occurrences of its log once is
     # codable (the theorem on ``codec._placed``), so growth prices it to
-    # a float.  Only the ``l_max`` probe of ``combine_vertically`` may
-    # meet an uncodable pattern: it prices perfect times, not the log's.
+    # a float: the price each of codec's pricers returns, and
+    # ``_nest_cost``.  Only the ``l_max`` probe of ``combine_vertically``
+    # may meet an uncodable pattern: it prices perfect times, not the
+    # log's.
     source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
     assert catching_functions(source, "UncodablePatternError") == ["combine_vertically"]
     returns = {
         node.name: ast.unparse(node.returns)
         for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_layout_cost", "_nest_cost")
+        if isinstance(node, ast.FunctionDef) and node.name == "_nest_cost"
     }
-    assert returns == {"_layout_cost": "float", "_nest_cost": "float"}
+    codec_source = (PACKAGE / "codec.py").read_text(encoding="utf-8")
+    for node in ast.parse(codec_source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_pricer"):
+            (price,) = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            returns[node.name] = ast.unparse(price.returns)
+    assert returns == {
+        "_nest_cost": "float",
+        "cycle_pricer": "float",
+        "cycle_merge_pricer": "float",
+        "merge_pricer": "float",
+        "nest_pricer": "float",
+    }
+
+
+def test_miner_lays_out_a_merge_only_at_the_build_site():
+    # Every merge is priced in closed form, from its members' records;
+    # only a merge that can survive pruning is laid out, by ``_grow``.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    assert enclosing_functions(source, "concat_layout") == ["_grow"]
+    assert enclosing_functions(source, "factor_layout") == ["_grow"]
 
 
 def test_miner_fits_a_cycle_only_at_the_build_site():

@@ -444,6 +444,39 @@ def random_pattern(rng: random.Random, tree: Block, lo: int, hi: int) -> Pattern
 class TestMergeLayouts:
     # The constructors built from a merge layout equal the target-and-solve
     # builders they replaced, on random draws of every kind of merge.
+    def test_merge_order_formats_trees_only_for_equal_starts(self):
+        # grow_horizontally orders its members by start and reads tree
+        # notations only to order equal starts: its merge is the one laid
+        # out in (tau, format_tree) order, whatever order it is given.
+        rng = random.Random(45)
+        seen: Counter = Counter()
+        for draw in range(800):
+            members = []
+            for _ in range(2 + draw % 3):
+                tree = random_tree(rng, depth=2, leaves=2)
+                corrections = [rng.choice((-1, 0, 0, 1)) for _ in range(tree.count - 1)]
+                tau = 60 + rng.choice((0, 0, 0, 5, rng.randint(1, 20)))
+                members.append(Pattern(tree=tree, tau=tau, corrections=tuple(corrections)))
+            rng.shuffle(members)
+            ordered = sorted(members, key=lambda q: (q.tau, format_tree(q.tree)))
+            try:
+                want = build_merge(concat_layout(ordered), ordered)
+            except InvalidPatternError:
+                with pytest.raises(InvalidPatternError):
+                    grow_horizontally(members)
+                seen["negative distance"] += 1
+                continue
+            assert grow_horizontally(members) == want
+            pairs = list(zip(members, members[1:]))
+            seen["merged"] += 1
+            seen["tied"] += any(a.tau == b.tau for a, b in pairs)
+            seen["tie given out of order"] += any(
+                a.tau == b.tau and format_tree(a.tree) > format_tree(b.tree) for a, b in pairs
+            )
+            seen["untied"] += len({q.tau for q in members}) == len(members)
+        for kind in ("negative distance", "tied", "tie given out of order", "untied"):
+            assert seen[kind] >= 50, seen
+
     def test_concatenation_equals_the_target_builder(self):
         rng = random.Random(41)
         seen: Counter = Counter()

@@ -21,7 +21,11 @@ three or more one-leaf cycles (1, 2 and 16), each carrying the price
 pricer's float order too.  None of them is wider than its period, nor
 can a mined one be: horizontal growth merges only candidates that
 start within the first one's period.  The pricer adds the same terms
-in the same order whatever the width.
+in the same order whatever the width.  No candidate of these pools is
+a nesting or a merge of nested members, so the digest does not check
+the float order of ``codec.merge_pricer`` and ``codec.nest_pricer``;
+tier-1 checks each against the encoder float for float on every Python
+it runs under (``tests/test_miner.py``).
 Floats are written with ``repr``, so a total that differs in its last
 bit changes the digest.  Every supported Python must print the same
 line.  The script needs nothing outside the standard library and
