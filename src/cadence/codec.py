@@ -100,6 +100,16 @@ class SeqStats:
         return cls(length=len(seq), t_start=start, t_end=end, counts=counts)
 
 
+def require_own_stats(seq: EventSequence, stats: SeqStats) -> None:
+    """Raise :class:`DomainError` unless ``stats`` are
+    ``SeqStats.from_sequence(seq, t_start, t_end)`` over their own
+    window, which must hold the log: statistics of another log would
+    price its patterns and residuals wrongly."""
+    if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
+        window = f"[{stats.t_start}, {stats.t_end}]"
+        raise DomainError(f"the statistics over {window} describe another log")
+
+
 # ---------------------------------------------------------------------------
 # Residuals and corrections
 
@@ -520,11 +530,12 @@ def cycle_merge_pricer(stats: SeqStats) -> Callable[[Sequence[Cycle]], float]:
 
 
 class MergeMember(Protocol):
-    """What :func:`merge_pricer` reads of a member of a merge: its
-    pattern; the ``|E|`` of its occurrences in traversal order, the
-    first's 0, and their running sums by root repetition, ``running[r]``
-    over the first ``r``; and the :func:`child_terms` of its root and,
-    where the root's first child is a block, of that child."""
+    """What :func:`merge_pricer` reads of a member of a merge, a
+    ``miner.Candidate``: its pattern; the ``|E|`` of its occurrences in
+    traversal order, the first's 0, and their running sums by root
+    repetition, ``running[r]`` over the first ``r``; and the
+    :func:`child_terms` of its root and, where the root's first child
+    is a block, of that child."""
 
     pattern: Pattern
     magnitudes: Sequence[int]
@@ -855,11 +866,15 @@ def collection_cost(
     ``times[j::n]``, all of event ``events[j]``.  Every check and count
     below is then a set operation per event.
 
-    Raises :class:`DomainError` when a pattern covers an occurrence that
-    the sequence does not hold, or lists one occurrence twice.
+    ``stats`` default to the log's own; given, they must describe it
+    (:func:`require_own_stats`).  Raises :class:`DomainError` when they
+    do not, or when a pattern covers an occurrence that the sequence
+    does not hold, or lists one occurrence twice.
     """
     if stats is None:
         stats = SeqStats.from_sequence(seq)
+    else:
+        require_own_stats(seq, stats)
     logged = {e: set(ts) for e, ts in seq.per_event.items()}
     covered: dict[str, set[int]] = {e: set() for e in logged}
     costs = []

@@ -102,8 +102,9 @@ class Numbering:
     a cover stands for ``pairs[i]``, the ``i``-th occurrence in ``(t,
     label)`` order, and ``stats``, which must be
     ``SeqStats.from_sequence(seq, t_start, t_end)`` over a window that
-    holds the log (or :class:`DomainError` is raised), price every
-    candidate numbered here.
+    holds the log (:func:`codec.require_own_stats` raises
+    :class:`DomainError` otherwise), price every candidate numbered
+    here.
 
     A cover is a Python int over one numbering, so a union is ``|``, a
     size ``int.bit_count()`` and what one cover adds to another ``a &
@@ -113,9 +114,7 @@ class Numbering:
     """
 
     def __init__(self, seq: EventSequence, stats: SeqStats) -> None:
-        if stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
-            window = f"[{stats.t_start}, {stats.t_end}]"
-            raise DomainError(f"the statistics over {window} describe another log")
+        codec.require_own_stats(seq, stats)
         self.seq = seq
         self.stats = stats
         self.pairs = tuple(sorted((t, e) for e, ts in seq.per_event.items() for t in ts))
@@ -156,13 +155,28 @@ class Numbering:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A costed pattern candidate.
+    """A costed pattern candidate, and the record growth reads of it.
 
     ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
     occurrences of the log it was mined from; ``numbering.pairs_of(bits)``
     lists them, and ``cost`` is its price under ``numbering.stats``.  A
-    pattern covers at least one occurrence, so a cover that is not a
-    positive int raises :class:`DomainError`.
+    pattern covers at least one occurrence of its log, so a cover that
+    is not a positive int, or holds a bit past the numbered occurrences,
+    raises :class:`DomainError`.
+
+    Growth reads the rest, each part worked out on first read and kept
+    while the candidate lives.  ``per`` occurrences fall in each root
+    repetition.  ``magnitudes`` are the corrections' ``|E|``, the first
+    occurrence's 0, and ``running[r]`` their sum over the first ``r``
+    root repetitions, the ones a merge keeps, whose cover :meth:`kept`
+    makes once per ``r``.  ``cycle`` is a one-leaf cycle's parameters
+    (:func:`codec.cycle_merge_pricer`), ``slack`` the ``|E|`` summed at
+    the root repetitions' boundaries and ``key`` the tree's notation.
+    ``terms`` are the root's children's :func:`codec.child_terms` under
+    ``numbering.stats`` and ``inner_terms`` its first child's, the parts
+    of a factorized merge; both are codable (:func:`codec._placed`).  A
+    candidate is the :class:`codec.MergeMember` that
+    :func:`codec.merge_pricer` reads.
     """
 
     pattern: Pattern
@@ -175,6 +189,11 @@ class Candidate:
     def __post_init__(self) -> None:
         if type(self.bits) is not int or self.bits <= 0:
             raise DomainError(f"a candidate's cover must be a positive int, got {self.bits!r}")
+        if self.bits.bit_length() > len(self.numbering.pairs):
+            raise DomainError(
+                f"a candidate's cover holds bit {self.bits.bit_length() - 1}, past the"
+                f" {len(self.numbering.pairs)} occurrences of its numbering"
+            )
 
     @property
     def efficiency(self) -> float:
@@ -183,6 +202,64 @@ class Candidate:
     @property
     def tau(self) -> int:
         return self.pattern.tau
+
+    @cached_property
+    def per(self) -> int:
+        tree = self.pattern.tree
+        return tree.count // tree.r
+
+    @cached_property
+    def key(self) -> str:
+        return format_tree(self.pattern.tree)
+
+    @cached_property
+    def cycle(self) -> codec.Cycle | None:
+        """``(event, r, p, tau, offsets)`` of a one-leaf cycle, the
+        parameters :func:`codec.cycle_merge_pricer` reads; None for any
+        other tree.  A repetition of one occurrence is one leaf."""
+        if self.per != 1:
+            return None
+        tree = self.pattern.tree
+        return tree.children[0].event, tree.r, tree.p, self.pattern.tau, self.pattern.offsets
+
+    @cached_property
+    def magnitudes(self) -> list[int]:
+        return [0, *map(abs, self.pattern.corrections)]
+
+    @cached_property
+    def running(self) -> list[int]:
+        m, per = self.magnitudes, self.per
+        return [0, *accumulate(sum(m[i : i + per]) for i in range(0, len(m), per))]
+
+    @cached_property
+    def slack(self) -> int:
+        es, per = self.pattern.corrections, self.per
+        return sum(abs(es[k * per - 1]) for k in range(1, self.pattern.tree.r))
+
+    @cached_property
+    def terms(self) -> tuple:
+        return codec.child_terms(self.pattern.tree, self.numbering.stats)
+
+    @cached_property
+    def inner_terms(self) -> tuple:
+        return codec.child_terms(self.pattern.tree.children[0], self.numbering.stats)
+
+    @cached_property
+    def _covers(self) -> dict[int, int]:
+        """The covers :meth:`kept` has made, by length."""
+        return {}
+
+    def kept(self, r: int) -> int:
+        """Cover of the first ``r`` root repetitions, made once per
+        ``r``: ``bits`` itself for all of them."""
+        if r == self.pattern.tree.r:
+            return self.bits
+        covers = self._covers
+        cover = covers.get(r)
+        if cover is None:
+            first = corrected_occurrences(self.pattern)[: r * self.per]
+            cover = covers[r] = self.numbering.cover(first)
+        return cover
 
 
 def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
@@ -677,10 +754,7 @@ def _build_survivors(
 
 
 def combine_vertically(
-    new: Sequence[Candidate],
-    pool: Sequence[Candidate],
-    k: int,
-    records: dict[str, "_Member"] | None = None,
+    new: Sequence[Candidate], pool: Sequence[Candidate], k: int
 ) -> list[Candidate]:
     """Nest groups of same-tree candidates with periodic starting points.
 
@@ -689,37 +763,35 @@ def combine_vertically(
     mined for near-periodic chains; each chain's members are nested under
     an outer cycle.  A pattern transmits each occurrence once, so a chain
     whose members share an occurrence is skipped unpriced.  A nesting is
-    priced in closed form from its members' records (:func:`_nest_cost`)
+    priced in closed form from its members' reads (:func:`_nest_cost`)
     by its tree's :func:`codec.nest_pricer`, built once per tree, and
     kept when it is cheaper than the summed cost of the members it
     replaces; no root block is built to price it.  The build site
     (:func:`_build_survivors`) builds those that can survive pruning.
     The candidates must share one :class:`Numbering`, whose statistics
     price them, or :class:`DomainError` is raised.
-    ``records`` holds the candidates' records by notation, shared by
-    every call of one :func:`mine` (:func:`_records`).
     """
     _require_int("k", k)
     if not new:
         return []
     cands = [*new, *pool]
     numbering = _numbering(cands)
-    by_tree: dict[str, list[_Member]] = {}
-    for q in _records(_dedupe(cands), records):
-        by_tree.setdefault(q.key, []).append(q)
-    new_tree_keys = sorted({q.key for q in _records(new, records)})
+    by_tree: dict[str, list[Candidate]] = {}
+    for c in _dedupe(cands):
+        by_tree.setdefault(c.key, []).append(c)
+    new_tree_keys = sorted({c.key for c in new})
 
     winners: list[tuple[float, int, str, tuple]] = []
     for tree_key in new_tree_keys:
-        by_tau: dict[int, _Member] = {}
-        for q in by_tree[tree_key]:
-            c, prev = q.cand, by_tau.get(q.cand.tau)
-            if prev is None or (c.cost, c.notation) < (prev.cand.cost, prev.cand.notation):
-                by_tau[c.tau] = q
+        by_tau: dict[int, Candidate] = {}
+        for c in by_tree[tree_key]:
+            prev = by_tau.get(c.tau)
+            if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
+                by_tau[c.tau] = c
         if len(by_tau) < 3:
             continue
         taus = sorted(by_tau)
-        tree = by_tau[taus[0]].tree
+        tree = by_tau[taus[0]].pattern.tree
         zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
             l_max = codec.pattern_cost(zero, numbering.stats).total
@@ -728,15 +800,13 @@ def combine_vertically(
         nest_price = codec.nest_pricer(numbering.stats, tree)
         for chain in extract_cycles_tri(taus, l_max):
             members = [by_tau[taus[i]] for i in chain]
-            cover = reduce(or_, (q.cand.bits for q in members))
-            if cover.bit_count() < sum(q.tree.count for q in members):
+            cover = reduce(or_, (c.bits for c in members))
+            if cover.bit_count() < sum(c.pattern.tree.count for c in members):
                 continue  # the members share an occurrence
             cost = _nest_cost(nest_price, members)
-            if cost >= codec.add_bits(q.cand.cost for q in members):
+            if cost >= codec.add_bits(c.cost for c in members):
                 continue
-            winners.append(
-                (cost, cover, "", ("vertical", [q.pattern for q in members]))
-            )
+            winners.append((cost, cover, "", ("vertical", [c.pattern for c in members])))
     return _build_survivors(winners, k, numbering)
 
 
@@ -801,119 +871,16 @@ def _components(adj: Mapping[int, set[int]], nodes: Iterable[int]) -> list[set[i
     return comps
 
 
-class _Member:
-    """The record of one candidate: what growing reads of it.
-
-    :func:`mine` keeps one record per candidate for the whole call,
-    shared by both growths in every round (:func:`_records`), and each
-    part is worked out when first read, so every later read takes
-    constant time.  ``occurrences`` are the corrected ones in traversal
-    order, ``per`` of them in each root repetition.  ``magnitudes`` are
-    the corrections' ``|E|``, the first occurrence's 0, and ``running``
-    their running sums by root repetition: ``running[r]`` is their sum
-    over the first ``r``, the repetitions a merge keeps.  :meth:`kept`
-    makes the cover of those repetitions once per length and keeps it in
-    ``covers``, which lives as long as the record: one :func:`mine`
-    call.  ``cycle`` holds a one-leaf cycle's parameters for
-    :func:`codec.cycle_merge_pricer`.  ``slack`` sums ``|E|`` at the
-    root repetitions' boundaries, and ``key`` is the tree's notation.
-    ``terms`` are the root's children's layout and repetition bits and
-    rarest counts under the numbering's ``stats``
-    (:func:`codec.child_terms`), and ``inner_terms`` those of its first
-    child's children, the parts of a factorized merge; both are codable
-    (:func:`codec._placed`).  A record is a :class:`codec.MergeMember`:
-    :func:`codec.merge_pricer` reads its pattern's ``(r, p, tau,
-    offsets)``, its root children's terms and placements, and the
-    ``|E|`` sums, and places a merge's root from the members' blocks
-    without building it.
-    """
-
-    def __init__(self, cand: Candidate) -> None:
-        self.cand = cand
-        self.stats = cand.numbering.stats
-        self.pattern = cand.pattern
-        self.tree = cand.pattern.tree
-        self.per = self.tree.count // self.tree.r
-        self.covers: dict[int, int] = {}
-
-    @cached_property
-    def key(self) -> str:
-        return format_tree(self.tree)
-
-    @cached_property
-    def cycle(self) -> codec.Cycle | None:
-        """``(event, r, p, tau, offsets)`` of a one-leaf cycle, the
-        parameters :func:`codec.cycle_merge_pricer` reads; None for any
-        other tree.  A repetition of one occurrence is one leaf."""
-        if self.per != 1:
-            return None
-        tree = self.tree
-        return tree.children[0].event, tree.r, tree.p, self.pattern.tau, self.pattern.offsets
-
-    @cached_property
-    def occurrences(self) -> tuple[tuple[int, str], ...]:
-        return corrected_occurrences(self.pattern)
-
-    @cached_property
-    def magnitudes(self) -> list[int]:
-        return [0, *map(abs, self.pattern.corrections)]
-
-    @cached_property
-    def running(self) -> list[int]:
-        """``running[k]`` is ``|E|`` summed over the first ``k`` root
-        repetitions."""
-        m, per = self.magnitudes, self.per
-        return [0, *accumulate(sum(m[i : i + per]) for i in range(0, len(m), per))]
-
-    @cached_property
-    def slack(self) -> int:
-        es, per = self.pattern.corrections, self.per
-        return sum(abs(es[k * per - 1]) for k in range(1, self.tree.r))
-
-    @cached_property
-    def terms(self) -> tuple:
-        return codec.child_terms(self.tree, self.stats)
-
-    @cached_property
-    def inner_terms(self) -> tuple:
-        return codec.child_terms(self.tree.children[0], self.stats)
-
-    def kept(self, r: int) -> int:
-        """Cover of the first ``r`` repetitions, made once per ``r``."""
-        if r == self.tree.r:
-            return self.cand.bits
-        cover = self.covers.get(r)
-        if cover is None:
-            cover = self.covers[r] = self.cand.numbering.cover(self.occurrences[: r * self.per])
-        return cover
-
-
-def _records(
-    cands: Iterable[Candidate], records: dict[str, _Member] | None
-) -> list[_Member]:
-    """The candidates' records, each built on first use and kept in
-    ``records`` by notation (in a fresh dict when None)."""
-    if records is None:
-        records = {}
-    out = []
-    for c in cands:
-        q = records.get(c.notation)
-        if q is None:
-            q = records[c.notation] = _Member(c)
-        out.append(q)
-    return out
-
-
-def _kept(members: Sequence[_Member], r: int) -> int:
+def _kept(members: Sequence[Candidate], r: int) -> int:
     """Cover of the members' first ``r`` repetitions: the cover of their
     merge."""
-    return reduce(or_, [q.kept(r) for q in members])
+    return reduce(or_, [c.kept(r) for c in members])
 
 
-def _nest_cost(price: Callable[..., float], members: Sequence[_Member]) -> float:
+def _nest_cost(price: Callable[..., float], members: Sequence[Candidate]) -> float:
     """Price of nesting the members, which share one tree, are numbered
     over one log, list no occurrence twice and are in start order, under
-    an outer cycle (:func:`grow_vertically`), from their records alone,
+    an outer cycle (:func:`grow_vertically`), from their reads alone,
     by their tree's :func:`codec.nest_pricer` ``price``.
 
     Root repetition ``k`` is member ``k``, and every occurrence keeps its
@@ -921,22 +888,19 @@ def _nest_cost(price: Callable[..., float], members: Sequence[_Member]) -> float
     corrections of the first ``k`` repetitions: those are the only new
     corrections.
     """
-    p, starts = fit_period([q.cand.tau for q in members])
+    p, starts = fit_period([c.tau for c in members])
     return price(
         len(members),
         p,
-        members[0].cand.tau,
+        members[0].tau,
         sum(starts),
         members[-1].pattern.offsets,
-        sum(q.running[q.tree.r] for q in members) + sum(map(abs, starts)),
+        sum(c.running[c.pattern.tree.r] for c in members) + sum(map(abs, starts)),
     )
 
 
 def combine_horizontally(
-    new: Sequence[Candidate],
-    pool: Sequence[Candidate],
-    k: int,
-    records: dict[str, _Member] | None = None,
+    new: Sequence[Candidate], pool: Sequence[Candidate], k: int
 ) -> list[Candidate]:
     """Concatenate co-periodic candidates that start close to each other.
 
@@ -951,7 +915,7 @@ def combine_horizontally(
     clique's length.
 
     Every merge is priced exactly, in closed form, from its members'
-    records, a pair's before it is kept; no root block or layout is
+    reads, a pair's before it is kept; no root block or layout is
     built to price it.  A merge of one-leaf cycles is priced from the
     cycles' parameters (:func:`codec.cycle_merge_pricer`): its members
     are in start order, so :func:`concat_layout` could not refuse them,
@@ -963,7 +927,7 @@ def combine_horizontally(
     (:func:`_build_survivors`) builds, in their priced form, the merges
     that can survive pruning, and only there is a merge laid out.  The
     result is what building every merge and then pruning gives.  The
-    candidates and ``records`` are as in :func:`combine_vertically`.
+    candidates are as in :func:`combine_vertically`.
     """
     _require_int("k", k)
     if not new:
@@ -972,25 +936,24 @@ def combine_horizontally(
     numbering = _numbering(merged)
     new_keys = {c.notation for c in new}
     cands = sorted(_dedupe(merged), key=lambda c: (c.tau, c.notation))
-    recs = _records(cands, records)
     taus = [c.tau for c in cands]
-    periods = [q.tree.p for q in recs]
-    lengths = [q.tree.r for q in recs]
+    periods = [c.pattern.tree.p for c in cands]
+    lengths = [c.pattern.tree.r for c in cands]
     fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
     is_new = set(fresh)
     cycle_merge_price = codec.cycle_merge_pricer(numbering.stats)
     merge_price = codec.merge_pricer(numbering.stats)
 
-    def price(fs: list[_Member]) -> tuple | None:
+    def price(fs: list[Candidate]) -> tuple | None:
         """The winner entry of merging the members: priced factorized
         when that is strictly cheaper; None, unpriced, when the merge
         would list an occurrence twice.  The merge keeps the members'
         least length."""
-        r = min(q.tree.r for q in fs)
+        r = min(c.pattern.tree.r for c in fs)
         cover = _kept(fs, r)
-        if cover.bit_count() < sum(r * q.per for q in fs):
+        if cover.bit_count() < sum(r * c.per for c in fs):
             return None
-        cycles = [q.cycle for q in fs]
+        cycles = [c.cycle for c in fs]
         if None not in cycles:
             cost, provenance = cycle_merge_price(cycles), "horizontal"
         else:
@@ -999,7 +962,7 @@ def combine_horizontally(
                 return None  # a negative connecting distance
             if (alt := merge_price(fs, True)) < cost:
                 cost, provenance = alt, "factorized"
-        return cost, cover, "", (provenance, [q.pattern for q in fs])
+        return cost, cover, "", (provenance, [c.pattern for c in fs])
 
     # Pair merges that beat their members, then clique merges.
     # ``cands`` is sorted by (tau, notation), which puts every merge's
@@ -1016,13 +979,13 @@ def combine_horizontally(
             partners = fresh[bisect_right(fresh, ia) : bisect_left(fresh, hi)]
         for ib in partners:
             r = r_a if r_a < lengths[ib] else lengths[ib]
-            if abs(p_a - periods[ib]) > 2.0 * recs[ib].slack / (r * (r - 1)):
+            b = cands[ib]
+            if abs(p_a - periods[ib]) > 2.0 * b.slack / (r * (r - 1)):
                 continue
-            priced = price([recs[ia], recs[ib]])
+            priced = price([a, b])
             if priced is None:
                 continue
             cost, cover, _, _ = priced
-            b = cands[ib]
             total = cost
             if r_a != lengths[ib]:  # only then are occurrences left out
                 left_out = (a.bits | b.bits) & ~cover
@@ -1039,7 +1002,7 @@ def combine_horizontally(
         else:
             cliques = _greedy_clique_cover(adj, comp)
         for clique in cliques:
-            if len(clique) >= 3 and (priced := price([recs[i] for i in clique])):
+            if len(clique) >= 3 and (priced := price([cands[i] for i in clique])):
                 winners.append(priced)
     return _build_survivors(winners, k, numbering)
 
@@ -1240,12 +1203,11 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     seen = {c.notation for c in initial}
     v_in: list[Candidate] = list(initial)
     h_in: list[Candidate] = list(initial)
-    records: dict[str, _Member] = {}
     for round_no in range(cfg.max_rounds):
         if not v_in and not h_in:
             break
-        v_new = combine_vertically(h_in, accum, cfg.k, records)
-        h_new = combine_horizontally(v_in, accum, cfg.k, records)
+        v_new = combine_vertically(h_in, accum, cfg.k)
+        h_new = combine_horizontally(v_in, accum, cfg.k)
         accum = _dedupe(accum + v_in + h_in)
         v_in = [c for c in v_new if c.notation not in seen]
         seen.update(c.notation for c in v_in)

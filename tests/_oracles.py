@@ -735,10 +735,10 @@ def build_every_merge(new, pool, k: int) -> list:
 
 
 def layout_cost(layout: MergeLayout, members: Sequence, factored: bool) -> float:
-    """Price of the merge that ``layout`` describes over the members'
-    records (``miner._Member``, numbered over one log), through the
-    merge's root block: the layout path that ``codec.merge_pricer``
-    replaced, kept as its reference.
+    """Price of the merge that ``layout`` describes over the members,
+    candidates numbered over one log (``miner.Candidate``, read as
+    ``codec.MergeMember`` s), through the merge's root block: the layout
+    path that ``codec.merge_pricer`` replaced, kept as its reference.
 
     The root's terms are :func:`codec._placed`'s, from its children's
     terms: the members' ``terms``, or, for a ``factored`` layout, the
@@ -762,7 +762,7 @@ def layout_cost(layout: MergeLayout, members: Sequence, factored: bool) -> float
         abs_corrections += q.running[r]
         offs.append(q.pattern.offsets)
         pers.append(q.per)
-        ps.append(q.tree.p)
+        ps.append(q.pattern.tree.p)
     # Join (m, j) after (n, i) takes, in repetition k, the correction
     # offset(m, j) - offset(n, i) + k d, d the drift between the two.
     ends, starts, drifts, dropped = [], [], [], []
@@ -786,7 +786,7 @@ def layout_cost(layout: MergeLayout, members: Sequence, factored: bool) -> float
     bits_a, bits_r, bits_p0, bits_d, bits_tau, bits_e = codec._placed(
         root,
         layout.tau,
-        members[0].stats,
+        members[0].numbering.stats,
         terms=terms,
         last_offset=last_offset,
         abs_corrections=abs_corrections,
@@ -1036,9 +1036,12 @@ def set_collection_cost(patterns, seq, stats: SeqStats | None = None) -> Collect
     """``collection_cost`` over sets of pairs: each cover is the sorted
     ``pattern_occurrences``, checked by a set difference and against the
     length of the occurrence list, and the residuals are the log's pairs
-    less the union of the covers."""
+    less the union of the covers.  Given ``stats`` must be the log's own
+    over their window."""
     if stats is None:
         stats = SeqStats.from_sequence(seq)
+    elif stats != SeqStats.from_sequence(seq, stats.t_start, stats.t_end):
+        raise DomainError(f"the statistics over [{stats.t_start}, {stats.t_end}] describe another log")
     all_pairs = set(seq.pairs)
     covered: set[tuple[int, str]] = set()
     pattern_bits = 0.0

@@ -1,0 +1,66 @@
+"""Print one SHA-256 per benchmark workload and seed of what mining
+outputs, to check that a change leaves every output bit-identical.
+
+    python3 tests/output_hashes.py SEED [SEED ...]
+
+For each mining workload of ``perfbench/gen.py`` (braids, heartbeats
+and stream) and each seed, the logs of one benchmark run
+(``BENCHMARK.json``'s ``run_seconds``) are parsed and mined as
+``perfbench/run.py`` does, and one line ``WORKLOAD SEED DIGEST`` is
+printed.  The digest hashes, per log, ``mine().to_dict()`` with its
+wall clocks removed (each stage's report, totals included) and the
+final pool as ``(notation, cost, cover, provenance)`` per candidate,
+the cover as its sorted ``(t, label)`` pairs.  Floats are written with
+``repr``, so a cost that differs in its last bit changes the line.
+Run it on two checkouts and compare the lines.  The generator is only
+imported, never changed, and the script needs nothing outside the
+standard library, ``src/`` and ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import gen  # noqa: E402
+from cadence import load_sequence, mine  # noqa: E402
+
+WORKLOADS = [name for name, w in gen.WORKLOADS.items() if w.mode == "mine"]
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+
+
+def log_outputs(text: str) -> dict:
+    """What mining one log outputs, wall clocks removed."""
+    result = mine(load_sequence(text))
+    out = result.to_dict()
+    del out["wall_clock_s"]
+    out["final_pool"] = [
+        (c.notation, c.cost, c.numbering.pairs_of(c.bits), c.provenance) for c in result.pool
+    ]
+    return out
+
+
+def digest(workload: str, seed: int) -> str:
+    h = hashlib.sha256()
+    for log in gen.logs(workload, seed, SECONDS):
+        h.update(json.dumps(log_outputs(log.text), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    for seed in map(int, argv):
+        for workload in WORKLOADS:
+            print(workload, seed, digest(workload, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

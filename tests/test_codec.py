@@ -410,6 +410,19 @@ class TestCollectionCost:
             collection_cost([twice], seq)
         same_report([twice], seq)
 
+    def test_statistics_must_describe_the_log(self):
+        # Another log's statistics would price the same cycle in other
+        # bits without an error; a log's own, over a wider window, price it.
+        seq = EventSequence.from_pairs((t, "a") for t in (0, 5, 10, 15))
+        beats = [parse_pattern("[r=4 p=5](a) @ tau=0 E=[0,0,0]")]
+        larger = SeqStats.from_sequence(EventSequence.from_pairs([*seq.pairs, (3, "b"), (12, "b")]))
+        with pytest.raises(DomainError, match=r"^the statistics over \[0, 15\] describe another log"):
+            collection_cost(beats, seq, larger)
+        same_report(beats, seq, larger)
+        wide = SeqStats.from_sequence(seq, 0, 40)
+        assert collection_cost(beats, seq, wide).pattern_bits == pattern_cost(beats[0], wide).total
+        same_report(beats, seq, wide)
+
     def test_to_dict_counts_patterns(self, triad_seq, triad_stats):
         braid = parse_pattern(REFERENCE_ROWS[12][1])
         payload = collection_cost([braid], triad_seq, triad_stats).to_dict()
@@ -454,13 +467,17 @@ class TestCollectionCostMatchesSetReference:
         same_report([fit_cycle((2, 5, 7, 8), "a")], dozen_a_seq, dozen_a_stats)
 
     def test_pattern_outside_the_window(self, dozen_a_seq):
-        # the window's first tick lies after the pattern's first occurrence
+        # the window's first tick lies after the pattern's first
+        # occurrence: the pattern cannot be coded, and the window cuts
+        # the log, so its statistics do not describe the log
         narrow = SeqStats(
             length=len(dozen_a_seq), t_start=3, t_end=34,
             counts={"a": len(dozen_a_seq)},
         )
         cycle = fit_cycle((2, 5, 7, 8), "a")
         with pytest.raises(UncodablePatternError, match=r"\(2, a\) falls outside \[3, 34\]"):
+            pattern_cost(cycle, narrow)
+        with pytest.raises(DomainError, match=r"^the time window \[3, 34\] must contain"):
             collection_cost([cycle], dozen_a_seq, narrow)
         same_report([cycle], dozen_a_seq, narrow)
 

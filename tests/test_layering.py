@@ -410,7 +410,7 @@ def test_growth_prices_without_uncodable_branches():
 
 
 def test_miner_lays_out_a_merge_only_at_the_build_site():
-    # Every merge is priced in closed form, from its members' records;
+    # Every merge is priced in closed form, from its member candidates;
     # only a merge that can survive pruning is laid out, by ``_grow``.
     source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
     assert enclosing_functions(source, "concat_layout") == ["_grow"]
@@ -425,10 +425,31 @@ def test_miner_fits_a_cycle_only_at_the_build_site():
 
 
 def test_miner_checks_a_logs_statistics_in_one_place():
-    # A log's numbering owns its statistics: it alone checks that they
-    # describe the log, and ``mine`` builds them.
+    # One codec function checks that statistics describe their log; a
+    # log's numbering and ``collection_cost`` both call it, and ``mine``
+    # builds the statistics it numbers the log with.
     source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
-    assert enclosing_functions(source, "from_sequence") == ["Numbering", "mine"]
+    assert enclosing_functions(source, "from_sequence") == ["mine"]
+    assert enclosing_functions(source, "require_own_stats") == ["Numbering"]
+    codec_source = (PACKAGE / "codec.py").read_text(encoding="utf-8")
+    assert enclosing_functions(codec_source, "require_own_stats") == ["collection_cost"]
+    assert enclosing_functions(codec_source, "from_sequence") == [
+        "require_own_stats",
+        "collection_cost",
+    ]
+
+
+def test_growth_takes_only_candidates_and_a_width():
+    # A candidate is its own growth record, so neither growth takes a
+    # cache of records beside the new and pooled candidates.
+    source = (PACKAGE / "miner.py").read_text(encoding="utf-8")
+    signatures = {
+        node.name: ast.unparse(node.args)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("combine_")
+    }
+    taken = "new: Sequence[Candidate], pool: Sequence[Candidate], k: int"
+    assert signatures == {"combine_vertically": taken, "combine_horizontally": taken}
 
 
 def annotation_names(node: ast.AST) -> set:
