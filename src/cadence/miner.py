@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
 from operator import or_
@@ -68,23 +68,27 @@ class MiningConfig:
     pruning while it is among the ``k`` most efficient candidates for at
     least one occurrence it covers.  ``max_rounds`` bounds the rounds of
     nesting and concatenation; 0 stops after cycle extraction (stage S).
-    ``threads`` above 1 runs stage S's events on a thread pool.  The pool
-    is bound by the GIL: it does not change the results, and it makes
-    mining slower.  Alternating ``threads=1`` and ``threads=2`` in one
-    process on a 2-core x86 machine (seed 501), ``threads=2`` took 1.056
-    times as long on stream (median of 14 runs, slower in 12) and 1.040
-    times on heartbeats (median of 20, slower in 17).  ROADMAP item 5
-    retires it together with the benchmark's use of it
-    (``perfbench/run.py`` sets it).
+    ``threads`` is a deprecated argument and no field: it is checked like
+    a width, warned about with :class:`DeprecationWarning` and ignored, so
+    ``MiningConfig(threads=2) == MiningConfig()``.  Stage S runs in the
+    caller's thread.  The thread pool it ran was bound by the GIL: at seed
+    501 on a 2-core x86 machine, in two rounds of 12 alternating pairs in
+    one process, ``threads=2`` took 1.20 and 1.21 times as long as
+    ``threads=1`` on stream (slower in 12 and 11 of 12); on heartbeats
+    and braids the ratio ranged from 0.98 to 1.13.
     """
 
     k: int = 3
     max_rounds: int = 10
-    threads: int = 1
+    threads: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
-        for name, least in (("k", 1), ("max_rounds", 0), ("threads", 1)):
+    def __post_init__(self, threads: int | None) -> None:
+        for name, least in (("k", 1), ("max_rounds", 0)):
             _require_int(name, getattr(self, name), least)
+        if threads is not None:
+            _require_int("threads", threads)
+            msg = "MiningConfig's threads argument is deprecated and ignored"
+            warnings.warn(msg, DeprecationWarning, stacklevel=3)
 
 
 def _bits(indices: Iterable[int], size: int) -> int:
@@ -1160,22 +1164,14 @@ def extract_cycles(numbering: Numbering, config: MiningConfig | None = None) -> 
 
     A :class:`Numbering` holds only statistics that describe its log, so
     statistics over a window that cuts the log are refused when the
-    numbering is built.  Every event's winners
-    (:func:`_stage_one_event`) go to the build site
+    numbering is built.  Each event is mined on its own
+    (:func:`_stage_one_event`), one after another in the caller's thread
+    in ``alphabet`` order, and all their winners go to the build site
     (:func:`_build_survivors`) in one call.
     """
     cfg = config or MiningConfig()
-    events = list(numbering.seq.alphabet)
-
-    def stage(event: str) -> list[tuple]:
-        return _stage_one_event(event, numbering)
-
-    if cfg.threads > 1 and len(events) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(stage, events))
-    else:
-        results = [stage(e) for e in events]
-    return _build_survivors([w for r in results for w in r], cfg.k, numbering)
+    winners = [w for e in numbering.seq.alphabet for w in _stage_one_event(e, numbering)]
+    return _build_survivors(winners, cfg.k, numbering)
 
 
 def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:

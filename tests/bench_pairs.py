@@ -1,0 +1,122 @@
+"""Run the benchmark on two checkouts in alternating pairs and say, per
+end-to-end metric, whether the second one's gain holds.
+
+    python3 tests/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, from that checkout's own directory:
+the parent first in even pairs, the change first in odd ones.  ``T`` is
+``--seconds``, by default ``BENCHMARK.json``'s ``run_seconds`` in
+CHANGE_DIR, whose ``end_to_end`` list also names the metrics and which
+way each is better.  For each metric the script prints each side's
+median and quartiles over its runs, the change's median over the
+parent's, and how many pairs the change won (a tie counts for
+neither).  Then it prints whether the gain rule holds: the change wins
+at least nine tenths of the pairs, and its median beats the parent's by
+more than the distance between the parent's quartiles.  Quartiles are
+``statistics.quantiles``' default (exclusive) cut points.  Each side's
+failed and attempted logs are summed over its runs.
+
+The script needs nothing outside the standard library and imports
+neither checkout's program.  Exit status: 0 when every run checked its
+outputs, 1 otherwise; a run that prints no metrics stops the script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+
+@dataclass(frozen=True)
+class Summary:
+    """One metric over the runs of both sides, pair ``i`` being
+    ``parent[i]`` and ``change[i]``."""
+
+    parent: tuple[float, float, float]  # first quartile, median, third quartile
+    change: tuple[float, float, float]
+    wins: int
+    pairs: int
+    gain: bool
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> Summary:
+    """Each side's quartiles, the pairs the change won and whether its
+    gain holds, for a metric whose ``better`` is ``"higher"`` or
+    ``"lower"``.  Each side needs two runs or more, one per pair."""
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need one run per side in each of two or more pairs")
+    if better not in ("higher", "lower"):
+        raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+    p, c = (tuple(statistics.quantiles(side, n=4)) for side in (parent, change))
+    gain = 10 * wins >= 9 * len(parent) and sign * (c[1] - p[1]) > p[2] - p[0]
+    return Summary(p, c, wins, len(parent), gain)
+
+
+def run_once(checkout: Path, args: argparse.Namespace) -> dict:
+    """The result line of one benchmark run in ``checkout``."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1]) if done.returncode in (0, 1) and lines else {}
+    if not result.get("metrics"):
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"bench_pairs: {checkout}: run.py exited {done.returncode} with no metrics")
+    return result
+
+
+def fmt(value: float) -> str:
+    return f"{value:,.0f}" if abs(value) >= 100 else f"{value:.4g}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int)
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.seconds is None:
+        args.seconds = bench["run_seconds"]
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr, flush=True)
+
+    for side, results in runs.items():
+        failed = sum(r["failed"] for r in results)
+        attempted = sum(r["attempted"] for r in results)
+        print(f"{side}: {failed} of {attempted} logs failed over {len(results)} runs")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results] for side, results in runs.items()}
+        s = summarize(values["parent"], values["change"], metric["better"])
+        ratio = s.change[1] / s.parent[1] if s.parent[1] else float("nan")
+        print(
+            f"{name} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {fmt(s.parent[1])} [{fmt(s.parent[0])}, {fmt(s.parent[2])}], "
+            f"change {fmt(s.change[1])} [{fmt(s.change[0])}, {fmt(s.change[2])}], "
+            f"ratio {ratio:.3f}, change better in {s.wins} of {s.pairs}, "
+            f"gain {'holds' if s.gain else 'does not hold'}"
+        )
+    return 0 if all(r["correct"] for results in runs.values() for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

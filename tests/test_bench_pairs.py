@@ -1,0 +1,48 @@
+"""The pairs runner's summary (``bench_pairs.py``) on fixed numbers."""
+
+from __future__ import annotations
+
+import pytest
+
+from bench_pairs import summarize
+
+PARENT = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
+
+
+def test_a_clear_gain_holds():
+    s = summarize(PARENT, [v + 10 for v in PARENT], "higher")
+    assert (s.wins, s.pairs, s.gain) == (10, 10, True)
+    assert s.parent == pytest.approx((97.75, 100.0, 102.25))
+    assert s.change == pytest.approx((107.75, 110.0, 112.25))
+
+
+def test_lower_is_better_counts_falls():
+    s = summarize(PARENT, [v - 10 for v in PARENT], "lower")
+    assert (s.wins, s.gain) == (10, True)
+    assert summarize(PARENT, [v - 10 for v in PARENT], "higher").wins == 0
+
+
+def test_nine_of_ten_is_enough_and_a_tie_wins_nothing():
+    change = [v + 10 for v in PARENT]
+    change[3] = PARENT[3]
+    s = summarize(PARENT, change, "higher")
+    assert (s.wins, s.gain) == (9, True)
+    change[4] = PARENT[4] - 1
+    s = summarize(PARENT, change, "higher")
+    assert (s.wins, s.gain) == (8, False)
+
+
+def test_a_shift_inside_the_parents_spread_is_no_gain():
+    # The parent's quartiles lie 4.5 apart: every pair won by 4 is no gain.
+    s = summarize(PARENT, [v + 4 for v in PARENT], "higher")
+    assert (s.wins, s.gain) == (10, False)
+    assert summarize(PARENT, [v + 4.6 for v in PARENT], "higher").gain
+
+
+@pytest.mark.parametrize(
+    "parent, change, better",
+    [([1.0, 2.0], [1.0], "higher"), ([1.0], [2.0], "higher"), ([1.0, 2.0], [3.0, 4.0], "up")],
+)
+def test_bad_input_is_refused(parent, change, better):
+    with pytest.raises(ValueError):
+        summarize(parent, change, better)

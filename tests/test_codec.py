@@ -451,7 +451,7 @@ class TestCollectionCostMatchesSetReference:
             shift_level=1, shift_density=0.2, additive_density=0.1, seed=seed,
         )
         seq = generate(spec).perturbed
-        result = mine(seq, MiningConfig(threads=1))
+        result = mine(seq, MiningConfig())
         for selection in result.stages.values():
             same_report([c.pattern for c in selection.candidates], seq)
         # the pool's covers overlap

@@ -9,9 +9,11 @@ way in: the miner prices through ``codec``'s public pricing path.  Only
 ``codec`` (and ``core``, which defines it) takes logarithms, so the
 encoder's terms have one home; only ``codec`` and ``pattern`` read where a
 tree's repetition lies and where its last one ends; no module keeps a
-function cache: what is computed once lives on its object; and every
-field of ``MiningConfig`` and ``IngestOptions`` is read somewhere outside
-its class, so no setting does nothing.
+function cache: what is computed once lives on its object; no module
+imports ``threading`` or ``concurrent.futures``, so mining runs in the
+caller's thread; and every field of ``MiningConfig`` and
+``IngestOptions`` is read somewhere outside its class, so no setting
+does nothing.
 """
 
 from __future__ import annotations
@@ -28,24 +30,31 @@ PACKAGE = Path(cadence.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
-def sibling_imports(source: str) -> set[str]:
-    """Sibling modules of ``cadence`` that a module's source imports."""
+def imports(source: str) -> set[str]:
+    """Dotted names a module's source imports: each module, and for
+    ``from module import name`` also ``module.name``, with relative
+    imports resolved inside ``cadence``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = "cadence" + (f".{node.module}" if node.module else "")
             else:
                 base = node.module or ""
-            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        for target in targets:
-            parts = target.split(".")
-            if len(parts) > 1 and parts[0] == "cadence" and parts[1] in MODULES:
-                found.add(parts[1])
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def sibling_imports(source: str) -> set[str]:
+    """Sibling modules of ``cadence`` that a module's source imports."""
+    found = set()
+    for target in imports(source):
+        parts = target.split(".")
+        if len(parts) > 1 and parts[0] == "cadence" and parts[1] in MODULES:
+            found.add(parts[1])
     return found
 
 
@@ -66,6 +75,28 @@ def test_walker_sees_every_import_form():
         "    from . import codec\n"
     )
     assert sibling_imports(source) == {"core", "synth", "pattern", "codec"}
+
+
+def test_walker_sees_standard_library_imports():
+    source = (
+        "import threading\n"
+        "def late():\n"
+        "    from concurrent import futures\n"
+    )
+    assert {"threading", "concurrent.futures"} <= imports(source)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_threads(name):
+    # Stage S runs in the caller's thread: CPython's GIL ran a thread
+    # pool over its events one thread at a time, for the pool's cost.
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert not {
+        target
+        for target in imports(source)
+        for banned in ("threading", "concurrent.futures")
+        if target == banned or target.startswith(banned + ".")
+    }
 
 
 def test_core_imports_no_sibling_module(graph):

@@ -11,6 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -1071,6 +1072,15 @@ class TestMiningConfig:
         (field,) = kwargs
         with pytest.raises(DomainError, match=field):
             MiningConfig(**kwargs)
+
+    def test_threads_is_a_deprecated_argument(self):
+        # Stage S runs in the caller's thread: ``threads`` is checked and
+        # warned about, then dropped, so it is no field and changes nothing.
+        with pytest.warns(DeprecationWarning, match="threads") as caught:
+            config = MiningConfig(threads=2)
+        assert caught[0].filename == __file__  # the warning names the caller
+        assert config == MiningConfig()
+        assert "threads" not in {f.name for f in dataclasses.fields(MiningConfig)}
 
 
 class TestWidthArguments:
@@ -2382,8 +2392,10 @@ class TestExtractCyclesStage:
         assert len(extract_cycles(numbering)) == 45
 
     def test_threading_does_not_change_the_result(self, mixed_seq):
-        serial = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=1))
-        threaded = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=3))
+        with pytest.warns(DeprecationWarning, match="threads"):
+            serial = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=1))
+        with pytest.warns(DeprecationWarning, match="threads"):
+            threaded = extract_cycles(numbered(mixed_seq), config=MiningConfig(k=3, threads=3))
         assert [c.notation for c in serial] == [c.notation for c in threaded]
 
 
@@ -2440,11 +2452,27 @@ class TestMine:
         assert d1 == d2
 
     def test_threads_do_not_change_the_outcome(self, mixed_seq):
-        d1 = mine(mixed_seq, MiningConfig(threads=1)).to_dict()
-        d2 = mine(mixed_seq, MiningConfig(threads=3)).to_dict()
+        with pytest.warns(DeprecationWarning, match="threads"):
+            d1 = mine(mixed_seq, MiningConfig(threads=1)).to_dict()
+        with pytest.warns(DeprecationWarning, match="threads"):
+            d2 = mine(mixed_seq, MiningConfig(threads=3)).to_dict()
         d1.pop("wall_clock_s")
         d2.pop("wall_clock_s")
         assert d1 == d2
+
+    def test_mining_starts_no_thread(self, mixed_seq, monkeypatch):
+        # Stage S's events run one after another in the caller's thread,
+        # whatever the deprecated ``threads`` argument asks for.
+        def refuse(thread):
+            raise AssertionError(f"mining started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with pytest.warns(DeprecationWarning, match="threads"):
+            threaded = mine(mixed_seq, MiningConfig(threads=3)).to_dict()
+        serial = mine(mixed_seq, MiningConfig()).to_dict()
+        threaded.pop("wall_clock_s")
+        serial.pop("wall_clock_s")
+        assert threaded == serial
 
     def test_winner_is_earliest_cheapest_stage(self, triad_seq):
         result = mine(triad_seq)
