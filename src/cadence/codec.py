@@ -738,16 +738,28 @@ def pattern_cost(p: Pattern, stats: SeqStats) -> CostBreakdown:
     transmitted in that context: a parameter outside its code's range,
     or a corrected occurrence outside the sequence window.
     """
-    tree = p.tree
-    compiled = tree.compiled
-    offsets = p.offsets
-    for t, e, off in zip(compiled.times, compiled.events, offsets):
+    _require_in_window(p, stats)
+    return _breakdown(p, stats)
+
+
+def _require_in_window(p: Pattern, stats: SeqStats) -> None:
+    """Raise :class:`UncodablePatternError` when a corrected occurrence
+    of the pattern falls outside the statistics' window."""
+    compiled = p.tree.compiled
+    for t, e, off in zip(compiled.times, compiled.events, p.offsets):
         ct = p.tau + t + off
         if ct < stats.t_start or ct > stats.t_end:
             raise UncodablePatternError(
                 f"corrected occurrence ({ct}, {e}) falls outside "
                 f"[{stats.t_start}, {stats.t_end}]"
             )
+
+
+def _breakdown(p: Pattern, stats: SeqStats) -> CostBreakdown:
+    """:func:`pattern_cost` of a pattern whose corrected occurrences all
+    lie inside the statistics' window."""
+    tree = p.tree
+    offsets = p.offsets
     base = (tree.r - 1) * tree.placement.size
     return CostBreakdown(*_placed(
         tree,
@@ -870,6 +882,12 @@ def collection_cost(
     (:func:`require_own_stats`).  Raises :class:`DomainError` when they
     do not, or when a pattern covers an occurrence that the sequence
     does not hold, or lists one occurrence twice.
+
+    Each pattern is priced as :func:`pattern_cost` prices it, bit for
+    bit, but without its scan of the window: the statistics' window
+    holds the log, so once every corrected occurrence is shown to be an
+    occurrence of the log, each lies inside it.  By :func:`_placed`'s
+    theorem the pricing then raises nothing either.
     """
     if stats is None:
         stats = SeqStats.from_sequence(seq)
@@ -893,7 +911,7 @@ def collection_cost(
             raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
         size = sum(map(len, cover.values()))
         _require_listed_once(pat, times, events, size)
-        breakdown = pattern_cost(pat, stats)
+        breakdown = _breakdown(pat, stats)
         shape = classify_tree(tree)
         shape_counts[shape.shape_class[0]] += 1
         max_cover = max(max_cover, size)

@@ -13,6 +13,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Mapping, TextIO
 
 
@@ -159,10 +161,10 @@ class EventSequence:
     @staticmethod
     def _assemble(times: dict[str, list[int]]) -> "EventSequence":
         """A sequence from each label's timestamps, labels in first-seen
-        order: each list deduped and sorted, and the labels ordered by
-        their first timestamps."""
+        order: each list sorted in place and deduped, and the labels
+        ordered by their first timestamps."""
         alphabet = tuple(times)
-        per_label = [tuple(sorted(set(ts))) for ts in times.values()]
+        per_label = [_sorted_distinct(ts) for ts in times.values()]
         return EventSequence(
             alphabet=alphabet,
             # labels in the order of their first occurrences, ties by id
@@ -207,6 +209,16 @@ class EventSequence:
         return "".join(f"{t}\t{e}\n" for t, e in self.pairs)
 
 
+def _sorted_distinct(ts: list[int]) -> tuple[int, ...]:
+    """``tuple(sorted(set(ts)))``, sorting ``ts`` in place: once sorted,
+    a list that repeats no time is that tuple already, and only one that
+    does builds the set."""
+    ts.sort()
+    if all(map(lt, ts, islice(ts, 1, None))):
+        return tuple(ts)
+    return tuple(sorted(set(ts)))
+
+
 def _label_problem(label: str) -> str:
     return f"event label {label!r} holds whitespace, a bracket, a parenthesis or '#'"
 
@@ -224,6 +236,7 @@ def load_sequence(
         timestamp is an optional sign and ASCII digits.  Empty lines and
         lines starting with ``#`` are ignored.  Duplicates collapse after
         the granularity is applied, as in :meth:`EventSequence.from_pairs`.
+        A stream's lines are read with their trailing ``"\\n"`` removed.
     opts : IngestOptions, optional
         Ingestion options; defaults to granularity 1, no succession mode.
 
@@ -241,14 +254,39 @@ def load_sequence(
         On a negative timestamp.
     EmptySequenceError
         When no occurrences remain after parsing.
+
+    Notes
+    -----
+    One loop reads every line.  A canonical line, ``digits<TAB>label``
+    with ASCII digits and a label already seen, takes a fast branch that
+    appends its time without the general checks; every other line runs
+    them.  The branch is exact: a known label passed :data:`LABEL` when
+    it was first seen, so it holds no whitespace and no tab, and the
+    digits hold neither.  Such a line thus has no padding and no second
+    tab, and stripping it, splitting it at its tab and stripping both
+    parts give the same timestamp and label; they pass every check, and
+    a run of digits is never negative.  A line of a label not yet seen,
+    a signed or padded timestamp, a comma line and a line that ends in
+    ``"\\r"`` go through the general checks, so every error keeps its
+    text and line number.
     """
     if opts is None:
         opts = IngestOptions()
-    lines = source.split("\n") if isinstance(source, str) else source
+    if isinstance(source, str):
+        lines = source.split("\n")
+    else:
+        lines = (line.removesuffix("\n") for line in source)
     times: dict[str, list[int]] = {}
     rank = 0
     succession, granularity = opts.succession_mode, opts.granularity
     for number, line in enumerate(lines, start=1):
+        raw_t, tab, label = line.partition("\t")
+        ts = times.get(label) if tab else None
+        if ts is not None and raw_t.isdigit() and raw_t.isascii():
+            # a canonical line of a known label: see the docstring
+            ts.append(rank if succession else int(raw_t) // granularity)
+            rank += 1
+            continue
         line = line.strip()
         if not line or line[0] == "#":
             continue

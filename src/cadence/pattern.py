@@ -353,9 +353,12 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
 
 
 def corrected_times(p: Pattern) -> list[int]:
-    """Corrected timestamps in order: ``p.tree.compiled.events``'s."""
-    tau = p.tau
-    times = [tau + t + off for t, off in zip(p.tree.compiled.times, p.offsets)]
+    """Corrected timestamps in order: ``p.tree.compiled.events``'s.  A
+    cycle's perfect times are ``k * p``, read without compiling its
+    tree."""
+    tree, tau = p.tree, p.tau
+    perfect = range(0, tree.r * tree.p, tree.p) if is_simple(tree) else tree.compiled.times
+    times = [tau + t + off for t, off in zip(perfect, p.offsets)]
     if min(times) < 0:
         ct = next(t for t in times if t < 0)
         raise InvalidPatternError(f"corrected timestamp {ct} is negative")
@@ -363,8 +366,12 @@ def corrected_times(p: Pattern) -> list[int]:
 
 
 def corrected_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
-    """Corrected occurrence list in traversal order (may repeat pairs)."""
-    return tuple(zip(corrected_times(p), p.tree.compiled.events))
+    """Corrected occurrence list in traversal order (may repeat pairs).
+    A cycle's events are its leaf's ``r`` times, read without compiling
+    its tree."""
+    tree = p.tree
+    events = (tree.children[0].event,) * tree.r if is_simple(tree) else tree.compiled.events
+    return tuple(zip(corrected_times(p), events))
 
 
 def pattern_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:

@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternating pairs and say, per
 end-to-end metric, whether the second one's gain holds.
 
-    python3 tests/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+    python3 tests/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N [--trace]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, from that checkout's own directory:
@@ -16,6 +16,14 @@ at least nine tenths of the pairs, and its median beats the parent's by
 more than the distance between the parent's quartiles.  Quartiles are
 ``statistics.quantiles``' default (exclusive) cut points.  Each side's
 failed and attempted logs are summed over its runs.
+
+With ``--trace`` the runs are ``--trace 1`` runs, alternating the same
+way, and the script prints each side's median of every per-layer
+metric that ``BENCHMARK.json`` lists instead.  Per-layer seconds are
+raw wall time, so only medians of alternating runs can show a layer
+moving.  For each ``.calls`` count it says whether every run of both
+sides read the same value: calls are deterministic, and a pure speed
+change keeps them.
 
 The script needs nothing outside the standard library and imports
 neither checkout's program.  Exit status: 0 when every run checked its
@@ -60,11 +68,30 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     return Summary(p, c, wins, len(parent), gain)
 
 
+@dataclass(frozen=True)
+class Layer:
+    """One per-layer metric over the traced runs of both sides."""
+
+    parent: float  # median
+    change: float
+    same: bool | None  # a count's runs all read one value; None for other metrics
+
+
+def summarize_layer(name: str, parent: list[float], change: list[float]) -> Layer:
+    """Each side's median of the per-layer metric ``name`` and, for a
+    ``.calls`` count, whether every run of both sides read one value."""
+    if not parent or not change:
+        raise ValueError("need at least one run per side")
+    same = len(set(parent) | set(change)) == 1 if name.endswith(".calls") else None
+    return Layer(statistics.median(parent), statistics.median(change), same)
+
+
 def run_once(checkout: Path, args: argparse.Namespace) -> dict:
     """The result line of one benchmark run in ``checkout``."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        "--seed", str(args.seed), "--seconds", str(args.seconds),
+        "--trace", "1" if args.trace else "0",
     ]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
@@ -79,6 +106,40 @@ def fmt(value: float) -> str:
     return f"{value:,.0f}" if abs(value) >= 100 else f"{value:.4g}"
 
 
+def print_layers(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+                  for side, results in runs.items()}
+        missing = [side for side, results in runs.items() if len(values[side]) < len(results)]
+        if missing:
+            print(f"{name}: missing from a run of {' and '.join(missing)}")
+            continue
+        s = summarize_layer(name, values["parent"], values["change"])
+        ratio = s.change / s.parent if s.parent else float("nan")
+        line = f"{name} ({metric['unit']}): parent {fmt(s.parent)}, change {fmt(s.change)}, ratio {ratio:.3f}"
+        if s.same is not None:
+            line += ", same in every run" if s.same else (
+                f", differs: parent {sorted(set(values['parent']))}, change {sorted(set(values['change']))}"
+            )
+        print(line)
+
+
+def print_end_to_end(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
+    for metric in metrics:
+        name = metric["name"]
+        values = {side: [r["metrics"][name]["value"] for r in results] for side, results in runs.items()}
+        s = summarize(values["parent"], values["change"], metric["better"])
+        ratio = s.change[1] / s.parent[1] if s.parent[1] else float("nan")
+        print(
+            f"{name} ({metric['unit']}, {metric['better']} is better): "
+            f"parent {fmt(s.parent[1])} [{fmt(s.parent[0])}, {fmt(s.parent[2])}], "
+            f"change {fmt(s.change[1])} [{fmt(s.change[0])}, {fmt(s.change[2])}], "
+            f"ratio {ratio:.3f}, change better in {s.wins} of {s.pairs}, "
+            f"gain {'holds' if s.gain else 'does not hold'}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -87,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int)
+    parser.add_argument("--trace", action="store_true", help="compare per-layer metrics of traced runs")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.seconds is None:
@@ -103,18 +165,10 @@ def main(argv: list[str] | None = None) -> int:
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
         print(f"{side}: {failed} of {attempted} logs failed over {len(results)} runs")
-    for metric in bench["end_to_end"]:
-        name = metric["name"]
-        values = {side: [r["metrics"][name]["value"] for r in results] for side, results in runs.items()}
-        s = summarize(values["parent"], values["change"], metric["better"])
-        ratio = s.change[1] / s.parent[1] if s.parent[1] else float("nan")
-        print(
-            f"{name} ({metric['unit']}, {metric['better']} is better): "
-            f"parent {fmt(s.parent[1])} [{fmt(s.parent[0])}, {fmt(s.parent[2])}], "
-            f"change {fmt(s.change[1])} [{fmt(s.change[0])}, {fmt(s.change[2])}], "
-            f"ratio {ratio:.3f}, change better in {s.wins} of {s.pairs}, "
-            f"gain {'holds' if s.gain else 'does not hold'}"
-        )
+    if args.trace:
+        print_layers(bench["per_layer"], runs)
+    else:
+        print_end_to_end(bench["end_to_end"], runs)
     return 0 if all(r["correct"] for results in runs.values() for r in results) else 1
 
 

@@ -1,10 +1,10 @@
-"""The pairs runner's summary (``bench_pairs.py``) on fixed numbers."""
+"""The pairs runner's summaries (``bench_pairs.py``) on fixed numbers."""
 
 from __future__ import annotations
 
 import pytest
 
-from bench_pairs import summarize
+from bench_pairs import summarize, summarize_layer
 
 PARENT = [100.0, 104.0, 96.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0]
 
@@ -46,3 +46,22 @@ def test_a_shift_inside_the_parents_spread_is_no_gain():
 def test_bad_input_is_refused(parent, change, better):
     with pytest.raises(ValueError):
         summarize(parent, change, better)
+
+
+def test_a_layer_reads_each_sides_median():
+    s = summarize_layer("codec.collection_cost.self_s", [0.3, 0.1, 0.2], [0.25, 0.05, 0.15, 0.35])
+    assert (s.parent, s.change, s.same) == (0.2, 0.2, None)
+
+
+def test_a_count_says_whether_every_run_reads_one_value():
+    assert summarize_layer("miner.greedy_cover.calls", [7, 7, 7], [7, 7, 7]).same is True
+    assert summarize_layer("codec.pattern_cost.calls", [280, 280, 280], [0, 0, 0]).same is False
+    # a count that differs between two runs of one side differs too
+    assert summarize_layer("pattern.fit_cycle.calls", [5, 6], [5, 5]).same is False
+    # only a name ending in .calls is a count
+    assert summarize_layer("pattern.fit_cycle.calls_s", [5, 6], [5, 5]).same is None
+
+
+def test_a_layer_needs_a_run_per_side():
+    with pytest.raises(ValueError):
+        summarize_layer("miner.mine.s", [], [1.0])

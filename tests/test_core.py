@@ -180,6 +180,30 @@ class TestEventSequence:
         assert seq.pairs == ((3, "a"), (3, "b"))
         assert seq.duplicates_collapsed == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 30), min_size=1, max_size=20),
+        b=st.lists(st.integers(0, 30), min_size=1, max_size=20),
+        granularity=st.integers(1, 4),
+    )
+    def test_unsorted_and_repeated_times_sort_and_collapse(self, a, b, granularity):
+        # Each label keeps tuple(sorted(set(ts))) of its times, whether
+        # the pairs repeat them or the granularity makes them meet.
+        def want(times):
+            per_event = {e: tuple(sorted(set(ts))) for e, ts in times.items()}
+            collapsed = sum(map(len, times.values())) - sum(map(len, per_event.values()))
+            return dict(sorted(per_event.items(), key=lambda item: item[1][0])), collapsed
+
+        seq = EventSequence.from_pairs([(t, "a") for t in a] + [(t, "b") for t in b])
+        assert (dict(seq.per_event), seq.duplicates_collapsed) == want({"a": a, "b": b})
+        assert list(seq.per_event) == list(want({"a": a, "b": b})[0])
+
+        text = "".join(f"{t}\ta\n" for t in a) + "".join(f"{t}\tb\n" for t in b)
+        seq = load_sequence(text, IngestOptions(granularity=granularity))
+        floored = {e: [t // granularity for t in ts] for e, ts in (("a", a), ("b", b))}
+        assert (dict(seq.per_event), seq.duplicates_collapsed) == want(floored)
+        assert list(seq.per_event) == list(want(floored)[0])
+
     def test_per_event_projections_strictly_increase(self, mixed_seq):
         for ts in mixed_seq.per_event.values():
             assert all(a < b for a, b in zip(ts, ts[1:]))
@@ -319,6 +343,11 @@ _GOOD_LINE = st.builds(
     lambda pad1, t, sep, pad2, label, pad3: f"{pad1}{t}{pad2}{sep}{pad2}{label}{pad3}",
     _PAD, _TIMESTAMP, st.sampled_from(["\t", ","]), _PAD, st.sampled_from(_LABELS), _PAD,
 )
+# A canonical line: plain digits, one tab, no padding.  Once its label
+# is known it takes the loader's fast branch.
+_BARE_LINE = st.builds(
+    lambda t, label: f"{t}\t{label}", st.integers(0, 40), st.sampled_from(_LABELS)
+)
 _SKIPPED_LINE = st.sampled_from(["", "   ", "# a comment", "  #x\t1", "#"])
 _FAULTY_LINE = st.sampled_from([
     "5\ta\tb", "5;a", "5,a,b", "5\t", "5,", "x,a", "2.5\ta", ",a", "+-1,a",
@@ -329,7 +358,9 @@ _FAULTY_LINE = st.sampled_from([
 @settings(max_examples=300, deadline=None)
 @given(
     lines=st.lists(
-        st.one_of(_GOOD_LINE, _GOOD_LINE, _GOOD_LINE, _SKIPPED_LINE, _FAULTY_LINE),
+        st.one_of(
+            _GOOD_LINE, _GOOD_LINE, _BARE_LINE, _BARE_LINE, _BARE_LINE, _SKIPPED_LINE, _FAULTY_LINE
+        ),
         max_size=30,
     ),
     ending=st.sampled_from(["\n", "\r\n"]),
@@ -357,6 +388,38 @@ def test_loader_matches_the_three_pass_loader(
     same_outcome(
         lambda: load_sequence(source(), opts), lambda: three_pass_load(source(), opts)
     )
+
+
+@pytest.mark.parametrize(
+    "text, stream",
+    [
+        pytest.param("05\ta\n1\ta\n05\ta\n007\ta\n", False, id="leading zeros of a known label"),
+        pytest.param("1\ta\n5\t\ta\n", False, id="a second tab before the label"),
+        pytest.param("1\ta\n5\ta\t\n2\ta\n", False, id="a tab after the label"),
+        pytest.param("1\ta\n5\ta b\n", False, id="a space inside the label"),
+        pytest.param("1\ta\n5\ta \n2\ta\n", False, id="a space after the label"),
+        pytest.param("1\ta\r\n2\ta\r\n2\tb\r\n", True, id="a CRLF stream"),
+        pytest.param("1\ta\r\n2\ta\r\n3\ta b\r\n", True, id="a CRLF stream's bad label"),
+        pytest.param("1\ta\r\n2\ta\r\n", False, id="CRLF text"),
+        pytest.param("3\ta\n4\ta\n5\ta", True, id="a stream's last line without a newline"),
+    ],
+)
+def test_lines_near_the_fast_branch_match_the_three_pass_loader(text, stream):
+    # Each line but the first looks almost canonical; only a canonical
+    # line of a known label may skip the general checks.
+    def source():
+        return io.StringIO(text) if stream else text
+
+    for opts in (IngestOptions(), IngestOptions(granularity=2, succession_mode=True)):
+        same_outcome(lambda: load_sequence(source(), opts), lambda: three_pass_load(source(), opts))
+
+
+def test_a_non_ascii_digit_after_a_known_label_is_a_parse_error():
+    # "\u0665" is a digit to str.isdigit and int(), but not ASCII; the
+    # three-pass loader's int() reads it, so the error is spelled out.
+    with pytest.raises(ParseError) as exc:
+        load_sequence("1\ta\n\u0665\ta\n")
+    assert str(exc.value) == "line 2: timestamp '\u0665' is not an integer"
 
 
 _ITEM = st.one_of(

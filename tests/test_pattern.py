@@ -24,6 +24,7 @@ from cadence.pattern import (
     compile_tree,
     concat_layout,
     corrected_occurrences,
+    corrected_times,
     expand_tree,
     factor_layout,
     factorize,
@@ -134,6 +135,25 @@ class TestCycleCover:
         c = parse_pattern("[r=3 p=7](a) @ tau=0 E=[0,0]")
         assert cycle_cover(c) == (0, 7, 14)
         assert [t for t, _ in corrected_occurrences(c)] == [0, 7, 14]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.integers(2, 12),
+        p=st.integers(1, 30),
+        tau=st.integers(40, 90),
+        event=st.sampled_from(["a", "b"]),
+        data=st.data(),
+    )
+    def test_a_cycle_is_read_without_compiling_its_tree(self, r, p, tau, event, data):
+        # Its perfect times are k * p and its events r copies of its leaf.
+        corrections = data.draw(st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1))
+        c = cycle(event, r=r, p=p, tau=tau, corrections=corrections)
+        reference = compile_tree(c.tree)
+        times = [tau + t + off for t, off in zip(reference.times, c.offsets)]
+        assert corrected_times(c) == times
+        assert corrected_occurrences(c) == tuple(zip(times, reference.events))
+        assert "compiled" not in c.tree.__dict__
 
 
 class TestFit:
