@@ -1094,12 +1094,14 @@ def greedy_cover(pool: Sequence[Candidate], numbering: Numbering) -> Selection:
 # Full pipeline
 
 
-_STAGE_ORDER = ("S", "V", "H", "V+H", "F", "single")
+_STAGE_ORDER = ("S", "F", "single")
 
 
 @dataclass(frozen=True)
 class MineResult:
-    """Everything the mining run produced."""
+    """Everything the mining run produced: ``stages`` maps each stage
+    that competed (``S``, ``F``, ``single``; see :func:`mine`), in tie
+    order, to its selection, and ``selection`` is stage ``winner``'s."""
 
     selection: Selection
     winner: str
@@ -1112,14 +1114,10 @@ class MineResult:
         return len(self.pool)
 
     def to_dict(self) -> dict:
-        stages = {}
-        for name in _STAGE_ORDER:
-            if name in self.stages:
-                stages[name] = self.stages[name].report.to_dict()
         return {
             "winner": self.winner,
             "pool_size": self.pool_size,
-            "stages": stages,
+            "stages": {name: sel.report.to_dict() for name, sel in self.stages.items()},
             "report": self.selection.report.to_dict(),
             "wall_clock_s": dict(self.wall_clock_s),
         }
@@ -1177,12 +1175,13 @@ def extract_cycles(numbering: Numbering, config: MiningConfig | None = None) -> 
 def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     """Run the full pipeline and return the best collection found.
 
-    Candidate collections are assembled at several checkpoints (cycles
-    only, after the first nesting round, after the first concatenation
-    round, after both, and over the final pool) and the cheapest one
-    wins; a single-candidate collection is also considered, since greedy
-    selection carries no optimality guarantee.  With ``max_rounds`` 0
-    only the cycles and the single candidate compete.
+    Three stages compete, and the cheapest wins, ties going to the
+    earlier of ``S``, ``F`` and ``single``: a greedy cover of the cycles
+    (``S``), a greedy cover of the final pool (``F``) and the cheapest
+    single candidate of that pool (``single``).  Greedy selection carries
+    no optimality guarantee, and ``S`` and ``single`` each beat ``F`` on
+    some logs.  With ``max_rounds`` 0 there is no ``F``, and with an
+    empty pool no ``single``.
     """
     cfg = config or MiningConfig()
     clocks: dict[str, float] = {}
@@ -1193,13 +1192,11 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     clocks["extract"] = perf_counter() - t0
 
     t0 = perf_counter()
-    v_first: list[Candidate] = []
-    h_first: list[Candidate] = []
     accum: list[Candidate] = []
     seen = {c.notation for c in initial}
     v_in: list[Candidate] = list(initial)
     h_in: list[Candidate] = list(initial)
-    for round_no in range(cfg.max_rounds):
+    for _ in range(cfg.max_rounds):
         if not v_in and not h_in:
             break
         v_new = combine_vertically(h_in, accum, cfg.k)
@@ -1209,19 +1206,12 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
         seen.update(c.notation for c in v_in)
         h_in = [c for c in h_new if c.notation not in seen]
         seen.update(c.notation for c in h_in)
-        if round_no == 0:
-            v_first = list(v_in)
-            h_first = list(h_in)
     final_pool = _dedupe(accum + v_in + h_in)
     clocks["combine"] = perf_counter() - t0
 
     t0 = perf_counter()
-    stages: dict[str, Selection] = {}
-    stages["S"] = greedy_cover(initial, numbering)
+    stages = {"S": greedy_cover(initial, numbering)}
     if cfg.max_rounds:
-        stages["V"] = greedy_cover(initial + v_first, numbering)
-        stages["H"] = greedy_cover(initial + h_first, numbering)
-        stages["V+H"] = greedy_cover(initial + v_first + h_first, numbering)
         stages["F"] = greedy_cover(final_pool, numbering)
     if final_pool:
         stages["single"] = min(

@@ -14,7 +14,12 @@ parent's, and how many pairs the change won (a tie counts for
 neither).  Then it prints whether the gain rule holds: the change wins
 at least nine tenths of the pairs, and its median beats the parent's by
 more than the distance between the parent's quartiles.  Quartiles are
-``statistics.quantiles``' default (exclusive) cut points.  Each side's
+``statistics.quantiles``' default (exclusive) cut points.  Last it
+prints a no-regression verdict against the metric's ``bound``, read as
+a fraction of the parent's median: ``regressed`` when the change's
+median is worse by more than the bound, else ``unresolved`` when the
+parent's quartiles lie further apart than the bound and not every
+change run beats every parent run, else ``within bound``.  Each side's
 failed and attempted logs are summed over its runs.
 
 With ``--trace`` the runs are ``--trace 1`` runs, alternating the same
@@ -51,12 +56,15 @@ class Summary:
     wins: int
     pairs: int
     gain: bool
+    verdict: str  # "regressed", "unresolved" or "within bound"
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> Summary:
-    """Each side's quartiles, the pairs the change won and whether its
-    gain holds, for a metric whose ``better`` is ``"higher"`` or
-    ``"lower"``.  Each side needs two runs or more, one per pair."""
+def summarize(parent: list[float], change: list[float], better: str, bound: float = 0.0) -> Summary:
+    """Each side's quartiles, the pairs the change won, whether its gain
+    holds and its no-regression verdict under ``bound`` (a fraction of
+    the parent's median, 0 by default), for a metric whose ``better``
+    is ``"higher"`` or ``"lower"``.  Each side needs two runs or more,
+    one per pair."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need one run per side in each of two or more pairs")
     if better not in ("higher", "lower"):
@@ -65,7 +73,14 @@ def summarize(parent: list[float], change: list[float], better: str) -> Summary:
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     p, c = (tuple(statistics.quantiles(side, n=4)) for side in (parent, change))
     gain = 10 * wins >= 9 * len(parent) and sign * (c[1] - p[1]) > p[2] - p[0]
-    return Summary(p, c, wins, len(parent), gain)
+    allowed = bound * abs(p[1])
+    if sign * (c[1] - p[1]) < -allowed:
+        verdict = "regressed"
+    elif p[2] - p[0] > allowed and min(sign * y for y in change) <= max(sign * x for x in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return Summary(p, c, wins, len(parent), gain, verdict)
 
 
 @dataclass(frozen=True)
@@ -129,14 +144,15 @@ def print_end_to_end(metrics: list[dict], runs: dict[str, list[dict]]) -> None:
     for metric in metrics:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results] for side, results in runs.items()}
-        s = summarize(values["parent"], values["change"], metric["better"])
+        s = summarize(values["parent"], values["change"], metric["better"], metric["bound"])
         ratio = s.change[1] / s.parent[1] if s.parent[1] else float("nan")
         print(
             f"{name} ({metric['unit']}, {metric['better']} is better): "
             f"parent {fmt(s.parent[1])} [{fmt(s.parent[0])}, {fmt(s.parent[2])}], "
             f"change {fmt(s.change[1])} [{fmt(s.change[0])}, {fmt(s.change[2])}], "
             f"ratio {ratio:.3f}, change better in {s.wins} of {s.pairs}, "
-            f"gain {'holds' if s.gain else 'does not hold'}"
+            f"gain {'holds' if s.gain else 'does not hold'}, "
+            f"{s.verdict} (bound {metric['bound']:g})"
         )
 
 

@@ -20,8 +20,7 @@ The criteria, in order:
     single pooled candidate plus residuals, and never loses to the
     baseline.
 6.  planted-recovery: noise-free single-cycle plants are recovered
-    exactly in at least 80% of trials, and the final stage never
-    trails the horizontal stage.
+    exactly in at least 80% of trials.
 7.  threshold-soundness: a fitted cycle whose absolute corrections sum
     below the closed-form threshold is always cost-effective, and the
     threshold grows by more than the extension margin per repetition.
@@ -253,7 +252,6 @@ def test_planted_recovery(acceptance):
     t0 = perf_counter()
     trials = 50
     exact = 0
-    final_never_trails = 0
     for trial in range(trials):
         spec = PlantSpec(
             basis="a",
@@ -269,23 +267,12 @@ def test_planted_recovery(acceptance):
             [c.pattern for c in result.selection.candidates], truth
         )
         exact += report.exact_recovery
-        final = result.stages["F"].report.percent_length
-        horizontal = result.stages["H"].report.percent_length
-        final_never_trails += final <= horizontal + 1e-9
 
     elapsed = perf_counter() - t0
-    ok = (
-        exact >= math.ceil(0.8 * trials)
-        and final_never_trails == trials
-        and elapsed < 120.0
-    )
-    detail = (
-        f"exact recovery {exact}/{trials}, final <= horizontal "
-        f"{final_never_trails}/{trials} in {elapsed:.1f}s"
-    )
+    ok = exact >= math.ceil(0.8 * trials) and elapsed < 120.0
+    detail = f"exact recovery {exact}/{trials} in {elapsed:.1f}s"
     acceptance("planted-recovery", ok, detail)
     assert exact >= math.ceil(0.8 * trials), detail
-    assert final_never_trails == trials, detail
     assert elapsed < 120.0
 
 

@@ -65,3 +65,33 @@ def test_a_count_says_whether_every_run_reads_one_value():
 def test_a_layer_needs_a_run_per_side():
     with pytest.raises(ValueError):
         summarize_layer("miner.mine.s", [], [1.0])
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    # The bound is a fraction of the parent's median, 100 here.
+    assert summarize(PARENT, [v - 26 for v in PARENT], "higher", 0.25).verdict == "regressed"
+    assert summarize(PARENT, [v + 26 for v in PARENT], "lower", 0.25).verdict == "regressed"
+    assert summarize(PARENT, [v - 24 for v in PARENT], "higher", 0.25).verdict == "within bound"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # The parent's quartiles lie 4.5 apart, more than 0.04 of its median.
+    assert summarize(PARENT, PARENT, "higher", 0.04).verdict == "unresolved"
+    assert summarize(PARENT, PARENT, "higher", 0.05).verdict == "within bound"
+    # unless every change run beats every parent run
+    assert summarize(PARENT, [v + 9 for v in PARENT], "higher", 0.04).verdict == "within bound"
+    assert summarize(PARENT, [v + 7 for v in PARENT], "higher", 0.04).verdict == "unresolved"
+    assert summarize(PARENT, [v - 9 for v in PARENT], "lower", 0.04).verdict == "within bound"
+
+
+def test_a_worse_median_within_the_bound_passes_and_a_regression_wins_over_spread():
+    s = summarize(PARENT, [v - 3 for v in PARENT], "higher", 0.25)
+    assert (s.gain, s.verdict) == (False, "within bound")
+    assert summarize(PARENT, [v - 5 for v in PARENT], "higher", 0.04).verdict == "regressed"
+
+
+def test_identical_runs_are_within_any_bound():
+    same = [48.37] * 10
+    assert summarize(same, same, "lower", 0.0).verdict == "within bound"
+    assert summarize(same, [48.38] * 10, "lower", 0.15).verdict == "within bound"
+    assert summarize(same, [48.38] * 10, "lower").verdict == "regressed"
