@@ -39,16 +39,23 @@ from .core import (
 )
 from .pattern import (
     Block,
+    Column,
     Leaf,
     Node,
     Pattern,
-    classify_tree,
-    corrected_times,
+    column_events,
+    column_offsets,
+    column_times,
+    corrected_occurrences,
     expand_tree,  # unused here; perfbench's tracer test looks it up on codec
     format_pattern,
     is_simple,
+    leaf_columns,
     occurrence_count,
     place_children,
+    shape_class,
+    tree_height,
+    tree_width,
 )
 
 _LOG3 = math.log2(3.0)  # one symbol out of three: a bracket, or a leaf
@@ -738,28 +745,30 @@ def pattern_cost(p: Pattern, stats: SeqStats) -> CostBreakdown:
     transmitted in that context: a parameter outside its code's range,
     or a corrected occurrence outside the sequence window.
     """
-    _require_in_window(p, stats)
-    return _breakdown(p, stats)
+    columns = leaf_columns(p)
+    _require_in_window(p, columns, stats)
+    return _breakdown(p, stats, column_offsets(columns, p.tree.count))
 
 
-def _require_in_window(p: Pattern, stats: SeqStats) -> None:
-    """Raise :class:`UncodablePatternError` when a corrected occurrence
-    of the pattern falls outside the statistics' window."""
-    compiled = p.tree.compiled
-    for t, e, off in zip(compiled.times, compiled.events, p.offsets):
-        ct = p.tau + t + off
-        if ct < stats.t_start or ct > stats.t_end:
-            raise UncodablePatternError(
-                f"corrected occurrence ({ct}, {e}) falls outside "
-                f"[{stats.t_start}, {stats.t_end}]"
-            )
+def _require_in_window(p: Pattern, columns: Sequence[Column], stats: SeqStats) -> None:
+    """Raise :class:`UncodablePatternError`, naming the first in
+    traversal order, when a corrected occurrence of the pattern, read
+    off its leaf ``columns`` (:func:`pattern.leaf_columns`), falls
+    outside the statistics' window."""
+    lo, hi = stats.t_start, stats.t_end
+    times = column_times(columns, p.tree.count)
+    if lo <= min(times) and max(times) <= hi:
+        return
+    for ct, e in zip(times, column_events(columns, p.tree.count)):
+        if ct < lo or ct > hi:
+            raise UncodablePatternError(f"corrected occurrence ({ct}, {e}) falls outside [{lo}, {hi}]")
 
 
-def _breakdown(p: Pattern, stats: SeqStats) -> CostBreakdown:
+def _breakdown(p: Pattern, stats: SeqStats, offsets: Sequence[int]) -> CostBreakdown:
     """:func:`pattern_cost` of a pattern whose corrected occurrences all
-    lie inside the statistics' window."""
+    lie inside the statistics' window, given its cumulative ``offsets``
+    in traversal order, of which it reads the last root repetition's."""
     tree = p.tree
-    offsets = p.offsets
     base = (tree.r - 1) * tree.placement.size
     return CostBreakdown(*_placed(
         tree,
@@ -844,14 +853,12 @@ def baseline_cost(stats: SeqStats) -> float:
     return residual_bits(stats, stats.counts)
 
 
-def _require_listed_once(
-    p: Pattern, times: Sequence[int], events: Sequence[str], distinct: int
-) -> None:
-    """Raise :class:`DomainError` when the pattern's occurrences, its
-    corrected ``times`` and their ``events``, hold only ``distinct``
-    distinct pairs: a pattern lists each occurrence once."""
-    if distinct < len(times):
-        listed = Counter(zip(times, events))
+def _require_listed_once(p: Pattern, distinct: int) -> None:
+    """Raise :class:`DomainError` when the pattern's occurrences hold
+    only ``distinct`` distinct pairs: a pattern lists each occurrence
+    once."""
+    if distinct < p.tree.count:
+        listed = Counter(corrected_occurrences(p))
         twice = next(o for o in listed if listed[o] > 1)
         raise DomainError(f"pattern {format_pattern(p)} lists occurrence {twice} more than once")
 
@@ -859,9 +866,8 @@ def _require_listed_once(
 def _listed_once(p: Pattern) -> set[tuple[int, str]]:
     """The pattern's occurrences; raises :class:`DomainError` when it
     lists one twice."""
-    times, events = corrected_times(p), p.tree.compiled.events
-    pairs = set(zip(times, events))
-    _require_listed_once(p, times, events, len(pairs))
+    pairs = set(corrected_occurrences(p))
+    _require_listed_once(p, len(pairs))
     return pairs
 
 
@@ -873,10 +879,13 @@ def collection_cost(
     """Score a pattern collection plus residuals against a sequence.
 
     The log is held as one set per event of its own timestamps, and a
-    pattern's cover likewise: one root repetition of its tree holds
-    ``n = len(events) // r`` occurrences, and column ``j``'s times are
-    ``times[j::n]``, all of event ``events[j]``.  Every check and count
-    below is then a set operation per event.
+    pattern's cover likewise, built straight from its leaf columns
+    (:func:`pattern.leaf_columns`), each of one event: a column's
+    corrected times are its perfect times plus its offsets, one C-level
+    pass, and the same columns give the offsets that pricing reads.
+    Every check and count below is then a set operation per event, and
+    the shape class is read from the tree's width and height
+    (:func:`pattern.shape_class`), so scoring compiles no tree.
 
     ``stats`` default to the log's own; given, they must describe it
     (:func:`require_own_stats`).  Raises :class:`DomainError` when they
@@ -901,19 +910,20 @@ def collection_cost(
     max_cover = 0
     for pat in patterns:
         tree = pat.tree
-        times, events = corrected_times(pat), tree.compiled.events
-        n = len(events) // tree.r
+        columns = leaf_columns(pat)
         cover: dict[str, set[int]] = {}
-        for j in range(n):
-            cover.setdefault(events[j], set()).update(times[j::n])
+        for event, _, perfect, offsets in columns:
+            cover.setdefault(event, set()).update(map(add, perfect, offsets))
         if not all(e in logged and ts <= logged[e] for e, ts in cover.items()):
-            outside = sorted(set(zip(times, events)) - set(seq.pairs))[:3]
+            # raises first for a negative time, which no log holds
+            listed = set(corrected_occurrences(pat))
+            outside = sorted(listed - set(seq.pairs))[:3]
             raise DomainError(f"pattern covers occurrences outside the sequence: {outside}")
         size = sum(map(len, cover.values()))
-        _require_listed_once(pat, times, events, size)
-        breakdown = _breakdown(pat, stats)
-        shape = classify_tree(tree)
-        shape_counts[shape.shape_class[0]] += 1
+        _require_listed_once(pat, size)
+        breakdown = _breakdown(pat, stats, column_offsets(columns, tree.count))
+        shape = shape_class(tree_width(tree), tree_height(tree))
+        shape_counts[shape[0]] += 1
         max_cover = max(max_cover, size)
         costs.append(breakdown.total)
         for e, ts in cover.items():
@@ -922,7 +932,7 @@ def collection_cost(
             notation=format_pattern(pat),
             cost=breakdown,
             cover_size=size,
-            shape_class=shape.shape_class,
+            shape_class=shape,
         ))
     left = {e: len(ts) - len(covered[e]) for e, ts in logged.items()}
     residuals = {e: k for e, k in left.items() if k}

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
-from operator import or_
+from operator import or_, sub
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -1129,11 +1129,21 @@ def _stage_one_event(
     """Stage-S winners of one event, as :func:`_build_survivors` entries.
 
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
-    indices, are fitted by :func:`fit_period` and priced by the event's
-    :func:`codec.cycle_pricer`; each is codable, as its occurrences are
-    the log's (:func:`codec._placed`).  A chain's cover ORs its
-    occurrences' bits in ``numbering``, made once per event, and its
-    notation is :func:`format_cycle`'s.
+    indices, are priced by the event's :func:`codec.cycle_pricer` from
+    their sorted gaps, with no corrections tuple: the period is the
+    upper median gap (:func:`fit_period`'s), and the corrections'
+    magnitudes sum to the gaps' absolute deviation from it, the chain's
+    reach less twice the ``m = (r - 1) // 2`` smallest gaps less ``p (r
+    - 1 - 2 m)``: one sort and one C-level sum per chain.  Each chain is
+    codable, as its occurrences are the log's (:func:`codec._placed`).
+    A chain's cover ORs its occurrences' bits in ``numbering``, made
+    once per event.  Its notation is ``""``, as a growth's is, so the
+    build site formats only the survivors, unless the chain shares an
+    occurrence with another chain of its ``(efficiency, cost)``: that
+    tie its notation (:func:`format_cycle`) breaks as
+    :func:`filter_candidates` would, so the same cycles are built as
+    with every chain named.  A tie between chains that share no
+    occurrence, as chains of two events never do, decides nothing.
     """
     stats = numbering.stats
     ts = numbering.seq.per_event[event]
@@ -1146,12 +1156,30 @@ def _stage_one_event(
     winners = []
     for chain, provenance in chains.items():
         times = [ts[i] for i in chain]
-        p, corrections = fit_period(times)
         r, tau = len(times), times[0]
-        cost = price(r, p, tau, times[-1] - tau - (r - 1) * p, sum(map(abs, corrections)))
-        notation = format_cycle(event, r, p, tau, corrections)
+        gaps = sorted(map(sub, times[1:], times))
+        m = (r - 1) // 2
+        p, reach = gaps[m], times[-1] - tau
+        deviation = reach - 2 * sum(gaps[:m]) - p * (r - 1 - 2 * m)
+        cost = price(r, p, tau, reach - (r - 1) * p, deviation)
         cover = reduce(or_, map(bit.__getitem__, chain))
-        winners.append((cost, cover, notation, (provenance, (times, event))))
+        winners.append((cost, cover, "", (provenance, (times, event))))
+    # (efficiency, cost) is shared exactly when (cost, r) is
+    ties: dict[tuple[float, int], list[int]] = {}
+    for i, (cost, cover, _, _) in enumerate(winners):
+        ties.setdefault((cost, cover.bit_count()), []).append(i)
+    for tied in ties.values():
+        seen = twice = 0  # the occurrences the tied chains cover, and cover twice
+        for i in tied:
+            twice |= seen & winners[i][1]
+            seen |= winners[i][1]
+        for i in tied:
+            cost, cover, _, recipe = winners[i]
+            if cover & twice:
+                times = recipe[1][0]
+                p, corrections = fit_period(times)
+                notation = format_cycle(event, len(times), p, times[0], corrections)
+                winners[i] = (cost, cover, notation, recipe)
     return winners
 
 

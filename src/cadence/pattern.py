@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, sub
 from typing import NamedTuple, Sequence, Union
 
 from .core import LABEL, DomainError, InvalidPatternError
@@ -180,17 +181,12 @@ class Pattern:
         """Per-occurrence cumulative offsets, computed once per pattern.
 
         Occurrence ``i`` is shifted by its own correction plus the offset
-        of occurrence ``pred[i]`` of the compiled tree.  A cycle's
-        predecessor is the occurrence before, so its offsets are the
-        running sums of its corrections, read without compiling its tree.
+        of its predecessor (:class:`CompiledTree`'s ``pred``), so the
+        offsets are read off the tree's leaf columns
+        (:func:`leaf_columns`): one C-level pass per leaf column per
+        block instance, with no tree compiled.
         """
-        if is_simple(self.tree):
-            return (0, *accumulate(self.corrections))
-        pred = self.tree.compiled.pred
-        off = [0] * len(pred)
-        for i, e in enumerate(self.corrections, 1):
-            off[i] = e + off[pred[i]]
-        return tuple(off)
+        return tuple(column_offsets(leaf_columns(self), self.tree.count))
 
 
 def expand_tree(
@@ -225,13 +221,20 @@ def expand_tree(
 
 @dataclass(frozen=True)
 class CompiledTree:
-    """What reconstruction needs of a tree, in traversal order.
+    """What solving corrections needs of a tree, in traversal order.
 
     ``times[i]`` and ``events[i]`` are perfect occurrence ``i`` (as in
     :func:`expand_tree`).  Its cumulative offset is its own correction
     plus the offset of ``pred[i]``, the first leaf of the nearest earlier
     sibling or repetition up the enclosing blocks (``pred[0] == -1``).
-    Where a repetition lies is the tree's :attr:`Block.placement`.
+    Rebuilding occurrences does not read this record: the same identity,
+    applied a leaf column at a time (:func:`leaf_columns`), costs one
+    C-level pass per leaf column per block instance and compiles
+    nothing.  Only the inverse compiles a tree: :func:`solve_corrections`
+    and the growths (:func:`grow_vertically`, :func:`build_merge`) take
+    each correction as an offset less its predecessor's.  A record holds
+    three tuples of one entry per occurrence.  Where a repetition lies is
+    the tree's :attr:`Block.placement`.
     """
 
     times: tuple[int, ...]
@@ -348,30 +351,141 @@ def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[
     targets = [c - tau - t for c, t in zip(corrected, compiled.times)]
     if targets[0] != 0:
         raise DomainError("first corrected timestamp must equal tau")
-    pred = compiled.pred
-    return tuple(targets[i] - targets[pred[i]] for i in range(1, n))
+    return _solve_offsets(tree, targets)
 
 
-def corrected_times(p: Pattern) -> list[int]:
-    """Corrected timestamps in order: ``p.tree.compiled.events``'s.  A
-    cycle's perfect times are ``k * p``, read without compiling its
-    tree."""
+def _solve_offsets(tree: Block, offsets: Sequence[int]) -> tuple[int, ...]:
+    """The corrections whose cumulative offsets are ``offsets``, the
+    first 0: each occurrence's offset less its predecessor's."""
+    pred = tree.compiled.pred
+    return tuple(map(sub, offsets[1:], map(offsets.__getitem__, pred[1:])))
+
+
+Column = tuple[str, slice, range, list[int]]
+
+
+def leaf_columns(p: Pattern) -> list[Column]:
+    """A pattern's leaf columns, one per leaf and instance of the leaf's
+    parent block: ``(event, at, perfect, offsets)``.  The slice ``at``
+    holds the traversal positions of that leaf's occurrences in the
+    instance's repetitions, the range ``perfect`` their perfect times
+    started at ``tau``, and ``offsets`` their cumulative offsets, so
+    their corrected times are ``map(add, perfect, offsets)``.
+
+    An occurrence's offset is its own correction plus its predecessor's
+    offset (:class:`CompiledTree`'s ``pred``): the previous
+    repetition's first occurrence for a repetition's first one, and
+    the left sibling's first occurrence for a later child's.  So a
+    block instance's chain of repetition-firsts is one running sum
+    (``accumulate``) over every ``n``-th correction, ``n`` the
+    occurrences of a repetition, and each later child's first
+    occurrences are its left sibling's plus its own corrections, one
+    ``map`` over a slice of them.  A child block recurses with one
+    instance per repetition, and a cycle's one column is its
+    corrections' running sums.  The cost is one C-level pass per leaf
+    column per block instance, not one Python step per occurrence, and
+    no tree is compiled.  The arithmetic is on ints, so the values are
+    exact.
+    """
     tree, tau = p.tree, p.tau
-    perfect = range(0, tree.r * tree.p, tree.p) if is_simple(tree) else tree.compiled.times
-    times = [tau + t + off for t, off in zip(perfect, p.offsets)]
+    if is_simple(tree):
+        perfect = range(tau, tau + tree.r * tree.p, tree.p)
+        offsets = list(accumulate(p.corrections, initial=0))
+        return [(tree.children[0].event, slice(0, tree.r), perfect, offsets)]
+    columns: list[Column] = []
+    _block_columns(tree, range(1), range(tau, tau + 1), [0], p.corrections, columns)
+    return columns
+
+
+def _block_columns(
+    node: Block,
+    starts: range,
+    origins: range,
+    firsts: Sequence[int],
+    es: Sequence[int],
+    out: list[Column],
+) -> None:
+    """Append the leaf columns of the instances of ``node`` whose first
+    occurrences lie at the positions ``starts``, at the perfect times
+    ``origins`` and with the offsets ``firsts``; occurrence ``i >= 1``
+    takes correction ``es[i - 1]``."""
+    r, p = node.r, node.p
+    n = node.count // r
+    span, reach = r * n, r * p
+    parts = []  # (position and perfect time in a repetition, leaf event or block)
+    at = t = 0
+    for child, d in zip(node.children, node.distances):
+        t += d
+        if isinstance(child, Leaf):
+            parts.append((at, t, child.event))
+            at += 1
+        else:
+            parts.append((at, t, child))
+            at += child.count
+    for at, origin, first in zip(starts, origins, firsts):
+        end = at + span - 1  # es stop: one past the last repetition
+        offsets = list(accumulate(es[at + n - 1 : end : n], initial=first))
+        for s, t, child in parts:
+            if s:
+                offsets = list(map(add, offsets, es[at + s - 1 : end : n]))
+            perfect = range(origin + t, origin + t + reach, p)
+            if type(child) is str:
+                out.append((child, slice(at + s, end + 1, n), perfect, offsets))
+            else:
+                _block_columns(child, range(at + s, end + 1, n), perfect, offsets, es, out)
+
+
+def column_offsets(columns: Sequence[Column], size: int) -> list[int]:
+    """The columns' offsets in traversal order; ``size`` is the tree's
+    occurrence count."""
+    if len(columns) == 1:  # a cycle's one column holds every occurrence
+        return columns[0][3]
+    out = [0] * size
+    for _, at, _, offsets in columns:
+        out[at] = offsets
+    return out
+
+
+def column_times(columns: Sequence[Column], size: int) -> list[int]:
+    """The columns' corrected times in traversal order."""
+    out = [0] * size
+    for _, at, perfect, offsets in columns:
+        out[at] = map(add, perfect, offsets)
+    return out
+
+
+def column_events(columns: Sequence[Column], size: int) -> list[str]:
+    """The columns' events in traversal order."""
+    out = [""] * size
+    for event, at, _, offsets in columns:
+        out[at] = repeat(event, len(offsets))
+    return out
+
+
+def _corrected(p: Pattern) -> tuple[list[int], list[Column]]:
+    """The corrected times in traversal order and the leaf columns they
+    were read off.  Raises :class:`InvalidPatternError`, naming the
+    first in traversal order, when a corrected time is negative."""
+    columns = leaf_columns(p)
+    times = column_times(columns, p.tree.count)
     if min(times) < 0:
         ct = next(t for t in times if t < 0)
         raise InvalidPatternError(f"corrected timestamp {ct} is negative")
-    return times
+    return times, columns
+
+
+def corrected_times(p: Pattern) -> list[int]:
+    """Corrected timestamps in traversal order: each leaf column's
+    perfect times plus its offsets (:func:`leaf_columns`), one C-level
+    pass per leaf column per block instance, with no tree compiled."""
+    return _corrected(p)[0]
 
 
 def corrected_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
-    """Corrected occurrence list in traversal order (may repeat pairs).
-    A cycle's events are its leaf's ``r`` times, read without compiling
-    its tree."""
-    tree = p.tree
-    events = (tree.children[0].event,) * tree.r if is_simple(tree) else tree.compiled.events
-    return tuple(zip(corrected_times(p), events))
+    """Corrected occurrence list in traversal order (may repeat pairs),
+    read off the pattern's leaf columns as :func:`corrected_times`."""
+    times, columns = _corrected(p)
+    return tuple(zip(times, column_events(columns, p.tree.count)))
 
 
 def pattern_occurrences(p: Pattern) -> tuple[tuple[int, str], ...]:
@@ -394,33 +508,38 @@ class TreeShape:
     shape_class: str
 
 
+def shape_class(width: int, height: int) -> str:
+    """A tree's class from its width and height: ``simple`` (width 1,
+    height 1), ``vertical`` (width 1, deeper), ``horizontal`` (wider,
+    height 1) or ``mixed``."""
+    if width == 1:
+        return "simple" if height == 1 else "vertical"
+    return "horizontal" if height == 1 else "mixed"
+
+
 def classify_tree(tree: Block) -> TreeShape:
     """Classify a tree by height, width, interleaving and overlaps.
 
     A tree is *interleaved* when its perfect occurrence timestamps are
-    not non-decreasing, and *has overlaps* when two perfect occurrences
-    share a timestamp.  The class is ``simple`` (width 1, height 1),
-    ``vertical`` (width 1, deeper), ``horizontal`` (wider, height 1) or
-    ``mixed``.
+    not non-decreasing (its :attr:`Block.placement` says so), and *has
+    overlaps* when two perfect occurrences share a timestamp.  The
+    perfect times are the ranges of the tree's leaf columns at start 0
+    (:func:`leaf_columns`), whose offsets are all 0 here: one C-level
+    pass per leaf column per block instance, with no tree compiled.  The
+    class is :func:`shape_class`'s.
     """
-    ts = tree.compiled.times
-    overlaps = len(set(ts)) < len(ts)
+    flat = Pattern(tree=tree, tau=0, corrections=(0,) * (tree.count - 1))
+    seen: set[int] = set()
+    for _, _, perfect, _ in leaf_columns(flat):
+        seen.update(perfect)
     width = tree_width(tree)
     height = tree_height(tree)
-    if width == 1 and height == 1:
-        shape_class = "simple"
-    elif width == 1:
-        shape_class = "vertical"
-    elif height == 1:
-        shape_class = "horizontal"
-    else:
-        shape_class = "mixed"
     return TreeShape(
         height=height,
         width=width,
         interleaved=tree.placement.interleaved,
-        overlaps=overlaps,
-        shape_class=shape_class,
+        overlaps=len(seen) < tree.count,
+        shape_class=shape_class(width, height),
     )
 
 
@@ -447,11 +566,13 @@ def grow_vertically(instances: Sequence[Pattern]) -> Pattern:
     starts = [q.tau for q in inst]
     if len(set(starts)) != len(starts):
         raise DomainError("starting points must be distinct")
-    root = Block(r=len(inst), p=fit_period(starts)[0], children=(tree,), distances=(0,))
-    times = tree.compiled.times
-    targets = [q.tau + t + off for q in inst for t, off in zip(times, q.offsets)]
-    corrections = solve_corrections(root, inst[0].tau, targets)
-    return Pattern(tree=root, tau=inst[0].tau, corrections=corrections)
+    p = fit_period(starts)[0]
+    root = Block(r=len(inst), p=p, children=(tree,), distances=(0,))
+    # repetition k's perfect times are instance k's shifted by tau_0 + k p - tau_k
+    offsets: list[int] = []
+    for k, q in enumerate(inst):
+        offsets += map(add, q.offsets, repeat(q.tau - starts[0] - k * p))
+    return Pattern(tree=root, tau=starts[0], corrections=_solve_offsets(root, offsets))
 
 
 class MergeLayout(NamedTuple):
@@ -563,17 +684,19 @@ def factor_layout(layout: MergeLayout) -> MergeLayout | None:
 def build_merge(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
     """The pattern a merge layout over the members describes: its
     corrections solved so that each occurrence lands on its member's
-    corrected one."""
+    corrected one.  An occurrence keeps its member's perfect time, so in
+    root repetition ``k`` its offset is the member's plus ``k`` times the
+    member's period less the root's (:class:`MergeLayout`)."""
     root = layout.root
-    corrected = [corrected_times(q) for q in members]
+    member_offsets = [q.offsets for q in members]
     per = [_per(q.tree) for q in members]
-    targets = [
-        corrected[m][k * per[m] + j]
+    drift = [q.tree.p - root.p for q in members]
+    offsets = [
+        member_offsets[m][k * per[m] + j] + k * drift[m]
         for k in range(root.r)
         for m, j in layout.slots
     ]
-    corrections = solve_corrections(root, layout.tau, targets)
-    return Pattern(tree=root, tau=layout.tau, corrections=corrections)
+    return Pattern(tree=root, tau=layout.tau, corrections=_solve_offsets(root, offsets))
 
 
 def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
@@ -640,7 +763,8 @@ def _format_block(r: int, p: int, content: str) -> str:
 
 
 def _format_placed(tree: str, tau: int, corrections: Sequence[int]) -> str:
-    es = ",".join(map(str, corrections))
+    # one %-format writes the list in about half the time of joining str()s
+    es = ("%d," * len(corrections) % tuple(corrections))[:-1]
     return f"{tree} @ tau={tau} E=[{es}]"
 
 

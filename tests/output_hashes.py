@@ -1,20 +1,23 @@
 """Print one SHA-256 per benchmark workload and seed of what mining
-outputs, to check that a change leaves every output bit-identical.
+and scoring output, to check that a change leaves every output
+bit-identical.
 
     python3 tests/output_hashes.py SEED [SEED ...]
 
-For each mining workload of ``perfbench/gen.py`` (braids, heartbeats
-and stream) and each seed, the logs of one benchmark run
-(``BENCHMARK.json``'s ``run_seconds``) are parsed and mined as
-``perfbench/run.py`` does, and one line ``WORKLOAD SEED DIGEST`` is
-printed.  The digest hashes, per log, ``mine().to_dict()`` with its
+For each workload of ``perfbench/gen.py`` and each seed, the logs of
+one benchmark run (``BENCHMARK.json``'s ``run_seconds``) are parsed and
+mined or scored as ``perfbench/run.py`` does, and one line ``WORKLOAD
+SEED DIGEST`` is printed.  For a mining workload (braids, heartbeats
+and stream) the digest hashes, per log, ``mine().to_dict()`` with its
 wall clocks removed (each stage's report, totals included) and the
 final pool as ``(notation, cost, cover, provenance)`` per candidate,
-the cover as its sorted ``(t, label)`` pairs.  Floats are written with
-``repr``, so a cost that differs in its last bit changes the line.
-Run it on two checkouts and compare the lines.  The generator is only
-imported, never changed, and the script needs nothing outside the
-standard library, ``src/`` and ``perfbench/``.
+the cover as its sorted ``(t, label)`` pairs.  For ``score`` it hashes,
+per log, ``collection_cost().to_dict()`` of the log's parsed
+notations.  Floats are written with ``repr``, so a cost that differs in
+its last bit changes the line.  Run it on two checkouts and compare the
+lines.  The generator is only imported, never changed, and the script
+needs nothing outside the standard library, ``src/`` and
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -28,13 +31,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402
-from cadence import load_sequence, mine  # noqa: E402
+from cadence import collection_cost, load_sequence, mine, parse_pattern  # noqa: E402
 
-WORKLOADS = [name for name, w in gen.WORKLOADS.items() if w.mode == "mine"]
+WORKLOADS = list(gen.WORKLOADS)
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
-def log_outputs(text: str) -> dict:
+def mine_outputs(text: str) -> dict:
     """What mining one log outputs, wall clocks removed."""
     result = mine(load_sequence(text))
     out = result.to_dict()
@@ -45,10 +48,18 @@ def log_outputs(text: str) -> dict:
     return out
 
 
+def score_outputs(log) -> dict:
+    """The report of pricing one log's planted notations."""
+    patterns = [parse_pattern(line) for line in log.notations.splitlines()]
+    return collection_cost(patterns, load_sequence(log.text)).to_dict()
+
+
 def digest(workload: str, seed: int) -> str:
+    mining = gen.WORKLOADS[workload].mode == "mine"
     h = hashlib.sha256()
     for log in gen.logs(workload, seed, SECONDS):
-        h.update(json.dumps(log_outputs(log.text), sort_keys=True).encode())
+        out = mine_outputs(log.text) if mining else score_outputs(log)
+        h.update(json.dumps(out, sort_keys=True).encode())
     return h.hexdigest()
 
 

@@ -37,8 +37,11 @@ from cadence.core import (
 from cadence.pattern import (
     Leaf,
     Pattern,
+    classify_tree,
+    corrected_occurrences,
     corrected_times,
     fit_cycle,
+    format_tree,
     is_simple,
     parse_pattern,
     parse_tree,
@@ -546,9 +549,9 @@ def _column_case(notation: str, *extra: tuple[int, str], drop: int = -1):
 
 
 class TestColumnPricing:
-    """collection_cost splits a cover by event, one column of the root
-    repetition at a time (``times[j::n]``); the set reference builds it
-    from the pairs."""
+    """collection_cost builds a cover by event from the pattern's leaf
+    columns (``pattern.leaf_columns``), each of one event; the set
+    reference builds it from the pairs."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=_column_collections())
@@ -571,6 +574,38 @@ class TestColumnPricing:
         report = collection_cost(truth.patterns, seq)
         assert report.residual_count < len(seq)
         assert "pairs" not in vars(seq)
+
+    def test_scoring_and_pricing_compile_no_tree(self):
+        # Covers, window checks and prices are read off leaf columns, and
+        # the shape class off width and height: no block is compiled.
+        def blocks(node):
+            if isinstance(node, Leaf):
+                return []
+            return [node] + [b for child in node.children for b in blocks(child)]
+
+        notations = [
+            "[r=4 p=90]([r=3 p=10](a [d=2] b [d=3] c)) @ tau=5 E=[{}]".format(
+                ",".join(["0", "1", "-1"] * 11 + ["0", "1"])
+            ),
+            "[r=3 p=40]([r=2 p=3](a) [d=9] [r=2 p=4](b)) @ tau=400 E=[{}]".format(
+                ",".join(["1", "0", "-1"] * 3 + ["0", "0"])
+            ),
+            "[r=5 p=7](c) @ tau=700 E=[1,-1,0,2]",
+        ]
+        seq = EventSequence.from_pairs(
+            pair for text in notations for pair in corrected_occurrences(parse_pattern(text))
+        )
+        patterns = [parse_pattern(text) for text in notations]
+        report = collection_cost(patterns, seq)
+        stats = SeqStats.from_sequence(seq)
+        costs = [pattern_cost(pat, stats) for pat in patterns]
+        assert [entry.cost for entry in report.patterns] == costs
+        assert report.residual_count == 0
+        shapes = [classify_tree(pat.tree).shape_class for pat in patterns]
+        assert [entry.shape_class for entry in report.patterns] == shapes
+        assert shapes == ["mixed", "mixed", "simple"]
+        for pat in patterns:
+            assert all("compiled" not in vars(b) for b in blocks(pat.tree)), format_tree(pat.tree)
 
 
 class TestCostEffectiveness:

@@ -54,7 +54,6 @@ from cadence.pattern import (
     Block,
     Leaf,
     Pattern,
-    classify_tree,
     concat_layout,
     corrected_occurrences,
     factor_layout,
@@ -1234,6 +1233,31 @@ class TestStageSRanking:
             extract_cycles(numbered(seq, wide), MiningConfig(k=3)),
             build_every_cycle(seq, wide, 3),
         )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_chain_is_priced_as_its_fitted_cycle(self, seed):
+        # Stage S prices every chain from its sorted gaps, before any
+        # cycle is fitted or built, survivor or not, and names only the
+        # chains that share an occurrence and (efficiency, cost) with
+        # another chain.
+        rng = random.Random(seed)
+        seq = EventSequence.from_pairs(wobbly_log(rng, "abc", rng.randint(0, 25)))
+        numbering = numbered(seq)
+        named = 0
+        for e in seq.alphabet:
+            winners = miner._stage_one_event(e, numbering)
+            for cost, cover, notation, (_, (times, event)) in winners:
+                cycle = fit_cycle(times, event)
+                assert cost == pattern_cost(cycle, numbering.stats).total
+                key = (cost / cover.bit_count(), cost)
+                tied = any(
+                    (c / other.bit_count(), c) == key and other & cover
+                    for c, other, _, _ in winners
+                    if other != cover
+                )
+                assert notation == (format_pattern(cycle) if tied else "")
+                named += tied
+        assert named > 0
 
     def test_logs_hold_duplicates_and_ties(self):
         # The seeded logs above exercise dp/tri duplicate notations and
@@ -2704,7 +2728,7 @@ class TestMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for tree in trees:
-                classify_tree(tree)
+                tree.compiled
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:

@@ -36,6 +36,7 @@ from cadence.pattern import (
     grow_horizontally,
     grow_vertically,
     is_simple,
+    leaf_columns,
     occurrence_count,
     parse_pattern,
     parse_tree,
@@ -749,6 +750,65 @@ class TestCompiledKernel:
         # In RUN_BRAID's last repetition (12..17) every a is its inner
         # block's only child and c closes the root's children; b does not.
         assert last_right(RUN_BRAID) == (13, 14, 15, 16, 17)
+
+
+def _split_block(node) -> bool:
+    """Whether some child block has a sibling, so that the block's
+    instances are not contiguous in traversal order."""
+    if isinstance(node, Leaf):
+        return False
+    beside = len(node.children) > 1 and any(isinstance(c, Block) for c in node.children)
+    return beside or any(_split_block(c) for c in node.children)
+
+
+class TestLeafColumns:
+    # The leaf-column kernel against the recursive walk on random trees
+    # of height <= 4: offsets, corrected times and their events, the
+    # first negative corrected time, and classify_tree's overlaps and
+    # interleaving, read off perfect columns.  Roots interleave, and
+    # blocks beside sibling blocks have instances that are not
+    # contiguous in traversal order.
+    def test_matches_the_recursive_walk(self):
+        rng = random.Random(4040)
+        seen = Counter()
+        for _ in range(1500):
+            tree = random_tree(rng, depth=4, leaves=4)
+            n = tree.count
+            corrections = tuple(rng.randint(-4, 4) for _ in range(n - 1))
+            p = Pattern(tree=tree, tau=rng.randint(0, 6), corrections=corrections)
+            occs, _ = expand_tree(tree)
+            offsets = walk_corrections(tree, (0,) + corrections, False)
+            times = [p.tau + t + off for (t, _), off in zip(occs, offsets)]
+            assert list(p.offsets) == offsets
+
+            columns = leaf_columns(p)
+            at_all = sorted(i for _, at, _, _ in columns for i in range(n)[at])
+            assert at_all == list(range(n))
+            for event, at, perfect, column in columns:
+                assert {occs[i][1] for i in range(n)[at]} == {event}
+                assert list(perfect) == [p.tau + t for t, _ in occs[at]]
+                assert column == offsets[at]
+            if min(times) < 0:
+                first = next(t for t in times if t < 0)
+                message = f"^corrected timestamp {first} is negative$"
+                with pytest.raises(InvalidPatternError, match=message):
+                    corrected_times(p)
+                with pytest.raises(InvalidPatternError, match=message):
+                    corrected_occurrences(p)
+                seen["negative"] += 1
+            else:
+                assert corrected_times(p) == times
+                assert corrected_occurrences(p) == tuple(zip(times, [e for _, e in occs]))
+
+            perfect = [t for t, _ in occs]
+            shape = classify_tree(tree)
+            assert shape.overlaps == (len(set(perfect)) < n)
+            assert shape.interleaved == (perfect != sorted(perfect))
+            seen["interleaved root"] += shape.interleaved
+            seen["height 4"] += tree_height(tree) == 4
+            seen["split block"] += _split_block(tree)
+            assert "compiled" not in vars(tree)
+        assert min(seen.values()) > 50, seen
 
 
 class TestNotation:
