@@ -885,7 +885,7 @@ def collection_cost(
     pass, and the same columns give the offsets that pricing reads.
     Every check and count below is then a set operation per event, and
     the shape class is read from the tree's width and height
-    (:func:`pattern.shape_class`), so scoring compiles no tree.
+    (:func:`pattern.shape_class`).
 
     ``stats`` default to the log's own; given, they must describe it
     (:func:`require_own_stats`).  Raises :class:`DomainError` when they

@@ -83,12 +83,6 @@ class Block:
         worked out once, held as long as the block is."""
         return place(self)
 
-    @cached_property
-    def compiled(self) -> "CompiledTree":
-        """The tree compiled once (:func:`compile_tree`), held as long as
-        the tree is."""
-        return compile_tree(self)
-
 
 Node = Union[Leaf, Block]
 
@@ -181,10 +175,10 @@ class Pattern:
         """Per-occurrence cumulative offsets, computed once per pattern.
 
         Occurrence ``i`` is shifted by its own correction plus the offset
-        of its predecessor (:class:`CompiledTree`'s ``pred``), so the
-        offsets are read off the tree's leaf columns
-        (:func:`leaf_columns`): one C-level pass per leaf column per
-        block instance, with no tree compiled.
+        of its predecessor (the previous repetition's or the left
+        sibling's first occurrence), so the offsets are read off the
+        tree's leaf columns (:func:`leaf_columns`): one C-level pass per
+        leaf column per block instance.
         """
         return tuple(column_offsets(leaf_columns(self), self.tree.count))
 
@@ -217,29 +211,6 @@ def expand_tree(
 
     walk(tree, 0, (), ())
     return tuple(occs), tuple(origins)
-
-
-@dataclass(frozen=True)
-class CompiledTree:
-    """What solving corrections needs of a tree, in traversal order.
-
-    ``times[i]`` and ``events[i]`` are perfect occurrence ``i`` (as in
-    :func:`expand_tree`).  Its cumulative offset is its own correction
-    plus the offset of ``pred[i]``, the first leaf of the nearest earlier
-    sibling or repetition up the enclosing blocks (``pred[0] == -1``).
-    Rebuilding occurrences does not read this record: the same identity,
-    applied a leaf column at a time (:func:`leaf_columns`), costs one
-    C-level pass per leaf column per block instance and compiles
-    nothing.  Only the inverse compiles a tree: :func:`solve_corrections`
-    and the growths (:func:`grow_vertically`, :func:`build_merge`) take
-    each correction as an offset less its predecessor's.  A record holds
-    three tuples of one entry per occurrence.  Where a repetition lies is
-    the tree's :attr:`Block.placement`.
-    """
-
-    times: tuple[int, ...]
-    events: tuple[str, ...]
-    pred: tuple[int, ...]
 
 
 class Placement(NamedTuple):
@@ -298,69 +269,6 @@ def place_children(p: int, children: Sequence[Node], distances: Sequence[int]) -
     return Placement(width, not in_order or width > p, tuple(right), size)
 
 
-def compile_tree(tree: Block) -> CompiledTree:
-    """Compile a tree into flat arrays: one repetition of its children,
-    replicated ``r`` times, every ``p``.
-
-    A leaf is one occurrence and a child block is its compiled tree,
-    shifted to its distance, so a subtree shared by several trees
-    compiles once.  Repetition ``k``'s first occurrence takes repetition
-    ``k - 1``'s first as its predecessor.  Callers read
-    :attr:`Block.compiled`, which compiles each tree once.
-    """
-    times: list[int] = []
-    events: list[str] = []
-    pred: list[int] = []
-    offset, first = 0, -1
-    for c, child in enumerate(tree.children):
-        offset += tree.distances[c]
-        base = len(times)
-        pred.append(first)
-        if isinstance(child, Leaf):
-            times.append(offset)
-            events.append(child.event)
-        else:
-            sub = child.compiled
-            times += [offset + t for t in sub.times]
-            events += sub.events
-            pred += [base + q for q in sub.pred[1:]]
-        first = base
-    n = len(times)
-    within = pred[1:]
-    for k in range(1, tree.r):
-        pred.append((k - 1) * n)
-        pred += [k * n + q for q in within]
-    return CompiledTree(
-        times=tuple([k * tree.p + t for k in range(tree.r) for t in times]),
-        events=tuple(events) * tree.r,
-        pred=tuple(pred),
-    )
-
-
-def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[int, ...]:
-    """Corrections that make a tree's occurrences hit given timestamps.
-
-    ``corrected`` lists the desired corrected timestamps in traversal
-    order.  The system is unitriangular in the corrections, so any target
-    with ``corrected[0] == tau`` has exactly one solution.
-    """
-    compiled = tree.compiled
-    n = len(compiled.times)
-    if len(corrected) != n:
-        raise DomainError(f"expected {n} timestamps, got {len(corrected)}")
-    targets = [c - tau - t for c, t in zip(corrected, compiled.times)]
-    if targets[0] != 0:
-        raise DomainError("first corrected timestamp must equal tau")
-    return _solve_offsets(tree, targets)
-
-
-def _solve_offsets(tree: Block, offsets: Sequence[int]) -> tuple[int, ...]:
-    """The corrections whose cumulative offsets are ``offsets``, the
-    first 0: each occurrence's offset less its predecessor's."""
-    pred = tree.compiled.pred
-    return tuple(map(sub, offsets[1:], map(offsets.__getitem__, pred[1:])))
-
-
 Column = tuple[str, slice, range, list[int]]
 
 
@@ -373,19 +281,19 @@ def leaf_columns(p: Pattern) -> list[Column]:
     their corrected times are ``map(add, perfect, offsets)``.
 
     An occurrence's offset is its own correction plus its predecessor's
-    offset (:class:`CompiledTree`'s ``pred``): the previous
-    repetition's first occurrence for a repetition's first one, and
-    the left sibling's first occurrence for a later child's.  So a
-    block instance's chain of repetition-firsts is one running sum
-    (``accumulate``) over every ``n``-th correction, ``n`` the
-    occurrences of a repetition, and each later child's first
+    offset: the previous repetition's first occurrence for a
+    repetition's first one, and the left sibling's first occurrence for
+    a later child's.  So a block instance's chain of repetition-firsts
+    is one running sum (``accumulate``) over every ``n``-th correction,
+    ``n`` the occurrences of a repetition, and each later child's first
     occurrences are its left sibling's plus its own corrections, one
     ``map`` over a slice of them.  A child block recurses with one
     instance per repetition, and a cycle's one column is its
     corrections' running sums.  The cost is one C-level pass per leaf
     column per block instance, not one Python step per occurrence, and
-    no tree is compiled.  The arithmetic is on ints, so the values are
-    exact.
+    no per-occurrence record of the tree is built or kept.  The
+    arithmetic is on ints, so the values are exact.  Solving
+    corrections (:func:`_solve_offsets`) walks the same parts backwards.
     """
     tree, tau = p.tree, p.tau
     if is_simple(tree):
@@ -395,6 +303,23 @@ def leaf_columns(p: Pattern) -> list[Column]:
     columns: list[Column] = []
     _block_columns(tree, range(1), range(tau, tau + 1), [0], p.corrections, columns)
     return columns
+
+
+def _parts(node: Block) -> list[tuple[int, int, Union[str, Block]]]:
+    """One repetition of a block's children: each child's position and
+    perfect time in the repetition, and its leaf's event or the child
+    block itself."""
+    parts = []
+    at = t = 0
+    for child, d in zip(node.children, node.distances):
+        t += d
+        if isinstance(child, Leaf):
+            parts.append((at, t, child.event))
+            at += 1
+        else:
+            parts.append((at, t, child))
+            at += child.count
+    return parts
 
 
 def _block_columns(
@@ -412,16 +337,7 @@ def _block_columns(
     r, p = node.r, node.p
     n = node.count // r
     span, reach = r * n, r * p
-    parts = []  # (position and perfect time in a repetition, leaf event or block)
-    at = t = 0
-    for child, d in zip(node.children, node.distances):
-        t += d
-        if isinstance(child, Leaf):
-            parts.append((at, t, child.event))
-            at += 1
-        else:
-            parts.append((at, t, child))
-            at += child.count
+    parts = _parts(node)
     for at, origin, first in zip(starts, origins, firsts):
         end = at + span - 1  # es stop: one past the last repetition
         offsets = list(accumulate(es[at + n - 1 : end : n], initial=first))
@@ -433,6 +349,57 @@ def _block_columns(
                 out.append((child, slice(at + s, end + 1, n), perfect, offsets))
             else:
                 _block_columns(child, range(at + s, end + 1, n), perfect, offsets, es, out)
+
+
+def solve_corrections(tree: Block, tau: int, corrected: Sequence[int]) -> tuple[int, ...]:
+    """Corrections that make a tree's occurrences hit given timestamps.
+
+    ``corrected`` lists the desired corrected timestamps in traversal
+    order.  The system is unitriangular in the corrections, so any target
+    with ``corrected[0] == tau`` has exactly one solution.  The perfect
+    times are the tree's columns at zero corrections.
+    """
+    n = tree.count
+    if len(corrected) != n:
+        raise DomainError(f"expected {n} timestamps, got {len(corrected)}")
+    perfect = corrected_times(Pattern(tree, 0, (0,) * (n - 1)))
+    targets = [c - tau - t for c, t in zip(corrected, perfect)]
+    if targets[0] != 0:
+        raise DomainError("first corrected timestamp must equal tau")
+    return _solve_offsets(tree, targets)
+
+
+def _solve_offsets(tree: Block, offsets: Sequence[int]) -> tuple[int, ...]:
+    """The corrections whose cumulative offsets are ``offsets``, the
+    first 0: :func:`leaf_columns` run backwards over the same parts.
+    Each correction is its occurrence's offset less its predecessor's,
+    so a block instance's repetition-firsts take the differences of
+    every ``n``-th offset and each later child's first occurrences
+    their offsets less their left sibling's: one C-level pass per child
+    per block instance."""
+    es = [0] * (tree.count - 1)
+    _block_corrections(tree, range(1), offsets, es)
+    return tuple(es)
+
+
+def _block_corrections(node: Block, starts: range, offsets: Sequence[int], es: list[int]) -> None:
+    """Write the corrections of the instances of ``node`` whose first
+    occurrences lie at the positions ``starts`` into ``es``, all but
+    those first occurrences' own; occurrence ``i >= 1`` takes
+    ``es[i - 1]``."""
+    n = node.count // node.r
+    span = node.r * n
+    parts = _parts(node)
+    for at in starts:
+        end = at + span - 1  # es stop: one past the last repetition
+        firsts = offsets[at : end + 1 : n]
+        es[at + n - 1 : end : n] = map(sub, firsts[1:], firsts)
+        for s, _, child in parts:
+            if s:
+                left, firsts = firsts, offsets[at + s : end + 1 : n]
+                es[at + s - 1 : end : n] = map(sub, firsts, left)
+            if type(child) is not str:
+                _block_corrections(child, range(at + s, end + 1, n), offsets, es)
 
 
 def column_offsets(columns: Sequence[Column], size: int) -> list[int]:
@@ -477,7 +444,7 @@ def _corrected(p: Pattern) -> tuple[list[int], list[Column]]:
 def corrected_times(p: Pattern) -> list[int]:
     """Corrected timestamps in traversal order: each leaf column's
     perfect times plus its offsets (:func:`leaf_columns`), one C-level
-    pass per leaf column per block instance, with no tree compiled."""
+    pass per leaf column per block instance."""
     return _corrected(p)[0]
 
 
@@ -525,8 +492,8 @@ def classify_tree(tree: Block) -> TreeShape:
     overlaps* when two perfect occurrences share a timestamp.  The
     perfect times are the ranges of the tree's leaf columns at start 0
     (:func:`leaf_columns`), whose offsets are all 0 here: one C-level
-    pass per leaf column per block instance, with no tree compiled.  The
-    class is :func:`shape_class`'s.
+    pass per leaf column per block instance.  The class is
+    :func:`shape_class`'s.
     """
     flat = Pattern(tree=tree, tau=0, corrections=(0,) * (tree.count - 1))
     seen: set[int] = set()

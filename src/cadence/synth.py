@@ -23,6 +23,7 @@ from .pattern import (
     Leaf,
     Pattern,
     corrected_occurrences,
+    corrected_times,
     format_tree,
     occurrence_count,
     pattern_occurrences,
@@ -189,7 +190,7 @@ def _build_tree(spec: PlantSpec, rng: random.Random) -> Block:
 
 
 def _pattern_span(tree: Block) -> int:
-    return max(tree.compiled.times)
+    return max(corrected_times(Pattern(tree, 0, (0,) * (tree.count - 1))))
 
 
 def _has_event_collision(pairs: Sequence[tuple[int, str]]) -> bool:

@@ -21,11 +21,12 @@ and it counts each occurrence's better covers in a counter, where the
 miner keeps bit-sliced counts over its occurrence numbering.
 The step-by-step cycle reconstruction is the reference that
 :func:`~cadence.pattern.fit_cycle`'s fit is checked against.  The
-recursive correction walk, the origins-based end offset and the
-expansion-based placement are the tree kernel's references, and the
-three-walk layout and repetition terms are the encoder's.  The capped triple chaining is the pass that
-whole-log chaining replaced, kept to show where its caps stopped it, and
-the two-walk triple chaining walks every seed at its period and then at
+recursive correction walk, the compiled tree with its predecessor per
+occurrence, the origins-based end offset and the expansion-based
+placement are the tree kernel's references, and the three-walk layout and repetition terms are the
+encoder's.  The capped triple chaining is the pass that whole-log
+chaining replaced, kept to show where its caps stopped it, and the
+two-walk triple chaining walks every seed at its period and then at
 the local gap, the pass that skipping a retraced walk must reproduce.
 The layout price is the path that ``codec.merge_pricer`` replaced: it
 lays a merge out and prices its root block, and the pricer must match
@@ -47,6 +48,7 @@ from __future__ import annotations
 import heapq
 import io
 import math
+from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import groupby, repeat
@@ -595,6 +597,61 @@ def walk_corrections(tree: Block, values: Sequence[int], solve: bool) -> list[in
 
     walk(tree, 0)
     return out
+
+
+@dataclass(frozen=True)
+class CompiledTree:
+    """A tree compiled into flat arrays, in traversal order.
+
+    ``times[i]`` and ``events[i]`` are perfect occurrence ``i`` (as in
+    :func:`expand_tree`).  Its cumulative offset is its own correction
+    plus the offset of ``pred[i]``, the first leaf of the nearest earlier
+    sibling or repetition up the enclosing blocks (``pred[0] == -1``).
+    A record holds three tuples of one entry per occurrence.  This is
+    the per-occurrence record that the leaf-column kernel replaced, both
+    ways: reading offsets and solving corrections.
+    """
+
+    times: tuple[int, ...]
+    events: tuple[str, ...]
+    pred: tuple[int, ...]
+
+
+def compile_tree(tree: Block) -> CompiledTree:
+    """Compile a tree into flat arrays: one repetition of its children,
+    replicated ``r`` times, every ``p``.
+
+    A leaf is one occurrence and a child block is its compiled tree,
+    shifted to its distance.  Repetition ``k``'s first occurrence takes
+    repetition ``k - 1``'s first as its predecessor.
+    """
+    times: list[int] = []
+    events: list[str] = []
+    pred: list[int] = []
+    offset, first = 0, -1
+    for c, child in enumerate(tree.children):
+        offset += tree.distances[c]
+        base = len(times)
+        pred.append(first)
+        if isinstance(child, Leaf):
+            times.append(offset)
+            events.append(child.event)
+        else:
+            sub = compile_tree(child)
+            times += [offset + t for t in sub.times]
+            events += sub.events
+            pred += [base + q for q in sub.pred[1:]]
+        first = base
+    n = len(times)
+    within = pred[1:]
+    for k in range(1, tree.r):
+        pred.append((k - 1) * n)
+        pred += [k * n + q for q in within]
+    return CompiledTree(
+        times=tuple([k * tree.p + t for k in range(tree.r) for t in times]),
+        events=tuple(events) * tree.r,
+        pred=tuple(pred),
+    )
 
 
 def _right_most(tree: Block, path: tuple[int, ...]) -> bool:

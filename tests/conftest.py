@@ -50,6 +50,16 @@ def random_tree(rng: random.Random, depth: int, leaves: int) -> Block:
     )
 
 
+def block_records(tree: Block) -> set[str]:
+    """The names of what a tree's blocks have worked out and hold beside
+    their fields, such as ``count`` and ``placement``."""
+    held = set(vars(tree)) - {"r", "p", "children", "distances"}
+    for child in tree.children:
+        if isinstance(child, Block):
+            held |= block_records(child)
+    return held
+
+
 # A dozen "a" occurrences, roughly three bursts of four (or four sparse
 # triples), observed on the window [0, 34].
 DOZEN_A_PAIRS = tuple(

@@ -3,6 +3,10 @@ and scoring output, to check that a change leaves every output
 bit-identical.
 
     python3 tests/output_hashes.py SEED [SEED ...]
+    python3 tests/output_hashes.py 501-510
+
+A seed may be given as an inclusive range ``A-B``, so the ten-seed
+identity check reads ``python3 tests/output_hashes.py 501-510``.
 
 For each workload of ``perfbench/gen.py`` and each seed, the logs of
 one benchmark run (``BENCHMARK.json``'s ``run_seconds``) are parsed and
@@ -63,11 +67,20 @@ def digest(workload: str, seed: int) -> str:
     return h.hexdigest()
 
 
+def seeds(args: list[str]) -> list[int]:
+    """The seeds the arguments name, each a seed or a range ``A-B``."""
+    out = []
+    for arg in args:
+        first, _, last = arg.partition("-")
+        out += range(int(first), int(last or first) + 1)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    for seed in map(int, argv):
+    for seed in seeds(argv):
         for workload in WORKLOADS:
             print(workload, seed, digest(workload, seed), flush=True)
     return 0

@@ -25,7 +25,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TABLES = ("SPANNED", "COUNTED")
 # Traced names that no workload calls, with the reason.
 UNCALLED = {
-    ("pattern", "expand_tree"): "no hot path calls it; compile_tree replaced it",
+    ("pattern", "expand_tree"): "no hot path calls it; leaf_columns replaced it",
 }
 
 

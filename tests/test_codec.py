@@ -50,12 +50,18 @@ from cadence.pattern import (
 from cadence.miner import MiningConfig, mine
 from cadence.synth import PlantSpec, generate
 
-from _oracles import end_offset_by_origins, layout_and_repetition_bits, set_collection_cost
+from _oracles import (
+    compile_tree,
+    end_offset_by_origins,
+    layout_and_repetition_bits,
+    set_collection_cost,
+)
 from conftest import (
     BIT_TOL,
     REFERENCE_COLLECTIONS,
     REFERENCE_ROWS,
     approx_bits,
+    block_records,
     cycle,
     random_tree,
 )
@@ -291,7 +297,7 @@ class TestContentEnd:
             corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
             offsets = Pattern(tree=tree, tau=0, corrections=corrections).offsets
             base = n - n // tree.r
-            width = max(tree.compiled.times[: n - base])
+            width = max(compile_tree(tree).times[: n - base])
             end = end_offset_by_origins(tree, offsets)
             if end + width <= offsets[base]:
                 continue  # the start's range binds first
@@ -322,8 +328,9 @@ class TestCodability:
             tree = random_tree(rng, depth=rng.randint(1, 3), leaves=rng.randint(1, 4))
             corrections = tuple(rng.randint(-3, 3) for _ in range(tree.count - 1))
             p = Pattern(tree=tree, tau=rng.randint(0, 20), corrections=corrections)
-            times = [p.tau + t + off for t, off in zip(tree.compiled.times, p.offsets)]
-            occurrences = set(zip(times, tree.compiled.events))
+            compiled = compile_tree(tree)
+            times = [p.tau + t + off for t, off in zip(compiled.times, p.offsets)]
+            occurrences = set(zip(times, compiled.events))
             if min(times) < 0 or len(occurrences) < len(times):
                 seen["not in a log"] += 1
                 continue
@@ -508,7 +515,7 @@ _COLUMN_TREES = tuple(map(parse_tree, [
 
 
 def _column_pattern(tree, tau: int, corrections) -> Pattern:
-    n = len(tree.compiled.times)
+    n = tree.count
     return Pattern(tree=tree, tau=tau, corrections=tuple((list(corrections) + [0] * n)[: n - 1]))
 
 
@@ -528,7 +535,7 @@ def _column_collections(draw):
         patterns.append(_column_pattern(tree, draw(st.integers(8, 40)), corrections))
     pairs = draw(st.lists(st.tuples(st.integers(0, 160), st.sampled_from("abc")), min_size=1))
     for pat in patterns:
-        compiled = pat.tree.compiled
+        compiled = compile_tree(pat.tree)
         whole = draw(st.integers(0, 3))  # 0: drop about one occurrence in four
         for t, off, e in zip(compiled.times, pat.offsets, compiled.events):
             if pat.tau + t + off >= 0 and e in "abc" and (whole or draw(st.integers(0, 3))):
@@ -541,7 +548,7 @@ def _column_case(notation: str, *extra: tuple[int, str], drop: int = -1):
     plus ``extra``."""
     pat = parse_pattern(notation)
     occurrences = [
-        (t, e) for t, e in zip(corrected_times(pat), pat.tree.compiled.events) if e != "z"
+        (t, e) for t, e in zip(corrected_times(pat), compile_tree(pat.tree).events) if e != "z"
     ]
     if drop >= 0:
         del occurrences[drop]
@@ -577,12 +584,8 @@ class TestColumnPricing:
 
     def test_scoring_and_pricing_compile_no_tree(self):
         # Covers, window checks and prices are read off leaf columns, and
-        # the shape class off width and height: no block is compiled.
-        def blocks(node):
-            if isinstance(node, Leaf):
-                return []
-            return [node] + [b for child in node.children for b in blocks(child)]
-
+        # the shape class off width and height: no block keeps a record
+        # of one entry per occurrence.
         notations = [
             "[r=4 p=90]([r=3 p=10](a [d=2] b [d=3] c)) @ tau=5 E=[{}]".format(
                 ",".join(["0", "1", "-1"] * 11 + ["0", "1"])
@@ -605,7 +608,7 @@ class TestColumnPricing:
         assert [entry.shape_class for entry in report.patterns] == shapes
         assert shapes == ["mixed", "mixed", "simple"]
         for pat in patterns:
-            assert all("compiled" not in vars(b) for b in blocks(pat.tree)), format_tree(pat.tree)
+            assert block_records(pat.tree) <= {"count", "placement"}, format_tree(pat.tree)
 
 
 class TestCostEffectiveness:

@@ -93,7 +93,7 @@ from _oracles import (
     unpruned_segmentation,
     within_k_by_counter,
 )
-from conftest import approx_bits, cycle, random_tree
+from conftest import approx_bits, block_records, cycle, random_tree
 from test_bench_names import small_braid_log
 
 STAGES = ("S", "F", "single")
@@ -2289,27 +2289,24 @@ class TestBuildSite:
 class TestRecords:
     # Pricing reads each candidate's own record, made once per
     # candidate, and builds no root block for a merge or nesting, so
-    # none is compiled or has its corrections solved before the build
-    # site grows the candidates that survive.
-    def test_priced_roots_are_never_compiled_or_solved(self, monkeypatch):
+    # none has its corrections solved before the build site grows the
+    # candidates that survive.
+    def test_priced_roots_are_never_solved(self, monkeypatch):
         depth = Counter()
-        priced, compiled, solved_outside, built = [], [], [], Counter()
+        priced, solved, solved_outside, built = [], [], [], Counter()
         make_block = Block.__post_init__
-        compile_tree, solve = pattern_module.compile_tree, pattern_module.solve_corrections
+        solve = pattern_module._solve_offsets
 
         def making(block):
             make_block(block)
             if depth["combine"] and not depth["grow"]:
                 priced.append(block)
 
-        def compiling(tree):
-            compiled.append(tree)
-            return compile_tree(tree)
-
-        def solving(tree, tau, corrected):
+        def solving(tree, offsets):
+            solved.append(tree)
             if not depth["grow"]:
                 solved_outside.append(tree)
-            return solve(tree, tau, corrected)
+            return solve(tree, offsets)
 
         def nested(name, fn):
             def call(*args, **kwargs):
@@ -2326,14 +2323,14 @@ class TestRecords:
             return grow(provenance, parts)
 
         grow = miner._grow
+        seq = shaped_log("braids", NESTING_SEEDS["braids"])  # planting solves too
         monkeypatch.setattr(Block, "__post_init__", making)
-        monkeypatch.setattr(pattern_module, "compile_tree", compiling)
-        monkeypatch.setattr(pattern_module, "solve_corrections", solving)
+        monkeypatch.setattr(pattern_module, "_solve_offsets", solving)
         for name in ("combine_horizontally", "combine_vertically"):
             monkeypatch.setattr(miner, name, nested("combine", getattr(miner, name)))
         monkeypatch.setattr(miner, "_grow", nested("grow", growing))
-        mine(shaped_log("braids", NESTING_SEEDS["braids"]))
-        assert priced == [] and compiled
+        mine(seq)
+        assert priced == [] and solved
         assert solved_outside == []
         assert built["vertical"] > 0 and built["horizontal"] > 0, built
 
@@ -2694,8 +2691,8 @@ class TestMine:
 
 class TestMemory:
     def test_serving_many_logs_keeps_memory_flat(self):
-        # Pricing keeps no state between logs: what a log's trees compiled
-        # goes with them.
+        # Pricing keeps no state between logs: what a log's trees worked
+        # out goes with them.
         sizes = []
         tracemalloc.start()
         try:
@@ -2716,32 +2713,23 @@ class TestMemory:
             tracemalloc.stop()
         assert sizes[7] - sizes[1] < 64 * 1024, sizes
 
-    def test_tree_cache_stays_small_per_tree(self):
-        # Four distinct trees of 2,250 occurrences each; what their
-        # compiled records hold is traced after the trees themselves exist.
-        trees = [
-            parse_tree(f"[r=30 p={1000 + i}]([r=25 p=30](a [d=2] b [d={3 + i}] c))")
-            for i in range(4)
-        ]
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for tree in trees:
-                tree.compiled
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held / len(trees) < 256 * 1024, held
+    def test_pool_blocks_hold_only_count_and_placement(self):
+        # A block works out its occurrence count and its placement, both
+        # of a size set by its children, and keeps no record with one
+        # entry per occurrence.
+        result = mine(braid_log(0))
+        held = set()
+        for c in result.pool:
+            held |= block_records(c.pattern.tree)
+        assert held == {"count", "placement"}, held
 
     def test_a_result_holds_little_per_pool_candidate(self):
         # A candidate keeps what growth read of it as long as it lives, so
-        # a result holds that too: 2,010 bytes per pool candidate on this
-        # braid log under CPython 3.11 and 2,028 under 3.13 (1,541 before
-        # candidates kept their reads), bounded here at 2,200.  Keeping
-        # each candidate's corrected occurrences as well would hold 2,218.
-        # Dropping the result frees every candidate and its reads.
+        # a result holds that too: 1,552 to 1,564 bytes per pool candidate
+        # on this braid log under CPython 3.11, alone or after the rest of
+        # this module (1,781 while each built tree kept a compiled record
+        # of one entry per occurrence), bounded here at 1,720.  Dropping
+        # the result frees every candidate and its reads.
         seq = braid_log(0)
         result = mine(seq)
         assert any("key" in vars(c) for c in result.pool)
@@ -2761,7 +2749,7 @@ class TestMemory:
             left = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held / pool < 2200, (held, pool)
+        assert held / pool < 1720, (held, pool)
         assert left < 4096, left
 
     def test_mining_leaves_no_reference_cycles(self):
@@ -2778,11 +2766,13 @@ class TestMemory:
         assert unreachable == 0
 
     def test_dropped_results_release_their_trees(self):
-        # No module-wide cache keeps a tree once its result is gone.
-        # Nor its occurrence numbering, which only its candidates hold.
+        # No module-wide cache keeps a tree once its result is gone, its
+        # placement worked out or not.  Nor its occurrence numbering,
+        # which only its candidates hold.
         result = mine(EventSequence.from_pairs(heartbeat_log(random.Random(5), 4, 200)))
         tree = max(result.pool, key=lambda c: c.bits.bit_count()).pattern.tree
-        assert "compiled" in vars(tree)
+        tree.placement
+        assert block_records(tree) == {"count", "placement"}
         assert {id(c.numbering) for c in result.pool} == {id(result.pool[0].numbering)}
         refs = [weakref.ref(tree), weakref.ref(result.pool[0].numbering)]
         del result, tree

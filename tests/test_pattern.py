@@ -14,14 +14,15 @@ from cadence.core import (
     DomainError,
     InvalidPatternError,
 )
+from cadence import synth
 from cadence.codec import SeqStats, pattern_cost
 from cadence.pattern import (
     Block,
     Leaf,
     Pattern,
+    _solve_offsets,
     build_merge,
     classify_tree,
-    compile_tree,
     concat_layout,
     corrected_occurrences,
     corrected_times,
@@ -48,6 +49,7 @@ from cadence.pattern import (
 )
 
 from _oracles import (
+    compile_tree,
     cycle_cover,
     end_offset_by_origins,
     interleaved_grow_vertically,
@@ -56,7 +58,7 @@ from _oracles import (
     target_grow_horizontally,
     walk_corrections,
 )
-from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, cycle, random_tree
+from conftest import DOZEN_A_PAIRS, TRIAD_PAIRS, block_records, cycle, random_tree
 
 # Reference trees and their full expansions, spelled out by hand from
 # the traversal rule: per repetition of a block, all children (and their
@@ -154,7 +156,7 @@ class TestCycleCover:
         times = [tau + t + off for t, off in zip(reference.times, c.offsets)]
         assert corrected_times(c) == times
         assert corrected_occurrences(c) == tuple(zip(times, reference.events))
-        assert "compiled" not in c.tree.__dict__
+        assert block_records(c.tree) <= {"count", "placement"}
 
 
 class TestFit:
@@ -279,6 +281,40 @@ class TestCorrections:
         tree = parse_tree(QUAD)
         with pytest.raises(DomainError):
             solve_corrections(tree, 2, [2, 4, 6])
+
+    def test_solving_walks_the_leaf_columns_backwards(self):
+        # On random trees of height <= 5, interleaved roots and blocks
+        # beside sibling blocks among them: solving inverts the offsets
+        # that the compiled reference's predecessors give, solving a
+        # pattern's corrected times returns its corrections, both errors
+        # keep their messages, and a planted tree's span is its largest
+        # perfect time.
+        rng = random.Random(4141)
+        seen = Counter()
+        for _ in range(1500):
+            tree = random_tree(rng, depth=rng.randint(1, 5), leaves=rng.randint(1, 5))
+            n = tree.count
+            reference = compile_tree(tree)
+            corrections = tuple(rng.randint(-3, 3) for _ in range(n - 1))
+            offsets = [0] * n
+            for i in range(1, n):
+                offsets[i] = corrections[i - 1] + offsets[reference.pred[i]]
+            assert _solve_offsets(tree, offsets) == corrections
+
+            p = Pattern(tree=tree, tau=3 * n + rng.randint(0, 6), corrections=corrections)
+            assert list(p.offsets) == offsets
+            times = corrected_times(p)
+            assert solve_corrections(tree, p.tau, times) == corrections
+            with pytest.raises(DomainError, match=f"^expected {n} timestamps, got {n - 1}$"):
+                solve_corrections(tree, p.tau, times[1:])
+            with pytest.raises(DomainError, match="^first corrected timestamp must equal tau$"):
+                solve_corrections(tree, p.tau + 1, times)
+            assert synth._pattern_span(tree) == max(reference.times)
+
+            seen["interleaved root"] += tree.placement.interleaved
+            seen["height 4 or 5"] += tree_height(tree) >= 4
+            seen["split block"] += _split_block(tree)
+        assert min(seen.values()) > 50, seen
 
     def test_negative_corrected_timestamp_rejected(self):
         p = Pattern(tree=parse_tree(QUAD), tau=0, corrections=(-5, 0, 0))
@@ -575,8 +611,8 @@ class TestMergeLayouts:
             root = layout.root
             check(root, kind)
             assert build_merge(layout, members).tree is root
-            pred = root.compiled.pred[: root.placement.size]
-            own = [q.tree.compiled.pred for q in members]
+            pred = compile_tree(root).pred[: root.placement.size]
+            own = [compile_tree(q.tree).pred for q in members]
             joins = set()
             for s, t in enumerate(pred[1:], 1):
                 (m, j), (n, i) = layout.slots[s], layout.slots[t]
@@ -807,7 +843,7 @@ class TestLeafColumns:
             seen["interleaved root"] += shape.interleaved
             seen["height 4"] += tree_height(tree) == 4
             seen["split block"] += _split_block(tree)
-            assert "compiled" not in vars(tree)
+            assert block_records(tree) <= {"count", "placement"}
         assert min(seen.values()) > 50, seen
 
 
@@ -847,15 +883,15 @@ class TestNotation:
 
 
 class TestBlockRecords:
-    # count, placement and compiled are worked out on first read and are
-    # no part of a block's identity.
+    # count and placement are worked out on first read and are no part
+    # of a block's identity.
     def test_equal_trees_compare_and_hash_alike_read_or_not(self):
         assert [f.name for f in dataclasses.fields(Block)] == ["r", "p", "children", "distances"]
         rng = random.Random(45)
         for _ in range(200):
             text = format_tree(random_tree(rng, depth=3, leaves=3))
             read, fresh = parse_tree(text), parse_tree(text)
-            read.count, read.placement, read.compiled
+            read.count, read.placement
             assert read == fresh and hash(read) == hash(fresh)
             assert {read: 1}[fresh] == 1
             assert fresh.count == read.count
