@@ -28,6 +28,7 @@ from .core import (
     UncodablePatternError,
 )
 from .pattern import (
+    Block,
     Pattern,
     build_merge,
     concat_layout,
@@ -35,9 +36,6 @@ from .pattern import (
     factor_layout,
     fit_cycle,
     fit_period,
-    format_cycle,
-    format_pattern,
-    format_tree,
     grow_horizontally,
     grow_vertically,
 )
@@ -161,12 +159,15 @@ class Numbering:
 class Candidate:
     """A costed pattern candidate, and the record growth reads of it.
 
-    ``bits`` is its cover over ``numbering`` (:class:`Numbering`), the
-    occurrences of the log it was mined from; ``numbering.pairs_of(bits)``
-    lists them, and ``cost`` is its price under ``numbering.stats``.  A
-    pattern covers at least one occurrence of its log, so a cover that
-    is not a positive int, or holds a bit past the numbered occurrences,
-    raises :class:`DomainError`.
+    A candidate is its ``pattern``: the miner tells two candidates apart
+    by pattern equality.  ``bits`` is its cover over ``numbering``
+    (:class:`Numbering`), the occurrences of the log it was mined from;
+    ``numbering.pairs_of(bits)`` lists them, and ``cost`` is its price
+    under ``numbering.stats``.  A pattern covers at least one occurrence
+    of its log, so a cover that is not a positive int, or holds a bit
+    past the numbered occurrences, raises :class:`DomainError`.
+    Pruning and selection order candidates by :attr:`rank`, and
+    :attr:`notation` is formatted only when read, for reports.
 
     Growth reads the rest, each part worked out on first read and kept
     while the candidate lives.  ``per`` occurrences fall in each root
@@ -174,8 +175,8 @@ class Candidate:
     occurrence's 0, and ``running[r]`` their sum over the first ``r``
     root repetitions, the ones a merge keeps, whose cover :meth:`kept`
     makes once per ``r``.  ``cycle`` is a one-leaf cycle's parameters
-    (:func:`codec.cycle_merge_pricer`), ``slack`` the ``|E|`` summed at
-    the root repetitions' boundaries and ``key`` the tree's notation.
+    (:func:`codec.cycle_merge_pricer`) and ``slack`` the ``|E|`` summed
+    at the root repetitions' boundaries.
     ``terms`` are the root's children's :func:`codec.child_terms` under
     ``numbering.stats`` and ``inner_terms`` its first child's, the parts
     of a factorized merge; both are codable (:func:`codec._placed`).  A
@@ -186,7 +187,6 @@ class Candidate:
     pattern: Pattern
     bits: int
     cost: float
-    notation: str
     provenance: str
     numbering: Numbering = field(repr=False, compare=False)
 
@@ -207,14 +207,21 @@ class Candidate:
     def tau(self) -> int:
         return self.pattern.tau
 
+    @property
+    def rank(self) -> tuple[float, float, int, int]:
+        """``(efficiency, cost, tau, bits)``: the key every tie breaks
+        on, known before the candidate is built."""
+        return self.efficiency, self.cost, self.pattern.tau, self.bits
+
+    @cached_property
+    def notation(self) -> str:
+        """The pattern's bracket notation, formatted on first read."""
+        return str(self.pattern)
+
     @cached_property
     def per(self) -> int:
         tree = self.pattern.tree
         return tree.count // tree.r
-
-    @cached_property
-    def key(self) -> str:
-        return format_tree(self.pattern.tree)
 
     @cached_property
     def cycle(self) -> codec.Cycle | None:
@@ -268,13 +275,10 @@ class Candidate:
 
 def _dedupe(cands: Iterable[Candidate]) -> list[Candidate]:
     """Drop duplicate patterns, keeping first occurrence order."""
-    seen: set[str] = set()
-    out = []
+    first: dict[Pattern, Candidate] = {}
     for c in cands:
-        if c.notation not in seen:
-            seen.add(c.notation)
-            out.append(c)
-    return out
+        first.setdefault(c.pattern, c)
+    return list(first.values())
 
 
 def _numbering(cands: Sequence[Candidate], numbering: Numbering | None = None) -> Numbering:
@@ -693,19 +697,21 @@ def _within_k(keys: Sequence, covers: Sequence[int], k: int) -> set[int]:
 def filter_candidates(candidates: Sequence[Candidate], k: int) -> list[Candidate]:
     """Keep candidates among the k most efficient for some occurrence.
 
-    For every covered occurrence the ``k`` best candidates by
-    (efficiency, cost, notation) are retained; a candidate survives if it
-    is retained for at least one occurrence.  The candidates must share
-    one :class:`Numbering`, or :class:`DomainError` is raised.
+    Duplicate patterns count once.  For every covered occurrence the
+    ``k`` best candidates by :attr:`Candidate.rank`, ``(efficiency,
+    cost, tau, bits)``, are retained, and candidates whose rank equals
+    the ``k``-th best's too; a candidate survives if it is retained for
+    at least one occurrence.  The survivors come in rank order, equal
+    ranks in the order given.  The candidates must share one
+    :class:`Numbering`, or :class:`DomainError` is raised.
     """
     _require_int("k", k)
     if candidates:
         _numbering(candidates)
     cands = _dedupe(candidates)
-    keys = [(c.efficiency, c.cost, c.notation) for c in cands]
-    out = [cands[i] for i in _within_k(keys, [c.bits for c in cands], k)]
-    out.sort(key=lambda c: (c.efficiency, c.cost, c.notation))
-    return out
+    keys = [c.rank for c in cands]
+    kept = _within_k(keys, [c.bits for c in cands], k)
+    return [cands[i] for i in sorted(kept, key=lambda i: (keys[i], i))]
 
 
 def _grow(provenance: str, parts) -> Pattern:
@@ -724,32 +730,31 @@ def _grow(provenance: str, parts) -> Pattern:
 
 
 def _build_survivors(
-    winners: Sequence[tuple[float, int, str, tuple[str, object]]],
+    winners: Sequence[tuple[float, int, int, tuple[str, object]]],
     k: int,
     numbering: Numbering,
 ) -> list[Candidate]:
     """The one build site: candidates priced before they are built,
-    given as ``(cost, cover, notation, (provenance, parts))`` with their
+    given as ``(cost, cover, tau, (provenance, parts))`` with their
     covers over ``numbering``, pruned to width ``k``.
 
-    The notation is a stage-S cycle's, known before it is built, and
-    ``""`` for a growth.  Only the winners whose ``(efficiency, cost,
-    notation)`` is within the ``k`` smallest for some occurrence they
-    cover are built (:func:`_grow`).  Equal winners count once and a
-    growth's ties are kept, so every candidate that
-    ``filter_candidates(k)`` keeps is among them.  Each candidate carries
-    the cost and cover it was priced with; the result is
-    ``filter_candidates`` of what was built.
+    An entry's cost, cover and start give the rank its candidate will
+    have (:attr:`Candidate.rank`).  Only the winners whose rank is
+    within the ``k`` smallest for some occurrence they cover are built
+    (:func:`_grow`).  Equal entries count once, as the one pattern they
+    may build does, and the distinct patterns of one rank are all kept,
+    so every candidate that ``filter_candidates(k)`` keeps is among
+    them.  Each candidate carries the cost and cover it was priced with;
+    the result is ``filter_candidates`` of what was built.
     """
     groups = list(dict.fromkeys(entry[:3] for entry in winners))
-    keys = [(cost / bits.bit_count(), cost, notation) for cost, bits, notation in groups]
+    keys = [(cost / cover.bit_count(), cost, tau, cover) for cost, cover, tau in groups]
     kept = {groups[i] for i in _within_k(keys, [g[1] for g in groups], k)}
-    out = []
-    for cost, cover, notation, (provenance, parts) in winners:
-        if (cost, cover, notation) in kept:
-            pattern = _grow(provenance, parts)
-            notation = notation or format_pattern(pattern)
-            out.append(Candidate(pattern, cover, cost, notation, provenance, numbering))
+    out = [
+        Candidate(_grow(provenance, parts), cover, cost, provenance, numbering)
+        for cost, cover, tau, (provenance, parts) in winners
+        if (cost, cover, tau) in kept
+    ]
     return filter_candidates(out, k)
 
 
@@ -762,10 +767,11 @@ def combine_vertically(
 ) -> list[Candidate]:
     """Nest groups of same-tree candidates with periodic starting points.
 
-    For each distinct tree among the new candidates, the starting points
-    of all candidates over that tree (new and pooled) are themselves
-    mined for near-periodic chains; each chain's members are nested under
-    an outer cycle.  A pattern transmits each occurrence once, so a chain
+    For each distinct tree among the new candidates, in the order they
+    first show it, the starting points of all candidates over that tree
+    (new and pooled, the cheapest at each start, then the least cover)
+    are themselves mined for near-periodic chains; each chain's members
+    are nested under an outer cycle.  A pattern transmits each occurrence once, so a chain
     whose members share an occurrence is skipped unpriced.  A nesting is
     priced in closed form from its members' reads (:func:`_nest_cost`)
     by its tree's :func:`codec.nest_pricer`, built once per tree, and
@@ -780,22 +786,20 @@ def combine_vertically(
         return []
     cands = [*new, *pool]
     numbering = _numbering(cands)
-    by_tree: dict[str, list[Candidate]] = {}
-    for c in _dedupe(cands):
-        by_tree.setdefault(c.key, []).append(c)
-    new_tree_keys = sorted({c.key for c in new})
+    by_tree: dict[Block, list[Candidate]] = {}
+    for c in cands:
+        by_tree.setdefault(c.pattern.tree, []).append(c)
 
-    winners: list[tuple[float, int, str, tuple]] = []
-    for tree_key in new_tree_keys:
+    winners: list[tuple[float, int, int, tuple]] = []
+    for tree in dict.fromkeys(c.pattern.tree for c in new):
         by_tau: dict[int, Candidate] = {}
-        for c in by_tree[tree_key]:
+        for c in by_tree[tree]:
             prev = by_tau.get(c.tau)
-            if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
+            if prev is None or (c.cost, c.bits) < (prev.cost, prev.bits):
                 by_tau[c.tau] = c
         if len(by_tau) < 3:
             continue
         taus = sorted(by_tau)
-        tree = by_tau[taus[0]].pattern.tree
         zero = Pattern(tree=tree, tau=taus[0], corrections=(0,) * (tree.count - 1))
         try:
             l_max = codec.pattern_cost(zero, numbering.stats).total
@@ -810,7 +814,8 @@ def combine_vertically(
             cost = _nest_cost(nest_price, members)
             if cost >= codec.add_bits(c.cost for c in members):
                 continue
-            winners.append((cost, cover, "", ("vertical", [c.pattern for c in members])))
+            recipe = ("vertical", [c.pattern for c in members])
+            winners.append((cost, cover, members[0].tau, recipe))
     return _build_survivors(winners, k, numbering)
 
 
@@ -938,12 +943,12 @@ def combine_horizontally(
         return []
     merged = [*new, *pool]
     numbering = _numbering(merged)
-    new_keys = {c.notation for c in new}
-    cands = sorted(_dedupe(merged), key=lambda c: (c.tau, c.notation))
+    new_patterns = {c.pattern for c in new}
+    cands = sorted(merged, key=lambda c: (c.tau, c.bits))
     taus = [c.tau for c in cands]
     periods = [c.pattern.tree.p for c in cands]
     lengths = [c.pattern.tree.r for c in cands]
-    fresh = [i for i, c in enumerate(cands) if c.notation in new_keys]
+    fresh = [i for i, c in enumerate(cands) if c.pattern in new_patterns]
     is_new = set(fresh)
     cycle_merge_price = codec.cycle_merge_pricer(numbering.stats)
     merge_price = codec.merge_pricer(numbering.stats)
@@ -966,13 +971,12 @@ def combine_horizontally(
                 return None  # a negative connecting distance
             if (alt := merge_price(fs, True)) < cost:
                 cost, provenance = alt, "factorized"
-        return cost, cover, "", (provenance, [c.pattern for c in fs])
+        return cost, cover, fs[0].tau, (provenance, [c.pattern for c in fs])
 
     # Pair merges that beat their members, then clique merges.
-    # ``cands`` is sorted by (tau, notation), which puts every merge's
-    # members in grow_horizontally's (tau, format_tree) order: no tree's
-    # bracket notation is a proper prefix of another's.
-    winners: list[tuple[float, int, str, tuple]] = []
+    # ``cands`` is sorted by (tau, bits), and grow_horizontally sorts
+    # stably by tau alone, so every merge is built in its priced order.
+    winners: list[tuple[float, int, int, tuple]] = []
     adj: dict[int, set[int]] = {i: set() for i in range(len(cands))}
     for ia, a in enumerate(cands):
         p_a, r_a = periods[ia], lengths[ia]
@@ -1054,33 +1058,36 @@ def greedy_cover(pool: Sequence[Candidate], numbering: Numbering) -> Selection:
     numbered by ``numbering``; raises :class:`DomainError` when a
     candidate carries another numbering.
 
-    Repeatedly selects the candidate minimizing ``(cost / gain, cost,
-    notation)``, where the gain is its count of newly covered
-    occurrences, as long as it beats leaving those occurrences residual;
-    stops at the first rejection.
+    Repeatedly selects the candidate minimizing ``((cost / gain, cost,
+    tau, bits), index)``, where the gain is its count of newly covered
+    occurrences and the index its place in ``pool``, as long as it beats
+    leaving those occurrences residual; stops at the first rejection.
+    Distinct patterns can share a cost, a start and a cover, and the
+    index breaks their ties.
 
     The scan is lazy (Minoux's accelerated greedy): gains only shrink as
-    the cover grows, so a heap key computed earlier is a lower bound on
-    the candidate's key now.  Only the top is re-scored; it is picked
-    when its fresh key still does not exceed the next key in the heap,
-    and dropped at gain 0.  Notations are unique and costs positive, so
-    the picks are exactly those of re-scoring every candidate each time.
+    the cover grows, so a heap entry computed earlier is a lower bound
+    on the candidate's entry now.  Only the top is re-scored; it is
+    picked when its fresh entry still does not exceed the next entry in
+    the heap, and dropped at gain 0.  Each entry holds its own index, so
+    no two are equal, and costs are positive: the picks are exactly
+    those of re-scoring every candidate each time.  A duplicate pattern
+    gains nothing once its first copy is picked.
     """
     stats = _numbering(pool, numbering).stats
-    cands = _dedupe(pool)
-    heap = [((c.efficiency, c.cost, c.notation), i) for i, c in enumerate(cands)]
+    heap = [(c.rank, i) for i, c in enumerate(pool)]
     heapq.heapify(heap)
     covered = 0
     chosen: list[Candidate] = []
     while heap:
         _, idx = heapq.heappop(heap)
-        best = cands[idx]
+        best = pool[idx]
         new = best.bits & ~covered
         if not new:
             continue
-        key = (best.cost / new.bit_count(), best.cost, best.notation)
-        if heap and heap[0][0] < key:
-            heapq.heappush(heap, (key, idx))
+        entry = ((best.cost / new.bit_count(), best.cost, best.tau, best.bits), idx)
+        if heap and heap[0] < entry:
+            heapq.heappush(heap, entry)
             continue
         if best.cost < codec.residual_bits(stats, numbering.labels(new)):
             chosen.append(best)
@@ -1125,7 +1132,7 @@ class MineResult:
 
 def _stage_one_event(
     event: str, numbering: Numbering
-) -> list[tuple[float, int, str, tuple[str, object]]]:
+) -> list[tuple[float, int, int, tuple[str, object]]]:
     """Stage-S winners of one event, as :func:`_build_survivors` entries.
 
     The ``dp`` then ``tri`` chains, deduplicated by their occurrence
@@ -1137,13 +1144,9 @@ def _stage_one_event(
     - 1 - 2 m)``: one sort and one C-level sum per chain.  Each chain is
     codable, as its occurrences are the log's (:func:`codec._placed`).
     A chain's cover ORs its occurrences' bits in ``numbering``, made
-    once per event.  Its notation is ``""``, as a growth's is, so the
-    build site formats only the survivors, unless the chain shares an
-    occurrence with another chain of its ``(efficiency, cost)``: that
-    tie its notation (:func:`format_cycle`) breaks as
-    :func:`filter_candidates` would, so the same cycles are built as
-    with every chain named.  A tie between chains that share no
-    occurrence, as chains of two events never do, decides nothing.
+    once per event.  The cover is the chain, so no two entries share a
+    rank (:attr:`Candidate.rank`), and ties between chains break on
+    their starts and covers, before any cycle is fitted.
     """
     stats = numbering.stats
     ts = numbering.seq.per_event[event]
@@ -1163,23 +1166,7 @@ def _stage_one_event(
         deviation = reach - 2 * sum(gaps[:m]) - p * (r - 1 - 2 * m)
         cost = price(r, p, tau, reach - (r - 1) * p, deviation)
         cover = reduce(or_, map(bit.__getitem__, chain))
-        winners.append((cost, cover, "", (provenance, (times, event))))
-    # (efficiency, cost) is shared exactly when (cost, r) is
-    ties: dict[tuple[float, int], list[int]] = {}
-    for i, (cost, cover, _, _) in enumerate(winners):
-        ties.setdefault((cost, cover.bit_count()), []).append(i)
-    for tied in ties.values():
-        seen = twice = 0  # the occurrences the tied chains cover, and cover twice
-        for i in tied:
-            twice |= seen & winners[i][1]
-            seen |= winners[i][1]
-        for i in tied:
-            cost, cover, _, recipe = winners[i]
-            if cover & twice:
-                times = recipe[1][0]
-                p, corrections = fit_period(times)
-                notation = format_cycle(event, len(times), p, times[0], corrections)
-                winners[i] = (cost, cover, notation, recipe)
+        winners.append((cost, cover, tau, (provenance, (times, event))))
     return winners
 
 
@@ -1219,22 +1206,26 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     initial = extract_cycles(numbering, cfg)
     clocks["extract"] = perf_counter() - t0
 
+    # Each round grows its new candidates against the pool before them,
+    # ``final_pool[:old]``.  Round 0's new candidates for both kinds of
+    # growth are ``initial``, and a growth whose pattern is in the pool
+    # already is not new.
     t0 = perf_counter()
-    accum: list[Candidate] = []
-    seen = {c.notation for c in initial}
-    v_in: list[Candidate] = list(initial)
-    h_in: list[Candidate] = list(initial)
+    final_pool = list(initial)
+    seen = {c.pattern for c in initial}
+    v_in = h_in = initial
+    old = 0
     for _ in range(cfg.max_rounds):
         if not v_in and not h_in:
             break
-        v_new = combine_vertically(h_in, accum, cfg.k)
-        h_new = combine_horizontally(v_in, accum, cfg.k)
-        accum = _dedupe(accum + v_in + h_in)
-        v_in = [c for c in v_new if c.notation not in seen]
-        seen.update(c.notation for c in v_in)
-        h_in = [c for c in h_new if c.notation not in seen]
-        seen.update(c.notation for c in h_in)
-    final_pool = _dedupe(accum + v_in + h_in)
+        v_new = combine_vertically(h_in, final_pool[:old], cfg.k)
+        h_new = combine_horizontally(v_in, final_pool[:old], cfg.k)
+        old = len(final_pool)
+        v_in = [c for c in v_new if c.pattern not in seen]
+        seen.update(c.pattern for c in v_in)
+        h_in = [c for c in h_new if c.pattern not in seen]
+        seen.update(c.pattern for c in h_in)
+        final_pool += v_in + h_in
     clocks["combine"] = perf_counter() - t0
 
     t0 = perf_counter()
@@ -1244,7 +1235,7 @@ def mine(seq: EventSequence, config: MiningConfig | None = None) -> MineResult:
     if final_pool:
         stages["single"] = min(
             (Selection((c,), numbering) for c in final_pool),
-            key=lambda sel: (sel.total_bits, sel.candidates[0].notation),
+            key=lambda sel: (sel.total_bits, sel.candidates[0].rank),
         )
 
     # Each stage's total is its report's total_bits, and no report is

@@ -152,7 +152,11 @@ def fit_cycle(timestamps: Sequence[int], event: str) -> Pattern:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A pattern: tree, starting point and per-occurrence corrections."""
+    """A pattern: tree, starting point and per-occurrence corrections.
+
+    Two patterns are equal when all three are, and ``str`` renders one
+    in the bracket notation (:func:`format_pattern`).
+    """
 
     tree: Block
     tau: int
@@ -169,6 +173,11 @@ class Pattern:
                 f"expected {n - 1} corrections for {n} occurrences, "
                 f"got {len(self.corrections)}"
             )
+        # Hashed once, as it is made: the miner keys its sets by pattern,
+        # and a braid's corrections tuple is long.  Set before any cached
+        # read, so every pattern's attributes keep one order and share
+        # their keys' table.
+        object.__setattr__(self, "_hash", hash((self.tree, self.tau, self.corrections)))
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -181,6 +190,17 @@ class Pattern:
         leaf column per block instance.
         """
         return tuple(column_offsets(leaf_columns(self), self.tree.count))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # A copy, or one unpickled in a process with other string hashes,
+        # is made afresh and hashes itself again.
+        return Pattern, (self.tree, self.tau, self.corrections)
+
+    def __str__(self) -> str:
+        return format_pattern(self)
 
 
 def expand_tree(
@@ -669,18 +689,15 @@ def build_merge(layout: MergeLayout, members: Sequence[Pattern]) -> Pattern:
 def grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     """Concatenate patterns as siblings under a merged root cycle.
 
-    The instances are ordered by starting point (then by tree notation)
-    and laid out by :func:`concat_layout`.  The corrections are
-    re-derived so the result covers exactly the union of the members'
-    occurrences restricted to the kept repetitions.
+    The instances are ordered by starting point, instances with equal
+    starts in the order given, and laid out by :func:`concat_layout`.
+    The corrections are re-derived so the result covers exactly the
+    union of the members' occurrences restricted to the kept
+    repetitions.
     """
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
     inst = sorted(instances, key=lambda q: q.tau)
-    if any(a.tau == b.tau for a, b in zip(inst, inst[1:])):
-        # Notations only order equal starts; the sorts are stable, so the
-        # order is (tau, notation)'s either way.
-        inst.sort(key=lambda q: (q.tau, format_tree(q.tree)))
     return build_merge(concat_layout(inst), inst)
 
 
@@ -722,23 +739,13 @@ def format_tree(tree: Node) -> str:
         if i > 0:
             parts.append(f"[d={tree.distances[i]}]")
         parts.append(format_tree(child))
-    return _format_block(tree.r, tree.p, " ".join(parts))
-
-
-def _format_block(r: int, p: int, content: str) -> str:
-    return f"[r={r} p={p}]({content})"
+    return f"[r={tree.r} p={tree.p}]({' '.join(parts)})"
 
 
 def _format_placed(tree: str, tau: int, corrections: Sequence[int]) -> str:
     # one %-format writes the list in about half the time of joining str()s
     es = ("%d," * len(corrections) % tuple(corrections))[:-1]
     return f"{tree} @ tau={tau} E=[{es}]"
-
-
-def format_cycle(event: str, r: int, p: int, tau: int, corrections: Sequence[int]) -> str:
-    """The notation of the cycle of ``event`` with these parameters,
-    without building it: ``format_pattern`` of that one-leaf pattern."""
-    return _format_placed(_format_block(r, p, event), tau, corrections)
 
 
 def format_pattern(p: Pattern) -> str:

@@ -101,7 +101,6 @@ from cadence.pattern import (
     fit_cycle,
     fit_period,
     format_pattern,
-    format_tree,
     grow_horizontally,
     grow_vertically,
     classify_tree,
@@ -132,7 +131,6 @@ def make_candidate(p: Pattern, provenance: str, numbering: Numbering):
         pattern=p,
         bits=numbering.cover(cover),
         cost=cost,
-        notation=format_pattern(p),
         provenance=provenance,
         numbering=numbering,
     )
@@ -325,29 +323,29 @@ def unpruned_segmentation(
 def eager_greedy_cover(pool, stats: SeqStats) -> list:
     """Greedy cover that re-scores every remaining candidate on every pick.
 
-    Picks the candidate minimizing (cost / new occurrences, cost,
-    notation) while it beats leaving its new occurrences residual.
+    Picks the candidate minimizing ((cost / new occurrences, cost, tau,
+    bits), its index in ``pool``) while it beats leaving its new
+    occurrences residual.
     """
-    # the first candidate of each notation, as the miner dedupes
-    remaining = list({c.notation: c for c in reversed(pool)}.values())
-    covers = {c.notation: cover_pairs(c) for c in remaining}
+    covers = [cover_pairs(c) for c in pool]
+    remaining = set(range(len(pool)))
     covered: set = set()
     chosen = []
     while True:
-        scored = [
-            ((c.cost / len(covers[c.notation] - covered), c.cost, c.notation), c)
-            for c in remaining
-            if covers[c.notation] - covered
-        ]
+        scored = []
+        for i in remaining:
+            c, new = pool[i], covers[i] - covered
+            if new:
+                scored.append(((c.cost / len(new), c.cost, c.tau, c.bits), i))
         if not scored:
             return chosen
-        _, best = min(scored, key=lambda kc: kc[0])
-        new = covers[best.notation] - covered
+        _, i = min(scored)
+        best, new = pool[i], covers[i] - covered
         if best.cost >= residual_bits(stats, Counter(e for _, e in new)):
             return chosen
         chosen.append(best)
-        covered |= covers[best.notation]
-        remaining.remove(best)
+        covered |= covers[i]
+        remaining.remove(i)
 
 
 def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
@@ -377,25 +375,24 @@ def build_every_cycle(seq, stats: SeqStats, k: int) -> list:
 def build_every_nesting(new, pool, k: int) -> list:
     """Vertical combination building every chain's nesting.
 
-    The candidates over each tree of a new candidate, the cheapest (then
-    the first notation) at each start, have their starts chained, with
-    the zero-correction instance's price as tolerance.  Every chain's
-    nesting is built and priced, and kept when it lists each occurrence
-    once (:func:`lists_once`), covers its members' union and beats their
-    summed cost; width-``k`` pruning runs once at the end.  Every
-    candidate is priced against the statistics of the log it is numbered
-    over.
+    The candidates over each tree of a new candidate, the trees in the
+    order the new candidates first show them, the cheapest (then the
+    least cover, then the first given) at each start, have their starts
+    chained, with the zero-correction instance's price as tolerance.
+    Every chain's nesting is built and priced, and kept when it lists
+    each occurrence once (:func:`lists_once`), covers its members' union
+    and beats their summed cost; width-``k`` pruning runs once at the
+    end.  Every candidate is priced against the statistics of the log it
+    is numbered over.
     """
-    merged = _dedupe(list(new) + list(pool))
-    by_tree: dict[str, list] = {}
-    for c in merged:
-        by_tree.setdefault(format_tree(c.pattern.tree), []).append(c)
     out = []
-    for key in sorted({format_tree(c.pattern.tree) for c in new}):
+    for tree in dict.fromkeys(c.pattern.tree for c in new):
         by_tau: dict = {}
-        for c in by_tree[key]:
+        for c in [*new, *pool]:
             prev = by_tau.get(c.tau)
-            if prev is None or (c.cost, c.notation) < (prev.cost, prev.notation):
+            if c.pattern.tree == tree and (
+                prev is None or (c.cost, c.bits) < (prev.cost, prev.bits)
+            ):
                 by_tau[c.tau] = c
         if len(by_tau) < 3:
             continue
@@ -422,13 +419,19 @@ def build_every_nesting(new, pool, k: int) -> list:
     return filter_candidates(out, k)
 
 
-def survivor_bound(entries: Sequence[tuple[float, frozenset]], k: int) -> set[int]:
-    """Indices of the ``(cost, cover)`` entries whose ``(efficiency,
-    cost)`` is within the ``k`` smallest for some occurrence they cover,
-    equal entries counted once and ties kept."""
+def survivor_bound(
+    entries: Sequence[tuple[float, int, int]], numbering: Numbering, k: int
+) -> set[int]:
+    """Indices of the ``(cost, cover, tau)`` entries, their covers over
+    ``numbering``, whose ``(efficiency, cost, tau, cover)`` is within the
+    ``k`` smallest for some occurrence they cover, equal entries counted
+    once and ties kept."""
     groups = list(dict.fromkeys(entries))
-    keys = [(cost / len(cover), cost) for cost, cover in groups]
-    covers = [cover for _, cover in groups]
+    covers = [frozenset(numbering.pairs_of(cover)) for _, cover, _ in groups]
+    keys = [
+        (cost / len(pairs), cost, tau, cover)
+        for (cost, cover, tau), pairs in zip(groups, covers)
+    ]
     kept = {groups[i] for i in within_k_by_counter(keys, covers, k)}
     return {i for i, entry in enumerate(entries) if entry in kept}
 
@@ -709,11 +712,10 @@ def slack_pairs(new, pool) -> Iterator[tuple[int, int, list]]:
     pairs whose root periods agree within the later member's
     boundary-correction slack.
     """
-    merged = _dedupe(list(new) + list(pool))
-    new_keys = {c.notation for c in new}
-    cands = sorted(merged, key=lambda c: (c.tau, c.notation))
+    new_patterns = {c.pattern for c in new}
+    cands = sorted([*new, *pool], key=lambda c: (c.tau, c.bits))
     taus = [c.tau for c in cands]
-    is_new = [c.notation in new_keys for c in cands]
+    is_new = [c.pattern in new_patterns for c in cands]
     boundary = [boundary_correction_sum(c.pattern) for c in cands]
     for ia, a in enumerate(cands):
         hi = bisect_right(taus, a.tau + a.pattern.tree.p)
@@ -901,7 +903,7 @@ def target_grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     """Concatenation as siblings under a merged root cycle, built from
     per-repetition targets.
 
-    The instances are ordered by starting point (then tree notation); the
+    The instances are ordered by starting point (equal starts as given); the
     merged root keeps the earliest period and start and the minimum
     length, and the distance between consecutive instances' contents is
     the difference of their starting points.  The targets are, per root
@@ -910,7 +912,7 @@ def target_grow_horizontally(instances: Sequence[Pattern]) -> Pattern:
     """
     if len(instances) < 2:
         raise DomainError("horizontal combination needs at least 2 instances")
-    inst = sorted(instances, key=lambda q: (q.tau, format_tree(q.tree)))
+    inst = sorted(instances, key=lambda q: q.tau)
     r_n = min(q.tree.r for q in inst)
     children: list[Node] = []
     distances: list[int] = []
