@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -786,12 +787,18 @@ def _breakdown(p: Pattern, stats: SeqStats, offsets: Sequence[int]) -> CostBreak
 
 @dataclass(frozen=True)
 class PatternEntry:
-    """One pattern's line in a collection report."""
+    """One pattern's line in a collection report.  Its notation is
+    formatted on first read, so a report that is never printed formats
+    nothing."""
 
-    notation: str
+    pattern: Pattern
     cost: CostBreakdown
     cover_size: int
     shape_class: str
+
+    @cached_property
+    def notation(self) -> str:
+        return format_pattern(self.pattern)
 
     def to_dict(self) -> dict:
         return {
@@ -929,7 +936,7 @@ def collection_cost(
         for e, ts in cover.items():
             covered[e] |= ts
         entries.append(PatternEntry(
-            notation=format_pattern(pat),
+            pattern=pat,
             cost=breakdown,
             cover_size=size,
             shape_class=shape,

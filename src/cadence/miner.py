@@ -340,42 +340,58 @@ def extract_cycles_dp(
     residual candidate is still compared.
 
     *Range bound.*  Let ``a0 = cut[j]``, the start of the previous row's
-    last segment.  For every start ``a <= i - 1`` in the window
-    ``[lo..]``::
+    last segment.  Cut the gaps into blocks of ``B = 8``, ``gaps[8b:8b +
+    8]``, and let ``C[m]`` sum the deviations of the first ``m`` blocks,
+    each from its own upper median, clamped past the last whole block.
+    With ``Q[a] = best[a] - a l`` and ``M[a] = best[a] - 2a - C[ceil(a /
+    8)]``, every start ``a <= i - 1`` in the window ``[lo..]`` has::
 
-        cand(a) >= (best[a] - 2a) + 2j + min(l + (j - i + 1)(l - 2),
-                                            h + D + P)
+        cand(a) >= min(Q[a] + (j + 1) l,
+                       M[a] + 2j + C[i // 8] + h + D + P)
 
-    The residual term holds since ``j - a >= j - i + 1`` and ``l >= 2``.
-    The cycle term holds since the deviation of a set of gaps only grows
-    as gaps are added, so the gaps of ``[a..j]`` deviate by at least the
-    ``D`` of ``[i..j]``; and since inside the window the period and
-    start bits are at least ``P`` (:func:`codec.cycle_placement_floor`):
-    ``v = span - (t_j - t_a) + 1 >= span - (t_j - t_lo) + 1`` and
-    ``p0_max >= p >=`` the least gap.  After 8 steps without a stop, and
-    then at steps growing by half while as many starts remain as were
-    scanned, the scan prices ``[a0..j]`` exactly as ``U``, from the
-    sorted gaps of ``[a0..j]`` (the integer upper median and deviation
-    the heaps give).  That fit is carried from row to row.  When
-    ``cut[j]`` moves, the gaps are sorted afresh, in ``O(w log w)`` for
-    ``w = window``.  While it stays, a row adds the gaps of the rows
+    The residual term is exact: ``best[a] + (j - a + 1) l``.  The cycle
+    term holds since a cycle over ``[a..j]`` costs at least ``h + 2(j -
+    a) + D(a..j) + P``, as in the price floor; since deviation is
+    superadditive over a split of the gaps, ``D(a..j)`` is at least
+    ``D`` of ``[i..j]`` plus the deviation of each whole block inside
+    ``gaps[a:i]``, which is ``C[i // 8] - C[ceil(a / 8)]`` (when no whole
+    block lies there, that difference is not positive); and since inside
+    the window the period and start bits are at least ``P``
+    (:func:`codec.cycle_placement_floor`): ``v = span - (t_j - t_a) + 1
+    >= span - (t_j - t_lo) + 1`` and ``p0_max >= p >=`` the least gap.
+    So the least ``Q`` and the least ``M`` over the starts other than
+    ``a0`` bound them all at once.  The scan prices ``[a0..j]`` exactly
+    as ``U``, from the sorted gaps of ``[a0..j]`` (the integer upper
+    median and deviation the heaps give), and when the bound exceeds
+    ``min(U, bj)`` by more than ``1e-6`` (the margin covers float
+    rounding), none of those starts can win or tie: ``a0`` takes the row
+    if ``U < bj``, as the full scan would, and the scan ends.
+
+    The bound is tried at step 1 when 8 or more starts remain after it,
+    then after 8 steps and at steps growing by half while as many starts
+    remain as were scanned, each time only before the stop rule has
+    fired: a try costs about as much as scanning a few starts.  At step
+    1 the least ``Q`` and ``M`` are carried from row to row while ``a0``
+    holds, each row taking in the starts since (those before ``a0`` are
+    taken again when ``lo`` moves); later steps take them by ``min()``
+    over slices.  The fit of ``[a0..j]`` is carried from row to row too.
+    When ``cut[j]`` moves, the gaps are sorted afresh, in ``O(w log w)``
+    for ``w = window``.  While it stays, a row adds the gaps of the rows
     since the fit was last read, each by a bisection and a list insert
     that keep the sums of the lower half and of all the gaps: ``O(log
     w)`` comparisons and a move of at most ``w`` list entries per row,
-    amortized.  When the bound's least ``best[a] - 2a`` over the remaining
-    starts other than ``a0`` exceeds ``min(U, bj)`` by more than ``1e-6``
-    (the margin covers float rounding), none of them can win or tie:
-    ``a0`` takes the row if ``U < bj``, as the full scan would, and the
-    scan ends.  The least is taken by ``min()`` over slices.
+    amortized.  ``C``, ``Q`` and ``M`` are built at the event's first
+    try, so an event that never tries builds none of them.  On a
+    periodic event the bound ends nearly every row at step 1.  Where it
+    fails, as on nested events, where the stop rule ends the scans, a
+    row that tries it and is never ended by it leaves it untried for the
+    next 1, 2, 4, ... up to 64 rows; a row that it ends resets the count.
 
     The stop rule and the range bound hold for cycles inside the window,
     so timestamps outside ``[stats.t_start, stats.t_end]`` raise
-    :class:`DomainError`.  The range bound's ``l >= 2`` holds wherever
-    it is tried: first at step 8 with ``i - lo >= 8``, so at row ``j >=
-    16``, and seventeen distinct timestamps in the window give ``span >=
-    16``, so ``l >= log2(17) > 2``.  Each rule skips only starts that
-    cannot undercut the kept candidate, and the full scan replaces it
-    only when undercut, so ties still go to the shortest last segment.
+    :class:`DomainError`.  Each rule skips only starts that cannot
+    undercut the kept candidate, and the full scan replaces it only
+    when undercut, so ties still go to the shortest last segment.
 
     Returns the runs of the optimal segmentation that are coded as
     cycles (only those strictly cheaper than leaving their occurrences
@@ -404,12 +420,23 @@ def extract_cycles_dp(
 
     # best[j] = optimal bits for the prefix ending at index j-1
     best = [0.0] * (n + 1)
-    net = [0.0] * (n + 1)  # best[a] - 2 * a
     cut = [0] * (n + 1)  # start index of the last segment
     as_cycle = [False] * (n + 1)
+    # The range bound's terms, built at its first try: C, the prefix sums
+    # of the blocks' deviations, clamped; Q[a] = best[a] - a * l_res and
+    # M[a] = best[a] - 2a - C[ceil(a / 8)] for the starts a < len(Q).
+    blocks: list[int] = []
+    q_of: list[float] = []
+    m_of: list[float] = []
+    # The least Q and M over [run_lo, run_a0), kept while lo and a0 hold,
+    # and over (run_a0, run_end), extended row by row while a0 holds.
+    run_lo = run_a0 = run_end = -1
+    left_q = left_m = right_q = right_m = inf
     # The sorted gaps of [fit_a0..fit_end], carried from row to row, and
     # the sums of its lower half (its first len // 2) and of all of it.
     fit_a0, fit_end, seg, low, total = -1, 0, [], 0, 0
+    idle = 0  # rows left that do not try the range bound
+    backoff = 1  # rows left untried after the next row where it fails
     for j in range(n):
         lo = max(0, j - window + 1)
         bj = best[j] + l_res  # singleton segment [j..j]
@@ -419,8 +446,12 @@ def extract_cycles_dp(
         sum_small = sum_large = 0
         t_j = ts[j]
         stop = -1
-        test = 8  # the next step that tries the range bound
-        a0 = -1  # the previous row's last start, once priced
+        # the next step that tries the range bound: the first, when at
+        # least 8 starts remain after it and the back-off is over
+        test = 1 if j - lo > 8 and not idle else n
+        if idle:
+            idle -= 1
+        tried = fired = False
         for i in range(j - 1, lo - 1, -1):
             x = gaps[i]
             k = j - i  # gaps in the segment [i..j], x included
@@ -463,15 +494,14 @@ def extract_cycles_dp(
             as_res, as_cyc = res[k], spread - lam
             if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
                 stop = i - 1
-            if k == test and i - lo >= k:
-                test += test >> 1
-                if a0 < 0:
-                    a0 = cut[j]
+            if k == test and stop < 0 and i - lo >= k:
+                if k == 1:  # the row's first try
+                    a0 = cut[j]  # the previous row's last start
                     if not lo <= a0 < i:  # out of the window, or already priced
                         test = n
                         continue
+                    test = 8
                     place = codec.cycle_placement_floor(stats, t_j - ts[lo], least_gap)
-                    left = min(net[lo:a0], default=inf)  # the starts before a0
                     # [a0..j] priced from the carried sorted fit of its gaps
                     if a0 != fit_a0:  # cut[j] moved: fit afresh
                         fit_a0, fit_end = a0, j
@@ -496,16 +526,47 @@ def extract_cycles_dp(
                     y0 = price(k0 + 1, p0, ts[a0], (t_j - ts[a0]) - k0 * p0, d0)
                     u_cyc = y0 < c0
                     u_cost = best[a0] + (y0 if u_cyc else c0)
+                    if not blocks:  # the deviations of gaps[8b:8b + 8], summed
+                        whole = map(sorted, (gaps[b:b + 8] for b in range(0, n - 8, 8)))
+                        blocks = [0, *accumulate(sum(s[4:]) - sum(s[:4]) for s in whole)]
+                        blocks += blocks[-1:] * ((n + 15) // 8 - len(blocks))
+                    for a in range(len(q_of), i):
+                        b_a = best[a]
+                        q_of.append(b_a - a * l_res)
+                        m_of.append(b_a - 2 * a - blocks[(a + 7) >> 3])
+                    if a0 != run_a0:
+                        run_a0, run_end, run_lo = a0, a0 + 1, -1
+                        right_q = right_m = inf
+                    if lo != run_lo:
+                        run_lo = lo
+                        left_q = min(q_of[lo:a0], default=inf)
+                        left_m = min(m_of[lo:a0], default=inf)
+                    for a in range(run_end, i):  # the starts after a0 since
+                        if q_of[a] < right_q:
+                            right_q = q_of[a]
+                        if m_of[a] < right_m:
+                            right_m = m_of[a]
+                    run_end = i
+                    rival_q, rival_m = right_q, right_m
+                else:
+                    test += test >> 1
+                    rival_q = min(q_of[a0 + 1:i], default=inf)
+                    rival_m = min(m_of[a0 + 1:i], default=inf)
+                tried = True
                 ref = u_cost if u_cost < bj else bj
-                as_res, as_cyc = l_res + (k + 1) * (l_res - 2.0), head + dev + place
-                bound = 2 * j + (as_res if as_res < as_cyc else as_cyc) - 1e-6
-                rival = min(net[a0 + 1:i], default=inf)
-                if (left if left < rival else rival) + bound > ref:
+                as_res = (left_q if left_q < rival_q else rival_q) + (j + 1) * l_res
+                as_cyc = (left_m if left_m < rival_m else rival_m) + blocks[i >> 3]
+                as_cyc += 2 * j + head + place + dev
+                if (as_res if as_res < as_cyc else as_cyc) - 1e-6 > ref:
                     if u_cost < bj:
                         bj, cj, aj = u_cost, a0, u_cyc
+                    fired = True
                     break
+        if fired:
+            backoff = 1
+        elif tried:  # and it failed every time
+            idle, backoff = backoff, min(2 * backoff, 64)
         best[j + 1] = bj
-        net[j + 1] = bj - 2 * (j + 1)
         cut[j + 1] = cj
         as_cycle[j + 1] = aj
 
@@ -586,6 +647,67 @@ def _chain(
     return (*before, i, j, *after), exact
 
 
+def _retraced(
+    ts: Sequence[int], chain: tuple[int, ...], s: int, tolerance: float, room: Sequence[int]
+) -> bool:
+    """Whether the local-gap walk from the seed ``chain[s], chain[s +
+    1]`` would take every step of ``chain``, the steady walk's from
+    that seed, and stop where it stopped.
+
+    The two walks predict the same time at a side's first step and at
+    every step after exact ones, so only a step whose local-gap
+    prediction differs is checked: its occurrence must be the one
+    :func:`_chain` picks for that prediction, the nearest in the side's
+    range, the earlier on a tie, which its two neighbours decide.  The
+    local-gap walk's tests need no check: its distance from the
+    prediction is the new gap less the one before, which is the steady
+    walk's gap test, and ``room`` is read at the same members, unless
+    adding the chain used up one (the caller runs the walk then).  At
+    each side's end whose prediction differs, the local-gap walk's own
+    pick, one bisection, must fail as the steady walk's did; ``room`` is
+    read there only, out of the chain.  The steps of both sides are
+    checked before either end.
+    """
+    n = len(ts)
+    i, j = chain[s], chain[s + 1]
+    period = ts[j] - ts[i]
+    lo, t_a, gap_a, target_a = j + 1, ts[j], period, ts[j]
+    for k in chain[s + 2:]:
+        target_a += period
+        guess = t_a + gap_a
+        t_k = ts[k]
+        if guess != target_a:
+            d = abs(t_k - guess)
+            if (k > lo and guess - ts[k - 1] <= d) or (k + 1 < n and ts[k + 1] - guess < d):
+                return False
+        lo, t_a, gap_a = k + 1, t_k, t_k - t_a
+    hi, t_b, gap_b, target_b = i, ts[i], period, ts[i]
+    for k in reversed(chain[:s]):
+        target_b -= period
+        guess = t_b - gap_b
+        t_k = ts[k]
+        if guess != target_b:
+            d = abs(t_k - guess)
+            if (k > 0 and guess - ts[k - 1] <= d) or (k + 1 < hi and ts[k + 1] - guess < d):
+                return False
+        hi, t_b, gap_b = k, t_k, t_b - t_k
+    guess = t_a + gap_a
+    if guess != target_a + period and lo < n:
+        k = bisect_left(ts, guess, lo)
+        if k > lo and (k == n or guess - ts[k - 1] <= ts[k] - guess):
+            k -= 1
+        if abs(ts[k] - guess) <= tolerance and room[k] > 0:
+            return False
+    guess = t_b - gap_b
+    if guess != target_b - period and hi > 0:
+        k = bisect_left(ts, guess, 0, hi)
+        if k > 0 and (k == hi or guess - ts[k - 1] <= ts[k] - guess):
+            k -= 1
+        if abs(ts[k] - guess) <= tolerance and room[k] > 0:
+            return False
+    return True
+
+
 def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tuple[int, ...]]:
     """Chain near-periodic triples of occurrences.
 
@@ -610,18 +732,31 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
     before a full one.  There are at most ``G n`` seeds of two chains
     each, the twins of one seed can coincide but two seeds' chains
     cannot, and every step, and the end of every side, is one
-    ``bisect_left`` made inline in :func:`_chain`.  So at most
-    ``2 G n`` chains come out, and at most ``2 (4 G n) + 4 G n = 12 G
-    n`` lookups are made: ``8 n`` and ``48 n`` once ``n >= 150``.
+    ``bisect_left`` made inline in :func:`_chain`.  So at most ``2 G n``
+    chains come out, and at most ``2 (4 G n) + 4 G n = 12 G n`` lookups
+    are made: ``8 n`` and ``48 n`` once ``n >= 150``.  The retrace check
+    below adds at most one bisection per side that took a step, and
+    none at a side's first step: when the second walk is skipped, they
+    are fewer than the two ends it would have looked up; when it runs,
+    it leaves the steady chain, so the twins do not coincide and the
+    steps that a coinciding twin could have retraced pay for them.
 
-    A steady walk whose every step lands exactly on its predicted time
-    is the local-gap walk from its seed too: the two predict the same
-    time at every step, so they take the same steps and stop at the same
-    place, and a stop tests ``room`` only beyond the chain's ends.  The
-    second walk is skipped then, and makes no lookups, unless the steady
-    chain was just added and used up the ``room`` of one of its members
-    past the seed; then it runs and may stop there.  On a strictly
-    periodic event this skips nearly every second walk.
+    The second walk is skipped when it would retrace the first: when
+    the local-gap walk from the seed would take every step of the steady
+    walk's chain and stop where it stopped (:func:`_retraced`).  The two
+    predict the same time at a side's first step and after every exact
+    step, so a steady walk that lands exactly on every predicted time is
+    retraced, and the check looks only at the steps after a side's
+    first inexact one: each must be the occurrence that the local-gap
+    prediction picks, which its two neighbours decide, within
+    ``tolerance``, and at each side's end whose prediction differs the
+    local-gap walk's own pick, one bisection, must fail too.  A stop
+    tests ``room`` only beyond the chain's ends, where the steady chain
+    spent none.  So the skip is exact, unless the steady chain was just
+    added and used up the ``room`` of one of its members past the seed;
+    then the second walk runs and may stop there.  On a strictly
+    periodic event this skips nearly every second walk, and on a wobbly
+    one most.
 
     A NaN ``tolerance`` raises :class:`DomainError`: every comparison
     with it is false, so no rule could say what it admits.
@@ -652,11 +787,14 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
                     linked.update(zip(chain, chain[1:]))
                     for k in chain:
                         room[k] -= 1
-                if not exact:
+                if not steady:
                     continue
-                if added and any(room[k] <= 0 for k in chain if k != i and k != j):
+                if added and min(map(room.__getitem__, chain)) <= 0 and any(
+                    room[k] <= 0 for k in chain if k != i and k != j
+                ):
                     continue  # the local-gap walk may stop at the spent member
-                break  # the local-gap walk would retrace this one
+                if exact or _retraced(ts, chain, chain.index(i), tolerance, room):
+                    break  # the local-gap walk would retrace this one
     return sorted(chains)
 
 

@@ -1128,7 +1128,7 @@ def set_collection_cost(patterns, seq, stats: SeqStats | None = None) -> Collect
         pattern_bits += breakdown.total
         covered |= cover
         entries.append(PatternEntry(
-            notation=format_pattern(pat),
+            pattern=pat,
             cost=breakdown,
             cover_size=len(cover),
             shape_class=shape.shape_class,

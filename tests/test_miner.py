@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import heapq
 import importlib
 import math
 import os
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from functools import cached_property
@@ -230,6 +232,17 @@ def wobbly_cycle(rng: random.Random, beats: int, wobble: float, noise: int = 0) 
     return sorted(ts)
 
 
+def drifting_cycle(rng: random.Random, beats: int, wobble: float) -> list[int]:
+    """One event that is a single long cycle whose period grows by one
+    tick every 20 beats, each beat one tick early or late with
+    probability ``wobble``: blocks of eight gaps have different medians."""
+    ts, p, t = [], rng.randint(5, 20), rng.randint(1, 30)
+    for k in range(beats):
+        ts.append(t + (rng.choice((-1, 1)) if rng.random() < wobble else 0))
+        t += p + k // 20
+    return ts
+
+
 def two_cycles(rng: random.Random, wobble: float) -> list[int]:
     """Two single long cycles of different periods, 40 to 80 beats
     each, back to back, each beat one tick early or late with
@@ -244,10 +257,13 @@ def two_cycles(rng: random.Random, wobble: float) -> list[int]:
 
 # Short runs far apart, where the stop rule cuts most scans; long wobbly
 # runs, where it cuts few; single long wobbly cycles, where it cuts none
-# and the range bound ends the scans; and two such cycles back to back,
+# and the range bound ends the scans; two such cycles back to back,
 # where the last segment's start moves mid-event and the range bound's
-# carried fit is made afresh (the second window of each case is shorter
-# than the event).
+# carried fit is made afresh; cycles whose period drifts, where the
+# blocks' medians differ and the optimal segmentation splits the cycle;
+# and events of at most three blocks of gaps, where the blocks'
+# deviations run out and clamp (the second window of each case is
+# shorter than the event).
 SEGMENTATION_INPUTS = [
     *(
         pytest.param(
@@ -289,6 +305,24 @@ SEGMENTATION_INPUTS = [
             id=f"two-cycles-{seed}",
         )
         for seed in range(20)
+    ),
+    *(
+        pytest.param(
+            lambda rng: drifting_cycle(
+                rng, beats=rng.randint(80, 200), wobble=rng.choice((0.0, 0.1, 0.3))
+            ),
+            seed,
+            id=f"drift-{seed}",
+        )
+        for seed in range(12)
+    ),
+    *(
+        pytest.param(
+            lambda rng: wobbly_cycle(rng, beats=rng.randint(10, 25), wobble=rng.uniform(0.0, 0.3)),
+            seed,
+            id=f"short-{seed}",
+        )
+        for seed in range(12)
     ),
 ]
 
@@ -420,6 +454,42 @@ class TestDpStopRule:
         assert cycles == [tuple(range(80))]
         assert 0 < segment_prices[0] < 0.1 * len(ts) ** 2 / 2
 
+    def test_whole_blocks_bound_the_deviation(self):
+        # Two cycles back to back in a log of their own.  Where the last
+        # segment's start moves into the second cycle, the blocks of gaps
+        # that lie wholly after a start bound its deviation; a block that
+        # the start cuts holds gaps of the first cycle, and must not count.
+        for seed in range(0, 124, 4):
+            rng = random.Random(seed)
+            ts = two_cycles(rng, rng.uniform(0, 0.3))
+            stats = SeqStats(length=len(ts), t_start=ts[0], t_end=ts[-1], counts={"a": len(ts)})
+            for window in (500, rng.randint(20, 60)):
+                got = extract_cycles_dp(ts, "a", stats, window=window)
+                assert got == unpruned_segmentation(ts, "a", stats, window), (seed, window)
+
+    def test_heartbeat_scans_few_starts(self, monkeypatch):
+        # One wobbly cycle of 200 beats: the block bound ends nearly every
+        # row at its first step, so the scan's heap operations (one or two
+        # per scanned start) stay a few per occurrence, where a row that
+        # scans back to the cycle's start makes one per beat so far.
+        ops = [0]
+
+        def counting(op):
+            def counted(*args):
+                ops[0] += 1
+                return op(*args)
+
+            return counted
+
+        heaps = types.SimpleNamespace(
+            heappush=counting(heapq.heappush), heappushpop=counting(heapq.heappushpop)
+        )
+        monkeypatch.setattr(miner, "heapq", heaps)
+        ts = wobbly_cycle(random.Random(1), beats=200, wobble=0.1)
+        stats = SeqStats(length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)})
+        assert extract_cycles_dp(ts, "a", stats) == [tuple(range(200))]
+        assert 0 < ops[0] <= 15 * len(ts)
+
 
 def chained_times(ts, tolerance):
     """The timestamps of each chain ``extract_cycles_tri`` finds."""
@@ -461,7 +531,8 @@ class TestExtractCyclesTri:
         third of them one tick late, at tolerance 12: above the burst's
         period, so several occurrences fit most predictions.  With
         ``G = 4`` (``n >= 150``) the docstring bounds the cycles by
-        ``c n`` with ``c = 8`` and the lookups with ``c = 48``."""
+        ``c n`` with ``c = 8`` and the lookups, the walks' and the
+        retrace checks' bisections together, with ``c = 48``."""
         rng = random.Random(n)
         ts = [40 * (i // 4) + 2 * (i % 4) + rng.choice((0, 0, 1)) for i in range(n)]
         lookups = []
@@ -475,6 +546,41 @@ class TestExtractCyclesTri:
         cycles = extract_cycles_tri(ts, 12.0)
         assert 0 < len(cycles) <= 8 * n
         assert n < len(lookups) <= 48 * n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drifting_and_wobbled_cycles_chain_as_walking_twice(self, seed):
+        # Local-gap walks leave their steady walks here: a drifting period
+        # moves the gap, and a wobbled beat moves the local-gap prediction
+        # off the seed's grid.  A walk that only retraces is skipped, and
+        # the chains are still those of walking every seed twice.
+        rng = random.Random(seed)
+        for ts in (
+            drifting_cycle(rng, beats=rng.randint(60, 120), wobble=0.1),
+            wobbly_cycle(rng, beats=rng.randint(60, 120), wobble=0.2, noise=rng.randint(0, 10)),
+        ):
+            for tolerance in (2.0, 3.129, 8.0):
+                assert extract_cycles_tri(ts, tolerance) == two_walk_triple_chains(ts, tolerance)
+
+    def test_no_local_gap_walk_retraces_its_steady_walk(self, monkeypatch):
+        # An 80-beat wobbled cycle at stage S's tolerance: some steady walks
+        # land off their predicted times, and the local-gap walks that
+        # would retrace them are skipped, so every one that runs returns
+        # another chain than its steady twin.
+        walks = {}
+        chain = miner._chain
+
+        def recording(ts, i, j, tolerance, steady, room):
+            walks[i, j, steady] = out = chain(ts, i, j, tolerance, steady, room)
+            return out
+
+        monkeypatch.setattr(miner, "_chain", recording)
+        ts = wobbly_cycle(random.Random(1), beats=80, wobble=0.1)
+        stats = SeqStats(length=len(ts), t_start=0, t_end=ts[-1], counts={"a": len(ts)})
+        extract_cycles_tri(ts, codec.extension_margin(stats))
+        inexact = [(i, j) for (i, j, steady), (_, exact) in walks.items() if steady and not exact]
+        twins = [seed for seed in inexact if (*seed, False) in walks]
+        assert 0 < len(twins) < len(inexact)
+        assert all(walks[i, j, False][0] != walks[i, j, True][0] for i, j, steady in walks if not steady)
 
     @pytest.mark.parametrize("steady", [True, False])
     def test_the_earlier_occurrence_wins_an_exact_tie(self, steady):
@@ -2451,8 +2557,8 @@ class TestMine:
     @pytest.mark.parametrize("shape", ["braids", "stream"])
     def test_mining_formats_no_notation(self, monkeypatch, shape):
         # A candidate is its pattern and ties break on its rank, so mining
-        # formats nothing; reading a candidate's notation, or a report,
-        # formats it then.
+        # formats nothing, and neither does building a report; reading a
+        # candidate's notation, or a report entry's, formats it then.
         calls: Counter = Counter()
         for name in ("format_tree", "_format_placed"):
 
@@ -2467,7 +2573,10 @@ class TestMine:
         assert calls["_format_placed"] == 1 and calls["format_tree"] > 0
         calls.clear()
         report = result.selection.report
-        assert calls["_format_placed"] == len(report.patterns) > 0
+        assert report.patterns and calls == {}
+        notations = [e.notation for e in report.patterns]
+        assert [e.notation for e in report.patterns] == notations  # read twice, formatted once
+        assert calls["_format_placed"] == len(notations)
 
     def test_dozen_log_beats_hand_collections(self, dozen_a_seq):
         result = mine(dozen_a_seq)
