@@ -367,25 +367,24 @@ def extract_cycles_dp(
     rounding), none of those starts can win or tie: ``a0`` takes the row
     if ``U < bj``, as the full scan would, and the scan ends.
 
-    The bound is tried at step 1 when 8 or more starts remain after it,
-    then after 8 steps and at steps growing by half while as many starts
-    remain as were scanned, each time only before the stop rule has
-    fired: a try costs about as much as scanning a few starts.  At step
-    1 the least ``Q`` and ``M`` are carried from row to row while ``a0``
-    holds, each row taking in the starts since (those before ``a0`` are
-    taken again when ``lo`` moves); later steps take them by ``min()``
-    over slices.  The fit of ``[a0..j]`` is carried from row to row too.
-    When ``cut[j]`` moves, the gaps are sorted afresh, in ``O(w log w)``
-    for ``w = window``.  While it stays, a row adds the gaps of the rows
-    since the fit was last read, each by a bisection and a list insert
-    that keep the sums of the lower half and of all the gaps: ``O(log
-    w)`` comparisons and a move of at most ``w`` list entries per row,
-    amortized.  ``C``, ``Q`` and ``M`` are built at the event's first
-    try, so an event that never tries builds none of them.  On a
-    periodic event the bound ends nearly every row at step 1.  Where it
-    fails, as on nested events, where the stop rule ends the scans, a
-    row that tries it and is never ended by it leaves it untried for the
-    next 1, 2, 4, ... up to 64 rows; a row that it ends resets the count.
+    A row tries the bound once, at step 1, when 8 or more starts remain
+    after it and the stop rule has not fired there: a try costs about as
+    much as scanning a few starts, and a row whose try fails scans on.
+    The least ``Q`` and ``M`` over the starts other than ``a0`` are
+    carried from row to row while ``a0`` holds, each row taking in the
+    starts since (those before ``a0`` are taken again when ``lo``
+    moves), and so is the fit of ``[a0..j]``.  When ``cut[j]`` moves,
+    the gaps are sorted afresh, in ``O(w log w)`` for ``w = window``.
+    While it stays, a row adds the gaps of the rows since the fit was
+    last read, each by a bisection and a list insert that keep the sums
+    of the lower half and of all the gaps: ``O(log w)`` comparisons and
+    a move of at most ``w`` list entries per row, amortized.  ``C``,
+    ``Q`` and ``M`` are built at the event's first try, so an event that
+    never tries builds none of them.  On a periodic event the bound ends
+    nearly every row at step 1.  Where it fails, as on nested events,
+    where the stop rule ends the scans, a row whose try fails leaves the
+    bound untried for the next 1, 2, 4, ... up to 64 rows; a row that it
+    ends resets the count.
 
     The stop rule and the range bound hold for cycles inside the window,
     so timestamps outside ``[stats.t_start, stats.t_end]`` raise
@@ -446,9 +445,9 @@ def extract_cycles_dp(
         sum_small = sum_large = 0
         t_j = ts[j]
         stop = -1
-        # the next step that tries the range bound: the first, when at
-        # least 8 starts remain after it and the back-off is over
-        test = 1 if j - lo > 8 and not idle else n
+        # the row tries the range bound at its first step, when at least
+        # 8 starts remain after it and the back-off is over
+        test = j - lo > 8 and not idle
         if idle:
             idle -= 1
         tried = fired = False
@@ -494,68 +493,61 @@ def extract_cycles_dp(
             as_res, as_cyc = res[k], spread - lam
             if best[i + 1] + (as_res if as_res < as_cyc else as_cyc) - 1e-6 >= bj:
                 stop = i - 1
-            if k == test and stop < 0 and i - lo >= k:
-                if k == 1:  # the row's first try
-                    a0 = cut[j]  # the previous row's last start
-                    if not lo <= a0 < i:  # out of the window, or already priced
-                        test = n
-                        continue
-                    test = 8
-                    place = codec.cycle_placement_floor(stats, t_j - ts[lo], least_gap)
-                    # [a0..j] priced from the carried sorted fit of its gaps
-                    if a0 != fit_a0:  # cut[j] moved: fit afresh
-                        fit_a0, fit_end = a0, j
-                        seg = sorted(gaps[a0:j])
-                        low = sum(seg[: (j - a0) >> 1])
-                        total = sum(seg)
-                    for x in gaps[fit_end:j]:
-                        pos = bisect_right(seg, x)
-                        seg.insert(pos, x)
-                        total += x
-                        h0 = len(seg) >> 1
-                        if pos < h0:  # x joins the lower half
-                            low += x - (seg[h0] if len(seg) & 1 else 0)
-                        elif not len(seg) & 1:  # the lower half grows by the median
-                            low += seg[h0 - 1]
-                    fit_end = j
-                    k0 = j - a0
-                    h0 = k0 >> 1
-                    p0 = seg[h0]
-                    d0 = (p0 * h0 - low) + ((total - low) - p0 * (k0 - h0))
-                    c0 = (k0 + 1) * l_res
-                    y0 = price(k0 + 1, p0, ts[a0], (t_j - ts[a0]) - k0 * p0, d0)
-                    u_cyc = y0 < c0
-                    u_cost = best[a0] + (y0 if u_cyc else c0)
-                    if not blocks:  # the deviations of gaps[8b:8b + 8], summed
-                        whole = map(sorted, (gaps[b:b + 8] for b in range(0, n - 8, 8)))
-                        blocks = [0, *accumulate(sum(s[4:]) - sum(s[:4]) for s in whole)]
-                        blocks += blocks[-1:] * ((n + 15) // 8 - len(blocks))
-                    for a in range(len(q_of), i):
-                        b_a = best[a]
-                        q_of.append(b_a - a * l_res)
-                        m_of.append(b_a - 2 * a - blocks[(a + 7) >> 3])
-                    if a0 != run_a0:
-                        run_a0, run_end, run_lo = a0, a0 + 1, -1
-                        right_q = right_m = inf
-                    if lo != run_lo:
-                        run_lo = lo
-                        left_q = min(q_of[lo:a0], default=inf)
-                        left_m = min(m_of[lo:a0], default=inf)
-                    for a in range(run_end, i):  # the starts after a0 since
-                        if q_of[a] < right_q:
-                            right_q = q_of[a]
-                        if m_of[a] < right_m:
-                            right_m = m_of[a]
-                    run_end = i
-                    rival_q, rival_m = right_q, right_m
-                else:
-                    test += test >> 1
-                    rival_q = min(q_of[a0 + 1:i], default=inf)
-                    rival_m = min(m_of[a0 + 1:i], default=inf)
+            if test and stop < 0:  # the first step: the row's one try
+                test = False
+                a0 = cut[j]  # the previous row's last start
+                if not lo <= a0 < i:  # out of the window, or already priced
+                    continue
+                place = codec.cycle_placement_floor(stats, t_j - ts[lo], least_gap)
+                # [a0..j] priced from the carried sorted fit of its gaps
+                if a0 != fit_a0:  # cut[j] moved: fit afresh
+                    fit_a0, fit_end = a0, j
+                    seg = sorted(gaps[a0:j])
+                    low = sum(seg[: (j - a0) >> 1])
+                    total = sum(seg)
+                for x in gaps[fit_end:j]:
+                    pos = bisect_right(seg, x)
+                    seg.insert(pos, x)
+                    total += x
+                    h0 = len(seg) >> 1
+                    if pos < h0:  # x joins the lower half
+                        low += x - (seg[h0] if len(seg) & 1 else 0)
+                    elif not len(seg) & 1:  # the lower half grows by the median
+                        low += seg[h0 - 1]
+                fit_end = j
+                k0 = j - a0
+                h0 = k0 >> 1
+                p0 = seg[h0]
+                d0 = (p0 * h0 - low) + ((total - low) - p0 * (k0 - h0))
+                c0 = (k0 + 1) * l_res
+                y0 = price(k0 + 1, p0, ts[a0], (t_j - ts[a0]) - k0 * p0, d0)
+                u_cyc = y0 < c0
+                u_cost = best[a0] + (y0 if u_cyc else c0)
+                if not blocks:  # the deviations of gaps[8b:8b + 8], summed
+                    whole = map(sorted, (gaps[b:b + 8] for b in range(0, n - 8, 8)))
+                    blocks = [0, *accumulate(sum(s[4:]) - sum(s[:4]) for s in whole)]
+                    blocks += blocks[-1:] * ((n + 15) // 8 - len(blocks))
+                for a in range(len(q_of), i):
+                    b_a = best[a]
+                    q_of.append(b_a - a * l_res)
+                    m_of.append(b_a - 2 * a - blocks[(a + 7) >> 3])
+                if a0 != run_a0:
+                    run_a0, run_end, run_lo = a0, a0 + 1, -1
+                    right_q = right_m = inf
+                if lo != run_lo:
+                    run_lo = lo
+                    left_q = min(q_of[lo:a0], default=inf)
+                    left_m = min(m_of[lo:a0], default=inf)
+                for a in range(run_end, i):  # the starts after a0 since
+                    if q_of[a] < right_q:
+                        right_q = q_of[a]
+                    if m_of[a] < right_m:
+                        right_m = m_of[a]
+                run_end = i
                 tried = True
                 ref = u_cost if u_cost < bj else bj
-                as_res = (left_q if left_q < rival_q else rival_q) + (j + 1) * l_res
-                as_cyc = (left_m if left_m < rival_m else rival_m) + blocks[i >> 3]
+                as_res = (left_q if left_q < right_q else right_q) + (j + 1) * l_res
+                as_cyc = (left_m if left_m < right_m else right_m) + blocks[i >> 3]
                 as_cyc += 2 * j + head + place + dev
                 if (as_res if as_res < as_cyc else as_cyc) - 1e-6 > ref:
                     if u_cost < bj:
@@ -592,9 +584,8 @@ def _chain(
     tolerance: float,
     steady: bool,
     room: Sequence[int],
-) -> tuple[tuple[int, ...], bool]:
-    """The chain through seed ``(i, j)``, extended both ways, and whether
-    every step landed exactly on its predicted time.
+) -> tuple[int, ...]:
+    """The chain through seed ``(i, j)``, extended both ways.
 
     The ``m``-th step on a side goes to the occurrence nearest the
     predicted time, the earlier on a tie: ``m`` seed periods ``ts[j] -
@@ -608,7 +599,6 @@ def _chain(
     bisect, n = bisect_left, len(ts)
     t_i, t_j = ts[i], ts[j]
     period = t_j - t_i
-    exact = True
     after: list[int] = []
     lo, t_b, gap, target = j + 1, t_j, period, t_j
     while True:
@@ -623,8 +613,6 @@ def _chain(
         if not (abs(t_k - target) <= tolerance and abs(step - gap) <= tolerance and room[k] > 0):
             break
         after.append(k)
-        if t_k != target:
-            exact = False
         lo, t_b, gap = k + 1, t_k, step
     before: list[int] = []
     hi, t_b, gap, target = i, t_i, period, t_i
@@ -640,11 +628,9 @@ def _chain(
         if not (abs(t_k - target) <= tolerance and abs(step - gap) <= tolerance and room[k] > 0):
             break
         before.append(k)
-        if t_k != target:
-            exact = False
         hi, t_b, gap = k, t_k, step
     before.reverse()
-    return (*before, i, j, *after), exact
+    return (*before, i, j, *after)
 
 
 def _retraced(
@@ -655,8 +641,9 @@ def _retraced(
     that seed, and stop where it stopped.
 
     The two walks predict the same time at a side's first step and at
-    every step after exact ones, so only a step whose local-gap
-    prediction differs is checked: its occurrence must be the one
+    every step after exact ones, where the steady walk landed on its
+    predicted time, so only a step whose local-gap prediction differs is
+    checked: its occurrence must be the one
     :func:`_chain` picks for that prediction, the nearest in the side's
     range, the earlier on a tie, which its two neighbours decide.  The
     local-gap walk's tests need no check: its distance from the
@@ -666,7 +653,9 @@ def _retraced(
     each side's end whose prediction differs, the local-gap walk's own
     pick, one bisection, must fail as the steady walk's did; ``room`` is
     read there only, out of the chain.  The steps of both sides are
-    checked before either end.
+    checked before either end.  So a chain whose every step is exact is
+    retraced with no lookup: each of its steps predicts alike, and so
+    does each end, the last gap being the seed's period.
     """
     n = len(ts)
     i, j = chain[s], chain[s + 1]
@@ -735,22 +724,23 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
     ``bisect_left`` made inline in :func:`_chain`.  So at most ``2 G n``
     chains come out, and at most ``2 (4 G n) + 4 G n = 12 G n`` lookups
     are made: ``8 n`` and ``48 n`` once ``n >= 150``.  The retrace check
-    below adds at most one bisection per side that took a step, and
-    none at a side's first step: when the second walk is skipped, they
-    are fewer than the two ends it would have looked up; when it runs,
-    it leaves the steady chain, so the twins do not coincide and the
-    steps that a coinciding twin could have retraced pay for them.
+    below adds at most one bisection per side, only at the end of a side
+    that took an inexact step: when the second walk is skipped, they are
+    fewer than the two ends it would have looked up; when it runs, it
+    leaves the steady chain, so the twins do not coincide and the steps
+    that a coinciding twin could have retraced pay for them.
 
-    The second walk is skipped when it would retrace the first: when
-    the local-gap walk from the seed would take every step of the steady
-    walk's chain and stop where it stopped (:func:`_retraced`).  The two
-    predict the same time at a side's first step and after every exact
-    step, so a steady walk that lands exactly on every predicted time is
-    retraced, and the check looks only at the steps after a side's
-    first inexact one: each must be the occurrence that the local-gap
-    prediction picks, which its two neighbours decide, within
-    ``tolerance``, and at each side's end whose prediction differs the
-    local-gap walk's own pick, one bisection, must fail too.  A stop
+    The second walk is skipped by one rule, when it would retrace the
+    first: when the local-gap walk from the seed would take every step
+    of the steady walk's chain and stop where it stopped
+    (:func:`_retraced`).  The two predict the same time at a side's
+    first step and after every exact step, so the check looks only at
+    the steps after a side's first inexact one: each must be the
+    occurrence that the local-gap prediction picks, which its two
+    neighbours decide, within ``tolerance``, and at each side's end
+    whose prediction differs the local-gap walk's own pick, one
+    bisection, must fail too.  A steady walk that lands exactly on every
+    predicted time thus skips the second walk with no lookups.  A stop
     tests ``room`` only beyond the chain's ends, where the steady chain
     spent none.  So the skip is exact, unless the steady chain was just
     added and used up the ``room`` of one of its members past the seed;
@@ -780,7 +770,7 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
             if (i, j) in linked:
                 continue
             for steady in (True, False):
-                chain, exact = _chain(ts, i, j, tolerance, steady, room)
+                chain = _chain(ts, i, j, tolerance, steady, room)
                 added = len(chain) >= 3 and chain not in chains
                 if added:
                     chains.add(chain)
@@ -793,7 +783,7 @@ def extract_cycles_tri(timestamps: Sequence[int], tolerance: float) -> list[tupl
                     room[k] <= 0 for k in chain if k != i and k != j
                 ):
                     continue  # the local-gap walk may stop at the spent member
-                if exact or _retraced(ts, chain, chain.index(i), tolerance, room):
+                if _retraced(ts, chain, chain.index(i), tolerance, room):
                     break  # the local-gap walk would retrace this one
     return sorted(chains)
 

@@ -1,6 +1,6 @@
 """Mine every benchmark log of a few seeds in one or two checkouts and
 compare the quality each reaches: %L, recovery, exact plants and
-winning stages.
+winning stages, beside the %L of the planted collections.
 
     python3 tests/quality_pairs.py PARENT_DIR [CHANGE_DIR] [--seeds 501-510]
         [--workload W] [--fall X]
@@ -13,15 +13,18 @@ the checkout's own ``src/`` and ``perfbench/`` first on its path.  A
 log's %L is its winning selection's ``percent_length``, and its
 recovery scores are ``perfbench/check.py``'s, read from the reported
 notations as ``perfbench/run.py`` reads them: a seed's %L is the mean
-over its logs and its recovery the mean over its plants.  Every metric
-is deterministic, so one ``mine()`` per log is enough.
+over its logs and its recovery the mean over its plants.  A log's
+planted %L is that of its planted notations, parsed and priced by
+``collection_cost`` as the ``score`` workload prices them, and a seed's
+is the mean over its logs.  Every metric is deterministic, so one
+``mine()`` per log is enough.
 
 Per workload and checkout the script prints the median over the seeds
-of %L and of recovery, and, summed over the seeds, the plants
-recovered exactly and how many logs each stage won.  With two checkouts
-it then prints every log whose %L or recovery moved, the largest %L
-move first, and two verdict lines: whether the change's %L median
-falls below the parent's by at least ``--fall`` points (0.25 by
+of %L, of planted %L and of recovery, and, summed over the seeds, the
+plants recovered exactly and how many logs each stage won.  With two
+checkouts it then prints every log whose %L or recovery moved, the
+largest %L move first, and two verdict lines: whether the change's %L
+median falls below the parent's by at least ``--fall`` points (0.25 by
 default), and whether the medians hold, %L not rising and recovery not
 falling.  With one checkout it prints that checkout's baselines only.
 Seeds are given as in ``tests/output_hashes.py``: each a seed or an
@@ -49,6 +52,7 @@ class Side:
     """One checkout's quality on one workload, over its seeds."""
 
     percent_length: float  # median over the seeds of each seed's mean %L
+    planted: float  # the same median of the planted collections' %L
     recovery: float  # median over the seeds of each seed's mean recovery
     exact: int  # plants recovered exactly
     plants: int
@@ -73,18 +77,22 @@ def _mean(scores: list[float]) -> float:
 
 def summarize(records: list[dict]) -> Side:
     """The medians and counts of one checkout's per-log records, each
-    ``{"seed", "log", "percent_length", "recovery", "winner"}`` with
-    ``recovery`` the log's per-plant scores."""
+    ``{"seed", "log", "percent_length", "planted", "recovery",
+    "winner"}`` with ``planted`` the %L of the log's planted collection
+    and ``recovery`` the log's per-plant scores."""
     if not records:
         raise ValueError("need at least one log")
     by_seed: dict[int, list[dict]] = {}
     for r in records:
         by_seed.setdefault(r["seed"], []).append(r)
     scores = [s for r in records for s in r["recovery"]]
+
+    def median_of_means(key: str) -> float:
+        return statistics.median(statistics.fmean(r[key] for r in rs) for rs in by_seed.values())
+
     return Side(
-        percent_length=statistics.median(
-            statistics.fmean(r["percent_length"] for r in rs) for rs in by_seed.values()
-        ),
+        percent_length=median_of_means("percent_length"),
+        planted=median_of_means("planted"),
         recovery=statistics.median(
             _mean([s for r in rs for s in r["recovery"]]) for rs in by_seed.values()
         ),
@@ -141,12 +149,15 @@ def mine_logs(checkout: Path, workload: str, seed_list: list[int], seconds: floa
 
     for seed in seed_list:
         for i, log in enumerate(gen.logs(workload, seed, seconds)):
-            result = cadence.mine(cadence.load_sequence(log.text))
+            seq = cadence.load_sequence(log.text)
+            result = cadence.mine(seq)
             summary = check.summarize(result.selection.report)
+            planted = [cadence.parse_pattern(line) for line in log.notations.splitlines()]
             record = {
                 "seed": seed,
                 "log": i,
                 "percent_length": summary.percent_length,
+                "planted": cadence.collection_cost(planted, seq).percent_length,
                 "recovery": check.recovery(log, check.decode(summary)),
                 "winner": result.winner,
             }
@@ -169,7 +180,8 @@ def run_side(checkout: Path, workload: str, seed_list: list[int], seconds: float
 def describe(name: str, side: Side) -> str:
     winners = ", ".join(f"{stage} {n}" for stage, n in side.winners.items())
     return (
-        f"  {name}: %L median {side.percent_length:.3f}, recovery median {side.recovery:.3f}, "
+        f"  {name}: %L median {side.percent_length:.3f}, planted %L median {side.planted:.3f}, "
+        f"recovery median {side.recovery:.3f}, "
         f"exact plants {side.exact} of {side.plants}, winners {winners}"
     )
 

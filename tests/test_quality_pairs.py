@@ -5,28 +5,29 @@ from __future__ import annotations
 
 import pytest
 
-from quality_pairs import Move, Side, moves, seeds, summarize, verdicts
+from quality_pairs import Move, Side, describe, moves, seeds, summarize, verdicts
 
 
-def record(seed, log, percent_length, recovery, winner="F"):
+def record(seed, log, percent_length, planted, recovery, winner="F"):
     return {
         "seed": seed,
         "log": log,
         "percent_length": percent_length,
+        "planted": planted,
         "recovery": recovery,
         "winner": winner,
     }
 
 
-# Three seeds of two logs each: seed means 21, 30 and 45 %L, and 0.75,
-# 0.5 and 1.0 recovery over each seed's plants.
+# Three seeds of two logs each: seed means 21, 30 and 45 %L, 18, 24 and
+# 40 planted %L, and 0.75, 0.5 and 1.0 recovery over each seed's plants.
 PARENT = [
-    record(501, 0, 20.0, [1.0, 0.5]),
-    record(501, 1, 22.0, [1.0, 0.5], "S"),
-    record(502, 0, 30.0, [0.5]),
-    record(502, 1, 30.0, [0.5, 0.5, 0.5]),
-    record(503, 0, 40.0, [1.0]),
-    record(503, 1, 50.0, [], "single"),
+    record(501, 0, 20.0, 17.0, [1.0, 0.5]),
+    record(501, 1, 22.0, 19.0, [1.0, 0.5], "S"),
+    record(502, 0, 30.0, 25.0, [0.5]),
+    record(502, 1, 30.0, 23.0, [0.5, 0.5, 0.5]),
+    record(503, 0, 40.0, 35.0, [1.0]),
+    record(503, 1, 50.0, 45.0, [], "single"),
 ]
 
 
@@ -34,6 +35,7 @@ def test_a_side_reads_medians_over_seeds_and_counts_over_logs():
     side = summarize(PARENT)
     assert side == Side(
         percent_length=30.0,
+        planted=24.0,
         recovery=0.75,
         exact=3,
         plants=9,
@@ -44,7 +46,15 @@ def test_a_side_reads_medians_over_seeds_and_counts_over_logs():
 
 def test_one_seed_is_its_own_median():
     side = summarize(PARENT[:2])
-    assert (side.percent_length, side.recovery, side.exact, side.plants) == (21.0, 0.75, 2, 4)
+    assert (side.percent_length, side.planted, side.recovery) == (21.0, 18.0, 0.75)
+    assert (side.exact, side.plants) == (2, 4)
+
+
+def test_a_side_prints_its_planted_median_beside_its_own():
+    assert describe("parent", summarize(PARENT)) == (
+        "  parent: %L median 30.000, planted %L median 24.000, recovery median 0.750, "
+        "exact plants 3 of 9, winners F 4, S 1, single 1"
+    )
 
 
 def test_the_same_records_move_nothing_and_hold():
